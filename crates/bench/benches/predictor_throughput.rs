@@ -6,12 +6,15 @@ use std::hint::black_box;
 
 use bp_bench::bench_trace;
 use bp_predictors::{
-    simulate, BlockPattern, Gas, Gshare, GshareInterferenceFree, Hybrid, KthAgo, LoopPredictor,
-    Pas, PasInterferenceFree, PathBased, Predictor, Smith, StaticTaken,
+    simulate, BlockPattern, Gas, Gshare, GshareInterferenceFree, Hybrid, IdealStatic, KthAgo,
+    LoopPredictor, Pas, PasInterferenceFree, PathBased, Perceptron, Predictor, Smith, StaticTaken,
+    Tage,
 };
+use bp_trace::BranchProfile;
 
 fn bench_predictors(c: &mut Criterion) {
     let trace = bench_trace();
+    let profile = BranchProfile::of(&trace);
     let mut group = c.benchmark_group("predictor_throughput");
     group.sample_size(20);
 
@@ -41,6 +44,9 @@ fn bench_predictors(c: &mut Criterion) {
         "hybrid_gshare_pas",
         Hybrid::new(Gshare::default(), Pas::default(), 12)
     );
+    bench!("tage", Tage::default());
+    bench!("perceptron", Perceptron::default());
+    bench!("ideal_static", IdealStatic::from_profile(&profile));
 
     // Sanity: the names stay distinct (catches copy-paste in the table).
     let names: Vec<String> = vec![

@@ -36,9 +36,7 @@ impl MispredictProfile {
         };
         let mut since_last_miss = 0u64;
         for (index, rec) in trace.conditionals().enumerate() {
-            let site = BranchSite::from(rec);
-            let hit = predictor.predict(site) == rec.taken;
-            predictor.update(site, rec.taken);
+            let hit = predictor.predict_update(BranchSite::from(rec), rec.taken) == rec.taken;
 
             let decile = (index as u64 * 10).checked_div(n).unwrap_or(0).min(9) as usize;
             profile.deciles[decile].1 += 1;

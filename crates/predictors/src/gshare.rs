@@ -141,8 +141,15 @@ impl Predictor for GshareInterferenceFree {
     }
 
     fn update(&mut self, site: BranchSite, taken: bool) {
-        self.counters.train(site.pc, self.history.value(), taken);
+        self.predict_update(site, taken);
+    }
+
+    fn predict_update(&mut self, site: BranchSite, taken: bool) -> bool {
+        let prediction = self
+            .counters
+            .predict_train(site.pc, self.history.value(), taken);
         self.history.push(taken);
+        prediction
     }
 }
 

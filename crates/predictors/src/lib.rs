@@ -107,6 +107,19 @@ pub trait Predictor {
 
     /// Trains the predictor with the resolved outcome of `site`.
     fn update(&mut self, site: BranchSite, taken: bool);
+
+    /// One simulation step: predicts `site`, trains with `taken`, and
+    /// returns the prediction — exactly `predict` followed by `update`.
+    ///
+    /// Predictors whose `update` recomputes what `predict` already looked
+    /// up (a table scan, a dot product, a keyed-map probe) override this
+    /// to do that work once; the result and the trained state are
+    /// identical to the two-call sequence.
+    fn predict_update(&mut self, site: BranchSite, taken: bool) -> bool {
+        let prediction = self.predict(site);
+        self.update(site, taken);
+        prediction
+    }
 }
 
 impl<P: Predictor + ?Sized> Predictor for Box<P> {
@@ -120,5 +133,9 @@ impl<P: Predictor + ?Sized> Predictor for Box<P> {
 
     fn update(&mut self, site: BranchSite, taken: bool) {
         (**self).update(site, taken)
+    }
+
+    fn predict_update(&mut self, site: BranchSite, taken: bool) -> bool {
+        (**self).predict_update(site, taken)
     }
 }

@@ -194,11 +194,15 @@ impl Predictor for PasInterferenceFree {
     }
 
     fn update(&mut self, site: BranchSite, taken: bool) {
+        self.predict_update(site, taken);
+    }
+
+    fn predict_update(&mut self, site: BranchSite, taken: bool) -> bool {
         let mask = self.mask();
         let entry = self.histories.entry(site.pc).or_insert(0);
         let hist = *entry;
         *entry = ((hist << 1) | u64::from(taken)) & mask;
-        self.counters.train(site.pc, hist, taken);
+        self.counters.predict_train(site.pc, hist, taken)
     }
 }
 

@@ -63,20 +63,23 @@ impl Perceptron {
     /// the weighted history bits (+w for taken, −w for not-taken).
     /// Untrained branches output 0, which predicts taken.
     fn output(&self, pc: Pc) -> i32 {
-        let Some(w) = self.weights.get(&pc) else {
-            return 0;
-        };
-        let hist = self.history.value();
-        let mut y = i32::from(w[0]);
-        for (i, &wi) in w[1..].iter().enumerate() {
-            if (hist >> i) & 1 == 1 {
-                y += i32::from(wi);
-            } else {
-                y -= i32::from(wi);
-            }
-        }
-        y
+        self.weights
+            .get(&pc)
+            .map_or(0, |w| dot(w, self.history.value()))
     }
+}
+
+/// `w[0] + Σ ±w[i+1]`, the sign taken from history bit `i` (+ when set):
+/// the ±1 dot product, with no data-dependent branch per history bit
+/// (outcomes are close to random, so such a branch mispredicts often).
+#[inline]
+fn dot(w: &[i16], hist: u64) -> i32 {
+    let mut y = i32::from(w[0]);
+    for (i, &wi) in w[1..].iter().enumerate() {
+        let x = ((hist >> i) & 1) as i32 * 2 - 1;
+        y += x * i32::from(wi);
+    }
+    y
 }
 
 impl Default for Perceptron {
@@ -96,21 +99,29 @@ impl Predictor for Perceptron {
     }
 
     fn update(&mut self, site: BranchSite, taken: bool) {
-        let y = self.output(site.pc);
-        let pred = y >= 0;
-        if pred != taken || y.abs() <= self.threshold {
-            let len = self.history.len() as usize + 1;
-            let w = self.weights.entry(site.pc).or_insert_with(|| vec![0; len]);
-            let hist = self.history.value();
+        self.predict_update(site, taken);
+    }
+
+    fn predict_update(&mut self, site: BranchSite, taken: bool) -> bool {
+        // An untrained branch outputs 0 ≤ threshold, so it always trains:
+        // materializing its zero vector up front creates exactly the
+        // vectors a separate predict-then-update would.
+        let len = self.history.len() as usize + 1;
+        let w = self.weights.entry(site.pc).or_insert_with(|| vec![0; len]);
+        let hist = self.history.value();
+        let y = dot(w, hist);
+        let prediction = y >= 0;
+        if prediction != taken || y.abs() <= self.threshold {
             let t: i16 = if taken { 1 } else { -1 };
             w[0] = (w[0] + t).clamp(WEIGHT_MIN, WEIGHT_MAX);
             for (i, wi) in w[1..].iter_mut().enumerate() {
                 // Agreeing bit ⇒ strengthen, disagreeing ⇒ weaken.
-                let x: i16 = if (hist >> i) & 1 == 1 { 1 } else { -1 };
+                let x = ((hist >> i) & 1) as i16 * 2 - 1;
                 *wi = (*wi + t * x).clamp(WEIGHT_MIN, WEIGHT_MAX);
             }
         }
         self.history.push(taken);
+        prediction
     }
 }
 

@@ -105,14 +105,16 @@ impl KeyedCounters {
             .predict_taken()
     }
 
-    /// Trains the counter for `(key, pattern)`, materializing it on first
-    /// touch.
+    /// Predicts from the counter for `(key, pattern)`, then trains it with
+    /// `taken` — one map probe for the whole simulation step. The counter
+    /// materializes on first touch; the returned prediction is what
+    /// [`KeyedCounters::predict`] would have answered.
     #[inline]
-    pub fn train(&mut self, key: u64, pattern: u64, taken: bool) {
-        self.counters
-            .entry((key, pattern))
-            .or_insert(self.init)
-            .train(taken);
+    pub fn predict_train(&mut self, key: u64, pattern: u64, taken: bool) -> bool {
+        let counter = self.counters.entry((key, pattern)).or_insert(self.init);
+        let prediction = counter.predict_taken();
+        counter.train(taken);
+        prediction
     }
 }
 
@@ -142,8 +144,11 @@ mod tests {
     fn keyed_counters_no_interference() {
         let mut kc = KeyedCounters::new(SaturatingCounter::two_bit());
         assert!(kc.is_empty());
-        kc.train(1, 7, false);
-        kc.train(1, 7, false);
+        assert!(
+            kc.predict_train(1, 7, false),
+            "untouched counter predicts from init"
+        );
+        assert!(!kc.predict_train(1, 7, false));
         // Same pattern, different branch: untouched.
         assert!(!kc.predict(1, 7));
         assert!(kc.predict(2, 7));

@@ -124,10 +124,8 @@ impl FromIterator<(Pc, PredictionStats)> for PerBranchStats {
 pub fn simulate<P: Predictor + ?Sized>(predictor: &mut P, trace: &Trace) -> PredictionStats {
     let mut stats = PredictionStats::default();
     for rec in trace.conditionals() {
-        let site = BranchSite::from(rec);
-        let pred = predictor.predict(site);
+        let pred = predictor.predict_update(BranchSite::from(rec), rec.taken);
         stats.record(pred == rec.taken);
-        predictor.update(site, rec.taken);
     }
     stats
 }
@@ -139,10 +137,8 @@ pub fn simulate_per_branch<P: Predictor + ?Sized>(
 ) -> PerBranchStats {
     let mut stats = PerBranchStats::new();
     for rec in trace.conditionals() {
-        let site = BranchSite::from(rec);
-        let pred = predictor.predict(site);
+        let pred = predictor.predict_update(BranchSite::from(rec), rec.taken);
         stats.record(rec.pc, pred == rec.taken);
-        predictor.update(site, rec.taken);
     }
     stats
 }
@@ -173,9 +169,8 @@ pub fn simulate_batch_source<T: TraceSource + ?Sized>(
         for rec in chunk.iter().filter(|r| r.is_conditional()) {
             let site = BranchSite::from(rec);
             for (predictor, stat) in predictors.iter_mut().zip(stats.iter_mut()) {
-                let pred = predictor.predict(site);
+                let pred = predictor.predict_update(site, rec.taken);
                 stat.record(rec.pc, pred == rec.taken);
-                predictor.update(site, rec.taken);
             }
         }
     })?;

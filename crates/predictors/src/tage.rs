@@ -31,24 +31,56 @@ struct TagEntry {
     useful: u8,
 }
 
+/// A table's view of the global history folded down to `WIDTH` bits (the
+/// XOR of consecutive `WIDTH`-bit chunks of its newest `history_bits`
+/// outcomes), kept incrementally as in Seznec's TAGE: a circular shift
+/// register instead of a refold per lookup.
+#[derive(Debug, Clone, Copy)]
+struct FoldedHistory<const WIDTH: u32> {
+    value: u64,
+    /// Where the outcome leaving the table's window sits after the
+    /// rotation: `history_bits % WIDTH`, precomputed once.
+    out_shift: u32,
+}
+
+impl<const WIDTH: u32> FoldedHistory<WIDTH> {
+    fn new(history_bits: u32) -> Self {
+        FoldedHistory {
+            value: 0,
+            out_shift: history_bits % WIDTH,
+        }
+    }
+
+    /// Shifts `taken` in and `outgoing` (the outcome `history_bits - 1`
+    /// pushes old, about to leave the window) out. Every chunk moves up
+    /// one bit, so the fold rotates left within its width; the newest
+    /// outcome enters at bit 0 and the oldest, rotated to bit
+    /// `history_bits % WIDTH`, is cancelled there.
+    #[inline]
+    fn push(&mut self, taken: bool, outgoing: bool) {
+        let mask = (1u64 << WIDTH) - 1;
+        let rotated = ((self.value << 1) | (self.value >> (WIDTH - 1))) & mask;
+        self.value = rotated ^ u64::from(taken) ^ (u64::from(outgoing) << self.out_shift);
+    }
+}
+
 /// One tagged component table observing a fixed global-history length.
 #[derive(Debug, Clone)]
 struct TaggedTable {
     history_bits: u32,
-    history_mask: u64,
     entries: Vec<TagEntry>,
+    /// The history folded to the index width.
+    index_fold: FoldedHistory<INDEX_BITS>,
+    /// The history folded to the tag width, and to one bit less — two
+    /// differently-folded hashes, so index aliases rarely share a tag.
+    tag_fold: FoldedHistory<TAG_BITS>,
+    tag_fold_short: FoldedHistory<{ TAG_BITS - 1 }>,
 }
 
 impl TaggedTable {
     fn new(history_bits: u32) -> Self {
-        let history_mask = if history_bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << history_bits) - 1
-        };
         TaggedTable {
             history_bits,
-            history_mask,
             entries: vec![
                 TagEntry {
                     tag: 0,
@@ -57,34 +89,32 @@ impl TaggedTable {
                 };
                 1 << INDEX_BITS
             ],
+            index_fold: FoldedHistory::new(history_bits),
+            tag_fold: FoldedHistory::new(history_bits),
+            tag_fold_short: FoldedHistory::new(history_bits),
         }
     }
 
-    /// Folds this table's view of the global history down to `bits` bits
-    /// (XOR of consecutive `bits`-wide chunks).
-    fn fold(&self, history: u64, bits: u32) -> u64 {
-        let mask = (1u64 << bits) - 1;
-        let mut v = history & self.history_mask;
-        let mut out = 0;
-        while v != 0 {
-            out ^= v & mask;
-            v >>= bits;
-        }
-        out
+    /// Advances every fold by one outcome; `history` is the global
+    /// history *before* `taken` is pushed.
+    #[inline]
+    fn push(&mut self, history: u64, taken: bool) {
+        let outgoing = (history >> (self.history_bits - 1)) & 1 == 1;
+        self.index_fold.push(taken, outgoing);
+        self.tag_fold.push(taken, outgoing);
+        self.tag_fold_short.push(taken, outgoing);
     }
 
-    /// Entry index for `(pc, history)`.
-    fn index(&self, pc: u64, history: u64) -> usize {
-        let fold = self.fold(history, INDEX_BITS);
-        ((fold ^ pc ^ (pc >> INDEX_BITS)) & ((1u64 << INDEX_BITS) - 1)) as usize
+    /// Entry index for `pc` under the current history.
+    #[inline]
+    fn index(&self, pc: u64) -> usize {
+        ((self.index_fold.value ^ pc ^ (pc >> INDEX_BITS)) & ((1u64 << INDEX_BITS) - 1)) as usize
     }
 
-    /// Partial tag for `(pc, history)` — a second, differently-folded hash
-    /// so index aliases rarely share a tag.
-    fn tag(&self, pc: u64, history: u64) -> u64 {
-        let f1 = self.fold(history, TAG_BITS);
-        let f2 = self.fold(history, TAG_BITS - 1) << 1;
-        (pc ^ f1 ^ f2) & ((1u64 << TAG_BITS) - 1)
+    /// Partial tag for `pc` under the current history.
+    #[inline]
+    fn tag(&self, pc: u64) -> u64 {
+        (pc ^ self.tag_fold.value ^ (self.tag_fold_short.value << 1)) & ((1u64 << TAG_BITS) - 1)
     }
 }
 
@@ -175,12 +205,11 @@ impl Tage {
     /// Scans every tagged table for `pc`, returning the provider (longest
     /// matching) and alternate (next longest) slots.
     fn find(&self, pc: u64) -> (Option<Slot>, Option<Slot>) {
-        let history = self.history.value();
         let mut provider = None;
         let mut alt = None;
         for (t, table) in self.tables.iter().enumerate() {
-            let idx = table.index(pc, history);
-            if table.entries[idx].tag == table.tag(pc, history) {
+            let idx = table.index(pc);
+            if table.entries[idx].tag == table.tag(pc) {
                 alt = provider;
                 provider = Some((t, idx));
             }
@@ -221,8 +250,11 @@ impl Predictor for Tage {
     }
 
     fn update(&mut self, site: BranchSite, taken: bool) {
+        self.predict_update(site, taken);
+    }
+
+    fn predict_update(&mut self, site: BranchSite, taken: bool) -> bool {
         let pc = site.pc >> 2;
-        let history = self.history.value();
         let (provider, alt) = self.find(pc);
         let pred = self.slot_prediction(provider, pc);
         let alt_pred = self.slot_prediction(alt, pc);
@@ -252,10 +284,9 @@ impl Predictor for Tage {
         if pred != taken {
             let start = provider.map_or(0, |(t, _)| t + 1);
             let mut allocated = false;
-            for t in start..self.tables.len() {
-                let idx = self.tables[t].index(pc, history);
-                let tag = self.tables[t].tag(pc, history);
-                let e = &mut self.tables[t].entries[idx];
+            for table in &mut self.tables[start..] {
+                let (idx, tag) = (table.index(pc), table.tag(pc));
+                let e = &mut table.entries[idx];
                 if e.useful == 0 {
                     e.tag = tag;
                     e.ctr = if taken {
@@ -268,9 +299,9 @@ impl Predictor for Tage {
                 }
             }
             if !allocated {
-                for t in start..self.tables.len() {
-                    let idx = self.tables[t].index(pc, history);
-                    let e = &mut self.tables[t].entries[idx];
+                for table in &mut self.tables[start..] {
+                    let idx = table.index(pc);
+                    let e = &mut table.entries[idx];
                     e.useful = e.useful.saturating_sub(1);
                 }
             }
@@ -285,7 +316,12 @@ impl Predictor for Tage {
                 }
             }
         }
+        let history = self.history.value();
+        for table in &mut self.tables {
+            table.push(history, taken);
+        }
         self.history.push(taken);
+        pred
     }
 }
 
@@ -305,6 +341,55 @@ mod tests {
             recs.push(BranchRecord::conditional(0x40, false));
         }
         Trace::from_records(recs)
+    }
+
+    /// The from-scratch fold the registers must track: the XOR of
+    /// consecutive `bits`-wide chunks of the newest `history_bits`
+    /// outcomes of `history`.
+    fn fold(history: u64, history_bits: u32, bits: u32) -> u64 {
+        let mut v = history & (u64::MAX >> (64 - history_bits));
+        let mut out = 0;
+        while v != 0 {
+            out ^= v & ((1u64 << bits) - 1);
+            v >>= bits;
+        }
+        out
+    }
+
+    #[test]
+    fn folded_registers_track_the_reference_fold() {
+        for history_bits in [1, 4, 7, 8, 10, 27, 32, 64] {
+            let mut table = TaggedTable::new(history_bits);
+            let mut history = ShiftHistory::new(64);
+            let mut x = 0x2545_F491_4F6C_DD1Du64;
+            for step in 0..400 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Long all-taken / all-not-taken runs exercise the
+                // outgoing bit as hard as random ones.
+                let taken = if step % 100 < 70 {
+                    x & 1 == 1
+                } else {
+                    step % 200 < 100
+                };
+                table.push(history.value(), taken);
+                history.push(taken);
+                let h = history.value();
+                let folds = [
+                    (table.index_fold.value, INDEX_BITS),
+                    (table.tag_fold.value, TAG_BITS),
+                    (table.tag_fold_short.value, TAG_BITS - 1),
+                ];
+                for (register, width) in folds {
+                    assert_eq!(
+                        register,
+                        fold(h, history_bits, width),
+                        "history {history_bits}, width {width}, step {step}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

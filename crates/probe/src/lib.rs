@@ -112,13 +112,14 @@ pub fn run_probes(kinds: &[ProbeKind], cfg: &ReportConfig) -> ProbeReport {
         .iter()
         .map(|&kind| {
             let t0 = std::time::Instant::now();
-            let result = run_sweep(kind, cfg.grid(kind), &cfg.sweep, &cfg.zoo);
+            let grid = cfg.grid(kind);
+            let result = run_sweep(kind, grid, &cfg.sweep, &cfg.zoo);
             let cliffs = result.cliffs(cfg.sweep.min_drop);
             eprintln!(
                 "[{}: {:.1}s, {} threads]",
                 kind.param_family(),
                 t0.elapsed().as_secs_f64(),
-                cfg.sweep.jobs.max(1)
+                sweep::sweep_workers(cfg.sweep.jobs, grid.len())
             );
             ReportSection { result, cliffs }
         })

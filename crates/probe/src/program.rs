@@ -277,12 +277,10 @@ pub fn simulate_measured(predictor: &mut dyn Predictor, probe: &ProbeTrace) -> P
         if !rec.is_conditional() {
             continue;
         }
-        let site = BranchSite::from(rec);
-        let prediction = predictor.predict(site);
+        let prediction = predictor.predict_update(BranchSite::from(rec), rec.taken);
         if measured {
             stats.record(prediction == rec.taken);
         }
-        predictor.update(site, rec.taken);
     }
     stats
 }

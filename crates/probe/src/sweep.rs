@@ -172,9 +172,8 @@ pub fn run_sweep(
 ) -> SweepResult {
     let slots: Mutex<Vec<Option<SweepPoint>>> = Mutex::new(vec![None; grid.len()]);
     let next = AtomicUsize::new(0);
-    let workers = cfg.jobs.max(1).min(grid.len().max(1));
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 0..sweep_workers(cfg.jobs, grid.len()) {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&value) = grid.get(i) else { break };
@@ -184,13 +183,12 @@ pub fn run_sweep(
                     .iter_mut()
                     .map(|p| simulate_measured(p.as_mut(), &probe).accuracy_pct())
                     .collect();
-                slots.lock().expect("sweep slots").expect_slot(
-                    i,
-                    SweepPoint {
-                        value,
-                        accuracy_pct,
-                    },
-                );
+                let mut slots = slots.lock().expect("sweep slots");
+                debug_assert!(slots[i].is_none(), "slot {i} filled twice");
+                slots[i] = Some(SweepPoint {
+                    value,
+                    accuracy_pct,
+                });
             });
         }
     });
@@ -207,16 +205,10 @@ pub fn run_sweep(
     }
 }
 
-/// Small helper so the worker loop above reads declaratively.
-trait SlotVec {
-    fn expect_slot(&mut self, i: usize, point: SweepPoint);
-}
-
-impl SlotVec for Vec<Option<SweepPoint>> {
-    fn expect_slot(&mut self, i: usize, point: SweepPoint) {
-        debug_assert!(self[i].is_none(), "slot {i} filled twice");
-        self[i] = point.into();
-    }
+/// Worker threads [`run_sweep`] spawns for `jobs` over `points` grid
+/// points: never more than there are points to claim.
+pub(crate) fn sweep_workers(jobs: usize, points: usize) -> usize {
+    jobs.max(1).min(points.max(1))
 }
 
 /// Parses a grid expression: `A..B` (inclusive) or `A..B:STEP`.
@@ -254,6 +246,18 @@ mod tests {
         assert!(parse_grid("5..1").is_err());
         assert!(parse_grid("1..5:0").is_err());
         assert!(parse_grid("nope").is_err());
+    }
+
+    #[test]
+    fn workers_never_outnumber_grid_points() {
+        assert_eq!(
+            sweep_workers(4, 2),
+            2,
+            "--grid 0..1 --jobs 4 runs 2 threads"
+        );
+        assert_eq!(sweep_workers(4, 37), 4);
+        assert_eq!(sweep_workers(0, 5), 1);
+        assert_eq!(sweep_workers(3, 0), 1);
     }
 
     #[test]

@@ -83,8 +83,9 @@ impl ZooConfig {
             format!("pas({ph},{pb},{pt})"),
             format!("if-pas({})", self.if_pas_bits),
             // Tage's name depends on its derived max history; building an
-            // instance keeps the label correct by construction (cheap —
-            // tables allocate lazily enough for a label).
+            // instance keeps the label correct by construction. `Tage::new`
+            // allocates its tables eagerly (4 × 1024 entries at the default
+            // geometry), a cost paid once per sweep, not per point.
             Tage::new(self.tage.0, self.tage.1).name(),
             format!("perceptron({})", self.perceptron_bits),
             "ideal-static".to_owned(),

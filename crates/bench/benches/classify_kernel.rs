@@ -1,11 +1,10 @@
 //! `classify_kernel`: the §4.1 per-address classification — the
 //! bit-parallel kernel (packed outcome streams, shifted-XNOR k-ago sweep,
 //! run-length loop/block replay, pattern-major IF-PAs) vs the per-record
-//! reference classifier (`bp_core::reference`, built here via the
-//! `reference-scorer` feature) on the same traces. The two produce
-//! byte-identical `BranchClassScores` (the property tests in `bp-core`
-//! pin that); this bench measures the kernel's speedup, plus the one-off
-//! stream-packing pass the kernel amortizes across configurations.
+//! reference classifier (`bp_core::reference`) on the same traces. The
+//! two produce byte-identical `BranchClassScores` (the property tests in
+//! `bp-core` pin that); this bench measures the kernel's speedup, plus the
+//! one-off stream-packing pass the kernel amortizes across configurations.
 //!
 //! Two workloads bracket the kernel's operating range: `gcc` (large
 //! static footprint, short streams — per-branch overhead and the PAs

@@ -1,10 +1,9 @@
 //! `oracle_kernel`: the §3.4 selective-history scoring kernel — word-wise
 //! bit-plane scoring vs the digit-at-a-time reference scorer
-//! (`bp_core::reference`, built here via the `reference-scorer` feature) —
-//! driven through the identical per-branch subset search on the same
-//! fixed synthetic matrices. The two produce bit-identical selections
-//! (the property tests in `bp-core` pin that); this bench measures the
-//! kernel's speedup.
+//! (`bp_core::reference`) — driven through the identical per-branch
+//! subset search on the same fixed synthetic matrices. The two produce
+//! bit-identical selections (the property tests in `bp-core` pin that);
+//! this bench measures the kernel's speedup.
 //!
 //! Two workloads bracket the kernel's operating range: `gcc` (large
 //! static footprint, few executions per branch — per-branch overhead

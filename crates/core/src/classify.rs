@@ -4,7 +4,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use bp_predictors::{PerBranchStats, SaturatingCounter, MAX_TRIP};
-use bp_trace::{BranchProfile, BranchStreams, FxHashMap, OutcomeStream, Pc, Trace};
+use bp_trace::{par_map, BranchProfile, BranchStreams, FxHashMap, OutcomeStream, Pc, Trace};
 
 /// The per-address predictability classes of §4.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -299,53 +299,34 @@ impl Classifier {
     /// to `jobs` threads. Scoring is pure per branch and the merge is
     /// keyed by PC, so the classification is identical to the serial
     /// kernel for every `jobs` value; the reported phase times are summed
-    /// per-worker busy seconds. Work is claimed in small chunks off a
-    /// shared cursor (the `sharded_select` pattern) so a few huge streams
-    /// cannot serialize the run.
+    /// per-thread busy seconds. Each thread keeps its own PAs scratch.
+    /// Branches go out in PC order, the order a reopened `.bps` artifact
+    /// stores their planes in, so threads read the mapping front to back.
     pub fn classify_streams_parallel(
         streams: &BranchStreams,
         cfg: &ClassifierConfig,
         jobs: usize,
     ) -> (Classification, ClassifyPhases) {
-        let threads = jobs.max(1).min(streams.static_count().max(1));
-        if threads <= 1 {
-            return Self::classify_streams_timed(streams, cfg);
-        }
         let mut branches: Vec<(Pc, &OutcomeStream)> = streams.iter().collect();
         branches.sort_unstable_by_key(|&(pc, _)| pc);
-        let chunk = branches.len().div_ceil(threads * 8).max(1);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let collected: std::sync::Mutex<(HashMap<Pc, BranchClassScores>, ClassifyPhases)> =
-            std::sync::Mutex::new((
-                HashMap::with_capacity(branches.len()),
-                ClassifyPhases::default(),
-            ));
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut pas = PasScratch::new(cfg.pas_history_bits);
-                    let mut phases = ClassifyPhases::default();
-                    let mut local: Vec<(Pc, BranchClassScores)> = Vec::new();
-                    loop {
-                        let start = next.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
-                        if start >= branches.len() {
-                            break;
-                        }
-                        let end = (start + chunk).min(branches.len());
-                        for &(pc, stream) in &branches[start..end] {
-                            local.push((pc, score_branch(stream, cfg, &mut pas, &mut phases)));
-                        }
-                    }
-                    let mut guard = collected.lock().expect("classify worker poisoned");
-                    guard.0.extend(local);
-                    guard.1.sweep_seconds += phases.sweep_seconds;
-                    guard.1.replay_seconds += phases.replay_seconds;
-                });
-            }
-        });
-        let (per_branch, phases) = collected.into_inner().expect("classify workers poisoned");
+        let (scored, scratch) = par_map(
+            &branches,
+            jobs,
+            || {
+                (
+                    PasScratch::new(cfg.pas_history_bits),
+                    ClassifyPhases::default(),
+                )
+            },
+            |(pas, phases), &(pc, stream)| (pc, score_branch(stream, cfg, pas, phases)),
+        );
+        let mut phases = ClassifyPhases::default();
+        for (_, p) in &scratch {
+            phases.sweep_seconds += p.sweep_seconds;
+            phases.replay_seconds += p.replay_seconds;
+        }
         (
-            Classification::from_parts(per_branch, streams.dynamic_count()),
+            Classification::from_parts(scored.into_iter().collect(), streams.dynamic_count()),
             phases,
         )
     }

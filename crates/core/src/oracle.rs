@@ -3,7 +3,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use bp_predictors::{PerBranchStats, PredictionStats, SaturatingCounter};
-use bp_trace::{InstanceTag, Pc, Trace};
+use bp_trace::{par_map, InstanceTag, Pc, Trace};
 
 use crate::candidates::TagCandidates;
 use crate::matrix::{BranchMatrix, OutcomeMatrix};
@@ -139,7 +139,7 @@ impl OracleResult {
 
 impl FromIterator<(Pc, BranchSelection)> for OracleResult {
     /// Assembles a result from per-branch selections — the merge step of
-    /// the engine's branch-sharded oracle scheduler.
+    /// [`OracleSelector::analyze_matrix_parallel`].
     fn from_iter<I: IntoIterator<Item = (Pc, BranchSelection)>>(iter: I) -> Self {
         OracleResult {
             per_branch: iter.into_iter().collect(),
@@ -177,9 +177,10 @@ impl OracleSelector {
             .collect()
     }
 
-    /// Runs the subset search for a single branch — the unit of work the
-    /// engine shards across its thread pool. Collect `(pc, selection)`
-    /// pairs back into an [`OracleResult`] via `FromIterator`.
+    /// Runs the subset search for a single branch — the unit of work
+    /// [`OracleSelector::analyze_matrix_parallel`] spreads over threads.
+    /// Collect `(pc, selection)` pairs back into an [`OracleResult`] via
+    /// `FromIterator`.
     pub fn select_branch(bm: &BranchMatrix, cfg: &OracleConfig) -> BranchSelection {
         select_for_branch(bm, cfg)
     }
@@ -187,48 +188,24 @@ impl OracleSelector {
     /// As [`OracleSelector::analyze_matrix`], searching branches on up to
     /// `jobs` threads. [`OracleSelector::select_branch`] is pure per
     /// branch and the merge is keyed by PC, so the result is identical to
-    /// the serial kernel for every `jobs` value. Branches are claimed in
-    /// small PC-sorted chunks off a shared cursor (the `sharded_select`
-    /// pattern) so a few candidate-heavy branches cannot serialize the
-    /// run.
+    /// the serial kernel for every `jobs` value. Branches go out in PC
+    /// order, the order a reopened `.bps` matrix stores their planes in.
     pub fn analyze_matrix_parallel(
         matrix: &OutcomeMatrix,
         cfg: &OracleConfig,
         jobs: usize,
     ) -> OracleResult {
-        let threads = jobs.max(1).min(matrix.branch_count().max(1));
-        if threads <= 1 {
-            return Self::analyze_matrix(matrix, cfg);
-        }
         let mut branches: Vec<(Pc, &BranchMatrix)> = matrix.iter().collect();
         branches.sort_unstable_by_key(|&(pc, _)| pc);
-        let chunk = branches.len().div_ceil(threads * 8).max(1);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let collected: std::sync::Mutex<HashMap<Pc, BranchSelection>> =
-            std::sync::Mutex::new(HashMap::with_capacity(branches.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut local: Vec<(Pc, BranchSelection)> = Vec::new();
-                    loop {
-                        let start = next.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
-                        if start >= branches.len() {
-                            break;
-                        }
-                        let end = (start + chunk).min(branches.len());
-                        for &(pc, bm) in &branches[start..end] {
-                            local.push((pc, Self::select_branch(bm, cfg)));
-                        }
-                    }
-                    collected
-                        .lock()
-                        .expect("oracle worker poisoned")
-                        .extend(local);
-                });
-            }
-        });
-        let per_branch = collected.into_inner().expect("oracle workers poisoned");
-        OracleResult { per_branch }
+        par_map(
+            &branches,
+            jobs,
+            || (),
+            |_, &(pc, bm)| (pc, Self::select_branch(bm, cfg)),
+        )
+        .0
+        .into_iter()
+        .collect()
     }
 }
 

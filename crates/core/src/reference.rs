@@ -12,8 +12,7 @@
 //!
 //! Always compiled so the `bp-conformance` differential runners can link
 //! it directly, but hidden from docs: it is not part of the crate's
-//! supported API surface. The legacy `reference-scorer` feature is a
-//! no-op alias.
+//! supported API surface.
 
 use std::collections::HashMap;
 

@@ -25,7 +25,7 @@
 
 use bp_trace::fx::FxHashMap;
 use bp_trace::io::TraceIoError;
-use bp_trace::{InstanceTag, PathWindow, Pc, Trace, TraceSource};
+use bp_trace::{par_map, InstanceTag, PathWindow, Pc, Trace, TraceSource};
 
 use crate::matrix::{BranchMatrix, OutcomeMatrix};
 
@@ -253,40 +253,14 @@ impl SweepMatrix {
     /// Panics if `idx` is out of range.
     pub fn materialize_parallel(&self, idx: usize, jobs: usize) -> OutcomeMatrix {
         assert!(idx < self.windows.len(), "sweep point out of range");
-        let threads = jobs.max(1).min(self.branches.len().max(1));
-        if threads <= 1 {
-            return self.materialize(idx);
-        }
-        let mut branches: Vec<(Pc, &SweepBranch)> =
-            self.branches.iter().map(|(pc, sb)| (*pc, sb)).collect();
-        branches.sort_unstable_by_key(|&(pc, _)| pc);
-        let chunk = branches.len().div_ceil(threads * 8).max(1);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let collected: std::sync::Mutex<FxHashMap<Pc, BranchMatrix>> =
-            std::sync::Mutex::new(FxHashMap::default());
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut local: Vec<(Pc, BranchMatrix)> = Vec::new();
-                    loop {
-                        let start = next.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
-                        if start >= branches.len() {
-                            break;
-                        }
-                        let end = (start + chunk).min(branches.len());
-                        for &(pc, sb) in &branches[start..end] {
-                            local.push((pc, sb.materialize(idx)));
-                        }
-                    }
-                    collected
-                        .lock()
-                        .expect("sweep worker poisoned")
-                        .extend(local);
-                });
-            }
-        });
-        let branches = collected.into_inner().expect("sweep workers poisoned");
-        OutcomeMatrix::from_parts(branches, self.windows[idx])
+        let branches: Vec<(&Pc, &SweepBranch)> = self.branches.iter().collect();
+        let (planes, _) = par_map(
+            &branches,
+            jobs,
+            || (),
+            |_, &(pc, sb)| (*pc, sb.materialize(idx)),
+        );
+        OutcomeMatrix::from_parts(planes.into_iter().collect(), self.windows[idx])
     }
 }
 

@@ -13,9 +13,9 @@
 //! [`Engine`] fixes both axes:
 //!
 //! * **Fan-out** — [`Engine::for_each_benchmark`] runs the per-benchmark
-//!   closure on up to `jobs` worker threads ([`std::thread::scope`], an
-//!   atomic work queue, and index-ordered result reassembly, so results
-//!   are always in [`Benchmark::ALL`] order regardless of scheduling).
+//!   closure on up to `jobs` worker threads ([`bp_trace::par_map`], so
+//!   results are always in [`Benchmark::ALL`] order regardless of
+//!   scheduling).
 //! * **Memoization** — [`EvalCache`] holds every shared artifact behind
 //!   `(benchmark, config-fingerprint)` keys. Concurrent requests for the
 //!   same key compute the value exactly once (`Mutex`-guarded map of
@@ -33,14 +33,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use bp_core::{
-    BranchSelection, Classification, Classifier, ClassifierConfig, OracleConfig, OracleResult,
-    OracleSelector, OutcomeMatrix, SweepMatrix, TagCandidates,
+    Classification, Classifier, ClassifierConfig, OracleConfig, OracleResult, OracleSelector,
+    OutcomeMatrix, SweepMatrix, TagCandidates,
 };
 use bp_predictors::{
     simulate_batch_source, Gshare, GshareInterferenceFree, Pas, PasInterferenceFree,
     PerBranchStats, Perceptron, Predictor, Tage,
 };
-use bp_trace::{BranchProfile, BranchStreams, Pc, TagScheme, Trace};
+use bp_trace::{par_map, par_threads, BranchProfile, BranchStreams, TagScheme, Trace};
 use bp_workloads::Benchmark;
 
 use crate::{ExperimentConfig, TraceSet, TraceSetSource};
@@ -241,7 +241,7 @@ impl FanoutStats {
 /// Per-benchmark oracle phase accounting (reported through
 /// `repro --timings`): where an oracle analysis spends its time —
 /// candidate collection + matrix packing vs the subset search — and how
-/// finely the search was sharded over the worker pool.
+/// many threads the searches ran on.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OraclePhaseStats {
     /// Seconds spent collecting candidates and packing outcome matrices
@@ -249,8 +249,9 @@ pub struct OraclePhaseStats {
     pub matrix_seconds: f64,
     /// Seconds spent in the per-branch subset search.
     pub search_seconds: f64,
-    /// Branch-chunk work units the searches were split into (1 per
-    /// analysis when the search ran serially).
+    /// Threads reserved for the searches, summed over analyses (1 per
+    /// analysis when the search ran serially): the idle `--jobs` budget at
+    /// the time, capped by the branch count.
     pub shards: u64,
     /// Oracle analyses performed (cache misses only).
     pub analyses: u64,
@@ -374,59 +375,29 @@ impl Engine {
     }
 
     /// Runs `f` once per benchmark in `benchmarks`, on up to
-    /// [`Engine::jobs`] worker threads, returning results in input order.
-    ///
-    /// Work is claimed from an atomic queue and results carry their input
-    /// index, so the output order — and therefore everything downstream,
-    /// including rendered tables — is independent of thread scheduling.
+    /// [`Engine::jobs`] worker threads ([`par_map`]), returning results in
+    /// input order — so everything downstream, including rendered tables,
+    /// is independent of thread scheduling.
     pub fn fan_out<R, F>(&self, benchmarks: &[Benchmark], f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(Benchmark) -> R + Sync,
     {
         let started = Instant::now();
-        let results = if self.jobs == 1 {
-            self.active_workers.fetch_add(1, Ordering::Relaxed);
-            let results = benchmarks
-                .iter()
-                .map(|&b| {
-                    let t0 = Instant::now();
-                    let r = f(b);
-                    self.busy_nanos
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    r
-                })
-                .collect();
-            self.active_workers.fetch_sub(1, Ordering::Relaxed);
-            results
-        } else {
-            let next = AtomicUsize::new(0);
-            let collected: Mutex<Vec<(usize, R)>> =
-                Mutex::new(Vec::with_capacity(benchmarks.len()));
-            std::thread::scope(|scope| {
-                for _ in 0..self.jobs.min(benchmarks.len()) {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&benchmark) = benchmarks.get(i) else {
-                                break;
-                            };
-                            let t0 = Instant::now();
-                            self.active_workers.fetch_add(1, Ordering::Relaxed);
-                            local.push((i, f(benchmark)));
-                            self.active_workers.fetch_sub(1, Ordering::Relaxed);
-                            self.busy_nanos
-                                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        }
-                        collected.lock().expect("fan-out results").extend(local);
-                    });
-                }
-            });
-            let mut pairs = collected.into_inner().expect("fan-out results");
-            pairs.sort_by_key(|&(i, _)| i);
-            pairs.into_iter().map(|(_, r)| r).collect()
-        };
+        let (results, _) = par_map(
+            benchmarks,
+            self.jobs,
+            || (),
+            |_, &benchmark| {
+                let t0 = Instant::now();
+                self.active_workers.fetch_add(1, Ordering::Relaxed);
+                let r = f(benchmark);
+                self.active_workers.fetch_sub(1, Ordering::Relaxed);
+                self.busy_nanos
+                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                r
+            },
+        );
         self.fanout_wall_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         results
@@ -510,17 +481,7 @@ impl Engine {
                     shards,
                 )
                 .expect("trace stream failed");
-                let matrix_seconds = t0.elapsed().as_secs_f64();
-                let t1 = Instant::now();
-                let (result, shards) = self.sharded_select(&matrix, cfg);
-                self.record_oracle_phases(
-                    benchmark,
-                    matrix_seconds,
-                    t1.elapsed().as_secs_f64(),
-                    shards,
-                    1,
-                );
-                result
+                self.search(benchmark, &matrix, cfg, t0.elapsed().as_secs_f64())
             },
         )
     }
@@ -591,80 +552,39 @@ impl Engine {
                         );
                         let t0 = Instant::now();
                         let matrix = sweep.materialize_parallel(i, self.nested_budget());
-                        let matrix_seconds = t0.elapsed().as_secs_f64();
-                        let t1 = Instant::now();
-                        let (result, shards) = self.sharded_select(&matrix, &point);
-                        self.record_oracle_phases(
-                            benchmark,
-                            matrix_seconds,
-                            t1.elapsed().as_secs_f64(),
-                            shards,
-                            1,
-                        );
-                        result
+                        self.search(benchmark, &matrix, &point, t0.elapsed().as_secs_f64())
                     },
                 )
             })
             .collect()
     }
 
-    /// Per-branch subset search over `matrix`, sharded across whatever
-    /// worker budget is currently idle. Returns the result and the number
-    /// of work units it was split into.
-    ///
-    /// Determinism: each branch's selection is a pure function of its
-    /// matrix, branches are enumerated in PC order, and the merge is
-    /// key-addressed — thread count and scheduling cannot change the
-    /// result. Shard boundaries derive from the `--jobs` budget (not the
-    /// momentary idle count), so reported shard counts are stable too.
-    fn sharded_select(&self, matrix: &OutcomeMatrix, cfg: &OracleConfig) -> (OracleResult, u64) {
-        let mut branches: Vec<(Pc, &bp_core::BranchMatrix)> = matrix.iter().collect();
-        branches.sort_unstable_by_key(|&(pc, _)| pc);
-        let spare = self
-            .jobs
-            .saturating_sub(self.active_workers.load(Ordering::Relaxed));
-        let threads = (spare + 1).min(self.jobs).min(branches.len().max(1));
-        if threads <= 1 {
-            let result = branches
-                .iter()
-                .map(|&(pc, bm)| (pc, OracleSelector::select_branch(bm, cfg)))
-                .collect();
-            return (result, 1);
-        }
-        let chunk = branches.len().div_ceil(self.jobs * 8).max(1);
-        let shards = branches.len().div_ceil(chunk) as u64;
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(Pc, BranchSelection)>> =
-            Mutex::new(Vec::with_capacity(branches.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    self.active_workers.fetch_add(1, Ordering::Relaxed);
-                    let mut local: Vec<(Pc, BranchSelection)> = Vec::new();
-                    loop {
-                        let start = next.fetch_add(1, Ordering::Relaxed) * chunk;
-                        if start >= branches.len() {
-                            break;
-                        }
-                        let end = (start + chunk).min(branches.len());
-                        for &(pc, bm) in &branches[start..end] {
-                            local.push((pc, OracleSelector::select_branch(bm, cfg)));
-                        }
-                    }
-                    self.active_workers.fetch_sub(1, Ordering::Relaxed);
-                    collected
-                        .lock()
-                        .expect("oracle shard results")
-                        .extend(local);
-                });
-            }
-        });
-        let result = collected
-            .into_inner()
-            .expect("oracle shard results")
-            .into_iter()
-            .collect();
-        (result, shards)
+    /// The per-branch subset search over `matrix` on the idle budget,
+    /// recorded with the `matrix_seconds` that built the matrix. Its extra
+    /// threads (the caller's is counted by its own fan-out, if any) are
+    /// reserved in `active_workers` so concurrent nested builds skip them.
+    fn search(
+        &self,
+        benchmark: Benchmark,
+        matrix: &OutcomeMatrix,
+        cfg: &OracleConfig,
+        matrix_seconds: f64,
+    ) -> OracleResult {
+        let threads = par_threads(self.nested_budget(), matrix.branch_count());
+        let t0 = Instant::now();
+        self.active_workers
+            .fetch_add(threads - 1, Ordering::Relaxed);
+        let result = OracleSelector::analyze_matrix_parallel(matrix, cfg, threads);
+        self.active_workers
+            .fetch_sub(threads - 1, Ordering::Relaxed);
+        self.record_oracle_phases(
+            benchmark,
+            matrix_seconds,
+            t0.elapsed().as_secs_f64(),
+            threads as u64,
+            1,
+        );
+        result
     }
 
     fn record_oracle_phases(

@@ -4,7 +4,7 @@ use std::sync::{Arc, RwLock};
 
 use bp_trace::io::{self, ChunkWriter, FileTraceSource, TraceIoError};
 use bp_trace::sidecar::{fnv1a, Sidecar, SidecarError, CONTENT_OFFSET, FNV_OFFSET};
-use bp_trace::{BranchRecord, Trace, TraceSource};
+use bp_trace::{par_map, BranchRecord, Trace, TraceSource};
 use bp_workloads::{Benchmark, WorkloadConfig, WorkloadSource};
 
 /// Lazily generated, cached traces for all benchmarks, shared across the
@@ -284,36 +284,9 @@ impl TraceSet {
 
     /// Eagerly generates every benchmark, using up to `jobs` threads
     /// (a no-op win on single-core machines, a real one elsewhere).
+    /// Benchmarks already generated cost one map lookup.
     pub fn generate_all(&self, jobs: usize) {
-        let jobs = jobs.max(1);
-        let missing: Vec<Benchmark> = {
-            let map = self.traces.read().expect("trace map lock");
-            Benchmark::ALL
-                .into_iter()
-                .filter(|b| !map.contains_key(b))
-                .collect()
-        };
-        if missing.is_empty() {
-            return;
-        }
-        if jobs == 1 {
-            for b in missing {
-                self.trace(b);
-            }
-            return;
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(missing.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    match missing.get(i) {
-                        Some(&b) => self.trace(b),
-                        None => break,
-                    };
-                });
-            }
-        });
+        par_map(&Benchmark::ALL, jobs, || (), |_, &b| self.trace(b));
     }
 }
 

@@ -119,7 +119,7 @@ pub fn run_probes(kinds: &[ProbeKind], cfg: &ReportConfig) -> ProbeReport {
                 "[{}: {:.1}s, {} threads]",
                 kind.param_family(),
                 t0.elapsed().as_secs_f64(),
-                sweep::sweep_workers(cfg.sweep.jobs, grid.len())
+                bp_trace::par_threads(cfg.sweep.jobs, grid.len())
             );
             ReportSection { result, cliffs }
         })

@@ -3,9 +3,9 @@
 //! A sweep runs one probe family over a grid of its parameter (padding
 //! count, loop trip, alias bit), scoring every zoo predictor at every
 //! point. Points are independent, so they fan out across `--jobs`
-//! worker threads; results land in a slot per grid index and are read
-//! back in grid order, so the report is byte-identical for any job
-//! count (the determinism test pins this).
+//! worker threads ([`bp_trace::par_map`]) and come back in grid order,
+//! so the report is byte-identical for any job count (the determinism
+//! test pins this).
 //!
 //! The cliff detector is deliberately dumb: the largest accuracy drop
 //! between *adjacent* grid points, reported only when it clears a
@@ -15,8 +15,7 @@
 //! dumb detector on a sharp signal beats a clever one on a mushy
 //! signal.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use bp_trace::par_map;
 
 use crate::program::{
     aliasing, history_loop, padding_global, padding_local, simulate_measured, BaseOutcomes,
@@ -163,52 +162,35 @@ impl SweepResult {
 
 /// Runs `kind` over `grid`, fanning points out across `cfg.jobs`
 /// threads. Output is a pure function of (`kind`, `grid`, `cfg`, `zoo`):
-/// every point lands in its own slot, read back in grid order.
+/// points come back in grid order.
 pub fn run_sweep(
     kind: ProbeKind,
     grid: &[usize],
     cfg: &SweepConfig,
     zoo: &ZooConfig,
 ) -> SweepResult {
-    let slots: Mutex<Vec<Option<SweepPoint>>> = Mutex::new(vec![None; grid.len()]);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..sweep_workers(cfg.jobs, grid.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&value) = grid.get(i) else { break };
-                let probe = kind.build(value, cfg);
-                let accuracy_pct = zoo
-                    .build(&probe)
-                    .iter_mut()
-                    .map(|p| simulate_measured(p.as_mut(), &probe).accuracy_pct())
-                    .collect();
-                let mut slots = slots.lock().expect("sweep slots");
-                debug_assert!(slots[i].is_none(), "slot {i} filled twice");
-                slots[i] = Some(SweepPoint {
-                    value,
-                    accuracy_pct,
-                });
-            });
-        }
-    });
-    let points = slots
-        .into_inner()
-        .expect("sweep slots")
-        .into_iter()
-        .map(|p| p.expect("every grid point computed"))
-        .collect();
+    let (points, _) = par_map(
+        grid,
+        cfg.jobs,
+        || (),
+        |_, &value| {
+            let probe = kind.build(value, cfg);
+            let accuracy_pct = zoo
+                .build(&probe)
+                .iter_mut()
+                .map(|p| simulate_measured(p.as_mut(), &probe).accuracy_pct())
+                .collect();
+            SweepPoint {
+                value,
+                accuracy_pct,
+            }
+        },
+    );
     SweepResult {
         kind,
         labels: zoo.labels(),
         points,
     }
-}
-
-/// Worker threads [`run_sweep`] spawns for `jobs` over `points` grid
-/// points: never more than there are points to claim.
-pub(crate) fn sweep_workers(jobs: usize, points: usize) -> usize {
-    jobs.max(1).min(points.max(1))
 }
 
 /// Parses a grid expression: `A..B` (inclusive) or `A..B:STEP`.
@@ -246,18 +228,6 @@ mod tests {
         assert!(parse_grid("5..1").is_err());
         assert!(parse_grid("1..5:0").is_err());
         assert!(parse_grid("nope").is_err());
-    }
-
-    #[test]
-    fn workers_never_outnumber_grid_points() {
-        assert_eq!(
-            sweep_workers(4, 2),
-            2,
-            "--grid 0..1 --jobs 4 runs 2 threads"
-        );
-        assert_eq!(sweep_workers(4, 37), 4);
-        assert_eq!(sweep_workers(0, 5), 1);
-        assert_eq!(sweep_workers(3, 0), 1);
     }
 
     #[test]

@@ -67,7 +67,7 @@ mod trace;
 mod window;
 
 pub use bps::{BpsBytes, BpsError, Words};
-pub use executor::{scan_sharded, shard_of, Chunk, ChunkStream};
+pub use executor::{par_map, par_threads, scan_sharded, shard_of, Chunk, ChunkStream};
 pub use fx::{FxHashMap, FxHashSet};
 pub use profile::{BranchProfile, ProfileEntry};
 pub use record::{BranchKind, BranchRecord, Pc};

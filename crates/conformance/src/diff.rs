@@ -458,7 +458,7 @@ pub fn diff_streaming(
                 records.len()
             ));
         }
-        match io::read_chunked_trace(buf.as_slice()) {
+        match io::read_trace(buf.as_slice()) {
             Ok(rt) if rt.records() == records => {}
             Ok(_) => return Some(format!("{label}: BPT2 round trip altered records")),
             Err(e) => return Some(format!("{label}: BPT2 round trip failed: {e}")),

@@ -29,13 +29,12 @@
 //! validated before any plane view is constructed, so re-opening a
 //! 100M-branch matrix is a header walk plus one `mmap(2)`.
 
-use std::fs::File;
 use std::io::Write;
 use std::path::Path;
 
 use bp_trace::bps::{fnv_words, header_word, BpsBytes, BpsError, Words, MATRIX_KIND};
 use bp_trace::fx::FxHashMap;
-use bp_trace::sidecar::{Sidecar, CONTENT_OFFSET};
+use bp_trace::sidecar::{write_atomic, Sidecar, CONTENT_OFFSET};
 use bp_trace::{InstanceTag, Pc, TagScheme};
 
 use crate::matrix::{BranchMatrix, OutcomeMatrix};
@@ -59,9 +58,9 @@ pub struct OpenedMatrix {
     pub mapped: bool,
 }
 
-/// Writes `matrix` as a `.bps` artifact at `path` (tmp + rename, then the
-/// fingerprint sidecar), so a crash never leaves a half-written file
-/// under the real name.
+/// Writes `matrix` as a `.bps` artifact at `path`, then its fingerprint
+/// sidecar, each through [`write_atomic`], so a crash never leaves a
+/// half-written file under the real name.
 ///
 /// # Errors
 ///
@@ -88,39 +87,38 @@ pub fn write_matrix(path: &Path, matrix: &OutcomeMatrix, config: u64) -> std::io
     }
     meta[1] = off * 8; // total file length in bytes
 
-    let tmp = path.with_extension("bps.tmp");
-    let mut out = std::io::BufWriter::new(File::create(&tmp)?);
-    for w in &meta {
-        out.write_all(&w.to_le_bytes())?;
-    }
-    let mut content = fnv_words(CONTENT_OFFSET, &meta);
-    let mut tag_words: Vec<u64> = Vec::new();
-    for &(_, bm) in &branches {
-        tag_words.clear();
-        for tag in bm.tags() {
-            tag_words.push(tag.pc);
-            tag_words.push(u64::from(tag.index) | scheme_code(tag.scheme) << 32);
-        }
-        content = fnv_words(content, &tag_words);
-        for w in &tag_words {
+    let content = write_atomic(path, |out| -> std::io::Result<u64> {
+        for w in &meta {
             out.write_all(&w.to_le_bytes())?;
         }
-        for w in bm.taken_plane() {
-            out.write_all(&w.to_le_bytes())?;
-        }
-        for c in 0..bm.tags().len() {
-            for w in bm.inpath_plane(c) {
+        let mut content = fnv_words(CONTENT_OFFSET, &meta);
+        let mut tag_words: Vec<u64> = Vec::new();
+        for &(_, bm) in &branches {
+            tag_words.clear();
+            for tag in bm.tags() {
+                tag_words.push(tag.pc);
+                tag_words.push(u64::from(tag.index) | scheme_code(tag.scheme) << 32);
+            }
+            content = fnv_words(content, &tag_words);
+            for w in &tag_words {
                 out.write_all(&w.to_le_bytes())?;
             }
-        }
-        for c in 0..bm.tags().len() {
-            for w in bm.dir_plane(c) {
+            for w in bm.taken_plane() {
                 out.write_all(&w.to_le_bytes())?;
             }
+            for c in 0..bm.tags().len() {
+                for w in bm.inpath_plane(c) {
+                    out.write_all(&w.to_le_bytes())?;
+                }
+            }
+            for c in 0..bm.tags().len() {
+                for w in bm.dir_plane(c) {
+                    out.write_all(&w.to_le_bytes())?;
+                }
+            }
         }
-    }
-    out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-    std::fs::rename(&tmp, path)?;
+        Ok(content)
+    })?;
 
     Sidecar { config, content }.write(path)
 }

@@ -22,18 +22,13 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use crate::{run_experiment, Engine, ExperimentConfig, EXPERIMENT_IDS};
+use bp_trace::sidecar::{fnv1a, FNV_OFFSET};
 
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x100_0000_01b3;
+use crate::{run_experiment, Engine, ExperimentConfig, EXPERIMENT_IDS};
 
 /// 64-bit FNV-1a fingerprint of one rendered experiment.
 pub fn fingerprint(rendered: &str) -> u64 {
-    rendered.bytes().fold(FNV_OFFSET, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-    })
+    fnv1a(FNV_OFFSET, rendered.as_bytes())
 }
 
 /// The committed goldens file: `tests/goldens/quick.fp` at the

@@ -1,11 +1,14 @@
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 
 use bp_trace::io::{self, ChunkWriter, FileTraceSource, TraceIoError};
-use bp_trace::sidecar::{fnv1a, Sidecar, SidecarError, CONTENT_OFFSET, FNV_OFFSET};
+use bp_trace::sidecar::{fnv1a, write_atomic, Sidecar, CONTENT_OFFSET};
 use bp_trace::{par_map, BranchRecord, Trace, TraceSource};
 use bp_workloads::{Benchmark, WorkloadConfig, WorkloadSource};
+
+use crate::artifacts::streams_config_fp;
 
 /// Lazily generated, cached traces for all benchmarks, shared across the
 /// experiments of one run so each workload is generated once.
@@ -89,27 +92,11 @@ impl TraceSet {
     /// Fingerprint of everything the generated trace depends on: the
     /// benchmark identity and the workload configuration.
     fn config_fingerprint(cfg: &WorkloadConfig, benchmark: Benchmark) -> u64 {
-        let mut hash = fnv1a(FNV_OFFSET, benchmark.name().as_bytes());
-        hash = fnv1a(hash, &cfg.seed.to_le_bytes());
-        fnv1a(hash, &(cfg.target_branches as u64).to_le_bytes())
+        streams_config_fp(benchmark.name(), cfg.seed, cfg.target_branches)
     }
 
     fn content_fingerprint(encoded: &[u8]) -> u64 {
         fnv1a(CONTENT_OFFSET, encoded)
-    }
-
-    #[cfg(test)]
-    fn sidecar_path(path: &Path) -> PathBuf {
-        Sidecar::path_for(path)
-    }
-
-    /// The one-line regeneration reason for a sidecar failure.
-    fn sidecar_reason(e: SidecarError) -> &'static str {
-        match e {
-            SidecarError::Missing => "missing fingerprint sidecar",
-            SidecarError::Malformed => "malformed fingerprint sidecar",
-            SidecarError::WrongVersion => "unknown fingerprint sidecar version",
-        }
     }
 
     /// Validates a cached `.bpt` against its sidecar and the current
@@ -118,18 +105,18 @@ impl TraceSet {
         cfg: &WorkloadConfig,
         benchmark: Benchmark,
         path: &Path,
-    ) -> Result<Trace, &'static str> {
-        let encoded = std::fs::read(path).map_err(|_| "unreadable")?;
-        let sidecar = Sidecar::load(path).map_err(Self::sidecar_reason)?;
+    ) -> Result<Trace, String> {
+        let encoded = std::fs::read(path).map_err(|e| e.to_string())?;
+        let sidecar = Sidecar::load(path).map_err(|e| e.to_string())?;
         if sidecar.config != Self::config_fingerprint(cfg, benchmark) {
-            return Err("workload config fingerprint mismatch");
+            return Err("workload config fingerprint mismatch".into());
         }
         if sidecar.content != Self::content_fingerprint(&encoded) {
-            return Err("content fingerprint mismatch");
+            return Err("content fingerprint mismatch".into());
         }
         let trace = io::read_trace(encoded.as_slice()).map_err(|_| "corrupt trace encoding")?;
         if trace.conditional_count() < cfg.target_branches {
-            return Err("shorter than the configured target");
+            return Err("shorter than the configured target".into());
         }
         Ok(trace)
     }
@@ -139,10 +126,10 @@ impl TraceSet {
         benchmark: Benchmark,
         path: Option<&PathBuf>,
     ) -> Trace {
-        if let Some(path) = path {
+        // A missing file is a first run, not a reason for a notice.
+        if let Some(path) = path.filter(|p| p.exists()) {
             match Self::validate_cached(cfg, benchmark, path) {
                 Ok(trace) => return trace,
-                Err("unreadable") => {} // first run: nothing cached yet
                 Err(why) => eprintln!(
                     "notice: regenerating trace cache {} ({why})",
                     path.display()
@@ -157,7 +144,7 @@ impl TraceSet {
                 }
                 let mut encoded = Vec::new();
                 io::write_trace(&mut encoded, &trace)?;
-                std::fs::write(path, &encoded)?;
+                write_atomic(path, |out| out.write_all(&encoded))?;
                 Sidecar {
                     config: Self::config_fingerprint(cfg, benchmark),
                     content: Self::content_fingerprint(&encoded),
@@ -207,21 +194,21 @@ impl TraceSet {
         cfg: &WorkloadConfig,
         benchmark: Benchmark,
         path: &Path,
-    ) -> Result<FileTraceSource, &'static str> {
-        let sidecar = Sidecar::load(path).map_err(Self::sidecar_reason)?;
+    ) -> Result<FileTraceSource, String> {
+        let sidecar = Sidecar::load(path).map_err(|e| e.to_string())?;
         if sidecar.config != Self::config_fingerprint(cfg, benchmark) {
-            return Err("workload config fingerprint mismatch");
+            return Err("workload config fingerprint mismatch".into());
         }
         let source = FileTraceSource::open(path).map_err(|_| "corrupt stream file")?;
         if source.len() != sidecar.content {
-            return Err("record count mismatch");
+            return Err("record count mismatch".into());
         }
         Ok(source)
     }
 
-    /// Writes the benchmark's trace to `path` chunk by chunk (via a
-    /// temporary file renamed into place) and opens it for windowed reads.
-    /// Peak memory is one chunk; the full trace only ever exists on disk.
+    /// Writes the benchmark's trace to `path` chunk by chunk (through
+    /// [`write_atomic`]) and opens it for windowed reads. Peak memory is
+    /// one chunk; the full trace only ever exists on disk.
     fn write_stream_file(
         cfg: &WorkloadConfig,
         benchmark: Benchmark,
@@ -230,12 +217,11 @@ impl TraceSet {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        let writer = ChunkWriter::new(std::io::BufWriter::new(std::fs::File::create(&tmp)?))?;
-        let total = benchmark.generate_into(cfg, writer).finish()?;
-        std::fs::rename(&tmp, path)?;
+        let total = write_atomic(path, |out| {
+            benchmark
+                .generate_into(cfg, ChunkWriter::new(out)?)
+                .finish()
+        })?;
         Sidecar {
             config: Self::config_fingerprint(cfg, benchmark),
             content: total,
@@ -260,13 +246,14 @@ impl TraceSet {
         }
         if self.stream {
             if let Some(path) = self.stream_path(benchmark) {
-                match Self::validate_stream_file(&self.cfg, benchmark, &path) {
-                    Ok(source) => return TraceSetSource::File(Arc::new(source)),
-                    Err("missing fingerprint sidecar") if !path.exists() => {}
-                    Err(why) => eprintln!(
-                        "notice: regenerating stream cache {} ({why})",
-                        path.display()
-                    ),
+                if path.exists() {
+                    match Self::validate_stream_file(&self.cfg, benchmark, &path) {
+                        Ok(source) => return TraceSetSource::File(Arc::new(source)),
+                        Err(why) => eprintln!(
+                            "notice: regenerating stream cache {} ({why})",
+                            path.display()
+                        ),
+                    }
                 }
                 match Self::write_stream_file(&self.cfg, benchmark, &path) {
                     Ok(source) => return TraceSetSource::File(Arc::new(source)),
@@ -369,7 +356,7 @@ mod tests {
         let path = TraceSet::with_disk_cache(cfg, &dir)
             .cache_path(Benchmark::Compress)
             .expect("cache path");
-        let sidecar = TraceSet::sidecar_path(&path);
+        let sidecar = Sidecar::path_for(&path);
         assert!(sidecar.exists(), "writing the cache must write the sidecar");
 
         // A *valid* but wrong trace swapped in without updating the

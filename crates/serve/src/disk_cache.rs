@@ -38,11 +38,12 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use bp_trace::sidecar::{fnv1a, CONTENT_OFFSET, FNV_OFFSET};
+use bp_trace::sidecar::{fnv1a, write_atomic, CONTENT_OFFSET, FNV_OFFSET};
 
 use crate::stats::CacheGauges;
 
@@ -438,9 +439,9 @@ impl ResultCache {
     }
 
     /// Stores a freshly rendered output: into memory (evicting LRU
-    /// entries past the budget) and through to disk via a tmp-file
-    /// rename, so a crash mid-write never leaves a half entry under the
-    /// final name.
+    /// entries past the budget) and through to disk via
+    /// [`write_atomic`], so a crash mid-write never leaves a half entry
+    /// under the final name.
     pub fn put(&self, key: &EvalKey, output: &Arc<String>) {
         let evicted = self.mem.lock().expect("cache memory lock").insert(
             key.clone(),
@@ -452,10 +453,7 @@ impl ResultCache {
             return;
         };
         let bytes = encode_entry(key, output);
-        let tmp = path.with_extension("bpo.tmp");
-        let wrote = std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, &path));
-        if let Err(e) = wrote {
-            let _ = std::fs::remove_file(&tmp);
+        if let Err(e) = write_atomic(&path, |out| out.write_all(&bytes)) {
             self.notice(format!("cache write {}: {e}", path.display()));
         }
     }

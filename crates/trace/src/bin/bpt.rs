@@ -1,11 +1,12 @@
-//! `bpt` — inspect `.bpt` trace files (the `bp-trace` binary format, as
-//! written by `repro --cache`).
+//! `bpt` — inspect trace files: the `.bpt` cache `repro --cache` writes
+//! and the `.bpt2` stream cache `scale --cache` writes (both in the
+//! chunk-framed `BPT2` encoding of `bp_trace::io`).
 //!
 //! ```text
-//! bpt info  FILE          header + aggregate statistics
+//! bpt info  FILE          aggregate statistics
 //! bpt head  FILE [N]      print the first N records (default 20)
 //! bpt biases FILE [N]     per-branch profile, N heaviest branches
-//! bpt verify FILE         decode every record, report corruption
+//! bpt verify FILE         decode every frame and the footer, report corruption
 //! ```
 
 use std::fs::File;
@@ -22,6 +23,11 @@ fn usage() -> ExitCode {
 fn open(path: &str) -> Result<Trace, String> {
     let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     io::read_trace(BufReader::new(file)).map_err(|e| format!("cannot decode {path}: {e}"))
+}
+
+fn open_chunks(path: &str) -> Result<io::ChunkReader<BufReader<File>>, String> {
+    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    io::ChunkReader::new(BufReader::new(file)).map_err(|e| format!("cannot decode {path}: {e}"))
 }
 
 fn kind_letter(kind: BranchKind) -> char {
@@ -50,20 +56,26 @@ fn cmd_info(path: &str) -> Result<(), String> {
 }
 
 fn cmd_head(path: &str, n: usize) -> Result<(), String> {
-    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let reader = io::TraceReader::new(BufReader::new(file))
-        .map_err(|e| format!("cannot decode {path}: {e}"))?;
+    let mut reader = open_chunks(path)?;
     println!("{:<4} {:>12} {:>12} kind taken", "#", "pc", "target");
-    for (i, rec) in reader.take(n).enumerate() {
-        let rec = rec.map_err(|e| format!("record {i}: {e}"))?;
-        println!(
-            "{:<4} {:>#12x} {:>#12x}    {} {}",
-            i,
-            rec.pc,
-            rec.target,
-            kind_letter(rec.kind),
-            if rec.taken { "T" } else { "-" },
-        );
+    let mut chunk = Vec::new();
+    let mut i = 0;
+    while i < n
+        && reader
+            .next_chunk(&mut chunk)
+            .map_err(|e| format!("record {i}: {e}"))?
+    {
+        for rec in chunk.iter().take(n - i) {
+            println!(
+                "{:<4} {:>#12x} {:>#12x}    {} {}",
+                i,
+                rec.pc,
+                rec.target,
+                kind_letter(rec.kind),
+                if rec.taken { "T" } else { "-" },
+            );
+            i += 1;
+        }
     }
     Ok(())
 }
@@ -93,19 +105,14 @@ fn cmd_biases(path: &str, n: usize) -> Result<(), String> {
 }
 
 fn cmd_verify(path: &str) -> Result<(), String> {
-    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let reader = io::TraceReader::new(BufReader::new(file))
-        .map_err(|e| format!("bad header in {path}: {e}"))?;
-    let expected = reader.remaining();
-    let mut decoded = 0u64;
-    for rec in reader {
-        rec.map_err(|e| format!("corrupt at record {decoded}: {e}"))?;
-        decoded += 1;
-    }
-    if decoded != expected {
-        return Err(format!("header claims {expected} records, found {decoded}"));
-    }
-    println!("ok: {decoded} records");
+    let mut reader = open_chunks(path)?;
+    let mut chunk = Vec::new();
+    // The reader checks the end marker and the footer's record count.
+    while reader
+        .next_chunk(&mut chunk)
+        .map_err(|e| format!("corrupt after record {}: {e}", reader.decoded()))?
+    {}
+    println!("ok: {} records", reader.decoded());
     Ok(())
 }
 

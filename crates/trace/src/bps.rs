@@ -42,7 +42,7 @@ use std::sync::Arc;
 use crate::fx::FxHashMap;
 use crate::mmap::MappedBytes;
 use crate::record::Pc;
-use crate::sidecar::{fnv1a, Sidecar, SidecarError, CONTENT_OFFSET};
+use crate::sidecar::{fnv1a, write_atomic, Sidecar, SidecarError, CONTENT_OFFSET};
 use crate::streams::{BranchStreams, OutcomeStream};
 
 /// Magic bytes opening every `.bps` file.
@@ -337,9 +337,9 @@ pub struct OpenedStreams {
     pub mapped: bool,
 }
 
-/// Writes `streams` as a `.bps` artifact at `path` (tmp + rename, then
-/// the fingerprint sidecar), so a crash never leaves a half-written file
-/// under the real name.
+/// Writes `streams` as a `.bps` artifact at `path`, then its fingerprint
+/// sidecar, each through [`write_atomic`], so a crash never leaves a
+/// half-written file under the real name.
 ///
 /// # Errors
 ///
@@ -363,18 +363,17 @@ pub fn write_streams(path: &Path, streams: &BranchStreams, config: u64) -> std::
     }
     meta[1] = off * 8; // total file length in bytes
 
-    let tmp = path.with_extension("bps.tmp");
-    let mut out = std::io::BufWriter::new(File::create(&tmp)?);
-    for w in &meta {
-        out.write_all(&w.to_le_bytes())?;
-    }
-    for &(_, s) in &branches {
-        for w in s.words() {
+    write_atomic(path, |out| -> std::io::Result<()> {
+        for w in &meta {
             out.write_all(&w.to_le_bytes())?;
         }
-    }
-    out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-    std::fs::rename(&tmp, path)?;
+        for &(_, s) in &branches {
+            for w in s.words() {
+                out.write_all(&w.to_le_bytes())?;
+            }
+        }
+        Ok(())
+    })?;
 
     let content = fnv_words(CONTENT_OFFSET, &meta);
     Sidecar { config, content }.write(path)

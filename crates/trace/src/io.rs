@@ -1,27 +1,25 @@
 //! Binary trace serialization.
 //!
 //! Traces persist in a compact varint format so generated workloads can be
-//! cached on disk and re-analyzed without regeneration. Two framings share
-//! one record encoding:
+//! cached on disk and re-analyzed without regeneration. There is one
+//! encoding, the chunk-framed `BPT2`:
 //!
 //! ```text
-//! per record (both formats):
+//! magic "BPT2"
+//! repeated frames:  varint chunk-count (> 0), then that many records
+//! end marker:       varint 0
+//! footer:           varint total-record-count (= sum of frame counts)
+//!
+//! per record:
 //!   flags byte   bit0 = taken, bits1-2 = kind
 //!   varint pc
 //!   varint zigzag(target - pc)
 //! ```
 //!
-//! **BPT1** (whole-trace): magic `"BPT1"`, varint record-count, then the
-//! records. The count comes first, so a writer must know the full length
-//! up front — fine for materialized traces, unusable for streaming.
-//!
-//! **BPT2** (chunk-framed, streamable): magic `"BPT2"`, then repeated
-//! frames of `varint chunk-count (> 0)` + that many records, a zero
-//! varint end marker, and a trailing `varint total-record-count` footer
-//! that must equal the sum of the frame counts. A producer can emit
-//! frames as chunks arrive ([`ChunkWriter`] is a
+//! A producer can emit frames as chunks arrive ([`ChunkWriter`] is a
 //! [`crate::TraceSink`]), and a reader never needs more than one frame
-//! in memory ([`ChunkReader`], [`FileTraceSource`]).
+//! in memory ([`ChunkReader`], [`FileTraceSource`]). [`write_trace`] and
+//! [`read_trace`] are the whole-trace conveniences over the same framing.
 //!
 //! Readers and writers are generic over [`std::io::Read`] / [`std::io::Write`]
 //! (a `&mut` reference works wherever an owned reader/writer does).
@@ -37,8 +35,7 @@ use crate::sink::{TraceSink, CHUNK_RECORDS};
 use crate::source::TraceSource;
 use crate::trace::Trace;
 
-const MAGIC: &[u8; 4] = b"BPT1";
-const MAGIC2: &[u8; 4] = b"BPT2";
+const MAGIC: &[u8; 4] = b"BPT2";
 
 /// Error produced when decoding a serialized trace.
 #[derive(Debug)]
@@ -134,7 +131,8 @@ fn kind_from_code(code: u8) -> Result<BranchKind, TraceIoError> {
     }
 }
 
-/// Serializes a trace to a writer.
+/// Serializes a trace to a writer as a `BPT2` stream, one frame per
+/// [`CHUNK_RECORDS`] records.
 ///
 /// # Errors
 ///
@@ -154,16 +152,14 @@ fn kind_from_code(code: u8) -> Result<BranchKind, TraceIoError> {
 /// # Ok(())
 /// # }
 /// ```
-pub fn write_trace<W: Write>(mut w: W, trace: &Trace) -> Result<(), TraceIoError> {
-    w.write_all(MAGIC)?;
-    write_varint(&mut w, trace.len() as u64)?;
-    for rec in trace.iter() {
-        write_record(&mut w, rec)?;
-    }
+pub fn write_trace<W: Write>(w: W, trace: &Trace) -> Result<(), TraceIoError> {
+    let mut writer = ChunkWriter::new(w)?;
+    trace.scan(&mut |chunk| writer.chunk(chunk))?;
+    writer.finish()?;
     Ok(())
 }
 
-/// Encodes one record (shared by both framings).
+/// Encodes one record.
 fn write_record<W: Write>(mut w: W, rec: &BranchRecord) -> Result<(), TraceIoError> {
     let flags = (rec.taken as u8) | (kind_code(rec.kind) << 1);
     w.write_all(&[flags])?;
@@ -172,7 +168,7 @@ fn write_record<W: Write>(mut w: W, rec: &BranchRecord) -> Result<(), TraceIoErr
     Ok(())
 }
 
-/// Decodes one record (shared by both framings).
+/// Decodes one record.
 fn read_record<R: Read>(mut r: R) -> Result<BranchRecord, TraceIoError> {
     let mut flags = [0u8; 1];
     r.read_exact(&mut flags)?;
@@ -186,111 +182,6 @@ fn read_record<R: Read>(mut r: R) -> Result<BranchRecord, TraceIoError> {
         taken,
         kind,
     })
-}
-
-/// Deserializes a trace from a reader.
-///
-/// # Errors
-///
-/// Returns [`TraceIoError::BadMagic`] when the stream is not a trace, and
-/// [`TraceIoError::Corrupt`] / [`TraceIoError::Io`] on malformed or
-/// truncated input.
-pub fn read_trace<R: Read>(r: R) -> Result<Trace, TraceIoError> {
-    let reader = TraceReader::new(r)?;
-    // Guard preallocation against hostile counts; grow as records decode.
-    let mut records = Vec::with_capacity(reader.remaining().min(1 << 20) as usize);
-    for rec in reader {
-        records.push(rec?);
-    }
-    Ok(Trace::from_records(records))
-}
-
-/// Streaming trace decoder: yields records one at a time without
-/// materializing the whole trace, so arbitrarily large trace files can be
-/// folded into statistics or fed to a predictor incrementally.
-///
-/// # Example
-///
-/// ```
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use bp_trace::{io, BranchRecord, Trace};
-///
-/// let trace = Trace::from_records(vec![BranchRecord::conditional(8, true)]);
-/// let mut buf = Vec::new();
-/// io::write_trace(&mut buf, &trace)?;
-///
-/// let mut taken = 0u64;
-/// for rec in io::TraceReader::new(buf.as_slice())? {
-///     if rec?.taken {
-///         taken += 1;
-///     }
-/// }
-/// assert_eq!(taken, 1);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct TraceReader<R> {
-    reader: R,
-    remaining: u64,
-    failed: bool,
-}
-
-impl<R: Read> TraceReader<R> {
-    /// Opens a stream, validating the magic and reading the record count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceIoError::BadMagic`] when the stream is not a trace,
-    /// or an I/O / corruption error from the header.
-    pub fn new(mut reader: R) -> Result<Self, TraceIoError> {
-        let mut magic = [0u8; 4];
-        reader.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(TraceIoError::BadMagic);
-        }
-        let remaining = read_varint(&mut reader)?;
-        Ok(TraceReader {
-            reader,
-            remaining,
-            failed: false,
-        })
-    }
-
-    /// Records left to decode (exact, from the header).
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
-    fn read_record(&mut self) -> Result<BranchRecord, TraceIoError> {
-        read_record(&mut self.reader)
-    }
-}
-
-impl<R: Read> Iterator for TraceReader<R> {
-    type Item = Result<BranchRecord, TraceIoError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed || self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let rec = self.read_record();
-        if rec.is_err() {
-            // Poison the iterator: after a decode error the stream offset
-            // is meaningless.
-            self.failed = true;
-        }
-        Some(rec)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        if self.failed {
-            return (0, Some(0));
-        }
-        let n = usize::try_from(self.remaining).unwrap_or(usize::MAX);
-        (0, Some(n))
-    }
 }
 
 /// Streaming chunk-framed (`BPT2`) trace writer — a [`TraceSink`], so a
@@ -340,7 +231,7 @@ impl<W: Write> ChunkWriter<W> {
     ///
     /// Returns [`TraceIoError::Io`] when the writer fails.
     pub fn new(mut writer: W) -> Result<Self, TraceIoError> {
-        writer.write_all(MAGIC2)?;
+        writer.write_all(MAGIC)?;
         Ok(ChunkWriter {
             writer,
             written: 0,
@@ -417,7 +308,7 @@ impl<R: Read> ChunkReader<R> {
     pub fn new(mut reader: R) -> Result<Self, TraceIoError> {
         let mut magic = [0u8; 4];
         reader.read_exact(&mut magic)?;
-        if &magic != MAGIC2 {
+        if &magic != MAGIC {
             return Err(TraceIoError::BadMagic);
         }
         Ok(ChunkReader {
@@ -481,21 +372,30 @@ impl<R: Read> ChunkReader<R> {
     }
 }
 
-/// Reads a whole `BPT2` stream into a [`Trace`].
+/// Deserializes a whole `BPT2` stream into a [`Trace`].
 ///
 /// # Errors
 ///
-/// Returns [`TraceIoError::BadMagic`] when the stream is not chunk-framed,
-/// and [`TraceIoError::Corrupt`] / [`TraceIoError::Io`] on malformed or
+/// Returns [`TraceIoError::BadMagic`] when the stream is not a trace, and
+/// [`TraceIoError::Corrupt`] / [`TraceIoError::Io`] on malformed or
 /// truncated input (including a missing end marker or a lying footer).
-pub fn read_chunked_trace<R: Read>(r: R) -> Result<Trace, TraceIoError> {
-    let mut reader = ChunkReader::new(r)?;
+pub fn read_trace<R: Read>(r: R) -> Result<Trace, TraceIoError> {
     let mut all = Vec::new();
-    let mut chunk = Vec::new();
-    while reader.next_chunk(&mut chunk)? {
-        all.extend_from_slice(&chunk);
-    }
+    scan_frames(r, &mut |chunk| all.extend_from_slice(chunk))?;
     Ok(Trace::from_records(all))
+}
+
+/// Decodes a `BPT2` stream one frame at a time, handing each to `visit`.
+fn scan_frames<R: Read>(
+    reader: R,
+    visit: &mut dyn FnMut(&[BranchRecord]),
+) -> Result<(), TraceIoError> {
+    let mut frames = ChunkReader::new(reader)?;
+    let mut chunk = Vec::new();
+    while frames.next_chunk(&mut chunk)? {
+        visit(&chunk);
+    }
+    Ok(())
 }
 
 /// How many file bytes a windowed read pulls in at a time (64 KiB — a
@@ -579,7 +479,7 @@ impl FileTraceSource {
         let size = meta.len();
         let mut head = [0u8; 4];
         read_exact_at(&file, &mut head, 0)?;
-        if &head != MAGIC2 {
+        if &head != MAGIC {
             return Err(TraceIoError::BadMagic);
         }
         // The file ends with `varint 0` (end marker) then `varint total`.
@@ -622,31 +522,18 @@ impl FileTraceSource {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    fn scan_reader<R: Read>(
-        &self,
-        reader: R,
-        visit: &mut dyn FnMut(&[BranchRecord]),
-    ) -> Result<(), TraceIoError> {
-        let mut frames = ChunkReader::new(reader)?;
-        let mut chunk = Vec::new();
-        while frames.next_chunk(&mut chunk)? {
-            visit(&chunk);
-        }
-        Ok(())
-    }
 }
 
 impl TraceSource for FileTraceSource {
     fn scan(&self, visit: &mut dyn FnMut(&[BranchRecord])) -> Result<(), TraceIoError> {
         #[cfg(unix)]
         {
-            self.scan_reader(WindowedReader::new(&self.file), visit)
+            scan_frames(WindowedReader::new(&self.file), visit)
         }
         #[cfg(not(unix))]
         {
             let file = File::open(&self.path)?;
-            self.scan_reader(std::io::BufReader::with_capacity(WINDOW_BYTES, file), visit)
+            scan_frames(std::io::BufReader::with_capacity(WINDOW_BYTES, file), visit)
         }
     }
 
@@ -733,10 +620,12 @@ mod tests {
     fn bad_kind_rejected() {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
-        write_varint(&mut buf, 1).unwrap();
+        write_varint(&mut buf, 1).unwrap(); // one-record frame
         buf.push(4 << 1); // kind code 4 does not exist
         write_varint(&mut buf, 1).unwrap();
         write_varint(&mut buf, 0).unwrap();
+        write_varint(&mut buf, 0).unwrap(); // end marker
+        write_varint(&mut buf, 1).unwrap(); // footer
         let err = read_trace(buf.as_slice()).unwrap_err();
         assert!(matches!(err, TraceIoError::Corrupt(_)));
     }
@@ -755,37 +644,6 @@ mod tests {
         for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
             assert_eq!(unzigzag(zigzag(v)), v);
         }
-    }
-
-    #[test]
-    fn streaming_reader_matches_bulk_read() {
-        let t = Trace::from_records(
-            (0..50)
-                .map(|i| BranchRecord::conditional(i * 8, i % 3 == 0))
-                .collect(),
-        );
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
-        let reader = TraceReader::new(buf.as_slice()).unwrap();
-        assert_eq!(reader.remaining(), 50);
-        let streamed: Result<Vec<_>, _> = reader.collect();
-        assert_eq!(streamed.unwrap(), t.records());
-    }
-
-    #[test]
-    fn streaming_reader_poisons_after_error() {
-        let t = Trace::from_records(vec![
-            BranchRecord::conditional(10, true),
-            BranchRecord::conditional(20, false),
-        ]);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
-        buf.truncate(buf.len() - 1); // clip inside the second record
-        let mut reader = TraceReader::new(buf.as_slice()).unwrap();
-        assert!(reader.next().unwrap().is_ok());
-        assert!(reader.next().unwrap().is_err());
-        assert!(reader.next().is_none(), "iterator must stop after an error");
-        assert_eq!(reader.size_hint(), (0, Some(0)));
     }
 
     #[test]

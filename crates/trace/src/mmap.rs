@@ -21,7 +21,7 @@
 //! Safety argument for readers of the mapped slice (see DESIGN.md §3i):
 //! the mapping is `PROT_READ` + `MAP_PRIVATE`, so nothing in-process can
 //! write through it; artifact files are published atomically
-//! (tmp + rename) and never truncated in place, so the classic
+//! (`sidecar::write_atomic`) and never truncated in place, so the classic
 //! `SIGBUS`-on-shrink hazard requires outside interference — callers
 //! validate the file length against the artifact's own declared length
 //! *before* mapping, which is also what bounds every slice below.

@@ -21,8 +21,14 @@
 //! second consumer, so the implementation lives here where both crates
 //! can reach it. Every failure mode is a typed [`SidecarError`] — a
 //! corrupt or stale sidecar is a *regenerate* signal, never a panic.
+//!
+//! Every cache file — each artifact and each sidecar — is committed
+//! through [`write_atomic`], so a reader only ever sees a complete old
+//! file or a complete new one under the real name.
 
 use std::fmt;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// FNV-1a 64-bit offset basis: the seed for *config* fingerprints.
@@ -51,6 +57,43 @@ pub fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// Writes a file atomically: creates `path` + `.tmp`, runs `fill` on a
+/// buffered writer over it, flushes, `sync_all`s, and renames the tmp
+/// file over `path`, returning what `fill` returned.
+///
+/// On any error — from `fill`, the flush, the sync or the rename — the
+/// tmp file is removed and `path` is left exactly as it was. A crash
+/// mid-write can leave a stray `.tmp` behind or lose the rename, but
+/// never a partial file under the real name; every caller treats a
+/// missing or stale file as a cache miss and regenerates it.
+///
+/// # Errors
+///
+/// The first error from `fill` or from the filesystem.
+pub fn write_atomic<T, E, F>(path: &Path, fill: F) -> Result<T, E>
+where
+    E: From<io::Error>,
+    F: FnOnce(&mut BufWriter<File>) -> Result<T, E>,
+{
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let commit = || -> Result<T, E> {
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        let value = fill(&mut out)?;
+        out.into_inner()
+            .map_err(io::IntoInnerError::into_error)?
+            .sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        Ok(value)
+    };
+    let result = commit();
+    if result.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    result
 }
 
 /// Why a sidecar could not be used. All variants mean "do not trust the
@@ -134,13 +177,15 @@ impl Sidecar {
         Ok(Sidecar { config, content })
     }
 
-    /// Writes the sidecar next to `artifact`.
+    /// Writes the sidecar next to `artifact` (through [`write_atomic`]).
     ///
     /// # Errors
     ///
     /// Filesystem errors from the write.
-    pub fn write(&self, artifact: &Path) -> std::io::Result<()> {
-        std::fs::write(Self::path_for(artifact), self.render())
+    pub fn write(&self, artifact: &Path) -> io::Result<()> {
+        write_atomic(&Self::path_for(artifact), |out| {
+            out.write_all(self.render().as_bytes())
+        })
     }
 
     /// Loads and parses the sidecar next to `artifact`.
@@ -198,6 +243,71 @@ mod tests {
             Sidecar::parse("bpfp1 0 0 extra\n"),
             Err(SidecarError::Malformed)
         );
+    }
+
+    /// A fresh directory per test: tests run in parallel.
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("bp-atomic-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        dir
+    }
+
+    fn entries(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("list dir")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn write_atomic_failed_fill_keeps_the_old_file_and_no_tmp() {
+        let dir = scratch_dir("fill");
+        let path = dir.join("artifact.bps");
+        std::fs::write(&path, b"old bytes").expect("seed old file");
+        let err = write_atomic(&path, |out| -> io::Result<()> {
+            out.write_all(&vec![0xa5; 1 << 20])?;
+            Err(io::Error::new(io::ErrorKind::StorageFull, "disk full"))
+        })
+        .expect_err("a failing fill must surface its error");
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+        assert_eq!(std::fs::read(&path).expect("old file"), b"old bytes");
+        assert_eq!(entries(&dir), ["artifact.bps"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn write_atomic_failed_rename_keeps_the_directory_and_no_tmp() {
+        let dir = scratch_dir("rename");
+        let path = dir.join("artifact.bps");
+        std::fs::create_dir(&path).expect("directory in the way");
+        std::fs::write(path.join("inner"), b"keep").expect("fill the directory");
+        write_atomic(&path, |out| out.write_all(b"new bytes"))
+            .expect_err("renaming a file over a directory must fail");
+        assert_eq!(std::fs::read(path.join("inner")).expect("inner"), b"keep");
+        assert_eq!(entries(&path), ["inner"]);
+        assert_eq!(entries(&dir), ["artifact.bps"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn write_atomic_success_replaces_the_file_exactly() {
+        let dir = scratch_dir("ok");
+        let path = dir.join("artifact.bps");
+        std::fs::write(&path, b"a longer old file").expect("seed old file");
+        let value =
+            write_atomic(&path, |out| out.write_all(b"new").map(|()| 7)).expect("write succeeds");
+        assert_eq!(value, 7, "fill's value is returned");
+        assert_eq!(std::fs::read(&path).expect("new file"), b"new");
+        assert_eq!(entries(&dir), ["artifact.bps"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! extra twist that the file length is validated *before* the file is
 //! handed to `mmap(2)` or sliced.
 
+use std::io::Write;
 use std::path::PathBuf;
 
 use bp_trace::bps::{open_streams, write_streams, BpsError};
-use bp_trace::sidecar::Sidecar;
+use bp_trace::sidecar::{write_atomic, Sidecar};
 use bp_trace::{BranchRecord, BranchStreams, Trace};
 
 const CONFIG: u64 = 0x5eed_cafe;
@@ -47,6 +48,28 @@ fn pristine_artifact_round_trips() {
     let (path, bytes) = written("pristine");
     assert!(bytes.len().is_multiple_of(8));
     let opened = open_streams(&path, CONFIG).expect("open");
+    assert_eq!(opened.streams, sample_streams());
+    cleanup(&path);
+}
+
+#[test]
+fn failed_overwrite_leaves_the_old_artifact_openable() {
+    let (path, bytes) = written("failed-overwrite");
+    // An overwrite that runs out of disk after 1 MiB.
+    let err = write_atomic(&path, |out| -> std::io::Result<()> {
+        out.write_all(&vec![0u8; 1 << 20])?;
+        Err(std::io::Error::new(
+            std::io::ErrorKind::StorageFull,
+            "disk full",
+        ))
+    })
+    .expect_err("the overwrite fails");
+    assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
+    assert_eq!(std::fs::read(&path).expect("old artifact"), bytes);
+    let mut tmp = path.clone().into_os_string();
+    tmp.push(".tmp");
+    assert!(!PathBuf::from(tmp).exists(), "the tmp file is removed");
+    let opened = open_streams(&path, CONFIG).expect("the old artifact still opens");
     assert_eq!(opened.streams, sample_streams());
     cleanup(&path);
 }

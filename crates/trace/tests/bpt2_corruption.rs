@@ -1,14 +1,14 @@
-//! Corruption tests for the chunk-framed `BPT2` stream format: every
+//! Corruption tests for the chunk-framed `BPT2` trace format: every
 //! truncation point, every magic corruption, hostile frame counts,
 //! single-byte mutations, and hostile file tails must all surface as
 //! typed [`TraceIoError`]s — never a panic, a hang, an oversized
-//! allocation, or a silently wrong trace. These port the `BPT1`
-//! guarantees in `io_corruption.rs` to the streaming reader and the
-//! windowed [`FileTraceSource`].
+//! allocation, or a silently wrong trace. They cover the whole-trace
+//! [`read_trace`], the streaming [`ChunkReader`] and the windowed
+//! [`FileTraceSource`].
 
 use std::path::PathBuf;
 
-use bp_trace::io::{read_chunked_trace, ChunkReader, ChunkWriter, FileTraceSource, TraceIoError};
+use bp_trace::io::{read_trace, ChunkReader, ChunkWriter, FileTraceSource, TraceIoError};
 use bp_trace::{BranchKind, BranchRecord, Trace, TraceSink, TraceSource, CHUNK_RECORDS};
 
 /// A small but varied trace: different kinds, forward and backward
@@ -66,8 +66,7 @@ fn every_truncation_point_is_a_typed_error() {
         // error — the footer is the last byte, so every proper prefix is
         // missing at least the end-of-stream structure.
         for cut in 0..full.len() {
-            let err =
-                read_chunked_trace(&full[..cut]).expect_err("truncated stream must not decode");
+            let err = read_trace(&full[..cut]).expect_err("truncated stream must not decode");
             match err {
                 TraceIoError::Io(e) => {
                     assert_eq!(
@@ -82,7 +81,7 @@ fn every_truncation_point_is_a_typed_error() {
         // The untruncated stream still decodes (the loop above really did
         // exercise proper prefixes of a valid encoding).
         assert_eq!(
-            read_chunked_trace(full.as_slice()).expect("full stream"),
+            read_trace(full.as_slice()).expect("full stream"),
             sample_trace()
         );
     }
@@ -96,10 +95,7 @@ fn every_magic_corruption_is_bad_magic() {
             let mut bad = full.clone();
             bad[byte] ^= flip;
             assert!(
-                matches!(
-                    read_chunked_trace(bad.as_slice()),
-                    Err(TraceIoError::BadMagic)
-                ),
+                matches!(read_trace(bad.as_slice()), Err(TraceIoError::BadMagic)),
                 "corrupting magic byte {byte} with ^{flip:#04x} must be BadMagic"
             );
         }
@@ -139,7 +135,7 @@ fn overlong_varint_in_frame_header_is_corrupt() {
     buf.extend_from_slice(&[0x80; 10]);
     buf.push(0x00); // 11 continuation-ish bytes: varint too long
     assert!(matches!(
-        read_chunked_trace(buf.as_slice()),
+        read_trace(buf.as_slice()),
         Err(TraceIoError::Corrupt(_))
     ));
 }
@@ -153,7 +149,7 @@ fn invalid_kind_codes_are_corrupt_not_panic() {
     for kind_code in 4..=127u8 {
         let mut bad = full.clone();
         bad[flags_at] = kind_code << 1;
-        match read_chunked_trace(bad.as_slice()) {
+        match read_trace(bad.as_slice()) {
             Err(TraceIoError::Corrupt(what)) => assert!(!what.is_empty()),
             other => panic!("kind code {kind_code} must be Corrupt, got {other:?}"),
         }
@@ -165,7 +161,7 @@ fn lying_footer_is_corrupt() {
     let mut full = encode_chunked(&sample_trace(), 5);
     let last = full.len() - 1;
     full[last] = full[last].wrapping_add(1); // footer now disagrees
-    match read_chunked_trace(full.as_slice()) {
+    match read_trace(full.as_slice()) {
         Err(TraceIoError::Corrupt(what)) => assert!(what.contains("footer")),
         other => panic!("footer mismatch must be Corrupt, got {other:?}"),
     }
@@ -180,7 +176,7 @@ fn unfinished_writer_leaves_a_rejected_stream() {
     let mut writer = writer;
     writer.chunk(sample_trace().records());
     drop(writer);
-    match read_chunked_trace(buf.as_slice()) {
+    match read_trace(buf.as_slice()) {
         Err(TraceIoError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
         other => panic!("unfinished stream must be a truncation error, got {other:?}"),
     }
@@ -194,7 +190,7 @@ fn single_byte_mutations_never_panic_and_errors_are_typed() {
             let mut bad = full.clone();
             bad[pos] ^= flip;
             // Any outcome is fine except a panic; errors must render.
-            match read_chunked_trace(bad.as_slice()) {
+            match read_trace(bad.as_slice()) {
                 Ok(_) => {}
                 Err(e) => assert!(!e.to_string().is_empty()),
             }
@@ -210,34 +206,37 @@ fn mid_stream_cut_yields_clean_prefix_then_poison() {
             .collect(),
     );
     let full = encode_chunked(&trace, 4);
-    // Remove the last two bytes: the footer (and end marker) are gone,
-    // but every record frame is intact.
-    let clipped = &full[..full.len() - 2];
-    let mut reader = ChunkReader::new(clipped).expect("magic intact");
-    let mut decoded = Vec::new();
-    let mut chunk = Vec::new();
-    let err = loop {
-        match reader.next_chunk(&mut chunk) {
-            Ok(true) => decoded.extend_from_slice(&chunk),
-            Ok(false) => panic!("clipped stream must not end cleanly"),
-            Err(e) => break e,
-        }
-    };
-    assert!(matches!(
-        err,
-        TraceIoError::Io(_) | TraceIoError::Corrupt(_)
-    ));
-    assert_eq!(decoded, trace.records(), "intact frames decode");
-    assert!(
-        matches!(reader.next_chunk(&mut chunk), Err(TraceIoError::Corrupt(_))),
-        "reader stays poisoned"
-    );
+    // Cutting two bytes removes the end marker and footer but leaves every
+    // record frame intact; cutting three also clips the last record
+    // mid-varint, which costs its whole frame.
+    for (cut, intact) in [(2, 16), (3, 12)] {
+        let clipped = &full[..full.len() - cut];
+        let mut reader = ChunkReader::new(clipped).expect("magic intact");
+        let mut decoded = Vec::new();
+        let mut chunk = Vec::new();
+        let err = loop {
+            match reader.next_chunk(&mut chunk) {
+                Ok(true) => decoded.extend_from_slice(&chunk),
+                Ok(false) => panic!("clipped stream must not end cleanly"),
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(
+            err,
+            TraceIoError::Io(_) | TraceIoError::Corrupt(_)
+        ));
+        assert_eq!(decoded, trace.records()[..intact], "intact frames decode");
+        assert!(
+            matches!(reader.next_chunk(&mut chunk), Err(TraceIoError::Corrupt(_))),
+            "reader stays poisoned"
+        );
+    }
 }
 
 #[test]
 fn empty_and_tiny_streams_error_cleanly() {
     for bytes in [&b""[..], b"B", b"BP", b"BPT", b"BPT2", b"BPT2\x00"] {
-        let err = read_chunked_trace(bytes).expect_err("incomplete stream");
+        let err = read_trace(bytes).expect_err("incomplete stream");
         assert!(!err.to_string().is_empty());
         if let TraceIoError::Io(e) = &err {
             assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof);

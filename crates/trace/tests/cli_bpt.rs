@@ -2,7 +2,8 @@
 
 use std::process::Command;
 
-use bp_trace::{io, BranchRecord, Trace};
+use bp_trace::io::ChunkWriter;
+use bp_trace::{BranchRecord, TraceSink};
 
 fn bpt() -> Command {
     Command::new(env!("CARGO_BIN_EXE_bpt"))
@@ -12,13 +13,16 @@ fn sample_file(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("bpt-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join(name);
-    let trace = Trace::from_records(
-        (0..200)
-            .map(|i| BranchRecord::conditional(0x100 + (i % 5) * 4, i % 3 == 0))
-            .collect(),
-    );
+    let records: Vec<BranchRecord> = (0..200)
+        .map(|i| BranchRecord::conditional(0x100 + (i % 5) * 4, i % 3 == 0))
+        .collect();
+    // Two-record frames, so reading a few records crosses frame boundaries.
     let mut buf = Vec::new();
-    io::write_trace(&mut buf, &trace).expect("encode");
+    let mut writer = ChunkWriter::new(&mut buf).expect("encode");
+    for frame in records.chunks(2) {
+        writer.chunk(frame);
+    }
+    writer.finish().expect("encode");
     std::fs::write(&path, buf).expect("write file");
     path
 }
@@ -42,8 +46,12 @@ fn head_prints_requested_records() {
         .expect("run bpt");
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    // Header + 3 records.
+    // Header + 3 records; the third comes from the second frame.
     assert_eq!(text.lines().count(), 4, "{text}");
+    assert!(text
+        .lines()
+        .nth(3)
+        .is_some_and(|l| l.starts_with("2 ") && l.contains("0x108")));
     assert!(text.contains("0x100"));
 }
 

@@ -4,6 +4,8 @@ use bp_trace::fx::FxHashMap;
 use bp_trace::io::TraceIoError;
 use bp_trace::{InstanceTag, PathWindow, Pc, TagScheme, Trace, TraceSource};
 
+use crate::oracle::{OracleResult, MAX_SELECTIVE_TAGS};
+
 /// The candidate correlated-branch instances considered for each static
 /// branch.
 ///
@@ -142,6 +144,29 @@ impl TagCandidates {
             per_branch.extend(rank_counts(counts, cap));
         }
         Ok(TagCandidates { per_branch })
+    }
+
+    /// The tags `oracle` chose for each branch it analysed: the union of
+    /// the branch's best 1-, 2- and 3-tag sets, which for the greedy search
+    /// (each set extends the one before) is just the 3-tag set. A matrix
+    /// built from these holds exactly the columns that re-scoring the
+    /// chosen sets reads (e.g. [`crate::presence_stats`]), with the same
+    /// planes the full candidate matrix has for them. Branches with nothing
+    /// chosen keep an empty list, so every analysed branch stays covered.
+    pub fn chosen(oracle: &OracleResult) -> Self {
+        let per_branch = oracle
+            .iter()
+            .map(|(pc, sel)| {
+                let mut tags = Vec::with_capacity(MAX_SELECTIVE_TAGS);
+                for tag in sel.best.iter().rev().flat_map(|set| &set.tags) {
+                    if !tags.contains(tag) {
+                        tags.push(*tag);
+                    }
+                }
+                (pc, tags)
+            })
+            .collect();
+        TagCandidates { per_branch }
     }
 
     /// Candidate tags for `pc`, most-visible first; empty if the branch

@@ -709,6 +709,71 @@ mod tests {
         );
     }
 
+    /// A seeded trace of calls, a loop with a data-dependent trip count and
+    /// correlated branches, so both tag schemes, iteration collisions and
+    /// not-in-path outcomes all occur.
+    fn mixed_loop_call_trace(seed: u64, n: usize) -> Trace {
+        let mut rec = bp_trace::Recorder::new();
+        let mut state = seed;
+        for _ in 0..n {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let a = (state >> 33) & 1 == 1;
+            let b = (state >> 34) & 1 == 1;
+            let c = (state >> 35) & 1 == 1;
+            rec.cond(0x100, a);
+            if a {
+                rec.call(0x110, 0x1000);
+                rec.cond(0x1010, b);
+                rec.ret(0x1020);
+            }
+            rec.cond(0x200, b);
+            let trips = 1 + (state >> 40) % 3;
+            for t in 0..trips {
+                rec.cond(0x300, c ^ (t == 0));
+                rec.loop_back(0x3f0, t + 1 < trips);
+            }
+            rec.cond(0x400, a ^ c);
+        }
+        rec.into_trace()
+    }
+
+    #[test]
+    fn chosen_tag_matrix_rescores_like_the_full_matrix() {
+        let greedy = OracleConfig::default();
+        // Exhaustive sets need not nest, so the chosen lists are unions.
+        let exhaustive = OracleConfig {
+            candidate_cap: 12,
+            search: SearchStrategy::Exhaustive { max_candidates: 12 },
+            ..greedy
+        };
+        for seed in [1, 7, 0x9e37_79b9] {
+            let trace = mixed_loop_call_trace(seed, 300);
+            for cfg in [greedy, exhaustive] {
+                let cands = TagCandidates::collect(&trace, cfg.window, cfg.candidate_cap);
+                let full = OutcomeMatrix::build(&trace, &cands, cfg.window);
+                let oracle = OracleSelector::analyze_matrix(&full, &cfg);
+                let chosen =
+                    OutcomeMatrix::build(&trace, &TagCandidates::chosen(&oracle), cfg.window);
+                assert_eq!(chosen.branch_count(), full.branch_count());
+                if cfg.search == SearchStrategy::Greedy {
+                    assert!(chosen
+                        .iter()
+                        .all(|(_, bm)| bm.tags().len() <= MAX_SELECTIVE_TAGS));
+                }
+                for k in 1..=MAX_SELECTIVE_TAGS {
+                    assert_eq!(
+                        presence_stats(&chosen, &oracle, k, cfg.counter),
+                        presence_stats(&full, &oracle, k, cfg.counter),
+                        "seed {seed} {:?} k={k}",
+                        cfg.search
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn presence_captures_in_path_correlation() {
         // Figure 2 in its purest form: control routes to subroutine A or B

@@ -117,6 +117,10 @@ impl SweepMatrix {
             "candidate caps must be positive"
         );
         let max_window = *windows.last().expect("windows is non-empty");
+        // `bucket_of[d]`: index of the smallest window that sees distance d.
+        let bucket_of: Vec<u8> = (0..=max_window)
+            .map(|d| windows.partition_point(|&w| w < d) as u8)
+            .collect();
 
         // Pass 1: per-branch, per-tag visibility counts bucketed by the
         // smallest window that sees the instance.
@@ -130,7 +134,7 @@ impl SweepMatrix {
                     path.visible_tags_with_distance(&mut visible);
                     let branch_counts = counts.entry(rec.pc).or_default();
                     for &(tag, _, d) in &visible {
-                        let b = windows.partition_point(|&w| w < d);
+                        let b = usize::from(bucket_of[d]);
                         branch_counts.entry(tag).or_insert([0; MAX_SWEEP_WINDOWS])[b] += 1;
                     }
                 }
@@ -139,8 +143,9 @@ impl SweepMatrix {
         })?;
 
         // Rank + cap per window; the union of the capped lists is the
-        // column set worth packing planes for.
-        let mut branches: FxHashMap<Pc, SweepBranch> = counts
+        // column set worth packing planes for. Each branch keeps its
+        // tag -> union column map beside its planes for pass 2.
+        let mut builders: FxHashMap<Pc, (SweepBranch, FxHashMap<InstanceTag, u32>)> = counts
             .into_iter()
             .map(|(pc, tag_counts)| {
                 let mut union: Vec<InstanceTag> = Vec::new();
@@ -169,58 +174,42 @@ impl SweepMatrix {
                     ranked.push(cols);
                 }
                 let n = union.len();
-                (
-                    pc,
-                    SweepBranch {
-                        executions: 0,
-                        taken: Vec::new(),
-                        tags: union,
-                        inpath: vec![Vec::new(); n],
-                        dir: vec![Vec::new(); n],
-                        buckets: std::array::from_fn(|_| vec![Vec::new(); n]),
-                        ranked,
-                    },
-                )
+                let sb = SweepBranch {
+                    executions: 0,
+                    taken: Vec::new(),
+                    tags: union,
+                    inpath: vec![Vec::new(); n],
+                    dir: vec![Vec::new(); n],
+                    buckets: std::array::from_fn(|_| vec![Vec::new(); n]),
+                    ranked,
+                };
+                (pc, (sb, union_index))
             })
             .collect();
 
-        // Pass 2: pack the planes for the union columns.
+        // Pass 2: pack the planes for the union columns, one map probe per
+        // execution.
         let mut path = PathWindow::new(max_window);
-        let mut column_lookup: FxHashMap<Pc, FxHashMap<InstanceTag, u32>> = branches
-            .iter()
-            .map(|(pc, sb)| {
-                (
-                    *pc,
-                    sb.tags
-                        .iter()
-                        .enumerate()
-                        .map(|(c, tag)| (*tag, c as u32))
-                        .collect(),
-                )
-            })
-            .collect();
         source.scan(&mut |chunk| {
             for rec in chunk {
                 if rec.is_conditional() {
-                    if let Some(sb) = branches.get_mut(&rec.pc) {
-                        let columns = &column_lookup[&rec.pc];
+                    if let Some((sb, columns)) = builders.get_mut(&rec.pc) {
                         path.visible_tags_with_distance(&mut visible);
-                        sb.push_execution(rec.taken, windows, columns, &visible);
+                        sb.push_execution(rec.taken, &bucket_of, columns, &visible);
                     }
                 }
                 path.push(rec);
             }
         })?;
-        column_lookup.clear();
 
         Ok(SweepMatrix {
             windows: windows.to_vec(),
-            branches,
+            branches: builders.into_iter().map(|(pc, (sb, _))| (pc, sb)).collect(),
         })
     }
 
-    /// Convenience: `build` with the windows taken from ascending-sorted,
-    /// deduplicated input is the caller's job — this just exposes them.
+    /// The sweep windows, ascending: sweep point `i` is `windows()[i]`, the
+    /// window [`SweepMatrix::materialize`]`(i)` assembles.
     pub fn windows(&self) -> &[usize] {
         &self.windows
     }
@@ -268,7 +257,7 @@ impl SweepBranch {
     fn push_execution(
         &mut self,
         taken: bool,
-        windows: &[usize],
+        bucket_of: &[u8],
         columns: &FxHashMap<InstanceTag, u32>,
         visible: &[(InstanceTag, bool, usize)],
     ) {
@@ -298,7 +287,7 @@ impl SweepBranch {
             if tag_taken {
                 self.dir[c][word] |= 1 << bit;
             }
-            let b = windows.partition_point(|&w| w < d);
+            let b = bucket_of[d];
             for (k, planes) in self.buckets.iter_mut().enumerate() {
                 if b >> k & 1 == 1 {
                     planes[c][word] |= 1 << bit;

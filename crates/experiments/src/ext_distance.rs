@@ -39,11 +39,11 @@ pub fn run(cfg: &ExperimentConfig, engine: &Engine) -> Result {
     let rows = engine.for_each_benchmark(|benchmark| {
         let trace = engine.trace(benchmark);
         // The oracle selection comes from the shared cache (it is the same
-        // analysis figure 4 and table 2 use); only the outcome matrix for
-        // the presence-only re-scoring is rebuilt locally.
+        // analysis figure 4 and table 2 use); the presence-only re-scoring
+        // reads only the chosen tags' columns, so only those are built.
         let oracle = engine.oracle(benchmark, &cfg.oracle);
-        let cands = TagCandidates::collect(&trace, cfg.oracle.window, cfg.oracle.candidate_cap);
-        let matrix = OutcomeMatrix::build(&trace, &cands, cfg.oracle.window);
+        let chosen = TagCandidates::chosen(&oracle);
+        let matrix = OutcomeMatrix::build(&trace, &chosen, cfg.oracle.window);
         let presence = presence_stats(&matrix, &oracle, 3, cfg.oracle.counter);
         let profile = engine.profile(benchmark);
         Row {

@@ -3,7 +3,8 @@ use std::collections::VecDeque;
 use crate::record::{BranchRecord, Pc};
 use crate::tag::{InstanceTag, TagScheme};
 
-/// One prior conditional branch held in a [`PathWindow`].
+/// One prior conditional branch held in a [`PathWindow`], with its names in
+/// the present path kept current by [`PathWindow::push`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowEntry {
     /// Static address of the branch.
@@ -14,6 +15,12 @@ pub struct WindowEntry {
     pub backward: bool,
     /// Total backward branches pushed up to and including this entry.
     backward_through: u64,
+    /// More recent entries with the same pc: the [`TagScheme::Occurrence`]
+    /// index.
+    occurrence: u16,
+    /// A more recent entry with the same pc has the same backward count, so
+    /// that entry owns the [`TagScheme::Iteration`] name both would have.
+    shadowed: bool,
 }
 
 /// Sliding window over the last *n* conditional branches — the "path leading
@@ -28,6 +35,10 @@ pub struct WindowEntry {
 /// a two-level predictor records conditional outcomes, and those are the
 /// instances whose directions can correlate. (Calls/returns influence the
 /// path only through the conditionals executed inside them.)
+///
+/// Naming is incremental: [`PathWindow::push`] updates every entry's
+/// occurrence index and iteration shadowing in one pass over the window, so
+/// every query is a single most-recent-first pass that allocates nothing.
 ///
 /// Usage order matters: query the window for the context of a branch
 /// *before* pushing that branch's own record.
@@ -55,13 +66,24 @@ pub struct PathWindow {
 }
 
 impl PathWindow {
+    /// Largest window: 65,536 entries, the most a `u16` instance index can
+    /// name (an occurrence or iteration index never exceeds the window
+    /// length minus one).
+    pub const MAX_CAPACITY: usize = 1 << 16;
+
     /// Creates a window holding up to `capacity` prior conditional branches.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or exceeds [`PathWindow::MAX_CAPACITY`]
+    /// ("path window capacity must be at most 65536").
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "path window capacity must be positive");
+        assert!(
+            capacity <= Self::MAX_CAPACITY,
+            "path window capacity must be at most {}",
+            Self::MAX_CAPACITY
+        );
         PathWindow {
             capacity,
             entries: VecDeque::with_capacity(capacity),
@@ -90,6 +112,12 @@ impl PathWindow {
     }
 
     /// Pushes a record. Non-conditional records are ignored.
+    ///
+    /// This is where the §3.2 naming rule lives: every older instance of
+    /// the same branch moves one occurrence further back, and one with the
+    /// same backward count as the new entry (no back-edge executed between
+    /// them) loses its iteration name to it — the most recent instance
+    /// wins.
     pub fn push(&mut self, rec: &BranchRecord) {
         if !rec.is_conditional() {
             return;
@@ -97,22 +125,46 @@ impl PathWindow {
         if rec.is_backward() {
             self.backward_total += 1;
         }
+        // Evict first, so occurrence indices stay below the capacity.
         if self.entries.len() == self.capacity {
             self.entries.pop_front();
+        }
+        let backward_through = self.backward_total;
+        for e in self.entries.iter_mut().filter(|e| e.pc == rec.pc) {
+            e.occurrence += 1;
+            e.shadowed |= e.backward_through == backward_through;
         }
         self.entries.push_back(WindowEntry {
             pc: rec.pc,
             taken: rec.taken,
             backward: rec.is_backward(),
-            backward_through: self.backward_total,
+            backward_through,
+            occurrence: 0,
+            shadowed: false,
         });
     }
 
     /// Backward branches executed strictly after `entry`, i.e. between the
-    /// entry and the present — the [`TagScheme::Iteration`] index.
+    /// entry and the present — the [`TagScheme::Iteration`] index. Every one
+    /// of them is a later entry, so it is below the capacity and fits `u16`.
     #[inline]
-    fn backwards_since(&self, entry: &WindowEntry) -> u64 {
-        self.backward_total - entry.backward_through
+    fn backwards_since(&self, entry: &WindowEntry) -> u16 {
+        (self.backward_total - entry.backward_through) as u16
+    }
+
+    /// The visible instance `tag` names, as its distance (1 = most recent)
+    /// and entry.
+    fn find(&self, tag: InstanceTag) -> Option<(usize, &WindowEntry)> {
+        let index_matches = |e: &WindowEntry| match tag.scheme {
+            TagScheme::Occurrence => e.occurrence == tag.index,
+            TagScheme::Iteration => !e.shadowed && self.backwards_since(e) == tag.index,
+        };
+        self.entries
+            .iter()
+            .rev()
+            .enumerate()
+            .find(|(_, e)| e.pc == tag.pc && index_matches(e))
+            .map(|(back, e)| (back + 1, e))
     }
 
     /// Looks up the outcome of a single tagged instance, or `None` when the
@@ -121,21 +173,7 @@ impl PathWindow {
     /// For bulk queries prefer [`PathWindow::visible_tags`], which costs one
     /// window scan for all tags.
     pub fn lookup(&self, tag: InstanceTag) -> Option<bool> {
-        match tag.scheme {
-            TagScheme::Occurrence => self
-                .entries
-                .iter()
-                .rev()
-                .filter(|e| e.pc == tag.pc)
-                .nth(tag.index as usize)
-                .map(|e| e.taken),
-            TagScheme::Iteration => self
-                .entries
-                .iter()
-                .rev()
-                .find(|e| e.pc == tag.pc && self.backwards_since(e) == u64::from(tag.index))
-                .map(|e| e.taken),
-        }
+        self.find(tag).map(|(_, e)| e.taken)
     }
 
     /// The distance, in branches, from the present to the tagged instance:
@@ -146,25 +184,7 @@ impl PathWindow {
     /// sits, and hence how much history a real predictor would need to
     /// reach it.
     pub fn distance(&self, tag: InstanceTag) -> Option<usize> {
-        let position =
-            match tag.scheme {
-                TagScheme::Occurrence => {
-                    let mut seen = 0u16;
-                    self.entries.iter().rev().position(|e| {
-                        if e.pc == tag.pc {
-                            let hit = seen == tag.index;
-                            seen += 1;
-                            hit
-                        } else {
-                            false
-                        }
-                    })
-                }
-                TagScheme::Iteration => self.entries.iter().rev().position(|e| {
-                    e.pc == tag.pc && self.backwards_since(e) == u64::from(tag.index)
-                }),
-            };
-        position.map(|p| p + 1)
+        self.find(tag).map(|(distance, _)| distance)
     }
 
     /// Appends every visible `(tag, outcome)` pair — both schemes — to
@@ -173,9 +193,7 @@ impl PathWindow {
     /// Under [`TagScheme::Iteration`] two instances of the same static
     /// branch can collide on the same backward-branch count (no back-edge
     /// executed between them); the **most recent** instance wins, so each
-    /// tag appears at most once in `out`. Iteration indices that overflow
-    /// `u16` (pathological: >65535 back-edges inside one window) are
-    /// omitted.
+    /// tag appears at most once in `out`.
     pub fn visible_tags(&self, out: &mut Vec<(InstanceTag, bool)>) {
         out.clear();
         self.scan_visible(|tag, taken, _| out.push((tag, taken)));
@@ -196,36 +214,20 @@ impl PathWindow {
         self.scan_visible(|tag, taken, distance| out.push((tag, taken, distance)));
     }
 
-    /// Most-recent-first scan naming every visible instance under both
-    /// schemes; occurrence counting needs that order and it makes "most
-    /// recent wins" the natural first-hit rule for iteration collisions.
+    /// Most-recent-first pass emitting each entry's occurrence tag, then its
+    /// iteration tag unless a more recent instance shadows it.
+    #[inline]
     fn scan_visible(&self, mut emit: impl FnMut(InstanceTag, bool, usize)) {
-        let mut seen_iteration: Vec<(Pc, u64)> = Vec::with_capacity(self.entries.len());
-        let mut occurrence_counts: Vec<(Pc, u16)> = Vec::with_capacity(self.entries.len());
         for (back, e) in self.entries.iter().rev().enumerate() {
             let distance = back + 1;
-            let occ = match occurrence_counts.iter_mut().find(|(pc, _)| *pc == e.pc) {
-                Some((_, n)) => {
-                    let k = *n;
-                    *n += 1;
-                    k
-                }
-                None => {
-                    occurrence_counts.push((e.pc, 1));
-                    0
-                }
-            };
-            emit(InstanceTag::occurrence(e.pc, occ), e.taken, distance);
-
-            let since = self.backwards_since(e);
-            if since <= u64::from(u16::MAX)
-                && !seen_iteration
-                    .iter()
-                    .any(|&(pc, s)| pc == e.pc && s == since)
-            {
-                seen_iteration.push((e.pc, since));
+            emit(
+                InstanceTag::occurrence(e.pc, e.occurrence),
+                e.taken,
+                distance,
+            );
+            if !e.shadowed {
                 emit(
-                    InstanceTag::iteration(e.pc, since as u16),
+                    InstanceTag::iteration(e.pc, self.backwards_since(e)),
                     e.taken,
                     distance,
                 );
@@ -250,6 +252,18 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_panics() {
         let _ = PathWindow::new(0);
+    }
+
+    #[test]
+    fn largest_capacity_is_accepted() {
+        let w = PathWindow::new(PathWindow::MAX_CAPACITY);
+        assert_eq!(w.capacity(), 65_536);
+    }
+
+    #[test]
+    #[should_panic(expected = "path window capacity must be at most 65536")]
+    fn capacity_beyond_u16_names_panics() {
+        let _ = PathWindow::new(65_537);
     }
 
     #[test]

@@ -33,30 +33,47 @@ fn arb_trace(max: usize) -> impl Strategy<Value = Trace> {
     prop::collection::vec(arb_record(), 0..max).prop_map(Trace::from_records)
 }
 
+/// One step of a path-window workout: a record drawn mostly from a few
+/// conditional sites, so instances repeat and iteration names collide
+/// inside one window, and whether to `clear()` the window before it.
+fn arb_window_step() -> impl Strategy<Value = (BranchRecord, bool)> {
+    (0u64..8, 0u64..8, any::<bool>(), 0u8..8, 0u8..96).prop_map(|(pc, target, taken, kind, op)| {
+        let rec = BranchRecord {
+            pc: pc * 4,
+            target: target * 4,
+            taken,
+            kind: match kind {
+                0..=5 => BranchKind::Conditional,
+                6 => BranchKind::Call,
+                _ => BranchKind::Jump,
+            },
+        };
+        (rec, op == 0)
+    })
+}
+
 /// Reference implementation of the §3.2 tagging semantics: given the raw
-/// list of conditional records in the window (oldest first) and the total
-/// backward count, name every instance the slow way.
-fn reference_tags(window: &[BranchRecord]) -> Vec<(InstanceTag, bool)> {
+/// list of conditional records in the window (oldest first), name every
+/// instance the slow way, most recent first, with its distance.
+fn reference_tags(window: &[BranchRecord]) -> Vec<(InstanceTag, bool, usize)> {
     let mut out = Vec::new();
-    let mut occurrence_seen: Vec<(Pc, u16)> = Vec::new();
     let mut iteration_seen: Vec<(Pc, u64)> = Vec::new();
-    // Walk most-recent first.
     for (i, rec) in window.iter().enumerate().rev() {
-        let backwards_since = window[i + 1..].iter().filter(|r| r.is_backward()).count() as u64;
-        let occ = occurrence_seen
-            .iter()
-            .filter(|(pc, _)| *pc == rec.pc)
-            .count() as u16;
-        occurrence_seen.push((rec.pc, occ));
-        out.push((InstanceTag::occurrence(rec.pc, occ), rec.taken));
-        if !iteration_seen
-            .iter()
-            .any(|&(pc, b)| pc == rec.pc && b == backwards_since)
-        {
+        let later = &window[i + 1..];
+        let distance = later.len() + 1;
+        let occurrence = later.iter().filter(|r| r.pc == rec.pc).count() as u16;
+        let backwards_since = later.iter().filter(|r| r.is_backward()).count() as u64;
+        out.push((
+            InstanceTag::occurrence(rec.pc, occurrence),
+            rec.taken,
+            distance,
+        ));
+        if !iteration_seen.contains(&(rec.pc, backwards_since)) {
             iteration_seen.push((rec.pc, backwards_since));
             out.push((
                 InstanceTag::iteration(rec.pc, backwards_since as u16),
                 rec.taken,
+                distance,
             ));
         }
     }
@@ -67,23 +84,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn window_matches_reference_model(records in prop::collection::vec(arb_record(), 0..120), cap in 1usize..24) {
+    fn window_matches_reference_model(steps in prop::collection::vec(arb_window_step(), 0..300), cap in 1usize..49) {
         let mut window = PathWindow::new(cap);
         let mut model: Vec<BranchRecord> = Vec::new();
-        for rec in &records {
-            // Query before push, like the analyses do.
-            let mut tags = Vec::new();
-            window.visible_tags(&mut tags);
-            let expected = reference_tags(&model);
-            let mut got = tags.clone();
-            let mut want = expected.clone();
-            got.sort();
-            want.sort();
-            prop_assert_eq!(got, want);
+        let mut tags = Vec::new();
+        for (rec, clear) in &steps {
+            if *clear {
+                window.clear();
+                model.clear();
+            }
+            // Query before push, like the analyses do: the exact sequence
+            // (tag, outcome, distance, in order), not just the tag set.
+            window.visible_tags_with_distance(&mut tags);
+            prop_assert_eq!(&tags, &reference_tags(&model));
 
             // Single lookups agree with the bulk listing.
-            for (tag, outcome) in &tags {
-                prop_assert_eq!(window.lookup(*tag), Some(*outcome));
+            for &(tag, outcome, distance) in &tags {
+                prop_assert_eq!(window.lookup(tag), Some(outcome));
+                prop_assert_eq!(window.distance(tag), Some(distance));
             }
 
             window.push(rec);

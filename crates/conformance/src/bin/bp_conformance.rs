@@ -388,7 +388,7 @@ fn cmd_selftest() -> ExitCode {
     // 2. Each injected bug must be caught, and the reported reproducer
     //    must still exhibit the divergence after minimization and a
     //    round-trip through the .bpt encoding.
-    let injections: [(&str, Kernels); 3] = [
+    let injections: [(&str, Kernels); 4] = [
         (
             "oracle off-by-one popcount",
             Kernels {
@@ -407,6 +407,16 @@ fn cmd_selftest() -> ExitCode {
             "sweep wrong materialization point",
             Kernels {
                 sweep: buggy_sweep,
+                ..Kernels::default()
+            },
+        ),
+        (
+            "sweep built with every cap one lower",
+            Kernels {
+                sweep: |trace, windows, caps, idx| {
+                    let lower: Vec<usize> = caps.iter().map(|&c| (c - 1).max(1)).collect();
+                    SweepMatrix::build(trace, windows, &lower).materialize(idx)
+                },
                 ..Kernels::default()
             },
         ),
@@ -471,7 +481,7 @@ fn cmd_selftest() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    println!("selftest OK: 3 injected bugs caught, reproducers minimized and round-tripped");
+    println!("selftest OK: 4 injected bugs caught, reproducers minimized and round-tripped");
     ExitCode::SUCCESS
 }
 

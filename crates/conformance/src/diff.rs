@@ -8,8 +8,9 @@
 //!   search) against the digit-at-a-time `bp_core::reference` scorers;
 //! * the bit-parallel classifier (`Classifier::classify`) against
 //!   `reference::classify`;
-//! * incremental [`SweepMatrix`] window materialization against
-//!   independent per-window [`OutcomeMatrix::build`] scans.
+//! * the candidate/matrix builder — every [`SweepMatrix`] point and the
+//!   one-window [`OutcomeMatrix::build`] — against the per-record
+//!   `reference::outcome_matrix`.
 //!
 //! Each runner is parameterized over the kernel entry point it checks, so
 //! the self-test can inject a deliberately buggy kernel and prove the
@@ -17,11 +18,12 @@
 //! trace with a ddmin-style chunk removal loop before it is reported.
 //!
 //! Two further suites pin the paper-scale machinery: `parallel` diffs the
-//! sharded executor and every parallel kernel (classify, oracle select,
-//! sweep materialization) against their serial twins at adversarial shard
-//! and job counts, and `bps` round-trips the packed `.bps` artifacts
-//! through a write → reopen cycle and diffs the analysis summary computed
-//! from the reopened planes against the freshly built ones.
+//! sharded builders against their one-shard builds and every parallel
+//! kernel (classify, oracle select, sweep materialization) against its
+//! serial twin at adversarial shard and job counts, and `bps` round-trips
+//! the packed `.bps` artifacts through a write → reopen cycle and diffs
+//! the analysis summary computed from the reopened planes against the
+//! freshly built ones.
 
 use std::path::Path;
 
@@ -208,8 +210,8 @@ pub fn diff_classify(
     None
 }
 
-/// Diffs every materialized sweep point against an independent
-/// max-window-free direct build of that window's outcome matrix.
+/// Diffs every materialized sweep point, and the one-window build at that
+/// point, against the per-record `reference::outcome_matrix`.
 pub fn diff_sweep(
     trace: &Trace,
     windows: &[usize],
@@ -217,44 +219,16 @@ pub fn diff_sweep(
     kernels: &Kernels,
 ) -> Option<String> {
     for (i, (&window, &cap)) in windows.iter().zip(caps).enumerate() {
+        let want = reference::outcome_matrix(trace, window, cap, &TagScheme::ALL);
+        let label = format!("window {window}");
         let derived = (kernels.sweep)(trace, windows, caps, i);
+        if let Some(why) = diff_matrices(&label, &derived, &want) {
+            return Some(format!("sweep point vs reference: {why}"));
+        }
         let cands = TagCandidates::collect(trace, window, cap);
         let direct = OutcomeMatrix::build(trace, &cands, window);
-        if derived.branch_count() != direct.branch_count() {
-            return Some(format!(
-                "window {window}: sweep materialized {} branches, direct build {}",
-                derived.branch_count(),
-                direct.branch_count()
-            ));
-        }
-        for (pc, want) in direct.iter() {
-            let Some(got) = derived.branch(pc) else {
-                return Some(format!(
-                    "window {window}: branch {pc:#x} missing from sweep"
-                ));
-            };
-            if got.tags() != want.tags() {
-                return Some(format!(
-                    "window {window}: branch {pc:#x}: candidate columns differ"
-                ));
-            }
-            if got.executions() != want.executions() || got.taken_plane() != want.taken_plane() {
-                return Some(format!(
-                    "window {window}: branch {pc:#x}: taken plane differs"
-                ));
-            }
-            for c in 0..want.tags().len() {
-                if got.inpath_plane(c) != want.inpath_plane(c) {
-                    return Some(format!(
-                        "window {window}: branch {pc:#x} column {c}: in-path plane differs"
-                    ));
-                }
-                if got.dir_plane(c) != want.dir_plane(c) {
-                    return Some(format!(
-                        "window {window}: branch {pc:#x} column {c}: direction plane differs"
-                    ));
-                }
-            }
+        if let Some(why) = diff_matrices(&label, &direct, &want) {
+            return Some(format!("one-window build vs reference: {why}"));
         }
     }
     None
@@ -386,9 +360,9 @@ fn diff_matrices(label: &str, got: &OutcomeMatrix, want: &OutcomeMatrix) -> Opti
 
 /// Diffs the streaming artifact builders against their materialized
 /// originals on one trace, re-framed at every [`STREAM_CHUNK_SIZES`]
-/// chunk size: [`BranchStreams::from_source`] vs [`BranchStreams::of`],
-/// the source-driven candidate/matrix/sweep builders vs their
-/// whole-trace builds, and a `BPT2` encode/decode round trip.
+/// chunk size: the streams, candidate, matrix and sweep builders at one
+/// shard vs their whole-trace builds, and a `BPT2` encode/decode round
+/// trip.
 pub fn diff_streaming(
     trace: &Trace,
     cfg: &OracleConfig,
@@ -404,36 +378,31 @@ pub fn diff_streaming(
         let source = Rechunked { records, chunk };
         let label = format!("chunk size {chunk}");
 
-        let got = BranchStreams::from_source(&source).expect("re-chunked scans cannot fail");
+        let got =
+            BranchStreams::from_source_sharded(&source, 1).expect("re-chunked scans cannot fail");
         if got != want_streams {
             return Some(format!("{label}: streamed BranchStreams differ"));
         }
 
-        let got = TagCandidates::collect_from_source(
+        let got = TagCandidates::collect_from_source_sharded(
             &source,
             cfg.window,
             cfg.candidate_cap,
             &TagScheme::ALL,
+            1,
         )
         .expect("re-chunked scans cannot fail");
-        if got.branch_count() != want_cands.branch_count() {
-            return Some(format!("{label}: streamed candidate branch count differs"));
-        }
-        for (pc, tags) in want_cands.iter() {
-            if got.tags(pc) != tags {
-                return Some(format!(
-                    "{label}: branch {pc:#x}: streamed candidates differ"
-                ));
-            }
+        if got != want_cands {
+            return Some(format!("{label}: streamed candidates differ"));
         }
 
-        let got = OutcomeMatrix::build_from_source(&source, &want_cands, cfg.window)
+        let got = OutcomeMatrix::build_from_source_sharded(&source, &want_cands, cfg.window, 1)
             .expect("re-chunked scans cannot fail");
         if let Some(why) = diff_matrices(&label, &got, &want_matrix) {
             return Some(format!("streamed matrix: {why}"));
         }
 
-        let got_sweep = SweepMatrix::build_from_source(&source, windows, caps)
+        let got_sweep = SweepMatrix::build_from_source(&source, windows, caps, 1)
             .expect("re-chunked scans cannot fail");
         for (i, window) in windows.iter().enumerate() {
             if let Some(why) = diff_matrices(
@@ -476,11 +445,12 @@ pub const PARALLEL_SHARDS: [usize; 4] = [1, 63, 64, 65];
 /// Job counts the parallel suite drives the parallel analysis kernels at.
 pub const PARALLEL_JOBS: [usize; 3] = [1, 2, 7];
 
-/// Diffs the sharded streaming builders and the parallel analysis kernels
-/// against their serial twins on one trace: the executor-backed
-/// `from_source_sharded` builders at every [`PARALLEL_SHARDS`] count
-/// (planes must be bit-identical), then classification, oracle subset
-/// search, and sweep materialization at every [`PARALLEL_JOBS`] count.
+/// Diffs the sharded streaming builders against their one-shard builds
+/// and the parallel analysis kernels against their serial twins on one
+/// trace: streams, candidates, matrix and every sweep point at each
+/// [`PARALLEL_SHARDS`] count (planes must be bit-identical), then
+/// classification, oracle subset search, and sweep materialization at
+/// every [`PARALLEL_JOBS`] count.
 pub fn diff_parallel(
     trace: &Trace,
     cfg: &OracleConfig,
@@ -493,6 +463,7 @@ pub fn diff_parallel(
     let want_streams = BranchStreams::of(trace);
     let want_cands = TagCandidates::collect(trace, cfg.window, cfg.candidate_cap);
     let want_matrix = OutcomeMatrix::build(trace, &want_cands, cfg.window);
+    let want_sweep = SweepMatrix::build(trace, windows, caps);
     for &shards in &PARALLEL_SHARDS {
         let label = format!("{shards} shards");
 
@@ -510,15 +481,8 @@ pub fn diff_parallel(
             shards,
         )
         .expect("in-memory scans cannot fail");
-        if got.branch_count() != want_cands.branch_count() {
-            return Some(format!("{label}: sharded candidate branch count differs"));
-        }
-        for (pc, tags) in want_cands.iter() {
-            if got.tags(pc) != tags {
-                return Some(format!(
-                    "{label}: branch {pc:#x}: sharded candidates differ"
-                ));
-            }
+        if got != want_cands {
+            return Some(format!("{label}: sharded candidates differ"));
         }
 
         let got =
@@ -527,10 +491,21 @@ pub fn diff_parallel(
         if let Some(why) = diff_matrices(&label, &got, &want_matrix) {
             return Some(format!("sharded matrix: {why}"));
         }
+
+        let got = SweepMatrix::build_from_source(&source, windows, caps, shards)
+            .expect("in-memory scans cannot fail");
+        for (i, window) in windows.iter().enumerate() {
+            if let Some(why) = diff_matrices(
+                &format!("{label} window {window}"),
+                &got.materialize(i),
+                &want_sweep.materialize(i),
+            ) {
+                return Some(format!("sharded sweep: {why}"));
+            }
+        }
     }
 
     let want_oracle = OracleSelector::analyze_matrix(&want_matrix, cfg);
-    let want_sweep = SweepMatrix::build(trace, windows, caps);
     for &jobs in &PARALLEL_JOBS {
         let label = format!("{jobs} jobs");
 

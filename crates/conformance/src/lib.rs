@@ -2,8 +2,8 @@
 //! workspace: adversarial trace generation, differential kernel checking,
 //! metamorphic predictor laws, and golden-snapshot verification.
 //!
-//! The optimized bit-parallel kernels in [`bp_core`] (oracle scorers,
-//! classifier, incremental sweeps) carry executable specifications in
+//! The optimized bit-parallel kernels in [`bp_core`] (candidate/matrix
+//! builder, oracle scorers, classifier) carry executable specifications in
 //! `bp_core::reference`; the predictors in [`bp_predictors`] obey
 //! algebraic laws relating them to each other. This crate turns those
 //! relations into a runnable subsystem:

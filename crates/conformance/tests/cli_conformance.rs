@@ -43,7 +43,7 @@ fn selftest_catches_all_injected_bugs() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("selftest OK"), "stdout: {stdout}");
-    assert_eq!(stdout.matches("caught:").count(), 3, "stdout: {stdout}");
+    assert_eq!(stdout.matches("caught:").count(), 4, "stdout: {stdout}");
 }
 
 #[test]

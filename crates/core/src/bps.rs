@@ -259,7 +259,7 @@ pub fn open_matrix(path: &Path, config: u64) -> Result<OpenedMatrix, BpsError> {
             .collect();
         branches.insert(
             pc,
-            BranchMatrix::from_words(tags, executions, inpath, dir, taken),
+            BranchMatrix::from_planes(tags, executions, inpath, dir, taken),
         );
     }
     Ok(OpenedMatrix {

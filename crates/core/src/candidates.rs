@@ -1,10 +1,10 @@
 use std::collections::HashMap;
 
-use bp_trace::fx::FxHashMap;
 use bp_trace::io::TraceIoError;
-use bp_trace::{InstanceTag, PathWindow, Pc, TagScheme, Trace, TraceSource};
+use bp_trace::{InstanceTag, Pc, TagScheme, Trace, TraceSource};
 
 use crate::oracle::{OracleResult, MAX_SELECTIVE_TAGS};
+use crate::sweep::rank_candidates;
 
 /// The candidate correlated-branch instances considered for each static
 /// branch.
@@ -17,7 +17,7 @@ use crate::oracle::{OracleResult, MAX_SELECTIVE_TAGS};
 /// unspecified scope, and an explicit visibility-ranked cap keeps the search
 /// tractable while retaining every frequently-available instance (see
 /// DESIGN.md §2).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TagCandidates {
     per_branch: HashMap<Pc, Vec<InstanceTag>>,
 }
@@ -49,58 +49,14 @@ impl TagCandidates {
         cap: usize,
         schemes: &[TagScheme],
     ) -> Self {
-        TagCandidates::collect_from_source(trace, window, cap, schemes)
+        TagCandidates::collect_from_source_sharded(trace, window, cap, schemes, 1)
             .expect("in-memory traces cannot fail to scan")
     }
 
     /// As [`TagCandidates::collect_with_schemes`], consuming any
-    /// [`TraceSource`] in one streaming scan — identical output to the
-    /// in-memory path on the same record sequence.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the source's scan error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` or `cap` is zero, or `schemes` is empty.
-    pub fn collect_from_source<T: TraceSource + ?Sized>(
-        source: &T,
-        window: usize,
-        cap: usize,
-        schemes: &[TagScheme],
-    ) -> Result<Self, TraceIoError> {
-        assert!(cap > 0, "candidate cap must be positive");
-        assert!(!schemes.is_empty(), "need at least one tagging scheme");
-        let mut counts: FxHashMap<Pc, FxHashMap<InstanceTag, u64>> = FxHashMap::default();
-        let mut path = PathWindow::new(window);
-        let mut visible = Vec::new();
-        source.scan(&mut |chunk| {
-            for rec in chunk {
-                if rec.is_conditional() {
-                    path.visible_tags(&mut visible);
-                    let branch_counts = counts.entry(rec.pc).or_default();
-                    for (tag, _) in &visible {
-                        if schemes.contains(&tag.scheme) {
-                            *branch_counts.entry(*tag).or_insert(0) += 1;
-                        }
-                    }
-                }
-                path.push(rec);
-            }
-        })?;
-
-        Ok(TagCandidates {
-            per_branch: rank_counts(counts, cap).collect(),
-        })
-    }
-
-    /// As [`TagCandidates::collect_from_source`], built with the
-    /// pipelined chunk executor: `shards` workers each replicate the
-    /// [`PathWindow`] over the full record sequence but count visibility
-    /// only for the branches their shard owns, and every partial count
-    /// map is ranked by the one shared ranking function — so the merged
-    /// result is identical to the serial build for every shard count.
+    /// [`TraceSource`] in one streaming scan split over `shards` per-PC
+    /// shards: the sweep builder's first pass at one window, so the
+    /// result is identical for every shard count.
     ///
     /// # Errors
     ///
@@ -118,32 +74,14 @@ impl TagCandidates {
     ) -> Result<Self, TraceIoError> {
         assert!(cap > 0, "candidate cap must be positive");
         assert!(!schemes.is_empty(), "need at least one tagging scheme");
-        let shards = shards.max(1);
-        let parts = bp_trace::scan_sharded(source, shards, |shard, chunks| {
-            let mut counts: FxHashMap<Pc, FxHashMap<InstanceTag, u64>> = FxHashMap::default();
-            let mut path = PathWindow::new(window);
-            let mut visible = Vec::new();
-            for chunk in chunks {
-                for rec in chunk.iter() {
-                    if rec.is_conditional() && bp_trace::shard_of(rec.pc, shards) == shard {
-                        path.visible_tags(&mut visible);
-                        let branch_counts = counts.entry(rec.pc).or_default();
-                        for (tag, _) in &visible {
-                            if schemes.contains(&tag.scheme) {
-                                *branch_counts.entry(*tag).or_insert(0) += 1;
-                            }
-                        }
-                    }
-                    path.push(rec);
-                }
-            }
-            counts
-        })?;
-        let mut per_branch = HashMap::new();
-        for counts in parts {
-            per_branch.extend(rank_counts(counts, cap));
-        }
-        Ok(TagCandidates { per_branch })
+        // One window needs one visibility count per tag.
+        let ranked = rank_candidates::<1, _>(source, &[window], &[cap], schemes, shards)?;
+        Ok(TagCandidates {
+            per_branch: ranked
+                .into_iter()
+                .map(|(pc, (tags, _))| (pc, tags))
+                .collect(),
+        })
     }
 
     /// The tags `oracle` chose for each branch it analysed: the union of
@@ -186,21 +124,6 @@ impl TagCandidates {
     }
 }
 
-/// Ranks raw visibility counts into capped candidate lists — the one
-/// place the (count desc, tag asc) ordering lives, shared by the serial
-/// and sharded builders so their outputs cannot drift.
-fn rank_counts(
-    counts: FxHashMap<Pc, FxHashMap<InstanceTag, u64>>,
-    cap: usize,
-) -> impl Iterator<Item = (Pc, Vec<InstanceTag>)> {
-    counts.into_iter().map(move |(pc, tag_counts)| {
-        let mut ranked: Vec<(InstanceTag, u64)> = tag_counts.into_iter().collect();
-        ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        ranked.truncate(cap);
-        (pc, ranked.into_iter().map(|(tag, _)| tag).collect())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,19 +162,18 @@ mod tests {
     #[test]
     fn sharded_collection_is_identical_for_every_shard_count() {
         let trace = pair_trace(200);
-        let serial = TagCandidates::collect(&trace, 8, 6);
+        let want = crate::reference::outcome_matrix(&trace, 8, 6, &TagScheme::ALL);
+        let want = TagCandidates {
+            per_branch: want
+                .iter()
+                .map(|(pc, bm)| (pc, bm.tags().to_vec()))
+                .collect(),
+        };
         for shards in [1, 2, 7, 64] {
             let sharded =
                 TagCandidates::collect_from_source_sharded(&trace, 8, 6, &TagScheme::ALL, shards)
                     .expect("in-memory scan");
-            assert_eq!(
-                sharded.branch_count(),
-                serial.branch_count(),
-                "{shards} shards"
-            );
-            for (pc, tags) in serial.iter() {
-                assert_eq!(sharded.tags(pc), tags, "{shards} shards pc {pc:#x}");
-            }
+            assert_eq!(sharded, want, "{shards} shards");
         }
     }
 
@@ -273,6 +195,12 @@ mod tests {
     #[should_panic(expected = "cap")]
     fn zero_cap_rejected() {
         let _ = TagCandidates::collect(&Trace::new(), 8, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536")]
+    fn window_beyond_the_path_window_is_rejected_before_allocating() {
+        let _ = TagCandidates::collect(&Trace::new(), usize::MAX, 4);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 use bp_trace::fx::FxHashMap;
 use bp_trace::io::TraceIoError;
-use bp_trace::{
-    scan_sharded, shard_of, InstanceTag, PathWindow, Pc, TagOutcome, Trace, TraceSource, Words,
-};
+use bp_trace::{InstanceTag, Pc, TagOutcome, Trace, TraceSource, Words};
 
 use crate::candidates::TagCandidates;
+use crate::sweep::pack_planes;
 
 /// For one static branch: the ternary outcome of every candidate tag at
 /// every dynamic execution, stored as packed bit-planes.
@@ -39,105 +38,35 @@ fn get_bit(plane: &[u64], i: usize) -> bool {
     plane[i / 64] >> (i % 64) & 1 == 1
 }
 
-#[inline]
-fn set_bit(plane: &mut [u64], i: usize) {
-    plane[i / 64] |= 1u64 << (i % 64);
-}
-
 impl BranchMatrix {
-    /// An empty matrix for `tags` columns, ready for
-    /// [`BranchMatrix::push_execution`] calls.
-    pub(crate) fn with_tags(tags: Vec<InstanceTag>) -> Self {
-        let columns = tags.len();
-        BranchMatrix {
-            tags,
-            executions: 0,
-            inpath: vec![Words::default(); columns],
-            dir: vec![Words::default(); columns],
-            taken: Words::default(),
-        }
-    }
-
-    /// Assembles a matrix directly from pre-packed planes (the sweep
-    /// artifact's materialization path).
+    /// Assembles a matrix from packed planes, taken by move: owned `Vec`s
+    /// from the builder and sweep materialization, or [`Words`] views into
+    /// a mapped `.bps` artifact (whose store validated extents and padding).
     ///
     /// Each column's planes must hold `executions.div_ceil(64)` words, with
     /// `dir` a subset of `inpath` and no bits set at or beyond
     /// `executions`.
-    pub(crate) fn from_planes(
+    pub(crate) fn from_planes<P: Into<Words>>(
         tags: Vec<InstanceTag>,
         executions: usize,
-        inpath: Vec<Vec<u64>>,
-        dir: Vec<Vec<u64>>,
-        taken: Vec<u64>,
+        inpath: Vec<P>,
+        dir: Vec<P>,
+        taken: impl Into<Words>,
     ) -> Self {
-        let words = executions.div_ceil(64);
-        debug_assert_eq!(inpath.len(), tags.len());
-        debug_assert_eq!(dir.len(), tags.len());
-        debug_assert_eq!(taken.len(), words);
-        debug_assert!(inpath.iter().all(|p| p.len() == words));
-        debug_assert!(inpath
-            .iter()
-            .zip(&dir)
-            .all(|(ip, d)| ip.iter().zip(d.iter()).all(|(ip, d)| d & !ip == 0)));
-        BranchMatrix {
+        let m = BranchMatrix {
             tags,
             executions,
-            inpath: inpath.into_iter().map(Words::owned).collect(),
-            dir: dir.into_iter().map(Words::owned).collect(),
-            taken: Words::owned(taken),
-        }
-    }
-
-    /// As [`BranchMatrix::from_planes`] but over [`Words`] directly — the
-    /// `.bps` re-open path, whose planes are views into the mapped file.
-    /// The store has already validated plane extents and padding bits.
-    pub(crate) fn from_words(
-        tags: Vec<InstanceTag>,
-        executions: usize,
-        inpath: Vec<Words>,
-        dir: Vec<Words>,
-        taken: Words,
-    ) -> Self {
-        let words = executions.div_ceil(64);
-        debug_assert_eq!(inpath.len(), tags.len());
-        debug_assert_eq!(dir.len(), tags.len());
-        debug_assert_eq!(taken.len(), words);
-        debug_assert!(inpath.iter().all(|p| p.len() == words));
-        BranchMatrix {
-            tags,
-            executions,
-            inpath,
-            dir,
-            taken,
-        }
-    }
-
-    /// Appends one execution: the branch outcome plus the resolved tag
-    /// outcomes, as `(column, taken)` pairs for the candidates that were in
-    /// the path (every other column records not-in-path).
-    pub(crate) fn push_execution(
-        &mut self,
-        taken: bool,
-        in_path: impl Iterator<Item = (usize, bool)>,
-    ) {
-        let e = self.executions;
-        self.executions += 1;
-        if e.is_multiple_of(64) {
-            self.taken.vec_mut().push(0);
-            for plane in self.inpath.iter_mut().chain(self.dir.iter_mut()) {
-                plane.vec_mut().push(0);
-            }
-        }
-        if taken {
-            set_bit(self.taken.vec_mut(), e);
-        }
-        for (c, tag_taken) in in_path {
-            set_bit(self.inpath[c].vec_mut(), e);
-            if tag_taken {
-                set_bit(self.dir[c].vec_mut(), e);
-            }
-        }
+            inpath: inpath.into_iter().map(Into::into).collect(),
+            dir: dir.into_iter().map(Into::into).collect(),
+            taken: taken.into(),
+        };
+        let words = m.words();
+        debug_assert_eq!(m.inpath.len(), m.tags.len());
+        debug_assert_eq!(m.dir.len(), m.tags.len());
+        debug_assert_eq!(m.taken.len(), words);
+        // Shapes only: a mapped plane's bits are file content, not checked.
+        debug_assert!(m.inpath.iter().all(|p| p.len() == words));
+        m
     }
 
     /// The candidate tags (columns), most-visible first.
@@ -217,9 +146,9 @@ impl BranchMatrix {
 /// single streaming pass.
 ///
 /// This is the workhorse behind the oracle selective-history analysis
-/// (§3.4): one pass over the trace with a [`PathWindow`] resolves, for every
-/// dynamic branch, the taken / not-taken / not-in-path status of each of its
-/// candidate correlated instances. All subsequent subset-search passes run
+/// (§3.4): one pass over the trace with a [`bp_trace::PathWindow`]
+/// resolves, for every dynamic branch, the taken / not-taken /
+/// not-in-path status of each of its candidate correlated instances. All subsequent subset-search passes run
 /// over this compact matrix instead of the trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutcomeMatrix {
@@ -232,61 +161,16 @@ impl OutcomeMatrix {
     /// of `window` branches (use the same window length the candidates were
     /// collected with).
     pub fn build(trace: &Trace, candidates: &TagCandidates, window: usize) -> Self {
-        OutcomeMatrix::build_from_source(trace, candidates, window)
+        OutcomeMatrix::build_from_source_sharded(trace, candidates, window, 1)
             .expect("in-memory traces cannot fail to scan")
     }
 
     /// As [`OutcomeMatrix::build`], consuming any [`TraceSource`] in one
-    /// streaming scan. Working memory is the packed planes themselves (~2
-    /// bits per candidate per execution); the raw records never accumulate.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the source's scan error.
-    pub fn build_from_source<T: TraceSource + ?Sized>(
-        source: &T,
-        candidates: &TagCandidates,
-        window: usize,
-    ) -> Result<Self, TraceIoError> {
-        let mut builders: FxHashMap<Pc, (BranchMatrix, FxHashMap<InstanceTag, usize>)> = candidates
-            .iter()
-            .map(|(pc, tags)| {
-                let columns: FxHashMap<InstanceTag, usize> =
-                    tags.iter().enumerate().map(|(c, tag)| (*tag, c)).collect();
-                (pc, (BranchMatrix::with_tags(tags.to_vec()), columns))
-            })
-            .collect();
-
-        let mut path = PathWindow::new(window);
-        let mut visible = Vec::new();
-        source.scan(&mut |chunk| {
-            for rec in chunk {
-                if rec.is_conditional() {
-                    if let Some((bm, columns)) = builders.get_mut(&rec.pc) {
-                        path.visible_tags(&mut visible);
-                        bm.push_execution(
-                            rec.taken,
-                            visible
-                                .iter()
-                                .filter_map(|(tag, taken)| columns.get(tag).map(|&c| (c, *taken))),
-                        );
-                    }
-                }
-                path.push(rec);
-            }
-        })?;
-        Ok(OutcomeMatrix {
-            branches: builders.into_iter().map(|(pc, (bm, _))| (pc, bm)).collect(),
-            window,
-        })
-    }
-
-    /// As [`OutcomeMatrix::build_from_source`], built with the pipelined
-    /// chunk executor: one scan, `shards` workers each replicating the
-    /// [`PathWindow`] over the full record sequence but packing planes
-    /// only for the branches their shard owns. The per-branch loop is the
-    /// serial one verbatim, and the partial maps are disjoint by PC, so
-    /// the merged matrix is identical for every shard count.
+    /// streaming scan split over `shards` per-PC shards: the sweep
+    /// builder's second pass at one window, whose planes move into the
+    /// matrix. Working memory is the packed planes themselves (~2 bits per
+    /// candidate per execution); the raw records never accumulate, and the
+    /// matrix is identical for every shard count.
     ///
     /// # Errors
     ///
@@ -297,42 +181,11 @@ impl OutcomeMatrix {
         window: usize,
         shards: usize,
     ) -> Result<Self, TraceIoError> {
-        let shards = shards.max(1);
-        let parts = scan_sharded(source, shards, |shard, chunks| {
-            let mut builders: FxHashMap<Pc, (BranchMatrix, FxHashMap<InstanceTag, usize>)> =
-                candidates
-                    .iter()
-                    .filter(|&(pc, _)| shard_of(pc, shards) == shard)
-                    .map(|(pc, tags)| {
-                        let columns: FxHashMap<InstanceTag, usize> =
-                            tags.iter().enumerate().map(|(c, tag)| (*tag, c)).collect();
-                        (pc, (BranchMatrix::with_tags(tags.to_vec()), columns))
-                    })
-                    .collect();
-            let mut path = PathWindow::new(window);
-            let mut visible = Vec::new();
-            for chunk in chunks {
-                for rec in chunk.iter() {
-                    if rec.is_conditional() {
-                        if let Some((bm, columns)) = builders.get_mut(&rec.pc) {
-                            path.visible_tags(&mut visible);
-                            bm.push_execution(
-                                rec.taken,
-                                visible.iter().filter_map(|(tag, taken)| {
-                                    columns.get(tag).map(|&c| (c, *taken))
-                                }),
-                            );
-                        }
-                    }
-                    path.push(rec);
-                }
-            }
-            builders
-        })?;
-        let mut branches: FxHashMap<Pc, BranchMatrix> = FxHashMap::default();
-        for part in parts {
-            branches.extend(part.into_iter().map(|(pc, (bm, _))| (pc, bm)));
-        }
+        let columns: Vec<(Pc, &[InstanceTag])> = candidates.iter().collect();
+        let branches = pack_planes(source, &[window], &columns, shards)?
+            .into_iter()
+            .map(|(pc, sb)| (pc, sb.into_matrix()))
+            .collect();
         Ok(OutcomeMatrix { branches, window })
     }
 
@@ -371,7 +224,7 @@ impl OutcomeMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bp_trace::BranchRecord;
+    use bp_trace::{BranchRecord, TagScheme};
 
     /// 0x200 copies 0x100's outcome exactly.
     fn copy_trace(n: usize) -> Trace {
@@ -427,11 +280,11 @@ mod tests {
     fn sharded_build_is_identical_for_every_shard_count() {
         let trace = copy_trace(300);
         let cands = TagCandidates::collect(&trace, 8, 16);
-        let serial = OutcomeMatrix::build(&trace, &cands, 8);
+        let want = crate::reference::outcome_matrix(&trace, 8, 16, &TagScheme::ALL);
         for shards in [1, 2, 7, 64] {
             let sharded = OutcomeMatrix::build_from_source_sharded(&trace, &cands, 8, shards)
                 .expect("in-memory scan");
-            assert_eq!(sharded, serial, "{shards} shards");
+            assert_eq!(sharded, want, "{shards} shards");
         }
     }
 

@@ -1,14 +1,16 @@
-//! Reference byte-matrix oracle scorer and per-record classifier.
+//! Reference candidate/matrix builder, byte-matrix oracle scorer and
+//! per-record classifier.
 //!
-//! The production kernels score word-wise over packed bit-planes: the
-//! oracle in `oracle.rs`, the §4.1 per-address classification in
-//! `classify.rs`. This module retains the pre-bit-parallel
-//! implementations — ternary digits expanded to one byte each, class
-//! predictors stepped one execution at a time through their real
-//! `bp_predictors` state machines — as executable specifications: the
-//! property tests assert exact agreement on random traces, and the
-//! `oracle_kernel` / `classify_kernel` Criterion benches measure the
-//! speedups against them.
+//! The production kernels work over packed bit-planes: the candidate and
+//! matrix builder in `sweep.rs`, the oracle in `oracle.rs`, the §4.1
+//! per-address classification in `classify.rs`. This module keeps plain
+//! implementations of each as executable specifications — candidates
+//! ranked and resolved one record at a time at exactly the requested
+//! window ([`outcome_matrix`]), ternary digits expanded to one byte each,
+//! class predictors stepped one execution at a time through their real
+//! `bp_predictors` state machines: the property tests assert exact
+//! agreement on random traces, and the `oracle_kernel` /
+//! `classify_kernel` Criterion benches measure the speedups against them.
 //!
 //! Always compiled so the `bp-conformance` differential runners can link
 //! it directly, but hidden from docs: it is not part of the crate's
@@ -19,13 +21,97 @@ use std::collections::HashMap;
 use bp_predictors::{
     simulate_per_branch, BlockPattern, LoopPredictor, PasInterferenceFree, SaturatingCounter,
 };
-use bp_trace::{BranchProfile, Pc, Trace};
+use bp_trace::{BranchProfile, InstanceTag, PathWindow, Pc, TagScheme, Trace};
 
 use crate::classify::{BranchClassScores, Classification, ClassifierConfig};
-use crate::matrix::BranchMatrix;
+use crate::matrix::{BranchMatrix, OutcomeMatrix};
 use crate::oracle::{
     BranchSelection, OracleConfig, SearchStrategy, TagSetScore, MAX_SELECTIVE_TAGS,
 };
+
+/// Per-record candidate ranking and matrix build — the specification of
+/// the sweep builder's two passes. For every conditional record it counts
+/// the `schemes` tags [`PathWindow::visible_tags`] names at exactly
+/// `window` (never a larger window filtered by distance), ranks each
+/// branch's tags by (count desc, tag asc) and keeps `cap`; a second scan
+/// then resolves every candidate at every execution with
+/// [`PathWindow::lookup`]. [`crate::OutcomeMatrix::build`] on
+/// [`crate::TagCandidates::collect_with_schemes`], and every
+/// [`crate::SweepMatrix`] point, must equal it plane for plane.
+///
+/// # Panics
+///
+/// Panics if `window` is zero or above [`PathWindow::MAX_CAPACITY`].
+pub fn outcome_matrix(
+    trace: &Trace,
+    window: usize,
+    cap: usize,
+    schemes: &[TagScheme],
+) -> OutcomeMatrix {
+    let mut counts: HashMap<Pc, HashMap<InstanceTag, u64>> = HashMap::new();
+    let mut path = PathWindow::new(window);
+    let mut visible = Vec::new();
+    for rec in trace.records() {
+        if rec.is_conditional() {
+            path.visible_tags(&mut visible);
+            let branch = counts.entry(rec.pc).or_default();
+            for (tag, _) in &visible {
+                if schemes.contains(&tag.scheme) {
+                    *branch.entry(*tag).or_default() += 1;
+                }
+            }
+        }
+        path.push(rec);
+    }
+
+    // Per branch: its candidates, then one row per execution — the branch
+    // outcome and each candidate's resolved outcome (None: not in path).
+    type Rows = Vec<(bool, Vec<Option<bool>>)>;
+    let mut rows: HashMap<Pc, (Vec<InstanceTag>, Rows)> = counts
+        .into_iter()
+        .map(|(pc, tag_counts)| {
+            let mut ranked: Vec<(InstanceTag, u64)> = tag_counts.into_iter().collect();
+            ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            let tags = ranked.into_iter().take(cap).map(|(tag, _)| tag).collect();
+            (pc, (tags, Vec::new()))
+        })
+        .collect();
+    let mut path = PathWindow::new(window);
+    for rec in trace.records() {
+        if rec.is_conditional() {
+            let (tags, rows) = rows.get_mut(&rec.pc).expect("counted above");
+            let row = tags.iter().map(|&tag| path.lookup(tag)).collect();
+            rows.push((rec.taken, row));
+        }
+        path.push(rec);
+    }
+
+    // Execution e is bit e % 64 of word e / 64.
+    let pack = |bits: Vec<bool>| -> Vec<u64> {
+        let word = |w: &[bool]| w.iter().rev().fold(0, |acc, &b| acc << 1 | u64::from(b));
+        bits.chunks(64).map(word).collect()
+    };
+    let branches = rows
+        .into_iter()
+        .map(|(pc, (tags, rows))| {
+            let column = |c: usize, want: fn(Option<bool>) -> bool| {
+                pack(rows.iter().map(|(_, row)| want(row[c])).collect())
+            };
+            let inpath = (0..tags.len())
+                .map(|c| column(c, |o| o.is_some()))
+                .collect();
+            let dir = (0..tags.len())
+                .map(|c| column(c, |o| o == Some(true)))
+                .collect();
+            let taken = pack(rows.iter().map(|&(taken, _)| taken).collect());
+            (
+                pc,
+                BranchMatrix::from_planes(tags, rows.len(), inpath, dir, taken),
+            )
+        })
+        .collect();
+    OutcomeMatrix::from_parts(branches, window)
+}
 
 /// Per-record §4 classification — the pre-bit-parallel implementation,
 /// simulating each class predictor over the interleaved trace. The
@@ -350,9 +436,8 @@ mod tests {
 
     use super::*;
     use crate::candidates::TagCandidates;
-    use crate::matrix::OutcomeMatrix;
     use crate::oracle;
-    use crate::{Classifier, OracleSelector};
+    use crate::{Classifier, OracleSelector, SweepMatrix};
 
     /// Purely random conditional outcomes across a handful of branches.
     fn arb_cond_trace(max: usize) -> impl Strategy<Value = Trace> {
@@ -554,6 +639,47 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+
+        /// The sweep builder's two passes equal the per-record reference
+        /// builder: at one window (every window 1..=12 and cap 1..=10, each
+        /// scheme alone and both) and at every point of a 3-window sweep,
+        /// on 1..=3 shards.
+        #[test]
+        fn builder_matches_reference(
+            trace in arb_trace(300),
+            window in 1usize..=12,
+            cap in 1usize..=10,
+            shards in 1usize..=3,
+            steps in (1usize..=6, 1usize..=6),
+            more_caps in (1usize..=10, 1usize..=10),
+        ) {
+            for schemes in [
+                &[TagScheme::Occurrence][..],
+                &[TagScheme::Iteration][..],
+                &TagScheme::ALL[..],
+            ] {
+                let want = outcome_matrix(&trace, window, cap, schemes);
+                let cands = TagCandidates::collect_from_source_sharded(
+                    &trace, window, cap, schemes, shards,
+                )
+                .expect("in-memory scan");
+                prop_assert_eq!(cands.branch_count(), want.branch_count());
+                for (pc, bm) in want.iter() {
+                    prop_assert_eq!(cands.tags(pc), bm.tags(), "{:#x} {:?}", pc, schemes);
+                }
+                let got = OutcomeMatrix::build_from_source_sharded(&trace, &cands, window, shards)
+                    .expect("in-memory scan");
+                prop_assert_eq!(&got, &want, "{:?}", schemes);
+            }
+            let windows = [window, window + steps.0, window + steps.0 + steps.1];
+            let caps = [cap, more_caps.0, more_caps.1];
+            let sweep = SweepMatrix::build_from_source(&trace, &windows, &caps, shards)
+                .expect("in-memory scan");
+            for (i, (&w, &c)) in windows.iter().zip(&caps).enumerate() {
+                let want = outcome_matrix(&trace, w, c, &TagScheme::ALL);
+                prop_assert_eq!(&sweep.materialize(i), &want, "point {}", i);
             }
         }
 

@@ -1,6 +1,8 @@
 //! Incremental window sweeps: build the candidate + outcome-matrix
 //! artifact once at the maximum window and derive every shorter window by
-//! masking, instead of re-scanning the trace per sweep point.
+//! masking, instead of re-scanning the trace per sweep point. Its two
+//! passes are the crate's only candidate and matrix builder: a
+//! one-window build is a one-point sweep.
 //!
 //! The figure 5 history-length sweep evaluates the §3.4 oracle at seven
 //! window lengths. Naively that is seven candidate-collection passes and
@@ -11,33 +13,37 @@
 //! same-pc entries, and iteration collisions resolve to the most recent
 //! instance, so neither naming depends on how far back the window extends.
 //! One max-window scan therefore determines every sub-window's candidate
-//! counts, ranked candidate lists, and matrix digits; the derived matrices
-//! are equal *by construction* to the ones [`OutcomeMatrix::build`] would
-//! produce (the unit tests assert plane-level equality).
+//! counts, ranked candidate lists, and matrix digits; each materialized
+//! point equals the per-record `reference::outcome_matrix` at that window
+//! (the unit and property tests assert plane-level equality).
 //!
-//! [`SweepMatrix::build`] makes two passes: one to bucket per-tag
-//! visibility counts by distance (ranking + cap per window), one to pack
-//! bit-planes for the union of every window's capped candidate list, with
-//! each set in-path bit annotated — in three side bit-planes — with the
-//! index of the smallest window that sees it. [`SweepMatrix::materialize`]
-//! then assembles any sweep point's [`OutcomeMatrix`] with a word-wise
+//! Pass 1 ([`rank_candidates`]) buckets per-tag visibility counts by the
+//! smallest window that sees the instance, then ranks and caps each
+//! window's list. Pass 2 ([`pack_planes`]) packs bit-planes for given
+//! per-branch column lists, annotating each set in-path bit with its
+//! bucket index in ⌈log2(windows)⌉ side bit-planes — none for one window,
+//! whose planes then move straight into a [`BranchMatrix`]. Each pass is
+//! one per-shard step on [`scan_shards`]. [`SweepMatrix::materialize`]
+//! assembles any sweep point's [`OutcomeMatrix`] with a word-wise
 //! bucket-threshold mask, no trace access needed.
 
 use bp_trace::fx::FxHashMap;
 use bp_trace::io::TraceIoError;
-use bp_trace::{par_map, InstanceTag, PathWindow, Pc, Trace, TraceSource};
+use bp_trace::{
+    par_map, scan_shards, shard_of, InstanceTag, PathWindow, Pc, TagScheme, Trace, TraceSource,
+};
 
 use crate::matrix::{BranchMatrix, OutcomeMatrix};
 
 /// Most sweep points one artifact supports: bucket indices are packed into
-/// [`BUCKET_BITS`] bit-planes.
+/// at most [`BUCKET_BITS`] bit-planes.
 pub const MAX_SWEEP_WINDOWS: usize = 8;
 const BUCKET_BITS: usize = 3;
 
 /// Per-branch piece of the sweep artifact: packed planes for the union of
 /// every window's candidate columns, plus each window's ranked column list.
 #[derive(Debug, Clone)]
-struct SweepBranch {
+pub(crate) struct SweepBranch {
     executions: usize,
     taken: Vec<u64>,
     /// Union candidate tags; column order is fixed but arbitrary.
@@ -48,10 +54,11 @@ struct SweepBranch {
     dir: Vec<Vec<u64>>,
     /// Per union column: bucket-index bit-planes — for every set in-path
     /// bit, the index (in `windows`) of the smallest window containing the
-    /// instance, one binary digit per plane.
+    /// instance, one binary digit per plane. Only the first
+    /// [`bucket_bits`]`(windows)` entries hold planes.
     buckets: [Vec<Vec<u64>>; BUCKET_BITS],
     /// Per window: the capped visibility-ranked candidate list, as indices
-    /// into `tags`.
+    /// into `tags` (empty until pass 1's lists are attached).
     ranked: Vec<Vec<u32>>,
 }
 
@@ -63,7 +70,7 @@ pub struct SweepMatrix {
 }
 
 impl SweepMatrix {
-    /// Scans `trace` once at the largest window in `windows` and records
+    /// Scans `trace` at the largest window in `windows` and records
     /// everything needed to materialize each sweep point's candidates and
     /// outcome matrix. `caps[i]` is the per-branch candidate cap for
     /// `windows[i]` (rank by visibility, truncate) — per-window caps let a
@@ -77,13 +84,14 @@ impl SweepMatrix {
     /// [`MAX_SWEEP_WINDOWS`], or contains zero, or if `caps` has a
     /// different length than `windows` or contains zero.
     pub fn build(trace: &Trace, windows: &[usize], caps: &[usize]) -> Self {
-        SweepMatrix::build_from_source(trace, windows, caps)
+        SweepMatrix::build_from_source(trace, windows, caps, 1)
             .expect("in-memory traces cannot fail to scan")
     }
 
-    /// As [`SweepMatrix::build`], consuming any [`TraceSource`] — two
-    /// streaming scans (visibility bucketing, then plane packing) instead
-    /// of two in-memory passes, with identical output.
+    /// As [`SweepMatrix::build`], consuming any [`TraceSource`] in two
+    /// streaming scans (visibility bucketing, then plane packing), each
+    /// split over `shards` per-PC shards — identical output for every
+    /// shard count.
     ///
     /// # Errors
     ///
@@ -92,119 +100,30 @@ impl SweepMatrix {
     /// # Panics
     ///
     /// As [`SweepMatrix::build`].
-    pub fn build_from_source<T: TraceSource + ?Sized>(
+    pub fn build_from_source<T: TraceSource + Sync + ?Sized>(
         source: &T,
         windows: &[usize],
         caps: &[usize],
+        shards: usize,
     ) -> Result<Self, TraceIoError> {
-        assert!(!windows.is_empty(), "need at least one sweep window");
-        assert!(
-            windows.len() <= MAX_SWEEP_WINDOWS,
-            "at most {MAX_SWEEP_WINDOWS} sweep windows per artifact"
-        );
-        assert!(
-            windows.windows(2).all(|p| p[0] < p[1]),
-            "sweep windows must be strictly ascending"
-        );
-        assert!(windows[0] > 0, "sweep windows must be positive");
-        assert_eq!(
-            caps.len(),
-            windows.len(),
-            "one candidate cap per sweep window"
-        );
-        assert!(
-            caps.iter().all(|&c| c > 0),
-            "candidate caps must be positive"
-        );
-        let max_window = *windows.last().expect("windows is non-empty");
-        // `bucket_of[d]`: index of the smallest window that sees distance d.
-        let bucket_of: Vec<u8> = (0..=max_window)
-            .map(|d| windows.partition_point(|&w| w < d) as u8)
+        let mut ranked = rank_candidates::<MAX_SWEEP_WINDOWS, _>(
+            source,
+            windows,
+            caps,
+            &TagScheme::ALL,
+            shards,
+        )?;
+        let columns: Vec<(Pc, &[InstanceTag])> = ranked
+            .iter()
+            .map(|(pc, (tags, _))| (*pc, &tags[..]))
             .collect();
-
-        // Pass 1: per-branch, per-tag visibility counts bucketed by the
-        // smallest window that sees the instance.
-        let mut counts: FxHashMap<Pc, FxHashMap<InstanceTag, [u64; MAX_SWEEP_WINDOWS]>> =
-            FxHashMap::default();
-        let mut path = PathWindow::new(max_window);
-        let mut visible = Vec::new();
-        source.scan(&mut |chunk| {
-            for rec in chunk {
-                if rec.is_conditional() {
-                    path.visible_tags_with_distance(&mut visible);
-                    let branch_counts = counts.entry(rec.pc).or_default();
-                    for &(tag, _, d) in &visible {
-                        let b = usize::from(bucket_of[d]);
-                        branch_counts.entry(tag).or_insert([0; MAX_SWEEP_WINDOWS])[b] += 1;
-                    }
-                }
-                path.push(rec);
-            }
-        })?;
-
-        // Rank + cap per window; the union of the capped lists is the
-        // column set worth packing planes for. Each branch keeps its
-        // tag -> union column map beside its planes for pass 2.
-        let mut builders: FxHashMap<Pc, (SweepBranch, FxHashMap<InstanceTag, u32>)> = counts
-            .into_iter()
-            .map(|(pc, tag_counts)| {
-                let mut union: Vec<InstanceTag> = Vec::new();
-                let mut union_index: FxHashMap<InstanceTag, u32> = FxHashMap::default();
-                let mut ranked = Vec::with_capacity(windows.len());
-                for i in 0..windows.len() {
-                    // Visibility within window i = buckets 0..=i summed.
-                    let mut list: Vec<(InstanceTag, u64)> = tag_counts
-                        .iter()
-                        .filter_map(|(tag, buckets)| {
-                            let count: u64 = buckets[..=i].iter().sum();
-                            (count > 0).then_some((*tag, count))
-                        })
-                        .collect();
-                    list.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-                    list.truncate(caps[i]);
-                    let cols = list
-                        .into_iter()
-                        .map(|(tag, _)| {
-                            *union_index.entry(tag).or_insert_with(|| {
-                                union.push(tag);
-                                (union.len() - 1) as u32
-                            })
-                        })
-                        .collect();
-                    ranked.push(cols);
-                }
-                let n = union.len();
-                let sb = SweepBranch {
-                    executions: 0,
-                    taken: Vec::new(),
-                    tags: union,
-                    inpath: vec![Vec::new(); n],
-                    dir: vec![Vec::new(); n],
-                    buckets: std::array::from_fn(|_| vec![Vec::new(); n]),
-                    ranked,
-                };
-                (pc, (sb, union_index))
-            })
-            .collect();
-
-        // Pass 2: pack the planes for the union columns, one map probe per
-        // execution.
-        let mut path = PathWindow::new(max_window);
-        source.scan(&mut |chunk| {
-            for rec in chunk {
-                if rec.is_conditional() {
-                    if let Some((sb, columns)) = builders.get_mut(&rec.pc) {
-                        path.visible_tags_with_distance(&mut visible);
-                        sb.push_execution(rec.taken, &bucket_of, columns, &visible);
-                    }
-                }
-                path.push(rec);
-            }
-        })?;
-
+        let mut branches = pack_planes(source, windows, &columns, shards)?;
+        for (pc, sb) in &mut branches {
+            sb.ranked = ranked.remove(pc).expect("pass 2 packs pass 1's branches").1;
+        }
         Ok(SweepMatrix {
             windows: windows.to_vec(),
-            branches: builders.into_iter().map(|(pc, (sb, _))| (pc, sb)).collect(),
+            branches,
         })
     }
 
@@ -253,7 +172,189 @@ impl SweepMatrix {
     }
 }
 
+/// Bucket bit-planes a `windows`-point artifact packs: ⌈log2(windows)⌉,
+/// so none for one window.
+fn bucket_bits(windows: usize) -> usize {
+    windows.next_power_of_two().trailing_zeros() as usize
+}
+
+/// Checks `windows` and returns an empty path window as long as the
+/// largest one, and the distance → bucket table: `bucket_of[d]` is the
+/// index of the smallest window that sees an instance at distance `d`.
+fn window_buckets(windows: &[usize]) -> (PathWindow, Vec<u8>) {
+    assert!(!windows.is_empty(), "need at least one sweep window");
+    assert!(
+        windows.len() <= MAX_SWEEP_WINDOWS,
+        "at most {MAX_SWEEP_WINDOWS} sweep windows per artifact"
+    );
+    assert!(
+        windows.windows(2).all(|p| p[0] < p[1]),
+        "sweep windows must be strictly ascending"
+    );
+    assert!(windows[0] > 0, "sweep windows must be positive");
+    let max_window = *windows.last().expect("windows is non-empty");
+    // The window checks its length before the table is sized by it.
+    let path = PathWindow::new(max_window);
+    let bucket_of = (0..=max_window)
+        .map(|d| windows.partition_point(|&w| w < d) as u8)
+        .collect();
+    (path, bucket_of)
+}
+
+/// Pass 1's result for one branch: the union candidate tags, and per
+/// window its capped list as indices into them.
+pub(crate) type Ranked = (Vec<InstanceTag>, Vec<Vec<u32>>);
+
+/// Pass 1: per executed branch, the union of every window's capped
+/// candidate list (the first window's list first, so with one window the
+/// union is that list), and per window its list as indices into the
+/// union. Visibility is counted once at the largest window, in `B`
+/// buckets by the smallest window that sees each instance (so `B` must
+/// cover `windows`); window `i` then ranks the `schemes` tags by buckets
+/// `0..=i` summed (count desc, tag asc) and keeps `caps[i]`.
+///
+/// # Panics
+///
+/// As [`SweepMatrix::build`].
+pub(crate) fn rank_candidates<const B: usize, T: TraceSource + Sync + ?Sized>(
+    source: &T,
+    windows: &[usize],
+    caps: &[usize],
+    schemes: &[TagScheme],
+    shards: usize,
+) -> Result<FxHashMap<Pc, Ranked>, TraceIoError> {
+    let (path, bucket_of) = window_buckets(windows);
+    assert!(windows.len() <= B, "one count bucket per window");
+    assert_eq!(
+        caps.len(),
+        windows.len(),
+        "one candidate cap per sweep window"
+    );
+    assert!(
+        caps.iter().all(|&c| c > 0),
+        "candidate caps must be positive"
+    );
+    let parts = scan_shards(
+        source,
+        shards,
+        |shard| (shard, path.clone(), Vec::new(), FxHashMap::default()),
+        |(shard, path, visible, counts), chunk| {
+            for rec in chunk {
+                if rec.is_conditional() && shard_of(rec.pc, shards) == *shard {
+                    path.visible_tags_with_distance(visible);
+                    let branch_counts: &mut FxHashMap<InstanceTag, [u64; B]> =
+                        counts.entry(rec.pc).or_default();
+                    // Every scheme is counted: filtering by `schemes` at
+                    // ranking leaves the same lists, and costs less here.
+                    for &(tag, _, d) in visible.iter() {
+                        let b = if B == 1 { 0 } else { usize::from(bucket_of[d]) };
+                        branch_counts.entry(tag).or_insert([0; B])[b] += 1;
+                    }
+                }
+                path.push(rec);
+            }
+        },
+    )?;
+    let rank = |tag_counts: FxHashMap<InstanceTag, [u64; B]>| {
+        let mut union: Vec<InstanceTag> = Vec::new();
+        let mut union_index: FxHashMap<InstanceTag, u32> = FxHashMap::default();
+        let mut ranked = Vec::with_capacity(caps.len());
+        for (i, &cap) in caps.iter().enumerate() {
+            // Visibility within window i = buckets 0..=i summed.
+            let mut list: Vec<(InstanceTag, u64)> = tag_counts
+                .iter()
+                .filter(|(tag, _)| schemes.contains(&tag.scheme))
+                .filter_map(|(tag, buckets)| {
+                    let count: u64 = buckets[..=i].iter().sum();
+                    (count > 0).then_some((*tag, count))
+                })
+                .collect();
+            list.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            list.truncate(cap);
+            let cols = list
+                .into_iter()
+                .map(|(tag, _)| {
+                    *union_index.entry(tag).or_insert_with(|| {
+                        union.push(tag);
+                        (union.len() - 1) as u32
+                    })
+                })
+                .collect();
+            ranked.push(cols);
+        }
+        (union, ranked)
+    };
+    Ok(parts
+        .into_iter()
+        .flat_map(|(_, _, _, counts)| counts)
+        .map(|(pc, tag_counts)| (pc, rank(tag_counts)))
+        .collect())
+}
+
+/// Pass 2: packs each listed branch's planes for its `columns` (distinct
+/// tags), resolved at the largest of `windows`, with [`bucket_bits`]
+/// bucket planes. A listed branch that never executes keeps zero
+/// executions. `ranked` is left empty for the caller to attach.
+///
+/// # Panics
+///
+/// As [`SweepMatrix::build`], for `windows`.
+pub(crate) fn pack_planes<T: TraceSource + Sync + ?Sized>(
+    source: &T,
+    windows: &[usize],
+    columns: &[(Pc, &[InstanceTag])],
+    shards: usize,
+) -> Result<FxHashMap<Pc, SweepBranch>, TraceIoError> {
+    let (path, bucket_of) = window_buckets(windows);
+    let bits = bucket_bits(windows.len());
+    let parts = scan_shards(
+        source,
+        shards,
+        |shard| {
+            // Each branch keeps its tag -> column map beside its planes:
+            // one map probe per execution.
+            let builders: FxHashMap<Pc, (SweepBranch, FxHashMap<InstanceTag, u32>)> = columns
+                .iter()
+                .filter(|&&(pc, _)| shard_of(pc, shards) == shard)
+                .map(|&(pc, tags)| {
+                    let index = (0..).zip(tags).map(|(c, tag)| (*tag, c)).collect();
+                    (pc, (SweepBranch::new(tags.to_vec(), bits), index))
+                })
+                .collect();
+            (path.clone(), Vec::new(), builders)
+        },
+        |(path, visible, builders), chunk| {
+            for rec in chunk {
+                if rec.is_conditional() {
+                    if let Some((sb, index)) = builders.get_mut(&rec.pc) {
+                        path.visible_tags_with_distance(visible);
+                        sb.push_execution(rec.taken, &bucket_of, index, visible);
+                    }
+                }
+                path.push(rec);
+            }
+        },
+    )?;
+    Ok(parts
+        .into_iter()
+        .flat_map(|(_, _, builders)| builders.into_iter().map(|(pc, (sb, _))| (pc, sb)))
+        .collect())
+}
+
 impl SweepBranch {
+    fn new(tags: Vec<InstanceTag>, bucket_bits: usize) -> Self {
+        let n = tags.len();
+        SweepBranch {
+            executions: 0,
+            taken: Vec::new(),
+            tags,
+            inpath: vec![Vec::new(); n],
+            dir: vec![Vec::new(); n],
+            buckets: std::array::from_fn(|k| vec![Vec::new(); if k < bucket_bits { n } else { 0 }]),
+            ranked: Vec::new(),
+        }
+    }
+
     fn push_execution(
         &mut self,
         taken: bool,
@@ -287,16 +388,35 @@ impl SweepBranch {
             if tag_taken {
                 self.dir[c][word] |= 1 << bit;
             }
-            let b = bucket_of[d];
-            for (k, planes) in self.buckets.iter_mut().enumerate() {
-                if b >> k & 1 == 1 {
+            // Bucket 0 sets no bit: a one-window build, whose only bucket
+            // it is, touches no bucket plane.
+            let mut b = bucket_of[d];
+            for planes in &mut self.buckets {
+                if b == 0 {
+                    break;
+                }
+                if b & 1 == 1 {
                     planes[c][word] |= 1 << bit;
                 }
+                b >>= 1;
             }
         }
     }
 
+    /// A one-window build's planes as its matrix, moved, not copied.
+    pub(crate) fn into_matrix(self) -> BranchMatrix {
+        debug_assert!(self.buckets.iter().all(Vec::is_empty), "a one-window build");
+        BranchMatrix::from_planes(
+            self.tags,
+            self.executions,
+            self.inpath,
+            self.dir,
+            self.taken,
+        )
+    }
+
     fn materialize(&self, idx: usize) -> BranchMatrix {
+        let bits = bucket_bits(self.ranked.len());
         let words = self.executions.div_ceil(64);
         let cols = &self.ranked[idx];
         let mut inpath = Vec::with_capacity(cols.len());
@@ -306,12 +426,12 @@ impl SweepBranch {
             let mut ip_plane = Vec::with_capacity(words);
             let mut d_plane = Vec::with_capacity(words);
             for w in 0..words {
-                // Word-wise bucket-index <= idx comparator over the three
-                // bucket bit-planes: a bit survives when its instance is
-                // seen by a window no longer than this sweep point's.
+                // Word-wise bucket-index <= idx comparator over the bucket
+                // bit-planes: a bit survives when its instance is seen by
+                // a window no longer than this sweep point's.
                 let mut gt = 0u64;
                 let mut eq = !0u64;
-                for k in (0..BUCKET_BITS).rev() {
+                for k in (0..bits).rev() {
                     let bk = self.buckets[k][c][w];
                     let tk = if idx >> k & 1 == 1 { !0u64 } else { 0 };
                     gt |= eq & bk & !tk;
@@ -333,6 +453,7 @@ impl SweepBranch {
 mod tests {
     use super::*;
     use crate::candidates::TagCandidates;
+    use crate::reference;
     use bp_trace::{BranchRecord, Recorder};
 
     /// A trace with loops, calls and correlated branches so all tag
@@ -370,8 +491,7 @@ mod tests {
         let sweep = SweepMatrix::build(&trace, &WINDOWS, &caps);
         for (i, &n) in WINDOWS.iter().enumerate() {
             let derived = sweep.materialize(i);
-            let cands = TagCandidates::collect(&trace, n, caps[i]);
-            let direct = OutcomeMatrix::build(&trace, &cands, n);
+            let direct = reference::outcome_matrix(&trace, n, caps[i], &TagScheme::ALL);
             assert_eq!(derived.window(), direct.window());
             assert_eq!(derived.branch_count(), direct.branch_count());
             for (pc, want) in direct.iter() {
@@ -415,11 +535,37 @@ mod tests {
     fn single_window_sweep_degenerates_to_direct_build() {
         let trace = mixed_trace(100);
         let sweep = SweepMatrix::build(&trace, &[16], &[12]);
-        let derived = sweep.materialize(0);
+        let direct = reference::outcome_matrix(&trace, 16, 12, &TagScheme::ALL);
+        assert_eq!(sweep.materialize(0), direct);
+        // One window packs no bucket planes.
+        assert!(sweep
+            .branches
+            .values()
+            .all(|sb| sb.buckets.iter().all(Vec::is_empty)));
         let cands = TagCandidates::collect(&trace, 16, 12);
-        let direct = OutcomeMatrix::build(&trace, &cands, 16);
-        assert_eq!(derived.branch_count(), direct.branch_count());
-        assert_eq!(derived.dynamic_count(), direct.dynamic_count());
+        assert_eq!(OutcomeMatrix::build(&trace, &cands, 16), direct);
+    }
+
+    #[test]
+    fn bucket_planes_are_the_ceiling_log2_of_the_window_count() {
+        let trace = mixed_trace(50);
+        for (windows, bits) in [
+            (&[16][..], 0),
+            (&[8, 16], 1),
+            (&[4, 8, 12], 2),
+            (&WINDOWS, 2),
+        ] {
+            assert_eq!(bucket_bits(windows.len()), bits);
+            let sweep = SweepMatrix::build(&trace, windows, &vec![6; windows.len()]);
+            for sb in sweep.branches.values() {
+                let n = sb.tags.len();
+                for (k, planes) in sb.buckets.iter().enumerate() {
+                    assert_eq!(planes.len(), if k < bits { n } else { 0 }, "{windows:?}");
+                }
+            }
+        }
+        assert_eq!(bucket_bits(7), 3);
+        assert_eq!(bucket_bits(MAX_SWEEP_WINDOWS), BUCKET_BITS);
     }
 
     #[test]
@@ -434,10 +580,10 @@ mod tests {
         let sweep = SweepMatrix::build(&trace, &WINDOWS, &caps);
         for (i, &n) in WINDOWS.iter().enumerate() {
             let derived = sweep.materialize(i);
-            let cands = TagCandidates::collect(&trace, n, caps[i]);
-            for (pc, tags) in cands.iter() {
+            let direct = reference::outcome_matrix(&trace, n, caps[i], &TagScheme::ALL);
+            for (pc, want) in direct.iter() {
                 let got = derived.branch(pc).expect("branch present");
-                assert_eq!(got.tags(), tags, "window {n} branch {pc:#x}");
+                assert_eq!(got.tags(), want.tags(), "window {n} branch {pc:#x}");
             }
         }
     }

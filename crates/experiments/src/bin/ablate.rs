@@ -3,29 +3,36 @@
 //! trace-length sensitivity.
 //!
 //! ```text
-//! ablate [--target N] [--seed N]
+//! ablate [--target N[k|m|b]] [--seed N]
 //! ```
 
+use std::process::ExitCode;
+
 use bp_core::{OracleConfig, OracleSelector, OutcomeMatrix, SearchStrategy, TagCandidates};
+use bp_experiments::cli::workload_flag;
 use bp_predictors::{simulate, Gshare, SaturatingCounter};
 use bp_trace::TagScheme;
 use bp_workloads::{Benchmark, WorkloadConfig};
 
-fn main() {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<WorkloadConfig, String> {
     let mut cfg = WorkloadConfig::default().with_target(60_000);
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--target" => {
-                cfg.target_branches = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--target N")
-            }
-            "--seed" => cfg.seed = args.next().and_then(|v| v.parse().ok()).expect("--seed N"),
-            other => panic!("unknown argument {other}"),
+        if !workload_flag(&arg, &mut args, &mut cfg)? {
+            return Err(format!("unknown argument {arg}"));
         }
     }
+    Ok(cfg)
+}
+
+fn main() -> ExitCode {
+    let cfg = match parse_args(std::env::args().skip(1)) {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            eprintln!("error: {e}");
+            eprintln!("usage: ablate [--target N[k|m|b]] [--seed N]");
+            return ExitCode::FAILURE;
+        }
+    };
     let pct = |x: f64| format!("{:.2}", x * 100.0);
 
     // ---- 1. Oracle search strategy: greedy vs exhaustive --------------
@@ -167,4 +174,5 @@ fn main() {
         }
         println!();
     }
+    ExitCode::SUCCESS
 }

@@ -2,38 +2,57 @@
 //! (no oracle analysis), for workload tuning.
 //!
 //! ```text
-//! probe [--target N] [--seed N] [bench ...]
+//! probe [--target N[k|m|b]] [--seed N] [--per-branch] [bench ...]
 //! ```
 
+use std::process::ExitCode;
+
+use bp_experiments::cli::workload_flag;
 use bp_predictors::{
     simulate, Gshare, GshareInterferenceFree, IdealStatic, Pas, PasInterferenceFree, Smith,
 };
 use bp_trace::{BranchProfile, TraceStats};
 use bp_workloads::{Benchmark, WorkloadConfig};
 
-fn main() {
+fn usage() {
+    eprintln!("usage: probe [--target N[k|m|b]] [--seed N] [--per-branch] [bench ...]");
+    let names: Vec<&str> = Benchmark::ALL.iter().map(|b| b.name()).collect();
+    eprintln!("benchmarks: {}", names.join(" "));
+}
+
+/// The workload, the benchmarks to probe (all when none are named) and
+/// whether to print per-branch rows.
+fn parse_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(WorkloadConfig, Vec<Benchmark>, bool), String> {
     let mut cfg = WorkloadConfig::default().with_target(150_000);
     let mut picks: Vec<Benchmark> = Vec::new();
     let mut per_branch = false;
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if workload_flag(&arg, &mut args, &mut cfg)? {
+            continue;
+        }
         match arg.as_str() {
-            "--target" => {
-                cfg.target_branches = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--target N");
-            }
-            "--seed" => {
-                cfg.seed = args.next().and_then(|v| v.parse().ok()).expect("--seed N");
-            }
             "--per-branch" => per_branch = true,
-            name => picks.push(name.parse().expect("benchmark name")),
+            flag if flag.starts_with('-') => return Err(format!("unknown argument {flag}")),
+            name => picks.push(name.parse().map_err(|e| format!("{e}"))?),
         }
     }
     if picks.is_empty() {
         picks = Benchmark::ALL.to_vec();
     }
+    Ok((cfg, picks, per_branch))
+}
+
+fn main() -> ExitCode {
+    let (cfg, picks, per_branch) = match parse_args(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}");
+            usage();
+            return ExitCode::FAILURE;
+        }
+    };
 
     if per_branch {
         use bp_predictors::simulate_per_branch;
@@ -60,7 +79,7 @@ fn main() {
                 );
             }
         }
-        return;
+        return ExitCode::SUCCESS;
     }
 
     println!(
@@ -86,4 +105,5 @@ fn main() {
             stats.static_conditional,
         );
     }
+    ExitCode::SUCCESS
 }

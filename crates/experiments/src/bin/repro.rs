@@ -21,6 +21,7 @@ use std::io::Write;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use bp_experiments::cli::workload_flag;
 use bp_experiments::goldens::{self, Goldens};
 use bp_experiments::{run_experiment, Engine, ExperimentConfig, TraceSet, EXPERIMENT_IDS};
 
@@ -141,33 +142,21 @@ fn main() -> ExitCode {
     let mut write_goldens = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        match workload_flag(&arg, &mut args, &mut cfg.workload) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(e) => {
+                eprintln!("error: {e}");
+                usage();
+                return ExitCode::FAILURE;
+            }
+        }
         match arg.as_str() {
             "--quick" => cfg = ExperimentConfig::quick(),
             "--cache" => match args.next() {
                 Some(dir) => cache_dir = Some(dir),
                 None => {
                     eprintln!("error: --cache needs a directory");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(seed) => cfg.workload.seed = seed,
-                None => {
-                    eprintln!("error: --seed needs an unsigned integer");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--target" => match args.next().map(|v| bp_experiments::cli::parse_target(&v)) {
-                Some(Ok(t)) => cfg.workload.target_branches = t,
-                Some(Err(e)) => {
-                    eprintln!("error: {e}");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-                None => {
-                    eprintln!("error: --target needs a branch count (e.g. 2m, 100m, 1b)");
                     usage();
                     return ExitCode::FAILURE;
                 }

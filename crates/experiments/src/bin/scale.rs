@@ -34,7 +34,7 @@ use bp_core::{
     TagCandidates,
 };
 use bp_experiments::artifacts::{matrix_config_fp, streams_config_fp, ArtifactStore};
-use bp_experiments::cli::parse_target;
+use bp_experiments::cli::workload_flag;
 use bp_experiments::TraceSet;
 use bp_trace::{BranchStreams, PathWindow, TagScheme};
 use bp_workloads::{Benchmark, WorkloadConfig};
@@ -70,6 +70,15 @@ fn main() -> ExitCode {
     let mut oracle_cfg = OracleConfig::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        match workload_flag(&arg, &mut args, &mut cfg) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(e) => {
+                eprintln!("error: {e}");
+                usage();
+                return ExitCode::FAILURE;
+            }
+        }
         match arg.as_str() {
             "--bench" => {
                 let name = args.next().unwrap_or_default();
@@ -85,27 +94,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--target" => match args.next().map(|v| parse_target(&v)) {
-                Some(Ok(t)) => cfg.target_branches = t,
-                Some(Err(e)) => {
-                    eprintln!("error: {e}");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-                None => {
-                    eprintln!("error: --target needs a branch count (e.g. 10m, 100m, 1b)");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(seed) => cfg.seed = seed,
-                None => {
-                    eprintln!("error: --seed needs an unsigned integer");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
             "--cache" => match args.next() {
                 Some(dir) => cache_dir = Some(dir),
                 None => {

@@ -1,5 +1,7 @@
 //! Small shared helpers for the command-line binaries.
 
+use bp_workloads::WorkloadConfig;
+
 /// Largest accepted `--target` value: 100 billion branches. Past this the
 /// request is almost certainly a typo (at ~10⁸ branches/s that is a
 /// multi-day run), so it is rejected with a clear error instead of being
@@ -45,6 +47,33 @@ pub fn parse_target(s: &str) -> Result<usize, String> {
     Ok(total as usize)
 }
 
+/// Applies `flag` when it is one of the workload flags the batch binaries
+/// share — `--target N[k|m|b]` or `--seed N` — taking its value from
+/// `args`. Returns `Ok(false)` for any other flag, and an error naming
+/// the flag when its value is missing or does not parse.
+pub fn workload_flag(
+    flag: &str,
+    args: &mut impl Iterator<Item = String>,
+    cfg: &mut WorkloadConfig,
+) -> Result<bool, String> {
+    match flag {
+        "--target" => {
+            let value = args
+                .next()
+                .ok_or("--target needs a branch count (e.g. 2m, 100m, 1b)")?;
+            cfg.target_branches = parse_target(&value)?;
+        }
+        "--seed" => {
+            cfg.seed = args
+                .next()
+                .and_then(|v| v.parse().ok())
+                .ok_or("--seed needs an unsigned integer")?;
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,6 +87,20 @@ mod tests {
         assert_eq!(parse_target("100M"), Ok(100_000_000));
         assert_eq!(parse_target("1b"), Ok(1_000_000_000));
         assert_eq!(parse_target(" 10m "), Ok(10_000_000));
+    }
+
+    #[test]
+    fn workload_flags_apply_or_explain_what_they_need() {
+        let mut cfg = WorkloadConfig::default();
+        let mut args = ["2m", "7", "x"].map(String::from).into_iter();
+        assert_eq!(workload_flag("--target", &mut args, &mut cfg), Ok(true));
+        assert_eq!(workload_flag("--seed", &mut args, &mut cfg), Ok(true));
+        assert_eq!((cfg.target_branches, cfg.seed), (2_000_000, 7));
+        assert_eq!(workload_flag("--jobs", &mut args, &mut cfg), Ok(false));
+        let err = workload_flag("--seed", &mut args, &mut cfg).unwrap_err();
+        assert!(err.contains("unsigned integer"), "{err}");
+        let err = workload_flag("--target", &mut args, &mut cfg).unwrap_err();
+        assert!(err.contains("needs a branch count"), "{err}");
     }
 
     #[test]

@@ -538,6 +538,7 @@ impl Engine {
                                     &self.source(benchmark),
                                     windows,
                                     caps,
+                                    self.nested_budget(),
                                 )
                                 .expect("trace stream failed");
                                 self.record_oracle_phases(

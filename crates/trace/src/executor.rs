@@ -1,21 +1,22 @@
-//! The workspace's two fan-out shapes: the pipelined chunk executor, one
-//! scan of a [`TraceSource`] fanned out to per-PC shard workers, and
-//! [`par_map`], an ordered map over independent items (benchmarks, static
-//! branches, probe grid points).
+//! The workspace's two fan-out shapes: [`scan_shards`], one scan of a
+//! [`TraceSource`] folded by per-PC shard steps, and [`par_map`], an
+//! ordered map over independent items (benchmarks, static branches, probe
+//! grid points).
 //!
 //! Trace production (workload generation or `.bpt2` pread) is inherently
 //! serial — records must come out in order — but everything the analyses
-//! build from a trace is keyed per static branch. [`scan_sharded`] splits
-//! the two: the producer runs the single scan on the calling thread,
-//! packing records into a small ring of recycled 64Ki-record chunk
-//! buffers, and *broadcasts* each chunk (an `Arc`) to every shard worker
-//! over bounded channels. Each worker sees the full record sequence in
-//! order — so order-sensitive state like a `PathWindow` is simply
-//! replicated — but does the expensive per-record work only for the PCs
-//! its shard owns ([`shard_of`]). Partial results are disjoint by PC, so
-//! merging is a plain union and the merged artifact is *identical* (not
-//! just equivalent) to a serial build, for any shard count: determinism
-//! is by construction, as it is for [`par_map`], and the conformance
+//! build from a trace is keyed per static branch. [`scan_shards`] splits
+//! the two. One shard simply folds the scan on the calling thread. With
+//! more, the producer runs the single scan on the calling thread, packing
+//! records into a small ring of recycled 64Ki-record chunk buffers, and
+//! *broadcasts* each chunk (an `Arc`) to every shard worker over bounded
+//! channels. Each worker sees the full record sequence in order — so
+//! order-sensitive state like a `PathWindow` is simply replicated — but
+//! does the expensive per-record work only for the PCs its shard owns
+//! ([`shard_of`]). Partial results are disjoint by PC, so merging is a
+//! plain union and the merged artifact is *identical* (not just
+//! equivalent) to a one-shard build, for any shard count: determinism is
+//! by construction, as it is for [`par_map`], and the conformance
 //! `parallel` suite diffs it continuously.
 //!
 //! Memory is bounded by the ring: `shards + 2` buffers of
@@ -25,7 +26,7 @@
 //! chunks pile up.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 
 use crate::io::TraceIoError;
@@ -48,18 +49,9 @@ pub fn shard_of(pc: Pc, shards: usize) -> usize {
 /// A recycled buffer of trace records in flight from the producer to the
 /// shard workers. Dropping the last reference returns the buffer to the
 /// producer's free list.
-#[derive(Debug)]
-pub struct Chunk {
+struct Chunk {
     records: Vec<BranchRecord>,
     recycle: SyncSender<Vec<BranchRecord>>,
-}
-
-impl std::ops::Deref for Chunk {
-    type Target = [BranchRecord];
-
-    fn deref(&self) -> &[BranchRecord] {
-        &self.records
-    }
 }
 
 impl Drop for Chunk {
@@ -73,24 +65,14 @@ impl Drop for Chunk {
     }
 }
 
-/// One worker's view of the scan: the full chunk sequence, in order.
-#[derive(Debug)]
-pub struct ChunkStream {
-    rx: Receiver<Arc<Chunk>>,
-}
-
-impl Iterator for ChunkStream {
-    type Item = Arc<Chunk>;
-
-    fn next(&mut self) -> Option<Arc<Chunk>> {
-        self.rx.recv().ok()
-    }
-}
-
-/// Scans `source` once, streaming every chunk to `shards` workers;
-/// `worker(shard, chunks)` runs on its own thread and returns that
-/// shard's partial result. Results come back in shard order. See the
-/// module docs for the pipeline shape and the determinism argument.
+/// Runs one per-shard step over `source` and returns every shard's final
+/// state, in shard order: `init(shard)` builds a shard's state and
+/// `step(state, records)` folds each chunk into it, in trace order. One
+/// shard runs on the calling thread over [`TraceSource::scan`]; more get
+/// one worker thread each, fed by the broadcast scan the module docs
+/// describe. A step that does its per-branch work only for the PCs its
+/// shard owns ([`shard_of`]) yields disjoint states, whose union is the
+/// same for every shard count.
 ///
 /// # Errors
 ///
@@ -98,14 +80,22 @@ impl Iterator for ChunkStream {
 ///
 /// # Panics
 ///
-/// Panics if `shards` is zero, and propagates a worker's panic.
-pub fn scan_sharded<S, T, F>(source: &S, shards: usize, worker: F) -> Result<Vec<T>, TraceIoError>
+/// Propagates a panic in `init` or `step`.
+pub fn scan_shards<S, W>(
+    source: &S,
+    shards: usize,
+    init: impl Fn(usize) -> W + Sync,
+    step: impl Fn(&mut W, &[BranchRecord]) + Sync,
+) -> Result<Vec<W>, TraceIoError>
 where
     S: TraceSource + Sync + ?Sized,
-    T: Send,
-    F: Fn(usize, ChunkStream) -> T + Sync,
+    W: Send,
 {
-    assert!(shards >= 1, "need at least one shard");
+    if shards <= 1 {
+        let mut state = init(0);
+        source.scan(&mut |chunk| step(&mut state, chunk))?;
+        return Ok(vec![state]);
+    }
     let ring = shards + 2;
     let (free_tx, free_rx) = sync_channel::<Vec<BranchRecord>>(ring);
     for _ in 0..ring {
@@ -122,11 +112,19 @@ where
     }
 
     std::thread::scope(|scope| {
-        let worker = &worker;
+        let (init, step) = (&init, &step);
         let handles: Vec<_> = workers
             .into_iter()
             .enumerate()
-            .map(|(shard, rx)| scope.spawn(move || worker(shard, ChunkStream { rx })))
+            .map(|(shard, rx)| {
+                scope.spawn(move || {
+                    let mut state = init(shard);
+                    for chunk in rx {
+                        step(&mut state, &chunk.records);
+                    }
+                    state
+                })
+            })
             .collect();
 
         // Producer: repack the source's chunks (whose boundaries are the
@@ -265,24 +263,23 @@ mod tests {
         let n = CHUNK_RECORDS as u64 * 2 + 12345;
         let trace = sample_trace(n);
         for shards in [1usize, 2, 3] {
-            let counts = scan_sharded(&trace, shards, |_, chunks| {
-                let mut total = 0u64;
-                let mut prev = None;
-                for chunk in chunks {
-                    for rec in chunk.iter() {
-                        // Records carry their index modulo 11 in the PC;
-                        // full-order checks live in the streams tests.
-                        let _ = rec.pc;
-                        total += 1;
+            let seen = scan_shards(
+                &trace,
+                shards,
+                |_| (0u64, None),
+                |(total, last), chunk| {
+                    // Record i has pc 0x10 + (i % 11) * 8.
+                    for rec in chunk {
+                        assert_eq!(rec.pc, 0x10 + (*total % 11) * 8);
+                        *total += 1;
                     }
                     assert!(chunk.len() <= CHUNK_RECORDS);
-                    prev = Some(chunk.len());
-                }
-                assert_eq!(prev, Some((n as usize) % CHUNK_RECORDS));
-                total
-            })
+                    *last = Some(chunk.len());
+                },
+            )
             .expect("scan");
-            assert_eq!(counts, vec![n; shards], "shards = {shards}");
+            let want = (n, Some((n as usize) % CHUNK_RECORDS));
+            assert_eq!(seen, vec![want; shards], "shards = {shards}");
         }
     }
 
@@ -299,14 +296,23 @@ mod tests {
     }
 
     #[test]
-    fn worker_results_come_back_in_shard_order() {
+    fn shard_states_come_back_in_shard_order() {
         let trace = sample_trace(100);
-        let ids = scan_sharded(&trace, 5, |shard, chunks| {
-            for _ in chunks {}
-            shard
-        })
-        .expect("scan");
-        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+        let caller = std::thread::current().id();
+        for shards in [0usize, 1, 5] {
+            let states = scan_shards(
+                &trace,
+                shards,
+                |shard| (shard, std::thread::current().id()),
+                |_, _| {},
+            )
+            .expect("scan");
+            let ids: Vec<usize> = states.iter().map(|&(shard, _)| shard).collect();
+            assert_eq!(ids, (0..shards.max(1)).collect::<Vec<_>>());
+            // One shard folds on the calling thread; more get a thread each.
+            let on_caller = states.iter().filter(|&&(_, id)| id == caller).count();
+            assert_eq!(on_caller, usize::from(shards <= 1), "{shards} shards");
+        }
     }
 
     #[test]

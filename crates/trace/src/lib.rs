@@ -67,7 +67,7 @@ mod trace;
 mod window;
 
 pub use bps::{BpsBytes, BpsError, Words};
-pub use executor::{par_map, par_threads, scan_sharded, shard_of, Chunk, ChunkStream};
+pub use executor::{par_map, par_threads, scan_shards, shard_of};
 pub use fx::{FxHashMap, FxHashSet};
 pub use profile::{BranchProfile, ProfileEntry};
 pub use record::{BranchKind, BranchRecord, Pc};
@@ -75,7 +75,7 @@ pub use recorder::Recorder;
 pub use sink::{CountingSink, TeeSink, TraceBuffer, TraceSink, CHUNK_RECORDS};
 pub use source::TraceSource;
 pub use stats::TraceStats;
-pub use streams::{BranchStreams, OutcomeStream, StreamRuns, StreamSink};
+pub use streams::{BranchStreams, OutcomeStream, StreamRuns};
 pub use tag::{pattern_count, pattern_index, InstanceTag, TagOutcome, TagScheme};
 pub use trace::Trace;
 pub use window::{PathWindow, WindowEntry};

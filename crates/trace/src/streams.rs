@@ -3,11 +3,10 @@ use crate::fx::FxHashMap;
 use serde::{Deserialize, Serialize};
 
 use crate::bps::Words;
-use crate::executor::{scan_sharded, shard_of};
+use crate::executor::{scan_shards, shard_of};
 use crate::io::TraceIoError;
 use crate::profile::{BranchProfile, ProfileEntry};
-use crate::record::{BranchRecord, Pc};
-use crate::sink::TraceSink;
+use crate::record::Pc;
 use crate::source::TraceSource;
 use crate::trace::Trace;
 
@@ -175,28 +174,6 @@ impl BranchStreams {
         }
     }
 
-    /// An incremental builder: a [`TraceSink`] that folds chunks into
-    /// packed per-branch streams as they pass. The streaming counterpart
-    /// of [`BranchStreams::of`] — working memory is the packed artifact
-    /// itself (~1 bit per dynamic conditional), never the raw records.
-    pub fn sink() -> StreamSink {
-        StreamSink {
-            streams: BranchStreams::default(),
-        }
-    }
-
-    /// Builds the artifact by scanning a [`TraceSource`] once. Identical
-    /// output to [`BranchStreams::of`] on the materialized trace.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the source's scan error (in-memory sources never fail).
-    pub fn from_source<T: TraceSource + ?Sized>(source: &T) -> Result<Self, TraceIoError> {
-        let mut sink = BranchStreams::sink();
-        source.scan(&mut |chunk| sink.chunk(chunk))?;
-        Ok(sink.finish())
-    }
-
     /// Reassembles an artifact from already-built parts (the `.bps`
     /// re-open path and the sharded builders' merge). `total_dynamic`
     /// must equal the summed stream lengths.
@@ -211,11 +188,11 @@ impl BranchStreams {
         }
     }
 
-    /// Builds the artifact with the pipelined chunk executor: one scan on
-    /// the calling thread, `shards` workers each packing the streams of
-    /// the PCs they own. The partial maps are disjoint by PC, so their
-    /// union — and therefore the returned artifact — is identical to
-    /// [`BranchStreams::from_source`] for every shard count.
+    /// Builds the artifact in one scan on [`scan_shards`]: each of
+    /// `shards` steps packs the streams of the PCs its shard owns. The
+    /// partial maps are disjoint by PC, so their union — and therefore the
+    /// returned artifact — is identical to [`BranchStreams::of`] on the
+    /// materialized trace, for every shard count.
     ///
     /// # Errors
     ///
@@ -224,26 +201,25 @@ impl BranchStreams {
         source: &T,
         shards: usize,
     ) -> Result<Self, TraceIoError> {
-        let shards = shards.max(1);
-        let parts = scan_sharded(source, shards, |shard, chunks| {
-            let mut streams: FxHashMap<Pc, OutcomeStream> = FxHashMap::default();
-            let mut total = 0u64;
-            for chunk in chunks {
-                for rec in chunk.iter() {
-                    if rec.is_conditional() && shard_of(rec.pc, shards) == shard {
+        let parts = scan_shards(
+            source,
+            shards,
+            |shard| (shard, FxHashMap::<Pc, OutcomeStream>::default(), 0u64),
+            |(shard, streams, total), chunk| {
+                for rec in chunk {
+                    if rec.is_conditional() && shard_of(rec.pc, shards) == *shard {
                         streams.entry(rec.pc).or_default().push(rec.taken);
-                        total += 1;
+                        *total += 1;
                     }
                 }
-            }
-            (streams, total)
-        })?;
+            },
+        )?;
         let mut streams: FxHashMap<Pc, OutcomeStream> = FxHashMap::with_capacity_and_hasher(
-            parts.iter().map(|(m, _)| m.len()).sum(),
+            parts.iter().map(|(_, m, _)| m.len()).sum(),
             Default::default(),
         );
         let mut total = 0u64;
-        for (part, part_total) in parts {
+        for (_, part, part_total) in parts {
             streams.extend(part);
             total += part_total;
         }
@@ -287,39 +263,6 @@ impl BranchStreams {
             })
             .collect();
         BranchProfile::from_parts(entries, self.total_dynamic)
-    }
-}
-
-/// Incremental [`BranchStreams`] builder (see [`BranchStreams::sink`]).
-#[derive(Debug, Default)]
-pub struct StreamSink {
-    streams: BranchStreams,
-}
-
-impl StreamSink {
-    /// Completes the build and returns the packed artifact.
-    pub fn finish(self) -> BranchStreams {
-        self.streams
-    }
-
-    /// The artifact built so far (chunks consumed to date).
-    pub fn built(&self) -> &BranchStreams {
-        &self.streams
-    }
-}
-
-impl TraceSink for StreamSink {
-    fn chunk(&mut self, records: &[BranchRecord]) {
-        for rec in records {
-            if rec.is_conditional() {
-                self.streams
-                    .streams
-                    .entry(rec.pc)
-                    .or_default()
-                    .push(rec.taken);
-                self.streams.total_dynamic += 1;
-            }
-        }
     }
 }
 
@@ -409,8 +352,18 @@ mod tests {
         assert_eq!(derived, direct);
     }
 
+    /// The records re-framed at a fixed chunk size.
+    struct Rechunked(Vec<BranchRecord>, usize);
+
+    impl TraceSource for Rechunked {
+        fn scan(&self, visit: &mut dyn FnMut(&[BranchRecord])) -> Result<(), TraceIoError> {
+            self.0.chunks(self.1).for_each(visit);
+            Ok(())
+        }
+    }
+
     #[test]
-    fn sink_and_source_builds_match_materialized() {
+    fn source_builds_match_materialized() {
         let mut recs = Vec::new();
         for i in 0..500u64 {
             recs.push(BranchRecord::conditional(0x10 + (i % 5) * 8, i % 3 == 0));
@@ -427,13 +380,12 @@ mod tests {
         let direct = BranchStreams::of(&trace);
         // Chunk-size-independent: misaligned chunk boundaries included.
         for chunk_size in [1usize, 63, 64, 65, 497] {
-            let mut sink = BranchStreams::sink();
-            for chunk in recs.chunks(chunk_size) {
-                sink.chunk(chunk);
+            let source = Rechunked(recs.clone(), chunk_size);
+            for shards in [1, 2] {
+                let built = BranchStreams::from_source_sharded(&source, shards).unwrap();
+                assert_eq!(built, direct, "chunk size {chunk_size}, {shards} shards");
             }
-            assert_eq!(sink.finish(), direct, "chunk size {chunk_size}");
         }
-        assert_eq!(BranchStreams::from_source(&trace).unwrap(), direct);
     }
 
     #[test]

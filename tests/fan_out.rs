@@ -3,8 +3,9 @@
 //! targets, and the jobs-2 and jobs-7 results must equal the jobs-1
 //! result: experiments through a prewarmed engine (benchmark fan-out,
 //! trace generation, the oracle search and the sweep materialization
-//! inside it), the three bp-core parallel kernels against their serial
-//! twins, and a probe sweep.
+//! inside it), the candidate, matrix and sweep builders at 1, 2 and 7
+//! shards, the three bp-core parallel kernels against their serial twins,
+//! and a probe sweep.
 
 use bp_core::{
     Classifier, ClassifierConfig, OracleConfig, OracleSelector, OutcomeMatrix, SweepMatrix,
@@ -12,7 +13,7 @@ use bp_core::{
 };
 use bp_experiments::{run_experiment, Engine, ExperimentConfig, TraceSet};
 use bp_probe::{run_sweep, ProbeKind, SweepConfig, ZooConfig};
-use bp_trace::{BranchStreams, Trace};
+use bp_trace::{BranchStreams, TagScheme, Trace};
 use bp_workloads::{Benchmark, WorkloadConfig};
 
 const JOBS: [usize; 3] = [1, 2, 7];
@@ -60,16 +61,32 @@ fn parallel_kernels_match_their_serial_twins() {
     let streams = BranchStreams::of(&trace);
     let ccfg = ClassifierConfig::default();
     let ocfg = OracleConfig::default();
-    let matrix = OutcomeMatrix::build(
-        &trace,
-        &TagCandidates::collect(&trace, ocfg.window, ocfg.candidate_cap),
-        ocfg.window,
-    );
-    let sweep = SweepMatrix::build(&trace, &[8, 16], &[32, 48]);
+    let (window, cap) = (ocfg.window, ocfg.candidate_cap);
+    let cands = TagCandidates::collect(&trace, window, cap);
+    let matrix = OutcomeMatrix::build(&trace, &cands, window);
+    let (windows, caps) = ([8, 16], [32, 48]);
+    let sweep = SweepMatrix::build(&trace, &windows, &caps);
 
     let classification = Classifier::classify_streams(&streams, &ccfg);
     let oracle = OracleSelector::analyze_matrix(&matrix, &ocfg);
     for jobs in JOBS {
+        // The builders, with `jobs` shards.
+        let got =
+            TagCandidates::collect_from_source_sharded(&trace, window, cap, &TagScheme::ALL, jobs)
+                .expect("in-memory scan");
+        assert!(got == cands, "jobs {jobs}: candidates");
+        let got = OutcomeMatrix::build_from_source_sharded(&trace, &cands, window, jobs)
+            .expect("in-memory scan");
+        assert!(got == matrix, "jobs {jobs}: matrix");
+        let got =
+            SweepMatrix::build_from_source(&trace, &windows, &caps, jobs).expect("in-memory scan");
+        for i in 0..windows.len() {
+            assert!(
+                got.materialize(i) == sweep.materialize(i),
+                "jobs {jobs}: sharded sweep point {i}"
+            );
+        }
+
         let (got, _) = Classifier::classify_streams_parallel(&streams, &ccfg, jobs);
         assert_eq!(got, classification, "jobs {jobs}: classification");
 

@@ -1,7 +1,5 @@
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use bp_predictors::{PerBranchStats, PredictionStats};
 use bp_trace::BranchProfile;
 
@@ -30,7 +28,7 @@ impl<'a> Contender<'a> {
 /// ties (the paper does not classify branches "predicted at least as
 /// accurately" by ideal static); among the dynamic contenders, the earlier
 /// one in the input list wins ties.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BestOfDistribution {
     fractions: HashMap<String, f64>,
     static_bias_fraction: f64,

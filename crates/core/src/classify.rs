@@ -1,13 +1,11 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 use bp_predictors::{PerBranchStats, SaturatingCounter, MAX_TRIP};
 use bp_trace::{par_map, BranchProfile, BranchStreams, FxHashMap, OutcomeStream, Pc, Trace};
 
 /// The per-address predictability classes of §4.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PaClass {
     /// No class predictor beats predicting the branch's predominant
     /// direction (most such branches are >99% biased).
@@ -47,7 +45,7 @@ impl PaClass {
 ///
 /// `Hash`/`Eq` cover every field, so the config doubles as its own
 /// memoization fingerprint in the evaluation-engine cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClassifierConfig {
     /// Largest fixed pattern length swept (the paper uses 32).
     pub max_period: u32,
@@ -65,7 +63,7 @@ impl Default for ClassifierConfig {
 }
 
 /// Per-branch class-predictor scores and the resulting class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchClassScores {
     /// Dynamic executions of the branch.
     pub executions: u64,

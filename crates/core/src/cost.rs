@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use bp_predictors::PredictionStats;
 
 /// A simple pipeline cost model: translates prediction accuracy into the
@@ -23,7 +21,7 @@ use bp_predictors::PredictionStats;
 /// // Halving mispredictions buys a measurable speedup:
 /// assert!(model.speedup(&hybrid, &gshare) > 1.05);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Pipeline flush penalty per misprediction, in cycles.
     pub mispredict_penalty: f64,

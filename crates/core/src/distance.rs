@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use bp_trace::{PathWindow, Trace};
 
 use crate::oracle::OracleResult;
@@ -13,7 +11,7 @@ use crate::oracle::OracleResult;
 /// `d`-th most recent branch) or to not-in-path. The histogram is weighted
 /// by dynamic executions, so it answers: *how much history does a real
 /// predictor need to reach the correlation the oracle found?*
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DistanceHistogram {
     /// `counts[d-1]` = tag resolutions at distance `d`.
     counts: Vec<u64>,

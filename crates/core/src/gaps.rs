@@ -1,8 +1,6 @@
 use bp_predictors::{BranchSite, Predictor};
 use bp_trace::Trace;
 
-use serde::{Deserialize, Serialize};
-
 /// Distribution of gaps between consecutive mispredictions, plus accuracy
 /// over trace deciles.
 ///
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// predictor still training shows a rising accuracy trend across deciles,
 /// which is exactly the effect EXPERIMENTS.md blames for the reproduction's
 /// compressed "w/ Corr" gains.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MispredictProfile {
     /// Gap lengths between consecutive mispredictions (first gap measured
     /// from trace start), in predictions.

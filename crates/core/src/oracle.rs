@@ -1,7 +1,5 @@
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use bp_predictors::{PerBranchStats, PredictionStats, SaturatingCounter};
 use bp_trace::{par_map, InstanceTag, Pc, Trace};
 
@@ -12,7 +10,7 @@ use crate::matrix::{BranchMatrix, OutcomeMatrix};
 pub const MAX_SELECTIVE_TAGS: usize = 3;
 
 /// How the oracle searches for the best tag subset per branch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SearchStrategy {
     /// Forward selection: fix the best single tag, then the best partner,
     /// then the best third. Linear in candidates per size step.

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use bp_predictors::PerBranchStats;
 
 /// The figure 9 curve: per-branch accuracy difference between two
@@ -24,7 +22,7 @@ use bp_predictors::PerBranchStats;
 /// let curve = PercentileCurve::accuracy_difference(&a, &b);
 /// assert!((curve.value_at(50.0) - 20.0).abs() < 1e-9); // a is 20pp better
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PercentileCurve {
     /// `(diff_pp, dynamic_weight)` sorted ascending by diff.
     points: Vec<(f64, u64)>,

@@ -8,9 +8,8 @@
 //! ranked and resolved one record at a time at exactly the requested
 //! window ([`outcome_matrix`]), ternary digits expanded to one byte each,
 //! class predictors stepped one execution at a time through their real
-//! `bp_predictors` state machines: the property tests assert exact
-//! agreement on random traces, and the `oracle_kernel` /
-//! `classify_kernel` Criterion benches measure the speedups against them.
+//! `bp_predictors` state machines: the property tests and the
+//! conformance sweep assert exact agreement on random traces.
 //!
 //! Always compiled so the `bp-conformance` differential runners can link
 //! it directly, but hidden from docs: it is not part of the crate's

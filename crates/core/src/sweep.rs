@@ -31,12 +31,13 @@ use bp_trace::fx::FxHashMap;
 use bp_trace::io::TraceIoError;
 use bp_trace::{
     par_map, scan_shards, shard_of, InstanceTag, PathWindow, Pc, TagScheme, Trace, TraceSource,
+    MAX_SHARDS,
 };
 
 use crate::matrix::{BranchMatrix, OutcomeMatrix};
 
 /// Most sweep points one artifact supports: bucket indices are packed into
-/// at most [`BUCKET_BITS`] bit-planes.
+/// at most three bit-planes.
 pub const MAX_SWEEP_WINDOWS: usize = 8;
 const BUCKET_BITS: usize = 3;
 
@@ -234,6 +235,7 @@ pub(crate) fn rank_candidates<const B: usize, T: TraceSource + Sync + ?Sized>(
         caps.iter().all(|&c| c > 0),
         "candidate caps must be positive"
     );
+    let shards = shards.min(MAX_SHARDS);
     let parts = scan_shards(
         source,
         shards,
@@ -307,6 +309,7 @@ pub(crate) fn pack_planes<T: TraceSource + Sync + ?Sized>(
 ) -> Result<FxHashMap<Pc, SweepBranch>, TraceIoError> {
     let (path, bucket_of) = window_buckets(windows);
     let bits = bucket_bits(windows.len());
+    let shards = shards.min(MAX_SHARDS);
     let parts = scan_shards(
         source,
         shards,

@@ -698,7 +698,7 @@ impl Engine {
     /// Pre-warms the cache for a multi-experiment run: generates every
     /// trace (in parallel), then computes the four standard predictors'
     /// per-branch stats in a *single* batched pass per trace
-    /// ([`simulate_batch`]), so no later experiment pays a separate
+    /// ([`simulate_batch_source`]), so no later experiment pays a separate
     /// simulation pass for them.
     pub fn prewarm(&self, cfg: &ExperimentConfig) {
         if !self.traces.is_streaming() {

@@ -213,6 +213,22 @@ fn parallel_output_is_byte_identical_to_serial() {
 }
 
 #[test]
+fn a_jobs_budget_beyond_any_thread_limit_changes_nothing() {
+    // Shard builds are capped, so a huge budget neither aborts on thread
+    // spawn nor changes stdout.
+    let run = |jobs: &str, experiment: &str| {
+        let out = repro()
+            .args(["--quick", "--jobs", jobs, experiment])
+            .output()
+            .expect("run repro");
+        assert!(out.status.success(), "--jobs {jobs} {experiment}: {out:?}");
+        out.stdout
+    };
+    assert_eq!(run("3000", "fig4"), run("2", "fig4"));
+    assert_eq!(run("100000", "all"), run("2", "all"));
+}
+
+#[test]
 fn timings_report_shared_results_computed_once() {
     let path = std::env::temp_dir().join(format!("repro-timings-{}.json", std::process::id()));
     let out = repro()

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// An *n*-bit saturating up/down counter — the second-level state element of
 /// every two-level predictor (Smith '81; Yeh & Patt).
 ///
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// c.train(false); // saturates at 0
 /// assert_eq!(c.value(), 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SaturatingCounter {
     value: u8,
     max: u8,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// A *k*-bit branch history shift register — the first-level state of a
 /// two-level predictor.
 ///
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// h.push(true);
 /// assert_eq!(h.value(), 0b101);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShiftHistory {
     bits: u64,
     mask: u64,

@@ -1,7 +1,5 @@
 use bp_trace::fx::FxHashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::counter::SaturatingCounter;
 use crate::history::ShiftHistory;
 use crate::pht::PatternHistoryTable;
@@ -12,7 +10,7 @@ use bp_trace::Pc;
 /// al. \[9\] and Young et al. \[12\] (paper §2.2): a prediction *interferes*
 /// when the PHT counter it reads was last trained by a different
 /// (branch, history) pair.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InterferenceStats {
     /// Predictions whose counter was last touched by the same
     /// (branch, history) pair — no interference.

@@ -1,7 +1,5 @@
 use bp_trace::fx::FxHashMap;
 
-use serde::{Deserialize, Serialize};
-
 use bp_trace::io::TraceIoError;
 use bp_trace::{Pc, Trace, TraceSource};
 
@@ -9,7 +7,7 @@ use crate::{BranchSite, Predictor};
 
 /// Prediction accuracy bookkeeping: how many predictions were made and how
 /// many were correct.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredictionStats {
     /// Total predictions made.
     pub predictions: u64,
@@ -59,7 +57,7 @@ impl PredictionStats {
 /// hypothetical combined predictors of Tables 2 and 3 and the "best
 /// predictor" distributions of Figures 6–8 all compare predictors *per
 /// branch* using exactly these counts.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PerBranchStats {
     per_branch: FxHashMap<Pc, PredictionStats>,
     total: PredictionStats,

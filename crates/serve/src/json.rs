@@ -1,7 +1,7 @@
 //! Minimal JSON value model, parser, and writer for the wire protocol.
 //!
-//! The workspace's `serde` is an offline no-op shim (see `crates/serde`),
-//! so the serving protocol carries its own JSON support: a small value
+//! The workspace builds offline with no serialization crate, so the
+//! serving protocol carries its own JSON support: a small value
 //! enum, a recursive-descent parser with byte-offset error positions, and
 //! a deterministic writer (object keys keep insertion order, so encoding
 //! the same value always yields the same bytes — the CI smoke job and the

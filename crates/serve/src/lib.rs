@@ -22,7 +22,7 @@
 //!
 //! | module | what |
 //! |---|---|
-//! | [`json`] | minimal JSON value/parser/writer (the vendored serde is a no-op shim) |
+//! | [`json`] | minimal JSON value/parser/writer (the workspace has no serialization crate) |
 //! | [`protocol`] | length-prefixed JSON frames; request/response types; typed error codes |
 //! | [`sys`] | the one foreign call: `poll(2)` (the only unsafe in the crate) |
 //! | [`reactor`] | single-thread readiness loop owning every socket |

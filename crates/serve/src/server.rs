@@ -6,7 +6,7 @@
 //!
 //! * One **reactor** thread ([`crate::reactor`]) owns the listener and
 //!   every client socket, multiplexed with `poll(2)`. It parses frames
-//!   incrementally from per-connection buffers and runs [`dispatch`]
+//!   incrementally from per-connection buffers and runs `dispatch`
 //!   for each complete request — 10k idle connections cost 10k fds and
 //!   their buffers, not 10k thread stacks.
 //! * **Dispatch** (on the reactor thread) answers cheap requests inline

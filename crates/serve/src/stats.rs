@@ -15,7 +15,7 @@ const BUCKETS: usize = 16 + (64 - 4) * SUBBUCKETS;
 /// Lock-free histogram of microsecond latencies.
 ///
 /// Values below 16µs are counted exactly; above that, buckets subdivide
-/// each power-of-two octave into [`SUBBUCKETS`] slices, so any reported
+/// each power-of-two octave into four slices, so any reported
 /// quantile is within ~19% of the true value — plenty for the
 /// p50/p99/p999 the `stats` endpoint reports (and the recorded maximum
 /// is exact).

@@ -32,7 +32,7 @@ pub struct PollFd {
     pub fd: i32,
     /// Requested events (`POLLIN` / `POLLOUT`).
     pub events: i16,
-    /// Kernel-reported readiness, filled by [`poll`].
+    /// Kernel-reported readiness, filled by [`poll_fds`].
     pub revents: i16,
 }
 

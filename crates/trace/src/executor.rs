@@ -23,7 +23,8 @@
 //! [`CHUNK_RECORDS`] records exist at any moment, recycled through a free
 //! list when the last worker drops its `Arc`. The bounded channels give
 //! backpressure — a slow worker stalls the producer rather than letting
-//! chunks pile up.
+//! chunks pile up. A scan runs at most [`MAX_SHARDS`] shards, however
+//! many are asked for.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -33,6 +34,13 @@ use crate::io::TraceIoError;
 use crate::record::{BranchRecord, Pc};
 use crate::sink::CHUNK_RECORDS;
 use crate::source::TraceSource;
+
+/// The most shards [`scan_shards`] runs. Each shard costs a thread and a
+/// ring buffer, so a huge `--jobs` must not become one of each per job. A
+/// builder caps its count with this once, so that [`scan_shards`] and its
+/// [`shard_of`] ownership test see the same number. At least 65, so the
+/// conformance suite's 1/63/64/65-shard builds run as asked.
+pub const MAX_SHARDS: usize = 256;
 
 /// Which shard owns a PC, for a given shard count. A multiplicative hash
 /// spreads clustered PC values (synthetic workloads allocate them
@@ -72,7 +80,8 @@ impl Drop for Chunk {
 /// one worker thread each, fed by the broadcast scan the module docs
 /// describe. A step that does its per-branch work only for the PCs its
 /// shard owns ([`shard_of`]) yields disjoint states, whose union is the
-/// same for every shard count.
+/// same for every shard count. `shards` is capped at [`MAX_SHARDS`], which
+/// the caller's ownership test must apply too.
 ///
 /// # Errors
 ///
@@ -91,6 +100,7 @@ where
     S: TraceSource + Sync + ?Sized,
     W: Send,
 {
+    let shards = shards.min(MAX_SHARDS);
     if shards <= 1 {
         let mut state = init(0);
         source.scan(&mut |chunk| step(&mut state, chunk))?;
@@ -312,6 +322,19 @@ mod tests {
             // One shard folds on the calling thread; more get a thread each.
             let on_caller = states.iter().filter(|&&(_, id)| id == caller).count();
             assert_eq!(on_caller, usize::from(shards <= 1), "{shards} shards");
+        }
+    }
+
+    #[test]
+    fn an_over_cap_request_runs_max_shards() {
+        let trace = sample_trace(100);
+        for shards in [MAX_SHARDS, MAX_SHARDS + 1, 100_000] {
+            let states = scan_shards(&trace, shards, |shard| shard, |_, _| {}).expect("scan");
+            assert_eq!(
+                states,
+                (0..MAX_SHARDS).collect::<Vec<_>>(),
+                "{shards} shards"
+            );
         }
     }
 

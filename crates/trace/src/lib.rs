@@ -20,9 +20,8 @@
 //!   popcount, run-length decomposition by trailing-zero scans).
 //! * [`script`] — the synthetic-workload DSL: per-branch outcome scripts
 //!   ([`script::Segment`], [`script::BranchScript`]) interleaved into one
-//!   trace ([`script::TraceSpec`]), emitted eagerly or streamed through
-//!   any [`TraceSink`]. Shared by the conformance corpus and the
-//!   `bp-probe` measurement programs.
+//!   trace ([`script::TraceSpec`]). Shared by the conformance corpus and
+//!   the `bp-probe` measurement programs.
 //!
 //! # Example
 //!
@@ -67,12 +66,12 @@ mod trace;
 mod window;
 
 pub use bps::{BpsBytes, BpsError, Words};
-pub use executor::{par_map, par_threads, scan_shards, shard_of};
+pub use executor::{par_map, par_threads, scan_shards, shard_of, MAX_SHARDS};
 pub use fx::{FxHashMap, FxHashSet};
 pub use profile::{BranchProfile, ProfileEntry};
 pub use record::{BranchKind, BranchRecord, Pc};
 pub use recorder::Recorder;
-pub use sink::{CountingSink, TeeSink, TraceBuffer, TraceSink, CHUNK_RECORDS};
+pub use sink::{CountingSink, TraceBuffer, TraceSink, CHUNK_RECORDS};
 pub use source::TraceSource;
 pub use stats::TraceStats;
 pub use streams::{BranchStreams, OutcomeStream, StreamRuns};

@@ -1,12 +1,10 @@
 use crate::fx::FxHashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::record::Pc;
 use crate::trace::Trace;
 
 /// Per-static-branch execution profile entry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProfileEntry {
     /// Dynamic executions of the branch.
     pub executions: u64,
@@ -63,7 +61,7 @@ impl ProfileEntry {
 /// assert_eq!(profile.get(0x8).unwrap().taken, 90);
 /// assert!((profile.ideal_static_accuracy() - 0.9).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BranchProfile {
     entries: FxHashMap<Pc, ProfileEntry>,
     total_dynamic: u64,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// A branch instruction address.
 ///
 /// Synthetic workloads assign stable, unique `Pc` values to every static
@@ -13,9 +11,7 @@ pub type Pc = u64;
 /// trace format carries calls, returns, and unconditional jumps too so the
 /// path (and in-path correlation across subroutine boundaries, §3.1) is
 /// fully represented by workloads that want it.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum BranchKind {
     /// A conditional direct branch; the only kind predictors are scored on.
     #[default]
@@ -37,7 +33,7 @@ impl BranchKind {
 }
 
 /// One dynamic branch execution in a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BranchRecord {
     /// Address of the branch instruction.
     pub pc: Pc,

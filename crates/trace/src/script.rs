@@ -1,5 +1,5 @@
-//! First-class synthetic-workload DSL: per-branch outcome scripts,
-//! interleaving policies, and streaming emission.
+//! First-class synthetic-workload DSL: per-branch outcome scripts and
+//! interleaving policies.
 //!
 //! Born as the conformance suite's adversarial trace generator, this
 //! module is the workspace's one shared way to *say what a trace does*:
@@ -11,20 +11,14 @@
 //! loop-trip capacity probes, PC-aliasing pairs) against the predictor
 //! zoo.
 //!
-//! Two emission paths, property-tested byte-identical:
-//!
-//! * [`TraceSpec::build`] — the eager reference: expand every script to
-//!   a `Vec<bool>`, materialize the interleaved [`Trace`]. This is the
-//!   executable spec, unchanged from its conformance origin so every
-//!   canned corpus case stays byte-identical.
-//! * [`TraceSpec::emit_into`] — the streaming twin: lazy per-branch
-//!   outcome cursors feeding any [`TraceSink`] in [`CHUNK_RECORDS`]
-//!   batches, so a probe program or repro workload can flow through the
-//!   same chunked pipeline as the paper-scale generators. Only
-//!   [`Interleave::Shuffled`] materializes anything proportional to the
-//!   trace (its global emission order).
+//! [`TraceSpec::build`] is the one emission path: it expands every
+//! script to a `Vec<bool>` and materializes the interleaved [`Trace`].
+//! It is the executable spec, unchanged from its conformance origin so
+//! every canned corpus case stays byte-identical. Probe programs and
+//! conformance cases fit in memory; the paper-scale traces stream from
+//! the workload generators instead.
 
-use crate::{BranchRecord, Pc, Trace, TraceBuffer, TraceSink, CHUNK_RECORDS};
+use crate::{BranchRecord, Pc, Trace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -155,58 +149,6 @@ impl BranchScript {
     }
 }
 
-/// Lazy outcome iterator over a [`BranchScript`] — the streaming twin of
-/// [`BranchScript::outcomes`], yielding the identical sequence without
-/// materializing it.
-struct OutcomeCursor<'a> {
-    segments: &'a [Segment],
-    /// Index of the segment currently being emitted.
-    seg: usize,
-    /// Position within the current segment.
-    pos: usize,
-    /// Cumulative outcomes produced — [`Segment::WordFlip`] keys its
-    /// polarity on this, exactly as the eager expansion keys on
-    /// `out.len()`.
-    emitted: usize,
-}
-
-impl<'a> OutcomeCursor<'a> {
-    fn new(script: &'a BranchScript) -> Self {
-        OutcomeCursor {
-            segments: &script.segments,
-            seg: 0,
-            pos: 0,
-            emitted: 0,
-        }
-    }
-}
-
-impl Iterator for OutcomeCursor<'_> {
-    type Item = bool;
-
-    fn next(&mut self) -> Option<bool> {
-        loop {
-            let seg = self.segments.get(self.seg)?;
-            if self.pos >= seg.len() {
-                self.seg += 1;
-                self.pos = 0;
-                continue;
-            }
-            let out = match seg {
-                Segment::Run { taken, .. } => *taken,
-                Segment::Pattern { bits, .. } => bits[self.pos % bits.len()],
-                Segment::Loop { trip, .. } => self.pos % (trip + 1) < *trip,
-                Segment::WordFlip { bits, .. } => {
-                    bits[self.pos % bits.len()] ^ ((self.emitted / 64) % 2 == 1)
-                }
-            };
-            self.pos += 1;
-            self.emitted += 1;
-            return Some(out);
-        }
-    }
-}
-
 /// How per-branch outcome scripts are merged into one dynamic trace.
 #[derive(Debug, Clone, Copy)]
 pub enum Interleave {
@@ -234,8 +176,8 @@ impl TraceSpec {
         self.branches.iter().map(BranchScript::len).sum()
     }
 
-    /// Builds the dynamic trace eagerly (the executable spec —
-    /// [`TraceSpec::emit_into`] is property-tested byte-identical).
+    /// Builds the dynamic trace: every script expanded, then merged in
+    /// the interleave's order.
     pub fn build(&self) -> Trace {
         let outcomes: Vec<Vec<bool>> = self.branches.iter().map(BranchScript::outcomes).collect();
         let order: Vec<usize> = match self.interleave {
@@ -261,57 +203,6 @@ impl TraceSpec {
         }
         Trace::from_records(recs)
     }
-
-    /// Streams the dynamic trace into `sink` in [`CHUNK_RECORDS`]
-    /// batches, never materializing the per-branch outcome vectors.
-    ///
-    /// [`Interleave::Shuffled`] is the exception to "never": a seeded
-    /// global shuffle needs the full emission order (one `usize` per
-    /// dynamic branch) before the first record can be emitted; the
-    /// outcomes themselves still stream through lazy cursors.
-    pub fn emit_into<S: TraceSink>(&self, sink: &mut S) {
-        match self.interleave {
-            Interleave::RoundRobin => self.emit_blocks(1, sink),
-            Interleave::Blocks(n) => self.emit_blocks(n.max(1), sink),
-            Interleave::Shuffled(seed) => {
-                let mut order: Vec<usize> = self
-                    .branches
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(b, s)| std::iter::repeat_n(b, s.len()))
-                    .collect();
-                order.shuffle(&mut StdRng::seed_from_u64(seed));
-                let mut cursors: Vec<OutcomeCursor> =
-                    self.branches.iter().map(OutcomeCursor::new).collect();
-                let mut buf = chunk_buffer(order.len());
-                for b in order {
-                    let taken = cursors[b].next().expect("cursor length matches order");
-                    push_record(&mut buf, record_for(&self.branches[b], taken), sink);
-                }
-                flush(&mut buf, sink);
-            }
-        }
-    }
-
-    /// Block interleaving, streamed: `n` outcomes per live branch per
-    /// round until every cursor is drained.
-    fn emit_blocks<S: TraceSink>(&self, n: usize, sink: &mut S) {
-        let total = self.total_len();
-        let mut cursors: Vec<OutcomeCursor> =
-            self.branches.iter().map(OutcomeCursor::new).collect();
-        let mut buf = chunk_buffer(total);
-        let mut remaining = total;
-        while remaining > 0 {
-            for (b, cursor) in cursors.iter_mut().enumerate() {
-                for _ in 0..n {
-                    let Some(taken) = cursor.next() else { break };
-                    remaining -= 1;
-                    push_record(&mut buf, record_for(&self.branches[b], taken), sink);
-                }
-            }
-        }
-        flush(&mut buf, sink);
-    }
 }
 
 /// The record for one dynamic outcome of `script`.
@@ -323,37 +214,9 @@ fn record_for(script: &BranchScript, taken: bool) -> BranchRecord {
     }
 }
 
-fn chunk_buffer(total: usize) -> Vec<BranchRecord> {
-    Vec::with_capacity(total.min(CHUNK_RECORDS))
-}
-
-fn push_record<S: TraceSink>(buf: &mut Vec<BranchRecord>, rec: BranchRecord, sink: &mut S) {
-    buf.push(rec);
-    if buf.len() == CHUNK_RECORDS {
-        sink.chunk(buf);
-        buf.clear();
-    }
-}
-
-fn flush<S: TraceSink>(buf: &mut Vec<BranchRecord>, sink: &mut S) {
-    if !buf.is_empty() {
-        sink.chunk(buf);
-        buf.clear();
-    }
-}
-
-/// Convenience: stream the spec into a [`TraceBuffer`] and return the
-/// materialized [`Trace`] — the streaming path's answer to
-/// [`TraceSpec::build`].
-pub fn build_streamed(spec: &TraceSpec) -> Trace {
-    let mut buf = TraceBuffer::new();
-    spec.emit_into(&mut buf);
-    buf.into_trace()
-}
-
 /// Emission order for block interleaving: `n` outcomes per live branch
 /// per round until all scripts are drained.
-pub fn interleave_blocks(outcomes: &[Vec<bool>], n: usize) -> Vec<usize> {
+fn interleave_blocks(outcomes: &[Vec<bool>], n: usize) -> Vec<usize> {
     let total: usize = outcomes.iter().map(Vec::len).sum();
     let mut emitted = vec![0usize; outcomes.len()];
     let mut order = Vec::with_capacity(total);
@@ -442,111 +305,5 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "branch {:#x}", script.pc);
         }
-    }
-
-    #[test]
-    fn cursor_matches_eager_expansion_across_segment_kinds() {
-        // WordFlip polarity keys on the *cumulative* outcome index, so a
-        // preceding 70-outcome run must shift its flip seam.
-        let script = BranchScript::new(
-            0x40,
-            vec![
-                Segment::Run {
-                    taken: true,
-                    len: 70,
-                },
-                Segment::WordFlip {
-                    bits: vec![true, false, true],
-                    repeats: 50,
-                },
-                Segment::Loop { trip: 3, exits: 4 },
-                Segment::Pattern {
-                    bits: vec![],
-                    repeats: 3,
-                },
-                Segment::Pattern {
-                    bits: vec![false, true],
-                    repeats: 2,
-                },
-            ],
-        );
-        let lazy: Vec<bool> = OutcomeCursor::new(&script).collect();
-        assert_eq!(lazy, script.outcomes());
-    }
-
-    #[test]
-    fn emit_into_matches_build_for_every_interleave() {
-        let branches = vec![
-            BranchScript::new(
-                0x100,
-                vec![
-                    Segment::Pattern {
-                        bits: vec![true, false, true],
-                        repeats: 30,
-                    },
-                    Segment::Loop { trip: 5, exits: 3 },
-                ],
-            ),
-            {
-                let mut b = BranchScript::new(
-                    0x200,
-                    vec![Segment::WordFlip {
-                        bits: vec![true, true, false],
-                        repeats: 40,
-                    }],
-                );
-                b.target = Some(0x80);
-                b
-            },
-            BranchScript::new(
-                0x300,
-                vec![Segment::Run {
-                    taken: false,
-                    len: 7,
-                }],
-            ),
-        ];
-        for interleave in [
-            Interleave::RoundRobin,
-            Interleave::Blocks(5),
-            Interleave::Blocks(1000),
-            Interleave::Shuffled(0xFEED),
-        ] {
-            let spec = TraceSpec {
-                branches: branches.clone(),
-                interleave,
-            };
-            let eager = spec.build();
-            let streamed = build_streamed(&spec);
-            assert_eq!(
-                streamed.records(),
-                eager.records(),
-                "interleave {interleave:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn emit_into_chunks_at_the_streaming_granularity() {
-        let spec = TraceSpec {
-            branches: vec![BranchScript::new(
-                0x400,
-                vec![Segment::Run {
-                    taken: true,
-                    len: CHUNK_RECORDS + 17,
-                }],
-            )],
-            interleave: Interleave::RoundRobin,
-        };
-        #[derive(Default)]
-        struct ChunkSizes(Vec<usize>);
-        impl TraceSink for ChunkSizes {
-            fn chunk(&mut self, records: &[BranchRecord]) {
-                self.0.push(records.len());
-            }
-        }
-        let mut sizes = ChunkSizes::default();
-        spec.emit_into(&mut sizes);
-        assert_eq!(sizes.0, vec![CHUNK_RECORDS, 17]);
     }
 }

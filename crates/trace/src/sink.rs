@@ -4,13 +4,13 @@
 //! The materialize-then-analyze shape (`Vec<BranchRecord>` of the whole
 //! trace, then passes over it) caps trace scale at memory: a billion
 //! records is ~32 GB. Sinks invert the flow — a producer (a workload
-//! generator, a trace file decoder) hands records over in bounded
+//! generator's [`crate::Recorder`]) hands records over in bounded
 //! fixed-size chunks ([`CHUNK_RECORDS`] at most), and the consumer either
-//! materializes them ([`TraceBuffer`], for small traces and back-compat),
-//! folds them into a compact artifact as they pass
-//! ([`crate::BranchStreams::sink`]), or spills them to disk
-//! (`crate::io::ChunkWriter`). Nothing in the chain ever holds more than
-//! one chunk of raw records.
+//! materializes them ([`TraceBuffer`], for small traces), counts them
+//! ([`CountingSink`]), or spills them to disk ([`crate::io::ChunkWriter`]).
+//! The analyses read a trace back the same way, one chunk at a time,
+//! through [`crate::TraceSource::scan`]. Nothing in the chain ever holds
+//! more than one chunk of raw records.
 
 use crate::record::BranchRecord;
 use crate::trace::Trace;
@@ -104,31 +104,6 @@ impl TraceSink for CountingSink {
     }
 }
 
-/// Duplicates every chunk into two sinks — e.g. spill a trace to disk
-/// while simultaneously folding it into packed outcome streams, in one
-/// generation pass.
-#[derive(Debug, Default)]
-pub struct TeeSink<A, B> {
-    /// First destination.
-    pub a: A,
-    /// Second destination.
-    pub b: B,
-}
-
-impl<A: TraceSink, B: TraceSink> TeeSink<A, B> {
-    /// Tees into `a` and `b`.
-    pub fn new(a: A, b: B) -> Self {
-        TeeSink { a, b }
-    }
-}
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    fn chunk(&mut self, records: &[BranchRecord]) {
-        self.a.chunk(records);
-        self.b.chunk(records);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,15 +142,6 @@ mod tests {
         }
         assert_eq!(c.records, 101);
         assert_eq!(c.conditionals, 100);
-    }
-
-    #[test]
-    fn tee_feeds_both() {
-        let all = recs(5);
-        let mut tee = TeeSink::new(TraceBuffer::new(), CountingSink::default());
-        tee.chunk(&all);
-        assert_eq!(tee.a.len(), 5);
-        assert_eq!(tee.b.records, 5);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::trace::Trace;
 
 /// Aggregate statistics of a trace — the numbers behind the paper's Table 1.
@@ -18,7 +16,7 @@ use crate::trace::Trace;
 /// assert_eq!(stats.dynamic_conditional, 10);
 /// assert_eq!(stats.taken, 5);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
     /// Dynamic conditional branch executions.
     pub dynamic_conditional: u64,

@@ -1,9 +1,7 @@
 use crate::fx::FxHashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::bps::Words;
-use crate::executor::{scan_shards, shard_of};
+use crate::executor::{scan_shards, shard_of, MAX_SHARDS};
 use crate::io::TraceIoError;
 use crate::profile::{BranchProfile, ProfileEntry};
 use crate::record::Pc;
@@ -19,7 +17,7 @@ use crate::trace::Trace;
 /// predictors replay a run-length decomposition extracted with
 /// trailing-zero scans ([`OutcomeStream::runs`]) instead of stepping one
 /// execution at a time.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OutcomeStream {
     words: Words,
     len: usize,
@@ -153,7 +151,7 @@ impl Iterator for StreamRuns<'_> {
 /// assert_eq!(s.taken_count(), 90);
 /// assert_eq!(streams.profile().get(0x8).unwrap().taken, 90);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BranchStreams {
     streams: FxHashMap<Pc, OutcomeStream>,
     total_dynamic: u64,
@@ -201,6 +199,7 @@ impl BranchStreams {
         source: &T,
         shards: usize,
     ) -> Result<Self, TraceIoError> {
+        let shards = shards.min(MAX_SHARDS);
         let parts = scan_shards(
             source,
             shards,

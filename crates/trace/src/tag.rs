@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::record::Pc;
 
 /// How a prior branch *instance* is named relative to the current branch
@@ -9,7 +7,7 @@ use crate::record::Pc;
 /// the examined window, so the address alone is ambiguous. The paper tags
 /// instances two complementary ways and treats tags from the two schemes as
 /// distinct candidates:
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TagScheme {
     /// Number instances of a static branch from the current branch
     /// backwards: `A0` is the most recent occurrence of `A`, `A1` the one
@@ -33,7 +31,7 @@ impl TagScheme {
 ///
 /// `index` is the occurrence number ([`TagScheme::Occurrence`]) or the
 /// backward-branch count ([`TagScheme::Iteration`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstanceTag {
     /// Static address of the prior branch.
     pub pc: Pc,
@@ -69,7 +67,7 @@ impl InstanceTag {
 /// A selective history is built from these outcomes: with *k* tags the
 /// history has `3^k` possible patterns, each selecting its own two-bit
 /// counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TagOutcome {
     /// The tagged instance is in the window and was taken.
     Taken,

@@ -39,18 +39,15 @@ mod gcc;
 mod go;
 mod ijpeg;
 mod m88ksim;
-pub mod micro;
 mod perl;
 mod vortex;
 mod xlisp;
-
-use serde::{Deserialize, Serialize};
 
 use bp_trace::io::TraceIoError;
 use bp_trace::{Trace, TraceSink, TraceSource};
 
 /// Parameters of a workload run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkloadConfig {
     /// RNG seed; each benchmark mixes in its own salt, so the same seed
     /// gives unrelated streams across benchmarks.
@@ -87,7 +84,7 @@ impl WorkloadConfig {
 }
 
 /// The eight SPECint95-analog benchmarks (paper Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Benchmark {
     /// LZW text compressor (models `compress` on `test.in`).
     Compress,

@@ -1,6 +1,7 @@
 //! Integration tests for the beyond-the-paper extensions: the predictor
-//! zoo on real workloads, out-of-sample selective prediction, micro
-//! workloads driving the classifier, and the interference accounting.
+//! zoo on real workloads, out-of-sample selective prediction, scripted
+//! single-behavior branches driving the classifier and the oracle, and
+//! the interference accounting.
 
 use correlation_predictability::core::{
     Classifier, ClassifierConfig, MispredictProfile, OracleConfig, OracleSelector, PaClass,
@@ -9,9 +10,11 @@ use correlation_predictability::core::{
 use correlation_predictability::predictors::{
     simulate, ClassHybrid, Gag, Gshare, Gskew, InterferenceGshare, Pag, StaticPhtGshare,
 };
-use correlation_predictability::trace::BranchProfile;
-use correlation_predictability::workloads::micro::{MicroPattern, MicroTrace};
+use correlation_predictability::trace::script::{BranchScript, Interleave, Segment, TraceSpec};
+use correlation_predictability::trace::{BranchProfile, Pc, Trace};
 use correlation_predictability::workloads::{Benchmark, WorkloadConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 #[test]
 fn predictor_zoo_runs_on_every_workload() {
@@ -62,42 +65,78 @@ fn oracle_selections_generalize_out_of_sample() {
     assert!(out_of_sample > oracle.accuracy(3) - 0.03);
 }
 
+/// PC of the first scripted branch; the rest follow 4 bytes apart.
+const BASE: Pc = 0x0100_0000;
+
+/// One branch per segment, round-robin interleaved.
+fn scripted(segments: Vec<Segment>) -> Trace {
+    TraceSpec {
+        branches: (0..)
+            .zip(segments)
+            .map(|(i, segment)| BranchScript::new(BASE + i * 4, vec![segment]))
+            .collect(),
+        interleave: Interleave::RoundRobin,
+    }
+    .build()
+}
+
 #[test]
 fn micro_patterns_classify_as_designed() {
-    // Each isolated micro behavior must land in its §4 class.
+    // Each isolated single-branch behavior must land in its §4 class.
+    let mut rng = StdRng::seed_from_u64(3);
+    let biased: Vec<bool> = (0..6_000).map(|_| rng.gen_bool(0.995)).collect();
     let cases = [
-        (MicroPattern::Loop { trip: 30 }, PaClass::Loop),
         (
-            MicroPattern::Periodic {
-                pattern: vec![true, true, false, true, false],
+            Segment::Loop {
+                trip: 30,
+                exits: 194,
+            },
+            PaClass::Loop,
+        ),
+        (
+            Segment::Pattern {
+                bits: vec![true, true, false, true, false],
+                repeats: 1_200,
             },
             PaClass::RepeatingPattern,
         ),
         (
-            MicroPattern::Biased { taken_rate: 0.995 },
+            Segment::Pattern {
+                bits: biased,
+                repeats: 1,
+            },
             PaClass::IdealStatic,
         ),
     ];
-    for (pattern, expected) in cases {
-        let trace = MicroTrace::new(3).with(pattern.clone()).generate(6_000);
+    for (segment, expected) in cases {
+        let trace = scripted(vec![segment.clone()]);
         let classification = Classifier::classify(&trace, &ClassifierConfig::default());
-        let base = MicroTrace::base_pc(0);
-        let scores = classification.get(base).expect("pattern branch classified");
-        assert_eq!(scores.class(), expected, "{pattern:?}: {scores:?}");
+        let scores = classification
+            .get(BASE)
+            .expect("scripted branch classified");
+        assert_eq!(scores.class(), expected, "{segment:?}: {scores:?}");
     }
 }
 
 #[test]
 fn micro_correlated_pair_is_found_by_the_oracle() {
-    let trace = MicroTrace::new(9)
-        .with(MicroPattern::Correlated { distance: 6 })
-        .generate(30_000);
+    // Each round: a random leader, six random noise branches, then a
+    // follower that repeats the leader.
+    let mut rng = StdRng::seed_from_u64(9);
+    let rounds: Vec<[bool; 7]> = (0..3_750)
+        .map(|_| std::array::from_fn(|_| rng.gen_bool(0.5)))
+        .collect();
+    let column = |b: usize| Segment::Pattern {
+        bits: rounds.iter().map(|round| round[b]).collect(),
+        repeats: 1,
+    };
+    let trace = scripted((0..7).chain([0]).map(column).collect());
     let oracle = OracleSelector::analyze(&trace, &OracleConfig::default());
-    let follower = MicroTrace::base_pc(0) + 4;
+    let follower = BASE + 7 * 4;
     let sel = oracle.selection(follower).expect("follower analyzed");
     let acc = sel.best[0].correct as f64 / sel.executions as f64;
     assert!(acc > 0.95, "1-tag accuracy on follower {acc}");
-    assert_eq!(sel.best[0].tags[0].pc, MicroTrace::base_pc(0));
+    assert_eq!(sel.best[0].tags[0].pc, BASE);
 }
 
 #[test]

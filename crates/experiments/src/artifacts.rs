@@ -8,13 +8,12 @@
 //! `scale --artifacts DIR` re-opens them through `mmap(2)` in
 //! milliseconds instead of regenerating the trace.
 //!
-//! Rot handling mirrors the `.bpt2` disk cache: any typed open failure —
-//! truncation, magic/version flip, fingerprint mismatch, lying plane
-//! lengths — prints a one-line `notice:` to stderr, removes the rotten
-//! file and its sidecar, and reports a miss so the caller rebuilds; a
-//! simply-missing file is a silent miss. Saving is best-effort (a warning,
-//! never a failure): an artifact store must never make a run less
-//! reliable than running without one.
+//! Any typed open failure — truncation, magic/version flip, fingerprint
+//! mismatch, lying plane lengths — prints a one-line `notice:` to stderr,
+//! removes the rotten file and its sidecar, and reports a miss so the
+//! caller rebuilds; a simply-missing file is a silent miss. Saving is
+//! best-effort (a warning, never a failure): an artifact store must never
+//! make a run less reliable than running without one.
 
 use std::path::{Path, PathBuf};
 

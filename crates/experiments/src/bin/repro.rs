@@ -6,7 +6,6 @@
 //! repro --quick all         40k-branch traces (fast smoke run)
 //! repro --target 1000000 all   paper-scale traces
 //! repro --seed 7 fig6       different workload seed
-//! repro --cache DIR all     persist generated traces as .bpt files
 //! repro --jobs 4 all        four worker threads (same output as --jobs 1)
 //! repro --timings OUT.json all   per-experiment wall clock + cache stats
 //! ```
@@ -27,7 +26,7 @@ use bp_experiments::{run_experiment, Engine, ExperimentConfig, TraceSet, EXPERIM
 
 fn usage() {
     eprintln!(
-        "usage: repro [--quick] [--seed N] [--target N[k|m|b]] [--cache DIR] [--stream] \
+        "usage: repro [--quick] [--seed N] [--target N[k|m|b]] [--stream] \
          [--jobs N] [--timings FILE] [--bare] [--goldens FILE] [--verify-goldens] \
          [--write-goldens] <experiment...|all>"
     );
@@ -132,7 +131,6 @@ fn write_timings(
 fn main() -> ExitCode {
     let mut cfg = ExperimentConfig::default();
     let mut ids: Vec<String> = Vec::new();
-    let mut cache_dir: Option<String> = None;
     let mut stream = false;
     let mut timings_path: Option<String> = None;
     let mut jobs: Option<usize> = None;
@@ -153,14 +151,6 @@ fn main() -> ExitCode {
         }
         match arg.as_str() {
             "--quick" => cfg = ExperimentConfig::quick(),
-            "--cache" => match args.next() {
-                Some(dir) => cache_dir = Some(dir),
-                None => {
-                    eprintln!("error: --cache needs a directory");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
             "--stream" => stream = true,
             "--jobs" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n >= 1 => jobs = Some(n),
@@ -240,10 +230,7 @@ fn main() -> ExitCode {
             cfg.workload.seed, cfg.workload.target_branches
         );
     }
-    let mut traces = match cache_dir {
-        Some(dir) => TraceSet::with_disk_cache(cfg.workload, dir),
-        None => TraceSet::new(cfg.workload),
-    };
+    let mut traces = TraceSet::new(cfg.workload);
     if stream {
         traces = traces.with_streaming();
     }

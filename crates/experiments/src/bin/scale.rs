@@ -4,7 +4,6 @@
 //! ```text
 //! scale --bench m88ksim --target 100m            classification + oracle, streamed
 //! scale --bench gcc --target 2m --materialized   same run via the in-memory path
-//! scale --target 10m --cache DIR                 stream through an on-disk .bpt2
 //! scale --target 1b --skip-oracle                classification only
 //! scale --target 100m --jobs 8                   sharded executor + parallel kernels
 //! scale --target 1b --artifacts DIR              reuse packed .bps artifacts (mmap)
@@ -16,15 +15,14 @@
 //! and whether artifacts were rebuilt or re-opened (CI diffs all of
 //! these); wall-clock per phase — with the thread count that produced it —
 //! and peak resident memory go to stderr. In streaming mode the full
-//! trace never exists in memory — the workload is consumed chunk by
-//! chunk, either regenerated per scan or read back through a fixed-size
-//! window from the `--cache` stream file. With `--artifacts DIR` the
-//! packed streams and oracle matrix are persisted as `.bps` files on
-//! first use and re-opened zero-copy afterwards; a rotten artifact is
-//! evicted with a one-line notice and rebuilt. `--artifacts-budget-gb`
-//! caps the store: when a save busts the budget, least-recently-used
-//! artifacts (loads refresh recency) are evicted, again one notice per
-//! file, sparing whatever the current run just wrote.
+//! trace never exists in memory — the workload is regenerated chunk by
+//! chunk on every scan. With `--artifacts DIR` the packed streams and
+//! oracle matrix are persisted as `.bps` files on first use and re-opened
+//! zero-copy afterwards; a rotten artifact is evicted with a one-line
+//! notice and rebuilt. `--artifacts-budget-gb` caps the store: when a
+//! save busts the budget, least-recently-used artifacts (loads refresh
+//! recency) are evicted, again one notice per file, sparing whatever the
+//! current run just wrote.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -41,9 +39,9 @@ use bp_workloads::{Benchmark, WorkloadConfig};
 
 fn usage() {
     eprintln!(
-        "usage: scale [--bench NAME] [--target N[k|m|b]] [--seed N] [--cache DIR] \
-         [--artifacts DIR] [--artifacts-budget-gb F] [--jobs N] [--materialized] \
-         [--skip-oracle] [--oracle-window N] [--oracle-cap N]"
+        "usage: scale [--bench NAME] [--target N[k|m|b]] [--seed N] [--artifacts DIR] \
+         [--artifacts-budget-gb F] [--jobs N] [--materialized] [--skip-oracle] \
+         [--oracle-window N] [--oracle-cap N]"
     );
     let names: Vec<&str> = Benchmark::ALL.iter().map(|b| b.name()).collect();
     eprintln!("benchmarks: {}", names.join(" "));
@@ -59,7 +57,6 @@ fn peak_rss_kib() -> Option<u64> {
 fn main() -> ExitCode {
     let mut bench = Benchmark::M88ksim;
     let mut cfg = WorkloadConfig::default().with_target(10_000_000);
-    let mut cache_dir: Option<String> = None;
     let mut artifacts_dir: Option<String> = None;
     let mut artifacts_budget: Option<u64> = None;
     let mut jobs = std::thread::available_parallelism()
@@ -94,14 +91,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--cache" => match args.next() {
-                Some(dir) => cache_dir = Some(dir),
-                None => {
-                    eprintln!("error: --cache needs a directory");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
             "--artifacts" => match args.next() {
                 Some(dir) => artifacts_dir = Some(dir),
                 None => {
@@ -161,10 +150,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut traces = match &cache_dir {
-        Some(dir) => TraceSet::with_disk_cache(cfg, dir),
-        None => TraceSet::new(cfg),
-    };
+    let mut traces = TraceSet::new(cfg);
     if !materialized {
         traces = traces.with_streaming();
     }

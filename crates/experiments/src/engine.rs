@@ -338,7 +338,7 @@ impl Engine {
         &self.traces
     }
 
-    /// The trace for `benchmark` (generated or disk-loaded on first use).
+    /// The trace for `benchmark` (generated on first use).
     pub fn trace(&self, benchmark: Benchmark) -> Arc<Trace> {
         self.traces.trace(benchmark)
     }

@@ -39,91 +39,6 @@ fn no_arguments_fails_with_usage() {
 }
 
 #[test]
-fn cache_flag_persists_traces() {
-    let dir = std::env::temp_dir().join(format!("repro-cache-{}", std::process::id()));
-    let out = repro()
-        .args([
-            "--target",
-            "2000",
-            "--cache",
-            dir.to_str().unwrap(),
-            "table1",
-        ])
-        .output()
-        .expect("run repro");
-    assert!(out.status.success(), "{out:?}");
-    let names: Vec<String> = std::fs::read_dir(&dir)
-        .expect("cache dir created")
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .collect();
-    let traces: Vec<&String> = names.iter().filter(|n| n.ends_with(".bpt")).collect();
-    assert_eq!(traces.len(), 8, "one .bpt per benchmark: {names:?}");
-    for trace in traces {
-        assert!(
-            names.iter().any(|n| *n == format!("{trace}.fp")),
-            "fingerprint sidecar for {trace}: {names:?}"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn corrupted_sidecar_triggers_one_notice_and_identical_output() {
-    let dir = std::env::temp_dir().join(format!("repro-sidecar-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let run = || {
-        let out = repro()
-            .args([
-                "--target",
-                "2000",
-                "--cache",
-                dir.to_str().unwrap(),
-                "table1",
-            ])
-            .output()
-            .expect("run repro");
-        assert!(out.status.success(), "{out:?}");
-        out
-    };
-    let first = run();
-
-    // Corrupt exactly one fingerprint sidecar.
-    let sidecar = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| p.extension().is_some_and(|e| e == "fp"))
-        .expect("a .fp sidecar in the cache dir");
-    std::fs::write(&sidecar, "not a fingerprint\n").unwrap();
-
-    // The corrupted entry is regenerated with a one-line notice naming
-    // the sidecar's trace; rendered output is byte-identical.
-    let second = run();
-    let stderr = String::from_utf8_lossy(&second.stderr);
-    let notices: Vec<&str> = stderr
-        .lines()
-        .filter(|l| l.starts_with("notice: regenerating trace cache"))
-        .collect();
-    let trace_path = sidecar.with_extension("");
-    assert_eq!(notices.len(), 1, "stderr: {stderr}");
-    assert!(
-        notices[0].contains(trace_path.to_str().unwrap())
-            && notices[0].contains("malformed fingerprint sidecar"),
-        "notice: {}",
-        notices[0]
-    );
-    assert_eq!(first.stdout, second.stdout, "regeneration changed output");
-
-    // The cache healed: a third run is notice-free.
-    let third = run();
-    assert!(
-        !String::from_utf8_lossy(&third.stderr).contains("notice:"),
-        "cache not rewritten after regeneration"
-    );
-    assert_eq!(first.stdout, third.stdout);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn golden_write_verify_roundtrip_and_config_mismatch() {
     let path = std::env::temp_dir().join(format!("repro-goldens-{}.fp", std::process::id()));
     let goldens = path.to_str().unwrap();

@@ -1,4 +1,5 @@
-//! End-to-end tests of the `scale` binary's flag handling.
+//! End-to-end tests of the `scale` binary: flag handling and the `.bps`
+//! artifact store.
 
 use std::process::Command;
 
@@ -40,4 +41,54 @@ fn a_jobs_budget_beyond_any_thread_limit_changes_nothing() {
         out.stdout
     };
     assert_eq!(run("100000"), run("2"));
+}
+
+#[test]
+fn artifacts_are_reused_and_rebuilt_after_corruption() {
+    let dir = std::env::temp_dir().join(format!("scale-artifacts-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = || {
+        let out = scale()
+            .args("--bench m88ksim --target 200k --oracle-cap 12 --jobs 2".split(' '))
+            .arg("--artifacts")
+            .arg(&dir)
+            .output()
+            .expect("run scale");
+        assert!(out.status.success(), "{out:?}");
+        (
+            out.stdout,
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let streams = dir.join("m88ksim.streams.bps");
+    let matrix = dir.join("m88ksim.w16c12.matrix.bps");
+
+    // A cold run writes both artifacts.
+    let (cold, _) = run();
+    assert!(streams.is_file() && matrix.is_file(), "artifacts written");
+
+    // A warm run reopens them and prints the same bytes.
+    let (warm, err) = run();
+    assert_eq!(warm, cold);
+    assert!(err.contains("reused"), "{err}");
+
+    // A flipped byte in the matrix artifact, then a truncated streams
+    // artifact: each is evicted with a notice naming it and rebuilt, and
+    // stdout does not change.
+    let mut bytes = std::fs::read(&matrix).expect("read matrix artifact");
+    bytes[48] ^= 0xFF;
+    std::fs::write(&matrix, bytes).expect("corrupt matrix artifact");
+    let (rebuilt, err) = run();
+    let notice = format!("notice: regenerating artifact {}", matrix.display());
+    assert!(err.contains(&notice), "{err}");
+    assert_eq!(rebuilt, cold);
+
+    let bytes = std::fs::read(&streams).expect("read streams artifact");
+    std::fs::write(&streams, &bytes[..bytes.len() / 3]).expect("truncate streams artifact");
+    let (rebuilt, err) = run();
+    let notice = format!("notice: regenerating artifact {}", streams.display());
+    assert!(err.contains(&notice), "{err}");
+    assert_eq!(rebuilt, cold);
+
+    std::fs::remove_dir_all(&dir).ok();
 }

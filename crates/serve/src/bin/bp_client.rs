@@ -7,19 +7,20 @@
 //! bp-client [--addr HOST:PORT] ping [--delay-ms N]
 //! bp-client [--addr HOST:PORT]... shutdown
 //! bp-client [--addr HOST:PORT]... bench --conns N --requests M [--experiment ID]
-//!           [--seed N] [--spread K] [--target N] [--rps R | --rate R] [--deadline-ms N]
+//!           [--seed N] [--spread K] [--target N] [--rate R] [--deadline-ms N]
 //!           [--chaos-kill SHARD --chaos-after-ms T] [--json]
 //! bp-client [--addr HOST:PORT] idle --conns N [--hold-ms T]
 //! ```
 //!
-//! `bench --rps R` throttles the closed loop (each connection sleeps
-//! from its last send, so a stalled server quietly slows the offered
-//! load). `bench --rate R` is the open-loop mode: all sends are
-//! scheduled up front at R req/s across the fleet and never re-anchored,
-//! and the report adds queueing-delay percentiles — how late each send
-//! actually left relative to its schedule — next to the usual service
-//! latency. Use `--rate` for latency-under-load measurements; `--rps`
-//! only bounds throughput.
+//! `bench` without `--rate` is a closed loop: each connection sends its
+//! next request as soon as the previous one completes. `bench --rate R`
+//! is the open-loop mode: all sends are scheduled up front at R req/s
+//! across the fleet and never re-anchored, and the report adds
+//! queueing-delay percentiles — how late each send actually left
+//! relative to its schedule — next to the usual service latency.
+//!
+//! Each subcommand rejects any `--flag` it does not read, so a typo
+//! fails instead of silently running the default.
 //!
 //! `--addr` may repeat: `eval`, `bench`, and `shutdown` then treat the
 //! addresses as a shard fleet, routing each key over the consistent-hash
@@ -48,7 +49,7 @@ fn usage() {
          \x20 trace PATH --predictor gshare|if_gshare|pas|if_pas [--bits N] [--history-bits N]\n\
          \x20 stats | ping [--delay-ms N] | shutdown\n\
          \x20 bench --conns N --requests M [--experiment ID] [--seed N] [--spread K] [--target N] \
-         [--rps R | --rate R] [--deadline-ms N] [--chaos-kill SHARD --chaos-after-ms T] [--json]\n\
+         [--rate R] [--deadline-ms N] [--chaos-kill SHARD --chaos-after-ms T] [--json]\n\
          \x20 idle --conns N [--hold-ms T]\n\
          \x20 retry (eval/bench): [--retries N] [--retry-base-ms T] [--retry-seed N]"
     );
@@ -61,22 +62,45 @@ struct Flags {
     options: Vec<(String, Option<String>)>,
 }
 
-fn parse_args() -> Result<Flags, ()> {
+/// The options `command` reads, space-separated; any other `--flag` is
+/// a usage error. `None` for an unknown command.
+fn known_options(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "eval" => "seed target deadline-ms retries retry-base-ms retry-seed",
+        "trace" => "predictor bits history-bits deadline-ms",
+        "stats" | "shutdown" => "",
+        "ping" => "delay-ms",
+        "bench" => {
+            "conns requests experiment seed spread target rate deadline-ms json \
+             retries retry-base-ms retry-seed chaos-kill chaos-after-ms"
+        }
+        "idle" => "conns hold-ms",
+        _ => return None,
+    })
+}
+
+/// Parses the command line; `Err` carries the `error:` line to print
+/// (`None` for a bare usage request).
+fn parse_args() -> Result<Flags, Option<String>> {
     let mut addrs = Vec::new();
     let mut command = String::new();
     let mut positional = Vec::new();
     let mut options = Vec::new();
-    let mut args = std::env::args().skip(1).peekable();
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .ok_or_else(|| Some(format!("{arg} needs a value")))
+        };
         if arg == "--addr" {
-            addrs.push(args.next().ok_or(())?);
+            addrs.push(value()?);
         } else if arg == "--help" || arg == "-h" {
-            return Err(());
+            return Err(None);
         } else if let Some(flag) = arg.strip_prefix("--") {
             // Flags that take values vs booleans.
             let value = match flag {
                 "json" => None,
-                _ => Some(args.next().ok_or(())?),
+                _ => Some(value()?),
             };
             options.push((flag.to_owned(), value));
         } else if command.is_empty() {
@@ -86,7 +110,15 @@ fn parse_args() -> Result<Flags, ()> {
         }
     }
     if command.is_empty() {
-        return Err(());
+        return Err(None);
+    }
+    if let Some(known) = known_options(&command) {
+        let unread = options
+            .iter()
+            .find(|(k, _)| !known.split_whitespace().any(|o| o == k));
+        if let Some((flag, _)) = unread {
+            return Err(Some(format!("{command} does not take --{flag}")));
+        }
     }
     if addrs.is_empty() {
         addrs.push("127.0.0.1:4098".to_owned());
@@ -199,9 +231,15 @@ fn report_unexpected(resp: &Response) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let Ok(flags) = parse_args() else {
-        usage();
-        return ExitCode::FAILURE;
+    let flags = match parse_args() {
+        Ok(flags) => flags,
+        Err(why) => {
+            if let Some(why) = why {
+                eprintln!("error: {why}");
+            }
+            usage();
+            return ExitCode::FAILURE;
+        }
     };
     let defaults = WorkloadConfig::default();
 
@@ -351,21 +389,10 @@ fn main() -> ExitCode {
                 let spread = opt_u64(&flags, "spread").map_err(|()| "bad --spread")?;
                 let target = opt_u64(&flags, "target").map_err(|()| "bad --target")?;
                 let deadline = opt_u64(&flags, "deadline-ms").map_err(|()| "bad --deadline-ms")?;
-                let rps = match opt(&flags, "rps") {
-                    None => None,
-                    Some(v) => Some(v.parse::<f64>().map_err(|_| "bad --rps")?),
-                };
                 let rate = match opt(&flags, "rate") {
                     None => None,
                     Some(v) => Some(v.parse::<f64>().map_err(|_| "bad --rate")?),
                 };
-                if rps.is_some() && rate.is_some() {
-                    return Err(
-                        "--rps (closed-loop throttle) and --rate (open-loop schedule) \
-                         are mutually exclusive"
-                            .into(),
-                    );
-                }
                 let retry = retry_policy(&flags).map_err(|()| "bad retry flags")?;
                 let chaos_kill = opt_u64(&flags, "chaos-kill").map_err(|()| "bad --chaos-kill")?;
                 let chaos_after =
@@ -394,7 +421,6 @@ fn main() -> ExitCode {
                     seed_spread: spread.unwrap_or(1).max(1),
                     target: target.unwrap_or(defaults.target_branches as u64),
                     deadline_ms: deadline,
-                    rps,
                     rate,
                     retry,
                     chaos,

@@ -29,6 +29,16 @@ fn usage() {
     );
 }
 
+/// Parses `flag`'s value as an integer of at least `min`.
+fn at_least(flag: &str, value: &str, min: usize) -> Result<usize, String> {
+    match value.parse() {
+        Ok(n) if n >= min => Ok(n),
+        _ => Err(format!(
+            "{flag} needs an integer of at least {min}, got {value:?}"
+        )),
+    }
+}
+
 fn main() -> ExitCode {
     let mut cfg = ServerConfig {
         addr: "127.0.0.1:4098".to_owned(),
@@ -36,54 +46,31 @@ fn main() -> ExitCode {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut take = |what: &str| match args.next() {
-            Some(v) => Ok(v),
-            None => {
-                eprintln!("error: {what} needs a value");
-                Err(())
-            }
-        };
-        let parsed = match arg.as_str() {
-            "--addr" => take("--addr").map(|v| cfg.addr = v),
-            "--workers" => take("--workers").and_then(|v| match v.parse() {
-                Ok(n) if n >= 1 => {
-                    cfg.workers = n;
-                    Ok(())
-                }
-                _ => Err(()),
-            }),
-            "--queue" => take("--queue").and_then(|v| match v.parse() {
-                Ok(n) if n >= 1 => {
-                    cfg.queue_capacity = n;
-                    Ok(())
-                }
-                _ => Err(()),
-            }),
-            "--jobs" => take("--jobs").and_then(|v| match v.parse() {
-                Ok(n) if n >= 1 => {
-                    cfg.engine_jobs = n;
-                    Ok(())
-                }
-                _ => Err(()),
-            }),
-            "--max-frame" => take("--max-frame").and_then(|v| match v.parse() {
-                Ok(n) if n >= 1024 => {
-                    cfg.max_frame = n;
-                    Ok(())
-                }
-                _ => Err(()),
-            }),
-            "--trace-dir" => take("--trace-dir").map(|v| cfg.trace_dir = Some(v.into())),
-            "--cache-dir" => take("--cache-dir").map(|v| cfg.cache_dir = Some(v.into())),
-            "--cache-budget-mb" => {
-                take("--cache-budget-mb").and_then(|v| match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => {
-                        cfg.cache_budget = n << 20;
-                        Ok(())
-                    }
-                    _ => Err(()),
+        let flag = arg.as_str();
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        let parsed = match flag {
+            "--addr" => value().map(|v| cfg.addr = v),
+            "--workers" => value()
+                .and_then(|v| at_least(flag, &v, 1))
+                .map(|n| cfg.workers = n),
+            "--queue" => value()
+                .and_then(|v| at_least(flag, &v, 1))
+                .map(|n| cfg.queue_capacity = n),
+            "--jobs" => value()
+                .and_then(|v| at_least(flag, &v, 1))
+                .map(|n| cfg.engine_jobs = n),
+            "--max-frame" => value()
+                .and_then(|v| at_least(flag, &v, 1024))
+                .map(|n| cfg.max_frame = n),
+            "--trace-dir" => value().map(|v| cfg.trace_dir = Some(v.into())),
+            "--cache-dir" => value().map(|v| cfg.cache_dir = Some(v.into())),
+            "--cache-budget-mb" => value()
+                .and_then(|v| at_least(flag, &v, 1))
+                .and_then(|mb| {
+                    mb.checked_mul(1 << 20)
+                        .ok_or_else(|| format!("{flag} {mb} overflows a byte count"))
                 })
-            }
+                .map(|bytes| cfg.cache_budget = bytes),
             "--quiet" => {
                 cfg.quiet = true;
                 Ok(())
@@ -92,12 +79,10 @@ fn main() -> ExitCode {
                 usage();
                 return ExitCode::SUCCESS;
             }
-            other => {
-                eprintln!("error: unknown flag {other}");
-                Err(())
-            }
+            other => Err(format!("unknown flag {other}")),
         };
-        if parsed.is_err() {
+        if let Err(e) = parsed {
+            eprintln!("error: {e}");
             usage();
             return ExitCode::FAILURE;
         }

@@ -4,14 +4,12 @@
 //! `bp-client bench` (including its kill-a-shard chaos mode).
 //!
 //! The generator has two pacing modes. The default closed loop issues
-//! the next request as soon as the previous one completes (optionally
-//! throttled by `rps`, which sleeps *from the last send* — a slow
-//! response silently stretches the schedule, the classic coordinated
-//! omission). The open loop (`rate`) instead fixes every request's send
-//! time up front from the run start and never re-anchors: when the
-//! server stalls, the slippage accumulates and is reported as queueing
-//! delay alongside the service-latency percentiles, which is what a
-//! latency-under-load claim actually needs.
+//! the next request as soon as the previous one completes, so it
+//! measures peak throughput. The open loop (`rate`) fixes every
+//! request's send time up front from the run start and never re-anchors:
+//! when the server stalls, the slippage accumulates and is reported as
+//! queueing delay alongside the service-latency percentiles, which is
+//! what a latency-under-load claim actually needs.
 
 use std::fmt;
 use std::net::TcpStream;
@@ -405,13 +403,10 @@ pub struct BenchOptions {
     pub target: u64,
     /// Optional per-request deadline.
     pub deadline_ms: Option<u64>,
-    /// Optional total request rate; each connection paces itself at
-    /// `rps / conns`. `None` = as fast as the closed loop allows.
-    pub rps: Option<f64>,
     /// Optional open-loop rate: request `j` of connection `k` is due at
     /// `start + (j * conns + k) / rate` regardless of how the server is
     /// doing, and the send-deadline slippage is reported as queueing
-    /// delay. Takes precedence over `rps` when both are set.
+    /// delay. `None` = a closed loop, as fast as responses come back.
     pub rate: Option<f64>,
     /// Per-shard retry/backoff policy.
     pub retry: RetryPolicy,
@@ -430,7 +425,6 @@ impl Default for BenchOptions {
             seed_spread: 1,
             target: 40_000,
             deadline_ms: None,
-            rps: None,
             rate: None,
             retry: RetryPolicy::default(),
             chaos: None,
@@ -586,13 +580,6 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchReport, ClientError> {
         });
     }
     let rate = opts.rate.filter(|r| *r > 0.0);
-    let pace = if rate.is_some() {
-        None
-    } else {
-        opts.rps
-            .filter(|r| *r > 0.0)
-            .map(|rps| Duration::from_secs_f64(opts.conns as f64 / rps))
-    };
     let started = Instant::now();
     let per_conn: Vec<(Vec<f64>, Vec<f64>, BenchReport)> = std::thread::scope(|scope| {
         let chaos = opts.chaos.clone().map(|chaos| {
@@ -619,7 +606,6 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchReport, ClientError> {
                         ..opts.retry.clone()
                     };
                     let mut client = ShardedClient::new(opts.addrs.clone(), retry);
-                    let mut next_fire = Instant::now();
                     for r in 0..opts.requests_per_conn {
                         if let Some(rate) = rate {
                             // Open loop: the whole fleet's sends are
@@ -638,12 +624,6 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchReport, ClientError> {
                             } else {
                                 queue_ms.push((now - due).as_secs_f64() * 1e3);
                             }
-                        } else if let Some(interval) = pace {
-                            let now = Instant::now();
-                            if next_fire > now {
-                                std::thread::sleep(next_fire - now);
-                            }
-                            next_fire += interval;
                         }
                         let seed = opts.seed + (r as u64 % opts.seed_spread.max(1));
                         let t0 = Instant::now();

@@ -28,9 +28,9 @@
 //! ```
 //!
 //! The fingerprints reuse the shared sidecar format's FNV-1a chain
-//! ([`bp_trace::sidecar`]) — the same `config` / `content` split
-//! `repro --cache` stamps on trace artifacts, here inlined into the
-//! entry so each file is self-validating. Every failure mode is a typed
+//! ([`bp_trace::sidecar`]) — the same `config` / `content` split a
+//! sidecar stamps on `.bps` artifacts, here inlined into the entry so
+//! each file is self-validating. Every failure mode is a typed
 //! [`DiskCacheError`]; a corrupt entry is removed with a one-line
 //! notice and regenerated on the next request — never a panic, and the
 //! announced `payload_len` is validated against the real file size

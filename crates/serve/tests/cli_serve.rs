@@ -1,0 +1,89 @@
+//! Flag handling of the serving binaries: a bad or unknown flag must exit 1
+//! with an `error:` line that names it, instead of running with a default
+//! or a wrapped value.
+
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
+
+/// Runs `bp-serve` with `args` on an ephemeral port. A daemon that is
+/// still running after the timeout accepted the flags and is serving:
+/// it is killed and the test fails rather than hangs.
+fn serve(args: &[&str]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_bp-serve"))
+        .args(["--addr", "127.0.0.1:0", "--quiet"])
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn bp-serve");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().expect("poll bp-serve").is_none() {
+        if Instant::now() > deadline {
+            child.kill().expect("kill bp-serve");
+            let out = child.wait_with_output().expect("reap bp-serve");
+            panic!("bp-serve {args:?} started serving: {out:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect bp-serve output")
+}
+
+/// Runs `bp-client` against an address nothing listens on: flags are
+/// parsed before the client connects, so a rejected flag never gets
+/// that far.
+fn client(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_bp-client"))
+        .args(["--addr", "127.0.0.1:1"])
+        .args(args)
+        .output()
+        .expect("run bp-client")
+}
+
+fn assert_rejects(out: &Output, flag: &str) {
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{flag}: {out:?}");
+    assert!(
+        err.lines()
+            .any(|l| l.starts_with("error:") && l.contains(flag)),
+        "no error line names {flag}: {err}"
+    );
+    assert!(err.contains("usage:"), "{err}");
+}
+
+#[test]
+fn bp_serve_names_every_bad_value() {
+    for (args, flag) in [
+        // 2^44 MiB is 2^64 bytes: the budget must not wrap to zero.
+        (
+            &["--cache-budget-mb", "17592186044416"][..],
+            "--cache-budget-mb",
+        ),
+        (&["--workers", "0"], "--workers"),
+        (&["--workers", "x"], "--workers"),
+    ] {
+        let out = serve(args);
+        assert_rejects(&out, flag);
+        assert!(
+            !String::from_utf8_lossy(&out.stdout).contains("listening"),
+            "{args:?}: {out:?}"
+        );
+    }
+}
+
+#[test]
+fn bp_client_rejects_flags_its_subcommand_does_not_read() {
+    for (args, flag) in [
+        (
+            &[
+                "eval", "table1", "--target", "2000", "--trget", "5", "--bogus", "x",
+            ][..],
+            "--trget",
+        ),
+        (&["eval", "fig4", "--trget", "40000"], "--trget"),
+        (&["bench", "--rsp", "5"], "--rsp"),
+        (&["bench", "--rps", "5"], "--rps"),
+    ] {
+        assert_rejects(&client(args), flag);
+    }
+}

@@ -1,6 +1,6 @@
-//! `bpt` — inspect trace files: the `.bpt` cache `repro --cache` writes
-//! and the `.bpt2` stream cache `scale --cache` writes (both in the
-//! chunk-framed `BPT2` encoding of `bp_trace::io`).
+//! `bpt` — inspect trace files in the chunk-framed `BPT2` encoding of
+//! `bp_trace::io`: the corpus `bp-conformance gen` writes, its minimized
+//! reproducers, and the traces `bp-serve` evaluates.
 //!
 //! ```text
 //! bpt info  FILE          aggregate statistics

@@ -24,11 +24,10 @@
 //! then each branch's packed outcome plane (len.div_ceil(64) words)
 //! ```
 //!
-//! Trust is layered the same way as the `.bpt2` trace cache: an FNV-1a
-//! [`Sidecar`] next to the file pins the *configuration* (what question the
-//! artifact answers) and the *content* (a fingerprint of the header+index
-//! words — the planes' cheap stand-in, like the record count in `.bpt2`
-//! sidecars); the file then self-describes its length and every plane
+//! Trust is layered: an FNV-1a [`Sidecar`] next to the file pins the
+//! *configuration* (what question the artifact answers) and the *content*
+//! (a fingerprint of the header+index words — the planes' cheap
+//! stand-in); the file then self-describes its length and every plane
 //! offset, all of which is validated **before** any plane is sliced or the
 //! file is handed to `mmap`. Every failure mode is a typed [`BpsError`] —
 //! a rotten artifact is a *rebuild* signal, never a panic.

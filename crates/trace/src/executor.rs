@@ -3,9 +3,9 @@
 //! ordered map over independent items (benchmarks, static branches, probe
 //! grid points).
 //!
-//! Trace production (workload generation or `.bpt2` pread) is inherently
-//! serial — records must come out in order — but everything the analyses
-//! build from a trace is keyed per static branch. [`scan_shards`] splits
+//! Trace production (workload generation) is inherently serial — records
+//! must come out in order — but everything the analyses build from a
+//! trace is keyed per static branch. [`scan_shards`] splits
 //! the two. One shard simply folds the scan on the calling thread. With
 //! more, the producer runs the single scan on the calling thread, packing
 //! records into a small ring of recycled 64Ki-record chunk buffers, and

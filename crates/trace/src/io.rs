@@ -1,8 +1,10 @@
 //! Binary trace serialization.
 //!
-//! Traces persist in a compact varint format so generated workloads can be
-//! cached on disk and re-analyzed without regeneration. There is one
-//! encoding, the chunk-framed `BPT2`:
+//! Trace files use a compact varint format. The conformance harness writes
+//! its corpus and reproducers in it, `bp-serve` evaluates predictors on
+//! such files (`trace_eval`), and the `bpt` binary inspects and verifies
+//! them. Generated workloads are never stored: they are regenerated from
+//! their seed. There is one encoding, the chunk-framed `BPT2`:
 //!
 //! ```text
 //! magic "BPT2"
@@ -18,17 +20,15 @@
 //!
 //! A producer can emit frames as chunks arrive ([`ChunkWriter`] is a
 //! [`crate::TraceSink`]), and a reader never needs more than one frame
-//! in memory ([`ChunkReader`], [`FileTraceSource`]). [`write_trace`] and
-//! [`read_trace`] are the whole-trace conveniences over the same framing.
+//! in memory ([`ChunkReader`]). [`write_trace`] and [`read_trace`] are
+//! the whole-trace conveniences over the same framing.
 //!
 //! Readers and writers are generic over [`std::io::Read`] / [`std::io::Write`]
 //! (a `&mut` reference works wherever an owned reader/writer does).
 
 use std::error::Error;
 use std::fmt;
-use std::fs::File;
 use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
 
 use crate::record::{BranchKind, BranchRecord};
 use crate::sink::{TraceSink, CHUNK_RECORDS};
@@ -380,180 +380,13 @@ impl<R: Read> ChunkReader<R> {
 /// [`TraceIoError::Corrupt`] / [`TraceIoError::Io`] on malformed or
 /// truncated input (including a missing end marker or a lying footer).
 pub fn read_trace<R: Read>(r: R) -> Result<Trace, TraceIoError> {
+    let mut frames = ChunkReader::new(r)?;
     let mut all = Vec::new();
-    scan_frames(r, &mut |chunk| all.extend_from_slice(chunk))?;
-    Ok(Trace::from_records(all))
-}
-
-/// Decodes a `BPT2` stream one frame at a time, handing each to `visit`.
-fn scan_frames<R: Read>(
-    reader: R,
-    visit: &mut dyn FnMut(&[BranchRecord]),
-) -> Result<(), TraceIoError> {
-    let mut frames = ChunkReader::new(reader)?;
     let mut chunk = Vec::new();
     while frames.next_chunk(&mut chunk)? {
-        visit(&chunk);
+        all.extend_from_slice(&chunk);
     }
-    Ok(())
-}
-
-/// How many file bytes a windowed read pulls in at a time (64 KiB — a
-/// handful of chunks' worth of compressed records).
-const WINDOW_BYTES: usize = 64 << 10;
-
-/// On Unix, an offset-stated windowed reader over a shared file handle:
-/// every refill is one positional `read_at` (pread), so concurrent scans
-/// of the same [`FileTraceSource`] never fight over a seek cursor and the
-/// resident window stays at [`WINDOW_BYTES`] regardless of file size.
-#[cfg(unix)]
-struct WindowedReader<'a> {
-    file: &'a File,
-    pos: u64,
-    window: Vec<u8>,
-    start: usize,
-}
-
-#[cfg(unix)]
-impl<'a> WindowedReader<'a> {
-    fn new(file: &'a File) -> Self {
-        WindowedReader {
-            file,
-            pos: 0,
-            window: Vec::new(),
-            start: 0,
-        }
-    }
-}
-
-#[cfg(unix)]
-impl Read for WindowedReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        use std::os::unix::fs::FileExt;
-        if self.start == self.window.len() {
-            self.window.resize(WINDOW_BYTES, 0);
-            let n = self.file.read_at(&mut self.window, self.pos)?;
-            self.window.truncate(n);
-            self.start = 0;
-            self.pos += n as u64;
-            if n == 0 {
-                return Ok(0);
-            }
-        }
-        let n = buf.len().min(self.window.len() - self.start);
-        buf[..n].copy_from_slice(&self.window[self.start..self.start + n]);
-        self.start += n;
-        Ok(n)
-    }
-}
-
-/// A `BPT2` trace file as a replayable [`TraceSource`].
-///
-/// Opening validates the magic and the end-of-file structure (end marker
-/// followed by the footer varint), so a truncated or unfinished file is
-/// rejected up front; the footer provides an exact [`TraceSource::len_hint`]
-/// without scanning. Each [`TraceSource::scan`] streams the file through a
-/// bounded window (positional reads on Unix — scans are independent and
-/// thread-safe; a fresh handle elsewhere), decoding one frame at a time:
-/// peak memory per scan is one record chunk plus one I/O window, for any
-/// file size.
-#[derive(Debug)]
-pub struct FileTraceSource {
-    path: PathBuf,
-    file: File,
-    len: u64,
-}
-
-impl FileTraceSource {
-    /// Opens and validates a chunk-framed trace file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceIoError::BadMagic`] for a non-`BPT2` file and
-    /// [`TraceIoError::Corrupt`] / [`TraceIoError::Io`] when the tail
-    /// structure (end marker + footer) is missing or malformed.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceIoError> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::open(&path)?;
-        let meta = file.metadata()?;
-        let size = meta.len();
-        let mut head = [0u8; 4];
-        read_exact_at(&file, &mut head, 0)?;
-        if &head != MAGIC {
-            return Err(TraceIoError::BadMagic);
-        }
-        // The file ends with `varint 0` (end marker) then `varint total`.
-        // A varint is at most 10 bytes and its final byte has the high bit
-        // clear, so the footer is recoverable from the last 11 bytes:
-        // scan back over continuation bytes to find its start, and the
-        // byte before that start must be the 0x00 end marker.
-        let tail_len = (size.saturating_sub(4)).min(11) as usize;
-        if tail_len < 2 {
-            return Err(TraceIoError::Corrupt("missing end marker and footer"));
-        }
-        let mut tail = vec![0u8; tail_len];
-        read_exact_at(&file, &mut tail, size - tail_len as u64)?;
-        let last = tail[tail_len - 1];
-        if last & 0x80 != 0 {
-            return Err(TraceIoError::Corrupt("footer varint unterminated"));
-        }
-        let mut start = tail_len - 1;
-        while start > 0 && tail[start - 1] & 0x80 != 0 {
-            start -= 1;
-        }
-        if start == 0 || tail[start - 1] != 0 {
-            return Err(TraceIoError::Corrupt("missing end marker before footer"));
-        }
-        let len = read_varint(&tail[start..])?;
-        Ok(FileTraceSource { path, file, len })
-    }
-
-    /// The file this source reads.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Total records in the file (from the validated footer).
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// `true` when the file holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl TraceSource for FileTraceSource {
-    fn scan(&self, visit: &mut dyn FnMut(&[BranchRecord])) -> Result<(), TraceIoError> {
-        #[cfg(unix)]
-        {
-            scan_frames(WindowedReader::new(&self.file), visit)
-        }
-        #[cfg(not(unix))]
-        {
-            let file = File::open(&self.path)?;
-            scan_frames(std::io::BufReader::with_capacity(WINDOW_BYTES, file), visit)
-        }
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.len)
-    }
-}
-
-#[cfg(unix)]
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> Result<(), TraceIoError> {
-    use std::os::unix::fs::FileExt;
-    file.read_exact_at(buf, offset).map_err(TraceIoError::Io)
-}
-
-#[cfg(not(unix))]
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> Result<(), TraceIoError> {
-    use std::io::{Seek, SeekFrom};
-    let mut f = file;
-    f.seek(SeekFrom::Start(offset))?;
-    f.read_exact(buf).map_err(TraceIoError::Io)
+    Ok(Trace::from_records(all))
 }
 
 #[cfg(test)]

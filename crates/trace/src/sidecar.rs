@@ -1,7 +1,7 @@
 //! The shared FNV-1a fingerprint *sidecar* format.
 //!
 //! A sidecar is a tiny text file sitting next to a cached artifact
-//! (`artifact.bpt` → `artifact.bpt.fp`) recording two 64-bit FNV-1a
+//! (`artifact.bps` → `artifact.bps.fp`) recording two 64-bit FNV-1a
 //! fingerprints behind a version tag:
 //!
 //! ```text
@@ -11,16 +11,16 @@
 //! * `config` fingerprints everything the artifact *depends on* (workload
 //!   seed, target, benchmark identity, …) — a mismatch means the cached
 //!   bytes answer a different question and must be regenerated.
-//! * `content` fingerprints the artifact bytes themselves (or, for
-//!   stream files that carry their own framing checksums, a cheap
-//!   stand-in such as the total record count) — a mismatch means the
-//!   bytes rotted or were swapped.
+//! * `content` fingerprints the artifact bytes, or a cheap stand-in for
+//!   them: a `.bps` artifact fingerprints its header and index words,
+//!   not its planes — a mismatch means the bytes rotted or were swapped.
 //!
-//! The format began life inside `bp-experiments`' trace cache
-//! (`repro --cache`); the serving tier's persistent result cache is its
-//! second consumer, so the implementation lives here where both crates
-//! can reach it. Every failure mode is a typed [`SidecarError`] — a
-//! corrupt or stale sidecar is a *regenerate* signal, never a panic.
+//! The `.bps` artifacts ([`crate::bps`]) carry sidecars; the serving
+//! tier's persistent result cache inlines the same two fingerprints into
+//! each entry and shares [`fnv1a`] and [`write_atomic`] from here, so the
+//! implementation lives where both crates can reach it. Every failure
+//! mode is a typed [`SidecarError`] — a corrupt or stale sidecar is a
+//! *regenerate* signal, never a panic.
 //!
 //! Every cache file — each artifact and each sidecar — is committed
 //! through [`write_atomic`], so a reader only ever sees a complete old
@@ -134,7 +134,7 @@ pub struct Sidecar {
 
 impl Sidecar {
     /// The sidecar path for an artifact: the artifact path with `.fp`
-    /// appended (`dir/gcc.bpt` → `dir/gcc.bpt.fp`).
+    /// appended (`dir/gcc.streams.bps` → `dir/gcc.streams.bps.fp`).
     #[must_use]
     pub fn path_for(artifact: &Path) -> PathBuf {
         let mut os = artifact.as_os_str().to_owned();

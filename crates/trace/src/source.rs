@@ -7,8 +7,7 @@
 //! each scan delivering the same records in the same order as bounded
 //! chunks — without requiring them to ever exist as one allocation.
 //! Implementors include the in-memory [`Trace`] (chunked slices of its
-//! records), the on-disk `.bpt` readers (`crate::io::FileTraceSource`),
-//! and the regenerating workload sources in `bp-workloads`.
+//! records) and the regenerating workload sources in `bp-workloads`.
 
 use std::sync::Arc;
 

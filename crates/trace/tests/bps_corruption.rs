@@ -238,8 +238,7 @@ fn single_byte_mutations_never_panic_and_errors_render() {
     // is acceptable, and errors must have a message. Plane-area flips are
     // caught structurally only when they hit padding bits — the content
     // fingerprint deliberately covers the header+index, with the planes'
-    // integrity riding on the length/offset/padding checks, exactly like
-    // the record-count stand-in of `.bpt2` sidecars.
+    // integrity riding on the length/offset/padding checks.
     let header_end = (4 + 3 * (u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize)) * 8;
     let positions: Vec<usize> = (0..header_end)
         .chain((header_end..bytes.len()).step_by(97))

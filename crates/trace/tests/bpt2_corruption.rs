@@ -1,15 +1,12 @@
 //! Corruption tests for the chunk-framed `BPT2` trace format: every
 //! truncation point, every magic corruption, hostile frame counts,
-//! single-byte mutations, and hostile file tails must all surface as
-//! typed [`TraceIoError`]s — never a panic, a hang, an oversized
-//! allocation, or a silently wrong trace. They cover the whole-trace
-//! [`read_trace`], the streaming [`ChunkReader`] and the windowed
-//! [`FileTraceSource`].
+//! single-byte mutations and mid-stream cuts must all surface as typed
+//! [`TraceIoError`]s — never a panic, a hang, an oversized allocation,
+//! or a silently wrong trace. They cover the whole-trace [`read_trace`]
+//! and the streaming [`ChunkReader`].
 
-use std::path::PathBuf;
-
-use bp_trace::io::{read_trace, ChunkReader, ChunkWriter, FileTraceSource, TraceIoError};
-use bp_trace::{BranchKind, BranchRecord, Trace, TraceSink, TraceSource, CHUNK_RECORDS};
+use bp_trace::io::{read_trace, ChunkReader, ChunkWriter, TraceIoError};
+use bp_trace::{BranchKind, BranchRecord, Trace, TraceSink, CHUNK_RECORDS};
 
 /// A small but varied trace: different kinds, forward and backward
 /// targets, and multi-byte varint pcs.
@@ -47,15 +44,6 @@ fn encode_chunked(trace: &Trace, chunk: usize) -> Vec<u8> {
     }
     writer.finish().expect("encoding to a Vec cannot fail");
     buf
-}
-
-fn temp_path(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "bpt2-corruption-{}-{name}.bpt2",
-        std::process::id()
-    ));
-    p
 }
 
 #[test]
@@ -242,103 +230,4 @@ fn empty_and_tiny_streams_error_cleanly() {
             assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof);
         }
     }
-}
-
-#[test]
-fn file_source_rejects_hostile_tails_on_open() {
-    let full = encode_chunked(&sample_trace(), 2);
-    let path = temp_path("hostile-tails");
-
-    // A pristine file opens and reports the exact record count.
-    std::fs::write(&path, &full).expect("write");
-    let source = FileTraceSource::open(&path).expect("valid file opens");
-    assert_eq!(source.len(), 5);
-    assert!(!source.is_empty());
-    assert_eq!(source.len_hint(), Some(5));
-    assert_eq!(source.path(), path.as_path());
-
-    // Magic flips are BadMagic.
-    let mut bad = full.clone();
-    bad[0] ^= 0x20;
-    std::fs::write(&path, &bad).expect("write");
-    assert!(matches!(
-        FileTraceSource::open(&path),
-        Err(TraceIoError::BadMagic)
-    ));
-
-    // Every truncation is rejected: usually up front at open (the end
-    // marker + footer are gone), but record bytes can accidentally end in
-    // `0x00, small-varint` and impersonate a tail — those must then fail
-    // the scan instead, since the writer never emits empty frames and so
-    // the first zero frame count a reader meets is the true end marker.
-    for cut in 0..full.len() {
-        std::fs::write(&path, &full[..cut]).expect("write");
-        match FileTraceSource::open(&path) {
-            Err(e) => assert!(!e.to_string().is_empty()),
-            Ok(source) => {
-                let res = source.scan(&mut |_| {});
-                assert!(
-                    res.is_err(),
-                    "cut at {cut} decoded cleanly from a truncated file"
-                );
-            }
-        }
-    }
-
-    // An unterminated footer varint (high bit set on the last byte) is
-    // Corrupt, not a wild length.
-    let mut bad = full.clone();
-    let last = bad.len() - 1;
-    bad[last] |= 0x80;
-    std::fs::write(&path, &bad).expect("write");
-    assert!(matches!(
-        FileTraceSource::open(&path),
-        Err(TraceIoError::Corrupt(_))
-    ));
-
-    // A tail whose end marker byte is nonzero is Corrupt.
-    let mut bad = full.clone();
-    let marker = bad.len() - 2; // single-byte footer ⇒ marker just before
-    assert_eq!(bad[marker], 0, "test encoding has a one-byte footer");
-    bad[marker] = 0x07;
-    std::fs::write(&path, &bad).expect("write");
-    assert!(matches!(
-        FileTraceSource::open(&path),
-        Err(TraceIoError::Corrupt(_))
-    ));
-
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn file_source_surfaces_body_corruption_during_scan() {
-    // Open only validates the tail; rot in the middle of the file must
-    // surface as a typed scan error, not a panic or silent truncation.
-    let trace = Trace::from_records(
-        (0..256)
-            .map(|i| BranchRecord::conditional(0x400 + i * 4, i % 3 == 0))
-            .collect(),
-    );
-    let full = encode_chunked(&trace, 32);
-    let mut bad = full.clone();
-    bad[full.len() / 2] = 0xff; // clobber a record mid-file
-    let path = temp_path("body-rot");
-    std::fs::write(&path, &bad).expect("write");
-    let source = FileTraceSource::open(&path).expect("tail still validates");
-    let mut seen = 0u64;
-    let err = source
-        .scan(&mut |chunk| seen += chunk.len() as u64)
-        .expect_err("body corruption must fail the scan");
-    assert!(!err.to_string().is_empty());
-    assert!(seen < trace.records().len() as u64);
-
-    // The pristine file scans back byte-identically through the window.
-    std::fs::write(&path, &full).expect("write");
-    let source = FileTraceSource::open(&path).expect("valid file opens");
-    let mut records = Vec::new();
-    source
-        .scan(&mut |chunk| records.extend_from_slice(chunk))
-        .expect("valid scan");
-    assert_eq!(records, trace.records());
-    std::fs::remove_file(&path).ok();
 }

@@ -12,7 +12,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use bp_trace::{Pc, Recorder, Trace, TraceBuffer, TraceSink};
+use bp_trace::{Pc, Recorder, TraceSink};
 
 use crate::{salted_seed, WorkloadConfig};
 
@@ -37,11 +37,6 @@ const HASH_BITS: u32 = 12;
 const HASH_SIZE: usize = 1 << HASH_BITS;
 const MAX_CODES: u16 = 3000;
 const ALPHABET: usize = 20;
-
-/// Generates the compress trace in memory.
-pub fn generate(cfg: &WorkloadConfig) -> Trace {
-    generate_into(cfg, TraceBuffer::new()).into_trace()
-}
 
 /// Streams the compress trace into `sink`, chunk by chunk.
 pub fn generate_into<S: TraceSink>(cfg: &WorkloadConfig, sink: S) -> S {
@@ -293,10 +288,11 @@ fn lzw_compress<S: TraceSink>(rec: &mut Recorder<S>, input: &[u8]) -> (Vec<u16>,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bp_trace::TraceStats;
+    use crate::Benchmark;
+    use bp_trace::{Trace, TraceStats};
 
     fn small() -> Trace {
-        generate(&WorkloadConfig {
+        Benchmark::Compress.generate(&WorkloadConfig {
             seed: 1,
             target_branches: 20_000,
         })
@@ -312,11 +308,11 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let a = generate(&WorkloadConfig {
+        let a = Benchmark::Compress.generate(&WorkloadConfig {
             seed: 1,
             target_branches: 5_000,
         });
-        let b = generate(&WorkloadConfig {
+        let b = Benchmark::Compress.generate(&WorkloadConfig {
             seed: 2,
             target_branches: 5_000,
         });

@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use bp_trace::{Pc, Recorder, Trace, TraceBuffer, TraceSink};
+use bp_trace::{Pc, Recorder, TraceSink};
 
 use crate::{salted_seed, WorkloadConfig};
 
@@ -170,7 +170,7 @@ fn regalloc_pass<S: TraceSink>(rec: &mut Recorder<S>, f: &Function) -> u32 {
     spills
 }
 
-/// Generates the gcc trace.
+/// Streams the gcc trace into `sink`, chunk by chunk.
 ///
 /// A *translation unit* (a pool of functions) is generated, then the pass
 /// pipeline sweeps the whole unit several times — compilers revisit the
@@ -178,11 +178,6 @@ fn regalloc_pass<S: TraceSink>(rec: &mut Recorder<S>, f: &Function) -> u32 {
 /// ~92% predictable despite their enormous static count. The first sweep
 /// mutates the IR (folds, kills dead code); later sweeps see stabilized
 /// code, so per-site outcome sequences become repeating.
-pub fn generate(cfg: &WorkloadConfig) -> Trace {
-    generate_into(cfg, TraceBuffer::new()).into_trace()
-}
-
-/// Streams the gcc trace into `sink`, chunk by chunk.
 pub fn generate_into<S: TraceSink>(cfg: &WorkloadConfig, sink: S) -> S {
     let mut rng = StdRng::seed_from_u64(salted_seed(cfg, 0x6CC));
     let mut rec = Recorder::with_sink(sink);
@@ -210,6 +205,7 @@ pub fn generate_into<S: TraceSink>(cfg: &WorkloadConfig, sink: S) -> S {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Benchmark;
     use bp_trace::TraceStats;
 
     #[test]
@@ -218,14 +214,14 @@ mod tests {
             seed: 3,
             target_branches: 30_000,
         };
-        let a = generate(&cfg);
+        let a = Benchmark::Gcc.generate(&cfg);
         assert!(a.conditional_count() >= 30_000);
-        assert_eq!(a, generate(&cfg));
+        assert_eq!(a, Benchmark::Gcc.generate(&cfg));
     }
 
     #[test]
     fn large_static_footprint() {
-        let t = generate(&WorkloadConfig {
+        let t = Benchmark::Gcc.generate(&WorkloadConfig {
             seed: 3,
             target_branches: 60_000,
         });
@@ -240,7 +236,7 @@ mod tests {
         // site(t,1) taken implies nothing alone, but site(t,2) taken
         // implies site(t,1) was taken (cond1 && cond2 ⊆ cond1): verify the
         // implication holds across every template by replaying the trace.
-        let t = generate(&WorkloadConfig {
+        let t = Benchmark::Gcc.generate(&WorkloadConfig {
             seed: 3,
             target_branches: 30_000,
         });

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use bp_trace::{Pc, Recorder, Trace, TraceBuffer, TraceSink};
+use bp_trace::{Pc, Recorder, TraceSink};
 
 use crate::{salted_seed, WorkloadConfig};
 
@@ -172,11 +172,6 @@ fn evaluate<S: TraceSink>(
     score
 }
 
-/// Generates the go trace.
-pub fn generate(cfg: &WorkloadConfig) -> Trace {
-    generate_into(cfg, TraceBuffer::new()).into_trace()
-}
-
 /// Streams the go trace into `sink`, chunk by chunk.
 pub fn generate_into<S: TraceSink>(cfg: &WorkloadConfig, sink: S) -> S {
     let mut rng = StdRng::seed_from_u64(salted_seed(cfg, 0x60));
@@ -197,6 +192,7 @@ pub fn generate_into<S: TraceSink>(cfg: &WorkloadConfig, sink: S) -> S {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Benchmark;
     use bp_trace::TraceStats;
 
     #[test]
@@ -205,15 +201,15 @@ mod tests {
             seed: 5,
             target_branches: 20_000,
         };
-        let a = generate(&cfg);
+        let a = Benchmark::Go.generate(&cfg);
         assert!(a.conditional_count() >= 20_000);
-        assert_eq!(a, generate(&cfg));
+        assert_eq!(a, Benchmark::Go.generate(&cfg));
     }
 
     #[test]
     fn weakly_biased_profile() {
         use bp_trace::BranchProfile;
-        let t = generate(&WorkloadConfig {
+        let t = Benchmark::Go.generate(&WorkloadConfig {
             seed: 5,
             target_branches: 40_000,
         });

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use bp_trace::{Pc, Recorder, Trace, TraceBuffer, TraceSink};
+use bp_trace::{Pc, Recorder, TraceSink};
 
 use crate::{salted_seed, WorkloadConfig};
 
@@ -145,11 +145,6 @@ fn encode_block<S: TraceSink>(
     }
 }
 
-/// Generates the ijpeg trace.
-pub fn generate(cfg: &WorkloadConfig) -> Trace {
-    generate_into(cfg, TraceBuffer::new()).into_trace()
-}
-
 /// Streams the ijpeg trace into `sink`, chunk by chunk.
 pub fn generate_into<S: TraceSink>(cfg: &WorkloadConfig, sink: S) -> S {
     let mut rng = StdRng::seed_from_u64(salted_seed(cfg, 0x19E6));
@@ -180,6 +175,7 @@ pub fn generate_into<S: TraceSink>(cfg: &WorkloadConfig, sink: S) -> S {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Benchmark;
     use bp_trace::{BranchProfile, TraceStats};
 
     #[test]
@@ -188,14 +184,14 @@ mod tests {
             seed: 9,
             target_branches: 20_000,
         };
-        let a = generate(&cfg);
+        let a = Benchmark::Ijpeg.generate(&cfg);
         assert!(a.conditional_count() >= 20_000);
-        assert_eq!(a, generate(&cfg));
+        assert_eq!(a, Benchmark::Ijpeg.generate(&cfg));
     }
 
     #[test]
     fn loop_dominated_profile() {
-        let t = generate(&WorkloadConfig {
+        let t = Benchmark::Ijpeg.generate(&WorkloadConfig {
             seed: 9,
             target_branches: 40_000,
         });

@@ -44,7 +44,7 @@ mod vortex;
 mod xlisp;
 
 use bp_trace::io::TraceIoError;
-use bp_trace::{Trace, TraceSink, TraceSource};
+use bp_trace::{Trace, TraceBuffer, TraceSink, TraceSource};
 
 /// Parameters of a workload run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,16 +182,7 @@ impl Benchmark {
 
     /// Generates the benchmark's branch trace in memory.
     pub fn generate(self, cfg: &WorkloadConfig) -> Trace {
-        match self {
-            Benchmark::Compress => compress::generate(cfg),
-            Benchmark::Gcc => gcc::generate(cfg),
-            Benchmark::Go => go::generate(cfg),
-            Benchmark::Ijpeg => ijpeg::generate(cfg),
-            Benchmark::M88ksim => m88ksim::generate(cfg),
-            Benchmark::Perl => perl::generate(cfg),
-            Benchmark::Vortex => vortex::generate(cfg),
-            Benchmark::Xlisp => xlisp::generate(cfg),
-        }
+        self.generate_into(cfg, TraceBuffer::new()).into_trace()
     }
 
     /// Streams the benchmark's branch trace into `sink` chunk by chunk and

@@ -12,7 +12,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use bp_trace::{Pc, Recorder, Trace, TraceBuffer, TraceSink};
+use bp_trace::{Pc, Recorder, TraceSink};
 
 use crate::{salted_seed, WorkloadConfig};
 
@@ -155,11 +155,6 @@ impl Machine {
     }
 }
 
-/// Generates the m88ksim trace.
-pub fn generate(cfg: &WorkloadConfig) -> Trace {
-    generate_into(cfg, TraceBuffer::new()).into_trace()
-}
-
 /// Streams the m88ksim trace into `sink`, chunk by chunk.
 pub fn generate_into<S: TraceSink>(cfg: &WorkloadConfig, sink: S) -> S {
     let mut rng = StdRng::seed_from_u64(salted_seed(cfg, 0x88));
@@ -193,6 +188,7 @@ pub fn generate_into<S: TraceSink>(cfg: &WorkloadConfig, sink: S) -> S {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Benchmark;
     use bp_trace::BranchProfile;
 
     #[test]
@@ -201,14 +197,14 @@ mod tests {
             seed: 11,
             target_branches: 20_000,
         };
-        let a = generate(&cfg);
+        let a = Benchmark::M88ksim.generate(&cfg);
         assert!(a.conditional_count() >= 20_000);
-        assert_eq!(a, generate(&cfg));
+        assert_eq!(a, Benchmark::M88ksim.generate(&cfg));
     }
 
     #[test]
     fn highly_biased_profile() {
-        let t = generate(&WorkloadConfig {
+        let t = Benchmark::M88ksim.generate(&WorkloadConfig {
             seed: 11,
             target_branches: 40_000,
         });

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use bp_trace::{Pc, Recorder, Trace, TraceBuffer, TraceSink};
+use bp_trace::{Pc, Recorder, TraceSink};
 
 use crate::{salted_seed, WorkloadConfig};
 
@@ -162,11 +162,6 @@ fn run_script<S: TraceSink>(rec: &mut Recorder<S>, script: &Script, rng: &mut St
     }
 }
 
-/// Generates the perl trace.
-pub fn generate(cfg: &WorkloadConfig) -> Trace {
-    generate_into(cfg, TraceBuffer::new()).into_trace()
-}
-
 /// Streams the perl trace into `sink`, chunk by chunk.
 pub fn generate_into<S: TraceSink>(cfg: &WorkloadConfig, sink: S) -> S {
     let mut rng = StdRng::seed_from_u64(salted_seed(cfg, 0xBE7));
@@ -188,6 +183,7 @@ pub fn generate_into<S: TraceSink>(cfg: &WorkloadConfig, sink: S) -> S {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Benchmark;
     use bp_trace::{BranchProfile, TraceStats};
 
     #[test]
@@ -196,14 +192,14 @@ mod tests {
             seed: 13,
             target_branches: 20_000,
         };
-        let a = generate(&cfg);
+        let a = Benchmark::Perl.generate(&cfg);
         assert!(a.conditional_count() >= 20_000);
-        assert_eq!(a, generate(&cfg));
+        assert_eq!(a, Benchmark::Perl.generate(&cfg));
     }
 
     #[test]
     fn interpreter_profile() {
-        let t = generate(&WorkloadConfig {
+        let t = Benchmark::Perl.generate(&WorkloadConfig {
             seed: 13,
             target_branches: 40_000,
         });

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use bp_trace::{Pc, Recorder, Trace, TraceBuffer, TraceSink};
+use bp_trace::{Pc, Recorder, TraceSink};
 
 use crate::{salted_seed, WorkloadConfig};
 
@@ -174,11 +174,6 @@ fn transaction<S: TraceSink>(
     }
 }
 
-/// Generates the vortex trace.
-pub fn generate(cfg: &WorkloadConfig) -> Trace {
-    generate_into(cfg, TraceBuffer::new()).into_trace()
-}
-
 /// Streams the vortex trace into `sink`, chunk by chunk.
 pub fn generate_into<S: TraceSink>(cfg: &WorkloadConfig, sink: S) -> S {
     let mut rng = StdRng::seed_from_u64(salted_seed(cfg, 0x0DB));
@@ -199,6 +194,7 @@ pub fn generate_into<S: TraceSink>(cfg: &WorkloadConfig, sink: S) -> S {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Benchmark;
     use bp_trace::BranchProfile;
 
     #[test]
@@ -207,14 +203,14 @@ mod tests {
             seed: 17,
             target_branches: 20_000,
         };
-        let a = generate(&cfg);
+        let a = Benchmark::Vortex.generate(&cfg);
         assert!(a.conditional_count() >= 20_000);
-        assert_eq!(a, generate(&cfg));
+        assert_eq!(a, Benchmark::Vortex.generate(&cfg));
     }
 
     #[test]
     fn validation_wall_is_biased() {
-        let t = generate(&WorkloadConfig {
+        let t = Benchmark::Vortex.generate(&WorkloadConfig {
             seed: 17,
             target_branches: 40_000,
         });

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use bp_trace::{Pc, Recorder, Trace, TraceBuffer, TraceSink};
+use bp_trace::{Pc, Recorder, TraceSink};
 
 use crate::{salted_seed, WorkloadConfig};
 
@@ -253,18 +253,13 @@ impl Interp {
     }
 }
 
-/// Generates the xlisp trace.
+/// Streams the xlisp trace into `sink`, chunk by chunk.
 ///
 /// A lisp *program* (a pool of top-level expressions) is evaluated over
 /// several rounds with one free variable rebound per round — like the
 /// paper's `train.lsp` repeatedly exercising the same functions on changing
 /// data. Reuse makes most branches highly predictable; the rebinding keeps
 /// a data-dependent residue.
-pub fn generate(cfg: &WorkloadConfig) -> Trace {
-    generate_into(cfg, TraceBuffer::new()).into_trace()
-}
-
-/// Streams the xlisp trace into `sink`, chunk by chunk.
 pub fn generate_into<S: TraceSink>(cfg: &WorkloadConfig, sink: S) -> S {
     let mut rng = StdRng::seed_from_u64(salted_seed(cfg, 0x115b));
     let mut rec = Recorder::with_sink(sink);
@@ -291,6 +286,7 @@ pub fn generate_into<S: TraceSink>(cfg: &WorkloadConfig, sink: S) -> S {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Benchmark;
     use bp_trace::{BranchKind, TraceStats};
 
     #[test]
@@ -299,14 +295,14 @@ mod tests {
             seed: 19,
             target_branches: 20_000,
         };
-        let a = generate(&cfg);
+        let a = Benchmark::Xlisp.generate(&cfg);
         assert!(a.conditional_count() >= 20_000);
-        assert_eq!(a, generate(&cfg));
+        assert_eq!(a, Benchmark::Xlisp.generate(&cfg));
     }
 
     #[test]
     fn records_calls_and_returns() {
-        let t = generate(&WorkloadConfig {
+        let t = Benchmark::Xlisp.generate(&WorkloadConfig {
             seed: 19,
             target_branches: 10_000,
         });

@@ -431,7 +431,7 @@ fn keep_better(a: (Vec<usize>, u64), b: (Vec<usize>, u64)) -> (Vec<usize>, u64) 
 mod tests {
     use proptest::prelude::*;
 
-    use bp_trace::{BranchRecord, Trace};
+    use bp_trace::{BranchKind, BranchRecord, Trace};
 
     use super::*;
     use crate::candidates::TagCandidates;
@@ -528,6 +528,45 @@ mod tests {
             1..max,
         )
         .prop_map(Trace::from_records)
+    }
+
+    /// Program-like traces for the builder's dense ids: straight-line
+    /// code over up to 300 static conditionals (each shard interns them in
+    /// its own order; half the traces have more than 256, past any byte-
+    /// sized id), wrapping around and looping back a few branches one step
+    /// in 32, so short traces meet many ids and long ones repeat them. Every eighth conditional is a back-edge, for iteration tags
+    /// far from a prefix. Calls, returns and jumps, at pcs of their own,
+    /// replace one step in 32 each: they pass every shard's scan but never
+    /// enter the window.
+    fn arb_program_trace() -> impl Strategy<Value = Trace> {
+        let step = (0u8..32, 1u64..=8, any::<bool>());
+        let statics = (any::<bool>(), 1u64..=300, 257u64..=300);
+        (statics, prop::collection::vec(step, 1..400)).prop_map(|(statics, steps)| {
+            let statics = if statics.0 { statics.2 } else { statics.1 };
+            let mut at = 0u64;
+            let records = steps.into_iter().map(|(roll, back, taken)| {
+                at = if roll == 0 {
+                    at.saturating_sub(back)
+                } else {
+                    (at + 1) % statics
+                };
+                let pc = 0x1000 + at * 4;
+                let other = |kind| BranchRecord {
+                    pc: pc + 0x8000,
+                    target: pc,
+                    taken: true,
+                    kind,
+                };
+                match roll {
+                    1 => other(BranchKind::Call),
+                    2 => other(BranchKind::Return),
+                    3 => other(BranchKind::Jump),
+                    _ if at % 8 == 7 => BranchRecord::conditional(pc, taken).with_target(0x1000),
+                    _ => BranchRecord::conditional(pc, taken),
+                }
+            });
+            Trace::from_records(records.collect())
+        })
     }
 
     fn matrix_for(trace: &Trace, window: usize, cap: usize) -> OutcomeMatrix {
@@ -674,6 +713,39 @@ mod tests {
             }
             let windows = [window, window + steps.0, window + steps.0 + steps.1];
             let caps = [cap, more_caps.0, more_caps.1];
+            let sweep = SweepMatrix::build_from_source(&trace, &windows, &caps, shards)
+                .expect("in-memory scan");
+            for (i, (&w, &c)) in windows.iter().zip(&caps).enumerate() {
+                let want = outcome_matrix(&trace, w, c, &TagScheme::ALL);
+                prop_assert_eq!(&sweep.materialize(i), &want, "point {}", i);
+            }
+        }
+
+        /// The same agreement where dense ids can go wrong: many static
+        /// pcs, non-conditional records, windows up to 256, and iteration
+        /// indices far from a prefix.
+        #[test]
+        fn builder_matches_reference_on_program_traces(
+            trace in arb_program_trace(),
+            window in 1usize..=200,
+            steps in (1usize..=28, 1usize..=28),
+            caps in (1usize..=16, 1usize..=16, 1usize..=16),
+            shards in 1usize..=3,
+        ) {
+            let want = outcome_matrix(&trace, window, caps.0, &TagScheme::ALL);
+            let cands = TagCandidates::collect_from_source_sharded(
+                &trace, window, caps.0, &TagScheme::ALL, shards,
+            )
+            .expect("in-memory scan");
+            prop_assert_eq!(cands.branch_count(), want.branch_count());
+            for (pc, bm) in want.iter() {
+                prop_assert_eq!(cands.tags(pc), bm.tags(), "{:#x}", pc);
+            }
+            let got = OutcomeMatrix::build_from_source_sharded(&trace, &cands, window, shards)
+                .expect("in-memory scan");
+            prop_assert_eq!(&got, &want);
+            let windows = [window, window + steps.0, window + steps.0 + steps.1];
+            let caps = [caps.0, caps.1, caps.2];
             let sweep = SweepMatrix::build_from_source(&trace, &windows, &caps, shards)
                 .expect("in-memory scan");
             for (i, (&w, &c)) in windows.iter().zip(&caps).enumerate() {

@@ -26,12 +26,23 @@
 //! one per-shard step on [`scan_shards`]. [`SweepMatrix::materialize`]
 //! assembles any sweep point's [`OutcomeMatrix`] with a word-wise
 //! bucket-threshold mask, no trace access needed.
+//!
+//! Neither pass hashes a visible tag. Each shard interns a conditional
+//! record's pc once and pushes the record into its window with that dense
+//! id ([`PathWindow::push_with_id`]), so a visible instance arrives as
+//! (prior id, scheme, index) and a per-branch slot table finds its count
+//! (pass 1) or column (pass 2) by direct indexing. The tables grow with
+//! the (branch, tag) pairs a build sees, never with the window. Pass 2
+//! sets bits in a per-branch tile holding the current 64 executions of
+//! every column's planes, and pushes whole words when the 64th execution
+//! lands or the scan ends. Ids are per shard and never leave a pass:
+//! ranking sorts by tag, so no list depends on interning order.
 
 use bp_trace::fx::FxHashMap;
 use bp_trace::io::TraceIoError;
 use bp_trace::{
-    par_map, scan_shards, shard_of, InstanceTag, PathWindow, Pc, TagScheme, Trace, TraceSource,
-    MAX_SHARDS,
+    par_map, scan_shards, shard_of, BranchRecord, InstanceTag, PathWindow, Pc, TagScheme, Trace,
+    TraceSource, MAX_SHARDS,
 };
 
 use crate::matrix::{BranchMatrix, OutcomeMatrix};
@@ -206,6 +217,385 @@ fn window_buckets(windows: &[usize]) -> (PathWindow, Vec<u8>) {
 /// window its capped list as indices into them.
 pub(crate) type Ranked = (Vec<InstanceTag>, Vec<Vec<u32>>);
 
+/// One shard's scan, shared by both passes: every conditional record's
+/// pc is interned once, in first-seen order, and the record enters the
+/// path window with that dense id. The state of each branch the shard
+/// owns is found by the same id, not by a map probe.
+struct ShardScan<T> {
+    path: PathWindow,
+    ids: FxHashMap<Pc, u32>,
+    /// Per id: its pc.
+    pcs: Vec<Pc>,
+    /// Per id: 1 + the index of its state in `branches` (0: not owned).
+    owner: Vec<u32>,
+    branches: Vec<T>,
+}
+
+impl<T> ShardScan<T> {
+    fn new(path: PathWindow) -> Self {
+        ShardScan {
+            path,
+            ids: FxHashMap::default(),
+            pcs: Vec::new(),
+            owner: Vec::new(),
+            branches: Vec::new(),
+        }
+    }
+
+    /// `pc`'s id, and whether this call assigned it (not owned yet).
+    #[inline]
+    fn id(&mut self, pc: Pc) -> (u32, bool) {
+        let next = u32::try_from(self.pcs.len()).expect("fewer than 2^32 static branches");
+        let id = *self.ids.entry(pc).or_insert(next);
+        let new = id == next;
+        if new {
+            self.pcs.push(pc);
+            self.owner.push(0);
+        }
+        (id, new)
+    }
+
+    /// Makes `state` the shard's state for `pc`.
+    fn own(&mut self, pc: Pc, state: T) {
+        let (id, _) = self.id(pc);
+        self.attach(id, state);
+    }
+
+    fn attach(&mut self, id: u32, state: T) {
+        self.branches.push(state);
+        self.owner[id as usize] = self.branches.len() as u32;
+    }
+
+    /// Runs one chunk. A pc met for the first time is owned when `adopt`
+    /// gives it a state; an owned branch's state then sees the window as it
+    /// stood before each of its executions (`visit`, with the outcome).
+    fn step(
+        &mut self,
+        chunk: &[BranchRecord],
+        mut adopt: impl FnMut(Pc) -> Option<T>,
+        mut visit: impl FnMut(&mut T, &PathWindow, bool),
+    ) {
+        for rec in chunk.iter().filter(|rec| rec.is_conditional()) {
+            let (id, new) = self.id(rec.pc);
+            if new {
+                if let Some(state) = adopt(rec.pc) {
+                    self.attach(id, state);
+                }
+            }
+            if let Some(b) = self.owner[id as usize].checked_sub(1) {
+                visit(&mut self.branches[b as usize], &self.path, rec.taken);
+            }
+            self.path.push_with_id(rec, id);
+        }
+    }
+}
+
+/// [`SlotTable`] block index of each tagging scheme.
+const OCC: usize = TagScheme::Occurrence as usize;
+const ITER: usize = TagScheme::Iteration as usize;
+
+/// A per-branch direct index from a visible instance — (prior id,
+/// scheme, index) — to a dense slot: a count in pass 1, a column in
+/// pass 2. It grows only with what the branch sees, like the tag map it
+/// replaces: `pair_of` with the priors seen (see [`PairIndex`]), and each
+/// (prior, scheme) block to the largest index seen. Occurrence indices
+/// visible at one execution form a prefix, so only iteration blocks can
+/// have gaps. Nothing is sized by the window.
+#[derive(Debug, Default)]
+struct SlotTable {
+    /// Prior id → pair number.
+    pair_of: PairIndex,
+    /// Per pair: its prior id, and per scheme its block of `slots`.
+    pairs: Vec<(u32, [Block; 2])>,
+    /// Block storage: 1 + slot (0: index never seen).
+    slots: Vec<u32>,
+}
+
+#[derive(Debug, Default, Clone, Copy)]
+struct Block {
+    start: u32,
+    len: u32,
+}
+
+/// One past the largest instance index.
+const INDEX_LIMIT: u32 = 1 << 16;
+
+/// Most direct [`PairIndex`] entries per pair a branch has seen.
+const DENSE_PER_PAIR: usize = 32;
+
+/// A branch's prior id → pair number, sized by the pairs the branch has
+/// seen. Ids below `dense.len()` are indexed directly. `dense` grows to
+/// cover an id only while it keeps within [`DENSE_PER_PAIR`] entries per
+/// pair, so a prior past it (a branch that sees few priors among many
+/// ids) waits in `open` until `dense` has grown past it.
+#[derive(Debug, Default)]
+struct PairIndex {
+    /// Per id: 1 + its pair number (0: never seen).
+    dense: Vec<u32>,
+    /// Priors at or past `dense.len()`: `(1 + id, pair)` entries, 0 for
+    /// empty, probed linearly from [`home`]; empty, or at most half full.
+    open: Vec<(u32, u32)>,
+    /// Priors in `open`.
+    held: usize,
+}
+
+impl PairIndex {
+    #[inline]
+    fn get(&self, id: u32) -> Option<usize> {
+        match self.dense.get(id as usize) {
+            Some(&p) => p.checked_sub(1).map(|p| p as usize),
+            None if self.held == 0 => None,
+            None => self.get_open(id),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn get_open(&self, id: u32) -> Option<usize> {
+        let mask = self.open.len() - 1;
+        let mut at = home(id, mask);
+        loop {
+            let (key, pair) = self.open[at];
+            if key == id + 1 {
+                return Some(pair as usize);
+            }
+            if key == 0 {
+                return None;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Enters prior `id`, new, as pair `pair`, the branch's `pair + 1`st.
+    fn insert(&mut self, id: u32, pair: usize) {
+        let i = id as usize;
+        let limit = DENSE_PER_PAIR * (pair + 1);
+        if i >= self.dense.len() && i < limit {
+            self.dense.resize((i + 1).next_power_of_two().min(limit), 0);
+            // Take over the open priors the longer `dense` covers. Each
+            // went to `open` past its own, lower limit, so none regrows it.
+            let open = std::mem::take(&mut self.open);
+            self.held = 0;
+            for (key, p) in open.into_iter().filter(|&(key, _)| key != 0) {
+                self.enter(key - 1, p as usize);
+            }
+        }
+        self.enter(id, pair);
+    }
+
+    /// Enters prior `id` as `pair` at its place in `dense` or `open`.
+    fn enter(&mut self, id: u32, pair: usize) {
+        if let Some(slot) = self.dense.get_mut(id as usize) {
+            *slot = pair as u32 + 1;
+            return;
+        }
+        self.held += 1;
+        if 2 * self.held > self.open.len() {
+            let size = 4 * self.held.next_power_of_two();
+            let open = std::mem::replace(&mut self.open, vec![(0, 0); size]);
+            for (key, p) in open.into_iter().filter(|&(key, _)| key != 0) {
+                place(&mut self.open, key - 1, p as usize);
+            }
+        }
+        place(&mut self.open, id, pair);
+    }
+}
+
+/// Where prior `id` starts its probe in a `mask + 1`-entry open index.
+#[inline]
+fn home(id: u32, mask: usize) -> usize {
+    (id.wrapping_mul(0x9E37_79B9) >> 16) as usize & mask
+}
+
+/// Enters prior `id` as `pair` in an open index with a free entry.
+fn place(index: &mut [(u32, u32)], id: u32, pair: usize) {
+    let mask = index.len() - 1;
+    let mut at = home(id, mask);
+    while index[at].0 != 0 {
+        at = (at + 1) & mask;
+    }
+    index[at] = (id + 1, pair as u32);
+}
+
+impl SlotTable {
+    /// The pair number of prior `id`, if the branch has seen it.
+    #[inline]
+    fn pair(&self, id: u32) -> Option<usize> {
+        self.pair_of.get(id)
+    }
+
+    #[inline]
+    fn get(&self, pair: usize, scheme: usize, index: u16) -> Option<u32> {
+        let b = self.pairs[pair].1[scheme];
+        let index = u32::from(index);
+        if index >= b.len {
+            return None;
+        }
+        self.slots[(b.start + index) as usize].checked_sub(1)
+    }
+
+    /// Prior `id`'s pair number, adding the pair if new.
+    #[inline]
+    fn pair_or_insert(&mut self, id: u32) -> usize {
+        match self.pair(id) {
+            Some(pair) => pair,
+            None => self.insert_pair(id),
+        }
+    }
+
+    #[cold]
+    fn insert_pair(&mut self, id: u32) -> usize {
+        let pair = self.pairs.len();
+        self.pairs.push((id, [Block::default(); 2]));
+        self.pair_of.insert(id, pair);
+        pair
+    }
+
+    /// Makes `slot` the slot at (pair, scheme, index), which has none.
+    #[cold]
+    fn insert(&mut self, pair: usize, scheme: usize, index: u16, slot: u32) {
+        let index = u32::from(index);
+        if index >= self.pairs[pair].1[scheme].len {
+            self.grow(pair, scheme, index + 1);
+        }
+        let at = (self.pairs[pair].1[scheme].start + index) as usize;
+        debug_assert_eq!(self.slots[at], 0, "one slot per instance");
+        self.slots[at] = slot + 1;
+    }
+
+    /// Extends a block to at least `len` entries: in place when it ends
+    /// `slots`, else by moving it to the end at twice its length or more,
+    /// so a block that grows one index at a time moves O(log len) times.
+    fn grow(&mut self, pair: usize, scheme: usize, len: u32) {
+        let b = &mut self.pairs[pair].1[scheme];
+        let (start, end) = (b.start as usize, (b.start + b.len) as usize);
+        if end == self.slots.len() {
+            self.slots.resize(start + len as usize, 0);
+            b.len = len;
+        } else {
+            let len = len.max(2 * b.len).min(INDEX_LIMIT);
+            let moved = self.slots.len();
+            self.slots.extend_from_within(start..end);
+            self.slots.resize(moved + len as usize, 0);
+            *b = Block {
+                start: u32::try_from(moved).expect("under 2^32 slots per branch"),
+                len,
+            };
+        }
+    }
+
+    /// Every filled slot, as (prior id, scheme, index, slot).
+    fn iter(&self) -> impl Iterator<Item = (u32, TagScheme, u16, u32)> + '_ {
+        self.pairs.iter().flat_map(move |&(id, blocks)| {
+            TagScheme::ALL
+                .into_iter()
+                .zip(blocks)
+                .flat_map(move |(scheme, b)| {
+                    let block = &self.slots[b.start as usize..(b.start + b.len) as usize];
+                    block.iter().enumerate().filter_map(move |(index, &s)| {
+                        Some((id, scheme, index as u16, s.checked_sub(1)?))
+                    })
+                })
+        })
+    }
+}
+
+/// One branch's pass-1 state: per distinct visible tag, its visibility
+/// counts by bucket, found through the branch's slot table.
+struct TagCounts<const B: usize> {
+    pc: Pc,
+    table: SlotTable,
+    counts: Vec<[u64; B]>,
+}
+
+impl<const B: usize> TagCounts<B> {
+    fn new(pc: Pc) -> Self {
+        TagCounts {
+            pc,
+            table: SlotTable::default(),
+            counts: Vec::new(),
+        }
+    }
+
+    /// Counts every tag visible in `path`, in its `bucket_of` bucket.
+    #[inline]
+    fn observe(&mut self, path: &PathWindow, bucket_of: &[u8]) {
+        let TagCounts { table, counts, .. } = self;
+        path.scan_visible_ids(|v| {
+            let b = if B == 1 {
+                0
+            } else {
+                usize::from(bucket_of[v.distance])
+            };
+            let pair = table.pair_or_insert(v.id);
+            let mut count = |scheme, index| {
+                let slot = table.get(pair, scheme, index).unwrap_or_else(|| {
+                    let slot = u32::try_from(counts.len()).expect("under 2^32 tags per branch");
+                    table.insert(pair, scheme, index, slot);
+                    counts.push([0; B]);
+                    slot
+                });
+                counts[slot as usize][b] += 1;
+            };
+            count(OCC, v.occurrence);
+            if let Some(index) = v.iteration {
+                count(ITER, index);
+            }
+        });
+    }
+
+    /// The union of every window's capped list, ranked from these counts
+    /// (see [`rank_candidates`]); `pcs` names the prior ids.
+    fn rank(&self, pcs: &[Pc], caps: &[usize], schemes: &[TagScheme]) -> (Pc, Ranked) {
+        let tags: Vec<(InstanceTag, &[u64; B])> = self
+            .table
+            .iter()
+            .filter(|(_, scheme, _, _)| schemes.contains(scheme))
+            .map(|(id, scheme, index, slot)| {
+                let pc = pcs[id as usize];
+                (
+                    InstanceTag { pc, index, scheme },
+                    &self.counts[slot as usize],
+                )
+            })
+            .collect();
+        let order = |a: &(InstanceTag, u64), b: &(InstanceTag, u64)| {
+            b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0))
+        };
+        let mut union: Vec<InstanceTag> = Vec::new();
+        let mut union_index: FxHashMap<InstanceTag, u32> = FxHashMap::default();
+        let mut ranked = Vec::with_capacity(caps.len());
+        for (i, &cap) in caps.iter().enumerate() {
+            // Visibility within window i = buckets 0..=i summed.
+            let mut list: Vec<(InstanceTag, u64)> = tags
+                .iter()
+                .filter_map(|(tag, buckets)| {
+                    let count: u64 = buckets[..=i].iter().sum();
+                    (count > 0).then_some((*tag, count))
+                })
+                .collect();
+            // The order is total (tags are distinct), so selecting the
+            // first `cap` before sorting keeps exactly the same list.
+            if list.len() > cap {
+                list.select_nth_unstable_by(cap - 1, order);
+                list.truncate(cap);
+            }
+            list.sort_unstable_by(order);
+            let cols = list
+                .into_iter()
+                .map(|(tag, _)| {
+                    *union_index.entry(tag).or_insert_with(|| {
+                        union.push(tag);
+                        (union.len() - 1) as u32
+                    })
+                })
+                .collect();
+            ranked.push(cols);
+        }
+        (self.pc, (union, ranked))
+    }
+}
+
 /// Pass 1: per executed branch, the union of every window's capped
 /// candidate list (the first window's list first, so with one window the
 /// union is that list), and per window its list as indices into the
@@ -213,6 +603,10 @@ pub(crate) type Ranked = (Vec<InstanceTag>, Vec<Vec<u32>>);
 /// buckets by the smallest window that sees each instance (so `B` must
 /// cover `windows`); window `i` then ranks the `schemes` tags by buckets
 /// `0..=i` summed (count desc, tag asc) and keeps `caps[i]`.
+///
+/// Each visible instance is counted through the branch's [`SlotTable`]:
+/// its prior's dense id rides in the window entry, so no visible tag costs
+/// a hash probe.
 ///
 /// # Panics
 ///
@@ -239,58 +633,124 @@ pub(crate) fn rank_candidates<const B: usize, T: TraceSource + Sync + ?Sized>(
     let parts = scan_shards(
         source,
         shards,
-        |shard| (shard, path.clone(), Vec::new(), FxHashMap::default()),
-        |(shard, path, visible, counts), chunk| {
-            for rec in chunk {
-                if rec.is_conditional() && shard_of(rec.pc, shards) == *shard {
-                    path.visible_tags_with_distance(visible);
-                    let branch_counts: &mut FxHashMap<InstanceTag, [u64; B]> =
-                        counts.entry(rec.pc).or_default();
-                    // Every scheme is counted: filtering by `schemes` at
-                    // ranking leaves the same lists, and costs less here.
-                    for &(tag, _, d) in visible.iter() {
-                        let b = if B == 1 { 0 } else { usize::from(bucket_of[d]) };
-                        branch_counts.entry(tag).or_insert([0; B])[b] += 1;
-                    }
-                }
-                path.push(rec);
-            }
+        |shard| (shard, ShardScan::new(path.clone())),
+        |(shard, scan), chunk| {
+            // Every scheme is counted: filtering by `schemes` at ranking
+            // leaves the same lists, and costs less here.
+            scan.step(
+                chunk,
+                |pc| (shard_of(pc, shards) == *shard).then(|| TagCounts::<B>::new(pc)),
+                |counts, path, _| counts.observe(path, &bucket_of),
+            );
         },
     )?;
-    let rank = |tag_counts: FxHashMap<InstanceTag, [u64; B]>| {
-        let mut union: Vec<InstanceTag> = Vec::new();
-        let mut union_index: FxHashMap<InstanceTag, u32> = FxHashMap::default();
-        let mut ranked = Vec::with_capacity(caps.len());
-        for (i, &cap) in caps.iter().enumerate() {
-            // Visibility within window i = buckets 0..=i summed.
-            let mut list: Vec<(InstanceTag, u64)> = tag_counts
-                .iter()
-                .filter(|(tag, _)| schemes.contains(&tag.scheme))
-                .filter_map(|(tag, buckets)| {
-                    let count: u64 = buckets[..=i].iter().sum();
-                    (count > 0).then_some((*tag, count))
-                })
-                .collect();
-            list.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            list.truncate(cap);
-            let cols = list
-                .into_iter()
-                .map(|(tag, _)| {
-                    *union_index.entry(tag).or_insert_with(|| {
-                        union.push(tag);
-                        (union.len() - 1) as u32
-                    })
-                })
-                .collect();
-            ranked.push(cols);
-        }
-        (union, ranked)
-    };
     Ok(parts
         .into_iter()
-        .flat_map(|(_, _, _, counts)| counts)
-        .map(|(pc, tag_counts)| (pc, rank(tag_counts)))
+        .flat_map(|(_, scan)| {
+            let pcs = scan.pcs;
+            scan.branches
+                .into_iter()
+                .map(move |counts| counts.rank(&pcs, caps, schemes))
+        })
         .collect())
+}
+
+/// One branch's pass-2 state: its slot table over column numbers, and a
+/// tile holding the current 64 executions of every column's in-path,
+/// direction and bucket planes, which leaves for the planes one whole word
+/// per plane when the 64th execution lands or the scan ends. `W` is the
+/// tile's words per column: 2 for one window, `2 + BUCKET_BITS` for a
+/// sweep, whose unused bucket words stay zero.
+struct PlaneBuilder<const W: usize> {
+    pc: Pc,
+    sb: SweepBranch,
+    table: SlotTable,
+    /// Bucket planes per column.
+    bits: usize,
+    /// Per column: in-path, direction, bucket-plane words.
+    tile: Vec<[u64; W]>,
+    taken: u64,
+}
+
+impl<const W: usize> PlaneBuilder<W> {
+    /// A builder for `tags`, naming their priors by `ids`.
+    fn new(pc: Pc, tags: &[InstanceTag], bits: usize, mut ids: impl FnMut(Pc) -> u32) -> Self {
+        debug_assert!(bits <= W - 2, "a tile word per bucket plane");
+        let mut table = SlotTable::default();
+        for (c, tag) in (0..).zip(tags) {
+            let pair = table.pair_or_insert(ids(tag.pc));
+            table.insert(pair, tag.scheme as usize, tag.index, c);
+        }
+        PlaneBuilder {
+            pc,
+            sb: SweepBranch::new(tags.to_vec(), bits),
+            table,
+            bits,
+            tile: vec![[0; W]; tags.len()],
+            taken: 0,
+        }
+    }
+
+    #[inline]
+    fn push_execution(&mut self, taken: bool, path: &PathWindow, bucket_of: &[u8]) {
+        let e = self.sb.executions;
+        self.sb.executions += 1;
+        let m = 1u64 << (e % 64);
+        self.taken |= m & u64::from(taken).wrapping_neg();
+        if !self.table.pairs.is_empty() {
+            let (table, tile) = (&self.table, &mut self.tile);
+            // Branch-free: whether a candidate's instance was taken, and
+            // its bucket digits, are data, not control flow.
+            let mut set = |c: u32, taken: bool, d: usize| {
+                let t = &mut tile[c as usize];
+                t[0] |= m;
+                t[1] |= m & u64::from(taken).wrapping_neg();
+                // A one-window tile has no bucket words.
+                if W > 2 {
+                    let b = u64::from(bucket_of[d]);
+                    for (k, word) in t[2..].iter_mut().enumerate() {
+                        *word |= m & (b >> k & 1).wrapping_neg();
+                    }
+                }
+            };
+            path.scan_visible_ids(|v| {
+                let Some(pair) = table.pair(v.id) else {
+                    return;
+                };
+                if let Some(c) = table.get(pair, OCC, v.occurrence) {
+                    set(c, v.taken, v.distance);
+                }
+                if let Some(c) = v.iteration.and_then(|i| table.get(pair, ITER, i)) {
+                    set(c, v.taken, v.distance);
+                }
+            });
+        }
+        if e % 64 == 63 {
+            self.flush();
+        }
+    }
+
+    /// Moves the tile's words into the planes and clears it.
+    fn flush(&mut self) {
+        let sb = &mut self.sb;
+        sb.taken.push(std::mem::take(&mut self.taken));
+        for (c, t) in self.tile.iter_mut().enumerate() {
+            sb.inpath[c].push(t[0]);
+            sb.dir[c].push(t[1]);
+            for (planes, &word) in sb.buckets.iter_mut().zip(&t[2..]).take(self.bits) {
+                planes[c].push(word);
+            }
+            *t = [0; W];
+        }
+    }
+
+    /// The branch's planes, with a partly filled last word flushed.
+    fn finish(mut self) -> (Pc, SweepBranch) {
+        if !self.sb.executions.is_multiple_of(64) {
+            self.flush();
+        }
+        (self.pc, self.sb)
+    }
 }
 
 /// Pass 2: packs each listed branch's planes for its `columns` (distinct
@@ -298,10 +758,28 @@ pub(crate) fn rank_candidates<const B: usize, T: TraceSource + Sync + ?Sized>(
 /// bucket planes. A listed branch that never executes keeps zero
 /// executions. `ranked` is left empty for the caller to attach.
 ///
+/// Each shard interns its listed branches and their candidates' priors
+/// before the scan, so a column is found by direct indexing on (prior id,
+/// scheme, index), and set in the branch's tile.
+///
 /// # Panics
 ///
 /// As [`SweepMatrix::build`], for `windows`.
 pub(crate) fn pack_planes<T: TraceSource + Sync + ?Sized>(
+    source: &T,
+    windows: &[usize],
+    columns: &[(Pc, &[InstanceTag])],
+    shards: usize,
+) -> Result<FxHashMap<Pc, SweepBranch>, TraceIoError> {
+    if windows.len() == 1 {
+        pack::<2, T>(source, windows, columns, shards)
+    } else {
+        pack::<{ 2 + BUCKET_BITS }, T>(source, windows, columns, shards)
+    }
+}
+
+/// [`pack_planes`] with `W`-word tiles.
+fn pack<const W: usize, T: TraceSource + Sync + ?Sized>(
     source: &T,
     windows: &[usize],
     columns: &[(Pc, &[InstanceTag])],
@@ -314,33 +792,27 @@ pub(crate) fn pack_planes<T: TraceSource + Sync + ?Sized>(
         source,
         shards,
         |shard| {
-            // Each branch keeps its tag -> column map beside its planes:
-            // one map probe per execution.
-            let builders: FxHashMap<Pc, (SweepBranch, FxHashMap<InstanceTag, u32>)> = columns
+            let mut scan = ShardScan::new(path.clone());
+            for &(pc, tags) in columns
                 .iter()
                 .filter(|&&(pc, _)| shard_of(pc, shards) == shard)
-                .map(|&(pc, tags)| {
-                    let index = (0..).zip(tags).map(|(c, tag)| (*tag, c)).collect();
-                    (pc, (SweepBranch::new(tags.to_vec(), bits), index))
-                })
-                .collect();
-            (path.clone(), Vec::new(), builders)
-        },
-        |(path, visible, builders), chunk| {
-            for rec in chunk {
-                if rec.is_conditional() {
-                    if let Some((sb, index)) = builders.get_mut(&rec.pc) {
-                        path.visible_tags_with_distance(visible);
-                        sb.push_execution(rec.taken, &bucket_of, index, visible);
-                    }
-                }
-                path.push(rec);
+            {
+                let builder = PlaneBuilder::<W>::new(pc, tags, bits, |prior| scan.id(prior).0);
+                scan.own(pc, builder);
             }
+            scan
+        },
+        |scan, chunk| {
+            scan.step(
+                chunk,
+                |_| None,
+                |builder, path, taken| builder.push_execution(taken, path, &bucket_of),
+            );
         },
     )?;
     Ok(parts
         .into_iter()
-        .flat_map(|(_, _, builders)| builders.into_iter().map(|(pc, (sb, _))| (pc, sb)))
+        .flat_map(|scan| scan.branches.into_iter().map(PlaneBuilder::finish))
         .collect())
 }
 
@@ -355,54 +827,6 @@ impl SweepBranch {
             dir: vec![Vec::new(); n],
             buckets: std::array::from_fn(|k| vec![Vec::new(); if k < bucket_bits { n } else { 0 }]),
             ranked: Vec::new(),
-        }
-    }
-
-    fn push_execution(
-        &mut self,
-        taken: bool,
-        bucket_of: &[u8],
-        columns: &FxHashMap<InstanceTag, u32>,
-        visible: &[(InstanceTag, bool, usize)],
-    ) {
-        let e = self.executions;
-        self.executions += 1;
-        let (word, bit) = (e / 64, e % 64);
-        if bit == 0 {
-            self.taken.push(0);
-            for plane in self.inpath.iter_mut().chain(self.dir.iter_mut()) {
-                plane.push(0);
-            }
-            for planes in &mut self.buckets {
-                for plane in planes.iter_mut() {
-                    plane.push(0);
-                }
-            }
-        }
-        if taken {
-            self.taken[word] |= 1 << bit;
-        }
-        for &(tag, tag_taken, d) in visible {
-            let Some(&c) = columns.get(&tag) else {
-                continue;
-            };
-            let c = c as usize;
-            self.inpath[c][word] |= 1 << bit;
-            if tag_taken {
-                self.dir[c][word] |= 1 << bit;
-            }
-            // Bucket 0 sets no bit: a one-window build, whose only bucket
-            // it is, touches no bucket plane.
-            let mut b = bucket_of[d];
-            for planes in &mut self.buckets {
-                if b == 0 {
-                    break;
-                }
-                if b & 1 == 1 {
-                    planes[c][word] |= 1 << bit;
-                }
-                b >>= 1;
-            }
         }
     }
 
@@ -601,6 +1025,83 @@ mod tests {
         let bm = m.branch(0x42).expect("branch retained");
         assert_eq!(bm.tags().len(), 0);
         assert_eq!(bm.executions(), 1);
+    }
+
+    #[test]
+    fn pair_index_finds_every_prior_within_its_size_bound() {
+        // Priors met in a scattered order: far ids first go to `open`,
+        // then move to `dense` as the branch sees more priors.
+        let mut index = PairIndex::default();
+        let mut x = 7u32;
+        let mut ids = Vec::new();
+        for pair in 0..300 {
+            x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            let id = if pair % 3 == 0 {
+                x % 100_000
+            } else {
+                x % 2_000
+            };
+            if ids.contains(&id) {
+                continue;
+            }
+            index.insert(id, ids.len());
+            ids.push(id);
+            assert!(index.dense.len() <= DENSE_PER_PAIR * ids.len());
+            assert!(index.open.is_empty() || 2 * index.held <= index.open.len());
+        }
+        assert!(index.held > 0, "some priors stay open");
+        for (pair, &id) in ids.iter().enumerate() {
+            assert_eq!(index.get(id), Some(pair), "prior {id}");
+        }
+        assert_eq!(index.get(100_001), None);
+        assert_eq!(index.get(1_999).is_some(), ids.contains(&1_999));
+    }
+
+    #[test]
+    fn widest_window_with_sparse_iteration_indices_matches_reference() {
+        // A loop nest between two straight-line branches: at the exit the
+        // entry branch is hundreds of back-edges away, so iteration blocks
+        // hold a few far-apart indices. The whole trace fits the window.
+        let mut rec = Recorder::new();
+        rec.cond(0x10, true);
+        for i in 0..24u64 {
+            for j in 0..i % 5 + 1 {
+                rec.cond(0x20, (i + j) % 3 == 0);
+                rec.loop_back(0x30, j < i % 5);
+            }
+            if i % 4 == 0 {
+                rec.call(0x38, 0x800);
+                rec.cond(0x810, i % 8 == 0);
+                rec.ret(0x818);
+            }
+            rec.cond(0x40, i % 2 == 0);
+            rec.loop_back(0x50, i < 23);
+        }
+        rec.cond(0x60, false);
+        rec.cond(0x10, false);
+        let trace = rec.into_trace();
+        let widest = PathWindow::MAX_CAPACITY;
+        let direct = reference::outcome_matrix(&trace, widest, 24, &TagScheme::ALL);
+        assert!(
+            direct
+                .iter()
+                .flat_map(|(_, bm)| bm.tags())
+                .any(|t| t.scheme == TagScheme::Iteration && t.index >= 64),
+            "far iteration indices among the candidates"
+        );
+        let cands = TagCandidates::collect(&trace, widest, 24);
+        assert_eq!(OutcomeMatrix::build(&trace, &cands, widest), direct);
+
+        let windows = [16, 1024, widest];
+        let caps = [8, 16, 24];
+        for shards in [1, 3] {
+            let sweep = SweepMatrix::build_from_source(&trace, &windows, &caps, shards)
+                .expect("in-memory scan");
+            for (i, (&n, &cap)) in windows.iter().zip(&caps).enumerate() {
+                let want = reference::outcome_matrix(&trace, n, cap, &TagScheme::ALL);
+                assert_eq!(sweep.materialize(i), want, "window {n}, {shards} shards");
+            }
+        }
     }
 
     #[test]

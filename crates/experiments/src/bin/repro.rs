@@ -14,15 +14,20 @@
 //! simulations, oracle analyses and classifications are memoized across
 //! experiments, and per-benchmark work fans out over `--jobs` worker
 //! threads. Results are reassembled in benchmark order, so stdout is
-//! byte-identical whatever the job count.
+//! byte-identical whatever the job count. Experiments are evaluated in
+//! [`evaluation_order`] (fig5 ahead of the other users of its window-16
+//! point) but printed in the requested order, each as soon as it and
+//! every section before it are done.
 
 use std::io::Write;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bp_experiments::cli::workload_flag;
+use bp_experiments::cli::{emit, workload_flag};
 use bp_experiments::goldens::{self, Goldens};
-use bp_experiments::{run_experiment, Engine, ExperimentConfig, TraceSet, EXPERIMENT_IDS};
+use bp_experiments::{
+    evaluation_order, run_experiment, Engine, ExperimentConfig, TraceSet, EXPERIMENT_IDS,
+};
 
 fn usage() {
     eprintln!(
@@ -84,10 +89,11 @@ fn write_timings(
     for (i, (benchmark, p)) in phases.iter().enumerate() {
         let sep = if i + 1 == phases.len() { "" } else { "," };
         out.push_str(&format!(
-            "    {{\"benchmark\": \"{}\", \"analyses\": {}, \"shards\": {}, \
+            "    {{\"benchmark\": \"{}\", \"analyses\": {}, \"builds\": {}, \"shards\": {}, \
              \"matrix_seconds\": {:.3}, \"search_seconds\": {:.3}}}{}\n",
             benchmark.short_name(),
             p.analyses,
+            p.builds,
             p.shards,
             p.matrix_seconds,
             p.search_seconds,
@@ -225,10 +231,13 @@ fn main() -> ExitCode {
     let mut golden_mismatches: Vec<String> = Vec::new();
 
     if !bare {
-        println!(
-            "# Reproduction run: seed={} target={} branches/benchmark\n",
+        let header = format!(
+            "# Reproduction run: seed={} target={} branches/benchmark\n\n",
             cfg.workload.seed, cfg.workload.target_branches
         );
+        if let Err(code) = emit(&header) {
+            return code;
+        }
     }
     let mut traces = TraceSet::new(cfg.workload);
     if stream {
@@ -256,24 +265,34 @@ fn main() -> ExitCode {
         });
     }
 
-    for id in &ids {
+    let mut sections: Vec<Option<(String, f64)>> = vec![None; ids.len()];
+    let mut printed = 0;
+    for i in evaluation_order(&ids) {
+        let id = &ids[i];
         let started = Instant::now();
         let rendered = run_experiment(id, &cfg, &engine).expect("ids validated above");
-        println!("{rendered}");
-        if write_goldens || verify_goldens {
-            fresh_goldens.record(id, goldens::fingerprint(&rendered));
-        }
-        if let Some(committed) = &committed_goldens {
-            if let Err(m) = committed.verify(id, &rendered) {
-                golden_mismatches.push(m.to_string());
-            }
-        }
         let seconds = started.elapsed().as_secs_f64();
         eprintln!("[{id} done in {seconds:.1}s]\n");
-        timings.push(Timing {
-            id: id.clone(),
-            seconds,
-        });
+        sections[i] = Some((rendered, seconds));
+        while let Some(Some((rendered, seconds))) = sections.get(printed) {
+            let id = &ids[printed];
+            if let Err(code) = emit(&format!("{rendered}\n")) {
+                return code;
+            }
+            if write_goldens || verify_goldens {
+                fresh_goldens.record(id, goldens::fingerprint(rendered));
+            }
+            if let Some(committed) = &committed_goldens {
+                if let Err(m) = committed.verify(id, rendered) {
+                    golden_mismatches.push(m.to_string());
+                }
+            }
+            timings.push(Timing {
+                id: id.clone(),
+                seconds: *seconds,
+            });
+            printed += 1;
+        }
     }
 
     let total_seconds = run_started.elapsed().as_secs_f64();

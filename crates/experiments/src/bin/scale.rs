@@ -32,7 +32,7 @@ use bp_core::{
     TagCandidates,
 };
 use bp_experiments::artifacts::{matrix_config_fp, streams_config_fp, ArtifactStore};
-use bp_experiments::cli::workload_flag;
+use bp_experiments::cli::{emit, workload_flag};
 use bp_experiments::TraceSet;
 use bp_trace::{BranchStreams, PathWindow, TagScheme};
 use bp_workloads::{Benchmark, WorkloadConfig};
@@ -173,12 +173,15 @@ fn main() -> ExitCode {
         None => None,
     };
 
-    println!(
-        "# scale run: bench={} seed={} target={}",
+    let header = format!(
+        "# scale run: bench={} seed={} target={}\n",
         bench.name(),
         cfg.seed,
         cfg.target_branches
     );
+    if let Err(code) = emit(&header) {
+        return code;
+    }
 
     let t0 = Instant::now();
     let streams_fp = streams_config_fp(bench.name(), cfg.seed, cfg.target_branches);
@@ -212,8 +215,14 @@ fn main() -> ExitCode {
             streams
         }
     };
-    println!("conditionals: {}", streams.dynamic_count());
-    println!("static branches: {}", streams.static_count());
+    let counts = format!(
+        "conditionals: {}\nstatic branches: {}\n",
+        streams.dynamic_count(),
+        streams.static_count()
+    );
+    if let Err(code) = emit(&counts) {
+        return code;
+    }
 
     let t0 = Instant::now();
     let (classification, _) =
@@ -227,13 +236,19 @@ fn main() -> ExitCode {
     for (_, scores) in classification.iter() {
         *static_counts.entry(scores.class()).or_insert(0) += 1;
     }
-    for class in PaClass::ALL {
-        println!(
-            "class {}: static={} dynamic={:.6}",
-            class.label(),
-            static_counts.get(&class).copied().unwrap_or(0),
-            dist.get(&class).copied().unwrap_or(0.0)
-        );
+    let classes: String = PaClass::ALL
+        .iter()
+        .map(|class| {
+            format!(
+                "class {}: static={} dynamic={:.6}\n",
+                class.label(),
+                static_counts.get(class).copied().unwrap_or(0),
+                dist.get(class).copied().unwrap_or(0.0)
+            )
+        })
+        .collect();
+    if let Err(code) = emit(&classes) {
+        return code;
     }
     drop(classification);
 
@@ -316,9 +331,12 @@ fn main() -> ExitCode {
             "[oracle select: {:.1}s, {jobs} threads]",
             t0.elapsed().as_secs_f64()
         );
-        println!("oracle branches: {}", oracle.branch_count());
+        let mut summary = format!("oracle branches: {}\n", oracle.branch_count());
         for k in 1..=3 {
-            println!("oracle accuracy k={k}: {:.6}", oracle.accuracy(k));
+            summary += &format!("oracle accuracy k={k}: {:.6}\n", oracle.accuracy(k));
+        }
+        if let Err(code) = emit(&summary) {
+            return code;
         }
     }
 

@@ -1,5 +1,8 @@
 //! Small shared helpers for the command-line binaries.
 
+use std::io::Write;
+use std::process::ExitCode;
+
 use bp_workloads::WorkloadConfig;
 
 /// Largest accepted `--target` value: 100 billion branches. Past this the
@@ -72,6 +75,19 @@ pub fn workload_flag(
         _ => return Ok(false),
     }
     Ok(true)
+}
+
+/// Writes `text` to standard output and flushes it. A write that fails
+/// (a full disk, a closed pipe) prints one `error: cannot write output`
+/// line and returns the failure exit code, where `print!` would panic.
+pub fn emit(text: &str) -> Result<(), ExitCode> {
+    let mut out = std::io::stdout().lock();
+    out.write_all(text.as_bytes())
+        .and_then(|()| out.flush())
+        .map_err(|e| {
+            eprintln!("error: cannot write output: {e}");
+            ExitCode::FAILURE
+        })
 }
 
 #[cfg(test)]

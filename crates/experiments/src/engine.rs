@@ -255,6 +255,20 @@ pub struct OraclePhaseStats {
     pub shards: u64,
     /// Oracle analyses performed (cache misses only).
     pub analyses: u64,
+    /// Candidate-plus-matrix builds and sweep-artifact builds (cache
+    /// misses only): one trace's worth of builder passes each. A sweep
+    /// point served to another experiment saves one.
+    pub builds: u64,
+}
+
+impl OraclePhaseStats {
+    fn add(&mut self, other: &OraclePhaseStats) {
+        self.matrix_seconds += other.matrix_seconds;
+        self.search_seconds += other.search_seconds;
+        self.shards += other.shards;
+        self.analyses += other.analyses;
+        self.builds += other.builds;
+    }
 }
 
 /// Per-benchmark classification phase accounting (reported through
@@ -481,7 +495,12 @@ impl Engine {
                     shards,
                 )
                 .expect("trace stream failed");
-                self.search(benchmark, &matrix, cfg, t0.elapsed().as_secs_f64())
+                let built = OraclePhaseStats {
+                    matrix_seconds: t0.elapsed().as_secs_f64(),
+                    builds: 1,
+                    ..OraclePhaseStats::default()
+                };
+                self.search(benchmark, &matrix, cfg, built)
             },
         )
     }
@@ -543,17 +562,22 @@ impl Engine {
                                 .expect("trace stream failed");
                                 self.record_oracle_phases(
                                     benchmark,
-                                    t0.elapsed().as_secs_f64(),
-                                    0.0,
-                                    0,
-                                    0,
+                                    &OraclePhaseStats {
+                                        matrix_seconds: t0.elapsed().as_secs_f64(),
+                                        builds: 1,
+                                        ..OraclePhaseStats::default()
+                                    },
                                 );
                                 sweep
                             },
                         );
                         let t0 = Instant::now();
                         let matrix = sweep.materialize_parallel(i, self.nested_budget());
-                        self.search(benchmark, &matrix, &point, t0.elapsed().as_secs_f64())
+                        let materialized = OraclePhaseStats {
+                            matrix_seconds: t0.elapsed().as_secs_f64(),
+                            ..OraclePhaseStats::default()
+                        };
+                        self.search(benchmark, &matrix, &point, materialized)
                     },
                 )
             })
@@ -561,15 +585,16 @@ impl Engine {
     }
 
     /// The per-branch subset search over `matrix` on the idle budget,
-    /// recorded with the `matrix_seconds` that built the matrix. Its extra
-    /// threads (the caller's is counted by its own fan-out, if any) are
-    /// reserved in `active_workers` so concurrent nested builds skip them.
+    /// recorded with `built`, the phases that produced the matrix. Its
+    /// extra threads (the caller's is counted by its own fan-out, if any)
+    /// are reserved in `active_workers` so concurrent nested builds skip
+    /// them.
     fn search(
         &self,
         benchmark: Benchmark,
         matrix: &OutcomeMatrix,
         cfg: &OracleConfig,
-        matrix_seconds: f64,
+        built: OraclePhaseStats,
     ) -> OracleResult {
         let threads = par_threads(self.nested_budget(), matrix.branch_count());
         let t0 = Instant::now();
@@ -580,28 +605,19 @@ impl Engine {
             .fetch_sub(threads - 1, Ordering::Relaxed);
         self.record_oracle_phases(
             benchmark,
-            matrix_seconds,
-            t0.elapsed().as_secs_f64(),
-            threads as u64,
-            1,
+            &OraclePhaseStats {
+                search_seconds: t0.elapsed().as_secs_f64(),
+                shards: threads as u64,
+                analyses: 1,
+                ..built
+            },
         );
         result
     }
 
-    fn record_oracle_phases(
-        &self,
-        benchmark: Benchmark,
-        matrix_seconds: f64,
-        search_seconds: f64,
-        shards: u64,
-        analyses: u64,
-    ) {
+    fn record_oracle_phases(&self, benchmark: Benchmark, delta: &OraclePhaseStats) {
         let mut phases = self.oracle_phases.lock().expect("oracle phase stats");
-        let entry = phases.entry(benchmark).or_default();
-        entry.matrix_seconds += matrix_seconds;
-        entry.search_seconds += search_seconds;
-        entry.shards += shards;
-        entry.analyses += analyses;
+        phases.entry(benchmark).or_default().add(delta);
     }
 
     /// Per-benchmark oracle phase accounting so far, in [`Benchmark::ALL`]
@@ -909,6 +925,7 @@ mod tests {
             .find(|(bench, _)| *bench == b)
             .expect("phase stats recorded");
         assert_eq!(stats.analyses, windows.len() as u64);
+        assert_eq!(stats.builds, 1, "one artifact serves every point");
         assert!(stats.shards >= windows.len() as u64);
         assert!(stats.matrix_seconds >= 0.0 && stats.search_seconds >= 0.0);
     }

@@ -39,7 +39,9 @@ pub struct Result {
 /// 2n instances per execution, so a cap below `2n + 16` drops candidates
 /// on arbitrary tie-breaks and bends the curve downward. Point n=16 at
 /// the default cap coincides with [`ExperimentConfig::default`]'s oracle
-/// settings, so that entry is shared with figure 4 and table 2.
+/// settings, so that entry is shared with figure 4, table 2, figure 8 and
+/// `distance`: `repro` evaluates this figure before them
+/// ([`crate::evaluation_order`]), and the sweep builds window 16 once.
 pub fn run(cfg: &ExperimentConfig, engine: &Engine) -> Result {
     let caps: Vec<usize> = HISTORY_LENGTHS
         .iter()

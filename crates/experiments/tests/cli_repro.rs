@@ -211,3 +211,99 @@ fn timings_report_shared_results_computed_once() {
     // fig7 (gshare+pas+profile): at least a dozen hits on 8 benchmarks.
     assert!(hits >= 5 * 8, "expected heavy cache reuse, got {hits} hits");
 }
+
+/// Runs `repro` with `--timings` into a temporary file and returns the
+/// JSON.
+fn timings_json(args: &[&str]) -> String {
+    let path = std::env::temp_dir().join(format!(
+        "repro-builds-{}-{}.json",
+        std::process::id(),
+        args.join("-")
+    ));
+    let out = repro()
+        .args(args)
+        .arg("--timings")
+        .arg(&path)
+        .output()
+        .expect("run repro");
+    assert!(out.status.success(), "{out:?}");
+    let json = std::fs::read_to_string(&path).expect("timings file written");
+    std::fs::remove_file(&path).ok();
+    json
+}
+
+/// Every value of `"key": N` in `json`, in order.
+fn counts(json: &str, key: &str) -> Vec<u64> {
+    json.split(&format!("\"{key}\": "))
+        .skip(1)
+        .map(|rest| {
+            rest.chars()
+                .take_while(char::is_ascii_digit)
+                .collect::<String>()
+                .parse()
+                .expect("a count")
+        })
+        .collect()
+}
+
+#[test]
+fn fig5_serves_the_default_oracle_to_the_experiments_around_it() {
+    // fig5 is evaluated first, so fig4's window-16 oracle is its sweep
+    // point: one builder run per benchmark, not two.
+    let json = timings_json(&["--target", "3000", "--jobs", "2", "fig4", "fig5"]);
+    assert_eq!(counts(&json, "builds"), [1; 8], "{json}");
+
+    // Without fig5 the default oracle is built directly, once, and the
+    // cache accounting is unchanged.
+    let json = timings_json(&["--target", "3000", "--jobs", "2", "fig4", "table2", "fig7"]);
+    assert_eq!(counts(&json, "builds"), [1; 8], "{json}");
+    assert_eq!(counts(&json, "misses"), [56], "{json}");
+
+    // Evaluation order is not printing order.
+    let bare = |ids: &[&str]| {
+        let out = repro()
+            .args(["--target", "3000", "--jobs", "2", "--bare"])
+            .args(ids)
+            .output()
+            .expect("run repro");
+        assert!(out.status.success(), "{out:?}");
+        out.stdout
+    };
+    let mut apart = bare(&["fig4"]);
+    apart.extend(bare(&["fig5"]));
+    assert_eq!(bare(&["fig4", "fig5"]), apart);
+}
+
+#[test]
+fn streamed_traces_print_what_materialized_ones_print() {
+    // `--stream` regenerates each workload on every builder scan instead
+    // of holding the trace, through the same fig5-first evaluation order.
+    let run = |stream: bool| {
+        let mut cmd = repro();
+        cmd.args(["--target", "2000", "--jobs", "2"]);
+        if stream {
+            cmd.arg("--stream");
+        }
+        let out = cmd.arg("all").output().expect("run repro");
+        assert!(out.status.success(), "{out:?}");
+        out.stdout
+    };
+    assert_eq!(run(true), run(false));
+}
+
+#[test]
+fn an_unwritable_stdout_is_an_error_not_a_panic() {
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full");
+    let out = repro()
+        .args(["--target", "1000", "table1"])
+        .stdout(full)
+        .output()
+        .expect("run repro");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("error: cannot write output"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}

@@ -92,3 +92,20 @@ fn artifacts_are_reused_and_rebuilt_after_corruption() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn an_unwritable_stdout_is_an_error_not_a_panic() {
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full");
+    let out = scale()
+        .args(["--bench", "go", "--target", "1k"])
+        .stdout(full)
+        .output()
+        .expect("run scale");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("error: cannot write output"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}

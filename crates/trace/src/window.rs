@@ -1,3 +1,14 @@
+//! The path window: the last *n* conditional branches, with every
+//! visible prior instance named under both §3.2 tagging schemes.
+//!
+//! Two kinds of query share one most-recent-first pass. The tag queries
+//! ([`PathWindow::visible_tags`], [`PathWindow::lookup`], …) name a prior
+//! branch by its pc, for callers that key by [`InstanceTag`]. The id scan
+//! ([`PathWindow::scan_visible_ids`]) names it by the `u32` the caller
+//! pushed it with, for the candidate/matrix builder in `bp-core`: it
+//! interns each pc once per record and then finds a tag's slot by direct
+//! indexing on (id, scheme, index), never by hashing the tag.
+
 use std::collections::VecDeque;
 
 use crate::record::{BranchRecord, Pc};
@@ -13,6 +24,8 @@ pub struct WindowEntry {
     pub taken: bool,
     /// Whether it was a backward branch (loop back-edge).
     pub backward: bool,
+    /// The caller's id for the entry's pc ([`PathWindow::push_with_id`]).
+    id: u32,
     /// Total backward branches pushed up to and including this entry.
     backward_through: u64,
     /// More recent entries with the same pc: the [`TagScheme::Occurrence`]
@@ -21,6 +34,24 @@ pub struct WindowEntry {
     /// A more recent entry with the same pc has the same backward count, so
     /// that entry owns the [`TagScheme::Iteration`] name both would have.
     shadowed: bool,
+}
+
+/// One visible window entry as [`PathWindow::scan_visible_ids`] reports
+/// it: a prior instance named by its caller-supplied id and its index
+/// under each tagging scheme.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VisibleId {
+    /// The id the entry was pushed with ([`PathWindow::push_with_id`]).
+    pub id: u32,
+    /// Its [`TagScheme::Occurrence`] index.
+    pub occurrence: u16,
+    /// Its [`TagScheme::Iteration`] index, or `None` when a more recent
+    /// instance of the same branch owns that name.
+    pub iteration: Option<u16>,
+    /// The instance's outcome.
+    pub taken: bool,
+    /// Its [`PathWindow::distance`] (1 = most recent).
+    pub distance: usize,
 }
 
 /// Sliding window over the last *n* conditional branches — the "path leading
@@ -39,6 +70,12 @@ pub struct WindowEntry {
 /// Naming is incremental: [`PathWindow::push`] updates every entry's
 /// occurrence index and iteration shadowing in one pass over the window, so
 /// every query is a single most-recent-first pass that allocates nothing.
+///
+/// Each entry also carries a `u32` the caller supplies
+/// ([`PathWindow::push_with_id`]), typically a dense id for its pc.
+/// [`PathWindow::scan_visible_ids`] reports visible instances by that id,
+/// scheme index and distance, so a caller that keys its tables by id names
+/// an instance without hashing its tag.
 ///
 /// Usage order matters: query the window for the context of a branch
 /// *before* pushing that branch's own record.
@@ -111,7 +148,7 @@ impl PathWindow {
         self.entries.clear();
     }
 
-    /// Pushes a record. Non-conditional records are ignored.
+    /// Pushes a record with id 0. Non-conditional records are ignored.
     ///
     /// This is where the §3.2 naming rule lives: every older instance of
     /// the same branch moves one occurrence further back, and one with the
@@ -119,6 +156,13 @@ impl PathWindow {
     /// them) loses its iteration name to it — the most recent instance
     /// wins.
     pub fn push(&mut self, rec: &BranchRecord) {
+        self.push_with_id(rec, 0);
+    }
+
+    /// As [`PathWindow::push`], storing `id` with the entry for
+    /// [`PathWindow::scan_visible_ids`] to report. The window never reads
+    /// it: naming goes by pc, so the caller keeps one id per pc.
+    pub fn push_with_id(&mut self, rec: &BranchRecord, id: u32) {
         if !rec.is_conditional() {
             return;
         }
@@ -138,6 +182,7 @@ impl PathWindow {
             pc: rec.pc,
             taken: rec.taken,
             backward: rec.is_backward(),
+            id,
             backward_through,
             occurrence: 0,
             shadowed: false,
@@ -196,42 +241,40 @@ impl PathWindow {
     /// tag appears at most once in `out`.
     pub fn visible_tags(&self, out: &mut Vec<(InstanceTag, bool)>) {
         out.clear();
-        self.scan_visible(|tag, taken, _| out.push((tag, taken)));
+        for e in self.entries.iter().rev() {
+            out.push((InstanceTag::occurrence(e.pc, e.occurrence), e.taken));
+            if !e.shadowed {
+                let index = self.backwards_since(e);
+                out.push((InstanceTag::iteration(e.pc, index), e.taken));
+            }
+        }
     }
 
-    /// As [`PathWindow::visible_tags`], but each entry also carries the
-    /// instance's [`PathWindow::distance`] (1 = most recent).
+    /// Every visible instance, one call per entry, most recent first, with
+    /// the prior branch named by the id it was pushed with: entry `v`
+    /// stands for the [`PathWindow::visible_tags`] pairs `((pc,
+    /// v.occurrence), v.taken)` under [`TagScheme::Occurrence`] and, when
+    /// `v.iteration` is `Some(i)`, `((pc, i), v.taken)` under
+    /// [`TagScheme::Iteration`], both at [`PathWindow::distance`]
+    /// `v.distance`. Nothing is hashed or allocated.
     ///
     /// Because occurrence indices count only more-recent same-pc entries
-    /// and iteration collisions resolve to the most recent instance, a tag
-    /// visible here at distance *d* is visible — with the same outcome and
-    /// distance — in every window of length ≥ *d*, and in no shorter one.
-    /// That makes one max-window scan sufficient to derive the visible set
-    /// of every sub-window (the incremental window-sweep machinery in
-    /// `bp-core` relies on this).
-    pub fn visible_tags_with_distance(&self, out: &mut Vec<(InstanceTag, bool, usize)>) {
-        out.clear();
-        self.scan_visible(|tag, taken, distance| out.push((tag, taken, distance)));
-    }
-
-    /// Most-recent-first pass emitting each entry's occurrence tag, then its
-    /// iteration tag unless a more recent instance shadows it.
+    /// and iteration collisions resolve to the most recent instance, an
+    /// instance visible here at distance *d* is visible — with the same
+    /// names and outcome — in every window of length ≥ *d*, and in no
+    /// shorter one. So one scan of the largest window gives the visible
+    /// set of every shorter one (the incremental window sweeps in
+    /// `bp-core` rely on this).
     #[inline]
-    fn scan_visible(&self, mut emit: impl FnMut(InstanceTag, bool, usize)) {
+    pub fn scan_visible_ids(&self, mut emit: impl FnMut(VisibleId)) {
         for (back, e) in self.entries.iter().rev().enumerate() {
-            let distance = back + 1;
-            emit(
-                InstanceTag::occurrence(e.pc, e.occurrence),
-                e.taken,
-                distance,
-            );
-            if !e.shadowed {
-                emit(
-                    InstanceTag::iteration(e.pc, self.backwards_since(e)),
-                    e.taken,
-                    distance,
-                );
-            }
+            emit(VisibleId {
+                id: e.id,
+                occurrence: e.occurrence,
+                iteration: (!e.shadowed).then(|| self.backwards_since(e)),
+                taken: e.taken,
+                distance: back + 1,
+            });
         }
     }
 }
@@ -381,22 +424,44 @@ mod tests {
         }
     }
 
+    /// The id scan expanded into `(tag, outcome, distance)`, for a window
+    /// whose entries were pushed with `pc` as their id.
+    fn tags_by_id(w: &PathWindow) -> Vec<(InstanceTag, bool, usize)> {
+        let mut out = Vec::new();
+        w.scan_visible_ids(|v| {
+            let pc = Pc::from(v.id);
+            out.push((
+                InstanceTag::occurrence(pc, v.occurrence),
+                v.taken,
+                v.distance,
+            ));
+            if let Some(i) = v.iteration {
+                out.push((InstanceTag::iteration(pc, i), v.taken, v.distance));
+            }
+        });
+        out
+    }
+
     #[test]
-    fn visible_tags_with_distance_agrees_with_plain_scan() {
+    fn id_scan_agrees_with_tag_scan_and_distance() {
         let mut w = PathWindow::new(6);
         for rec in [fwd(1, true), bwd(2, true), fwd(1, false), fwd(3, true)] {
-            w.push(&rec);
+            w.push_with_id(&rec, rec.pc as u32);
         }
         let mut plain = Vec::new();
-        let mut with_d = Vec::new();
         w.visible_tags(&mut plain);
-        w.visible_tags_with_distance(&mut with_d);
-        // Same tags/outcomes in the same order, distances match distance().
-        assert_eq!(plain.len(), with_d.len());
-        for ((tag, taken), (dtag, dtaken, d)) in plain.iter().zip(&with_d) {
-            assert_eq!((tag, taken), (dtag, dtaken));
+        let by_id = tags_by_id(&w);
+        // Same tags and outcomes in the same order; distances match
+        // distance().
+        assert_eq!(plain.len(), by_id.len());
+        for ((tag, taken), (itag, itaken, d)) in plain.iter().zip(&by_id) {
+            assert_eq!((tag, taken), (itag, itaken));
             assert_eq!(w.distance(*tag), Some(*d), "{tag:?}");
         }
+        // `push` stores id 0.
+        let mut unnamed = PathWindow::new(2);
+        unnamed.push(&fwd(9, true));
+        unnamed.scan_visible_ids(|v| assert_eq!(v.id, 0));
     }
 
     #[test]
@@ -417,17 +482,15 @@ mod tests {
             let mut long = PathWindow::new(recs.len());
             let mut short = PathWindow::new(short_cap);
             for rec in &recs {
-                long.push(rec);
+                long.push_with_id(rec, rec.pc as u32);
                 short.push(rec);
             }
-            let mut long_tags = Vec::new();
             let mut short_tags = Vec::new();
-            long.visible_tags_with_distance(&mut long_tags);
             short.visible_tags(&mut short_tags);
-            let filtered: Vec<_> = long_tags
-                .iter()
+            let filtered: Vec<_> = tags_by_id(&long)
+                .into_iter()
                 .filter(|(_, _, d)| *d <= short_cap)
-                .map(|(t, o, _)| (*t, *o))
+                .map(|(t, o, _)| (t, o))
                 .collect();
             assert_eq!(filtered, short_tags, "cap {short_cap}");
         }

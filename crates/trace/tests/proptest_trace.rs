@@ -87,7 +87,7 @@ proptest! {
     fn window_matches_reference_model(steps in prop::collection::vec(arb_window_step(), 0..300), cap in 1usize..49) {
         let mut window = PathWindow::new(cap);
         let mut model: Vec<BranchRecord> = Vec::new();
-        let mut tags = Vec::new();
+        let mut plain = Vec::new();
         for (rec, clear) in &steps {
             if *clear {
                 window.clear();
@@ -95,8 +95,19 @@ proptest! {
             }
             // Query before push, like the analyses do: the exact sequence
             // (tag, outcome, distance, in order), not just the tag set.
-            window.visible_tags_with_distance(&mut tags);
+            // The id scan names each entry by the id it was pushed with,
+            // here its pc.
+            let mut tags = Vec::new();
+            window.scan_visible_ids(|v| {
+                let pc = Pc::from(v.id);
+                tags.push((InstanceTag::occurrence(pc, v.occurrence), v.taken, v.distance));
+                if let Some(i) = v.iteration {
+                    tags.push((InstanceTag::iteration(pc, i), v.taken, v.distance));
+                }
+            });
             prop_assert_eq!(&tags, &reference_tags(&model));
+            window.visible_tags(&mut plain);
+            prop_assert!(plain.iter().copied().eq(tags.iter().map(|&(t, o, _)| (t, o))));
 
             // Single lookups agree with the bulk listing.
             for &(tag, outcome, distance) in &tags {
@@ -104,7 +115,7 @@ proptest! {
                 prop_assert_eq!(window.distance(tag), Some(distance));
             }
 
-            window.push(rec);
+            window.push_with_id(rec, rec.pc as u32);
             if rec.is_conditional() {
                 model.push(*rec);
                 if model.len() > cap {

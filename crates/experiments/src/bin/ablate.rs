@@ -9,7 +9,7 @@
 use std::process::ExitCode;
 
 use bp_core::{OracleConfig, OracleSelector, OutcomeMatrix, SearchStrategy, TagCandidates};
-use bp_experiments::cli::workload_flag;
+use bp_experiments::cli::{emit, workload_flag};
 use bp_predictors::{simulate, Gshare, SaturatingCounter};
 use bp_trace::TagScheme;
 use bp_workloads::{Benchmark, WorkloadConfig};
@@ -33,13 +33,19 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    run(&cfg).err().unwrap_or(ExitCode::SUCCESS)
+}
+
+/// Runs the five ablations, writing each section as soon as it is done.
+fn run(cfg: &WorkloadConfig) -> Result<(), ExitCode> {
     let pct = |x: f64| format!("{:.2}", x * 100.0);
+    let mut out = String::new();
 
     // ---- 1. Oracle search strategy: greedy vs exhaustive --------------
-    println!("## Ablation 1: oracle subset search (3-tag selective accuracy %)");
-    println!("{:<10} {:>8} {:>11}", "bench", "greedy", "exhaustive");
+    out.push_str("## Ablation 1: oracle subset search (3-tag selective accuracy %)\n");
+    out += &format!("{:<10} {:>8} {:>11}\n", "bench", "greedy", "exhaustive");
     for b in [Benchmark::Gcc, Benchmark::Go, Benchmark::Perl] {
-        let trace = b.generate(&cfg);
+        let trace = b.generate(cfg);
         let base = OracleConfig {
             candidate_cap: 14,
             ..OracleConfig::default()
@@ -54,22 +60,24 @@ fn main() -> ExitCode {
                 ..base
             },
         );
-        println!(
-            "{:<10} {:>8} {:>11}",
+        out += &format!(
+            "{:<10} {:>8} {:>11}\n",
             b.name(),
             pct(greedy.accuracy(3)),
             pct(exhaustive.accuracy(3))
         );
     }
 
+    emit(&std::mem::take(&mut out))?;
+
     // ---- 2. Tagging schemes (§3.2) -------------------------------------
-    println!("\n## Ablation 2: instance tagging schemes (3-tag selective accuracy %)");
-    println!(
-        "{:<10} {:>11} {:>10} {:>6}",
+    out.push_str("\n## Ablation 2: instance tagging schemes (3-tag selective accuracy %)\n");
+    out += &format!(
+        "{:<10} {:>11} {:>10} {:>6}\n",
         "bench", "occurrence", "iteration", "both"
     );
     for b in [Benchmark::M88ksim, Benchmark::Gcc, Benchmark::Xlisp] {
-        let trace = b.generate(&cfg);
+        let trace = b.generate(cfg);
         let mut row = Vec::new();
         for schemes in [
             &[TagScheme::Occurrence][..],
@@ -81,8 +89,8 @@ fn main() -> ExitCode {
             let oracle = OracleSelector::analyze_matrix(&matrix, &OracleConfig::default());
             row.push(pct(oracle.accuracy(3)));
         }
-        println!(
-            "{:<10} {:>11} {:>10} {:>6}",
+        out += &format!(
+            "{:<10} {:>11} {:>10} {:>6}\n",
             b.name(),
             row[0],
             row[1],
@@ -90,14 +98,16 @@ fn main() -> ExitCode {
         );
     }
 
+    emit(&std::mem::take(&mut out))?;
+
     // ---- 3. Counter width / initialization -----------------------------
-    println!("\n## Ablation 3: gshare counter configuration (accuracy %)");
-    println!(
-        "{:<10} {:>6} {:>6} {:>6} {:>9} {:>9}",
+    out.push_str("\n## Ablation 3: gshare counter configuration (accuracy %)\n");
+    out += &format!(
+        "{:<10} {:>6} {:>6} {:>6} {:>9} {:>9}\n",
         "bench", "1-bit", "2-bit", "3-bit", "2b-taken", "2b-ntaken"
     );
     for b in Benchmark::ALL {
-        let trace = b.generate(&cfg);
+        let trace = b.generate(cfg);
         let mut cells = Vec::new();
         for counter in [
             SaturatingCounter::weakly_taken(1),
@@ -109,8 +119,8 @@ fn main() -> ExitCode {
             let mut p = Gshare::with_counter(16, counter);
             cells.push(pct(simulate(&mut p, &trace).accuracy()));
         }
-        println!(
-            "{:<10} {:>6} {:>6} {:>6} {:>9} {:>9}",
+        out += &format!(
+            "{:<10} {:>6} {:>6} {:>6} {:>9} {:>9}\n",
             b.name(),
             cells[0],
             cells[1],
@@ -120,10 +130,12 @@ fn main() -> ExitCode {
         );
     }
 
+    emit(&std::mem::take(&mut out))?;
+
     // ---- 4. Hybrid selector sizing --------------------------------------
-    println!("\n## Ablation 4: hybrid (gshare+PAs) selector table size (accuracy %)");
-    println!(
-        "{:<10} {:>7} {:>7} {:>7} {:>7} {:>9}",
+    out.push_str("\n## Ablation 4: hybrid (gshare+PAs) selector table size (accuracy %)\n");
+    out += &format!(
+        "{:<10} {:>7} {:>7} {:>7} {:>7} {:>9}\n",
         "bench", "sel=4", "sel=8", "sel=12", "sel=16", "best-comp"
     );
     {
@@ -134,7 +146,7 @@ fn main() -> ExitCode {
             Benchmark::Xlisp,
             Benchmark::Perl,
         ] {
-            let trace = b.generate(&cfg);
+            let trace = b.generate(cfg);
             let mut cells = Vec::new();
             for bits in [4u32, 8, 12, 16] {
                 let mut h = Hybrid::new(Gshare::new(16), Pas::default(), bits);
@@ -143,8 +155,8 @@ fn main() -> ExitCode {
             let best = simulate(&mut Gshare::new(16), &trace)
                 .accuracy()
                 .max(simulate(&mut Pas::default(), &trace).accuracy());
-            println!(
-                "{:<10} {:>7} {:>7} {:>7} {:>7} {:>9}",
+            out += &format!(
+                "{:<10} {:>7} {:>7} {:>7} {:>7} {:>9}\n",
                 b.name(),
                 cells[0],
                 cells[1],
@@ -155,24 +167,26 @@ fn main() -> ExitCode {
         }
     }
 
+    emit(&std::mem::take(&mut out))?;
+
     // ---- 5. Trace-length sensitivity ------------------------------------
-    println!("\n## Ablation 5: gshare accuracy vs trace length (%)");
-    print!("{:<10}", "bench");
+    out.push_str("\n## Ablation 5: gshare accuracy vs trace length (%)\n");
+    out += &format!("{:<10}", "bench");
     let scales = [1usize, 2, 4];
     for s in scales {
-        print!(" {:>9}", format!("x{s}"));
+        out += &format!(" {:>9}", format!("x{s}"));
     }
-    println!();
+    out.push('\n');
     for b in [Benchmark::Gcc, Benchmark::Go, Benchmark::Vortex] {
-        print!("{:<10}", b.name());
+        out += &format!("{:<10}", b.name());
         for s in scales {
             let t = b.generate(&cfg.with_target(cfg.target_branches * s));
-            print!(
+            out += &format!(
                 " {:>9}",
                 pct(simulate(&mut Gshare::default(), &t).accuracy())
             );
         }
-        println!();
+        out.push('\n');
     }
-    ExitCode::SUCCESS
+    emit(&out)
 }

@@ -7,7 +7,7 @@
 
 use std::process::ExitCode;
 
-use bp_experiments::cli::workload_flag;
+use bp_experiments::cli::{emit, workload_flag};
 use bp_predictors::{
     simulate, Gshare, GshareInterferenceFree, IdealStatic, Pas, PasInterferenceFree, Smith,
 };
@@ -53,46 +53,59 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let printed = if per_branch {
+        per_branch_rows(&cfg, &picks)
+    } else {
+        summary_rows(&cfg, &picks)
+    };
+    printed.err().unwrap_or(ExitCode::SUCCESS)
+}
 
-    if per_branch {
-        use bp_predictors::simulate_per_branch;
-        for b in &picks {
-            let trace = b.generate(&cfg);
-            let g = simulate_per_branch(&mut Gshare::new(16), &trace);
-            let ig = simulate_per_branch(&mut GshareInterferenceFree::new(16), &trace);
-            let p = simulate_per_branch(&mut Pas::default(), &trace);
-            let mut rows: Vec<_> = g.iter().collect();
-            rows.sort_by_key(|(pc, _)| *pc);
-            println!(
-                "== {} per-branch (pc, execs, gshare%, IFgshare%, pas%)",
-                b.name()
-            );
-            for (pc, sg) in rows {
-                let sig = ig.get(pc).unwrap();
-                let sp = p.get(pc).unwrap();
-                println!(
-                    "{pc:#x} {:>8} {:>7.2} {:>7.2} {:>7.2}",
-                    sg.predictions,
-                    sg.accuracy() * 100.0,
-                    sig.accuracy() * 100.0,
-                    sp.accuracy() * 100.0
-                );
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    println!(
-        "{:<9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>8} {:>6}",
-        "bench", "smith", "gshare", "IFgsh", "pas", "IFpas", "static", "taken", "dyn", "static#"
-    );
+/// Per-branch accuracies of gshare, IF-gshare and PAs, one table per
+/// benchmark, each written as soon as it is computed.
+fn per_branch_rows(cfg: &WorkloadConfig, picks: &[Benchmark]) -> Result<(), ExitCode> {
+    use bp_predictors::simulate_per_branch;
     for b in picks {
-        let trace = b.generate(&cfg);
+        let trace = b.generate(cfg);
+        let g = simulate_per_branch(&mut Gshare::new(16), &trace);
+        let ig = simulate_per_branch(&mut GshareInterferenceFree::new(16), &trace);
+        let p = simulate_per_branch(&mut Pas::default(), &trace);
+        let mut rows: Vec<_> = g.iter().collect();
+        rows.sort_by_key(|(pc, _)| *pc);
+        let mut out = format!(
+            "== {} per-branch (pc, execs, gshare%, IFgshare%, pas%)\n",
+            b.name()
+        );
+        for (pc, sg) in rows {
+            let sig = ig.get(pc).unwrap();
+            let sp = p.get(pc).unwrap();
+            out += &format!(
+                "{pc:#x} {:>8} {:>7.2} {:>7.2} {:>7.2}\n",
+                sg.predictions,
+                sg.accuracy() * 100.0,
+                sig.accuracy() * 100.0,
+                sp.accuracy() * 100.0
+            );
+        }
+        emit(&out)?;
+    }
+    Ok(())
+}
+
+/// One summary row per benchmark under a header, each row written as
+/// soon as it is computed.
+fn summary_rows(cfg: &WorkloadConfig, picks: &[Benchmark]) -> Result<(), ExitCode> {
+    emit(&format!(
+        "{:<9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>8} {:>6}\n",
+        "bench", "smith", "gshare", "IFgsh", "pas", "IFpas", "static", "taken", "dyn", "static#"
+    ))?;
+    for b in picks {
+        let trace = b.generate(cfg);
         let stats = TraceStats::of(&trace);
         let profile = BranchProfile::of(&trace);
         let acc = |x: f64| format!("{:.2}", x * 100.0);
-        println!(
-            "{:<9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>8} {:>6}",
+        emit(&format!(
+            "{:<9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>8} {:>6}\n",
             b.name(),
             acc(simulate(&mut Smith::default(), &trace).accuracy()),
             acc(simulate(&mut Gshare::new(16), &trace).accuracy()),
@@ -103,7 +116,7 @@ fn main() -> ExitCode {
             format!("{:.2}", stats.taken_rate() * 100.0),
             stats.dynamic_conditional,
             stats.static_conditional,
-        );
+        ))?;
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -1,5 +1,6 @@
-//! End-to-end tests of the `probe` and `ablate` binaries' flag handling:
-//! a bad flag is an `error:` line plus usage and exit 1, never a panic.
+//! End-to-end tests of the `probe` and `ablate` binaries' failure paths:
+//! a bad flag, or a stdout that cannot be written, is an `error:` line
+//! and exit 1, never a panic.
 
 use std::process::Command;
 
@@ -69,4 +70,38 @@ fn ablate_rejects_bad_flags_with_usage() {
     ] {
         assert_usage_error(bin, args, message);
     }
+}
+
+/// Runs `bin` with stdout on `/dev/full`: the write must fail as an
+/// `error:` line and exit 1, not a panic.
+fn assert_unwritable_stdout_fails_cleanly(bin: &str, args: &[&str]) {
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full");
+    let out = Command::new(bin)
+        .args(args)
+        .stdout(full)
+        .output()
+        .expect("run binary");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+    assert!(
+        err.contains("error: cannot write output"),
+        "{args:?}: {err}"
+    );
+    assert!(!err.contains("panicked"), "{args:?}: {err}");
+}
+
+#[test]
+fn an_unwritable_stdout_is_an_error_not_a_panic() {
+    assert_unwritable_stdout_fails_cleanly(
+        env!("CARGO_BIN_EXE_probe"),
+        &["--target", "1000", "gcc"],
+    );
+    assert_unwritable_stdout_fails_cleanly(
+        env!("CARGO_BIN_EXE_probe"),
+        &["--target", "1000", "--per-branch", "m88ksim"],
+    );
+    assert_unwritable_stdout_fails_cleanly(env!("CARGO_BIN_EXE_ablate"), &["--target", "1000"]);
 }

@@ -1,7 +1,6 @@
 use bp_trace::fx::FxHashMap;
 use bp_trace::Pc;
 
-use crate::history::ShiftHistory;
 use crate::{BranchSite, Predictor};
 
 /// Weight saturation ceiling (8-bit signed weights, per Jiménez & Lin).
@@ -19,7 +18,7 @@ const WEIGHT_MIN: i16 = -128;
 /// threshold). Weights saturate at the signed 8-bit range `[-128, 127]`
 /// like hardware weights.
 ///
-/// Weight vectors live in an unbounded per-PC map — the interference-free
+/// Weight vectors are unbounded per PC — the interference-free
 /// idealization this workspace uses for every per-address structure — so
 /// what the experiments measure is the scheme's intrinsic linear
 /// separability, not table aliasing.
@@ -27,10 +26,28 @@ const WEIGHT_MIN: i16 = -128;
 /// With `history_bits == 0` only the bias weight remains and the predictor
 /// degenerates to a per-PC signed bias counter (threshold 14, saturating
 /// at the 8-bit range), a collapse the conformance metamorphic laws pin.
+///
+/// # Layout
+///
+/// Every branch's row (the bias, then one weight per history bit, newest
+/// first) lives in one row-major `Vec<i16>`; a PC → row map finds it with
+/// one probe per step, and rows never move once appended. The history is
+/// kept as ±1 signs in a ring of `2h` slots, each outcome written at both
+/// copies, so the newest-first window is always the contiguous slice
+/// `signs[head..head + h]` and a step never shifts it. A row holds at
+/// most 65 weights in `[-128, 127]`, so `|y| ≤ 65 · 128 = 8320` and the
+/// dot product sums exactly in `i16` lanes, each product a sign flip.
 #[derive(Debug, Clone)]
 pub struct Perceptron {
-    history: ShiftHistory,
-    weights: FxHashMap<Pc, Vec<i16>>,
+    history_bits: u32,
+    /// Offset of each trained branch's row in `weights`.
+    rows: FxHashMap<Pc, usize>,
+    /// Rows of `history_bits + 1` weights, in first-execution order.
+    weights: Vec<i16>,
+    /// The history ring, twice over: `+1` taken, `-1` not taken.
+    signs: Vec<i16>,
+    /// Ring slot of the newest outcome.
+    head: usize,
     threshold: i32,
 }
 
@@ -41,9 +58,14 @@ impl Perceptron {
     ///
     /// Panics if `history_bits` exceeds 64.
     pub fn new(history_bits: u32) -> Self {
+        assert!(history_bits <= 64, "history length must be 0..=64");
         Perceptron {
-            history: ShiftHistory::new(history_bits),
-            weights: FxHashMap::default(),
+            history_bits,
+            rows: FxHashMap::default(),
+            weights: Vec::new(),
+            // The history starts all not-taken.
+            signs: vec![-1; 2 * history_bits as usize],
+            head: 0,
             // ⌊1.93·h + 14⌋ in integer arithmetic.
             threshold: (193 * history_bits as i32 + 1400) / 100,
         }
@@ -51,7 +73,7 @@ impl Perceptron {
 
     /// History length in branches.
     pub fn history_bits(&self) -> u32 {
-        self.history.len()
+        self.history_bits
     }
 
     /// The training threshold `⌊1.93·h + 14⌋`.
@@ -59,27 +81,55 @@ impl Perceptron {
         self.threshold
     }
 
+    /// Weights per row: the bias plus one per history bit.
+    fn row_len(&self) -> usize {
+        self.history_bits as usize + 1
+    }
+
+    /// `pc`'s weight row, if the branch has trained.
+    fn row(&self, pc: Pc) -> Option<&[i16]> {
+        let n = self.row_len();
+        self.rows
+            .get(&pc)
+            .map(|&start| &self.weights[start..start + n])
+    }
+
     /// The perceptron output for `pc` under the current history: bias plus
     /// the weighted history bits (+w for taken, −w for not-taken).
     /// Untrained branches output 0, which predicts taken.
-    fn output(&self, pc: Pc) -> i32 {
-        self.weights
-            .get(&pc)
-            .map_or(0, |w| dot(w, self.history.value()))
+    fn output(&self, pc: Pc) -> i16 {
+        let window = &self.signs[self.head..self.head + self.history_bits as usize];
+        self.row(pc).map_or(0, |w| dot(w, window))
+    }
+
+    /// Shifts `taken` in as the newest outcome.
+    fn push(&mut self, taken: bool) {
+        let h = self.history_bits as usize;
+        if h == 0 {
+            return;
+        }
+        self.head = self.head.checked_sub(1).unwrap_or(h - 1);
+        let sign = if taken { 1 } else { -1 };
+        self.signs[self.head] = sign;
+        self.signs[self.head + h] = sign;
     }
 }
 
-/// `w[0] + Σ ±w[i+1]`, the sign taken from history bit `i` (+ when set):
-/// the ±1 dot product, with no data-dependent branch per history bit
-/// (outcomes are close to random, so such a branch mispredicts often).
+/// `w[0] + Σ w[i+1]·x[i]` over ±1 signs `x`: exact in `i16`, since
+/// `|w| ≤ 128` over at most 65 terms bounds every partial sum by 8320.
 #[inline]
-fn dot(w: &[i16], hist: u64) -> i32 {
-    let mut y = i32::from(w[0]);
-    for (i, &wi) in w[1..].iter().enumerate() {
-        let x = ((hist >> i) & 1) as i32 * 2 - 1;
-        y += x * i32::from(wi);
+fn dot(w: &[i16], x: &[i16]) -> i16 {
+    w[1..].iter().zip(x).map(|(&wi, &xi)| wi * xi).sum::<i16>() + w[0]
+}
+
+/// One training step toward outcome `t` (±1): the bias moves by `t`, each
+/// history weight by `t·x`, all clamped to the 8-bit range.
+#[inline]
+fn train(w: &mut [i16], x: &[i16], t: i16) {
+    w[0] = (w[0] + t).clamp(WEIGHT_MIN, WEIGHT_MAX);
+    for (wi, &xi) in w[1..].iter_mut().zip(x) {
+        *wi = (*wi + t * xi).clamp(WEIGHT_MIN, WEIGHT_MAX);
     }
-    y
 }
 
 impl Default for Perceptron {
@@ -91,7 +141,7 @@ impl Default for Perceptron {
 
 impl Predictor for Perceptron {
     fn name(&self) -> String {
-        format!("perceptron({})", self.history.len())
+        format!("perceptron({})", self.history_bits)
     }
 
     fn predict(&self, site: BranchSite) -> bool {
@@ -104,23 +154,22 @@ impl Predictor for Perceptron {
 
     fn predict_update(&mut self, site: BranchSite, taken: bool) -> bool {
         // An untrained branch outputs 0 ≤ threshold, so it always trains:
-        // materializing its zero vector up front creates exactly the
-        // vectors a separate predict-then-update would.
-        let len = self.history.len() as usize + 1;
-        let w = self.weights.entry(site.pc).or_insert_with(|| vec![0; len]);
-        let hist = self.history.value();
-        let y = dot(w, hist);
-        let prediction = y >= 0;
-        if prediction != taken || y.abs() <= self.threshold {
-            let t: i16 = if taken { 1 } else { -1 };
-            w[0] = (w[0] + t).clamp(WEIGHT_MIN, WEIGHT_MAX);
-            for (i, wi) in w[1..].iter_mut().enumerate() {
-                // Agreeing bit ⇒ strengthen, disagreeing ⇒ weaken.
-                let x = ((hist >> i) & 1) as i16 * 2 - 1;
-                *wi = (*wi + t * x).clamp(WEIGHT_MIN, WEIGHT_MAX);
-            }
+        // appending its zero row up front creates exactly the rows a
+        // separate predict-then-update would.
+        let n = self.row_len();
+        let end = self.weights.len();
+        let start = *self.rows.entry(site.pc).or_insert(end);
+        if start == end {
+            self.weights.resize(end + n, 0);
         }
-        self.history.push(taken);
+        let w = &mut self.weights[start..start + n];
+        let x = &self.signs[self.head..self.head + n - 1];
+        let y = dot(w, x);
+        let prediction = y >= 0;
+        if prediction != taken || i32::from(y).abs() <= self.threshold {
+            train(w, x, if taken { 1 } else { -1 });
+        }
+        self.push(taken);
         prediction
     }
 }
@@ -192,11 +241,15 @@ mod tests {
         for _ in 0..1000 {
             p.update(site, true);
         }
-        let w = p.weights[&0x40].clone();
+        let w = p.row(0x40).unwrap().to_vec();
         assert!(w.iter().all(|&wi| (WEIGHT_MIN..=WEIGHT_MAX).contains(&wi)));
-        assert!(p.output(0x40) > p.threshold());
+        assert!(i32::from(p.output(0x40)) > p.threshold());
         p.update(site, true);
-        assert_eq!(p.weights[&0x40], w, "gated update must not move weights");
+        assert_eq!(
+            p.row(0x40).unwrap(),
+            w,
+            "gated update must not move weights"
+        );
 
         // Pseudo-random outcomes keep the output small and updates
         // frequent; weights must still respect the saturation range.
@@ -206,8 +259,24 @@ mod tests {
             x = x.wrapping_mul(1664525).wrapping_add(1013904223);
             p.update(site, x & (1 << 16) != 0);
         }
-        let w = &p.weights[&0x40];
+        let w = p.row(0x40).unwrap();
         assert!(w.iter().all(|&wi| (WEIGHT_MIN..=WEIGHT_MAX).contains(&wi)));
+    }
+
+    #[test]
+    fn dot_is_exact_at_the_i16_bound() {
+        // 65 weights at the floor against all-taken signs: the largest
+        // magnitude a row can produce, -8320.
+        let x = [1i16; 64];
+        assert_eq!(dot(&[WEIGHT_MIN; 65], &x), -8320);
+        assert_eq!(dot(&[WEIGHT_MAX; 65], &x), 65 * 127);
+        assert_eq!(dot(&[WEIGHT_MIN; 65], &[-1; 64]), 64 * 128 - 128);
+        let mut w = [WEIGHT_MIN; 65];
+        train(&mut w, &x, -1);
+        assert_eq!(w, [WEIGHT_MIN; 65], "training clamps at the floor");
+        let mut w = [WEIGHT_MAX; 65];
+        train(&mut w, &x, 1);
+        assert_eq!(w, [WEIGHT_MAX; 65], "training clamps at the ceiling");
     }
 
     #[test]

@@ -12,22 +12,42 @@
 //! Stdout is a deterministic report (accuracy tables, cliff tables,
 //! ASCII curves) — identical for every `--jobs` value, so CI diffs it
 //! and commits it as a golden. Timings and thread counts go to stderr.
+//! A stdout that cannot be written is an `error:` line and exit 1.
 //! `--assert LABEL=VALUE` turns a detected-cliff expectation into the
 //! exit code: 0 when every assertion holds, 1 otherwise.
 //! `--assert-gt LABEL=VALUE` instead requires every detected cliff for
 //! LABEL to sit strictly beyond VALUE — the headroom form, e.g. "TAGE's
 //! recovered history capacity exceeds gshare(16)'s".
+//!
+//! Flags that size memory are bounded where they are parsed, before
+//! anything is allocated: every zoo table stays within 32 MiB
+//! (`--gshare-bits` ≤ 24, `--pas-history` ≤ 20), and no probe trace may
+//! exceed [`MAX_PROBE_RECORDS`] records, which bounds `--rounds` and
+//! `--grid` together.
 
 use std::process::ExitCode;
 
-use bp_probe::{parse_grid, run_probes, BaseOutcomes, ProbeKind, ReportConfig};
+use bp_experiments::cli::emit;
+use bp_probe::{parse_grid, run_probes, BaseOutcomes, ProbeKind, ReportConfig, MAX_PROBE_RECORDS};
+
+/// Largest `--gshare-bits`: a 2^24-counter PHT of 2-byte counters is
+/// 32 MiB.
+const MAX_GSHARE_BITS: u32 = 24;
+/// Largest `--pas-history`: PAs's 16 PHTs of 2^20 two-byte counters are
+/// 32 MiB.
+const MAX_PAS_HISTORY: u32 = 20;
 
 fn usage() {
     eprintln!(
         "usage: bp-probe sweep <padding|history|aliasing|all>\n       \
          [--rounds N] [--seed N] [--base pattern|random] [--grid A..B[:STEP]]\n       \
          [--jobs N] [--min-drop PP] [--gshare-bits N] [--pas-history N]\n       \
-         [--assert LABEL=VALUE]... [--assert-gt LABEL=VALUE]..."
+         [--assert LABEL=VALUE]... [--assert-gt LABEL=VALUE]...\n\
+         bounds: --gshare-bits 1..={MAX_GSHARE_BITS} and --pas-history 1..={MAX_PAS_HISTORY} \
+         (each zoo table at most 32 MiB);\n        \
+         at most {MAX_PROBE_RECORDS} records per probe trace: rounds x (pads + 2) for \
+         padding,\n        about max(rounds, 64 x (trip + 1)) for history, 2 x rounds \
+         for aliasing"
     );
 }
 
@@ -108,15 +128,15 @@ fn main() -> ExitCode {
                 _ => bail!("--min-drop needs a positive percentage-point value"),
             },
             "--gshare-bits" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if (1..=28).contains(&n) => cfg.zoo.gshare_bits = n,
-                _ => bail!("--gshare-bits needs a history length in 1..=28"),
+                Some(n) if (1..=MAX_GSHARE_BITS).contains(&n) => cfg.zoo.gshare_bits = n,
+                _ => bail!("--gshare-bits needs a history length in 1..={MAX_GSHARE_BITS}"),
             },
             "--pas-history" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if (1..=28).contains(&n) => {
+                Some(n) if (1..=MAX_PAS_HISTORY).contains(&n) => {
                     cfg.zoo.pas_bits.0 = n;
                     cfg.zoo.if_pas_bits = n;
                 }
-                _ => bail!("--pas-history needs a history length in 1..=28"),
+                _ => bail!("--pas-history needs a history length in 1..={MAX_PAS_HISTORY}"),
             },
             "--assert" => match args.next() {
                 Some(spec) => match spec.rsplit_once('=') {
@@ -170,8 +190,25 @@ fn main() -> ExitCode {
         }
     }
 
+    let oversized = kinds.iter().find_map(|&kind| {
+        cfg.grid(kind).iter().find_map(|&value| {
+            let records = kind.records(value, cfg.sweep.rounds);
+            (records > MAX_PROBE_RECORDS).then_some((kind, value, records))
+        })
+    });
+    if let Some((kind, value, records)) = oversized {
+        bail!(
+            "the {} probe at {}={value} would hold {records} records, over the \
+             {MAX_PROBE_RECORDS}-record cap (lower --rounds or --grid)",
+            kind.param_family(),
+            kind.param()
+        );
+    }
+
     let report = run_probes(&kinds, &cfg);
-    print!("{}", report.render());
+    if let Err(code) = emit(&report.render()) {
+        return code;
+    }
 
     let mut failed = false;
     for (label, value) in &asserts {

@@ -26,9 +26,10 @@
 //!   [`program::padding_local`].)
 //!
 //! Sweeps ([`sweep`]) fan grid points across worker threads with
-//! deterministic merge; cliff detection is the largest adjacent drop
-//! over a noise floor; rendering ([`render`]) is byte-stable and
-//! golden-friendly. The whole crate consumes predictors strictly
+//! deterministic merge, and each point steps every zoo member in one
+//! pass over its probe trace ([`Zoo`]); cliff detection is the largest
+//! adjacent drop over a noise floor; rendering ([`render`]) is
+//! byte-stable and golden-friendly. The whole crate consumes predictors strictly
 //! through the [`bp_predictors::Predictor`] trait — predict, update,
 //! nothing else — so what it measures is what any trace would get.
 
@@ -44,8 +45,11 @@ pub use program::{
     aliasing, history_loop, padding_global, padding_local, simulate_measured, BaseOutcomes,
     ProbeTrace,
 };
-pub use sweep::{parse_grid, run_sweep, Cliff, ProbeKind, SweepConfig, SweepPoint, SweepResult};
-pub use zoo::ZooConfig;
+pub use sweep::{
+    parse_grid, run_sweep, Cliff, ProbeKind, SweepConfig, SweepPoint, SweepResult,
+    MAX_PROBE_RECORDS,
+};
+pub use zoo::{Zoo, ZooConfig};
 
 /// Full configuration of a probe report.
 #[derive(Debug, Clone)]

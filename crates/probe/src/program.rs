@@ -271,6 +271,8 @@ pub fn aliasing(k: u32, rounds: usize) -> ProbeTrace {
 
 /// Simulates `predictor` over the whole probe trace — predicting and
 /// training on every conditional — scoring only the measured positions.
+/// This is the per-member path; a sweep steps the whole zoo in one pass
+/// with [`Zoo::simulate_measured`](crate::Zoo::simulate_measured).
 pub fn simulate_measured(predictor: &mut dyn Predictor, probe: &ProbeTrace) -> PredictionStats {
     let mut stats = PredictionStats::default();
     for (rec, &measured) in probe.trace.records().iter().zip(&probe.measured) {

@@ -15,11 +15,11 @@
 //! dumb detector on a sharp signal beats a clever one on a mushy
 //! signal.
 
+use bp_predictors::PredictionStats;
 use bp_trace::par_map;
 
 use crate::program::{
-    aliasing, history_loop, padding_global, padding_local, simulate_measured, BaseOutcomes,
-    ProbeTrace,
+    aliasing, history_loop, padding_global, padding_local, BaseOutcomes, ProbeTrace,
 };
 use crate::zoo::ZooConfig;
 
@@ -57,6 +57,22 @@ impl ProbeKind {
             ProbeKind::PaddingGlobal | ProbeKind::PaddingLocal => "pads",
             ProbeKind::HistoryLoop => "trip",
             ProbeKind::Aliasing => "bit",
+        }
+    }
+
+    /// Number of records in the probe trace at grid value `value`,
+    /// computed without building it (saturating, so any size compares
+    /// against [`MAX_PROBE_RECORDS`]).
+    pub fn records(self, value: usize, rounds: usize) -> usize {
+        match self {
+            ProbeKind::PaddingGlobal | ProbeKind::PaddingLocal => {
+                rounds.saturating_mul(value.saturating_add(2))
+            }
+            ProbeKind::HistoryLoop => {
+                let period = value.saturating_add(1);
+                (rounds / period).max(64).saturating_mul(period)
+            }
+            ProbeKind::Aliasing => rounds.saturating_mul(2),
         }
     }
 
@@ -161,8 +177,10 @@ impl SweepResult {
 }
 
 /// Runs `kind` over `grid`, fanning points out across `cfg.jobs`
-/// threads. Output is a pure function of (`kind`, `grid`, `cfg`, `zoo`):
-/// points come back in grid order.
+/// threads. Each point steps the whole zoo in one pass over its probe
+/// trace ([`Zoo::simulate_measured`](crate::Zoo::simulate_measured)).
+/// Output is a pure function of (`kind`, `grid`, `cfg`, `zoo`): points
+/// come back in grid order.
 pub fn run_sweep(
     kind: ProbeKind,
     grid: &[usize],
@@ -176,9 +194,10 @@ pub fn run_sweep(
         |_, &value| {
             let probe = kind.build(value, cfg);
             let accuracy_pct = zoo
-                .build(&probe)
-                .iter_mut()
-                .map(|p| simulate_measured(p.as_mut(), &probe).accuracy_pct())
+                .members(&probe)
+                .simulate_measured(&probe)
+                .iter()
+                .map(PredictionStats::accuracy_pct)
                 .collect();
             SweepPoint {
                 value,
@@ -193,7 +212,15 @@ pub fn run_sweep(
     }
 }
 
-/// Parses a grid expression: `A..B` (inclusive) or `A..B:STEP`.
+/// The largest probe trace a sweep may build, in records (24 bytes each,
+/// so about 100 MiB per worker thread). A probe trace at grid value `v`
+/// holds more than `v` records in every family but aliasing, whose bit
+/// is bounded separately.
+pub const MAX_PROBE_RECORDS: usize = 1 << 22;
+
+/// Parses a grid expression: `A..B` (inclusive) or `A..B:STEP`. An end
+/// beyond [`MAX_PROBE_RECORDS`] is rejected before the grid is built: no
+/// probe point that large fits under the record cap.
 pub fn parse_grid(s: &str) -> Result<Vec<usize>, String> {
     let (range, step) = match s.split_once(':') {
         Some((r, st)) => (
@@ -214,6 +241,9 @@ pub fn parse_grid(s: &str) -> Result<Vec<usize>, String> {
     if b < a {
         return Err(format!("grid end {b} before start {a}"));
     }
+    if b > MAX_PROBE_RECORDS {
+        return Err(format!("grid end {b} exceeds {MAX_PROBE_RECORDS}"));
+    }
     Ok((a..=b).step_by(step).collect())
 }
 
@@ -228,6 +258,41 @@ mod tests {
         assert!(parse_grid("5..1").is_err());
         assert!(parse_grid("1..5:0").is_err());
         assert!(parse_grid("nope").is_err());
+        assert!(parse_grid(&format!("0..{MAX_PROBE_RECORDS}")).is_ok());
+        let too_far = format!("0..{}", MAX_PROBE_RECORDS + 1);
+        assert!(parse_grid(&too_far).unwrap_err().contains("exceeds"));
+    }
+
+    #[test]
+    fn record_counts_match_the_built_traces() {
+        for rounds in [1, 7, 100, 600] {
+            let cfg = SweepConfig {
+                rounds,
+                ..SweepConfig::default()
+            };
+            for kind in [
+                ProbeKind::PaddingGlobal,
+                ProbeKind::PaddingLocal,
+                ProbeKind::HistoryLoop,
+                ProbeKind::Aliasing,
+            ] {
+                // The aliasing probe's bit shifts a 64-bit address.
+                let values: &[usize] = match kind {
+                    ProbeKind::Aliasing => &[0, 1, 16, 28],
+                    _ => &[0, 1, 2, 5, 16, 36, 70, 130],
+                };
+                for &value in values {
+                    let built = kind.build(value, &cfg).trace.len();
+                    assert_eq!(
+                        kind.records(value, rounds),
+                        built,
+                        "{kind:?} {value} {rounds}"
+                    );
+                }
+            }
+        }
+        assert_eq!(ProbeKind::PaddingGlobal.records(usize::MAX, 3), usize::MAX);
+        assert_eq!(ProbeKind::HistoryLoop.records(usize::MAX, 3), usize::MAX);
     }
 
     #[test]

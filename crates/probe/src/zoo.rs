@@ -8,9 +8,15 @@
 //! *static* assignment can score on the measured positions, i.e. the
 //! "unconditional rate" the correlated branch is expected to collapse
 //! to when its history support falls out of the window.
+//!
+//! A sweep point steps the members together: [`ZooConfig::members`]
+//! builds them by concrete type and [`Zoo::simulate_measured`] makes one
+//! pass over the probe trace. [`ZooConfig::build`] boxes the same members
+//! for the per-member path, [`simulate_measured`](crate::simulate_measured).
 
 use bp_predictors::{
-    Gas, Gshare, IdealStatic, Pas, PasInterferenceFree, Perceptron, Predictor, Smith, Tage,
+    BranchSite, Gas, Gshare, IdealStatic, Pas, PasInterferenceFree, Perceptron, PredictionStats,
+    Predictor, Smith, Tage,
 };
 use bp_trace::BranchProfile;
 
@@ -53,20 +59,38 @@ impl Default for ZooConfig {
 }
 
 impl ZooConfig {
-    /// Builds one cold instance of every zoo member, in report order,
-    /// with the oracle profiled from `probe`'s trace.
-    pub fn build(&self, probe: &ProbeTrace) -> Vec<Box<dyn Predictor>> {
+    /// One cold instance of every zoo member, by concrete type, with the
+    /// oracle profiled from `probe`'s trace: the one place the geometry
+    /// and the member order are written down.
+    pub fn members(&self, probe: &ProbeTrace) -> Zoo {
         let (gh, gt) = self.gas_bits;
         let (ph, pb, pt) = self.pas_bits;
+        Zoo {
+            smith: Smith::new(self.smith_bits),
+            gshare: Gshare::new(self.gshare_bits),
+            gas: Gas::new(gh, gt),
+            pas: Pas::new(ph, pb, pt),
+            if_pas: PasInterferenceFree::new(self.if_pas_bits),
+            tage: Tage::new(self.tage.0, self.tage.1),
+            perceptron: Perceptron::new(self.perceptron_bits),
+            ideal_static: IdealStatic::from_profile(&BranchProfile::of(&probe.trace)),
+        }
+    }
+
+    /// Builds one cold instance of every zoo member, in report order,
+    /// with the oracle profiled from `probe`'s trace: the per-member path,
+    /// [`ZooConfig::members`] boxed.
+    pub fn build(&self, probe: &ProbeTrace) -> Vec<Box<dyn Predictor>> {
+        let z = self.members(probe);
         vec![
-            Box::new(Smith::new(self.smith_bits)),
-            Box::new(Gshare::new(self.gshare_bits)),
-            Box::new(Gas::new(gh, gt)),
-            Box::new(Pas::new(ph, pb, pt)),
-            Box::new(PasInterferenceFree::new(self.if_pas_bits)),
-            Box::new(Tage::new(self.tage.0, self.tage.1)),
-            Box::new(Perceptron::new(self.perceptron_bits)),
-            Box::new(IdealStatic::from_profile(&BranchProfile::of(&probe.trace))),
+            Box::new(z.smith),
+            Box::new(z.gshare),
+            Box::new(z.gas),
+            Box::new(z.pas),
+            Box::new(z.if_pas),
+            Box::new(z.tage),
+            Box::new(z.perceptron),
+            Box::new(z.ideal_static),
         ]
     }
 
@@ -89,6 +113,61 @@ impl ZooConfig {
             Tage::new(self.tage.0, self.tage.1).name(),
             format!("perceptron({})", self.perceptron_bits),
             "ideal-static".to_owned(),
+        ]
+    }
+}
+
+/// The zoo's members in report order, each by its concrete type, so one
+/// pass over a probe trace steps all of them with no dynamic dispatch.
+#[derive(Debug)]
+pub struct Zoo {
+    smith: Smith,
+    gshare: Gshare,
+    gas: Gas,
+    pas: Pas,
+    if_pas: PasInterferenceFree,
+    tage: Tage,
+    perceptron: Perceptron,
+    ideal_static: IdealStatic,
+}
+
+impl Zoo {
+    /// Number of members.
+    pub const LEN: usize = 8;
+
+    /// Simulates every member over the whole probe trace in one pass —
+    /// each predicts and trains on every conditional — scoring only the
+    /// measured positions. Member `i`'s statistics equal
+    /// [`simulate_measured`](crate::simulate_measured) on the `i`-th box of
+    /// [`ZooConfig::build`].
+    pub fn simulate_measured(mut self, probe: &ProbeTrace) -> [PredictionStats; Zoo::LEN] {
+        let mut stats = [PredictionStats::default(); Zoo::LEN];
+        for (rec, &measured) in probe.trace.records().iter().zip(&probe.measured) {
+            if !rec.is_conditional() {
+                continue;
+            }
+            let predictions = self.step(BranchSite::from(rec), rec.taken);
+            if measured {
+                for (s, prediction) in stats.iter_mut().zip(predictions) {
+                    s.record(prediction == rec.taken);
+                }
+            }
+        }
+        stats
+    }
+
+    /// One `predict_update` per member, in report order.
+    #[inline]
+    fn step(&mut self, site: BranchSite, taken: bool) -> [bool; Zoo::LEN] {
+        [
+            self.smith.predict_update(site, taken),
+            self.gshare.predict_update(site, taken),
+            self.gas.predict_update(site, taken),
+            self.pas.predict_update(site, taken),
+            self.if_pas.predict_update(site, taken),
+            self.tage.predict_update(site, taken),
+            self.perceptron.predict_update(site, taken),
+            self.ideal_static.predict_update(site, taken),
         ]
     }
 }

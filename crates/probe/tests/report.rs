@@ -1,9 +1,16 @@
-//! Integration tests for the probe report: the default padding sweep is
-//! pinned byte-for-byte against a committed golden (the same bytes
-//! `bp-probe sweep padding` prints and CI diffs), and the report is
-//! identical whatever `--jobs` value fanned the grid out.
+//! Integration tests for the probe report: the default padding sweep and
+//! a random-base sweep of every family are pinned byte-for-byte against
+//! committed goldens (the same bytes `bp-probe` prints and CI diffs), and
+//! the report is identical whatever `--jobs` value fanned the grid out.
 
-use bp_probe::{run_probes, ProbeKind, ReportConfig};
+use bp_probe::{run_probes, BaseOutcomes, ProbeKind, ReportConfig};
+
+const ALL_KINDS: &[ProbeKind] = &[
+    ProbeKind::PaddingGlobal,
+    ProbeKind::PaddingLocal,
+    ProbeKind::HistoryLoop,
+    ProbeKind::Aliasing,
+];
 
 const PADDING_KINDS: &[ProbeKind] = &[ProbeKind::PaddingGlobal, ProbeKind::PaddingLocal];
 
@@ -17,6 +24,24 @@ fn default_padding_sweep_matches_the_committed_golden() {
         "default `bp-probe sweep padding` output drifted from the golden; \
          if the change is intentional, regenerate \
          crates/probe/tests/goldens/sweep_padding.txt"
+    );
+}
+
+/// `bp-probe sweep all --rounds 600 --base random --seed 5`: the only pin
+/// of the random base and of the local, history and aliasing families.
+#[test]
+fn random_base_sweep_of_every_family_matches_the_committed_golden() {
+    let mut cfg = ReportConfig::default();
+    cfg.sweep.rounds = 600;
+    cfg.sweep.base = BaseOutcomes::Random;
+    cfg.sweep.seed = 5;
+    cfg.sweep.jobs = 3;
+    let golden = include_str!("goldens/sweep_all_random_seed5.txt");
+    assert_eq!(
+        run_probes(ALL_KINDS, &cfg).render(),
+        golden,
+        "`bp-probe sweep all --rounds 600 --base random --seed 5` drifted from \
+         crates/probe/tests/goldens/sweep_all_random_seed5.txt"
     );
 }
 

@@ -13,8 +13,8 @@
 //!
 //! [`TraceSpec::build`] is the one emission path: it expands every
 //! script to a `Vec<bool>` and materializes the interleaved [`Trace`].
-//! It is the executable spec, unchanged from its conformance origin so
-//! every canned corpus case stays byte-identical. Probe programs and
+//! It is the executable spec: a change to it must keep every canned
+//! corpus case byte-identical. Probe programs and
 //! conformance cases fit in memory; the paper-scale traces stream from
 //! the workload generators instead.
 
@@ -178,11 +178,20 @@ impl TraceSpec {
 
     /// Builds the dynamic trace: every script expanded, then merged in
     /// the interleave's order.
+    ///
+    /// [`Interleave::RoundRobin`] and [`Interleave::Blocks`] are emitted
+    /// straight from the expanded scripts: in each round every live
+    /// script, in script order, emits its next (at most) `n` outcomes, so
+    /// all scripts sit at the same offset when a round starts and a
+    /// drained one just drops out. [`Interleave::Shuffled`] shuffles an
+    /// execution-order vector of one script index per record, then emits
+    /// in that order.
     pub fn build(&self) -> Trace {
         let outcomes: Vec<Vec<bool>> = self.branches.iter().map(BranchScript::outcomes).collect();
-        let order: Vec<usize> = match self.interleave {
-            Interleave::RoundRobin => interleave_blocks(&outcomes, 1),
-            Interleave::Blocks(n) => interleave_blocks(&outcomes, n.max(1)),
+        let mut recs = Vec::with_capacity(outcomes.iter().map(Vec::len).sum());
+        let n = match self.interleave {
+            Interleave::RoundRobin => 1,
+            Interleave::Blocks(n) => n.max(1),
             Interleave::Shuffled(seed) => {
                 let mut order: Vec<usize> = outcomes
                     .iter()
@@ -190,16 +199,20 @@ impl TraceSpec {
                     .flat_map(|(b, o)| std::iter::repeat_n(b, o.len()))
                     .collect();
                 order.shuffle(&mut StdRng::seed_from_u64(seed));
-                order
+                let mut next = vec![0usize; outcomes.len()];
+                for b in order {
+                    recs.push(record_for(&self.branches[b], outcomes[b][next[b]]));
+                    next[b] += 1;
+                }
+                return Trace::from_records(recs);
             }
         };
-        let mut next = vec![0usize; outcomes.len()];
-        let mut recs = Vec::with_capacity(order.len());
-        for b in order {
-            let script = &self.branches[b];
-            let taken = outcomes[b][next[b]];
-            next[b] += 1;
-            recs.push(record_for(script, taken));
+        let longest = outcomes.iter().map(Vec::len).max().unwrap_or(0);
+        for start in (0..longest).step_by(n) {
+            for (script, o) in self.branches.iter().zip(&outcomes) {
+                let block = &o[start.min(o.len())..(start + n).min(o.len())];
+                recs.extend(block.iter().map(|&taken| record_for(script, taken)));
+            }
         }
         Trace::from_records(recs)
     }
@@ -212,22 +225,6 @@ fn record_for(script: &BranchScript, taken: bool) -> BranchRecord {
         Some(t) => rec.with_target(t),
         None => rec,
     }
-}
-
-/// Emission order for block interleaving: `n` outcomes per live branch
-/// per round until all scripts are drained.
-fn interleave_blocks(outcomes: &[Vec<bool>], n: usize) -> Vec<usize> {
-    let total: usize = outcomes.iter().map(Vec::len).sum();
-    let mut emitted = vec![0usize; outcomes.len()];
-    let mut order = Vec::with_capacity(total);
-    while order.len() < total {
-        for (b, o) in outcomes.iter().enumerate() {
-            let take = n.min(o.len() - emitted[b]);
-            order.extend(std::iter::repeat_n(b, take));
-            emitted[b] += take;
-        }
-    }
-    order
 }
 
 #[cfg(test)]
@@ -271,6 +268,82 @@ mod tests {
         for (i, &o) in outcomes.iter().enumerate() {
             assert_eq!(o, (i / 64) % 2 == 0, "outcome {i}");
         }
+    }
+
+    /// Scripts of lengths 5, 2 and 3, each outcome tagged by its
+    /// (script, index) so the emitted order can be read back.
+    fn unequal_scripts(interleave: Interleave) -> Vec<(Pc, usize)> {
+        let spec = TraceSpec {
+            branches: [(0xA0, 5), (0xB0, 2), (0xC0, 3)]
+                .map(|(pc, len)| BranchScript::new(pc, vec![Segment::Run { taken: true, len }]))
+                .to_vec(),
+            interleave,
+        };
+        let mut seen = std::collections::HashMap::new();
+        spec.build()
+            .records()
+            .iter()
+            .map(|r| {
+                let i = seen.entry(r.pc).or_insert(0);
+                *i += 1;
+                (r.pc, *i - 1)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn block_and_round_robin_orders_are_pinned() {
+        let (a, b, c) = (0xA0, 0xB0, 0xC0);
+        assert_eq!(
+            unequal_scripts(Interleave::Blocks(2)),
+            [
+                (a, 0),
+                (a, 1),
+                (b, 0),
+                (b, 1),
+                (c, 0),
+                (c, 1),
+                (a, 2),
+                (a, 3),
+                (c, 2),
+                (a, 4)
+            ]
+        );
+        assert_eq!(
+            unequal_scripts(Interleave::RoundRobin),
+            [
+                (a, 0),
+                (b, 0),
+                (c, 0),
+                (a, 1),
+                (b, 1),
+                (c, 1),
+                (a, 2),
+                (c, 2),
+                (a, 3),
+                (a, 4)
+            ]
+        );
+        assert_eq!(
+            unequal_scripts(Interleave::Blocks(0)),
+            unequal_scripts(Interleave::RoundRobin),
+            "a zero block is one outcome"
+        );
+        assert_eq!(
+            unequal_scripts(Interleave::Blocks(9)),
+            [
+                (a, 0),
+                (a, 1),
+                (a, 2),
+                (a, 3),
+                (a, 4),
+                (b, 0),
+                (b, 1),
+                (c, 0),
+                (c, 1),
+                (c, 2)
+            ]
+        );
     }
 
     #[test]

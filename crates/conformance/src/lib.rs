@@ -19,13 +19,14 @@
 //!
 //! Golden snapshots of rendered experiment output live in
 //! [`bp_experiments::goldens`]; the `bp-conformance` CLI's `sweep`
-//! subcommand runs all of the above plus the golden check, and its
-//! `selftest` proves the harness catches deliberately injected kernel
-//! bugs.
+//! subcommand ([`cli`]) runs all of the above plus `repro`'s golden
+//! verifier, and its `selftest` proves the harness catches deliberately
+//! injected kernel bugs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod diff;
 pub mod gen;
 pub mod laws;

@@ -127,3 +127,26 @@ fn injected_scorer_bug_yields_minimized_reproducer() {
         "minimized reproducer no longer diverges"
     );
 }
+
+#[test]
+fn an_unwritable_stdout_is_an_error_not_a_panic() {
+    let dir = temp_dir("full");
+    for args in [
+        &["laws", "--cases", "2"][..],
+        &["gen", "--cases", "2", "--out", dir.to_str().unwrap()],
+    ] {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("open /dev/full");
+        let out = bin().args(args).stdout(full).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.contains("error: cannot write output"),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -390,6 +390,49 @@ mod tests {
     }
 
     #[test]
+    fn a_region_offset_past_its_place_is_corrupt_under_a_resigned_sidecar() {
+        // 0x100 runs 128 times and is never taken: its planes end on word
+        // boundaries (no padding check) and its taken plane is zero, so
+        // its region read two words late still decodes as valid tags and
+        // planes. With the content fingerprint re-signed, only the
+        // structural walk can reject the moved offset.
+        let recs: Vec<_> = (0..128)
+            .flat_map(|i| {
+                [
+                    BranchRecord::conditional(0x100, false),
+                    BranchRecord::conditional(0x200, i % 3 == 0),
+                ]
+            })
+            .collect();
+        let trace = Trace::from_records(recs);
+        let built = OutcomeMatrix::build(&trace, &TagCandidates::collect(&trace, 16, 12), 16);
+        let dir = temp_dir("offset");
+        let path = dir.join("m.matrix.bps");
+        write_matrix(&path, &built, 5).expect("write");
+        let mut words: Vec<u64> = std::fs::read(&path)
+            .expect("read back")
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("a word")))
+            .collect();
+        let first = HEADER_WORDS as usize;
+        assert_eq!(words[first], 0x100, "the index is sorted by pc");
+        words[first + 3] += 2;
+        let index_end = first + INDEX_WORDS as usize * words[2] as usize;
+        let mut content = fnv_words(CONTENT_OFFSET, &words[..index_end]);
+        for at in (first..index_end).step_by(INDEX_WORDS as usize) {
+            let (tags, off) = (words[at + 2] as usize, words[at + 3] as usize);
+            content = fnv_words(content, &words[off..off + 2 * tags]);
+        }
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        std::fs::write(&path, bytes).expect("write the moved offset");
+        Sidecar { config: 5, content }
+            .write(&path)
+            .expect("re-sign");
+        assert!(matches!(open_matrix(&path, 5), Err(BpsError::Corrupt(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn empty_matrix_round_trips() {
         let dir = temp_dir("empty");
         let path = dir.join("empty.matrix.bps");

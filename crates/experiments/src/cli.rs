@@ -1,6 +1,11 @@
 //! Small shared helpers for the command-line binaries.
+//!
+//! Each batch binary ([`crate::repro`], [`crate::scale`], [`crate::probe`],
+//! [`crate::ablate`], `bp-probe`, `bp-conformance`) is a thin shell: its
+//! pipeline's `Options::parse`, one `run` on stdout, then [`finish`], the
+//! one place that prints usage or `error:` lines and picks the exit code.
 
-use std::io::Write;
+use std::fmt;
 use std::process::ExitCode;
 
 use bp_workloads::WorkloadConfig;
@@ -77,17 +82,63 @@ pub fn workload_flag(
     Ok(true)
 }
 
-/// Writes `text` to standard output and flushes it. A write that fails
-/// (a full disk, a closed pipe) prints one `error: cannot write output`
-/// line and returns the failure exit code, where `print!` would panic.
-pub fn emit(text: &str) -> Result<(), ExitCode> {
-    let mut out = std::io::stdout().lock();
-    out.write_all(text.as_bytes())
-        .and_then(|()| out.flush())
-        .map_err(|e| {
-            eprintln!("error: cannot write output: {e}");
-            ExitCode::FAILURE
-        })
+/// Why a command-line run stopped before it finished.
+#[derive(Debug)]
+pub enum RunError {
+    /// `--help` or `-h`: the usage text, exit 0.
+    Help,
+    /// A bad command line: an `error:` line (none if empty), the usage text, exit 1.
+    Usage(String),
+    /// Output could not be written (a full disk, a closed pipe), exit 1.
+    Output(std::io::Error),
+    /// The run failed: an `error:` line (none if empty: it reported why), exit 1.
+    Failed(String),
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::Help => f.write_str("help requested"),
+            RunError::Usage(why) | RunError::Failed(why) => f.write_str(why),
+            RunError::Output(e) => write!(f, "cannot write output: {e}"),
+        }
+    }
+}
+
+/// A failed write to the run's output.
+impl From<std::io::Error> for RunError {
+    fn from(e: std::io::Error) -> Self {
+        RunError::Output(e)
+    }
+}
+
+/// Reports a run's outcome on stderr and picks the exit code: 0 for
+/// success and for `--help` (which prints `usage`), 1 otherwise, after
+/// the `error:` line and, for a bad command line, `usage`.
+pub fn finish(result: Result<(), RunError>, usage: &str) -> ExitCode {
+    let Err(err) = result else {
+        return ExitCode::SUCCESS;
+    };
+    if matches!(err, RunError::Help) {
+        eprintln!("{usage}");
+        return ExitCode::SUCCESS;
+    }
+    let why = err.to_string();
+    if !why.is_empty() {
+        eprintln!("error: {why}");
+    }
+    if matches!(err, RunError::Usage(_)) {
+        eprintln!("{usage}");
+    }
+    ExitCode::FAILURE
+}
+
+/// The default worker count of the binaries that take `--jobs`: one per
+/// available core.
+pub fn default_jobs() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 #[cfg(test)]

@@ -322,14 +322,6 @@ impl Engine {
         }
     }
 
-    /// An engine with one worker per available core.
-    pub fn with_available_parallelism(traces: impl Into<Arc<TraceSet>>) -> Self {
-        let jobs = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::new(traces, jobs)
-    }
-
     /// The worker-thread budget.
     pub fn jobs(&self) -> usize {
         self.jobs

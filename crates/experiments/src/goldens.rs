@@ -16,15 +16,16 @@
 //! fig4 0f1e2d3c4b5a6978
 //! ```
 //!
-//! Consumers: `repro --verify-goldens` / `--write-goldens`, and the
-//! `bp-conformance sweep` golden suite.
+//! Consumers: `repro --verify-goldens` / `--write-goldens`
+//! ([`crate::repro`]), which is also the `bp-conformance sweep` golden
+//! suite.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use bp_trace::sidecar::{fnv1a, FNV_OFFSET};
 
-use crate::{run_experiment, Engine, ExperimentConfig, EXPERIMENT_IDS};
+use crate::{ExperimentConfig, EXPERIMENT_IDS};
 
 /// 64-bit FNV-1a fingerprint of one rendered experiment.
 pub fn fingerprint(rendered: &str) -> u64 {
@@ -36,34 +37,6 @@ pub fn fingerprint(rendered: &str) -> u64 {
 /// works from any working directory.
 pub fn default_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens/quick.fp")
-}
-
-/// One experiment whose fingerprint disagrees with the goldens file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GoldenMismatch {
-    /// Experiment id (`table1`, `fig4`, ...).
-    pub id: String,
-    /// Fingerprint recorded in the goldens file, if present.
-    pub expected: Option<u64>,
-    /// Fingerprint of the freshly rendered output.
-    pub actual: u64,
-}
-
-impl std::fmt::Display for GoldenMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.expected {
-            Some(e) => write!(
-                f,
-                "{}: fingerprint {:016x} != golden {:016x}",
-                self.id, self.actual, e
-            ),
-            None => write!(
-                f,
-                "{}: fingerprint {:016x} has no golden entry",
-                self.id, self.actual
-            ),
-        }
-    }
 }
 
 /// A parsed (or freshly captured) set of golden fingerprints together
@@ -85,16 +58,6 @@ impl Goldens {
             target: cfg.workload.target_branches,
             entries: BTreeMap::new(),
         }
-    }
-
-    /// Renders every experiment through `engine` and fingerprints it.
-    pub fn capture(cfg: &ExperimentConfig, engine: &Engine) -> Self {
-        let mut goldens = Goldens::new(cfg);
-        for id in EXPERIMENT_IDS {
-            let rendered = run_experiment(id, cfg, engine).expect("EXPERIMENT_IDS is exhaustive");
-            goldens.record(id, fingerprint(&rendered));
-        }
-        goldens
     }
 
     /// Adds (or replaces) one experiment's fingerprint.
@@ -129,36 +92,19 @@ impl Goldens {
         Ok(())
     }
 
-    /// Compares one rendered experiment against the recorded entry.
-    pub fn verify(&self, id: &str, rendered: &str) -> Result<(), GoldenMismatch> {
+    /// Compares one rendered experiment against the recorded entry. The
+    /// error names the experiment and both fingerprints.
+    pub fn verify(&self, id: &str, rendered: &str) -> Result<(), String> {
         let actual = fingerprint(rendered);
         match self.entry(id) {
             Some(expected) if expected == actual => Ok(()),
-            expected => Err(GoldenMismatch {
-                id: id.to_owned(),
-                expected,
-                actual,
-            }),
+            Some(expected) => Err(format!(
+                "{id}: fingerprint {actual:016x} != golden {expected:016x}"
+            )),
+            None => Err(format!(
+                "{id}: fingerprint {actual:016x} has no golden entry"
+            )),
         }
-    }
-
-    /// Every disagreement between `self` (the committed goldens) and a
-    /// freshly captured set, in `EXPERIMENT_IDS` order.
-    pub fn diff(&self, fresh: &Goldens) -> Vec<GoldenMismatch> {
-        EXPERIMENT_IDS
-            .iter()
-            .filter_map(|id| {
-                let actual = fresh.entry(id)?;
-                match self.entry(id) {
-                    Some(expected) if expected == actual => None,
-                    expected => Some(GoldenMismatch {
-                        id: (*id).to_owned(),
-                        expected,
-                        actual,
-                    }),
-                }
-            })
-            .collect()
     }
 
     /// Parses the goldens file format.
@@ -262,23 +208,16 @@ mod tests {
     }
 
     #[test]
-    fn verify_and_diff_report_mismatches() {
+    fn verify_reports_mismatches() {
         let cfg = ExperimentConfig::quick();
         let mut committed = Goldens::new(&cfg);
         committed.record("table1", fingerprint("stable output"));
         assert!(committed.verify("table1", "stable output").is_ok());
         let err = committed.verify("table1", "drifted output").unwrap_err();
-        assert_eq!(err.expected, Some(fingerprint("stable output")));
+        let golden = fingerprint("stable output");
+        assert!(err.ends_with(&format!("!= golden {golden:016x}")), "{err}");
         let err = committed.verify("fig4", "anything").unwrap_err();
-        assert_eq!(err.expected, None);
-
-        let mut fresh = Goldens::new(&cfg);
-        fresh.record("table1", fingerprint("drifted output"));
-        fresh.record("fig4", 7);
-        let diff = committed.diff(&fresh);
-        assert_eq!(diff.len(), 2);
-        assert_eq!(diff[0].id, "table1");
-        assert_eq!(diff[1].id, "fig4");
+        assert!(err.ends_with("has no golden entry"), "{err}");
     }
 
     #[test]

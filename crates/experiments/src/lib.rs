@@ -7,7 +7,7 @@
 //! alongside the paper's own numbers where applicable. The shared
 //! [`Engine`] fans work out across benchmarks and memoizes every artifact
 //! two experiments would otherwise both compute (see [`engine`]). The
-//! `repro` binary drives any subset:
+//! `repro` binary drives any subset through [`repro::run`]:
 //!
 //! ```text
 //! repro all            # every experiment
@@ -40,6 +40,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ablate;
 pub mod artifacts;
 pub mod charact;
 pub mod cli;
@@ -58,7 +59,10 @@ pub mod fig8;
 pub mod fig9;
 pub mod goldens;
 pub mod modern;
+pub mod probe;
 pub mod render;
+pub mod repro;
+pub mod scale;
 pub mod table1;
 pub mod table2;
 pub mod table3;

@@ -31,11 +31,13 @@
 //! adjacent drop over a noise floor; rendering ([`render`]) is
 //! byte-stable and golden-friendly. The whole crate consumes predictors strictly
 //! through the [`bp_predictors::Predictor`] trait — predict, update,
-//! nothing else — so what it measures is what any trace would get.
+//! nothing else — so what it measures is what any trace would get. The
+//! `bp-probe` binary is a thin shell over [`cli::run`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod program;
 pub mod render;
 pub mod sweep;

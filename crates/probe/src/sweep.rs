@@ -317,6 +317,10 @@ mod tests {
             mk(&[99.0, 95.0, 92.0]).cliff(0, 10.0).is_none(),
             "no drop clears 10pp"
         );
+        let tie = mk(&[100.0, 80.0, 60.0, 55.0])
+            .cliff(0, 10.0)
+            .expect("cliff");
+        assert_eq!(tie.at, 1, "equal drops: the cliff is the earlier one");
     }
 
     #[test]

@@ -33,27 +33,26 @@
 //! byte — the harness behind the idle-connection memory numbers in
 //! `BENCH_repro.json`.
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use bp_experiments::cli::{finish, RunError};
+use bp_serve::stats::LatencySnapshot;
 use bp_serve::{
     run_bench, BenchOptions, ChaosOptions, Client, PredictorSpec, Response, RetryPolicy,
     ShardedClient, StatsSnapshot,
 };
 use bp_workloads::WorkloadConfig;
 
-fn usage() {
-    eprintln!(
-        "usage: bp-client [--addr HOST:PORT]... <eval|trace|stats|ping|shutdown|bench|idle> [options]\n\
-         \x20 eval EXPERIMENT [--seed N] [--target N] [--deadline-ms N]\n\
-         \x20 trace PATH --predictor gshare|if_gshare|pas|if_pas [--bits N] [--history-bits N]\n\
-         \x20 stats | ping [--delay-ms N] | shutdown\n\
-         \x20 bench --conns N --requests M [--experiment ID] [--seed N] [--spread K] [--target N] \
-         [--rate R] [--deadline-ms N] [--chaos-kill SHARD --chaos-after-ms T] [--json]\n\
-         \x20 idle --conns N [--hold-ms T]\n\
-         \x20 retry (eval/bench): [--retries N] [--retry-base-ms T] [--retry-seed N]"
-    );
-}
+const USAGE: &str = "usage: bp-client [--addr HOST:PORT]... <eval|trace|stats|ping|shutdown|bench|idle> [options]\n\
+    \x20 eval EXPERIMENT [--seed N] [--target N] [--deadline-ms N]\n\
+    \x20 trace PATH --predictor gshare|if_gshare|pas|if_pas [--bits N] [--history-bits N]\n\
+    \x20 stats | ping [--delay-ms N] | shutdown\n\
+    \x20 bench --conns N --requests M [--experiment ID] [--seed N] [--spread K] [--target N] \
+    [--rate R] [--deadline-ms N] [--chaos-kill SHARD --chaos-after-ms T] [--json]\n\
+    \x20 idle --conns N [--hold-ms T]\n\
+    \x20 retry (eval/bench): [--retries N] [--retry-base-ms T] [--retry-seed N]";
 
 struct Flags {
     addrs: Vec<String>,
@@ -79,9 +78,9 @@ fn known_options(command: &str) -> Option<&'static str> {
     })
 }
 
-/// Parses the command line; `Err` carries the `error:` line to print
-/// (`None` for a bare usage request).
-fn parse_args() -> Result<Flags, Option<String>> {
+/// Parses the command line. A bare usage request (no command, or
+/// `--help`) is a usage error with no message.
+fn parse_args() -> Result<Flags, RunError> {
     let mut addrs = Vec::new();
     let mut command = String::new();
     let mut positional = Vec::new();
@@ -90,12 +89,12 @@ fn parse_args() -> Result<Flags, Option<String>> {
     while let Some(arg) = args.next() {
         let mut value = || {
             args.next()
-                .ok_or_else(|| Some(format!("{arg} needs a value")))
+                .ok_or_else(|| RunError::Usage(format!("{arg} needs a value")))
         };
         if arg == "--addr" {
             addrs.push(value()?);
         } else if arg == "--help" || arg == "-h" {
-            return Err(None);
+            return Err(RunError::Usage(String::new()));
         } else if let Some(flag) = arg.strip_prefix("--") {
             // Flags that take values vs booleans.
             let value = match flag {
@@ -110,14 +109,14 @@ fn parse_args() -> Result<Flags, Option<String>> {
         }
     }
     if command.is_empty() {
-        return Err(None);
+        return Err(RunError::Usage(String::new()));
     }
     if let Some(known) = known_options(&command) {
         let unread = options
             .iter()
             .find(|(k, _)| !known.split_whitespace().any(|o| o == k));
         if let Some((flag, _)) = unread {
-            return Err(Some(format!("{command} does not take --{flag}")));
+            return Err(RunError::Usage(format!("{command} does not take --{flag}")));
         }
     }
     if addrs.is_empty() {
@@ -139,11 +138,14 @@ fn opt<'a>(flags: &'a Flags, name: &str) -> Option<&'a str> {
         .and_then(|(_, v)| v.as_deref())
 }
 
-fn opt_u64(flags: &Flags, name: &str) -> Result<Option<u64>, ()> {
+/// The value of `--name` as an unsigned integer. A value that does not
+/// parse is reported on stderr and fails the run as `bad --name`.
+fn opt_u64(flags: &Flags, name: &str) -> Result<Option<u64>, RunError> {
     match opt(flags, name) {
         None => Ok(None),
         Some(v) => v.parse().map(Some).map_err(|_| {
             eprintln!("error: --{name} needs an unsigned integer");
+            RunError::Failed(format!("bad --{name}"))
         }),
     }
 }
@@ -152,22 +154,28 @@ fn has_flag(flags: &Flags, name: &str) -> bool {
     flags.options.iter().any(|(k, _)| k == name)
 }
 
-fn retry_policy(flags: &Flags) -> Result<RetryPolicy, ()> {
+fn retry_policy(flags: &Flags) -> Result<RetryPolicy, RunError> {
+    let bad = |_| RunError::Failed("bad retry flags".to_owned());
     let mut policy = RetryPolicy::default();
-    if let Some(n) = opt_u64(flags, "retries")? {
+    if let Some(n) = opt_u64(flags, "retries").map_err(bad)? {
         policy.attempts = (n as u32).max(1);
     }
-    if let Some(ms) = opt_u64(flags, "retry-base-ms")? {
+    if let Some(ms) = opt_u64(flags, "retry-base-ms").map_err(bad)? {
         policy.base = Duration::from_millis(ms);
     }
-    if let Some(seed) = opt_u64(flags, "retry-seed")? {
+    if let Some(seed) = opt_u64(flags, "retry-seed").map_err(bad)? {
         policy.seed = seed;
     }
     Ok(policy)
 }
 
-fn print_stats(s: &StatsSnapshot) {
-    println!("endpoint      requests        ok    errors");
+/// A failure reported by a server or the network, as an `error:` line.
+fn failed(e: impl std::fmt::Display) -> RunError {
+    RunError::Failed(e.to_string())
+}
+
+fn print_stats(out: &mut dyn Write, s: &StatsSnapshot) -> std::io::Result<()> {
+    writeln!(out, "endpoint      requests        ok    errors")?;
     for (name, e) in [
         ("eval", s.eval),
         ("trace_eval", s.trace_eval),
@@ -175,13 +183,19 @@ fn print_stats(s: &StatsSnapshot) {
         ("ping", s.ping),
         ("shutdown", s.shutdown),
     ] {
-        println!("{name:<12} {:>9} {:>9} {:>9}", e.requests, e.ok, e.errors);
+        writeln!(
+            out,
+            "{name:<12} {:>9} {:>9} {:>9}",
+            e.requests, e.ok, e.errors
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "backpressure: overloaded {}  deadline_missed {}  bad_frames {}",
         s.overloaded, s.deadline_missed, s.bad_frames
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "caching: memory_hits {}  disk_hits {}  entries {}  bytes {}  evictions {}  \
          warm_start {}  coalesced {}",
         s.result_cache_hits,
@@ -191,291 +205,258 @@ fn print_stats(s: &StatsSnapshot) {
         s.cache_evictions,
         s.warm_start_entries,
         s.coalesced
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "engines: {}  engine cache {} hits / {} misses",
         s.engines, s.engine_cache_hits, s.engine_cache_misses
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "connections: open {}  accepted {}",
         s.open_connections, s.conns_accepted
-    );
-    println!(
-        "eval latency: count {}  p50 {:.3}ms  p99 {:.3}ms  p999 {:.3}ms  max {:.3}ms",
-        s.eval_latency.count,
-        s.eval_latency.p50_us as f64 / 1e3,
-        s.eval_latency.p99_us as f64 / 1e3,
-        s.eval_latency.p999_us as f64 / 1e3,
-        s.eval_latency.max_us as f64 / 1e3
-    );
+    )?;
+    let latency = |out: &mut dyn Write, kind: &str, h: &LatencySnapshot| {
+        writeln!(
+            out,
+            "{kind} latency: count {}  p50 {:.3}ms  p99 {:.3}ms  p999 {:.3}ms  max {:.3}ms",
+            h.count,
+            h.p50_us as f64 / 1e3,
+            h.p99_us as f64 / 1e3,
+            h.p999_us as f64 / 1e3,
+            h.max_us as f64 / 1e3
+        )
+    };
+    latency(out, "eval", &s.eval_latency)?;
     if s.trace_latency.count > 0 {
-        println!(
-            "trace latency: count {}  p50 {:.3}ms  p99 {:.3}ms  p999 {:.3}ms  max {:.3}ms",
-            s.trace_latency.count,
-            s.trace_latency.p50_us as f64 / 1e3,
-            s.trace_latency.p99_us as f64 / 1e3,
-            s.trace_latency.p999_us as f64 / 1e3,
-            s.trace_latency.max_us as f64 / 1e3
-        );
+        latency(out, "trace", &s.trace_latency)?;
     }
+    Ok(())
 }
 
-fn report_unexpected(resp: &Response) -> ExitCode {
+/// Reports a response of the wrong kind on stderr; the run fails with
+/// no further `error:` line.
+fn report_unexpected(resp: &Response) -> RunError {
     match resp {
         Response::Error { code, message, .. } => {
             eprintln!("error ({}): {message}", code.as_str());
         }
         other => eprintln!("error: unexpected response {other:?}"),
     }
-    ExitCode::FAILURE
+    RunError::Failed(String::new())
 }
 
 fn main() -> ExitCode {
-    let flags = match parse_args() {
-        Ok(flags) => flags,
-        Err(why) => {
-            if let Some(why) = why {
-                eprintln!("error: {why}");
-            }
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
-    let defaults = WorkloadConfig::default();
+    let result = parse_args().and_then(|flags| run(&flags, &mut std::io::stdout()));
+    finish(result, USAGE)
+}
 
-    let run = || -> Result<ExitCode, Box<dyn std::error::Error>> {
-        match flags.command.as_str() {
-            "eval" => {
-                let [experiment] = &flags.positional[..] else {
-                    usage();
-                    return Ok(ExitCode::FAILURE);
-                };
-                let seed = opt_u64(&flags, "seed").map_err(|()| "bad --seed")?;
-                let target = opt_u64(&flags, "target").map_err(|()| "bad --target")?;
-                let deadline = opt_u64(&flags, "deadline-ms").map_err(|()| "bad --deadline-ms")?;
-                let retry = retry_policy(&flags).map_err(|()| "bad retry flags")?;
-                let mut client = ShardedClient::new(flags.addrs.clone(), retry);
-                let resp = client.eval(
+/// Runs one subcommand, writing what it prints to `out`.
+fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), RunError> {
+    let defaults = WorkloadConfig::default();
+    match flags.command.as_str() {
+        "eval" => {
+            let [experiment] = &flags.positional[..] else {
+                return Err(RunError::Usage(String::new()));
+            };
+            let seed = opt_u64(flags, "seed")?;
+            let target = opt_u64(flags, "target")?;
+            let deadline = opt_u64(flags, "deadline-ms")?;
+            let retry = retry_policy(flags)?;
+            let mut client = ShardedClient::new(flags.addrs.clone(), retry);
+            let resp = client
+                .eval(
                     experiment,
                     seed.unwrap_or(defaults.seed),
                     target.unwrap_or(defaults.target_branches as u64),
                     deadline,
-                )?;
-                match resp {
-                    Response::Result {
-                        output,
-                        cached,
-                        seconds,
-                        ..
-                    } => {
-                        println!("{output}");
-                        eprintln!(
-                            "[served in {seconds:.3}s{}]",
-                            if cached { ", cached" } else { "" }
-                        );
-                        Ok(ExitCode::SUCCESS)
-                    }
-                    other => Ok(report_unexpected(&other)),
+                )
+                .map_err(failed)?;
+            match resp {
+                Response::Result {
+                    output,
+                    cached,
+                    seconds,
+                    ..
+                } => {
+                    writeln!(out, "{output}")?;
+                    eprintln!(
+                        "[served in {seconds:.3}s{}]",
+                        if cached { ", cached" } else { "" }
+                    );
+                    Ok(())
                 }
-            }
-            "trace" => {
-                let [path] = &flags.positional[..] else {
-                    usage();
-                    return Ok(ExitCode::FAILURE);
-                };
-                let bits = opt_u64(&flags, "bits")
-                    .map_err(|()| "bad --bits")?
-                    .unwrap_or(16) as u32;
-                let history_bits = opt_u64(&flags, "history-bits")
-                    .map_err(|()| "bad --history-bits")?
-                    .unwrap_or(6) as u32;
-                let predictor = match opt(&flags, "predictor").unwrap_or("gshare") {
-                    "gshare" => PredictorSpec::Gshare { bits },
-                    "if_gshare" => PredictorSpec::IfGshare { bits },
-                    "pas" => PredictorSpec::Pas,
-                    "if_pas" => PredictorSpec::IfPas { history_bits },
-                    other => {
-                        eprintln!("error: unknown predictor {other}");
-                        return Ok(ExitCode::FAILURE);
-                    }
-                };
-                let deadline = opt_u64(&flags, "deadline-ms").map_err(|()| "bad --deadline-ms")?;
-                let mut client = Client::connect(&flags.addrs[0])?;
-                match client.trace_eval(path, predictor, deadline)? {
-                    Response::TraceResult {
-                        predictions,
-                        correct,
-                        seconds,
-                        ..
-                    } => {
-                        let pct = if predictions == 0 {
-                            0.0
-                        } else {
-                            correct as f64 / predictions as f64 * 100.0
-                        };
-                        println!("{correct}/{predictions} correct ({pct:.2}%) in {seconds:.3}s");
-                        Ok(ExitCode::SUCCESS)
-                    }
-                    other => Ok(report_unexpected(&other)),
-                }
-            }
-            "stats" => {
-                let many = flags.addrs.len() > 1;
-                let mut failures = 0;
-                for addr in &flags.addrs {
-                    if many {
-                        println!("== shard {addr} ==");
-                    }
-                    match Client::connect(addr).and_then(|mut c| c.stats()) {
-                        Ok(Response::Stats { snapshot, .. }) => print_stats(&snapshot),
-                        Ok(other) => {
-                            report_unexpected(&other);
-                            failures += 1;
-                        }
-                        Err(e) => {
-                            eprintln!("error: {addr}: {e}");
-                            failures += 1;
-                        }
-                    }
-                }
-                Ok(if failures == 0 {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                })
-            }
-            "ping" => {
-                let delay = opt_u64(&flags, "delay-ms").map_err(|()| "bad --delay-ms")?;
-                let mut client = Client::connect(&flags.addrs[0])?;
-                match client.ping(delay)? {
-                    Response::Pong { .. } => {
-                        println!("pong");
-                        Ok(ExitCode::SUCCESS)
-                    }
-                    other => Ok(report_unexpected(&other)),
-                }
-            }
-            "shutdown" => {
-                let mut failures = 0;
-                for addr in &flags.addrs {
-                    match Client::connect(addr).and_then(|mut c| c.shutdown()) {
-                        Ok(Response::ShuttingDown { .. }) => {
-                            println!("{addr} draining");
-                        }
-                        Ok(other) => {
-                            report_unexpected(&other);
-                            failures += 1;
-                        }
-                        Err(e) => {
-                            eprintln!("error: {addr}: {e}");
-                            failures += 1;
-                        }
-                    }
-                }
-                Ok(if failures == 0 {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                })
-            }
-            "bench" => {
-                let conns = opt_u64(&flags, "conns")
-                    .map_err(|()| "bad --conns")?
-                    .unwrap_or(4) as usize;
-                let requests = opt_u64(&flags, "requests")
-                    .map_err(|()| "bad --requests")?
-                    .unwrap_or(32) as usize;
-                let seed = opt_u64(&flags, "seed").map_err(|()| "bad --seed")?;
-                let spread = opt_u64(&flags, "spread").map_err(|()| "bad --spread")?;
-                let target = opt_u64(&flags, "target").map_err(|()| "bad --target")?;
-                let deadline = opt_u64(&flags, "deadline-ms").map_err(|()| "bad --deadline-ms")?;
-                let rate = match opt(&flags, "rate") {
-                    None => None,
-                    Some(v) => Some(v.parse::<f64>().map_err(|_| "bad --rate")?),
-                };
-                let retry = retry_policy(&flags).map_err(|()| "bad retry flags")?;
-                let chaos_kill = opt_u64(&flags, "chaos-kill").map_err(|()| "bad --chaos-kill")?;
-                let chaos_after =
-                    opt_u64(&flags, "chaos-after-ms").map_err(|()| "bad --chaos-after-ms")?;
-                let chaos = match (chaos_kill, chaos_after) {
-                    (Some(shard), after) => {
-                        if shard as usize >= flags.addrs.len() {
-                            return Err("--chaos-kill is out of range for the address list".into());
-                        }
-                        Some(ChaosOptions {
-                            kill_shard: shard as usize,
-                            after: Duration::from_millis(after.unwrap_or(500)),
-                        })
-                    }
-                    (None, Some(_)) => {
-                        return Err("--chaos-after-ms needs --chaos-kill".into());
-                    }
-                    (None, None) => None,
-                };
-                let opts = BenchOptions {
-                    addrs: flags.addrs.clone(),
-                    conns: conns.max(1),
-                    requests_per_conn: requests.max(1),
-                    experiment: opt(&flags, "experiment").unwrap_or("fig4").to_owned(),
-                    seed: seed.unwrap_or(defaults.seed),
-                    seed_spread: spread.unwrap_or(1).max(1),
-                    target: target.unwrap_or(defaults.target_branches as u64),
-                    deadline_ms: deadline,
-                    rate,
-                    retry,
-                    chaos,
-                };
-                let report = run_bench(&opts)?;
-                if has_flag(&flags, "json") {
-                    println!("{}", report.render_json());
-                } else {
-                    println!("{}", report.render_text());
-                }
-                Ok(ExitCode::SUCCESS)
-            }
-            "idle" => {
-                let conns = opt_u64(&flags, "conns")
-                    .map_err(|()| "bad --conns")?
-                    .unwrap_or(100) as usize;
-                let hold = opt_u64(&flags, "hold-ms")
-                    .map_err(|()| "bad --hold-ms")?
-                    .unwrap_or(60_000);
-                let mut held = Vec::with_capacity(conns);
-                for i in 0..conns {
-                    let addr = &flags.addrs[i % flags.addrs.len()];
-                    match std::net::TcpStream::connect(addr.as_str()) {
-                        Ok(stream) => held.push(stream),
-                        Err(e) => {
-                            eprintln!("error: connection {i} to {addr} failed: {e}");
-                            break;
-                        }
-                    }
-                }
-                // Printed once all sockets are up so harnesses can key
-                // their memory measurement off this line.
-                let complete = held.len() == conns;
-                println!("idle holding {} connections", held.len());
-                use std::io::Write;
-                let _ = std::io::stdout().flush();
-                std::thread::sleep(Duration::from_millis(hold));
-                drop(held);
-                Ok(if complete {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                })
-            }
-            _ => {
-                usage();
-                Ok(ExitCode::FAILURE)
+                other => Err(report_unexpected(&other)),
             }
         }
-    };
-    match run() {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
+        "trace" => {
+            let [path] = &flags.positional[..] else {
+                return Err(RunError::Usage(String::new()));
+            };
+            let bits = opt_u64(flags, "bits")?.unwrap_or(16) as u32;
+            let history_bits = opt_u64(flags, "history-bits")?.unwrap_or(6) as u32;
+            let predictor = match opt(flags, "predictor").unwrap_or("gshare") {
+                "gshare" => PredictorSpec::Gshare { bits },
+                "if_gshare" => PredictorSpec::IfGshare { bits },
+                "pas" => PredictorSpec::Pas,
+                "if_pas" => PredictorSpec::IfPas { history_bits },
+                other => return Err(RunError::Failed(format!("unknown predictor {other}"))),
+            };
+            let deadline = opt_u64(flags, "deadline-ms")?;
+            let mut client = Client::connect(&flags.addrs[0]).map_err(failed)?;
+            match client
+                .trace_eval(path, predictor, deadline)
+                .map_err(failed)?
+            {
+                Response::TraceResult {
+                    predictions,
+                    correct,
+                    seconds,
+                    ..
+                } => {
+                    let pct = if predictions == 0 {
+                        0.0
+                    } else {
+                        correct as f64 / predictions as f64 * 100.0
+                    };
+                    writeln!(
+                        out,
+                        "{correct}/{predictions} correct ({pct:.2}%) in {seconds:.3}s"
+                    )?;
+                    Ok(())
+                }
+                other => Err(report_unexpected(&other)),
+            }
         }
+        "stats" => {
+            let many = flags.addrs.len() > 1;
+            let mut failures = 0;
+            for addr in &flags.addrs {
+                if many {
+                    writeln!(out, "== shard {addr} ==")?;
+                }
+                match Client::connect(addr).and_then(|mut c| c.stats()) {
+                    Ok(Response::Stats { snapshot, .. }) => print_stats(out, &snapshot)?,
+                    Ok(other) => {
+                        report_unexpected(&other);
+                        failures += 1;
+                    }
+                    Err(e) => {
+                        eprintln!("error: {addr}: {e}");
+                        failures += 1;
+                    }
+                }
+            }
+            if failures > 0 {
+                return Err(RunError::Failed(String::new()));
+            }
+            Ok(())
+        }
+        "ping" => {
+            let delay = opt_u64(flags, "delay-ms")?;
+            let mut client = Client::connect(&flags.addrs[0]).map_err(failed)?;
+            match client.ping(delay).map_err(failed)? {
+                Response::Pong { .. } => {
+                    writeln!(out, "pong")?;
+                    Ok(())
+                }
+                other => Err(report_unexpected(&other)),
+            }
+        }
+        "shutdown" => {
+            let mut failures = 0;
+            for addr in &flags.addrs {
+                match Client::connect(addr).and_then(|mut c| c.shutdown()) {
+                    Ok(Response::ShuttingDown { .. }) => writeln!(out, "{addr} draining")?,
+                    Ok(other) => {
+                        report_unexpected(&other);
+                        failures += 1;
+                    }
+                    Err(e) => {
+                        eprintln!("error: {addr}: {e}");
+                        failures += 1;
+                    }
+                }
+            }
+            if failures > 0 {
+                return Err(RunError::Failed(String::new()));
+            }
+            Ok(())
+        }
+        "bench" => {
+            let conns = opt_u64(flags, "conns")?.unwrap_or(4) as usize;
+            let requests = opt_u64(flags, "requests")?.unwrap_or(32) as usize;
+            let seed = opt_u64(flags, "seed")?;
+            let spread = opt_u64(flags, "spread")?;
+            let target = opt_u64(flags, "target")?;
+            let deadline = opt_u64(flags, "deadline-ms")?;
+            let rate = match opt(flags, "rate") {
+                None => None,
+                Some(v) => Some(v.parse::<f64>().map_err(|_| failed("bad --rate"))?),
+            };
+            let retry = retry_policy(flags)?;
+            let chaos_kill = opt_u64(flags, "chaos-kill")?;
+            let chaos_after = opt_u64(flags, "chaos-after-ms")?;
+            let chaos = match (chaos_kill, chaos_after) {
+                (Some(shard), after) => {
+                    if shard as usize >= flags.addrs.len() {
+                        return Err(failed("--chaos-kill is out of range for the address list"));
+                    }
+                    Some(ChaosOptions {
+                        kill_shard: shard as usize,
+                        after: Duration::from_millis(after.unwrap_or(500)),
+                    })
+                }
+                (None, Some(_)) => return Err(failed("--chaos-after-ms needs --chaos-kill")),
+                (None, None) => None,
+            };
+            let opts = BenchOptions {
+                addrs: flags.addrs.clone(),
+                conns: conns.max(1),
+                requests_per_conn: requests.max(1),
+                experiment: opt(flags, "experiment").unwrap_or("fig4").to_owned(),
+                seed: seed.unwrap_or(defaults.seed),
+                seed_spread: spread.unwrap_or(1).max(1),
+                target: target.unwrap_or(defaults.target_branches as u64),
+                deadline_ms: deadline,
+                rate,
+                retry,
+                chaos,
+            };
+            let report = run_bench(&opts).map_err(failed)?;
+            if has_flag(flags, "json") {
+                writeln!(out, "{}", report.render_json())?;
+            } else {
+                writeln!(out, "{}", report.render_text())?;
+            }
+            Ok(())
+        }
+        "idle" => {
+            let conns = opt_u64(flags, "conns")?.unwrap_or(100) as usize;
+            let hold = opt_u64(flags, "hold-ms")?.unwrap_or(60_000);
+            let mut held = Vec::with_capacity(conns);
+            for i in 0..conns {
+                let addr = &flags.addrs[i % flags.addrs.len()];
+                match std::net::TcpStream::connect(addr.as_str()) {
+                    Ok(stream) => held.push(stream),
+                    Err(e) => {
+                        eprintln!("error: connection {i} to {addr} failed: {e}");
+                        break;
+                    }
+                }
+            }
+            // Printed once all sockets are up so harnesses can key
+            // their memory measurement off this line.
+            let complete = held.len() == conns;
+            writeln!(out, "idle holding {} connections", held.len())?;
+            out.flush()?;
+            std::thread::sleep(Duration::from_millis(hold));
+            drop(held);
+            if !complete {
+                return Err(RunError::Failed(String::new()));
+            }
+            Ok(())
+        }
+        _ => Err(RunError::Usage(String::new())),
     }
 }

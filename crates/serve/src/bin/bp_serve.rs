@@ -13,21 +13,20 @@
 //!
 //! Binds, prints `listening <addr>` on stdout (so scripts binding `:0`
 //! can discover the port), and serves until a client sends `shutdown`,
-//! then drains the queue and exits 0. There is no SIGTERM hook — the
-//! workspace vendors no libc — so supervisors should stop the daemon
-//! with `bp-client --addr … shutdown`, which is the graceful path.
+//! then drains the queue and exits 0. A stdout that cannot take the
+//! `listening` line drains at once and exits 1, leaving no listener.
+//! There is no SIGTERM hook — the workspace vendors no libc — so
+//! supervisors should stop the daemon with `bp-client --addr …
+//! shutdown`, which is the graceful path.
 
 use std::io::Write;
 use std::process::ExitCode;
 
+use bp_experiments::cli::{finish, RunError};
 use bp_serve::{spawn, ServerConfig};
 
-fn usage() {
-    eprintln!(
-        "usage: bp-serve [--addr HOST:PORT] [--workers N] [--queue N] [--jobs N] \
-         [--trace-dir DIR] [--max-frame BYTES] [--cache-dir DIR] [--cache-budget-mb N] [--quiet]"
-    );
-}
+const USAGE: &str = "usage: bp-serve [--addr HOST:PORT] [--workers N] [--queue N] [--jobs N] \
+    [--trace-dir DIR] [--max-frame BYTES] [--cache-dir DIR] [--cache-budget-mb N] [--quiet]";
 
 /// Parses `flag`'s value as an integer of at least `min`.
 fn at_least(flag: &str, value: &str, min: usize) -> Result<usize, String> {
@@ -40,6 +39,10 @@ fn at_least(flag: &str, value: &str, min: usize) -> Result<usize, String> {
 }
 
 fn main() -> ExitCode {
+    finish(parse_args().and_then(serve), USAGE)
+}
+
+fn parse_args() -> Result<ServerConfig, RunError> {
     let mut cfg = ServerConfig {
         addr: "127.0.0.1:4098".to_owned(),
         ..ServerConfig::default()
@@ -75,28 +78,24 @@ fn main() -> ExitCode {
                 cfg.quiet = true;
                 Ok(())
             }
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
+            "--help" | "-h" => return Err(RunError::Help),
             other => Err(format!("unknown flag {other}")),
         };
-        if let Err(e) = parsed {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
-        }
+        parsed.map_err(RunError::Usage)?;
     }
+    Ok(cfg)
+}
 
-    let handle = match spawn(cfg) {
-        Ok(handle) => handle,
-        Err(e) => {
-            eprintln!("error: could not bind: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("listening {}", handle.local_addr());
-    let _ = std::io::stdout().flush();
+/// Binds, announces the address on stdout and serves until a client
+/// sends `shutdown`. When the announcement cannot be written, the server
+/// drains before the error is returned.
+fn serve(cfg: ServerConfig) -> Result<(), RunError> {
+    let handle = spawn(cfg).map_err(|e| RunError::Failed(format!("could not bind: {e}")))?;
+    let mut out = std::io::stdout();
+    let announced = writeln!(out, "listening {}", handle.local_addr()).and_then(|()| out.flush());
+    if announced.is_err() {
+        handle.begin_drain();
+    }
     handle.join();
-    ExitCode::SUCCESS
+    announced.map_err(RunError::Output)
 }

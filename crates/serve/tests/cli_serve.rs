@@ -1,19 +1,39 @@
 //! Flag handling of the serving binaries: a bad or unknown flag must exit 1
 //! with an `error:` line that names it, instead of running with a default
-//! or a wrapped value.
+//! or a wrapped value. A stdout that cannot be written is an `error:` line
+//! and exit 1 too, never a panic.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
+
+fn dev_full() -> std::fs::File {
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full")
+}
+
+fn assert_unwritable_stdout_fails_cleanly(out: &Output, what: &str) {
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{what}: {err}");
+    assert!(err.contains("error: cannot write output"), "{what}: {err}");
+    assert!(!err.contains("panicked"), "{what}: {err}");
+}
 
 /// Runs `bp-serve` with `args` on an ephemeral port. A daemon that is
 /// still running after the timeout accepted the flags and is serving:
 /// it is killed and the test fails rather than hangs.
 fn serve(args: &[&str]) -> Output {
+    serve_to(args, Stdio::piped())
+}
+
+/// [`serve`] with its stdout sent to `stdout`.
+fn serve_to(args: &[&str], stdout: impl Into<Stdio>) -> Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_bp-serve"))
         .args(["--addr", "127.0.0.1:0", "--quiet"])
         .args(args)
         .stdin(Stdio::null())
-        .stdout(Stdio::piped())
+        .stdout(stdout)
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn bp-serve");
@@ -86,4 +106,30 @@ fn bp_client_rejects_flags_its_subcommand_does_not_read() {
     ] {
         assert_rejects(&client(args), flag);
     }
+}
+
+#[test]
+fn bp_serve_drains_and_exits_when_it_cannot_announce_its_address() {
+    let out = serve_to(&[], dev_full());
+    assert_unwritable_stdout_fails_cleanly(&out, "bp-serve");
+}
+
+#[test]
+fn bp_client_reports_an_unwritable_stdout() {
+    let server = bp_serve::spawn(bp_serve::ServerConfig {
+        quiet: true,
+        ..bp_serve::ServerConfig::default()
+    })
+    .expect("spawn an in-process server");
+    let addr = server.local_addr().to_string();
+    for command in ["ping", "stats"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_bp-client"))
+            .args(["--addr", &addr, command])
+            .stdout(dev_full())
+            .output()
+            .expect("run bp-client");
+        assert_unwritable_stdout_fails_cleanly(&out, command);
+    }
+    server.begin_drain();
+    server.join();
 }

@@ -10,7 +10,7 @@
 //! ```
 
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::process::ExitCode;
 
 use bp_trace::{io, BranchKind, BranchProfile, Trace, TraceStats};
@@ -30,6 +30,12 @@ fn open_chunks(path: &str) -> Result<io::ChunkReader<BufReader<File>>, String> {
     io::ChunkReader::new(BufReader::new(file)).map_err(|e| format!("cannot decode {path}: {e}"))
 }
 
+/// The message for a stdout that cannot be written (a full disk, a
+/// closed pipe), where `println!` would panic.
+fn write_error(e: std::io::Error) -> String {
+    format!("error: cannot write output: {e}")
+}
+
 fn kind_letter(kind: BranchKind) -> char {
     match kind {
         BranchKind::Conditional => 'C',
@@ -39,25 +45,32 @@ fn kind_letter(kind: BranchKind) -> char {
     }
 }
 
-fn cmd_info(path: &str) -> Result<(), String> {
+fn cmd_info(path: &str, out: &mut dyn Write) -> Result<(), String> {
     let trace = open(path)?;
     let stats = TraceStats::of(&trace);
-    println!("records:              {}", trace.len());
-    println!("conditional branches: {}", stats.dynamic_conditional);
-    println!("static sites:         {}", stats.static_conditional);
-    println!("taken rate:           {:.4}", stats.taken_rate());
-    println!("backward branches:    {}", stats.backward);
-    println!("calls/returns/jumps:  {}", stats.other_transfers);
-    println!(
-        "execs per static site: {:.1}",
+    write!(
+        out,
+        "records:              {}\n\
+         conditional branches: {}\n\
+         static sites:         {}\n\
+         taken rate:           {:.4}\n\
+         backward branches:    {}\n\
+         calls/returns/jumps:  {}\n\
+         execs per static site: {:.1}\n",
+        trace.len(),
+        stats.dynamic_conditional,
+        stats.static_conditional,
+        stats.taken_rate(),
+        stats.backward,
+        stats.other_transfers,
         stats.executions_per_static()
-    );
-    Ok(())
+    )
+    .map_err(write_error)
 }
 
-fn cmd_head(path: &str, n: usize) -> Result<(), String> {
+fn cmd_head(path: &str, n: usize, out: &mut dyn Write) -> Result<(), String> {
     let mut reader = open_chunks(path)?;
-    println!("{:<4} {:>12} {:>12} kind taken", "#", "pc", "target");
+    writeln!(out, "{:<4} {:>12} {:>12} kind taken", "#", "pc", "target").map_err(write_error)?;
     let mut chunk = Vec::new();
     let mut i = 0;
     while i < n
@@ -66,45 +79,52 @@ fn cmd_head(path: &str, n: usize) -> Result<(), String> {
             .map_err(|e| format!("record {i}: {e}"))?
     {
         for rec in chunk.iter().take(n - i) {
-            println!(
+            writeln!(
+                out,
                 "{:<4} {:>#12x} {:>#12x}    {} {}",
                 i,
                 rec.pc,
                 rec.target,
                 kind_letter(rec.kind),
                 if rec.taken { "T" } else { "-" },
-            );
+            )
+            .map_err(write_error)?;
             i += 1;
         }
     }
     Ok(())
 }
 
-fn cmd_biases(path: &str, n: usize) -> Result<(), String> {
+fn cmd_biases(path: &str, n: usize, out: &mut dyn Write) -> Result<(), String> {
     let trace = open(path)?;
     let profile = BranchProfile::of(&trace);
     let mut rows: Vec<_> = profile.iter().collect();
     rows.sort_by_key(|(pc, e)| (std::cmp::Reverse(e.executions), *pc));
-    println!(
+    writeln!(
+        out,
         "{:>12} {:>10} {:>7} {:>7}",
         "pc", "execs", "taken%", "bias%"
-    );
+    )
+    .map_err(write_error)?;
     for (pc, e) in rows.into_iter().take(n) {
-        println!(
+        writeln!(
+            out,
             "{pc:>#12x} {:>10} {:>7.2} {:>7.2}",
             e.executions,
             e.taken_rate() * 100.0,
             e.bias() * 100.0
-        );
+        )
+        .map_err(write_error)?;
     }
-    println!(
+    writeln!(
+        out,
         "(ideal static accuracy over all branches: {:.2}%)",
         profile.ideal_static_accuracy() * 100.0
-    );
-    Ok(())
+    )
+    .map_err(write_error)
 }
 
-fn cmd_verify(path: &str) -> Result<(), String> {
+fn cmd_verify(path: &str, out: &mut dyn Write) -> Result<(), String> {
     let mut reader = open_chunks(path)?;
     let mut chunk = Vec::new();
     // The reader checks the end marker and the footer's record count.
@@ -112,8 +132,7 @@ fn cmd_verify(path: &str) -> Result<(), String> {
         .next_chunk(&mut chunk)
         .map_err(|e| format!("corrupt after record {}: {e}", reader.decoded()))?
     {}
-    println!("ok: {} records", reader.decoded());
-    Ok(())
+    writeln!(out, "ok: {} records", reader.decoded()).map_err(write_error)
 }
 
 fn main() -> ExitCode {
@@ -128,13 +147,15 @@ fn main() -> ExitCode {
         .transpose()
         .unwrap_or(None);
 
+    let out = &mut std::io::stdout();
     let result = match cmd {
-        "info" => cmd_info(path),
-        "head" => cmd_head(path, n.unwrap_or(20)),
-        "biases" => cmd_biases(path, n.unwrap_or(20)),
-        "verify" => cmd_verify(path),
+        "info" => cmd_info(path, out),
+        "head" => cmd_head(path, n.unwrap_or(20), out),
+        "biases" => cmd_biases(path, n.unwrap_or(20), out),
+        "verify" => cmd_verify(path, out),
         _ => return usage(),
-    };
+    }
+    .and_then(|()| out.flush().map_err(write_error));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {

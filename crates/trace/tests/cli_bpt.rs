@@ -95,3 +95,27 @@ fn unknown_command_and_missing_file_fail_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot open"));
 }
+
+#[test]
+fn an_unwritable_stdout_is_an_error_not_a_panic() {
+    let path = sample_file("full.bpt");
+    for command in ["info", "verify"] {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("open /dev/full");
+        let out = bpt()
+            .arg(command)
+            .arg(&path)
+            .stdout(full)
+            .output()
+            .expect("run bpt");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {err}");
+        assert!(
+            err.contains("error: cannot write output"),
+            "{command}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{command}: {err}");
+    }
+}

@@ -1,0 +1,60 @@
+//! The batch pipelines, driven in-process through the same
+//! `Options::parse` and `run` their binaries call, each checked against a
+//! committed expectation: `repro`'s golden verifier at the quick
+//! configuration, a `scale` run cold and then warm on one `.bps` artifact
+//! directory, and a `bp-probe` sweep of every probe family.
+
+use bp_experiments::artifacts::{matrix_config_fp, streams_config_fp, ArtifactStore};
+use bp_experiments::{repro, scale};
+use bp_workloads::WorkloadConfig;
+
+/// A command line, split at spaces.
+fn args(line: &str) -> Vec<String> {
+    line.split(' ').map(String::from).collect()
+}
+
+#[test]
+fn repro_verifies_the_committed_goldens() {
+    let opts = repro::Options::parse(args("--quick --jobs 2 all --verify-goldens"))
+        .expect("the flags parse");
+    repro::run(&opts, &mut std::io::sink())
+        .expect("every experiment matches its fingerprint in tests/goldens/quick.fp");
+}
+
+#[test]
+fn scale_prints_the_committed_summary_cold_and_warm_from_bps_artifacts() {
+    let dir = std::env::temp_dir().join(format!("pipelines-scale-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut line = args("--bench gcc --target 50k --oracle-cap 12 --jobs 2 --artifacts");
+    line.push(dir.to_str().expect("a UTF-8 temp dir").to_owned());
+    let opts = scale::Options::parse(line).expect("the flags parse");
+    // `scale --bench gcc --target 50k --oracle-cap 12 --jobs 2`.
+    let expected = include_str!("goldens/scale_gcc_50k.txt");
+
+    let mut cold = Vec::new();
+    scale::run(&opts, &mut cold).expect("the cold run builds and saves both artifacts");
+    assert_eq!(String::from_utf8_lossy(&cold), expected);
+
+    // Both artifacts reopen and validate: the warm run's input.
+    let store = ArtifactStore::open(&dir).expect("open the artifact directory");
+    let seed = WorkloadConfig::default().seed;
+    let streams = store.load_streams("gcc", streams_config_fp("gcc", seed, 50_000));
+    assert!(streams.is_some(), "the streams artifact reopens");
+    let matrix = store.load_matrix("gcc", 16, 12, matrix_config_fp("gcc", seed, 50_000, 16, 12));
+    assert!(matrix.is_some(), "the matrix artifact reopens");
+
+    let mut warm = Vec::new();
+    scale::run(&opts, &mut warm).expect("the warm run reopens both artifacts");
+    assert_eq!(String::from_utf8_lossy(&warm), expected);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn bp_probe_sweeps_every_family_to_the_committed_golden() {
+    let line = args("sweep all --rounds 600 --base random --seed 5 --jobs 2");
+    let opts = bp_probe::cli::Options::parse(line).expect("the flags parse");
+    let mut out = Vec::new();
+    bp_probe::cli::run(&opts, &mut out).expect("the sweep runs");
+    let expected = include_str!("../crates/probe/tests/goldens/sweep_all_random_seed5.txt");
+    assert_eq!(String::from_utf8_lossy(&out), expected);
+}

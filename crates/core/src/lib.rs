@@ -55,7 +55,7 @@ mod percentile;
 #[allow(missing_docs)]
 pub mod reference;
 mod selective;
-// The workspace's only unsafe: runtime-dispatched AVX2 kernels, each one
+// bp-core's only unsafe: runtime-dispatched AVX2 kernels, each one
 // differentially tested bit-exact against its scalar twin.
 #[allow(unsafe_code)]
 mod simd;
@@ -84,5 +84,5 @@ pub use oracle::{score_columns_presence, score_tag_set, score_tag_set_scalar};
 pub use percentile::PercentileCurve;
 pub use selective::SelectivePredictor;
 #[doc(hidden)]
-pub use simd::{avx2_available, kth_ago_body_avx2, score_tag_set_avx2};
+pub use simd::{avx2_available, kth_ago_body_avx2};
 pub use sweep::{SweepMatrix, MAX_SWEEP_WINDOWS};

@@ -272,10 +272,11 @@ pub(crate) fn tally_word(slot: &mut SaturatingCounter, m: u64, t: u64, correct: 
 /// per-pattern masks with a handful of AND/ANDNOT ops, and every mask is
 /// replayed through its counter via [`tally_word`]'s uniform-run jump.
 /// Exactly equivalent to the digit-at-a-time reference scorer
-/// (`crate::reference`), which the property tests hold it to.
+/// (`crate::reference`), which the property tests hold it to. On an AVX2
+/// host every plane, however short, takes the vector scorer.
 #[doc(hidden)]
 pub fn score_tag_set(bm: &BranchMatrix, cols: &[usize], init: SaturatingCounter) -> u64 {
-    if crate::simd::use_avx2(bm.words()) {
+    if crate::simd::avx2_available() {
         return crate::simd::score_tag_set_avx2(bm, cols, init);
     }
     score_tag_set_scalar(bm, cols, init)

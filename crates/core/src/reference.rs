@@ -579,10 +579,14 @@ mod tests {
 
         /// The word-wise bit-plane scorer and the digit-at-a-time reference
         /// agree exactly on every tag set of size 0..=3, across counter
-        /// widths.
+        /// widths and every initial value of each width.
         #[test]
-        fn bit_plane_scorer_matches_reference(trace in arb_trace(400), bits in 1u8..=3) {
-            let init = SaturatingCounter::new(bits, 0);
+        fn bit_plane_scorer_matches_reference(
+            trace in arb_trace(400),
+            bits in 1u8..=3,
+            value in 0u8..8,
+        ) {
+            let init = SaturatingCounter::new(bits, value % (1 << bits));
             let matrix = matrix_for(&trace, 8, 10);
             for (_, bm) in matrix.iter() {
                 let view = ColumnView::new(bm);

@@ -7,26 +7,31 @@
 //! `vpshufb` nibble-LUT + `vpsadbw` reduction, and the counter replay
 //! tests whole 4-word blocks for outcome uniformity with `vptest` so the
 //! common strongly-biased case collapses into a single O(1)
-//! [`SaturatingCounter::train_run`] jump spanning 256 executions.
+//! [`SaturatingCounter::train_run`] jump spanning 256 executions. Mixed
+//! words of a two-bit counter replay through a `pext` compaction and a
+//! precomputed step table, at most eight executions per lookup.
 //!
-//! Dispatch is by `is_x86_feature_detected!("avx2")` plus a minimum word
-//! count ([`use_avx2`]); everything here is bit-exact against the portable
-//! scalar kernels, which remain the only path on non-x86 targets and the
-//! reference side of the conformance SIMD differential suite. This module
-//! is the workspace's sole `unsafe` island — the intrinsics never touch
+//! Dispatch is by `is_x86_feature_detected!("avx2")`: the scorer takes the
+//! AVX2 path at every plane length, the k-ago sweep only from a minimum
+//! word count ([`use_avx2`]). Everything here is bit-exact against the
+//! portable scalar kernels, which remain the only path on non-x86 targets
+//! and the reference side of the conformance SIMD differential suite. This
+//! module is bp-core's sole `unsafe` island — the intrinsics never touch
 //! memory beyond the slices handed in, and every unsafe fn's caller checks
-//! the AVX2 cpuid bit first.
+//! the cpuid bits first.
 
 use bp_predictors::SaturatingCounter;
 
 use crate::matrix::BranchMatrix;
 use crate::oracle::{tail_mask, tally_word, ternary_masks, MAX_PATTERNS};
 
-/// Fewest plane words for which the AVX2 paths are worth their setup; below
-/// this the scalar kernels win on latency anyway.
+/// Fewest stream words for which the AVX2 k-ago sweep is worth its setup;
+/// below this the scalar sweep wins on latency anyway.
 const MIN_WORDS: usize = 8;
 
-/// `true` when the AVX2 kernels should handle a `words`-word plane walk.
+/// `true` when the AVX2 k-ago sweep should handle a `words`-word stream.
+/// The scorer needs no such threshold: it dispatches on
+/// [`avx2_available`] alone.
 #[inline]
 pub(crate) fn use_avx2(words: usize) -> bool {
     words >= MIN_WORDS && avx2_available()
@@ -70,13 +75,17 @@ pub fn kth_ago_body_avx2(words: &[u64], n: usize, k: usize) -> u64 {
 }
 
 /// AVX2 selective-history scorer — the vector twin of
-/// `oracle::score_tag_set_scalar`, bit-exact by construction.
+/// `oracle::score_tag_set_scalar`, bit-exact by construction, at any
+/// plane length.
 ///
 /// # Panics
 ///
-/// As [`kth_ago_body_avx2`]: callers must check [`use_avx2`] first.
-#[doc(hidden)]
-pub fn score_tag_set_avx2(bm: &BranchMatrix, cols: &[usize], init: SaturatingCounter) -> u64 {
+/// As [`kth_ago_body_avx2`]: callers must check [`avx2_available`] first.
+pub(crate) fn score_tag_set_avx2(
+    bm: &BranchMatrix,
+    cols: &[usize],
+    init: SaturatingCounter,
+) -> u64 {
     #[cfg(target_arch = "x86_64")]
     {
         assert!(avx2_available(), "AVX2 kernel called without AVX2");
@@ -239,10 +248,11 @@ mod x86 {
     /// block. A block whose masked outcomes are uniform — the dominant
     /// case for biased branches — collapses into one
     /// [`SaturatingCounter::train_run`] jump covering up to 256
-    /// executions; mixed blocks drop to per-lane replay, where each word
-    /// is again collapse-checked and a genuinely mixed word goes through
-    /// the packed [`TWO_BIT_FSM`] replay when `fsm` is set (two-bit
-    /// counters on a BMI2 host) or bit-serial [`tally_word`] otherwise.
+    /// executions; mixed blocks drop to per-lane [`tally_word_fsm`].
+    ///
+    /// # Safety
+    ///
+    /// As [`tally_word_fsm`].
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn tally_block(
@@ -267,18 +277,36 @@ mod x86 {
             _mm256_storeu_si256(ml.as_mut_ptr().cast(), m);
             _mm256_storeu_si256(tl.as_mut_ptr().cast(), t);
             for lane in 0..4 {
-                let m = ml[lane];
-                if m == 0 {
-                    continue;
-                }
-                let tm = tl[lane] & m;
-                if fsm && tm != 0 && tm != m {
-                    // SAFETY: `fsm` asserts BMI2 and a two-bit counter.
-                    tally_word_two_bit(slot, m, tl[lane], correct);
-                } else {
-                    tally_word(slot, m, tl[lane], correct);
-                }
+                tally_word_fsm(slot, ml[lane], tl[lane], fsm, correct);
             }
+        }
+    }
+
+    /// Replays one pattern's executions within one word, as
+    /// [`tally_word`] does, except that a mixed word goes through the
+    /// packed [`TWO_BIT_FSM`] replay when `fsm` is set (a two-bit counter
+    /// on a BMI2 host). Uniform and empty words take [`tally_word`]'s
+    /// O(1) jump either way.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; when `fsm` is set, also BMI2 and a two-bit `slot`
+    /// (both checked once per scoring call in [`score_tag_set`]).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn tally_word_fsm(
+        slot: &mut SaturatingCounter,
+        m: u64,
+        t: u64,
+        fsm: bool,
+        correct: &mut u64,
+    ) {
+        let tm = t & m;
+        if fsm && tm != 0 && tm != m {
+            // SAFETY: `fsm` asserts BMI2 and a two-bit counter.
+            tally_word_two_bit(slot, m, t, correct);
+        } else {
+            tally_word(slot, m, t, correct);
         }
     }
 
@@ -289,76 +317,79 @@ mod x86 {
         std::arch::is_x86_feature_detected!("bmi2")
     }
 
-    /// Eight predict-then-train steps of the two-bit counter, precomputed
-    /// for every (state, outcome-byte) pair: entry = `next_state << 4 |
+    /// Up to eight predict-then-train steps of the two-bit counter,
+    /// precomputed for every (step count, state, outcome byte): the step
+    /// count `s` in 1..=8 is stored at `s & 7` (8 at 0), and only the
+    /// byte's low `s` bits take part. Entry = `next_state << 4 |
     /// corrects`. Outcome bits replay LSB-first, matching trace order.
-    static TWO_BIT_FSM: [[u8; 256]; 4] = build_two_bit_fsm();
+    static TWO_BIT_FSM: [[[u8; 256]; 4]; 8] = build_two_bit_fsm();
 
-    const fn build_two_bit_fsm() -> [[u8; 256]; 4] {
-        let mut table = [[0u8; 256]; 4];
-        let mut state = 0usize;
-        while state < 4 {
-            let mut byte = 0usize;
-            while byte < 256 {
-                let mut value = state as u8;
-                let mut corrects = 0u8;
-                let mut bit = 0;
-                while bit < 8 {
-                    let taken = (byte >> bit) & 1 == 1;
-                    if (value >= 2) == taken {
-                        corrects += 1;
-                    }
-                    value = if taken {
-                        if value < 3 {
-                            value + 1
-                        } else {
-                            value
+    const fn build_two_bit_fsm() -> [[[u8; 256]; 4]; 8] {
+        let mut table = [[[0u8; 256]; 4]; 8];
+        let mut steps = 0usize;
+        while steps < 8 {
+            let count = if steps == 0 { 8 } else { steps };
+            let mut state = 0usize;
+            while state < 4 {
+                let mut byte = 0usize;
+                while byte < 256 {
+                    let mut value = state as u8;
+                    let mut corrects = 0u8;
+                    let mut bit = 0;
+                    while bit < count {
+                        let taken = (byte >> bit) & 1 == 1;
+                        if (value >= 2) == taken {
+                            corrects += 1;
                         }
-                    } else {
-                        value.saturating_sub(1)
-                    };
-                    bit += 1;
+                        value = if taken {
+                            if value < 3 {
+                                value + 1
+                            } else {
+                                value
+                            }
+                        } else {
+                            value.saturating_sub(1)
+                        };
+                        bit += 1;
+                    }
+                    table[steps][state][byte] = (value << 4) | corrects;
+                    byte += 1;
                 }
-                table[state][byte] = (value << 4) | corrects;
-                byte += 1;
+                state += 1;
             }
-            state += 1;
+            steps += 1;
         }
         table
     }
 
-    /// Replays one mixed word's masked outcomes through a two-bit counter
-    /// via `pext` compaction and [`TWO_BIT_FSM`]: the masked outcome bits
+    /// Replays one word's masked outcomes through a two-bit counter via
+    /// `pext` compaction and [`TWO_BIT_FSM`]: the masked outcome bits
     /// pack into a contiguous stream, then each table lookup advances the
-    /// counter eight executions at once — bit-exact with serial replay,
-    /// at an eighth of the steps.
+    /// counter up to eight executions at once, the `n % 8` tail included —
+    /// bit-exact with serial replay, in `n.div_ceil(8)` lookups.
     ///
     /// # Safety
     ///
     /// Requires BMI2 (enforced by the caller's cpuid check); `slot` must
     /// be a two-bit counter (`max_value() == 3`).
     #[target_feature(enable = "bmi2")]
-    unsafe fn tally_word_two_bit(slot: &mut SaturatingCounter, m: u64, t: u64, correct: &mut u64) {
+    pub(super) unsafe fn tally_word_two_bit(
+        slot: &mut SaturatingCounter,
+        m: u64,
+        t: u64,
+        correct: &mut u64,
+    ) {
         let mut packed = _pext_u64(t, m);
         let mut n = m.count_ones();
         let mut state = slot.value();
-        while n >= 8 {
-            let entry = TWO_BIT_FSM[state as usize][(packed & 0xff) as usize];
+        while n > 0 {
+            let steps = n.min(8);
+            let byte = (packed & 0xff) as usize;
+            let entry = TWO_BIT_FSM[(steps & 7) as usize][usize::from(state)][byte];
             *correct += u64::from(entry & 0x0f);
             state = entry >> 4;
             packed >>= 8;
-            n -= 8;
-        }
-        for bit in 0..n {
-            let taken = packed >> bit & 1 == 1;
-            if (state >= 2) == taken {
-                *correct += 1;
-            }
-            state = if taken {
-                (state + 1).min(3)
-            } else {
-                state.saturating_sub(1)
-            };
+            n -= steps;
         }
         *slot = SaturatingCounter::new(2, state);
     }
@@ -380,8 +411,9 @@ mod x86 {
     ///
     /// Blocks of four words whose executions are all valid go through
     /// [`tally_block`]; the remaining at-most-four trailing words (full
-    /// remainder plus the partial tail word) replay through the scalar
-    /// word step with the same counters, so state carries over exactly.
+    /// remainder plus the partial tail word, or the whole plane when it
+    /// holds no full block) replay through [`tally_word_fsm`] with the
+    /// same counters, so state carries over exactly.
     ///
     /// # Safety
     ///
@@ -409,7 +441,7 @@ mod x86 {
                     w += 4;
                 }
                 for (w, &t) in taken.iter().enumerate().take(words).skip(vec_end) {
-                    tally_word(&mut counter, valid_at(w), t, &mut correct);
+                    tally_word_fsm(&mut counter, valid_at(w), t, fsm, &mut correct);
                 }
             }
             [a] => {
@@ -428,7 +460,7 @@ mod x86 {
                     let t = taken[w];
                     let ma = ternary_masks(ipa[w], da[w], valid_at(w));
                     for (slot, &m) in counters.iter_mut().zip(&ma) {
-                        tally_word(slot, m, t, &mut correct);
+                        tally_word_fsm(slot, m, t, fsm, &mut correct);
                     }
                 }
             }
@@ -467,7 +499,8 @@ mod x86 {
                             continue;
                         }
                         for (j, &mb) in mb.iter().enumerate() {
-                            tally_word(&mut counters[i * 3 + j], ma & mb, t, &mut correct);
+                            let slot = &mut counters[i * 3 + j];
+                            tally_word_fsm(slot, ma & mb, t, fsm, &mut correct);
                         }
                     }
                 }
@@ -522,7 +555,7 @@ mod x86 {
                             }
                             for (k, &mc) in mc.iter().enumerate() {
                                 let slot = &mut counters[(i * 3 + j) * 3 + k];
-                                tally_word(slot, mab & mc, t, &mut correct);
+                                tally_word_fsm(slot, mab & mc, t, fsm, &mut correct);
                             }
                         }
                     }
@@ -579,50 +612,124 @@ mod tests {
         }
     }
 
+    /// Every masked count 1..=64 from every start state: the table step
+    /// replays `n / 8` full bytes and one `n % 8` tail (every tail length
+    /// 0–7) exactly as the bit-serial [`tally_word`] does.
+    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn score_tag_set_avx2_matches_scalar() {
-        if !avx2_available() {
-            eprintln!("skipping: no AVX2 on this host");
+    fn table_step_matches_bit_serial_replay() {
+        if !std::arch::is_x86_feature_detected!("bmi2") {
+            eprintln!("skipping: no BMI2 on this host");
             return;
         }
-        // A correlated trace long enough to have vector blocks and a
-        // ragged tail.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x
+        };
+        for count in 1..=64u32 {
+            // The `count` lowest bits, then masks of `count` bits spread
+            // over the word by rejection.
+            let mut masks = vec![u64::MAX >> (64 - count)];
+            while masks.len() < 4 {
+                let mut m = 0u64;
+                while m.count_ones() < count {
+                    m |= 1 << (next() >> 58);
+                }
+                masks.push(m);
+            }
+            for m in masks {
+                for t in [next(), next(), !0, 0, 0x5555_5555_5555_5555] {
+                    for state in 0..=3u8 {
+                        let (mut want, mut got) = (0u64, 0u64);
+                        let mut serial = SaturatingCounter::new(2, state);
+                        tally_word(&mut serial, m, t, &mut want);
+                        let mut table = SaturatingCounter::new(2, state);
+                        // SAFETY: BMI2 was checked above; the counter is
+                        // two-bit.
+                        unsafe { x86::tally_word_two_bit(&mut table, m, t, &mut got) };
+                        let at = format!("count {count} mask {m:#x} outcomes {t:#x} state {state}");
+                        assert_eq!(got, want, "corrects at {at}");
+                        assert_eq!(table.value(), serial.value(), "end state at {at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A trace in which four branches each execute `n` times: `a` and `b`
+    /// random, `a && b` correlated with both, and a loop-like branch in
+    /// runs of 300 whose 4-word blocks are uniform.
+    fn correlated_trace(n: usize, seed: u64) -> Trace {
         let mut recs = Vec::new();
-        let mut x = 7u64;
-        for _ in 0..700 {
+        let mut x = seed;
+        for i in 0..n {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             let a = (x >> 61) & 1 == 1;
             let b = (x >> 62) & 1 == 1;
             recs.push(BranchRecord::conditional(0x100, a));
             recs.push(BranchRecord::conditional(0x200, b));
             recs.push(BranchRecord::conditional(0x300, a && b));
+            recs.push(BranchRecord::conditional(0x400, (i / 300) % 2 == 0));
         }
-        let trace = Trace::from_records(recs);
-        let cands = TagCandidates::collect(&trace, 8, 12);
-        let m = OutcomeMatrix::build(&trace, &cands, 8);
-        let init = SaturatingCounter::two_bit();
-        for (_, bm) in m.iter() {
-            let ncols = bm.tags().len();
-            let mut sets: Vec<Vec<usize>> = vec![vec![]];
-            sets.extend((0..ncols).map(|c| vec![c]));
-            if ncols >= 2 {
-                sets.push(vec![0, 1]);
-                sets.push(vec![0, ncols - 1]);
-            }
-            if ncols >= 3 {
-                sets.push(vec![0, 1, 2]);
-                sets.push(vec![0, ncols / 2, ncols - 1]);
-            }
-            for cols in &sets {
-                assert_eq!(
-                    score_tag_set_avx2(bm, cols, init),
-                    score_tag_set_scalar(bm, cols, init),
-                    "cols {cols:?}"
-                );
-                assert_eq!(
-                    score_tag_set(bm, cols, init),
-                    score_tag_set_scalar(bm, cols, init)
-                );
+        Trace::from_records(recs)
+    }
+
+    /// The AVX2 scorer and its dispatch against the portable scorer on
+    /// planes of 1..=12 words with executions ≡ 0, 1, 7 and 63 (mod 64):
+    /// planes with no vector block, one block plus a remainder, and two
+    /// or more blocks, across counter widths and start values.
+    #[test]
+    fn score_tag_set_avx2_matches_scalar() {
+        if !avx2_available() {
+            eprintln!("skipping: no AVX2 on this host");
+            return;
+        }
+        let inits = [
+            SaturatingCounter::two_bit(),
+            SaturatingCounter::new(2, 0),
+            SaturatingCounter::new(2, 3),
+            SaturatingCounter::new(1, 1),
+            SaturatingCounter::new(3, 5),
+        ];
+        for words in 1..=12usize {
+            for rem in [0usize, 1, 7, 63] {
+                let n = if rem == 0 {
+                    64 * words
+                } else {
+                    64 * (words - 1) + rem
+                };
+                let trace = correlated_trace(n, 7 + words as u64);
+                let cands = TagCandidates::collect(&trace, 8, 12);
+                let m = OutcomeMatrix::build(&trace, &cands, 8);
+                for (pc, bm) in m.iter() {
+                    assert_eq!(bm.words(), words, "branch {pc:#x} at n={n}");
+                    let ncols = bm.tags().len();
+                    let mut sets: Vec<Vec<usize>> = vec![vec![]];
+                    sets.extend((0..ncols).map(|c| vec![c]));
+                    if ncols >= 2 {
+                        sets.push(vec![0, 1]);
+                        sets.push(vec![0, ncols - 1]);
+                    }
+                    if ncols >= 3 {
+                        sets.push(vec![0, 1, 2]);
+                        sets.push(vec![0, ncols / 2, ncols - 1]);
+                    }
+                    for cols in &sets {
+                        for init in inits {
+                            let want = score_tag_set_scalar(bm, cols, init);
+                            let at = format!(
+                                "branch {pc:#x} n={n} cols {cols:?} counter {}/{}",
+                                init.value(),
+                                init.max_value()
+                            );
+                            assert_eq!(score_tag_set_avx2(bm, cols, init), want, "{at}");
+                            assert_eq!(score_tag_set(bm, cols, init), want, "{at}");
+                        }
+                    }
+                }
             }
         }
     }

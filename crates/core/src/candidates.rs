@@ -75,7 +75,7 @@ impl TagCandidates {
         assert!(cap > 0, "candidate cap must be positive");
         assert!(!schemes.is_empty(), "need at least one tagging scheme");
         // One window needs one visibility count per tag.
-        let ranked = rank_candidates::<1, _>(source, &[window], &[cap], schemes, shards)?;
+        let (ranked, _) = rank_candidates::<1, _>(source, &[window], &[cap], schemes, shards)?;
         Ok(TagCandidates {
             per_branch: ranked
                 .into_iter()

@@ -182,7 +182,8 @@ impl OutcomeMatrix {
         shards: usize,
     ) -> Result<Self, TraceIoError> {
         let columns: Vec<(Pc, &[InstanceTag])> = candidates.iter().collect();
-        let branches = pack_planes(source, &[window], &columns, shards)?
+        let (planes, _) = pack_planes(source, &[window], &columns, shards)?;
+        let branches = planes
             .into_iter()
             .map(|(pc, sb)| (pc, sb.into_matrix()))
             .collect();

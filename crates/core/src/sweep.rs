@@ -27,22 +27,42 @@
 //! assembles any sweep point's [`OutcomeMatrix`] with a word-wise
 //! bucket-threshold mask, no trace access needed.
 //!
-//! Neither pass hashes a visible tag. Each shard interns a conditional
-//! record's pc once and pushes the record into its window with that dense
-//! id ([`PathWindow::push_with_id`]), so a visible instance arrives as
-//! (prior id, scheme, index) and a per-branch slot table finds its count
-//! (pass 1) or column (pass 2) by direct indexing. The tables grow with
-//! the (branch, tag) pairs a build sees, never with the window. Pass 2
-//! sets bits in a per-branch tile holding the current 64 executions of
-//! every column's planes, and pushes whole words when the 64th execution
-//! lands or the scan ends. Ids are per shard and never leave a pass:
-//! ranking sorts by tag, so no list depends on interning order.
+//! Each pass names a path window once, not once per execution. A window's
+//! visible tags, outcomes, distances and both §3.2 names are a pure
+//! function of its last n (pc, taken, backward) records, and loop-shaped
+//! programs keep coming back to a few paths: at window 16, go's 1M
+//! executions follow 18,708 distinct paths of n + 1 records (1.9%). So
+//! each shard steps a window-context automaton ([`ShardScan`]): a record
+//! costs one probe of a (pc, context, outcome, direction) → context step
+//! table and a ring write, with no [`PathWindow::push`]. A context is a
+//! path — an execution and the n records before it — interned by its
+//! exact symbol sequence ([`WindowSymbol`]: dense pc id, outcome,
+//! direction) and stored as its last symbol and the context it was first
+//! reached from. A context whose last branch the shard owns is one of
+//! that branch's *paths*, whose window is named by one O(n)
+//! [`WindowNamer`] pass: pass 1 counts a path's executions and names its
+//! window when it folds, adding that count to every tag it sees; pass 2
+//! names it when it is met and keeps its list of (column, direction,
+//! bucket digits). Only steps the automaton has not taken intern a pc or
+//! a path. Each shard's automaton is capped (32Ki contexts and steps); at
+//! the cap it folds every path into its branch and restarts from the
+//! current path, which leaves every output unchanged.
+//!
+//! Neither pass hashes a visible tag: a named instance arrives as (prior
+//! id, scheme, index), and a per-branch slot table finds its count in
+//! pass 1 or its column in pass 2 by direct indexing. The tables grow
+//! with the (branch, tag) pairs a build sees, never with the window. Pass
+//! 2 marks each execution in its path's mask for the current 64-execution
+//! word; when the word is full, each marked path replays its list into a
+//! tile holding that word of every column's planes, and the planes
+//! receive whole words. Ids are per shard and never leave a pass: ranking
+//! sorts by tag, so no list depends on interning order.
 
 use bp_trace::fx::FxHashMap;
 use bp_trace::io::TraceIoError;
 use bp_trace::{
     par_map, scan_shards, shard_of, BranchRecord, InstanceTag, PathWindow, Pc, TagScheme, Trace,
-    TraceSource, MAX_SHARDS,
+    TraceSource, WindowNamer, WindowSymbol, MAX_SHARDS,
 };
 
 use crate::matrix::{BranchMatrix, OutcomeMatrix};
@@ -118,7 +138,7 @@ impl SweepMatrix {
         caps: &[usize],
         shards: usize,
     ) -> Result<Self, TraceIoError> {
-        let mut ranked = rank_candidates::<MAX_SWEEP_WINDOWS, _>(
+        let (mut ranked, _) = rank_candidates::<MAX_SWEEP_WINDOWS, _>(
             source,
             windows,
             caps,
@@ -129,7 +149,7 @@ impl SweepMatrix {
             .iter()
             .map(|(pc, (tags, _))| (*pc, &tags[..]))
             .collect();
-        let mut branches = pack_planes(source, windows, &columns, shards)?;
+        let (mut branches, _) = pack_planes(source, windows, &columns, shards)?;
         for (pc, sb) in &mut branches {
             sb.ranked = ranked.remove(pc).expect("pass 2 packs pass 1's branches").1;
         }
@@ -190,10 +210,10 @@ fn bucket_bits(windows: usize) -> usize {
     windows.next_power_of_two().trailing_zeros() as usize
 }
 
-/// Checks `windows` and returns an empty path window as long as the
-/// largest one, and the distance → bucket table: `bucket_of[d]` is the
-/// index of the smallest window that sees an instance at distance `d`.
-fn window_buckets(windows: &[usize]) -> (PathWindow, Vec<u8>) {
+/// Checks `windows` and returns the largest one, and the distance →
+/// bucket table: `bucket_of[d]` is the index of the smallest window that
+/// sees an instance at distance `d`.
+fn window_buckets(windows: &[usize]) -> (usize, Vec<u8>) {
     assert!(!windows.is_empty(), "need at least one sweep window");
     assert!(
         windows.len() <= MAX_SWEEP_WINDOWS,
@@ -205,40 +225,428 @@ fn window_buckets(windows: &[usize]) -> (PathWindow, Vec<u8>) {
     );
     assert!(windows[0] > 0, "sweep windows must be positive");
     let max_window = *windows.last().expect("windows is non-empty");
-    // The window checks its length before the table is sized by it.
-    let path = PathWindow::new(max_window);
+    // The window is checked before the table is sized by it.
+    assert!(
+        max_window <= PathWindow::MAX_CAPACITY,
+        "path window capacity must be at most {}",
+        PathWindow::MAX_CAPACITY
+    );
     let bucket_of = (0..=max_window)
         .map(|d| windows.partition_point(|&w| w < d) as u8)
         .collect();
-    (path, bucket_of)
+    (max_window, bucket_of)
 }
 
 /// Pass 1's result for one branch: the union candidate tags, and per
 /// window its capped list as indices into them.
 pub(crate) type Ranked = (Vec<InstanceTag>, Vec<Vec<u32>>);
 
-/// One shard's scan, shared by both passes: every conditional record's
-/// pc is interned once, in first-seen order, and the record enters the
-/// path window with that dense id. The state of each branch the shard
-/// owns is found by the same id, not by a map probe.
-struct ShardScan<T> {
-    path: PathWindow,
+/// Most contexts a shard's automaton adds to the path it restarted from
+/// before it folds. The crate's unit tests fold at 256, so that their
+/// builds over a few hundred records, property tests included, cross it.
+const MAX_CONTEXTS: usize = if cfg!(test) { 1 << 8 } else { 1 << 15 };
+
+/// Most steps a shard's automaton holds before it folds.
+const MAX_STEPS: usize = MAX_CONTEXTS;
+
+/// Multiplier of the automaton's hashes: odd, with well-mixed bits.
+const HASH_BASE: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// A symbol's term in a context hash: never 0, so a shorter path's hash
+/// is not a longer one's with a leading zero term.
+#[inline]
+fn weight(s: WindowSymbol) -> u64 {
+    u64::from(s.bits()) + 1
+}
+
+/// Where `hash` starts its probe in a `mask + 1`-entry table.
+#[inline]
+fn slot_of(hash: u64, mask: usize) -> usize {
+    (hash.wrapping_mul(HASH_BASE) >> 32) as usize & mask
+}
+
+/// The first empty slot on `hash`'s probe sequence in an open-addressed
+/// index of `1 + entry` values, 0 for empty.
+fn vacant(index: &[u32], hash: u64) -> usize {
+    let mask = index.len() - 1;
+    let mut slot = slot_of(hash, mask);
+    while index[slot] != 0 {
+        slot = (slot + 1) & mask;
+    }
+    slot
+}
+
+/// Whether an open-addressed table of `size` slots holding `len` entries
+/// must grow: it stays at most 3/4 full.
+#[inline]
+fn crowded(len: usize, size: usize) -> bool {
+    4 * len > 3 * size
+}
+
+/// The last `span` symbols a shard has met, oldest first, in a mirrored
+/// buffer so that they are always one slice.
+struct Ring {
+    span: usize,
+    buf: Vec<WindowSymbol>,
+    /// Where the next symbol goes, in `0..span`.
+    next: usize,
+    len: usize,
+}
+
+impl Ring {
+    fn new(span: usize) -> Self {
+        Ring {
+            span,
+            buf: vec![WindowSymbol::new(0, false, false); 2 * span],
+            next: 0,
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, s: WindowSymbol) {
+        self.buf[self.next] = s;
+        self.buf[self.next + self.span] = s;
+        self.next += 1;
+        if self.next == self.span {
+            self.next = 0;
+        }
+        self.len += usize::from(self.len < self.span);
+    }
+
+    /// The symbols, oldest first.
+    #[inline]
+    fn symbols(&self) -> &[WindowSymbol] {
+        let end = self.next + self.span;
+        &self.buf[end - self.len..end]
+    }
+}
+
+/// A context as [`Contexts`] stores it.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// The context it was first reached from, whose last `len − 1`
+    /// symbols are its first.
+    pred: u32,
+    /// Its last symbol.
+    last: WindowSymbol,
+    /// Σ weight(s_i) · HASH_BASE^(len − 1 − i) over its symbols, wrapping.
+    hash: u64,
+}
+
+/// The contexts of one shard's window-context automaton. A context is a
+/// path: the last `span` = n + 1 conditional records, that is an
+/// execution and the n-record window before it, so its last symbol names
+/// the executing branch, outcome and direction, and the rest name its
+/// visible instances. Contexts are interned by their exact symbol
+/// sequence. Each is stored as its last symbol and the context it was
+/// first reached from, so it costs 16 bytes whatever the window.
+///
+/// Contexts are numbered as they are met, and a path shorter than `span`
+/// is met only at the trace's start or as a prefix of the path a fold
+/// restarts from, each one longer than the last. So context `k` is
+/// `min(k, span)` symbols long, the empty path being context 0.
+struct Contexts {
+    span: usize,
+    nodes: Vec<Node>,
+    /// Contexts the last restart made: the path and its prefixes.
+    base: usize,
+    /// Open-addressed contexts by hash: 1 + context, 0 for empty.
+    index: Vec<u32>,
+    /// HASH_BASE^(span − 1): a full path's oldest term is its weight
+    /// times this.
+    oldest: u64,
+}
+
+impl Contexts {
+    /// An automaton holding only the empty path, context 0.
+    fn new(span: usize) -> Self {
+        let mut contexts = Contexts {
+            span,
+            nodes: Vec::new(),
+            base: 0,
+            index: vec![0; 16],
+            oldest: HASH_BASE.wrapping_pow((span - 1) as u32),
+        };
+        contexts.restart(&[]);
+        contexts
+    }
+
+    /// Contexts added since the last restart.
+    fn added(&self) -> usize {
+        self.nodes.len() - self.base
+    }
+
+    /// Context `k`'s length.
+    #[inline]
+    fn len(&self, k: u32) -> usize {
+        (k as usize).min(self.span)
+    }
+
+    /// Context `k`'s last symbol.
+    #[inline]
+    fn last(&self, k: u32) -> WindowSymbol {
+        self.nodes[k as usize].last
+    }
+
+    /// The context after `c`, whose path is `path`, on symbol `s`, and
+    /// whether it is new.
+    fn next(&mut self, c: u32, path: &[WindowSymbol], s: WindowSymbol) -> (u32, bool) {
+        debug_assert_eq!(path.len(), self.len(c));
+        let mut hash = self.nodes[c as usize].hash;
+        let mut kept = path;
+        if path.len() == self.span {
+            hash = hash.wrapping_sub(weight(path[0]).wrapping_mul(self.oldest));
+            kept = &path[1..];
+        }
+        let hash = hash.wrapping_mul(HASH_BASE).wrapping_add(weight(s));
+        let mask = self.index.len() - 1;
+        let mut slot = slot_of(hash, mask);
+        while let Some(k) = self.index[slot].checked_sub(1) {
+            if self.nodes[k as usize].hash == hash && self.is(k, kept, s) {
+                return (k, false);
+            }
+            slot = (slot + 1) & mask;
+        }
+        (self.add(c, s, hash, slot), true)
+    }
+
+    /// Whether context `k`'s path is `kept` followed by `s`.
+    fn is(&self, k: u32, kept: &[WindowSymbol], s: WindowSymbol) -> bool {
+        if self.last(k) != s || self.len(k) != kept.len() + 1 {
+            return false;
+        }
+        let mut at = self.nodes[k as usize].pred;
+        for &want in kept.iter().rev() {
+            let node = self.nodes[at as usize];
+            if node.last != want {
+                return false;
+            }
+            at = node.pred;
+        }
+        true
+    }
+
+    /// Adds a context at index slot `slot`.
+    fn add(&mut self, pred: u32, last: WindowSymbol, hash: u64, slot: usize) -> u32 {
+        let k = self.nodes.len() as u32;
+        self.nodes.push(Node { pred, last, hash });
+        self.index[slot] = k + 1;
+        if crowded(self.nodes.len(), self.index.len()) {
+            let size = 2 * self.index.len();
+            self.index.clear();
+            self.index.resize(size, 0);
+            for (k, node) in (1..).zip(&self.nodes) {
+                let slot = vacant(&self.index, node.hash);
+                self.index[slot] = k;
+            }
+        }
+        k
+    }
+
+    /// Context `c`'s path but its last symbol — the window its execution
+    /// saw — oldest first, into `out`.
+    fn window(&self, c: u32, out: &mut Vec<WindowSymbol>) {
+        out.clear();
+        let mut at = self.nodes[c as usize].pred;
+        for _ in 1..self.len(c) {
+            let node = self.nodes[at as usize];
+            out.push(node.last);
+            at = node.pred;
+        }
+        out.reverse();
+    }
+
+    /// Forgets every context and holds only `path` and its prefixes;
+    /// returns `path`'s context.
+    fn restart(&mut self, path: &[WindowSymbol]) -> u32 {
+        self.nodes.clear();
+        self.index.fill(0);
+        // The empty path's last symbol is never read.
+        let root = vacant(&self.index, 0);
+        let mut c = self.add(0, WindowSymbol::new(0, false, false), 0, root);
+        let mut hash = 0u64;
+        for &s in path {
+            hash = hash.wrapping_mul(HASH_BASE).wrapping_add(weight(s));
+            c = self.add(c, s, hash, vacant(&self.index, hash));
+        }
+        self.base = self.nodes.len();
+        c
+    }
+}
+
+/// One automaton step: from a context, on a pc with its outcome and
+/// direction (`from` = context << 2 | outcome << 1 | backward), to the
+/// next context. `to` is [`NO_STEP`] in an empty slot.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    pc: Pc,
+    from: u32,
+    to: u32,
+}
+
+const NO_STEP: u32 = u32::MAX;
+
+/// The automaton's steps, open-addressed by (pc, from).
+struct Steps {
+    slots: Vec<Step>,
+    len: usize,
+}
+
+impl Steps {
+    const EMPTY: Step = Step {
+        pc: 0,
+        from: 0,
+        to: NO_STEP,
+    };
+
+    fn new() -> Self {
+        Steps {
+            slots: vec![Steps::EMPTY; 64],
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn home(pc: Pc, from: u32, mask: usize) -> usize {
+        slot_of(pc.wrapping_mul(HASH_BASE) ^ u64::from(from), mask)
+    }
+
+    #[inline]
+    fn get(&self, pc: Pc, from: u32) -> Option<u32> {
+        let mask = self.slots.len() - 1;
+        let mut at = Steps::home(pc, from, mask);
+        loop {
+            let step = self.slots[at];
+            if step.to == NO_STEP {
+                return None;
+            }
+            if step.pc == pc && step.from == from {
+                return Some(step.to);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Adds a step not yet held.
+    fn insert(&mut self, step: Step) {
+        self.len += 1;
+        if crowded(self.len, self.slots.len()) {
+            let size = 2 * self.slots.len();
+            let old = std::mem::replace(&mut self.slots, vec![Steps::EMPTY; size]);
+            for step in old.into_iter().filter(|s| s.to != NO_STEP) {
+                self.place(step);
+            }
+        }
+        self.place(step);
+    }
+
+    fn place(&mut self, step: Step) {
+        let mask = self.slots.len() - 1;
+        let mut at = Steps::home(step.pc, step.from, mask);
+        while self.slots[at].to != NO_STEP {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = step;
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill(Steps::EMPTY);
+        self.len = 0;
+    }
+}
+
+/// What one pass does with the paths of the branches a shard owns: each
+/// is a context whose last symbol is the branch's — the window before an
+/// execution, and the execution's outcome and direction.
+trait PathPass {
+    /// An owned branch's state.
+    type Branch;
+    /// A path's state until the next fold.
+    type Path: Default;
+
+    /// The state of a pc met for the first time, if the shard owns it.
+    fn adopt(&self, pc: Pc) -> Option<Self::Branch>;
+
+    /// A path met for the first time since the last fold, after `window`.
+    fn meet(
+        &self,
+        branch: &mut Self::Branch,
+        window: &[WindowSymbol],
+        namer: &mut WindowNamer,
+    ) -> Self::Path;
+
+    /// One execution on a path, with its outcome.
+    fn visit(&self, branch: &mut Self::Branch, path: &mut Self::Path, taken: bool);
+
+    /// Folds a path into its branch before the automaton forgets it. The
+    /// path a fold restarted from may have no executions.
+    fn fold(
+        &self,
+        branch: &mut Self::Branch,
+        window: &[WindowSymbol],
+        namer: &mut WindowNamer,
+        path: Self::Path,
+    );
+}
+
+/// The state index of the branch `s` names, if `owner` (per id, 1 + the
+/// index; 0 for not owned) owns it.
+#[inline]
+fn branch_of(owner: &[u32], s: WindowSymbol) -> Option<usize> {
+    let b = owner.get(s.id() as usize)?;
+    b.checked_sub(1).map(|b| b as usize)
+}
+
+/// One shard's scan, shared by both passes: a window-context automaton
+/// over every conditional record, with pass `P`'s work on the paths of
+/// the branches the shard owns.
+///
+/// A record costs one probe of `steps`, keyed by (pc, context, outcome,
+/// direction), and a ring write. Only a step not taken since the last
+/// fold interns the pc to a dense id and the path it leads to to a
+/// context, which, if new and owned, the pass meets. A window is
+/// therefore named once per path and fold, never per execution. When the
+/// contexts or steps reach their caps the scan folds: every path is
+/// folded into its branch, and the automaton restarts from the current
+/// path alone. Nothing a pass computes depends on when folds happen.
+struct ShardScan<P: PathPass> {
     ids: FxHashMap<Pc, u32>,
     /// Per id: its pc.
     pcs: Vec<Pc>,
     /// Per id: 1 + the index of its state in `branches` (0: not owned).
     owner: Vec<u32>,
-    branches: Vec<T>,
+    branches: Vec<P::Branch>,
+    ring: Ring,
+    contexts: Contexts,
+    steps: Steps,
+    /// The current context.
+    at: u32,
+    /// Per context: its path state, met if its last branch is owned.
+    paths: Vec<P::Path>,
+    namer: WindowNamer,
+    /// Scratch for a context's window.
+    window: Vec<WindowSymbol>,
+    /// Folds forced by the caps.
+    folds: usize,
 }
 
-impl<T> ShardScan<T> {
-    fn new(path: PathWindow) -> Self {
+impl<P: PathPass> ShardScan<P> {
+    /// A scan of the `window` records before each execution.
+    fn new(window: usize) -> Self {
         ShardScan {
-            path,
             ids: FxHashMap::default(),
             pcs: Vec::new(),
             owner: Vec::new(),
             branches: Vec::new(),
+            ring: Ring::new(window + 1),
+            contexts: Contexts::new(window + 1),
+            steps: Steps::new(),
+            at: 0,
+            paths: vec![P::Path::default()],
+            namer: WindowNamer::default(),
+            window: Vec::new(),
+            folds: 0,
         }
     }
 
@@ -256,37 +664,107 @@ impl<T> ShardScan<T> {
     }
 
     /// Makes `state` the shard's state for `pc`.
-    fn own(&mut self, pc: Pc, state: T) {
+    fn own(&mut self, pc: Pc, state: P::Branch) {
         let (id, _) = self.id(pc);
         self.attach(id, state);
     }
 
-    fn attach(&mut self, id: u32, state: T) {
+    fn attach(&mut self, id: u32, state: P::Branch) {
         self.branches.push(state);
         self.owner[id as usize] = self.branches.len() as u32;
     }
 
-    /// Runs one chunk. A pc met for the first time is owned when `adopt`
-    /// gives it a state; an owned branch's state then sees the window as it
-    /// stood before each of its executions (`visit`, with the outcome).
-    fn step(
-        &mut self,
-        chunk: &[BranchRecord],
-        mut adopt: impl FnMut(Pc) -> Option<T>,
-        mut visit: impl FnMut(&mut T, &PathWindow, bool),
-    ) {
+    /// Runs one chunk: every conditional record steps the automaton, and
+    /// an owned branch's execution visits its path.
+    fn step(&mut self, chunk: &[BranchRecord], pass: &P) {
         for rec in chunk.iter().filter(|rec| rec.is_conditional()) {
-            let (id, new) = self.id(rec.pc);
-            if new {
-                if let Some(state) = adopt(rec.pc) {
-                    self.attach(id, state);
+            let from = self.at << 2 | u32::from(rec.taken) << 1 | u32::from(rec.is_backward());
+            let at = match self.steps.get(rec.pc, from) {
+                Some(at) => {
+                    self.ring.push(self.contexts.last(at));
+                    at
                 }
+                None => self.learn(rec, from, pass),
+            };
+            self.at = at;
+            if let Some(b) = branch_of(&self.owner, self.contexts.last(at)) {
+                let path = &mut self.paths[at as usize];
+                pass.visit(&mut self.branches[b], path, rec.taken);
             }
-            if let Some(b) = self.owner[id as usize].checked_sub(1) {
-                visit(&mut self.branches[b as usize], &self.path, rec.taken);
-            }
-            self.path.push_with_id(rec, id);
         }
+    }
+
+    /// Takes a step for the first time since the last fold: interns the
+    /// path it leads to, meeting it if it is new and owned, and moves the
+    /// ring along.
+    #[inline(never)]
+    fn learn(&mut self, rec: &BranchRecord, mut from: u32, pass: &P) -> u32 {
+        if self.contexts.added() >= MAX_CONTEXTS || self.steps.len >= MAX_STEPS {
+            self.fold(pass);
+            self.folds += 1;
+            from = self.at << 2 | from & 3;
+        }
+        let (id, new) = self.id(rec.pc);
+        if new {
+            if let Some(state) = pass.adopt(rec.pc) {
+                self.attach(id, state);
+            }
+        }
+        let s = WindowSymbol::new(id, rec.taken, rec.is_backward());
+        let (to, created) = self.contexts.next(self.at, self.ring.symbols(), s);
+        self.ring.push(s);
+        if created {
+            self.meet(pass);
+        }
+        self.steps.insert(Step {
+            pc: rec.pc,
+            from,
+            to,
+        });
+        to
+    }
+
+    /// Gives the newest context, the ring's path, its path state: met if
+    /// the shard owns the path's last branch.
+    fn meet(&mut self, pass: &P) {
+        let path = match self.ring.symbols().split_last() {
+            Some((&s, window)) => match branch_of(&self.owner, s) {
+                Some(b) => pass.meet(&mut self.branches[b], window, &mut self.namer),
+                None => P::Path::default(),
+            },
+            None => P::Path::default(),
+        };
+        self.paths.push(path);
+    }
+
+    /// Folds every path into its branch and restarts the automaton from
+    /// the current path, the ring's.
+    fn fold(&mut self, pass: &P) {
+        self.fold_paths(pass);
+        self.steps.clear();
+        self.at = self.contexts.restart(self.ring.symbols());
+        // Only the current path can be met again: its prefixes are shorter
+        // than any path a step leads to.
+        self.paths.resize_with(self.at as usize, P::Path::default);
+        self.meet(pass);
+    }
+
+    fn fold_paths(&mut self, pass: &P) {
+        let paths = std::mem::take(&mut self.paths);
+        // Context 0, the empty path, has no branch.
+        for (c, path) in (1..).zip(paths.into_iter().skip(1)) {
+            if let Some(b) = branch_of(&self.owner, self.contexts.last(c)) {
+                self.contexts.window(c, &mut self.window);
+                pass.fold(&mut self.branches[b], &self.window, &mut self.namer, path);
+            }
+        }
+    }
+
+    /// The shard's ids' pcs and its branches' states, every path folded,
+    /// and the folds the caps forced.
+    fn finish(mut self, pass: &P) -> (Vec<Pc>, Vec<P::Branch>, usize) {
+        self.fold_paths(pass);
+        (self.pcs, self.branches, self.folds)
     }
 }
 
@@ -517,11 +995,17 @@ impl<const B: usize> TagCounts<B> {
         }
     }
 
-    /// Counts every tag visible in `path`, in its `bucket_of` bucket.
-    #[inline]
-    fn observe(&mut self, path: &PathWindow, bucket_of: &[u8]) {
+    /// Counts every tag visible in `window`, `executions` times, in its
+    /// `bucket_of` bucket.
+    fn observe(
+        &mut self,
+        window: &[WindowSymbol],
+        namer: &mut WindowNamer,
+        executions: u64,
+        bucket_of: &[u8],
+    ) {
         let TagCounts { table, counts, .. } = self;
-        path.scan_visible_ids(|v| {
+        namer.name(window, |v| {
             let b = if B == 1 {
                 0
             } else {
@@ -535,7 +1019,7 @@ impl<const B: usize> TagCounts<B> {
                     counts.push([0; B]);
                     slot
                 });
-                counts[slot as usize][b] += 1;
+                counts[slot as usize][b] += executions;
             };
             count(OCC, v.occurrence);
             if let Some(index) = v.iteration {
@@ -596,17 +1080,57 @@ impl<const B: usize> TagCounts<B> {
     }
 }
 
+/// Pass 1's work on a shard's paths: a path counts its executions, and a
+/// fold counts each tag its window names that many times.
+struct Rank<'a, const B: usize> {
+    shard: usize,
+    shards: usize,
+    bucket_of: &'a [u8],
+}
+
+impl<const B: usize> PathPass for Rank<'_, B> {
+    type Branch = TagCounts<B>;
+    type Path = u64;
+
+    fn adopt(&self, pc: Pc) -> Option<TagCounts<B>> {
+        (shard_of(pc, self.shards) == self.shard).then(|| TagCounts::new(pc))
+    }
+
+    fn meet(&self, _: &mut TagCounts<B>, _: &[WindowSymbol], _: &mut WindowNamer) -> u64 {
+        0
+    }
+
+    #[inline]
+    fn visit(&self, _: &mut TagCounts<B>, executions: &mut u64, _: bool) {
+        *executions += 1;
+    }
+
+    fn fold(
+        &self,
+        counts: &mut TagCounts<B>,
+        window: &[WindowSymbol],
+        namer: &mut WindowNamer,
+        executions: u64,
+    ) {
+        if executions > 0 {
+            counts.observe(window, namer, executions, self.bucket_of);
+        }
+    }
+}
+
 /// Pass 1: per executed branch, the union of every window's capped
 /// candidate list (the first window's list first, so with one window the
 /// union is that list), and per window its list as indices into the
-/// union. Visibility is counted once at the largest window, in `B`
-/// buckets by the smallest window that sees each instance (so `B` must
-/// cover `windows`); window `i` then ranks the `schemes` tags by buckets
-/// `0..=i` summed (count desc, tag asc) and keeps `caps[i]`.
+/// union; and the folds the shards' caps forced. Visibility is counted
+/// once at the largest window, in `B` buckets by the smallest window that
+/// sees each instance (so `B` must cover `windows`); window `i` then ranks
+/// the `schemes` tags by buckets `0..=i` summed (count desc, tag asc) and
+/// keeps `caps[i]`.
 ///
-/// Each visible instance is counted through the branch's [`SlotTable`]:
-/// its prior's dense id rides in the window entry, so no visible tag costs
-/// a hash probe.
+/// Each path counts its executions, and its window is named once, when
+/// the path is folded: each visible instance adds that count through the
+/// branch's [`SlotTable`], found by its prior's dense id, so no visible
+/// tag costs a hash probe.
 ///
 /// # Panics
 ///
@@ -617,8 +1141,8 @@ pub(crate) fn rank_candidates<const B: usize, T: TraceSource + Sync + ?Sized>(
     caps: &[usize],
     schemes: &[TagScheme],
     shards: usize,
-) -> Result<FxHashMap<Pc, Ranked>, TraceIoError> {
-    let (path, bucket_of) = window_buckets(windows);
+) -> Result<(FxHashMap<Pc, Ranked>, usize), TraceIoError> {
+    let (window, bucket_of) = window_buckets(windows);
     assert!(windows.len() <= B, "one count bucket per window");
     assert_eq!(
         caps.len(),
@@ -630,37 +1154,45 @@ pub(crate) fn rank_candidates<const B: usize, T: TraceSource + Sync + ?Sized>(
         "candidate caps must be positive"
     );
     let shards = shards.min(MAX_SHARDS);
+    let pass = |shard| Rank::<B> {
+        shard,
+        shards,
+        bucket_of: &bucket_of,
+    };
+    // Every scheme is counted: filtering by `schemes` at ranking leaves the
+    // same lists, and costs less here.
     let parts = scan_shards(
         source,
         shards,
-        |shard| (shard, ShardScan::new(path.clone())),
-        |(shard, scan), chunk| {
-            // Every scheme is counted: filtering by `schemes` at ranking
-            // leaves the same lists, and costs less here.
-            scan.step(
-                chunk,
-                |pc| (shard_of(pc, shards) == *shard).then(|| TagCounts::<B>::new(pc)),
-                |counts, path, _| counts.observe(path, &bucket_of),
-            );
-        },
+        |shard| (shard, ShardScan::new(window)),
+        |(shard, scan), chunk| scan.step(chunk, &pass(*shard)),
     )?;
-    Ok(parts
-        .into_iter()
-        .flat_map(|(_, scan)| {
-            let pcs = scan.pcs;
-            scan.branches
+    let mut folds = 0;
+    let mut ranked = FxHashMap::default();
+    for (shard, scan) in parts {
+        let (pcs, branches, shard_folds) = scan.finish(&pass(shard));
+        folds += shard_folds;
+        ranked.extend(
+            branches
                 .into_iter()
-                .map(move |counts| counts.rank(&pcs, caps, schemes))
-        })
-        .collect())
+                .map(|counts| counts.rank(&pcs, caps, schemes)),
+        );
+    }
+    Ok((ranked, folds))
 }
 
-/// One branch's pass-2 state: its slot table over column numbers, and a
-/// tile holding the current 64 executions of every column's in-path,
-/// direction and bucket planes, which leaves for the planes one whole word
-/// per plane when the 64th execution lands or the scan ends. `W` is the
-/// tile's words per column: 2 for one window, `2 + BUCKET_BITS` for a
-/// sweep, whose unused bucket words stay zero.
+/// One branch's pass-2 state: its slot table over column numbers, the
+/// candidate list of each window it met since the last fold, and a tile
+/// holding the current 64 executions of every column's in-path, direction
+/// and bucket planes, which leaves for the planes one whole word per plane
+/// when the 64th execution lands or the scan ends. `W` is the tile's words
+/// per column: 2 for one window, `2 + BUCKET_BITS` for a sweep, whose
+/// unused bucket words stay zero.
+///
+/// An execution only marks its bit in its path's mask for the current
+/// word. The word's paths replay their lists into the tile once, with
+/// their masks, before the word leaves: a loop that meets a few windows
+/// over and over costs a few list replays per 64 executions.
 struct PlaneBuilder<const W: usize> {
     pc: Pc,
     sb: SweepBranch,
@@ -670,12 +1202,40 @@ struct PlaneBuilder<const W: usize> {
     /// Per column: in-path, direction, bucket-plane words.
     tile: Vec<[u64; W]>,
     taken: u64,
+    /// The lists of the windows met since the last fold: one entry per
+    /// candidate a window sees, `column << 4 | bucket << 1 | taken`.
+    lists: Vec<u32>,
+    /// The paths with a non-empty list that executed in the current word,
+    /// with the executions' bits.
+    marked: Vec<Marked>,
 }
+
+/// A path's list in its [`PlaneBuilder`], and where the path's mask for
+/// the current word is, if it has one.
+#[derive(Debug, Default, Clone, Copy)]
+struct PathList {
+    start: u32,
+    len: u32,
+    /// Index in `marked`, current when that entry has this `start`.
+    marked: u32,
+}
+
+/// A path's executions in the current word, as bits, and its list.
+#[derive(Debug, Clone, Copy)]
+struct Marked {
+    start: u32,
+    len: u32,
+    mask: u64,
+}
+
+/// Most columns a [`PlaneBuilder`] list entry names.
+const MAX_COLUMNS: usize = 1 << 28;
 
 impl<const W: usize> PlaneBuilder<W> {
     /// A builder for `tags`, naming their priors by `ids`.
     fn new(pc: Pc, tags: &[InstanceTag], bits: usize, mut ids: impl FnMut(Pc) -> u32) -> Self {
         debug_assert!(bits <= W - 2, "a tile word per bucket plane");
+        assert!(tags.len() < MAX_COLUMNS, "under 2^28 candidates per branch");
         let mut table = SlotTable::default();
         for (c, tag) in (0..).zip(tags) {
             let pair = table.pair_or_insert(ids(tag.pc));
@@ -688,50 +1248,95 @@ impl<const W: usize> PlaneBuilder<W> {
             bits,
             tile: vec![[0; W]; tags.len()],
             taken: 0,
+            lists: Vec::new(),
+            marked: Vec::new(),
         }
     }
 
+    /// Lists the candidates `window` sees.
+    fn list(
+        &mut self,
+        window: &[WindowSymbol],
+        namer: &mut WindowNamer,
+        bucket_of: &[u8],
+    ) -> PathList {
+        let start = self.lists.len();
+        if !self.table.pairs.is_empty() {
+            let (table, lists) = (&self.table, &mut self.lists);
+            namer.name(window, |v| {
+                let Some(pair) = table.pair(v.id) else {
+                    return;
+                };
+                let digits = u32::from(bucket_of[v.distance]) << 1 | u32::from(v.taken);
+                if let Some(c) = table.get(pair, OCC, v.occurrence) {
+                    lists.push(c << 4 | digits);
+                }
+                if let Some(c) = v.iteration.and_then(|i| table.get(pair, ITER, i)) {
+                    lists.push(c << 4 | digits);
+                }
+            });
+        }
+        PathList {
+            start: start as u32,
+            len: (self.lists.len() - start) as u32,
+            marked: u32::MAX,
+        }
+    }
+
+    /// Adds an execution with outcome `taken` on `path`.
     #[inline]
-    fn push_execution(&mut self, taken: bool, path: &PathWindow, bucket_of: &[u8]) {
+    fn push_execution(&mut self, taken: bool, path: &mut PathList) {
         let e = self.sb.executions;
         self.sb.executions += 1;
         let m = 1u64 << (e % 64);
         self.taken |= m & u64::from(taken).wrapping_neg();
-        if !self.table.pairs.is_empty() {
-            let (table, tile) = (&self.table, &mut self.tile);
-            // Branch-free: whether a candidate's instance was taken, and
-            // its bucket digits, are data, not control flow.
-            let mut set = |c: u32, taken: bool, d: usize| {
-                let t = &mut tile[c as usize];
-                t[0] |= m;
-                t[1] |= m & u64::from(taken).wrapping_neg();
-                // A one-window tile has no bucket words.
-                if W > 2 {
-                    let b = u64::from(bucket_of[d]);
-                    for (k, word) in t[2..].iter_mut().enumerate() {
-                        *word |= m & (b >> k & 1).wrapping_neg();
-                    }
+        if path.len > 0 {
+            match self.marked.get_mut(path.marked as usize) {
+                Some(marked) if marked.start == path.start => marked.mask |= m,
+                _ => {
+                    path.marked = self.marked.len() as u32;
+                    self.marked.push(Marked {
+                        start: path.start,
+                        len: path.len,
+                        mask: m,
+                    });
                 }
-            };
-            path.scan_visible_ids(|v| {
-                let Some(pair) = table.pair(v.id) else {
-                    return;
-                };
-                if let Some(c) = table.get(pair, OCC, v.occurrence) {
-                    set(c, v.taken, v.distance);
-                }
-                if let Some(c) = v.iteration.and_then(|i| table.get(pair, ITER, i)) {
-                    set(c, v.taken, v.distance);
-                }
-            });
+            }
         }
         if e % 64 == 63 {
             self.flush();
         }
     }
 
+    /// Replays the marked paths' lists into the tile.
+    fn replay(&mut self) {
+        for marked in self.marked.drain(..) {
+            let (start, m) = (marked.start as usize, marked.mask);
+            // Branch-free: whether a candidate's instance was taken, and
+            // its bucket digits, are data, not control flow.
+            for &entry in &self.lists[start..start + marked.len as usize] {
+                let t = &mut self.tile[(entry >> 4) as usize];
+                t[0] |= m;
+                t[1] |= m & u64::from(entry & 1).wrapping_neg();
+                // A one-window tile has no bucket words.
+                if W > 2 {
+                    for (k, word) in t[2..].iter_mut().enumerate() {
+                        *word |= m & u64::from(entry >> (k + 1) & 1).wrapping_neg();
+                    }
+                }
+            }
+        }
+    }
+
+    /// Replays the marked paths, then forgets every list.
+    fn drop_lists(&mut self) {
+        self.replay();
+        self.lists.clear();
+    }
+
     /// Moves the tile's words into the planes and clears it.
     fn flush(&mut self) {
+        self.replay();
         let sb = &mut self.sb;
         sb.taken.push(std::mem::take(&mut self.taken));
         for (c, t) in self.tile.iter_mut().enumerate() {
@@ -753,14 +1358,56 @@ impl<const W: usize> PlaneBuilder<W> {
     }
 }
 
+/// Pass 2's work on a shard's paths: a path lists the candidates its
+/// window sees, each execution marks the path's mask, and a fold replays
+/// the marks and drops the lists.
+struct Pack<'a, const W: usize> {
+    bucket_of: &'a [u8],
+}
+
+impl<const W: usize> PathPass for Pack<'_, W> {
+    type Branch = PlaneBuilder<W>;
+    type Path = PathList;
+
+    fn adopt(&self, _: Pc) -> Option<PlaneBuilder<W>> {
+        None
+    }
+
+    fn meet(
+        &self,
+        builder: &mut PlaneBuilder<W>,
+        window: &[WindowSymbol],
+        namer: &mut WindowNamer,
+    ) -> PathList {
+        builder.list(window, namer, self.bucket_of)
+    }
+
+    #[inline]
+    fn visit(&self, builder: &mut PlaneBuilder<W>, path: &mut PathList, taken: bool) {
+        builder.push_execution(taken, path);
+    }
+
+    fn fold(
+        &self,
+        builder: &mut PlaneBuilder<W>,
+        _: &[WindowSymbol],
+        _: &mut WindowNamer,
+        _: PathList,
+    ) {
+        builder.drop_lists();
+    }
+}
+
 /// Pass 2: packs each listed branch's planes for its `columns` (distinct
 /// tags), resolved at the largest of `windows`, with [`bucket_bits`]
-/// bucket planes. A listed branch that never executes keeps zero
-/// executions. `ranked` is left empty for the caller to attach.
+/// bucket planes, and counts the folds the shards' caps forced. A listed
+/// branch that never executes keeps zero executions. `ranked` is left
+/// empty for the caller to attach.
 ///
 /// Each shard interns its listed branches and their candidates' priors
 /// before the scan, so a column is found by direct indexing on (prior id,
-/// scheme, index), and set in the branch's tile.
+/// scheme, index) when a path is met, and each execution marks the path
+/// for its list to be replayed into the branch's tile.
 ///
 /// # Panics
 ///
@@ -770,7 +1417,7 @@ pub(crate) fn pack_planes<T: TraceSource + Sync + ?Sized>(
     windows: &[usize],
     columns: &[(Pc, &[InstanceTag])],
     shards: usize,
-) -> Result<FxHashMap<Pc, SweepBranch>, TraceIoError> {
+) -> Result<(FxHashMap<Pc, SweepBranch>, usize), TraceIoError> {
     if windows.len() == 1 {
         pack::<2, T>(source, windows, columns, shards)
     } else {
@@ -784,15 +1431,18 @@ fn pack<const W: usize, T: TraceSource + Sync + ?Sized>(
     windows: &[usize],
     columns: &[(Pc, &[InstanceTag])],
     shards: usize,
-) -> Result<FxHashMap<Pc, SweepBranch>, TraceIoError> {
-    let (path, bucket_of) = window_buckets(windows);
+) -> Result<(FxHashMap<Pc, SweepBranch>, usize), TraceIoError> {
+    let (window, bucket_of) = window_buckets(windows);
     let bits = bucket_bits(windows.len());
     let shards = shards.min(MAX_SHARDS);
+    let pass = Pack::<W> {
+        bucket_of: &bucket_of,
+    };
     let parts = scan_shards(
         source,
         shards,
         |shard| {
-            let mut scan = ShardScan::new(path.clone());
+            let mut scan = ShardScan::new(window);
             for &(pc, tags) in columns
                 .iter()
                 .filter(|&&(pc, _)| shard_of(pc, shards) == shard)
@@ -802,18 +1452,16 @@ fn pack<const W: usize, T: TraceSource + Sync + ?Sized>(
             }
             scan
         },
-        |scan, chunk| {
-            scan.step(
-                chunk,
-                |_| None,
-                |builder, path, taken| builder.push_execution(taken, path, &bucket_of),
-            );
-        },
+        |scan, chunk| scan.step(chunk, &pass),
     )?;
-    Ok(parts
-        .into_iter()
-        .flat_map(|scan| scan.branches.into_iter().map(PlaneBuilder::finish))
-        .collect())
+    let mut folds = 0;
+    let mut planes = FxHashMap::default();
+    for scan in parts {
+        let (_, builders, shard_folds) = scan.finish(&pass);
+        folds += shard_folds;
+        planes.extend(builders.into_iter().map(PlaneBuilder::finish));
+    }
+    Ok((planes, folds))
 }
 
 impl SweepBranch {
@@ -1102,6 +1750,120 @@ mod tests {
                 assert_eq!(sweep.materialize(i), want, "window {n}, {shards} shards");
             }
         }
+    }
+
+    /// `records` conditionals at random among `pcs` sites, with random
+    /// outcomes and every tenth site a back-edge: nearly every path of a
+    /// few dozen records is new.
+    fn random_trace(records: usize, pcs: u64) -> Trace {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let records = (0..records).map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let site = (state >> 33) % pcs;
+            let rec = BranchRecord::conditional(0x4000 + site * 4, state >> 20 & 1 == 1);
+            if site % 10 == 9 {
+                rec.with_target(0x4000)
+            } else {
+                rec
+            }
+        });
+        Trace::from_records(records.collect())
+    }
+
+    /// Asserts that at 1, 2 and 3 shards a one-window build at the
+    /// largest window (the two passes `TagCandidates` and `OutcomeMatrix`
+    /// wrap) and a sweep over all three equal the reference, and returns
+    /// the folds the caps forced in each shard count's one-window build.
+    fn builds_match_reference(trace: &Trace, windows: [usize; 3], caps: [usize; 3]) -> Vec<usize> {
+        let want: Vec<OutcomeMatrix> = windows
+            .iter()
+            .zip(&caps)
+            .map(|(&n, &cap)| reference::outcome_matrix(trace, n, cap, &TagScheme::ALL))
+            .collect();
+        let (n, cap) = (windows[2], caps[2]);
+        (1..=3)
+            .map(|shards| {
+                let (ranked, rank_folds) =
+                    rank_candidates::<1, _>(trace, &[n], &[cap], &TagScheme::ALL, shards)
+                        .expect("in-memory scan");
+                let columns: Vec<(Pc, &[InstanceTag])> = ranked
+                    .iter()
+                    .map(|(pc, (tags, _))| (*pc, &tags[..]))
+                    .collect();
+                let (planes, pack_folds) =
+                    pack_planes(trace, &[n], &columns, shards).expect("in-memory scan");
+                let matrix = OutcomeMatrix::from_parts(
+                    planes
+                        .into_iter()
+                        .map(|(pc, sb)| (pc, sb.into_matrix()))
+                        .collect(),
+                    n,
+                );
+                assert_eq!(matrix, want[2], "window {n}, {shards} shards");
+                let sweep = SweepMatrix::build_from_source(trace, &windows, &caps, shards)
+                    .expect("in-memory scan");
+                for (i, want) in want.iter().enumerate() {
+                    assert_eq!(&sweep.materialize(i), want, "point {i}, {shards} shards");
+                }
+                rank_folds + pack_folds
+            })
+            .collect()
+    }
+
+    #[test]
+    fn builds_that_cross_the_automaton_cap_match_reference() {
+        // Nearly every path is new, so each shard's automaton reaches its
+        // context cap several times in each pass.
+        let trace = random_trace(6 * MAX_CONTEXTS, 300);
+        let folds = builds_match_reference(&trace, [16, 40, 64], [4, 6, 8]);
+        for (shards, &folds) in (1..).zip(&folds) {
+            assert!(folds >= 8 * shards, "{shards} shards folded {folds} times");
+        }
+    }
+
+    #[test]
+    fn unique_windows_at_window_1024_match_reference() {
+        // No path repeats: every execution meets a new path, and the
+        // automaton folds with the window's 1025 prefixes beyond its cap.
+        let trace = random_trace(1_500, 300);
+        let folds = builds_match_reference(&trace, [16, 64, 1024], [4, 6, 8]);
+        assert!(folds.iter().all(|&f| f > 0), "folds {folds:?}");
+    }
+
+    #[test]
+    fn the_automaton_interns_each_path_once() {
+        // Two alternating loops: paths repeat, so the contexts stop
+        // growing, and a path reached from two contexts is one context.
+        let mut contexts = Contexts::new(3);
+        let s = |id| WindowSymbol::new(id, true, false);
+        let mut ring = Ring::new(3);
+        let mut at = 0;
+        let mut seen = Vec::new();
+        for round in 0..4 {
+            for id in [1, 2, 1, 3] {
+                let (next, created) = contexts.next(at, ring.symbols(), s(id));
+                ring.push(s(id));
+                at = next;
+                if round > 1 {
+                    assert!(!created, "round {round} meets only known paths");
+                }
+                seen.push(at);
+            }
+        }
+        // The empty path, three prefixes, and the four rotations of 1 2 1 3
+        // seen as three-symbol paths.
+        assert_eq!(contexts.nodes.len(), 1 + 2 + 4);
+        let mut window = Vec::new();
+        contexts.window(at, &mut window);
+        assert_eq!(window, [s(2), s(1)]);
+        assert_eq!(contexts.last(at), s(3));
+        // A restart keeps the current path's symbols, as a new context.
+        let restarted = contexts.restart(ring.symbols());
+        contexts.window(restarted, &mut window);
+        assert_eq!(window, [s(2), s(1)]);
+        assert_eq!((restarted, contexts.nodes.len()), (3, 4));
     }
 
     #[test]

@@ -8,23 +8,23 @@
 //! trace is keyed per static branch. [`scan_shards`] splits
 //! the two. One shard simply folds the scan on the calling thread. With
 //! more, the producer runs the single scan on the calling thread, packing
-//! records into a small ring of recycled 64Ki-record chunk buffers, and
+//! records into a small ring of recycled 16Ki-record chunk buffers, and
 //! *broadcasts* each chunk (an `Arc`) to every shard worker over bounded
 //! channels. Each worker sees the full record sequence in order — so
-//! order-sensitive state like a `PathWindow` is simply replicated — but
-//! does the expensive per-record work only for the PCs its shard owns
-//! ([`shard_of`]). Partial results are disjoint by PC, so merging is a
-//! plain union and the merged artifact is *identical* (not just
-//! equivalent) to a one-shard build, for any shard count: determinism is
-//! by construction, as it is for [`par_map`], and the conformance
-//! `parallel` suite diffs it continuously.
+//! order-sensitive state like a builder's window-context automaton is
+//! simply replicated — but does the expensive per-record work only for
+//! the PCs its shard owns ([`shard_of`]). Partial results are disjoint by
+//! PC, so merging is a plain union and the merged artifact is *identical*
+//! (not just equivalent) to a one-shard build, for any shard count:
+//! determinism is by construction, as it is for [`par_map`], and the
+//! conformance `parallel` suite diffs it continuously.
 //!
-//! Memory is bounded by the ring: `shards + 2` buffers of
-//! [`CHUNK_RECORDS`] records exist at any moment, recycled through a free
-//! list when the last worker drops its `Arc`. The bounded channels give
-//! backpressure — a slow worker stalls the producer rather than letting
-//! chunks pile up. A scan runs at most [`MAX_SHARDS`] shards, however
-//! many are asked for.
+//! Memory is bounded by the ring: `shards + 2` buffers of 16Ki records
+//! (384 KiB each, 1.5 MiB at two shards) exist at any moment, recycled
+//! through a free list when the last worker drops its `Arc`. The bounded
+//! channels give backpressure — a slow worker stalls the producer rather
+//! than letting chunks pile up. A scan runs at most [`MAX_SHARDS`]
+//! shards, however many are asked for.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -32,7 +32,6 @@ use std::sync::Arc;
 
 use crate::io::TraceIoError;
 use crate::record::{BranchRecord, Pc};
-use crate::sink::CHUNK_RECORDS;
 use crate::source::TraceSource;
 
 /// The most shards [`scan_shards`] runs. Each shard costs a thread and a
@@ -41,6 +40,12 @@ use crate::source::TraceSource;
 /// [`shard_of`] ownership test see the same number. At least 65, so the
 /// conformance suite's 1/63/64/65-shard builds run as asked.
 pub const MAX_SHARDS: usize = 256;
+
+/// Records per ring buffer. A quarter of a source chunk
+/// ([`crate::CHUNK_RECORDS`]) keeps the ring's `shards + 2` buffers small
+/// next to the shards' own state, and a buffer still amortises a channel
+/// send over 16Ki records.
+const RING_RECORDS: usize = 16 * 1024;
 
 /// Which shard owns a PC, for a given shard count. A multiplicative hash
 /// spreads clustered PC values (synthetic workloads allocate them
@@ -110,7 +115,7 @@ where
     let (free_tx, free_rx) = sync_channel::<Vec<BranchRecord>>(ring);
     for _ in 0..ring {
         free_tx
-            .send(Vec::with_capacity(CHUNK_RECORDS))
+            .send(Vec::with_capacity(RING_RECORDS))
             .expect("free ring has capacity for every buffer");
     }
     let mut txs = Vec::with_capacity(shards);
@@ -155,11 +160,11 @@ where
         let scanned = source.scan(&mut |recs: &[BranchRecord]| {
             let mut rest = recs;
             while !rest.is_empty() {
-                let room = CHUNK_RECORDS - cur.len();
+                let room = RING_RECORDS - cur.len();
                 let take = room.min(rest.len());
                 cur.extend_from_slice(&rest[..take]);
                 rest = &rest[take..];
-                if cur.len() == CHUNK_RECORDS {
+                if cur.len() == RING_RECORDS {
                     let full = std::mem::replace(
                         &mut cur,
                         free_rx.recv().expect("free ring cycles buffers back"),
@@ -258,6 +263,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::CHUNK_RECORDS;
     use crate::trace::Trace;
 
     fn sample_trace(n: u64) -> Trace {
@@ -273,6 +279,12 @@ mod tests {
         let n = CHUNK_RECORDS as u64 * 2 + 12345;
         let trace = sample_trace(n);
         for shards in [1usize, 2, 3] {
+            // One shard folds the source's chunks; more, the ring's.
+            let size = if shards == 1 {
+                CHUNK_RECORDS
+            } else {
+                RING_RECORDS
+            };
             let seen = scan_shards(
                 &trace,
                 shards,
@@ -283,12 +295,12 @@ mod tests {
                         assert_eq!(rec.pc, 0x10 + (*total % 11) * 8);
                         *total += 1;
                     }
-                    assert!(chunk.len() <= CHUNK_RECORDS);
+                    assert!(chunk.len() <= size);
                     *last = Some(chunk.len());
                 },
             )
             .expect("scan");
-            let want = (n, Some((n as usize) % CHUNK_RECORDS));
+            let want = (n, Some((n as usize) % size));
             assert_eq!(seen, vec![want; shards], "shards = {shards}");
         }
     }

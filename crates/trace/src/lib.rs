@@ -77,4 +77,4 @@ pub use stats::TraceStats;
 pub use streams::{BranchStreams, OutcomeStream, StreamRuns};
 pub use tag::{pattern_count, pattern_index, InstanceTag, TagOutcome, TagScheme};
 pub use trace::Trace;
-pub use window::{PathWindow, VisibleId, WindowEntry};
+pub use window::{PathWindow, VisibleId, WindowEntry, WindowNamer, WindowSymbol};

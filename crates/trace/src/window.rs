@@ -1,13 +1,17 @@
 //! The path window: the last *n* conditional branches, with every
 //! visible prior instance named under both §3.2 tagging schemes.
 //!
-//! Two kinds of query share one most-recent-first pass. The tag queries
-//! ([`PathWindow::visible_tags`], [`PathWindow::lookup`], …) name a prior
-//! branch by its pc, for callers that key by [`InstanceTag`]. The id scan
-//! ([`PathWindow::scan_visible_ids`]) names it by the `u32` the caller
-//! pushed it with, for the candidate/matrix builder in `bp-core`: it
-//! interns each pc once per record and then finds a tag's slot by direct
-//! indexing on (id, scheme, index), never by hashing the tag.
+//! Two namers share the §3.2 rule. [`PathWindow`] keeps a live window and
+//! names a prior branch by its pc, for callers that key by
+//! [`InstanceTag`]. [`WindowNamer`] names a stored window — the last *n*
+//! records as [`WindowSymbol`]s, each a caller-chosen id with the
+//! outcome and direction — in one O(n) pass, for the candidate/matrix
+//! builder in `bp-core`. A window's names are a pure function of those
+//! *n* symbols: an occurrence index counts later same-pc entries, an
+//! iteration index counts later backward entries, and both kinds of entry
+//! are inside the window. So the builder names each distinct window once
+//! and finds a tag's slot by direct indexing on (id, scheme, index),
+//! never by hashing the tag.
 
 use std::collections::VecDeque;
 
@@ -24,8 +28,6 @@ pub struct WindowEntry {
     pub taken: bool,
     /// Whether it was a backward branch (loop back-edge).
     pub backward: bool,
-    /// The caller's id for the entry's pc ([`PathWindow::push_with_id`]).
-    id: u32,
     /// Total backward branches pushed up to and including this entry.
     backward_through: u64,
     /// More recent entries with the same pc: the [`TagScheme::Occurrence`]
@@ -36,12 +38,58 @@ pub struct WindowEntry {
     shadowed: bool,
 }
 
-/// One visible window entry as [`PathWindow::scan_visible_ids`] reports
-/// it: a prior instance named by its caller-supplied id and its index
-/// under each tagging scheme.
+/// One conditional record as a stored window keeps it: the caller's id for
+/// its pc, its outcome, and whether it was a backward branch, packed in a
+/// `u32`. The id stands for the pc, so a caller keeps one id per pc.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct WindowSymbol(u32);
+
+impl WindowSymbol {
+    /// Largest id a symbol holds: ids take 30 bits.
+    pub const MAX_ID: u32 = (1 << 30) - 1;
+
+    /// The symbol of a record with pc id `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` exceeds [`WindowSymbol::MAX_ID`].
+    #[inline]
+    pub fn new(id: u32, taken: bool, backward: bool) -> Self {
+        assert!(id <= Self::MAX_ID, "window symbol ids take 30 bits");
+        WindowSymbol(id << 2 | u32::from(taken) << 1 | u32::from(backward))
+    }
+
+    /// The symbol's pc id.
+    #[inline]
+    pub fn id(self) -> u32 {
+        self.0 >> 2
+    }
+
+    /// The record's outcome.
+    #[inline]
+    pub fn taken(self) -> bool {
+        self.0 & 2 != 0
+    }
+
+    /// Whether the record was a backward branch.
+    #[inline]
+    pub fn backward(self) -> bool {
+        self.0 & 1 != 0
+    }
+
+    /// The packed bits: id, outcome, direction.
+    #[inline]
+    pub fn bits(self) -> u32 {
+        self.0
+    }
+}
+
+/// One visible window entry as [`WindowNamer::name`] reports it: a prior
+/// instance named by its symbol's id and its index under each tagging
+/// scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VisibleId {
-    /// The id the entry was pushed with ([`PathWindow::push_with_id`]).
+    /// The id of the entry's symbol.
     pub id: u32,
     /// Its [`TagScheme::Occurrence`] index.
     pub occurrence: u16,
@@ -52,6 +100,109 @@ pub struct VisibleId {
     pub taken: bool,
     /// Its [`PathWindow::distance`] (1 = most recent).
     pub distance: usize,
+}
+
+/// Names stored windows of [`WindowSymbol`]s under both §3.2 schemes, in
+/// one most-recent-first pass per window.
+///
+/// A window of symbols with ids standing for pcs names exactly as a
+/// [`PathWindow`] holding the same records does: entry `v` stands for the
+/// [`PathWindow::visible_tags`] pairs `((pc, v.occurrence), v.taken)`
+/// under [`TagScheme::Occurrence`] and, when `v.iteration` is `Some(i)`,
+/// `((pc, i), v.taken)` under [`TagScheme::Iteration`], in the same order,
+/// both at [`PathWindow::distance`] `v.distance`. Because occurrence
+/// indices count only more-recent same-pc entries and iteration
+/// collisions resolve to the most recent instance, an instance named here
+/// at distance *d* has the same names in every window of length ≥ *d*,
+/// and is in no shorter one: one pass over the longest window names every
+/// shorter one (the incremental window sweeps in `bp-core` rely on this).
+///
+/// The namer keeps a scratch mark per id it has met, reused across
+/// windows, so a pass allocates only when it meets a larger id.
+///
+/// # Example
+///
+/// ```
+/// use bp_trace::{WindowNamer, WindowSymbol};
+///
+/// // pc ids 0, 1, 0, oldest first; id 1 is a backward branch.
+/// let window = [
+///     WindowSymbol::new(0, true, false),
+///     WindowSymbol::new(1, true, true),
+///     WindowSymbol::new(0, false, false),
+/// ];
+/// let mut names = Vec::new();
+/// WindowNamer::default().name(&window, |v| names.push((v.id, v.occurrence, v.iteration)));
+/// // Most recent first: id 0's second instance is occurrence 0, iteration
+/// // 0; the back-edge before it makes the first one iteration 1.
+/// assert_eq!(names, [(0, 0, Some(0)), (1, 0, Some(0)), (0, 1, Some(1))]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct WindowNamer {
+    /// Per id: the pass that last met it, the instances of it that pass
+    /// met, and the iteration index of the most recent one.
+    marks: Vec<Mark>,
+    pass: u32,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct Mark {
+    pass: u32,
+    occurrences: u32,
+    iteration: u32,
+}
+
+impl WindowNamer {
+    /// Reports every instance in `window` (oldest symbol first), most
+    /// recent first, as its [`VisibleId`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is longer than [`PathWindow::MAX_CAPACITY`].
+    #[inline]
+    pub fn name(&mut self, window: &[WindowSymbol], mut emit: impl FnMut(VisibleId)) {
+        assert!(
+            window.len() <= PathWindow::MAX_CAPACITY,
+            "a window names at most {} instances",
+            PathWindow::MAX_CAPACITY
+        );
+        self.pass = self.pass.wrapping_add(1);
+        if self.pass == 0 {
+            self.marks.fill(Mark::default());
+            self.pass = 1;
+        }
+        let pass = self.pass;
+        // Backward entries more recent than the one being named.
+        let mut backward = 0u32;
+        for (back, &s) in window.iter().rev().enumerate() {
+            let id = s.id() as usize;
+            if id >= self.marks.len() {
+                self.marks.resize(id + 1, Mark::default());
+            }
+            let mark = &mut self.marks[id];
+            // The nearest more recent instance holds the largest
+            // iteration index of the later ones, so it alone can collide.
+            let (occurrence, shadowed) = if mark.pass == pass {
+                (mark.occurrences, mark.iteration == backward)
+            } else {
+                (0, false)
+            };
+            // Both counts are below the window length, so they fit `u16`.
+            emit(VisibleId {
+                id: s.id(),
+                occurrence: occurrence as u16,
+                iteration: (!shadowed).then_some(backward as u16),
+                taken: s.taken(),
+                distance: back + 1,
+            });
+            *mark = Mark {
+                pass,
+                occurrences: occurrence + 1,
+                iteration: backward,
+            };
+            backward += u32::from(s.backward());
+        }
+    }
 }
 
 /// Sliding window over the last *n* conditional branches — the "path leading
@@ -70,12 +221,6 @@ pub struct VisibleId {
 /// Naming is incremental: [`PathWindow::push`] updates every entry's
 /// occurrence index and iteration shadowing in one pass over the window, so
 /// every query is a single most-recent-first pass that allocates nothing.
-///
-/// Each entry also carries a `u32` the caller supplies
-/// ([`PathWindow::push_with_id`]), typically a dense id for its pc.
-/// [`PathWindow::scan_visible_ids`] reports visible instances by that id,
-/// scheme index and distance, so a caller that keys its tables by id names
-/// an instance without hashing its tag.
 ///
 /// Usage order matters: query the window for the context of a branch
 /// *before* pushing that branch's own record.
@@ -148,21 +293,14 @@ impl PathWindow {
         self.entries.clear();
     }
 
-    /// Pushes a record with id 0. Non-conditional records are ignored.
+    /// Pushes a record. Non-conditional records are ignored.
     ///
     /// This is where the §3.2 naming rule lives: every older instance of
     /// the same branch moves one occurrence further back, and one with the
     /// same backward count as the new entry (no back-edge executed between
     /// them) loses its iteration name to it — the most recent instance
-    /// wins.
+    /// wins. [`WindowNamer`] applies the same rule to a stored window.
     pub fn push(&mut self, rec: &BranchRecord) {
-        self.push_with_id(rec, 0);
-    }
-
-    /// As [`PathWindow::push`], storing `id` with the entry for
-    /// [`PathWindow::scan_visible_ids`] to report. The window never reads
-    /// it: naming goes by pc, so the caller keeps one id per pc.
-    pub fn push_with_id(&mut self, rec: &BranchRecord, id: u32) {
         if !rec.is_conditional() {
             return;
         }
@@ -182,7 +320,6 @@ impl PathWindow {
             pc: rec.pc,
             taken: rec.taken,
             backward: rec.is_backward(),
-            id,
             backward_through,
             occurrence: 0,
             shadowed: false,
@@ -247,34 +384,6 @@ impl PathWindow {
                 let index = self.backwards_since(e);
                 out.push((InstanceTag::iteration(e.pc, index), e.taken));
             }
-        }
-    }
-
-    /// Every visible instance, one call per entry, most recent first, with
-    /// the prior branch named by the id it was pushed with: entry `v`
-    /// stands for the [`PathWindow::visible_tags`] pairs `((pc,
-    /// v.occurrence), v.taken)` under [`TagScheme::Occurrence`] and, when
-    /// `v.iteration` is `Some(i)`, `((pc, i), v.taken)` under
-    /// [`TagScheme::Iteration`], both at [`PathWindow::distance`]
-    /// `v.distance`. Nothing is hashed or allocated.
-    ///
-    /// Because occurrence indices count only more-recent same-pc entries
-    /// and iteration collisions resolve to the most recent instance, an
-    /// instance visible here at distance *d* is visible — with the same
-    /// names and outcome — in every window of length ≥ *d*, and in no
-    /// shorter one. So one scan of the largest window gives the visible
-    /// set of every shorter one (the incremental window sweeps in
-    /// `bp-core` rely on this).
-    #[inline]
-    pub fn scan_visible_ids(&self, mut emit: impl FnMut(VisibleId)) {
-        for (back, e) in self.entries.iter().rev().enumerate() {
-            emit(VisibleId {
-                id: e.id,
-                occurrence: e.occurrence,
-                iteration: (!e.shadowed).then(|| self.backwards_since(e)),
-                taken: e.taken,
-                distance: back + 1,
-            });
         }
     }
 }
@@ -424,11 +533,16 @@ mod tests {
         }
     }
 
-    /// The id scan expanded into `(tag, outcome, distance)`, for a window
-    /// whose entries were pushed with `pc` as their id.
-    fn tags_by_id(w: &PathWindow) -> Vec<(InstanceTag, bool, usize)> {
+    /// Names `recs`' conditionals, oldest first, as a stored window with
+    /// each pc as its id, expanded into `(tag, outcome, distance)`.
+    fn stored_tags(recs: &[BranchRecord]) -> Vec<(InstanceTag, bool, usize)> {
+        let window: Vec<WindowSymbol> = recs
+            .iter()
+            .filter(|rec| rec.is_conditional())
+            .map(|rec| WindowSymbol::new(rec.pc as u32, rec.taken, rec.is_backward()))
+            .collect();
         let mut out = Vec::new();
-        w.scan_visible_ids(|v| {
+        WindowNamer::default().name(&window, |v| {
             let pc = Pc::from(v.id);
             out.push((
                 InstanceTag::occurrence(pc, v.occurrence),
@@ -443,25 +557,67 @@ mod tests {
     }
 
     #[test]
-    fn id_scan_agrees_with_tag_scan_and_distance() {
+    fn stored_window_naming_agrees_with_tag_scan_and_distance() {
+        let recs = [fwd(1, true), bwd(2, true), fwd(1, false), fwd(3, true)];
         let mut w = PathWindow::new(6);
-        for rec in [fwd(1, true), bwd(2, true), fwd(1, false), fwd(3, true)] {
-            w.push_with_id(&rec, rec.pc as u32);
+        for rec in &recs {
+            w.push(rec);
         }
         let mut plain = Vec::new();
         w.visible_tags(&mut plain);
-        let by_id = tags_by_id(&w);
+        let stored = stored_tags(&recs);
         // Same tags and outcomes in the same order; distances match
         // distance().
-        assert_eq!(plain.len(), by_id.len());
-        for ((tag, taken), (itag, itaken, d)) in plain.iter().zip(&by_id) {
-            assert_eq!((tag, taken), (itag, itaken));
+        assert_eq!(plain.len(), stored.len());
+        for ((tag, taken), (stag, staken, d)) in plain.iter().zip(&stored) {
+            assert_eq!((tag, taken), (stag, staken));
             assert_eq!(w.distance(*tag), Some(*d), "{tag:?}");
         }
-        // `push` stores id 0.
-        let mut unnamed = PathWindow::new(2);
-        unnamed.push(&fwd(9, true));
-        unnamed.scan_visible_ids(|v| assert_eq!(v.id, 0));
+    }
+
+    #[test]
+    fn symbols_round_trip_their_fields() {
+        for id in [0, 1, 12_345, WindowSymbol::MAX_ID] {
+            for (taken, backward) in [(false, false), (true, false), (false, true), (true, true)] {
+                let s = WindowSymbol::new(id, taken, backward);
+                assert_eq!((s.id(), s.taken(), s.backward()), (id, taken, backward));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "30 bits")]
+    fn symbol_ids_past_30_bits_panic() {
+        let _ = WindowSymbol::new(WindowSymbol::MAX_ID + 1, false, false);
+    }
+
+    #[test]
+    fn a_namer_reused_across_windows_names_each_afresh() {
+        // Marks left by one window (id 7 twice, id 3) must not leak into
+        // the next, whatever their ids.
+        let mut namer = WindowNamer::default();
+        let mut first = Vec::new();
+        let window = [
+            WindowSymbol::new(7, true, false),
+            WindowSymbol::new(3, false, true),
+            WindowSymbol::new(7, false, false),
+        ];
+        namer.name(&window, |v| first.push(v));
+        let mut again = Vec::new();
+        namer.name(&window, |v| again.push(v));
+        assert_eq!(first, again);
+        let mut lone = Vec::new();
+        namer.name(&[WindowSymbol::new(7, true, false)], |v| lone.push(v));
+        assert_eq!(
+            lone,
+            [VisibleId {
+                id: 7,
+                occurrence: 0,
+                iteration: Some(0),
+                taken: true,
+                distance: 1,
+            }]
+        );
     }
 
     #[test]
@@ -479,15 +635,13 @@ mod tests {
             fwd(4, false),
         ];
         for short_cap in 1..=recs.len() {
-            let mut long = PathWindow::new(recs.len());
             let mut short = PathWindow::new(short_cap);
             for rec in &recs {
-                long.push_with_id(rec, rec.pc as u32);
                 short.push(rec);
             }
             let mut short_tags = Vec::new();
             short.visible_tags(&mut short_tags);
-            let filtered: Vec<_> = tags_by_id(&long)
+            let filtered: Vec<_> = stored_tags(&recs)
                 .into_iter()
                 .filter(|(_, _, d)| *d <= short_cap)
                 .map(|(t, o, _)| (t, o))

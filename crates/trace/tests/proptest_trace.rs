@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use bp_trace::{
     io, BranchKind, BranchProfile, BranchRecord, InstanceTag, PathWindow, Pc, TagScheme, Trace,
-    TraceStats,
+    TraceStats, WindowNamer, WindowSymbol,
 };
 
 fn arb_record() -> impl Strategy<Value = BranchRecord> {
@@ -52,6 +52,48 @@ fn arb_window_step() -> impl Strategy<Value = (BranchRecord, bool)> {
     })
 }
 
+/// A program-like trace: straight-line code over up to 300 static
+/// conditionals (dense ids past 256 in half the traces), jumps back a few
+/// sites so pcs recur at every distance, a back-edge at every eighth
+/// site, and call, return and jump records at pcs of their own.
+fn arb_program_trace() -> impl Strategy<Value = Vec<BranchRecord>> {
+    let step = (0u8..32, 1u64..=8, any::<bool>());
+    let statics = (any::<bool>(), 1u64..=300, 257u64..=300);
+    (statics, prop::collection::vec(step, 1..500)).prop_map(|(statics, steps)| {
+        let statics = if statics.0 { statics.2 } else { statics.1 };
+        let mut at = 0u64;
+        steps
+            .into_iter()
+            .map(|(roll, back, taken)| {
+                at = if roll == 0 {
+                    at.saturating_sub(back)
+                } else {
+                    (at + 1) % statics
+                };
+                let pc = 0x1000 + at * 4;
+                let kind = match roll {
+                    1 => BranchKind::Call,
+                    2 => BranchKind::Return,
+                    3 => BranchKind::Jump,
+                    _ => BranchKind::Conditional,
+                };
+                match kind {
+                    BranchKind::Conditional if at % 8 == 7 => {
+                        BranchRecord::conditional(pc, taken).with_target(0x1000)
+                    }
+                    BranchKind::Conditional => BranchRecord::conditional(pc, taken),
+                    _ => BranchRecord {
+                        pc: pc + 0x8000,
+                        target: pc,
+                        taken: true,
+                        kind,
+                    },
+                }
+            })
+            .collect()
+    })
+}
+
 /// Reference implementation of the §3.2 tagging semantics: given the raw
 /// list of conditional records in the window (oldest first), name every
 /// instance the slow way, most recent first, with its distance.
@@ -80,6 +122,31 @@ fn reference_tags(window: &[BranchRecord]) -> Vec<(InstanceTag, bool, usize)> {
     out
 }
 
+/// Names `window` (oldest first) as a stored window whose symbols' ids
+/// are their pcs, expanded into `(tag, outcome, distance)`.
+fn stored_tags(
+    namer: &mut WindowNamer,
+    window: &[BranchRecord],
+) -> Vec<(InstanceTag, bool, usize)> {
+    let symbols: Vec<WindowSymbol> = window
+        .iter()
+        .map(|rec| WindowSymbol::new(rec.pc as u32, rec.taken, rec.is_backward()))
+        .collect();
+    let mut out = Vec::new();
+    namer.name(&symbols, |v| {
+        let pc = Pc::from(v.id);
+        out.push((
+            InstanceTag::occurrence(pc, v.occurrence),
+            v.taken,
+            v.distance,
+        ));
+        if let Some(i) = v.iteration {
+            out.push((InstanceTag::iteration(pc, i), v.taken, v.distance));
+        }
+    });
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -87,6 +154,7 @@ proptest! {
     fn window_matches_reference_model(steps in prop::collection::vec(arb_window_step(), 0..300), cap in 1usize..49) {
         let mut window = PathWindow::new(cap);
         let mut model: Vec<BranchRecord> = Vec::new();
+        let mut namer = WindowNamer::default();
         let mut plain = Vec::new();
         for (rec, clear) in &steps {
             if *clear {
@@ -95,16 +163,8 @@ proptest! {
             }
             // Query before push, like the analyses do: the exact sequence
             // (tag, outcome, distance, in order), not just the tag set.
-            // The id scan names each entry by the id it was pushed with,
-            // here its pc.
-            let mut tags = Vec::new();
-            window.scan_visible_ids(|v| {
-                let pc = Pc::from(v.id);
-                tags.push((InstanceTag::occurrence(pc, v.occurrence), v.taken, v.distance));
-                if let Some(i) = v.iteration {
-                    tags.push((InstanceTag::iteration(pc, i), v.taken, v.distance));
-                }
-            });
+            // The stored window names each symbol by its id, here its pc.
+            let tags = stored_tags(&mut namer, &model);
             prop_assert_eq!(&tags, &reference_tags(&model));
             window.visible_tags(&mut plain);
             prop_assert!(plain.iter().copied().eq(tags.iter().map(|&(t, o, _)| (t, o))));
@@ -115,7 +175,7 @@ proptest! {
                 prop_assert_eq!(window.distance(tag), Some(distance));
             }
 
-            window.push_with_id(rec, rec.pc as u32);
+            window.push(rec);
             if rec.is_conditional() {
                 model.push(*rec);
                 if model.len() > cap {
@@ -123,6 +183,79 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The stored-window naming the candidate/matrix builder uses agrees
+    /// with a live `PathWindow` at every position of a program-like trace:
+    /// many pcs under dense ids, windows up to 300, backward and
+    /// non-conditional records.
+    #[test]
+    fn stored_window_naming_matches_the_path_window(
+        trace in arb_program_trace(),
+        cap in 1usize..=300,
+    ) {
+        let mut window = PathWindow::new(cap);
+        let mut ids = std::collections::HashMap::new();
+        let mut pcs = Vec::new();
+        let mut symbols: Vec<WindowSymbol> = Vec::new();
+        let mut namer = WindowNamer::default();
+        let mut plain = Vec::new();
+        for rec in &trace {
+            window.visible_tags(&mut plain);
+            let start = symbols.len().saturating_sub(cap);
+            let mut named = Vec::new();
+            namer.name(&symbols[start..], |v| {
+                let pc = pcs[v.id as usize];
+                named.push((InstanceTag::occurrence(pc, v.occurrence), v.taken, v.distance));
+                if let Some(i) = v.iteration {
+                    named.push((InstanceTag::iteration(pc, i), v.taken, v.distance));
+                }
+            });
+            prop_assert!(plain.iter().copied().eq(named.iter().map(|&(t, o, _)| (t, o))));
+            for &(tag, _, distance) in &named {
+                prop_assert_eq!(window.distance(tag), Some(distance));
+            }
+            window.push(rec);
+            if rec.is_conditional() {
+                let next = pcs.len() as u32;
+                let id = *ids.entry(rec.pc).or_insert(next);
+                if id == next {
+                    pcs.push(rec.pc);
+                }
+                symbols.push(WindowSymbol::new(id, rec.taken, rec.is_backward()));
+            }
+        }
+    }
+
+    /// A window's names depend on its last n records alone: two histories
+    /// that end in the same n records name identically, which is what
+    /// lets the builder name each distinct window once.
+    #[test]
+    fn windows_ending_alike_name_alike(
+        first in prop::collection::vec(arb_window_step(), 0..200),
+        second in prop::collection::vec(arb_window_step(), 0..200),
+        tail in prop::collection::vec(arb_window_step(), 64..128),
+        cap in 1usize..=64,
+    ) {
+        // Every tail record is conditional, so the tail fills the window.
+        let tail: Vec<BranchRecord> = tail
+            .iter()
+            .map(|&(rec, _)| BranchRecord { kind: BranchKind::Conditional, ..rec })
+            .collect();
+        let named = |history: &[(BranchRecord, bool)]| {
+            let mut window = PathWindow::new(cap);
+            for rec in history.iter().map(|(rec, _)| rec).chain(&tail) {
+                window.push(rec);
+            }
+            let mut tags = Vec::new();
+            window.visible_tags(&mut tags);
+            tags
+        };
+        let a = named(&first);
+        prop_assert_eq!(&a, &named(&second));
+        let mut namer = WindowNamer::default();
+        let stored = stored_tags(&mut namer, &tail[tail.len() - cap..]);
+        prop_assert!(a.iter().copied().eq(stored.iter().map(|&(t, o, _)| (t, o))));
     }
 
     #[test]

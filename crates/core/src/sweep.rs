@@ -1276,9 +1276,10 @@ impl<const W: usize> PlaneBuilder<W> {
                 }
             });
         }
+        let end = u32::try_from(self.lists.len()).expect("under 2^32 list entries per fold");
         PathList {
             start: start as u32,
-            len: (self.lists.len() - start) as u32,
+            len: end - start as u32,
             marked: u32::MAX,
         }
     }

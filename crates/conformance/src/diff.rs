@@ -18,12 +18,12 @@
 //! trace with a ddmin-style chunk removal loop before it is reported.
 //!
 //! Two further suites pin the paper-scale machinery: `parallel` diffs the
-//! sharded builders against their one-shard builds and every parallel
-//! kernel (classify, oracle select, sweep materialization) against its
-//! serial twin at adversarial shard and job counts, and `bps` round-trips
-//! the packed `.bps` artifacts through a write → reopen cycle and diffs
-//! the analysis summary computed from the reopened planes against the
-//! freshly built ones.
+//! streaming builders, inline and pipelined, against their in-memory
+//! builds and every parallel kernel (classify, oracle select, sweep
+//! materialization) against its serial twin at several job counts, and
+//! `bps` round-trips the packed `.bps` artifacts through a write → reopen
+//! cycle and diffs the analysis summary computed from the reopened planes
+//! against the freshly built ones.
 
 use std::path::Path;
 
@@ -353,8 +353,8 @@ fn diff_matrices(label: &str, got: &OutcomeMatrix, want: &OutcomeMatrix) -> Opti
 
 /// Diffs the streaming artifact builders against their materialized
 /// originals on one trace, re-framed at every [`STREAM_CHUNK_SIZES`]
-/// chunk size: the streams, candidate, matrix and sweep builders at one
-/// shard vs their whole-trace builds, and a `BPT2` encode/decode round
+/// chunk size: the streams, candidate, matrix and sweep builders on one
+/// thread vs their whole-trace builds, and a `BPT2` encode/decode round
 /// trip.
 pub fn diff_streaming(
     trace: &Trace,
@@ -429,18 +429,17 @@ pub fn diff_streaming(
     None
 }
 
-/// Shard counts the parallel suite drives the sharded builders at: the
-/// serial degenerate case and the word-boundary straddle (most corpus
-/// traces have far fewer static branches than 64, so these also exercise
-/// the workers-above-branches regime).
-pub const PARALLEL_SHARDS: [usize; 4] = [1, 63, 64, 65];
+/// Thread counts the parallel suite drives the streaming builders at: a
+/// scan folded inline on the caller (1) and one pipelined to a worker
+/// (2). Every count above 2 runs the same pipeline.
+pub const PARALLEL_SHARDS: [usize; 2] = [1, 2];
 
 /// Job counts the parallel suite drives the parallel analysis kernels at.
 pub const PARALLEL_JOBS: [usize; 3] = [1, 2, 7];
 
-/// Diffs the sharded streaming builders against their one-shard builds
-/// and the parallel analysis kernels against their serial twins on one
-/// trace: streams, candidates, matrix and every sweep point at each
+/// Diffs the streaming builders against their in-memory builds and the
+/// parallel analysis kernels against their serial twins on one trace:
+/// streams, candidates, matrix and every sweep point at each
 /// [`PARALLEL_SHARDS`] count (planes must be bit-identical), then
 /// classification, oracle subset search, and sweep materialization at
 /// every [`PARALLEL_JOBS`] count.
@@ -457,13 +456,13 @@ pub fn diff_parallel(
     let want_cands = TagCandidates::collect(trace, cfg.window, cfg.candidate_cap);
     let want_matrix = OutcomeMatrix::build(trace, &want_cands, cfg.window);
     let want_sweep = SweepMatrix::build(trace, windows, caps);
-    for &shards in &PARALLEL_SHARDS {
-        let label = format!("{shards} shards");
+    for &jobs in &PARALLEL_SHARDS {
+        let label = format!("jobs {jobs}");
 
-        let got = BranchStreams::from_source_sharded(&source, shards)
-            .expect("in-memory scans cannot fail");
+        let got =
+            BranchStreams::from_source_sharded(&source, jobs).expect("in-memory scans cannot fail");
         if got != want_streams {
-            return Some(format!("{label}: sharded BranchStreams differ"));
+            return Some(format!("{label}: pipelined BranchStreams differ"));
         }
 
         let got = TagCandidates::collect_from_source_sharded(
@@ -471,21 +470,20 @@ pub fn diff_parallel(
             cfg.window,
             cfg.candidate_cap,
             &TagScheme::ALL,
-            shards,
+            jobs,
         )
         .expect("in-memory scans cannot fail");
         if got != want_cands {
-            return Some(format!("{label}: sharded candidates differ"));
+            return Some(format!("{label}: pipelined candidates differ"));
         }
 
-        let got =
-            OutcomeMatrix::build_from_source_sharded(&source, &want_cands, cfg.window, shards)
-                .expect("in-memory scans cannot fail");
+        let got = OutcomeMatrix::build_from_source_sharded(&source, &want_cands, cfg.window, jobs)
+            .expect("in-memory scans cannot fail");
         if let Some(why) = diff_matrices(&label, &got, &want_matrix) {
-            return Some(format!("sharded matrix: {why}"));
+            return Some(format!("pipelined matrix: {why}"));
         }
 
-        let got = SweepMatrix::build_from_source(&source, windows, caps, shards)
+        let got = SweepMatrix::build_from_source(&source, windows, caps, jobs)
             .expect("in-memory scans cannot fail");
         for (i, window) in windows.iter().enumerate() {
             if let Some(why) = diff_matrices(
@@ -493,7 +491,7 @@ pub fn diff_parallel(
                 &got.materialize(i),
                 &want_sweep.materialize(i),
             ) {
-                return Some(format!("sharded sweep: {why}"));
+                return Some(format!("pipelined sweep: {why}"));
             }
         }
     }
@@ -809,8 +807,8 @@ mod tests {
 
     #[test]
     fn parallel_and_bps_suites_pass_on_a_long_trace() {
-        // Long enough that the sharded executor crosses several chunk
-        // boundaries and every branch spans multiple plane words.
+        // Long enough that the scans cross many 64-record source chunks
+        // and every branch spans multiple plane words.
         let mut recs = Vec::new();
         let mut lcg = 0x9E37_79B9_7F4A_7C15_u64;
         for i in 0..900u64 {

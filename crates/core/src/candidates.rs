@@ -54,9 +54,10 @@ impl TagCandidates {
     }
 
     /// As [`TagCandidates::collect_with_schemes`], consuming any
-    /// [`TraceSource`] in one streaming scan split over `shards` per-PC
-    /// shards: the sweep builder's first pass at one window, so the
-    /// result is identical for every shard count.
+    /// [`TraceSource`] in one streaming scan: the sweep builder's first
+    /// pass at one window. `shards` is the threads the scan may use: 1
+    /// inline, 2 or more pipelined. The result is identical for every
+    /// value.
     ///
     /// # Errors
     ///

@@ -166,11 +166,12 @@ impl OutcomeMatrix {
     }
 
     /// As [`OutcomeMatrix::build`], consuming any [`TraceSource`] in one
-    /// streaming scan split over `shards` per-PC shards: the sweep
-    /// builder's second pass at one window, whose planes move into the
-    /// matrix. Working memory is the packed planes themselves (~2 bits per
-    /// candidate per execution); the raw records never accumulate, and the
-    /// matrix is identical for every shard count.
+    /// streaming scan: the sweep builder's second pass at one window,
+    /// whose planes move into the matrix. `shards` is the threads the
+    /// scan may use: 1 inline, 2 or more pipelined. Working memory is the
+    /// packed planes themselves (~2 bits per candidate per execution);
+    /// the raw records never accumulate, and the matrix is identical for
+    /// every `shards` value.
     ///
     /// # Errors
     ///

@@ -531,7 +531,7 @@ mod tests {
     }
 
     /// Program-like traces for the builder's dense ids: straight-line
-    /// code over up to 300 static conditionals (each shard interns them in
+    /// code over up to 300 static conditionals (each pass interns them in
     /// its own order; half the traces have more than 256, past any byte-
     /// sized id), wrapping around and looping back a few branches one step
     /// in 32, so short traces meet many ids and long ones repeat them. Every eighth conditional is a back-edge, for iteration tags

@@ -23,7 +23,7 @@
 //! per-branch column lists, annotating each set in-path bit with its
 //! bucket index in ⌈log2(windows)⌉ side bit-planes — none for one window,
 //! whose planes then move straight into a [`BranchMatrix`]. Each pass is
-//! one per-shard step on [`scan_shards`]. [`SweepMatrix::materialize`]
+//! one fold over one [`scan_pipelined`] scan. [`SweepMatrix::materialize`]
 //! assembles any sweep point's [`OutcomeMatrix`] with a word-wise
 //! bucket-threshold mask, no trace access needed.
 //!
@@ -32,21 +32,24 @@
 //! function of its last n (pc, taken, backward) records, and loop-shaped
 //! programs keep coming back to a few paths: at window 16, go's 1M
 //! executions follow 18,708 distinct paths of n + 1 records (1.9%). So
-//! each shard steps a window-context automaton ([`ShardScan`]): a record
+//! each pass steps a window-context automaton ([`PathScan`]): a record
 //! costs one probe of a (pc, context, outcome, direction) → context step
 //! table and a ring write, with no [`PathWindow::push`]. A context is a
 //! path — an execution and the n records before it — interned by its
 //! exact symbol sequence ([`WindowSymbol`]: dense pc id, outcome,
 //! direction) and stored as its last symbol and the context it was first
-//! reached from. A context whose last branch the shard owns is one of
+//! reached from. A context whose last branch the pass builds is one of
 //! that branch's *paths*, whose window is named by one O(n)
 //! [`WindowNamer`] pass: pass 1 counts a path's executions and names its
 //! window when it folds, adding that count to every tag it sees; pass 2
 //! names it when it is met and keeps its list of (column, direction,
 //! bucket digits). Only steps the automaton has not taken intern a pc or
-//! a path. Each shard's automaton is capped (32Ki contexts and steps); at
-//! the cap it folds every path into its branch and restarts from the
-//! current path, which leaves every output unchanged.
+//! a path. The automaton is capped (32Ki contexts and steps); at the cap
+//! it folds every path into its branch and restarts from the current
+//! path, which leaves every output unchanged. When the scan ends, the
+//! branches finish one at a time: a branch's last paths fold, it is
+//! ranked (pass 1) or its planes take their last word (pass 2), and its
+//! state is dropped before the next branch's paths fold.
 //!
 //! Neither pass hashes a visible tag: a named instance arrives as (prior
 //! id, scheme, index), and a per-branch slot table finds its count in
@@ -55,14 +58,14 @@
 //! 2 marks each execution in its path's mask for the current 64-execution
 //! word; when the word is full, each marked path replays its list into a
 //! tile holding that word of every column's planes, and the planes
-//! receive whole words. Ids are per shard and never leave a pass: ranking
+//! receive whole words. Ids are per scan and never leave a pass: ranking
 //! sorts by tag, so no list depends on interning order.
 
 use bp_trace::fx::FxHashMap;
 use bp_trace::io::TraceIoError;
 use bp_trace::{
-    par_map, scan_shards, shard_of, BranchRecord, InstanceTag, PathWindow, Pc, TagScheme, Trace,
-    TraceSource, WindowNamer, WindowSymbol, MAX_SHARDS,
+    par_map, scan_pipelined, BranchRecord, InstanceTag, PathWindow, Pc, TagScheme, Trace,
+    TraceSource, WindowNamer, WindowSymbol,
 };
 
 use crate::matrix::{BranchMatrix, OutcomeMatrix};
@@ -121,9 +124,10 @@ impl SweepMatrix {
     }
 
     /// As [`SweepMatrix::build`], consuming any [`TraceSource`] in two
-    /// streaming scans (visibility bucketing, then plane packing), each
-    /// split over `shards` per-PC shards — identical output for every
-    /// shard count.
+    /// streaming scans (visibility bucketing, then plane packing).
+    /// `shards` is the threads each scan may use: 1 inline, 2 or more
+    /// pipelined (see [`scan_pipelined`]). The output is identical for
+    /// every value.
     ///
     /// # Errors
     ///
@@ -241,12 +245,12 @@ fn window_buckets(windows: &[usize]) -> (usize, Vec<u8>) {
 /// window its capped list as indices into them.
 pub(crate) type Ranked = (Vec<InstanceTag>, Vec<Vec<u32>>);
 
-/// Most contexts a shard's automaton adds to the path it restarted from
+/// Most contexts the automaton adds to the path it restarted from
 /// before it folds. The crate's unit tests fold at 256, so that their
 /// builds over a few hundred records, property tests included, cross it.
 const MAX_CONTEXTS: usize = if cfg!(test) { 1 << 8 } else { 1 << 15 };
 
-/// Most steps a shard's automaton holds before it folds.
+/// Most steps the automaton holds before it folds.
 const MAX_STEPS: usize = MAX_CONTEXTS;
 
 /// Multiplier of the automaton's hashes: odd, with well-mixed bits.
@@ -283,7 +287,7 @@ fn crowded(len: usize, size: usize) -> bool {
     4 * len > 3 * size
 }
 
-/// The last `span` symbols a shard has met, oldest first, in a mirrored
+/// The last `span` symbols a scan has met, oldest first, in a mirrored
 /// buffer so that they are always one slice.
 struct Ring {
     span: usize,
@@ -334,7 +338,7 @@ struct Node {
     hash: u64,
 }
 
-/// The contexts of one shard's window-context automaton. A context is a
+/// The contexts of one scan's window-context automaton. A context is a
 /// path: the last `span` = n + 1 conditional records, that is an
 /// execution and the n-record window before it, so its last symbol names
 /// the executing branch, outcome and direction, and the rest name its
@@ -556,16 +560,18 @@ impl Steps {
     }
 }
 
-/// What one pass does with the paths of the branches a shard owns: each
-/// is a context whose last symbol is the branch's — the window before an
+/// What one pass does with the paths of the branches it builds: each is
+/// a context whose last symbol is the branch's — the window before an
 /// execution, and the execution's outcome and direction.
 trait PathPass {
-    /// An owned branch's state.
+    /// A built branch's state.
     type Branch;
     /// A path's state until the next fold.
     type Path: Default;
+    /// A branch's result.
+    type Done;
 
-    /// The state of a pc met for the first time, if the shard owns it.
+    /// The state of a pc met for the first time, if the pass builds it.
     fn adopt(&self, pc: Pc) -> Option<Self::Branch>;
 
     /// A path met for the first time since the last fold, after `window`.
@@ -588,41 +594,45 @@ trait PathPass {
         namer: &mut WindowNamer,
         path: Self::Path,
     );
+
+    /// A branch's pc and result, once every path has folded into it;
+    /// `pcs` names the scan's ids.
+    fn finish(&self, branch: Self::Branch, pcs: &[Pc]) -> (Pc, Self::Done);
 }
 
-/// The state index of the branch `s` names, if `owner` (per id, 1 + the
-/// index; 0 for not owned) owns it.
+/// The state index of the branch `s` names, if `built` (per id, 1 + the
+/// index; 0 for not built) builds it.
 #[inline]
-fn branch_of(owner: &[u32], s: WindowSymbol) -> Option<usize> {
-    let b = owner.get(s.id() as usize)?;
+fn branch_of(built: &[u32], s: WindowSymbol) -> Option<usize> {
+    let b = built.get(s.id() as usize)?;
     b.checked_sub(1).map(|b| b as usize)
 }
 
-/// One shard's scan, shared by both passes: a window-context automaton
-/// over every conditional record, with pass `P`'s work on the paths of
-/// the branches the shard owns.
+/// A pass's scan, shared by both passes: a window-context automaton over
+/// every conditional record, with pass `P`'s work on the paths of the
+/// branches it builds.
 ///
 /// A record costs one probe of `steps`, keyed by (pc, context, outcome,
 /// direction), and a ring write. Only a step not taken since the last
 /// fold interns the pc to a dense id and the path it leads to to a
-/// context, which, if new and owned, the pass meets. A window is
+/// context, which, if new and built, the pass meets. A window is
 /// therefore named once per path and fold, never per execution. When the
 /// contexts or steps reach their caps the scan folds: every path is
 /// folded into its branch, and the automaton restarts from the current
 /// path alone. Nothing a pass computes depends on when folds happen.
-struct ShardScan<P: PathPass> {
+struct PathScan<P: PathPass> {
     ids: FxHashMap<Pc, u32>,
     /// Per id: its pc.
     pcs: Vec<Pc>,
-    /// Per id: 1 + the index of its state in `branches` (0: not owned).
-    owner: Vec<u32>,
+    /// Per id: 1 + the index of its state in `branches` (0: not built).
+    built: Vec<u32>,
     branches: Vec<P::Branch>,
     ring: Ring,
     contexts: Contexts,
     steps: Steps,
     /// The current context.
     at: u32,
-    /// Per context: its path state, met if its last branch is owned.
+    /// Per context: its path state, met if its last branch is built.
     paths: Vec<P::Path>,
     namer: WindowNamer,
     /// Scratch for a context's window.
@@ -631,13 +641,13 @@ struct ShardScan<P: PathPass> {
     folds: usize,
 }
 
-impl<P: PathPass> ShardScan<P> {
+impl<P: PathPass> PathScan<P> {
     /// A scan of the `window` records before each execution.
     fn new(window: usize) -> Self {
-        ShardScan {
+        PathScan {
             ids: FxHashMap::default(),
             pcs: Vec::new(),
-            owner: Vec::new(),
+            built: Vec::new(),
             branches: Vec::new(),
             ring: Ring::new(window + 1),
             contexts: Contexts::new(window + 1),
@@ -650,7 +660,7 @@ impl<P: PathPass> ShardScan<P> {
         }
     }
 
-    /// `pc`'s id, and whether this call assigned it (not owned yet).
+    /// `pc`'s id, and whether this call assigned it (not built yet).
     #[inline]
     fn id(&mut self, pc: Pc) -> (u32, bool) {
         let next = u32::try_from(self.pcs.len()).expect("fewer than 2^32 static branches");
@@ -658,24 +668,24 @@ impl<P: PathPass> ShardScan<P> {
         let new = id == next;
         if new {
             self.pcs.push(pc);
-            self.owner.push(0);
+            self.built.push(0);
         }
         (id, new)
     }
 
-    /// Makes `state` the shard's state for `pc`.
-    fn own(&mut self, pc: Pc, state: P::Branch) {
+    /// Makes `state` the pass's state for `pc`.
+    fn build(&mut self, pc: Pc, state: P::Branch) {
         let (id, _) = self.id(pc);
         self.attach(id, state);
     }
 
     fn attach(&mut self, id: u32, state: P::Branch) {
         self.branches.push(state);
-        self.owner[id as usize] = self.branches.len() as u32;
+        self.built[id as usize] = self.branches.len() as u32;
     }
 
     /// Runs one chunk: every conditional record steps the automaton, and
-    /// an owned branch's execution visits its path.
+    /// a built branch's execution visits its path.
     fn step(&mut self, chunk: &[BranchRecord], pass: &P) {
         for rec in chunk.iter().filter(|rec| rec.is_conditional()) {
             let from = self.at << 2 | u32::from(rec.taken) << 1 | u32::from(rec.is_backward());
@@ -687,7 +697,7 @@ impl<P: PathPass> ShardScan<P> {
                 None => self.learn(rec, from, pass),
             };
             self.at = at;
-            if let Some(b) = branch_of(&self.owner, self.contexts.last(at)) {
+            if let Some(b) = branch_of(&self.built, self.contexts.last(at)) {
                 let path = &mut self.paths[at as usize];
                 pass.visit(&mut self.branches[b], path, rec.taken);
             }
@@ -695,7 +705,7 @@ impl<P: PathPass> ShardScan<P> {
     }
 
     /// Takes a step for the first time since the last fold: interns the
-    /// path it leads to, meeting it if it is new and owned, and moves the
+    /// path it leads to, meeting it if it is new and built, and moves the
     /// ring along.
     #[inline(never)]
     fn learn(&mut self, rec: &BranchRecord, mut from: u32, pass: &P) -> u32 {
@@ -725,10 +735,10 @@ impl<P: PathPass> ShardScan<P> {
     }
 
     /// Gives the newest context, the ring's path, its path state: met if
-    /// the shard owns the path's last branch.
+    /// the pass builds the path's last branch.
     fn meet(&mut self, pass: &P) {
         let path = match self.ring.symbols().split_last() {
-            Some((&s, window)) => match branch_of(&self.owner, s) {
+            Some((&s, window)) => match branch_of(&self.built, s) {
                 Some(b) => pass.meet(&mut self.branches[b], window, &mut self.namer),
                 None => P::Path::default(),
             },
@@ -753,18 +763,41 @@ impl<P: PathPass> ShardScan<P> {
         let paths = std::mem::take(&mut self.paths);
         // Context 0, the empty path, has no branch.
         for (c, path) in (1..).zip(paths.into_iter().skip(1)) {
-            if let Some(b) = branch_of(&self.owner, self.contexts.last(c)) {
+            if let Some(b) = branch_of(&self.built, self.contexts.last(c)) {
                 self.contexts.window(c, &mut self.window);
                 pass.fold(&mut self.branches[b], &self.window, &mut self.namer, path);
             }
         }
     }
 
-    /// The shard's ids' pcs and its branches' states, every path folded,
-    /// and the folds the caps forced.
-    fn finish(mut self, pass: &P) -> (Vec<Pc>, Vec<P::Branch>, usize) {
-        self.fold_paths(pass);
-        (self.pcs, self.branches, self.folds)
+    /// Every built branch's result, and the folds the caps forced. The
+    /// branches finish one at a time: a branch's remaining paths fold
+    /// into it, the pass finishes it, and its state is dropped before the
+    /// next branch's paths fold. So pass 1 never holds every branch's
+    /// folded counts at once.
+    fn finish(mut self, pass: &P) -> (FxHashMap<Pc, P::Done>, usize) {
+        let mut paths = std::mem::take(&mut self.paths);
+        // (branch, context) for every context but the empty path, in
+        // branch order.
+        let mut pending: Vec<(u32, u32)> = (1..paths.len() as u32)
+            .filter_map(|c| {
+                let b = branch_of(&self.built, self.contexts.last(c))?;
+                Some((b as u32, c))
+            })
+            .collect();
+        pending.sort_unstable();
+        let mut pending = pending.into_iter().peekable();
+        let mut done = FxHashMap::with_capacity_and_hasher(self.branches.len(), Default::default());
+        for (b, mut branch) in (0..).zip(std::mem::take(&mut self.branches)) {
+            while let Some((_, c)) = pending.next_if(|&(of, _)| of == b) {
+                self.contexts.window(c, &mut self.window);
+                let path = std::mem::take(&mut paths[c as usize]);
+                pass.fold(&mut branch, &self.window, &mut self.namer, path);
+            }
+            let (pc, result) = pass.finish(branch, &self.pcs);
+            done.insert(pc, result);
+        }
+        (done, self.folds)
     }
 }
 
@@ -1080,20 +1113,22 @@ impl<const B: usize> TagCounts<B> {
     }
 }
 
-/// Pass 1's work on a shard's paths: a path counts its executions, and a
-/// fold counts each tag its window names that many times.
+/// Pass 1's work on every branch's paths: a path counts its executions,
+/// a fold counts each tag its window names that many times, and a
+/// finished branch ranks its tags.
 struct Rank<'a, const B: usize> {
-    shard: usize,
-    shards: usize,
     bucket_of: &'a [u8],
+    caps: &'a [usize],
+    schemes: &'a [TagScheme],
 }
 
 impl<const B: usize> PathPass for Rank<'_, B> {
     type Branch = TagCounts<B>;
     type Path = u64;
+    type Done = Ranked;
 
     fn adopt(&self, pc: Pc) -> Option<TagCounts<B>> {
-        (shard_of(pc, self.shards) == self.shard).then(|| TagCounts::new(pc))
+        Some(TagCounts::new(pc))
     }
 
     fn meet(&self, _: &mut TagCounts<B>, _: &[WindowSymbol], _: &mut WindowNamer) -> u64 {
@@ -1116,12 +1151,16 @@ impl<const B: usize> PathPass for Rank<'_, B> {
             counts.observe(window, namer, executions, self.bucket_of);
         }
     }
+
+    fn finish(&self, counts: TagCounts<B>, pcs: &[Pc]) -> (Pc, Ranked) {
+        counts.rank(pcs, self.caps, self.schemes)
+    }
 }
 
 /// Pass 1: per executed branch, the union of every window's capped
 /// candidate list (the first window's list first, so with one window the
 /// union is that list), and per window its list as indices into the
-/// union; and the folds the shards' caps forced. Visibility is counted
+/// union; and the folds the automaton's caps forced. Visibility is counted
 /// once at the largest window, in `B` buckets by the smallest window that
 /// sees each instance (so `B` must cover `windows`); window `i` then ranks
 /// the `schemes` tags by buckets `0..=i` summed (count desc, tag asc) and
@@ -1130,7 +1169,9 @@ impl<const B: usize> PathPass for Rank<'_, B> {
 /// Each path counts its executions, and its window is named once, when
 /// the path is folded: each visible instance adds that count through the
 /// branch's [`SlotTable`], found by its prior's dense id, so no visible
-/// tag costs a hash probe.
+/// tag costs a hash probe. Each branch is ranked once its last paths
+/// fold, and its counts are dropped before the next branch's paths fold.
+/// `shards` is the threads the scan may use (see [`scan_pipelined`]).
 ///
 /// # Panics
 ///
@@ -1153,32 +1194,17 @@ pub(crate) fn rank_candidates<const B: usize, T: TraceSource + Sync + ?Sized>(
         caps.iter().all(|&c| c > 0),
         "candidate caps must be positive"
     );
-    let shards = shards.min(MAX_SHARDS);
-    let pass = |shard| Rank::<B> {
-        shard,
-        shards,
-        bucket_of: &bucket_of,
-    };
     // Every scheme is counted: filtering by `schemes` at ranking leaves the
     // same lists, and costs less here.
-    let parts = scan_shards(
-        source,
-        shards,
-        |shard| (shard, ShardScan::new(window)),
-        |(shard, scan), chunk| scan.step(chunk, &pass(*shard)),
-    )?;
-    let mut folds = 0;
-    let mut ranked = FxHashMap::default();
-    for (shard, scan) in parts {
-        let (pcs, branches, shard_folds) = scan.finish(&pass(shard));
-        folds += shard_folds;
-        ranked.extend(
-            branches
-                .into_iter()
-                .map(|counts| counts.rank(&pcs, caps, schemes)),
-        );
-    }
-    Ok((ranked, folds))
+    let pass = Rank::<B> {
+        bucket_of: &bucket_of,
+        caps,
+        schemes,
+    };
+    let scan = scan_pipelined(source, shards, PathScan::new(window), |scan, chunk| {
+        scan.step(chunk, &pass);
+    })?;
+    Ok(scan.finish(&pass))
 }
 
 /// One branch's pass-2 state: its slot table over column numbers, the
@@ -1359,9 +1385,10 @@ impl<const W: usize> PlaneBuilder<W> {
     }
 }
 
-/// Pass 2's work on a shard's paths: a path lists the candidates its
-/// window sees, each execution marks the path's mask, and a fold replays
-/// the marks and drops the lists.
+/// Pass 2's work on the listed branches' paths: a path lists the
+/// candidates its window sees, each execution marks the path's mask, a
+/// fold replays the marks and drops the lists, and a finished branch
+/// flushes its last word into its planes.
 struct Pack<'a, const W: usize> {
     bucket_of: &'a [u8],
 }
@@ -1369,6 +1396,7 @@ struct Pack<'a, const W: usize> {
 impl<const W: usize> PathPass for Pack<'_, W> {
     type Branch = PlaneBuilder<W>;
     type Path = PathList;
+    type Done = SweepBranch;
 
     fn adopt(&self, _: Pc) -> Option<PlaneBuilder<W>> {
         None
@@ -1397,18 +1425,23 @@ impl<const W: usize> PathPass for Pack<'_, W> {
     ) {
         builder.drop_lists();
     }
+
+    fn finish(&self, builder: PlaneBuilder<W>, _: &[Pc]) -> (Pc, SweepBranch) {
+        builder.finish()
+    }
 }
 
 /// Pass 2: packs each listed branch's planes for its `columns` (distinct
 /// tags), resolved at the largest of `windows`, with [`bucket_bits`]
-/// bucket planes, and counts the folds the shards' caps forced. A listed
-/// branch that never executes keeps zero executions. `ranked` is left
-/// empty for the caller to attach.
+/// bucket planes, and counts the folds the automaton's caps forced. A
+/// listed branch that never executes keeps zero executions. `ranked` is
+/// left empty for the caller to attach. `shards` is the threads the scan
+/// may use (see [`scan_pipelined`]).
 ///
-/// Each shard interns its listed branches and their candidates' priors
-/// before the scan, so a column is found by direct indexing on (prior id,
-/// scheme, index) when a path is met, and each execution marks the path
-/// for its list to be replayed into the branch's tile.
+/// The scan interns the listed branches and their candidates' priors
+/// before it starts, so a column is found by direct indexing on (prior
+/// id, scheme, index) when a path is met, and each execution marks the
+/// path for its list to be replayed into the branch's tile.
 ///
 /// # Panics
 ///
@@ -1435,34 +1468,16 @@ fn pack<const W: usize, T: TraceSource + Sync + ?Sized>(
 ) -> Result<(FxHashMap<Pc, SweepBranch>, usize), TraceIoError> {
     let (window, bucket_of) = window_buckets(windows);
     let bits = bucket_bits(windows.len());
-    let shards = shards.min(MAX_SHARDS);
     let pass = Pack::<W> {
         bucket_of: &bucket_of,
     };
-    let parts = scan_shards(
-        source,
-        shards,
-        |shard| {
-            let mut scan = ShardScan::new(window);
-            for &(pc, tags) in columns
-                .iter()
-                .filter(|&&(pc, _)| shard_of(pc, shards) == shard)
-            {
-                let builder = PlaneBuilder::<W>::new(pc, tags, bits, |prior| scan.id(prior).0);
-                scan.own(pc, builder);
-            }
-            scan
-        },
-        |scan, chunk| scan.step(chunk, &pass),
-    )?;
-    let mut folds = 0;
-    let mut planes = FxHashMap::default();
-    for scan in parts {
-        let (_, builders, shard_folds) = scan.finish(&pass);
-        folds += shard_folds;
-        planes.extend(builders.into_iter().map(PlaneBuilder::finish));
+    let mut scan = PathScan::new(window);
+    for &(pc, tags) in columns {
+        let builder = PlaneBuilder::<W>::new(pc, tags, bits, |prior| scan.id(prior).0);
+        scan.build(pc, builder);
     }
-    Ok((planes, folds))
+    let scan = scan_pipelined(source, shards, scan, |scan, chunk| scan.step(chunk, &pass))?;
+    Ok(scan.finish(&pass))
 }
 
 impl SweepBranch {
@@ -1743,12 +1758,12 @@ mod tests {
 
         let windows = [16, 1024, widest];
         let caps = [8, 16, 24];
-        for shards in [1, 3] {
-            let sweep = SweepMatrix::build_from_source(&trace, &windows, &caps, shards)
+        for jobs in [1, 3] {
+            let sweep = SweepMatrix::build_from_source(&trace, &windows, &caps, jobs)
                 .expect("in-memory scan");
             for (i, (&n, &cap)) in windows.iter().zip(&caps).enumerate() {
                 let want = reference::outcome_matrix(&trace, n, cap, &TagScheme::ALL);
-                assert_eq!(sweep.materialize(i), want, "window {n}, {shards} shards");
+                assert_eq!(sweep.materialize(i), want, "window {n}, jobs {jobs}");
             }
         }
     }
@@ -1773,10 +1788,10 @@ mod tests {
         Trace::from_records(records.collect())
     }
 
-    /// Asserts that at 1, 2 and 3 shards a one-window build at the
-    /// largest window (the two passes `TagCandidates` and `OutcomeMatrix`
-    /// wrap) and a sweep over all three equal the reference, and returns
-    /// the folds the caps forced in each shard count's one-window build.
+    /// Asserts that at jobs 1, 2 and 3 a one-window build at the largest
+    /// window (the two passes `TagCandidates` and `OutcomeMatrix` wrap)
+    /// and a sweep over all three equal the reference, and returns the
+    /// folds the caps forced in each job count's one-window build.
     fn builds_match_reference(trace: &Trace, windows: [usize; 3], caps: [usize; 3]) -> Vec<usize> {
         let want: Vec<OutcomeMatrix> = windows
             .iter()
@@ -1785,16 +1800,16 @@ mod tests {
             .collect();
         let (n, cap) = (windows[2], caps[2]);
         (1..=3)
-            .map(|shards| {
+            .map(|jobs| {
                 let (ranked, rank_folds) =
-                    rank_candidates::<1, _>(trace, &[n], &[cap], &TagScheme::ALL, shards)
+                    rank_candidates::<1, _>(trace, &[n], &[cap], &TagScheme::ALL, jobs)
                         .expect("in-memory scan");
                 let columns: Vec<(Pc, &[InstanceTag])> = ranked
                     .iter()
                     .map(|(pc, (tags, _))| (*pc, &tags[..]))
                     .collect();
                 let (planes, pack_folds) =
-                    pack_planes(trace, &[n], &columns, shards).expect("in-memory scan");
+                    pack_planes(trace, &[n], &columns, jobs).expect("in-memory scan");
                 let matrix = OutcomeMatrix::from_parts(
                     planes
                         .into_iter()
@@ -1802,11 +1817,11 @@ mod tests {
                         .collect(),
                     n,
                 );
-                assert_eq!(matrix, want[2], "window {n}, {shards} shards");
-                let sweep = SweepMatrix::build_from_source(trace, &windows, &caps, shards)
+                assert_eq!(matrix, want[2], "window {n}, jobs {jobs}");
+                let sweep = SweepMatrix::build_from_source(trace, &windows, &caps, jobs)
                     .expect("in-memory scan");
                 for (i, want) in want.iter().enumerate() {
-                    assert_eq!(&sweep.materialize(i), want, "point {i}, {shards} shards");
+                    assert_eq!(&sweep.materialize(i), want, "point {i}, jobs {jobs}");
                 }
                 rank_folds + pack_folds
             })
@@ -1815,12 +1830,12 @@ mod tests {
 
     #[test]
     fn builds_that_cross_the_automaton_cap_match_reference() {
-        // Nearly every path is new, so each shard's automaton reaches its
-        // context cap several times in each pass.
+        // Nearly every path is new, so the automaton reaches its context
+        // cap several times in each pass, at every job count.
         let trace = random_trace(6 * MAX_CONTEXTS, 300);
         let folds = builds_match_reference(&trace, [16, 40, 64], [4, 6, 8]);
-        for (shards, &folds) in (1..).zip(&folds) {
-            assert!(folds >= 8 * shards, "{shards} shards folded {folds} times");
+        for (jobs, &folds) in (1..).zip(&folds) {
+            assert!(folds >= 8, "jobs {jobs} folded {folds} times");
         }
     }
 

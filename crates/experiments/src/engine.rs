@@ -298,7 +298,7 @@ pub struct Engine {
     busy_nanos: AtomicU64,
     fanout_wall_nanos: AtomicU64,
     /// Threads currently executing fan-out work; the difference to `jobs`
-    /// is the budget a nested shard-level fan-out may claim.
+    /// is the budget a nested fan-out may claim.
     active_workers: AtomicUsize,
     oracle_phases: Mutex<HashMap<Benchmark, OraclePhaseStats>>,
     classify_phases: Mutex<HashMap<Benchmark, ClassifyPhaseStats>>,
@@ -327,7 +327,7 @@ impl Engine {
         self.jobs
     }
 
-    /// The shard budget a nested artifact build may claim right now: the
+    /// The thread budget a nested build or search may claim right now: the
     /// calling thread plus whatever workers the benchmark-level fan-out
     /// currently leaves idle, never more than `--jobs`. Every nested
     /// kernel produces results identical to its serial twin for any

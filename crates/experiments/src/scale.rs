@@ -5,7 +5,7 @@
 //! scale --bench m88ksim --target 100m            classification + oracle, streamed
 //! scale --bench gcc --target 2m --materialized   same run via the in-memory path
 //! scale --target 1b --skip-oracle                classification only
-//! scale --target 100m --jobs 8                   sharded executor + parallel kernels
+//! scale --target 100m --jobs 8                   pipelined scans + parallel kernels
 //! scale --target 1b --artifacts DIR              reuse packed .bps artifacts (mmap)
 //! scale --artifacts DIR --artifacts-budget-gb 2  cap the store, LRU-evict over budget
 //! ```
@@ -137,6 +137,9 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
     let Options {
         bench, cfg, jobs, ..
     } = *opts;
+    // A trace scan folds inline, or on one worker while this thread
+    // regenerates the trace.
+    let scan_threads = jobs.min(2);
     let oracle_cfg = &opts.oracle;
     let mut traces = TraceSet::new(cfg);
     if opts.materialized {
@@ -190,7 +193,7 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
                 store.save_streams(bench.name(), &streams, streams_fp);
             }
             eprintln!(
-                "[streams: {:.1}s, {jobs} threads]",
+                "[streams: {:.1}s, {scan_threads} threads]",
                 t0.elapsed().as_secs_f64()
             );
             streams
@@ -267,7 +270,7 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
                 )
                 .map_err(|e| RunError::Failed(format!("candidate scan failed: {e}")))?;
                 eprintln!(
-                    "[oracle candidates: {:.1}s, {jobs} threads]",
+                    "[oracle candidates: {:.1}s, {scan_threads} threads]",
                     t0.elapsed().as_secs_f64()
                 );
                 let t0 = Instant::now();
@@ -288,7 +291,7 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
                     );
                 }
                 eprintln!(
-                    "[oracle matrix: {:.1}s, {jobs} threads]",
+                    "[oracle matrix: {:.1}s, {scan_threads} threads]",
                     t0.elapsed().as_secs_f64()
                 );
                 matrix

@@ -129,8 +129,9 @@ fn parallel_output_is_byte_identical_to_serial() {
 
 #[test]
 fn a_jobs_budget_beyond_any_thread_limit_changes_nothing() {
-    // Shard builds are capped, so a huge budget neither aborts on thread
-    // spawn nor changes stdout.
+    // A scan starts at most one thread and `par_map` at most
+    // `MAX_THREADS`, so a huge budget neither aborts on thread spawn nor
+    // changes stdout.
     let run = |jobs: &str, experiment: &str| {
         let out = repro()
             .args(["--quick", "--jobs", jobs, experiment])

@@ -30,8 +30,9 @@ fn oracle_window_beyond_the_largest_path_window_is_a_usage_error() {
 
 #[test]
 fn a_jobs_budget_beyond_any_thread_limit_changes_nothing() {
-    // Shard builds are capped, so a huge budget neither aborts on thread
-    // spawn nor changes stdout.
+    // A scan starts at most one thread and `par_map` at most
+    // `MAX_THREADS`, so a huge budget neither aborts on thread spawn nor
+    // changes stdout.
     let run = |jobs: &str| {
         let out = scale()
             .args(["--bench", "m88ksim", "--target", "100k", "--jobs", jobs])

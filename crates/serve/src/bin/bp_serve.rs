@@ -24,6 +24,7 @@ use std::process::ExitCode;
 
 use bp_experiments::cli::{finish, RunError};
 use bp_serve::{spawn, ServerConfig};
+use bp_trace::MAX_THREADS;
 
 const USAGE: &str = "usage: bp-serve [--addr HOST:PORT] [--workers N] [--queue N] [--jobs N] \
     [--trace-dir DIR] [--max-frame BYTES] [--cache-dir DIR] [--cache-budget-mb N] [--quiet]";
@@ -53,8 +54,14 @@ fn parse_args() -> Result<ServerConfig, RunError> {
         let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
         let parsed = match flag {
             "--addr" => value().map(|v| cfg.addr = v),
+            // The server spawns one thread per worker.
             "--workers" => value()
                 .and_then(|v| at_least(flag, &v, 1))
+                .and_then(|n| {
+                    (n <= MAX_THREADS)
+                        .then_some(n)
+                        .ok_or_else(|| format!("{flag} {n} is more than {MAX_THREADS} threads"))
+                })
                 .map(|n| cfg.workers = n),
             "--queue" => value()
                 .and_then(|v| at_least(flag, &v, 1))

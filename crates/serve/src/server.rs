@@ -68,7 +68,8 @@ pub const MAX_TARGET: u64 = 20_000_000;
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:4098` (`:0` picks a free port).
     pub addr: String,
-    /// Worker threads executing queued jobs.
+    /// Worker threads executing queued jobs, each spawned directly
+    /// (`bp-serve` takes at most [`bp_trace::MAX_THREADS`]).
     pub workers: usize,
     /// Bounded queue capacity; a request arriving when the queue holds
     /// this many jobs is rejected with `overloaded`.

@@ -81,6 +81,10 @@ fn bp_serve_names_every_bad_value() {
         ),
         (&["--workers", "0"], "--workers"),
         (&["--workers", "x"], "--workers"),
+        // One thread per worker: a huge count is refused before any
+        // thread starts.
+        (&["--workers", "257"], "--workers"),
+        (&["--workers", "100000"], "--workers"),
     ] {
         let out = serve(args);
         assert_rejects(&out, flag);

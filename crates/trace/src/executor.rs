@@ -1,199 +1,130 @@
-//! The workspace's two fan-out shapes: [`scan_shards`], one scan of a
-//! [`TraceSource`] folded by per-PC shard steps, and [`par_map`], an
-//! ordered map over independent items (benchmarks, static branches, probe
-//! grid points).
+//! The workspace's two fan-out shapes: [`scan_pipelined`], one scan of a
+//! [`TraceSource`] folded into one state, and [`par_map`], an ordered map
+//! over independent items (benchmarks, static branches, probe grid
+//! points).
 //!
-//! Trace production (workload generation) is inherently serial — records
-//! must come out in order — but everything the analyses build from a
-//! trace is keyed per static branch. [`scan_shards`] splits
-//! the two. One shard simply folds the scan on the calling thread. With
-//! more, the producer runs the single scan on the calling thread, packing
-//! records into a small ring of recycled 16Ki-record chunk buffers, and
-//! *broadcasts* each chunk (an `Arc`) to every shard worker over bounded
-//! channels. Each worker sees the full record sequence in order — so
-//! order-sensitive state like a builder's window-context automaton is
-//! simply replicated — but does the expensive per-record work only for
-//! the PCs its shard owns ([`shard_of`]). Partial results are disjoint by
-//! PC, so merging is a plain union and the merged artifact is *identical*
-//! (not just equivalent) to a one-shard build, for any shard count:
-//! determinism is by construction, as it is for [`par_map`], and the
-//! conformance `parallel` suite diffs it continuously.
+//! A scan is one fold in trace order: the stream packer and the
+//! builders' window-context automaton each keep one state that every
+//! record steps. So a scan splits by stage, not by branch. At `jobs` ≤ 1
+//! the calling thread folds the source's chunks itself. At more, the
+//! calling thread is the producer: it generates the trace and repacks
+//! its records into a ring of three recycled 16Ki-record buffers, and
+//! one worker thread folds each full buffer into the state. The worker
+//! sees every record in order, so the state is the inline fold's for
+//! every `jobs` value, by construction; the conformance `parallel` suite
+//! diffs it continuously.
 //!
-//! Memory is bounded by the ring: `shards + 2` buffers of 16Ki records
-//! (384 KiB each, 1.5 MiB at two shards) exist at any moment, recycled
-//! through a free list when the last worker drops its `Arc`. The bounded
-//! channels give backpressure — a slow worker stalls the producer rather
-//! than letting chunks pile up. A scan runs at most [`MAX_SHARDS`]
-//! shards, however many are asked for.
+//! Two bounded channels carry the buffers, full ones to the worker and
+//! emptied ones back. At most three buffers (384 KiB each) exist at
+//! once, and a slow worker stalls the producer rather than letting
+//! records pile up.
+//!
+//! [`par_map`] runs at most [`MAX_THREADS`] threads, however large
+//! `jobs` is, and a scan at most one besides the caller.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::Arc;
+use std::sync::mpsc::sync_channel;
 
 use crate::io::TraceIoError;
-use crate::record::{BranchRecord, Pc};
+use crate::record::BranchRecord;
 use crate::source::TraceSource;
 
-/// The most shards [`scan_shards`] runs. Each shard costs a thread and a
-/// ring buffer, so a huge `--jobs` must not become one of each per job. A
-/// builder caps its count with this once, so that [`scan_shards`] and its
-/// [`shard_of`] ownership test see the same number. At least 65, so the
-/// conformance suite's 1/63/64/65-shard builds run as asked.
-pub const MAX_SHARDS: usize = 256;
+/// The most threads a fan-out runs: [`par_threads`]'s bound, and
+/// `bp-serve`'s for `--workers`. A huge `--jobs` must not become a thread
+/// per static branch.
+pub const MAX_THREADS: usize = 256;
 
 /// Records per ring buffer. A quarter of a source chunk
-/// ([`crate::CHUNK_RECORDS`]) keeps the ring's `shards + 2` buffers small
-/// next to the shards' own state, and a buffer still amortises a channel
-/// send over 16Ki records.
+/// ([`crate::CHUNK_RECORDS`]) keeps the ring small next to the scan's
+/// own state, and a buffer still amortises a channel send over 16Ki
+/// records.
 const RING_RECORDS: usize = 16 * 1024;
 
-/// Which shard owns a PC, for a given shard count. A multiplicative hash
-/// spreads clustered PC values (synthetic workloads allocate them
-/// sequentially) evenly across shards; every builder and every merge uses
-/// this one function, so partial results are disjoint by construction.
-#[must_use]
-pub fn shard_of(pc: Pc, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    (pc.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % shards
-}
+/// Buffers in the ring: one filling, one folding, one between them.
+const RING_BUFFERS: usize = 3;
 
-/// A recycled buffer of trace records in flight from the producer to the
-/// shard workers. Dropping the last reference returns the buffer to the
-/// producer's free list.
-struct Chunk {
-    records: Vec<BranchRecord>,
-    recycle: SyncSender<Vec<BranchRecord>>,
-}
-
-impl Drop for Chunk {
-    fn drop(&mut self) {
-        let mut buf = std::mem::take(&mut self.records);
-        buf.clear();
-        // The free list's capacity equals the number of buffers in
-        // existence, so this never blocks; if the producer is already
-        // gone the buffer is simply freed.
-        let _ = self.recycle.try_send(buf);
-    }
-}
-
-/// Runs one per-shard step over `source` and returns every shard's final
-/// state, in shard order: `init(shard)` builds a shard's state and
-/// `step(state, records)` folds each chunk into it, in trace order. One
-/// shard runs on the calling thread over [`TraceSource::scan`]; more get
-/// one worker thread each, fed by the broadcast scan the module docs
-/// describe. A step that does its per-branch work only for the PCs its
-/// shard owns ([`shard_of`]) yields disjoint states, whose union is the
-/// same for every shard count. `shards` is capped at [`MAX_SHARDS`], which
-/// the caller's ownership test must apply too.
+/// Folds `step` over `source`'s records, in trace order, into `state`
+/// and returns it. At `jobs` ≤ 1 the calling thread folds the source's
+/// chunks; at more, one worker thread folds the 16Ki-record buffers the
+/// calling thread repacks them into, as the module docs describe. `step`
+/// sees the same records in the same order either way, so the result is
+/// the same for every `jobs` value.
 ///
 /// # Errors
 ///
-/// Propagates the source's scan error; workers are drained first.
+/// Propagates the source's scan error, once the worker has stopped.
 ///
 /// # Panics
 ///
-/// Propagates a panic in `init` or `step`.
-pub fn scan_shards<S, W>(
+/// A panic in `step` reaches the caller with its own payload, once the
+/// producer has finished its scan (the records after the panic are
+/// dropped unfolded).
+pub fn scan_pipelined<S, W>(
     source: &S,
-    shards: usize,
-    init: impl Fn(usize) -> W + Sync,
-    step: impl Fn(&mut W, &[BranchRecord]) + Sync,
-) -> Result<Vec<W>, TraceIoError>
+    jobs: usize,
+    mut state: W,
+    mut step: impl FnMut(&mut W, &[BranchRecord]) + Send,
+) -> Result<W, TraceIoError>
 where
-    S: TraceSource + Sync + ?Sized,
+    S: TraceSource + ?Sized,
     W: Send,
 {
-    let shards = shards.min(MAX_SHARDS);
-    if shards <= 1 {
-        let mut state = init(0);
+    if jobs <= 1 {
         source.scan(&mut |chunk| step(&mut state, chunk))?;
-        return Ok(vec![state]);
+        return Ok(state);
     }
-    let ring = shards + 2;
-    let (free_tx, free_rx) = sync_channel::<Vec<BranchRecord>>(ring);
-    for _ in 0..ring {
-        free_tx
-            .send(Vec::with_capacity(RING_RECORDS))
-            .expect("free ring has capacity for every buffer");
-    }
-    let mut txs = Vec::with_capacity(shards);
-    let mut workers = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = sync_channel::<Arc<Chunk>>(2);
-        txs.push(tx);
-        workers.push(rx);
-    }
-
     std::thread::scope(|scope| {
-        let (init, step) = (&init, &step);
-        let handles: Vec<_> = workers
-            .into_iter()
-            .enumerate()
-            .map(|(shard, rx)| {
-                scope.spawn(move || {
-                    let mut state = init(shard);
-                    for chunk in rx {
-                        step(&mut state, &chunk.records);
-                    }
-                    state
-                })
-            })
-            .collect();
-
-        // Producer: repack the source's chunks (whose boundaries are the
-        // source's choice) into uniform ring buffers, broadcasting each
-        // full one. A send to a dead (panicked) worker fails harmlessly —
-        // the chunk's Drop still recycles the buffer — so the free list
-        // never starves and the scan runs to completion regardless.
-        let mut cur = free_rx.recv().expect("free ring is non-empty");
-        let broadcast = |records: Vec<BranchRecord>| {
-            let chunk = Arc::new(Chunk {
-                records,
-                recycle: free_tx.clone(),
-            });
-            for tx in &txs {
-                let _ = tx.send(chunk.clone());
+        // Both channels live in this closure, so a panicking producer
+        // drops them and the worker stops before the scope joins it.
+        let (full_tx, full_rx) = sync_channel::<Vec<BranchRecord>>(RING_BUFFERS);
+        let (free_tx, free_rx) = sync_channel::<Vec<BranchRecord>>(RING_BUFFERS);
+        for _ in 1..RING_BUFFERS {
+            free_tx
+                .send(Vec::with_capacity(RING_RECORDS))
+                .expect("the free list has room for every buffer");
+        }
+        let worker = scope.spawn(move || {
+            for mut records in full_rx {
+                step(&mut state, &records);
+                records.clear();
+                // Never blocks: the free list has room for every buffer.
+                // It fails only once the producer is gone.
+                let _ = free_tx.send(records);
             }
-        };
-        let scanned = source.scan(&mut |recs: &[BranchRecord]| {
-            let mut rest = recs;
-            while !rest.is_empty() {
-                let room = RING_RECORDS - cur.len();
-                let take = room.min(rest.len());
-                cur.extend_from_slice(&rest[..take]);
-                rest = &rest[take..];
-                if cur.len() == RING_RECORDS {
-                    let full = std::mem::replace(
-                        &mut cur,
-                        free_rx.recv().expect("free ring cycles buffers back"),
-                    );
-                    broadcast(full);
+            state
+        });
+
+        // The buffer being filled; `None` once the worker has gone (its
+        // step panicked), after which the records are dropped.
+        let mut cur = Some(Vec::with_capacity(RING_RECORDS));
+        let scanned = source.scan(&mut |mut recs: &[BranchRecord]| {
+            while !recs.is_empty() {
+                let Some(buf) = cur.as_mut() else { return };
+                let take = (RING_RECORDS - buf.len()).min(recs.len());
+                buf.extend_from_slice(&recs[..take]);
+                recs = &recs[take..];
+                if buf.len() == RING_RECORDS {
+                    let full = std::mem::take(buf);
+                    cur = full_tx.send(full).ok().and_then(|()| free_rx.recv().ok());
                 }
             }
         });
-        if scanned.is_ok() && !cur.is_empty() {
-            broadcast(std::mem::take(&mut cur));
+        if let Some(rest) = cur.filter(|rest| !rest.is_empty()) {
+            let _ = full_tx.send(rest);
         }
-        drop(txs); // close the streams: workers run off their queues and finish
-
-        let results = handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(t) => t,
-                Err(panic) => std::panic::resume_unwind(panic),
-            })
-            .collect();
-        scanned.map(|()| results)
+        drop(full_tx); // the worker folds what is queued, then returns
+        let state = worker
+            .join()
+            .unwrap_or_else(|p| std::panic::resume_unwind(p));
+        scanned.map(|()| state)
     })
 }
 
 /// Threads [`par_map`] runs `len` items on at a `jobs` budget: at least
-/// one, and never more than there are items.
+/// one, and never more than there are items or [`MAX_THREADS`].
 #[must_use]
 pub fn par_threads(jobs: usize, len: usize) -> usize {
-    jobs.max(1).min(len.max(1))
+    jobs.clamp(1, MAX_THREADS).min(len.max(1))
 }
 
 /// Maps `f` over `items` on [`par_threads`]`(jobs, items.len())` threads
@@ -275,78 +206,105 @@ mod tests {
     }
 
     #[test]
-    fn every_worker_sees_every_record_in_order() {
+    fn the_scan_sees_every_record_in_order() {
         let n = CHUNK_RECORDS as u64 * 2 + 12345;
         let trace = sample_trace(n);
-        for shards in [1usize, 2, 3] {
-            // One shard folds the source's chunks; more, the ring's.
-            let size = if shards == 1 {
+        for jobs in [1usize, 2, 3, 100_000] {
+            // Inline, the scan folds the source's chunks; pipelined, the
+            // ring's.
+            let size = if jobs == 1 {
                 CHUNK_RECORDS
             } else {
                 RING_RECORDS
             };
-            let seen = scan_shards(
-                &trace,
-                shards,
-                |_| (0u64, None),
-                |(total, last), chunk| {
-                    // Record i has pc 0x10 + (i % 11) * 8.
-                    for rec in chunk {
-                        assert_eq!(rec.pc, 0x10 + (*total % 11) * 8);
-                        *total += 1;
-                    }
-                    assert!(chunk.len() <= size);
-                    *last = Some(chunk.len());
-                },
-            )
+            let seen = scan_pipelined(&trace, jobs, (0u64, None), |(total, last), chunk| {
+                // Record i has pc 0x10 + (i % 11) * 8.
+                for rec in chunk {
+                    assert_eq!(rec.pc, 0x10 + (*total % 11) * 8);
+                    *total += 1;
+                }
+                assert!(chunk.len() <= size);
+                *last = Some(chunk.len());
+            })
             .expect("scan");
-            let want = (n, Some((n as usize) % size));
-            assert_eq!(seen, vec![want; shards], "shards = {shards}");
+            assert_eq!(seen, (n, Some((n as usize) % size)), "jobs = {jobs}");
         }
     }
 
     #[test]
-    fn shard_of_partitions_and_is_stable() {
-        for shards in [1usize, 2, 7, 64] {
-            for pc in 0..2000u64 {
-                let s = shard_of(pc, shards);
-                assert!(s < shards);
-                assert_eq!(s, shard_of(pc, shards), "stable");
-            }
-        }
-        assert_eq!(shard_of(0xabc, 1), 0);
-    }
-
-    #[test]
-    fn shard_states_come_back_in_shard_order() {
-        let trace = sample_trace(100);
+    fn the_state_steps_on_the_caller_or_on_one_worker() {
+        let trace = sample_trace(CHUNK_RECORDS as u64 * 2);
         let caller = std::thread::current().id();
-        for shards in [0usize, 1, 5] {
-            let states = scan_shards(
-                &trace,
-                shards,
-                |shard| (shard, std::thread::current().id()),
-                |_, _| {},
-            )
+        for jobs in [0usize, 1, 2, 3, 100_000] {
+            let threads = scan_pipelined(&trace, jobs, Vec::new(), |threads, _| {
+                let id = std::thread::current().id();
+                if !threads.contains(&id) {
+                    threads.push(id);
+                }
+            })
             .expect("scan");
-            let ids: Vec<usize> = states.iter().map(|&(shard, _)| shard).collect();
-            assert_eq!(ids, (0..shards.max(1)).collect::<Vec<_>>());
-            // One shard folds on the calling thread; more get a thread each.
-            let on_caller = states.iter().filter(|&&(_, id)| id == caller).count();
-            assert_eq!(on_caller, usize::from(shards <= 1), "{shards} shards");
+            assert_eq!(threads.len(), 1, "jobs {jobs}: one thread steps the state");
+            assert_eq!(threads[0] == caller, jobs <= 1, "jobs {jobs}");
+        }
+    }
+
+    /// A trace delivered 1Ki records at a time that counts the records
+    /// its scans deliver. With a gate `(at, alive)`, it holds back every
+    /// record past the first `at` until `alive`'s value is dropped.
+    struct Gated {
+        trace: Trace,
+        gate: Option<(usize, std::sync::Weak<()>)>,
+        delivered: AtomicUsize,
+    }
+
+    impl TraceSource for Gated {
+        fn scan(&self, visit: &mut dyn FnMut(&[BranchRecord])) -> Result<(), TraceIoError> {
+            for chunk in self.trace.records().chunks(1024) {
+                if let Some((at, alive)) = &self.gate {
+                    while self.delivered.load(Ordering::Relaxed) >= *at && alive.strong_count() > 0
+                    {
+                        std::thread::yield_now();
+                    }
+                }
+                self.delivered.fetch_add(chunk.len(), Ordering::Relaxed);
+                visit(chunk);
+            }
+            Ok(())
         }
     }
 
     #[test]
-    fn an_over_cap_request_runs_max_shards() {
-        let trace = sample_trace(100);
-        for shards in [MAX_SHARDS, MAX_SHARDS + 1, 100_000] {
-            let states = scan_shards(&trace, shards, |shard| shard, |_, _| {}).expect("scan");
+    fn a_step_panic_reaches_the_caller_with_its_own_payload() {
+        // The step panics on the third buffer. Ungated, the producer soon
+        // finds no buffer coming back. Gated, it holds its fourth buffer
+        // part full until the worker has unwound past its channels and
+        // dropped the step, so its next send finds the worker gone.
+        let n = RING_RECORDS * 6;
+        for gated in [false, true] {
+            let alive = std::sync::Arc::new(());
+            let source = Gated {
+                trace: sample_trace(n as u64),
+                gate: gated.then(|| (3 * RING_RECORDS + 1024, std::sync::Arc::downgrade(&alive))),
+                delivered: AtomicUsize::new(0),
+            };
+            let payload = std::panic::catch_unwind(|| {
+                scan_pipelined(&source, 2, 0usize, move |folded, chunk| {
+                    let _step_holds = &alive;
+                    if *folded == 2 * RING_RECORDS {
+                        panic!("step failed after {folded} records");
+                    }
+                    *folded += chunk.len();
+                })
+            })
+            .expect_err("the step's panic reaches the caller");
             assert_eq!(
-                states,
-                (0..MAX_SHARDS).collect::<Vec<_>>(),
-                "{shards} shards"
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some(format!("step failed after {} records", 2 * RING_RECORDS).as_str()),
+                "gated {gated}"
             );
+            // The producer ran its scan to the end rather than stopping on
+            // a panic of its own.
+            assert_eq!(source.delivered.load(Ordering::Relaxed), n);
         }
     }
 
@@ -356,6 +314,8 @@ mod tests {
         assert_eq!(par_threads(4, 37), 4);
         assert_eq!(par_threads(0, 5), 1);
         assert_eq!(par_threads(3, 0), 1);
+        assert_eq!(par_threads(100_000, 10_000), MAX_THREADS);
+        assert_eq!(par_threads(100_000, 7), 7);
         let caller = std::thread::current().id();
         for len in [0usize, 1, 37] {
             let items: Vec<usize> = (0..len).collect();

@@ -1,7 +1,7 @@
 use crate::fx::FxHashMap;
 
 use crate::bps::Words;
-use crate::executor::{scan_shards, shard_of, MAX_SHARDS};
+use crate::executor::scan_pipelined;
 use crate::io::TraceIoError;
 use crate::profile::{BranchProfile, ProfileEntry};
 use crate::record::Pc;
@@ -160,21 +160,12 @@ pub struct BranchStreams {
 impl BranchStreams {
     /// Packs every conditional branch's outcomes in one trace pass.
     pub fn of(trace: &Trace) -> Self {
-        let mut streams: FxHashMap<Pc, OutcomeStream> = FxHashMap::default();
-        let mut total = 0u64;
-        for rec in trace.conditionals() {
-            streams.entry(rec.pc).or_default().push(rec.taken);
-            total += 1;
-        }
-        BranchStreams {
-            streams,
-            total_dynamic: total,
-        }
+        BranchStreams::from_source_sharded(trace, 1).expect("in-memory traces cannot fail to scan")
     }
 
     /// Reassembles an artifact from already-built parts (the `.bps`
-    /// re-open path and the sharded builders' merge). `total_dynamic`
-    /// must equal the summed stream lengths.
+    /// re-open path). `total_dynamic` must equal the summed stream
+    /// lengths.
     pub(crate) fn from_parts(streams: FxHashMap<Pc, OutcomeStream>, total_dynamic: u64) -> Self {
         debug_assert_eq!(
             streams.values().map(|s| s.len() as u64).sum::<u64>(),
@@ -186,11 +177,10 @@ impl BranchStreams {
         }
     }
 
-    /// Builds the artifact in one scan on [`scan_shards`]: each of
-    /// `shards` steps packs the streams of the PCs its shard owns. The
-    /// partial maps are disjoint by PC, so their union — and therefore the
-    /// returned artifact — is identical to [`BranchStreams::of`] on the
-    /// materialized trace, for every shard count.
+    /// As [`BranchStreams::of`], consuming any [`TraceSource`] in one
+    /// scan on [`scan_pipelined`]. `shards` is the threads the scan may
+    /// use: 1 inline, 2 or more pipelined. The artifact is identical for
+    /// every value.
     ///
     /// # Errors
     ///
@@ -199,30 +189,21 @@ impl BranchStreams {
         source: &T,
         shards: usize,
     ) -> Result<Self, TraceIoError> {
-        let shards = shards.min(MAX_SHARDS);
-        let parts = scan_shards(
+        let (streams, total_dynamic) = scan_pipelined(
             source,
             shards,
-            |shard| (shard, FxHashMap::<Pc, OutcomeStream>::default(), 0u64),
-            |(shard, streams, total), chunk| {
-                for rec in chunk {
-                    if rec.is_conditional() && shard_of(rec.pc, shards) == *shard {
-                        streams.entry(rec.pc).or_default().push(rec.taken);
-                        *total += 1;
-                    }
+            (FxHashMap::<Pc, OutcomeStream>::default(), 0u64),
+            |(streams, total), chunk| {
+                for rec in chunk.iter().filter(|rec| rec.is_conditional()) {
+                    streams.entry(rec.pc).or_default().push(rec.taken);
+                    *total += 1;
                 }
             },
         )?;
-        let mut streams: FxHashMap<Pc, OutcomeStream> = FxHashMap::with_capacity_and_hasher(
-            parts.iter().map(|(_, m, _)| m.len()).sum(),
-            Default::default(),
-        );
-        let mut total = 0u64;
-        for (_, part, part_total) in parts {
-            streams.extend(part);
-            total += part_total;
-        }
-        Ok(BranchStreams::from_parts(streams, total))
+        Ok(BranchStreams {
+            streams,
+            total_dynamic,
+        })
     }
 
     /// The stream for a branch, if it executed.

@@ -1,11 +1,12 @@
-//! Every fan-out built on `bp_trace::par_map` must give the same answer
-//! at any thread count. Each one runs at jobs 1, 2 and 7 on small
+//! Every fan-out built on `bp_trace::par_map` or `scan_pipelined` must
+//! give the same answer at any thread count. Each one runs at jobs 1, 2 and 7 on small
 //! targets, and the jobs-2 and jobs-7 results must equal the jobs-1
 //! result: experiments through a prewarmed engine (benchmark fan-out,
 //! trace generation, the oracle search and the sweep materialization
-//! inside it), the candidate, matrix and sweep builders at 1, 2 and 7
-//! shards, the three bp-core parallel kernels against their serial twins,
-//! and a probe sweep.
+//! inside it), the four streaming builders (streams, candidates, matrix,
+//! sweep: one scan inline at jobs 1, pipelined at 2 and 7), the three
+//! bp-core parallel kernels against their serial twins, and a probe
+//! sweep.
 
 use bp_core::{
     Classifier, ClassifierConfig, OracleConfig, OracleSelector, OutcomeMatrix, SweepMatrix,
@@ -70,7 +71,9 @@ fn parallel_kernels_match_their_serial_twins() {
     let classification = Classifier::classify_streams(&streams, &ccfg);
     let oracle = OracleSelector::analyze_matrix(&matrix, &ocfg);
     for jobs in JOBS {
-        // The builders, with `jobs` shards.
+        // The builders, with `jobs` threads per scan.
+        let got = BranchStreams::from_source_sharded(&trace, jobs).expect("in-memory scan");
+        assert!(got == streams, "jobs {jobs}: streams");
         let got =
             TagCandidates::collect_from_source_sharded(&trace, window, cap, &TagScheme::ALL, jobs)
                 .expect("in-memory scan");
@@ -83,7 +86,7 @@ fn parallel_kernels_match_their_serial_twins() {
         for i in 0..windows.len() {
             assert!(
                 got.materialize(i) == sweep.materialize(i),
-                "jobs {jobs}: sharded sweep point {i}"
+                "jobs {jobs}: streamed sweep point {i}"
             );
         }
 

@@ -17,11 +17,9 @@
 //! harness catches it. On divergence, [`minimize`] shrinks the failing
 //! trace with a ddmin-style chunk removal loop before it is reported.
 //!
-//! Two further suites pin the paper-scale machinery: `parallel` diffs the
-//! streaming builders, inline and pipelined, against their in-memory
-//! builds and every parallel kernel (classify, oracle select, sweep
-//! materialization) against its serial twin at several job counts, and
-//! `bps` round-trips the packed `.bps` artifacts through a write → reopen
+//! Two further suites pin the paper-scale machinery: `parallel` diffs
+//! every parallel kernel (classify, oracle select, sweep materialization)
+//! against its serial twin at several job counts, and `bps` round-trips the packed `.bps` artifacts through a write → reopen
 //! cycle and diffs the analysis summary computed from the reopened planes
 //! against the freshly built ones.
 
@@ -353,9 +351,8 @@ fn diff_matrices(label: &str, got: &OutcomeMatrix, want: &OutcomeMatrix) -> Opti
 
 /// Diffs the streaming artifact builders against their materialized
 /// originals on one trace, re-framed at every [`STREAM_CHUNK_SIZES`]
-/// chunk size: the streams, candidate, matrix and sweep builders on one
-/// thread vs their whole-trace builds, and a `BPT2` encode/decode round
-/// trip.
+/// chunk size: the streams, candidate, matrix and sweep builders vs
+/// their whole-trace builds, and a `BPT2` encode/decode round trip.
 pub fn diff_streaming(
     trace: &Trace,
     cfg: &OracleConfig,
@@ -429,20 +426,13 @@ pub fn diff_streaming(
     None
 }
 
-/// Thread counts the parallel suite drives the streaming builders at: a
-/// scan folded inline on the caller (1) and one pipelined to a worker
-/// (2). Every count above 2 runs the same pipeline.
-pub const PARALLEL_SHARDS: [usize; 2] = [1, 2];
-
 /// Job counts the parallel suite drives the parallel analysis kernels at.
 pub const PARALLEL_JOBS: [usize; 3] = [1, 2, 7];
 
-/// Diffs the streaming builders against their in-memory builds and the
-/// parallel analysis kernels against their serial twins on one trace:
-/// streams, candidates, matrix and every sweep point at each
-/// [`PARALLEL_SHARDS`] count (planes must be bit-identical), then
-/// classification, oracle subset search, and sweep materialization at
-/// every [`PARALLEL_JOBS`] count.
+/// Diffs the parallel analysis kernels against their serial twins on one
+/// trace: classification, oracle subset search, and sweep
+/// materialization at every [`PARALLEL_JOBS`] count (planes must be
+/// bit-identical).
 pub fn diff_parallel(
     trace: &Trace,
     cfg: &OracleConfig,
@@ -450,52 +440,10 @@ pub fn diff_parallel(
     windows: &[usize],
     caps: &[usize],
 ) -> Option<String> {
-    let records = trace.records();
-    let source = Rechunked { records, chunk: 64 };
     let want_streams = BranchStreams::of(trace);
     let want_cands = TagCandidates::collect(trace, cfg.window, cfg.candidate_cap);
     let want_matrix = OutcomeMatrix::build(trace, &want_cands, cfg.window);
     let want_sweep = SweepMatrix::build(trace, windows, caps);
-    for &jobs in &PARALLEL_SHARDS {
-        let label = format!("jobs {jobs}");
-
-        let got =
-            BranchStreams::from_source_sharded(&source, jobs).expect("in-memory scans cannot fail");
-        if got != want_streams {
-            return Some(format!("{label}: pipelined BranchStreams differ"));
-        }
-
-        let got = TagCandidates::collect_from_source_sharded(
-            &source,
-            cfg.window,
-            cfg.candidate_cap,
-            &TagScheme::ALL,
-            jobs,
-        )
-        .expect("in-memory scans cannot fail");
-        if got != want_cands {
-            return Some(format!("{label}: pipelined candidates differ"));
-        }
-
-        let got = OutcomeMatrix::build_from_source_sharded(&source, &want_cands, cfg.window, jobs)
-            .expect("in-memory scans cannot fail");
-        if let Some(why) = diff_matrices(&label, &got, &want_matrix) {
-            return Some(format!("pipelined matrix: {why}"));
-        }
-
-        let got = SweepMatrix::build_from_source(&source, windows, caps, jobs)
-            .expect("in-memory scans cannot fail");
-        for (i, window) in windows.iter().enumerate() {
-            if let Some(why) = diff_matrices(
-                &format!("{label} window {window}"),
-                &got.materialize(i),
-                &want_sweep.materialize(i),
-            ) {
-                return Some(format!("pipelined sweep: {why}"));
-            }
-        }
-    }
-
     let want_oracle = OracleSelector::analyze_matrix(&want_matrix, cfg);
     for &jobs in &PARALLEL_JOBS {
         let label = format!("{jobs} jobs");
@@ -807,8 +755,7 @@ mod tests {
 
     #[test]
     fn parallel_and_bps_suites_pass_on_a_long_trace() {
-        // Long enough that the scans cross many 64-record source chunks
-        // and every branch spans multiple plane words.
+        // Long enough that every branch spans multiple plane words.
         let mut recs = Vec::new();
         let mut lcg = 0x9E37_79B9_7F4A_7C15_u64;
         for i in 0..900u64 {

@@ -33,7 +33,7 @@ pub mod laws;
 
 pub use diff::{
     diff_bps, diff_parallel, diff_simd, diff_streaming, minimize, run_case, DiffConfig, Divergence,
-    Kernels, PARALLEL_JOBS, PARALLEL_SHARDS, STREAM_CHUNK_SIZES,
+    Kernels, PARALLEL_JOBS, STREAM_CHUNK_SIZES,
 };
 pub use gen::{corpus, BranchScript, Interleave, NamedTrace, Segment, TraceSpec};
 pub use laws::{all_laws, Law};

@@ -54,10 +54,9 @@ impl TagCandidates {
     }
 
     /// As [`TagCandidates::collect_with_schemes`], consuming any
-    /// [`TraceSource`] in one streaming scan: the sweep builder's first
-    /// pass at one window. `shards` is the threads the scan may use: 1
-    /// inline, 2 or more pipelined. The result is identical for every
-    /// value.
+    /// [`TraceSource`] in one streaming scan folded on the calling thread:
+    /// the sweep builder's first pass at one window. `_shards` does not
+    /// change the scan, and the result is identical for every value.
     ///
     /// # Errors
     ///
@@ -71,12 +70,12 @@ impl TagCandidates {
         window: usize,
         cap: usize,
         schemes: &[TagScheme],
-        shards: usize,
+        _shards: usize,
     ) -> Result<Self, TraceIoError> {
         assert!(cap > 0, "candidate cap must be positive");
         assert!(!schemes.is_empty(), "need at least one tagging scheme");
         // One window needs one visibility count per tag.
-        let (ranked, _) = rank_candidates::<1, _>(source, &[window], &[cap], schemes, shards)?;
+        let (ranked, _) = rank_candidates::<1, _>(source, &[window], &[cap], schemes)?;
         Ok(TagCandidates {
             per_branch: ranked
                 .into_iter()

@@ -166,12 +166,12 @@ impl OutcomeMatrix {
     }
 
     /// As [`OutcomeMatrix::build`], consuming any [`TraceSource`] in one
-    /// streaming scan: the sweep builder's second pass at one window,
-    /// whose planes move into the matrix. `shards` is the threads the
-    /// scan may use: 1 inline, 2 or more pipelined. Working memory is the
-    /// packed planes themselves (~2 bits per candidate per execution);
-    /// the raw records never accumulate, and the matrix is identical for
-    /// every `shards` value.
+    /// streaming scan folded on the calling thread: the sweep builder's
+    /// second pass at one window, whose planes move into the matrix.
+    /// Working memory is the packed planes themselves (~2 bits per
+    /// candidate per execution); the raw records never accumulate.
+    /// `_shards` does not change the scan, and the matrix is identical for
+    /// every value.
     ///
     /// # Errors
     ///
@@ -180,10 +180,10 @@ impl OutcomeMatrix {
         source: &T,
         candidates: &TagCandidates,
         window: usize,
-        shards: usize,
+        _shards: usize,
     ) -> Result<Self, TraceIoError> {
         let columns: Vec<(Pc, &[InstanceTag])> = candidates.iter().collect();
-        let (planes, _) = pack_planes(source, &[window], &columns, shards)?;
+        let (planes, _) = pack_planes(source, &[window], &columns)?;
         let branches = planes
             .into_iter()
             .map(|(pc, sb)| (pc, sb.into_matrix()))

@@ -23,9 +23,10 @@
 //! per-branch column lists, annotating each set in-path bit with its
 //! bucket index in ⌈log2(windows)⌉ side bit-planes — none for one window,
 //! whose planes then move straight into a [`BranchMatrix`]. Each pass is
-//! one fold over one [`scan_pipelined`] scan. [`SweepMatrix::materialize`]
-//! assembles any sweep point's [`OutcomeMatrix`] with a word-wise
-//! bucket-threshold mask, no trace access needed.
+//! one fold over one [`TraceSource::scan`], on the calling thread.
+//! [`SweepMatrix::materialize`] assembles any sweep point's
+//! [`OutcomeMatrix`] with a word-wise bucket-threshold mask, no trace
+//! access needed.
 //!
 //! Each pass names a path window once, not once per execution. A window's
 //! visible tags, outcomes, distances and both §3.2 names are a pure
@@ -64,8 +65,8 @@
 use bp_trace::fx::FxHashMap;
 use bp_trace::io::TraceIoError;
 use bp_trace::{
-    par_map, scan_pipelined, BranchRecord, InstanceTag, PathWindow, Pc, TagScheme, Trace,
-    TraceSource, WindowNamer, WindowSymbol,
+    par_map, BranchRecord, InstanceTag, PathWindow, Pc, TagScheme, Trace, TraceSource, WindowNamer,
+    WindowSymbol,
 };
 
 use crate::matrix::{BranchMatrix, OutcomeMatrix};
@@ -124,10 +125,9 @@ impl SweepMatrix {
     }
 
     /// As [`SweepMatrix::build`], consuming any [`TraceSource`] in two
-    /// streaming scans (visibility bucketing, then plane packing).
-    /// `shards` is the threads each scan may use: 1 inline, 2 or more
-    /// pipelined (see [`scan_pipelined`]). The output is identical for
-    /// every value.
+    /// streaming scans (visibility bucketing, then plane packing), each
+    /// folded on the calling thread. `_shards` does not change the scans,
+    /// and the output is identical for every value.
     ///
     /// # Errors
     ///
@@ -140,20 +140,15 @@ impl SweepMatrix {
         source: &T,
         windows: &[usize],
         caps: &[usize],
-        shards: usize,
+        _shards: usize,
     ) -> Result<Self, TraceIoError> {
-        let (mut ranked, _) = rank_candidates::<MAX_SWEEP_WINDOWS, _>(
-            source,
-            windows,
-            caps,
-            &TagScheme::ALL,
-            shards,
-        )?;
+        let (mut ranked, _) =
+            rank_candidates::<MAX_SWEEP_WINDOWS, _>(source, windows, caps, &TagScheme::ALL)?;
         let columns: Vec<(Pc, &[InstanceTag])> = ranked
             .iter()
             .map(|(pc, (tags, _))| (*pc, &tags[..]))
             .collect();
-        let (mut branches, _) = pack_planes(source, windows, &columns, shards)?;
+        let (mut branches, _) = pack_planes(source, windows, &columns)?;
         for (pc, sb) in &mut branches {
             sb.ranked = ranked.remove(pc).expect("pass 2 packs pass 1's branches").1;
         }
@@ -771,10 +766,11 @@ impl<P: PathPass> PathScan<P> {
     }
 
     /// Every built branch's result, and the folds the caps forced. The
-    /// branches finish one at a time: a branch's remaining paths fold
-    /// into it, the pass finishes it, and its state is dropped before the
-    /// next branch's paths fold. So pass 1 never holds every branch's
-    /// folded counts at once.
+    /// paths left since the last cap fold are folded and finished one
+    /// branch at a time: a branch's remaining paths fold into it, the pass
+    /// finishes it, and its state is dropped before the next branch's
+    /// paths fold. A cap fold during the scan folds every branch's paths,
+    /// and those counts stay until their branch finishes here.
     fn finish(mut self, pass: &P) -> (FxHashMap<Pc, P::Done>, usize) {
         let mut paths = std::mem::take(&mut self.paths);
         // (branch, context) for every context but the empty path, in
@@ -1171,17 +1167,15 @@ impl<const B: usize> PathPass for Rank<'_, B> {
 /// branch's [`SlotTable`], found by its prior's dense id, so no visible
 /// tag costs a hash probe. Each branch is ranked once its last paths
 /// fold, and its counts are dropped before the next branch's paths fold.
-/// `shards` is the threads the scan may use (see [`scan_pipelined`]).
 ///
 /// # Panics
 ///
 /// As [`SweepMatrix::build`].
-pub(crate) fn rank_candidates<const B: usize, T: TraceSource + Sync + ?Sized>(
+pub(crate) fn rank_candidates<const B: usize, T: TraceSource + ?Sized>(
     source: &T,
     windows: &[usize],
     caps: &[usize],
     schemes: &[TagScheme],
-    shards: usize,
 ) -> Result<(FxHashMap<Pc, Ranked>, usize), TraceIoError> {
     let (window, bucket_of) = window_buckets(windows);
     assert!(windows.len() <= B, "one count bucket per window");
@@ -1201,9 +1195,8 @@ pub(crate) fn rank_candidates<const B: usize, T: TraceSource + Sync + ?Sized>(
         caps,
         schemes,
     };
-    let scan = scan_pipelined(source, shards, PathScan::new(window), |scan, chunk| {
-        scan.step(chunk, &pass);
-    })?;
+    let mut scan = PathScan::new(window);
+    source.scan(&mut |chunk| scan.step(chunk, &pass))?;
     Ok(scan.finish(&pass))
 }
 
@@ -1435,8 +1428,7 @@ impl<const W: usize> PathPass for Pack<'_, W> {
 /// tags), resolved at the largest of `windows`, with [`bucket_bits`]
 /// bucket planes, and counts the folds the automaton's caps forced. A
 /// listed branch that never executes keeps zero executions. `ranked` is
-/// left empty for the caller to attach. `shards` is the threads the scan
-/// may use (see [`scan_pipelined`]).
+/// left empty for the caller to attach.
 ///
 /// The scan interns the listed branches and their candidates' priors
 /// before it starts, so a column is found by direct indexing on (prior
@@ -1446,25 +1438,23 @@ impl<const W: usize> PathPass for Pack<'_, W> {
 /// # Panics
 ///
 /// As [`SweepMatrix::build`], for `windows`.
-pub(crate) fn pack_planes<T: TraceSource + Sync + ?Sized>(
+pub(crate) fn pack_planes<T: TraceSource + ?Sized>(
     source: &T,
     windows: &[usize],
     columns: &[(Pc, &[InstanceTag])],
-    shards: usize,
 ) -> Result<(FxHashMap<Pc, SweepBranch>, usize), TraceIoError> {
     if windows.len() == 1 {
-        pack::<2, T>(source, windows, columns, shards)
+        pack::<2, T>(source, windows, columns)
     } else {
-        pack::<{ 2 + BUCKET_BITS }, T>(source, windows, columns, shards)
+        pack::<{ 2 + BUCKET_BITS }, T>(source, windows, columns)
     }
 }
 
 /// [`pack_planes`] with `W`-word tiles.
-fn pack<const W: usize, T: TraceSource + Sync + ?Sized>(
+fn pack<const W: usize, T: TraceSource + ?Sized>(
     source: &T,
     windows: &[usize],
     columns: &[(Pc, &[InstanceTag])],
-    shards: usize,
 ) -> Result<(FxHashMap<Pc, SweepBranch>, usize), TraceIoError> {
     let (window, bucket_of) = window_buckets(windows);
     let bits = bucket_bits(windows.len());
@@ -1476,7 +1466,7 @@ fn pack<const W: usize, T: TraceSource + Sync + ?Sized>(
         let builder = PlaneBuilder::<W>::new(pc, tags, bits, |prior| scan.id(prior).0);
         scan.build(pc, builder);
     }
-    let scan = scan_pipelined(source, shards, scan, |scan, chunk| scan.step(chunk, &pass))?;
+    source.scan(&mut |chunk| scan.step(chunk, &pass))?;
     Ok(scan.finish(&pass))
 }
 
@@ -1758,13 +1748,10 @@ mod tests {
 
         let windows = [16, 1024, widest];
         let caps = [8, 16, 24];
-        for jobs in [1, 3] {
-            let sweep = SweepMatrix::build_from_source(&trace, &windows, &caps, jobs)
-                .expect("in-memory scan");
-            for (i, (&n, &cap)) in windows.iter().zip(&caps).enumerate() {
-                let want = reference::outcome_matrix(&trace, n, cap, &TagScheme::ALL);
-                assert_eq!(sweep.materialize(i), want, "window {n}, jobs {jobs}");
-            }
+        let sweep = SweepMatrix::build(&trace, &windows, &caps);
+        for (i, (&n, &cap)) in windows.iter().zip(&caps).enumerate() {
+            let want = reference::outcome_matrix(&trace, n, cap, &TagScheme::ALL);
+            assert_eq!(sweep.materialize(i), want, "window {n}");
         }
     }
 
@@ -1788,55 +1775,46 @@ mod tests {
         Trace::from_records(records.collect())
     }
 
-    /// Asserts that at jobs 1, 2 and 3 a one-window build at the largest
-    /// window (the two passes `TagCandidates` and `OutcomeMatrix` wrap)
-    /// and a sweep over all three equal the reference, and returns the
-    /// folds the caps forced in each job count's one-window build.
-    fn builds_match_reference(trace: &Trace, windows: [usize; 3], caps: [usize; 3]) -> Vec<usize> {
+    /// Asserts that a one-window build at the largest window (the two
+    /// passes `TagCandidates` and `OutcomeMatrix` wrap) and a sweep over
+    /// all three equal the reference, and returns the folds the caps
+    /// forced in the one-window build.
+    fn builds_match_reference(trace: &Trace, windows: [usize; 3], caps: [usize; 3]) -> usize {
         let want: Vec<OutcomeMatrix> = windows
             .iter()
             .zip(&caps)
             .map(|(&n, &cap)| reference::outcome_matrix(trace, n, cap, &TagScheme::ALL))
             .collect();
         let (n, cap) = (windows[2], caps[2]);
-        (1..=3)
-            .map(|jobs| {
-                let (ranked, rank_folds) =
-                    rank_candidates::<1, _>(trace, &[n], &[cap], &TagScheme::ALL, jobs)
-                        .expect("in-memory scan");
-                let columns: Vec<(Pc, &[InstanceTag])> = ranked
-                    .iter()
-                    .map(|(pc, (tags, _))| (*pc, &tags[..]))
-                    .collect();
-                let (planes, pack_folds) =
-                    pack_planes(trace, &[n], &columns, jobs).expect("in-memory scan");
-                let matrix = OutcomeMatrix::from_parts(
-                    planes
-                        .into_iter()
-                        .map(|(pc, sb)| (pc, sb.into_matrix()))
-                        .collect(),
-                    n,
-                );
-                assert_eq!(matrix, want[2], "window {n}, jobs {jobs}");
-                let sweep = SweepMatrix::build_from_source(trace, &windows, &caps, jobs)
-                    .expect("in-memory scan");
-                for (i, want) in want.iter().enumerate() {
-                    assert_eq!(&sweep.materialize(i), want, "point {i}, jobs {jobs}");
-                }
-                rank_folds + pack_folds
-            })
-            .collect()
+        let (ranked, rank_folds) =
+            rank_candidates::<1, _>(trace, &[n], &[cap], &TagScheme::ALL).expect("in-memory scan");
+        let columns: Vec<(Pc, &[InstanceTag])> = ranked
+            .iter()
+            .map(|(pc, (tags, _))| (*pc, &tags[..]))
+            .collect();
+        let (planes, pack_folds) = pack_planes(trace, &[n], &columns).expect("in-memory scan");
+        let matrix = OutcomeMatrix::from_parts(
+            planes
+                .into_iter()
+                .map(|(pc, sb)| (pc, sb.into_matrix()))
+                .collect(),
+            n,
+        );
+        assert_eq!(matrix, want[2], "window {n}");
+        let sweep = SweepMatrix::build(trace, &windows, &caps);
+        for (i, want) in want.iter().enumerate() {
+            assert_eq!(&sweep.materialize(i), want, "point {i}");
+        }
+        rank_folds + pack_folds
     }
 
     #[test]
     fn builds_that_cross_the_automaton_cap_match_reference() {
         // Nearly every path is new, so the automaton reaches its context
-        // cap several times in each pass, at every job count.
+        // cap several times in each pass.
         let trace = random_trace(6 * MAX_CONTEXTS, 300);
         let folds = builds_match_reference(&trace, [16, 40, 64], [4, 6, 8]);
-        for (jobs, &folds) in (1..).zip(&folds) {
-            assert!(folds >= 8, "jobs {jobs} folded {folds} times");
-        }
+        assert!(folds >= 8, "folded {folds} times");
     }
 
     #[test]
@@ -1845,7 +1823,7 @@ mod tests {
         // automaton folds with the window's 1025 prefixes beyond its cap.
         let trace = random_trace(1_500, 300);
         let folds = builds_match_reference(&trace, [16, 64, 1024], [4, 6, 8]);
-        assert!(folds.iter().all(|&f| f > 0), "folds {folds:?}");
+        assert!(folds > 0, "folded {folds} times");
     }
 
     #[test]

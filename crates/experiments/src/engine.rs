@@ -327,7 +327,7 @@ impl Engine {
         self.jobs
     }
 
-    /// The thread budget a nested build or search may claim right now: the
+    /// The thread budget a nested kernel may claim right now: the
     /// calling thread plus whatever workers the benchmark-level fan-out
     /// currently leaves idle, never more than `--jobs`. Every nested
     /// kernel produces results identical to its serial twin for any
@@ -471,22 +471,17 @@ impl Engine {
             || {
                 let source = self.source(benchmark);
                 let t0 = Instant::now();
-                let shards = self.nested_budget();
                 let candidates = TagCandidates::collect_from_source_sharded(
                     &source,
                     cfg.window,
                     cfg.candidate_cap,
                     &TagScheme::ALL,
-                    shards,
+                    1,
                 )
                 .expect("trace stream failed");
-                let matrix = OutcomeMatrix::build_from_source_sharded(
-                    &source,
-                    &candidates,
-                    cfg.window,
-                    shards,
-                )
-                .expect("trace stream failed");
+                let matrix =
+                    OutcomeMatrix::build_from_source_sharded(&source, &candidates, cfg.window, 1)
+                        .expect("trace stream failed");
                 let built = OraclePhaseStats {
                     matrix_seconds: t0.elapsed().as_secs_f64(),
                     builds: 1,
@@ -549,7 +544,7 @@ impl Engine {
                                     &self.source(benchmark),
                                     windows,
                                     caps,
-                                    self.nested_budget(),
+                                    1,
                                 )
                                 .expect("trace stream failed");
                                 self.record_oracle_phases(
@@ -631,8 +626,8 @@ impl Engine {
             .get_or_compute(benchmark, &self.cache.hits, &self.cache.misses, || {
                 let source = self.source(benchmark);
                 let t0 = Instant::now();
-                let streams = BranchStreams::from_source_sharded(&source, self.nested_budget())
-                    .expect("trace stream failed");
+                let streams =
+                    BranchStreams::from_source_sharded(&source, 1).expect("trace stream failed");
                 self.record_classify_phases(benchmark, t0.elapsed().as_secs_f64(), 0.0, 0.0, 0);
                 streams
             })

@@ -5,7 +5,7 @@
 //! scale --bench m88ksim --target 100m            classification + oracle, streamed
 //! scale --bench gcc --target 2m --materialized   same run via the in-memory path
 //! scale --target 1b --skip-oracle                classification only
-//! scale --target 100m --jobs 8                   pipelined scans + parallel kernels
+//! scale --target 100m --jobs 8                   parallel classify + oracle search
 //! scale --target 1b --artifacts DIR              reuse packed .bps artifacts (mmap)
 //! scale --artifacts DIR --artifacts-budget-gb 2  cap the store, LRU-evict over budget
 //! ```
@@ -13,10 +13,11 @@
 //! The artifact summary [`run`] writes is deterministic and identical
 //! between the streaming and `--materialized` paths, for every `--jobs`
 //! value, and whether artifacts were rebuilt or re-opened (CI diffs all
-//! of these); wall-clock per phase — with the thread count that produced
-//! it — and peak resident memory go to stderr. In streaming mode the full
-//! trace never exists in memory — the workload is regenerated chunk by
-//! chunk on every scan. With `--artifacts DIR` the packed streams and
+//! of these); wall-clock per phase — with the thread count of each
+//! parallel phase; a trace scan runs on the calling thread — and peak
+//! resident memory go to stderr. In streaming mode the full trace never
+//! exists in memory — the workload is regenerated chunk by chunk on
+//! every scan. With `--artifacts DIR` the packed streams and
 //! oracle matrix are persisted as `.bps` files on first use and re-opened
 //! zero-copy afterwards; a rotten artifact is evicted with a one-line
 //! notice and rebuilt. `--artifacts-budget-gb` caps the store: when a
@@ -137,9 +138,6 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
     let Options {
         bench, cfg, jobs, ..
     } = *opts;
-    // A trace scan folds inline, or on one worker while this thread
-    // regenerates the trace.
-    let scan_threads = jobs.min(2);
     let oracle_cfg = &opts.oracle;
     let mut traces = TraceSet::new(cfg);
     if opts.materialized {
@@ -187,15 +185,12 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
             streams
         }
         None => {
-            let streams = BranchStreams::from_source_sharded(&source, jobs)
+            let streams = BranchStreams::from_source_sharded(&source, 1)
                 .map_err(|e| RunError::Failed(format!("trace scan failed: {e}")))?;
             if let Some(store) = &store {
                 store.save_streams(bench.name(), &streams, streams_fp);
             }
-            eprintln!(
-                "[streams: {:.1}s, {scan_threads} threads]",
-                t0.elapsed().as_secs_f64()
-            );
+            eprintln!("[streams: {:.1}s]", t0.elapsed().as_secs_f64());
             streams
         }
     };
@@ -266,19 +261,16 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
                     oracle_cfg.window,
                     oracle_cfg.candidate_cap,
                     &TagScheme::ALL,
-                    jobs,
+                    1,
                 )
                 .map_err(|e| RunError::Failed(format!("candidate scan failed: {e}")))?;
-                eprintln!(
-                    "[oracle candidates: {:.1}s, {scan_threads} threads]",
-                    t0.elapsed().as_secs_f64()
-                );
+                eprintln!("[oracle candidates: {:.1}s]", t0.elapsed().as_secs_f64());
                 let t0 = Instant::now();
                 let matrix = OutcomeMatrix::build_from_source_sharded(
                     &source,
                     &candidates,
                     oracle_cfg.window,
-                    jobs,
+                    1,
                 )
                 .map_err(|e| RunError::Failed(format!("matrix scan failed: {e}")))?;
                 if let Some(store) = &store {
@@ -290,10 +282,7 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
                         matrix_fp,
                     );
                 }
-                eprintln!(
-                    "[oracle matrix: {:.1}s, {scan_threads} threads]",
-                    t0.elapsed().as_secs_f64()
-                );
+                eprintln!("[oracle matrix: {:.1}s]", t0.elapsed().as_secs_f64());
                 matrix
             }
         };

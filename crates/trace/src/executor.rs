@@ -1,124 +1,18 @@
-//! The workspace's two fan-out shapes: [`scan_pipelined`], one scan of a
-//! [`TraceSource`] folded into one state, and [`par_map`], an ordered map
-//! over independent items (benchmarks, static branches, probe grid
-//! points).
+//! The workspace's fan-out: [`par_map`], an ordered map over
+//! independent items (benchmarks, static branches, probe grid points),
+//! on at most [`MAX_THREADS`] threads however large `jobs` is.
 //!
-//! A scan is one fold in trace order: the stream packer and the
-//! builders' window-context automaton each keep one state that every
-//! record steps. So a scan splits by stage, not by branch. At `jobs` ≤ 1
-//! the calling thread folds the source's chunks itself. At more, the
-//! calling thread is the producer: it generates the trace and repacks
-//! its records into a ring of three recycled 16Ki-record buffers, and
-//! one worker thread folds each full buffer into the state. The worker
-//! sees every record in order, so the state is the inline fold's for
-//! every `jobs` value, by construction; the conformance `parallel` suite
-//! diffs it continuously.
-//!
-//! Two bounded channels carry the buffers, full ones to the worker and
-//! emptied ones back. At most three buffers (384 KiB each) exist at
-//! once, and a slow worker stalls the producer rather than letting
-//! records pile up.
-//!
-//! [`par_map`] runs at most [`MAX_THREADS`] threads, however large
-//! `jobs` is, and a scan at most one besides the caller.
+//! A trace scan is not fanned out. The stream packer and the builders'
+//! window-context automaton each keep one state that every record steps
+//! in trace order, so a scan is one [`crate::TraceSource::scan`] fold on
+//! the calling thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
-
-use crate::io::TraceIoError;
-use crate::record::BranchRecord;
-use crate::source::TraceSource;
 
 /// The most threads a fan-out runs: [`par_threads`]'s bound, and
 /// `bp-serve`'s for `--workers`. A huge `--jobs` must not become a thread
 /// per static branch.
 pub const MAX_THREADS: usize = 256;
-
-/// Records per ring buffer. A quarter of a source chunk
-/// ([`crate::CHUNK_RECORDS`]) keeps the ring small next to the scan's
-/// own state, and a buffer still amortises a channel send over 16Ki
-/// records.
-const RING_RECORDS: usize = 16 * 1024;
-
-/// Buffers in the ring: one filling, one folding, one between them.
-const RING_BUFFERS: usize = 3;
-
-/// Folds `step` over `source`'s records, in trace order, into `state`
-/// and returns it. At `jobs` ≤ 1 the calling thread folds the source's
-/// chunks; at more, one worker thread folds the 16Ki-record buffers the
-/// calling thread repacks them into, as the module docs describe. `step`
-/// sees the same records in the same order either way, so the result is
-/// the same for every `jobs` value.
-///
-/// # Errors
-///
-/// Propagates the source's scan error, once the worker has stopped.
-///
-/// # Panics
-///
-/// A panic in `step` reaches the caller with its own payload, once the
-/// producer has finished its scan (the records after the panic are
-/// dropped unfolded).
-pub fn scan_pipelined<S, W>(
-    source: &S,
-    jobs: usize,
-    mut state: W,
-    mut step: impl FnMut(&mut W, &[BranchRecord]) + Send,
-) -> Result<W, TraceIoError>
-where
-    S: TraceSource + ?Sized,
-    W: Send,
-{
-    if jobs <= 1 {
-        source.scan(&mut |chunk| step(&mut state, chunk))?;
-        return Ok(state);
-    }
-    std::thread::scope(|scope| {
-        // Both channels live in this closure, so a panicking producer
-        // drops them and the worker stops before the scope joins it.
-        let (full_tx, full_rx) = sync_channel::<Vec<BranchRecord>>(RING_BUFFERS);
-        let (free_tx, free_rx) = sync_channel::<Vec<BranchRecord>>(RING_BUFFERS);
-        for _ in 1..RING_BUFFERS {
-            free_tx
-                .send(Vec::with_capacity(RING_RECORDS))
-                .expect("the free list has room for every buffer");
-        }
-        let worker = scope.spawn(move || {
-            for mut records in full_rx {
-                step(&mut state, &records);
-                records.clear();
-                // Never blocks: the free list has room for every buffer.
-                // It fails only once the producer is gone.
-                let _ = free_tx.send(records);
-            }
-            state
-        });
-
-        // The buffer being filled; `None` once the worker has gone (its
-        // step panicked), after which the records are dropped.
-        let mut cur = Some(Vec::with_capacity(RING_RECORDS));
-        let scanned = source.scan(&mut |mut recs: &[BranchRecord]| {
-            while !recs.is_empty() {
-                let Some(buf) = cur.as_mut() else { return };
-                let take = (RING_RECORDS - buf.len()).min(recs.len());
-                buf.extend_from_slice(&recs[..take]);
-                recs = &recs[take..];
-                if buf.len() == RING_RECORDS {
-                    let full = std::mem::take(buf);
-                    cur = full_tx.send(full).ok().and_then(|()| free_rx.recv().ok());
-                }
-            }
-        });
-        if let Some(rest) = cur.filter(|rest| !rest.is_empty()) {
-            let _ = full_tx.send(rest);
-        }
-        drop(full_tx); // the worker folds what is queued, then returns
-        let state = worker
-            .join()
-            .unwrap_or_else(|p| std::panic::resume_unwind(p));
-        scanned.map(|()| state)
-    })
-}
 
 /// Threads [`par_map`] runs `len` items on at a `jobs` budget: at least
 /// one, and never more than there are items or [`MAX_THREADS`].
@@ -194,119 +88,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::CHUNK_RECORDS;
-    use crate::trace::Trace;
-
-    fn sample_trace(n: u64) -> Trace {
-        Trace::from_records(
-            (0..n)
-                .map(|i| BranchRecord::conditional(0x10 + (i % 11) * 8, i % 3 == 0))
-                .collect(),
-        )
-    }
-
-    #[test]
-    fn the_scan_sees_every_record_in_order() {
-        let n = CHUNK_RECORDS as u64 * 2 + 12345;
-        let trace = sample_trace(n);
-        for jobs in [1usize, 2, 3, 100_000] {
-            // Inline, the scan folds the source's chunks; pipelined, the
-            // ring's.
-            let size = if jobs == 1 {
-                CHUNK_RECORDS
-            } else {
-                RING_RECORDS
-            };
-            let seen = scan_pipelined(&trace, jobs, (0u64, None), |(total, last), chunk| {
-                // Record i has pc 0x10 + (i % 11) * 8.
-                for rec in chunk {
-                    assert_eq!(rec.pc, 0x10 + (*total % 11) * 8);
-                    *total += 1;
-                }
-                assert!(chunk.len() <= size);
-                *last = Some(chunk.len());
-            })
-            .expect("scan");
-            assert_eq!(seen, (n, Some((n as usize) % size)), "jobs = {jobs}");
-        }
-    }
-
-    #[test]
-    fn the_state_steps_on_the_caller_or_on_one_worker() {
-        let trace = sample_trace(CHUNK_RECORDS as u64 * 2);
-        let caller = std::thread::current().id();
-        for jobs in [0usize, 1, 2, 3, 100_000] {
-            let threads = scan_pipelined(&trace, jobs, Vec::new(), |threads, _| {
-                let id = std::thread::current().id();
-                if !threads.contains(&id) {
-                    threads.push(id);
-                }
-            })
-            .expect("scan");
-            assert_eq!(threads.len(), 1, "jobs {jobs}: one thread steps the state");
-            assert_eq!(threads[0] == caller, jobs <= 1, "jobs {jobs}");
-        }
-    }
-
-    /// A trace delivered 1Ki records at a time that counts the records
-    /// its scans deliver. With a gate `(at, alive)`, it holds back every
-    /// record past the first `at` until `alive`'s value is dropped.
-    struct Gated {
-        trace: Trace,
-        gate: Option<(usize, std::sync::Weak<()>)>,
-        delivered: AtomicUsize,
-    }
-
-    impl TraceSource for Gated {
-        fn scan(&self, visit: &mut dyn FnMut(&[BranchRecord])) -> Result<(), TraceIoError> {
-            for chunk in self.trace.records().chunks(1024) {
-                if let Some((at, alive)) = &self.gate {
-                    while self.delivered.load(Ordering::Relaxed) >= *at && alive.strong_count() > 0
-                    {
-                        std::thread::yield_now();
-                    }
-                }
-                self.delivered.fetch_add(chunk.len(), Ordering::Relaxed);
-                visit(chunk);
-            }
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn a_step_panic_reaches_the_caller_with_its_own_payload() {
-        // The step panics on the third buffer. Ungated, the producer soon
-        // finds no buffer coming back. Gated, it holds its fourth buffer
-        // part full until the worker has unwound past its channels and
-        // dropped the step, so its next send finds the worker gone.
-        let n = RING_RECORDS * 6;
-        for gated in [false, true] {
-            let alive = std::sync::Arc::new(());
-            let source = Gated {
-                trace: sample_trace(n as u64),
-                gate: gated.then(|| (3 * RING_RECORDS + 1024, std::sync::Arc::downgrade(&alive))),
-                delivered: AtomicUsize::new(0),
-            };
-            let payload = std::panic::catch_unwind(|| {
-                scan_pipelined(&source, 2, 0usize, move |folded, chunk| {
-                    let _step_holds = &alive;
-                    if *folded == 2 * RING_RECORDS {
-                        panic!("step failed after {folded} records");
-                    }
-                    *folded += chunk.len();
-                })
-            })
-            .expect_err("the step's panic reaches the caller");
-            assert_eq!(
-                payload.downcast_ref::<String>().map(String::as_str),
-                Some(format!("step failed after {} records", 2 * RING_RECORDS).as_str()),
-                "gated {gated}"
-            );
-            // The producer ran its scan to the end rather than stopping on
-            // a panic of its own.
-            assert_eq!(source.delivered.load(Ordering::Relaxed), n);
-        }
-    }
 
     #[test]
     fn par_map_keeps_input_order_on_par_threads_threads() {

@@ -66,7 +66,7 @@ mod trace;
 mod window;
 
 pub use bps::{BpsBytes, BpsError, Words};
-pub use executor::{par_map, par_threads, scan_pipelined, MAX_THREADS};
+pub use executor::{par_map, par_threads, MAX_THREADS};
 pub use fx::{FxHashMap, FxHashSet};
 pub use profile::{BranchProfile, ProfileEntry};
 pub use record::{BranchKind, BranchRecord, Pc};

@@ -1,7 +1,6 @@
 use crate::fx::FxHashMap;
 
 use crate::bps::Words;
-use crate::executor::scan_pipelined;
 use crate::io::TraceIoError;
 use crate::profile::{BranchProfile, ProfileEntry};
 use crate::record::Pc;
@@ -160,7 +159,16 @@ pub struct BranchStreams {
 impl BranchStreams {
     /// Packs every conditional branch's outcomes in one trace pass.
     pub fn of(trace: &Trace) -> Self {
-        BranchStreams::from_source_sharded(trace, 1).expect("in-memory traces cannot fail to scan")
+        let mut streams: FxHashMap<Pc, OutcomeStream> = FxHashMap::default();
+        let mut total = 0u64;
+        for rec in trace.conditionals() {
+            streams.entry(rec.pc).or_default().push(rec.taken);
+            total += 1;
+        }
+        BranchStreams {
+            streams,
+            total_dynamic: total,
+        }
     }
 
     /// Reassembles an artifact from already-built parts (the `.bps`
@@ -178,28 +186,24 @@ impl BranchStreams {
     }
 
     /// As [`BranchStreams::of`], consuming any [`TraceSource`] in one
-    /// scan on [`scan_pipelined`]. `shards` is the threads the scan may
-    /// use: 1 inline, 2 or more pipelined. The artifact is identical for
-    /// every value.
+    /// scan folded on the calling thread. `_shards` does not change the
+    /// scan, and the artifact is identical for every value.
     ///
     /// # Errors
     ///
     /// Propagates the source's scan error.
     pub fn from_source_sharded<T: TraceSource + Sync + ?Sized>(
         source: &T,
-        shards: usize,
+        _shards: usize,
     ) -> Result<Self, TraceIoError> {
-        let (streams, total_dynamic) = scan_pipelined(
-            source,
-            shards,
-            (FxHashMap::<Pc, OutcomeStream>::default(), 0u64),
-            |(streams, total), chunk| {
-                for rec in chunk.iter().filter(|rec| rec.is_conditional()) {
-                    streams.entry(rec.pc).or_default().push(rec.taken);
-                    *total += 1;
-                }
-            },
-        )?;
+        let mut streams = FxHashMap::<Pc, OutcomeStream>::default();
+        let mut total_dynamic = 0u64;
+        source.scan(&mut |chunk| {
+            for rec in chunk.iter().filter(|rec| rec.is_conditional()) {
+                streams.entry(rec.pc).or_default().push(rec.taken);
+                total_dynamic += 1;
+            }
+        })?;
         Ok(BranchStreams {
             streams,
             total_dynamic,

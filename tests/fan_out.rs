@@ -1,12 +1,11 @@
-//! Every fan-out built on `bp_trace::par_map` or `scan_pipelined` must
-//! give the same answer at any thread count. Each one runs at jobs 1, 2 and 7 on small
+//! Every fan-out built on `bp_trace::par_map` must give the same answer
+//! at any thread count. Each one runs at jobs 1, 2 and 7 on small
 //! targets, and the jobs-2 and jobs-7 results must equal the jobs-1
 //! result: experiments through a prewarmed engine (benchmark fan-out,
 //! trace generation, the oracle search and the sweep materialization
-//! inside it), the four streaming builders (streams, candidates, matrix,
-//! sweep: one scan inline at jobs 1, pipelined at 2 and 7), the three
-//! bp-core parallel kernels against their serial twins, and a probe
-//! sweep.
+//! inside it), the three bp-core parallel kernels against their serial
+//! twins, and a probe sweep. The streamed `BranchStreams` build, on
+//! which the classifier runs, is checked against its in-memory twin.
 
 use bp_core::{
     Classifier, ClassifierConfig, OracleConfig, OracleSelector, OutcomeMatrix, SweepMatrix,
@@ -14,7 +13,7 @@ use bp_core::{
 };
 use bp_experiments::{run_experiment, Engine, ExperimentConfig, TraceSet};
 use bp_probe::{run_sweep, ProbeKind, SweepConfig, ZooConfig};
-use bp_trace::{BranchStreams, TagScheme, Trace};
+use bp_trace::{BranchStreams, Trace};
 use bp_workloads::{Benchmark, WorkloadConfig};
 
 const JOBS: [usize; 3] = [1, 2, 7];
@@ -68,28 +67,15 @@ fn parallel_kernels_match_their_serial_twins() {
     let (windows, caps) = ([8, 16], [32, 48]);
     let sweep = SweepMatrix::build(&trace, &windows, &caps);
 
+    // xlisp records calls and returns, which the streamed build must skip
+    // as `BranchStreams::of` does.
+    let xlisp = Benchmark::Xlisp.generate(&workload());
+    let got = BranchStreams::from_source_sharded(&xlisp, 1).expect("in-memory scan");
+    assert!(got == BranchStreams::of(&xlisp), "streamed xlisp streams");
+
     let classification = Classifier::classify_streams(&streams, &ccfg);
     let oracle = OracleSelector::analyze_matrix(&matrix, &ocfg);
     for jobs in JOBS {
-        // The builders, with `jobs` threads per scan.
-        let got = BranchStreams::from_source_sharded(&trace, jobs).expect("in-memory scan");
-        assert!(got == streams, "jobs {jobs}: streams");
-        let got =
-            TagCandidates::collect_from_source_sharded(&trace, window, cap, &TagScheme::ALL, jobs)
-                .expect("in-memory scan");
-        assert!(got == cands, "jobs {jobs}: candidates");
-        let got = OutcomeMatrix::build_from_source_sharded(&trace, &cands, window, jobs)
-            .expect("in-memory scan");
-        assert!(got == matrix, "jobs {jobs}: matrix");
-        let got =
-            SweepMatrix::build_from_source(&trace, &windows, &caps, jobs).expect("in-memory scan");
-        for i in 0..windows.len() {
-            assert!(
-                got.materialize(i) == sweep.materialize(i),
-                "jobs {jobs}: streamed sweep point {i}"
-            );
-        }
-
         let (got, _) = Classifier::classify_streams_parallel(&streams, &ccfg, jobs);
         assert_eq!(got, classification, "jobs {jobs}: classification");
 

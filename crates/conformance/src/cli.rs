@@ -80,7 +80,7 @@ impl Options {
         let mut opts = Options {
             command,
             seed: 0xC0F0,
-            cases: 48,
+            cases: 49,
             budget: None,
             repro_dir: PathBuf::from("target/conformance"),
             goldens: None,

@@ -19,7 +19,8 @@
 //!
 //! Two further suites pin the paper-scale machinery: `parallel` diffs
 //! every parallel kernel (classify, oracle select, sweep materialization)
-//! against its serial twin at several job counts, and `bps` round-trips the packed `.bps` artifacts through a write → reopen
+//! at one job against the same kernel at several job counts, and `bps`
+//! round-trips the packed `.bps` artifacts through a write → reopen
 //! cycle and diffs the analysis summary computed from the reopened planes
 //! against the freshly built ones.
 
@@ -392,7 +393,7 @@ pub fn diff_streaming(
             return Some(format!("streamed matrix: {why}"));
         }
 
-        let got_sweep = SweepMatrix::build_from_source(&source, windows, caps, 1)
+        let got_sweep = SweepMatrix::build_from_source(&source, windows, caps)
             .expect("re-chunked scans cannot fail");
         for (i, window) in windows.iter().enumerate() {
             if let Some(why) = diff_matrices(
@@ -429,9 +430,9 @@ pub fn diff_streaming(
 /// Job counts the parallel suite drives the parallel analysis kernels at.
 pub const PARALLEL_JOBS: [usize; 3] = [1, 2, 7];
 
-/// Diffs the parallel analysis kernels against their serial twins on one
-/// trace: classification, oracle subset search, and sweep
-/// materialization at every [`PARALLEL_JOBS`] count (planes must be
+/// Diffs the parallel analysis kernels at one job against themselves at
+/// every [`PARALLEL_JOBS`] count on one trace: classification, oracle
+/// subset search, and sweep materialization (planes must be
 /// bit-identical).
 pub fn diff_parallel(
     trace: &Trace,

@@ -7,12 +7,13 @@
 //! module re-exports it and keeps what is conformance-specific: the
 //! canned set of known-nasty cases and the seeded generator that mixes
 //! them with random compositions drawn from adversarial parameter
-//! ranges. Every canned case is byte-identical to its pre-relocation
-//! expansion (pinned by `tests/dsl_relocation.rs`).
+//! ranges. Every canned case the DSL builds is byte-identical to its
+//! pre-relocation expansion (pinned, with the one case spliced from
+//! records, by `tests/dsl_relocation.rs`).
 
 pub use bp_trace::script::{BranchScript, Interleave, Segment, TraceSpec};
 
-use bp_trace::Trace;
+use bp_trace::{BranchKind, BranchRecord, Trace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -143,6 +144,29 @@ fn canned_cases() -> Vec<NamedTrace> {
         }
         .build(),
     });
+    // The correlated pair with calls, jumps and returns between its
+    // records, which every builder and predictor must skip. The DSL
+    // emits conditional records only, so this case is spliced by hand.
+    let mut records = Vec::new();
+    for (i, &rec) in cases[cases.len() - 1].trace.records().iter().enumerate() {
+        records.push(rec);
+        let kind = match i % 5 {
+            0 => BranchKind::Call,
+            2 => BranchKind::Jump,
+            3 => BranchKind::Return,
+            _ => continue,
+        };
+        records.push(BranchRecord {
+            pc: 0x300 + 4 * (i % 5) as u64,
+            target: 0x900,
+            taken: true,
+            kind,
+        });
+    }
+    cases.push(NamedTrace {
+        name: "calls-jumps-returns".to_owned(),
+        trace: Trace::from_records(records),
+    });
     cases
 }
 
@@ -271,9 +295,9 @@ mod tests {
     }
 
     #[test]
-    fn canned_cases_are_thirteen_and_stable() {
+    fn canned_cases_are_fourteen_and_stable() {
         let canned = corpus(0, 0);
-        assert_eq!(canned.len(), 13);
+        assert_eq!(canned.len(), 14);
         let names: Vec<&str> = canned.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(
             names,
@@ -291,6 +315,7 @@ mod tests {
                 "tiny-65",
                 "aliasing-low-bits",
                 "correlated-copy",
+                "calls-jumps-returns",
             ]
         );
     }

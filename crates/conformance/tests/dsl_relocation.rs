@@ -1,7 +1,8 @@
 //! Pins the `bp_trace::script` DSL across its relocation out of this
 //! crate: the canned conformance cases must keep producing the exact
 //! traces they produced when the DSL lived in `gen.rs` (fingerprints
-//! below were captured from that code), and every spec of the corpus's
+//! below were captured from that code; `calls-jumps-returns`, spliced
+//! from records, from its first build), and every spec of the corpus's
 //! own random distribution must build to exactly its declared length.
 
 use bp_conformance::corpus;
@@ -43,6 +44,7 @@ fn canned_cases_fingerprints_are_unchanged_by_the_relocation() {
         ("tiny-65", 0xb0b9bd850941e449),
         ("aliasing-low-bits", 0x90801098ef849f5),
         ("correlated-copy", 0x57aa0d2b413ca0e5),
+        ("calls-jumps-returns", 0x4d4629a1cb4d6f05),
     ];
     let canned = corpus(0, 0);
     assert_eq!(canned.len(), expected.len());

@@ -269,34 +269,13 @@ impl Classifier {
     /// As [`Classifier::classify`], over an already-packed stream artifact
     /// (built once per trace and shared across experiments).
     pub fn classify_streams(streams: &BranchStreams, cfg: &ClassifierConfig) -> Classification {
-        Self::classify_streams_timed(streams, cfg).0
+        Self::classify_streams_parallel(streams, cfg, 1).0
     }
 
-    /// As [`Classifier::classify_streams`], also reporting phase timings.
-    pub fn classify_streams_timed(
-        streams: &BranchStreams,
-        cfg: &ClassifierConfig,
-    ) -> (Classification, ClassifyPhases) {
-        assert!(
-            (1..=64).contains(&cfg.max_period),
-            "max fixed-pattern period must be 1..=64"
-        );
-        let mut pas = PasScratch::new(cfg.pas_history_bits);
-        let mut phases = ClassifyPhases::default();
-        let mut per_branch = HashMap::with_capacity(streams.static_count());
-        for (pc, stream) in streams.iter() {
-            per_branch.insert(pc, score_branch(stream, cfg, &mut pas, &mut phases));
-        }
-        (
-            Classification::from_parts(per_branch, streams.dynamic_count()),
-            phases,
-        )
-    }
-
-    /// As [`Classifier::classify_streams_timed`], scoring branches on up
-    /// to `jobs` threads. Scoring is pure per branch and the merge is
-    /// keyed by PC, so the classification is identical to the serial
-    /// kernel for every `jobs` value; the reported phase times are summed
+    /// As [`Classifier::classify_streams`], scoring branches on up to
+    /// `jobs` threads and reporting phase timings. Scoring is pure per
+    /// branch and the merge is keyed by PC, so the classification is the
+    /// same for every `jobs` value; the reported phase times are summed
     /// per-thread busy seconds. Each thread keeps its own PAs scratch.
     /// Branches go out in PC order, the order a reopened `.bps` artifact
     /// stores their planes in, so threads read the mapping front to back.
@@ -305,6 +284,10 @@ impl Classifier {
         cfg: &ClassifierConfig,
         jobs: usize,
     ) -> (Classification, ClassifyPhases) {
+        assert!(
+            (1..=64).contains(&cfg.max_period),
+            "max fixed-pattern period must be 1..=64"
+        );
         let mut branches: Vec<(Pc, &OutcomeStream)> = streams.iter().collect();
         branches.sort_unstable_by_key(|&(pc, _)| pc);
         let (scored, scratch) = par_map(
@@ -330,19 +313,15 @@ impl Classifier {
     }
 }
 
-/// Scores one branch's stream with every class predictor — the single
-/// per-branch kernel behind both the serial and parallel entry points,
-/// so they cannot drift.
+/// Scores one branch's stream with every class predictor: the
+/// per-branch kernel [`Classifier::classify_streams_parallel`] maps over
+/// branches.
 fn score_branch(
     stream: &OutcomeStream,
     cfg: &ClassifierConfig,
     pas: &mut PasScratch,
     phases: &mut ClassifyPhases,
 ) -> BranchClassScores {
-    assert!(
-        (1..=64).contains(&cfg.max_period),
-        "max fixed-pattern period must be 1..=64"
-    );
     let executions = stream.len() as u64;
     let taken = stream.taken_count();
     let t0 = Instant::now();
@@ -897,7 +876,7 @@ mod tests {
         let cfg = ClassifierConfig::default();
         let direct = Classifier::classify(&trace, &cfg);
         let streams = BranchStreams::of(&trace);
-        let (via_streams, phases) = Classifier::classify_streams_timed(&streams, &cfg);
+        let (via_streams, phases) = Classifier::classify_streams_parallel(&streams, &cfg, 1);
         for (pc, s) in direct.iter() {
             assert_eq!(via_streams.get(pc), Some(s), "{pc:#x}");
         }
@@ -917,8 +896,8 @@ mod tests {
         }
         let streams = BranchStreams::of(&Trace::from_records(recs));
         let cfg = ClassifierConfig::default();
-        let (serial, _) = Classifier::classify_streams_timed(&streams, &cfg);
-        for jobs in [1, 2, 7, 64] {
+        let serial = Classifier::classify_streams(&streams, &cfg);
+        for jobs in [2, 7, 64] {
             let (par, phases) = Classifier::classify_streams_parallel(&streams, &cfg, jobs);
             assert_eq!(par.iter().count(), serial.iter().count(), "jobs {jobs}");
             for (pc, s) in serial.iter() {

@@ -169,10 +169,7 @@ impl OracleSelector {
     /// matrix across strategies, e.g. for the greedy-vs-exhaustive
     /// ablation).
     pub fn analyze_matrix(matrix: &OutcomeMatrix, cfg: &OracleConfig) -> OracleResult {
-        matrix
-            .iter()
-            .map(|(pc, bm)| (pc, Self::select_branch(bm, cfg)))
-            .collect()
+        Self::analyze_matrix_parallel(matrix, cfg, 1)
     }
 
     /// Runs the subset search for a single branch — the unit of work
@@ -185,9 +182,9 @@ impl OracleSelector {
 
     /// As [`OracleSelector::analyze_matrix`], searching branches on up to
     /// `jobs` threads. [`OracleSelector::select_branch`] is pure per
-    /// branch and the merge is keyed by PC, so the result is identical to
-    /// the serial kernel for every `jobs` value. Branches go out in PC
-    /// order, the order a reopened `.bps` matrix stores their planes in.
+    /// branch and the merge is keyed by PC, so the result is the same for
+    /// every `jobs` value. Branches go out in PC order, the order a
+    /// reopened `.bps` matrix stores their planes in.
     pub fn analyze_matrix_parallel(
         matrix: &OutcomeMatrix,
         cfg: &OracleConfig,
@@ -655,7 +652,7 @@ mod tests {
         let cands = TagCandidates::collect(&trace, cfg.window, cfg.candidate_cap);
         let matrix = OutcomeMatrix::build(&trace, &cands, cfg.window);
         let serial = OracleSelector::analyze_matrix(&matrix, &cfg);
-        for jobs in [1, 2, 7, 64] {
+        for jobs in [2, 7, 64] {
             let par = OracleSelector::analyze_matrix_parallel(&matrix, &cfg, jobs);
             assert_eq!(par.branch_count(), serial.branch_count(), "jobs {jobs}");
             for (pc, s) in serial.iter() {

@@ -686,14 +686,12 @@ mod tests {
 
         /// The sweep builder's two passes equal the per-record reference
         /// builder: at one window (every window 1..=12 and cap 1..=10, each
-        /// scheme alone and both) and at every point of a 3-window sweep,
-        /// on 1..=3 shards.
+        /// scheme alone and both) and at every point of a 3-window sweep.
         #[test]
         fn builder_matches_reference(
             trace in arb_trace(300),
             window in 1usize..=12,
             cap in 1usize..=10,
-            shards in 1usize..=3,
             steps in (1usize..=6, 1usize..=6),
             more_caps in (1usize..=10, 1usize..=10),
         ) {
@@ -704,20 +702,20 @@ mod tests {
             ] {
                 let want = outcome_matrix(&trace, window, cap, schemes);
                 let cands = TagCandidates::collect_from_source_sharded(
-                    &trace, window, cap, schemes, shards,
+                    &trace, window, cap, schemes, 1,
                 )
                 .expect("in-memory scan");
                 prop_assert_eq!(cands.branch_count(), want.branch_count());
                 for (pc, bm) in want.iter() {
                     prop_assert_eq!(cands.tags(pc), bm.tags(), "{:#x} {:?}", pc, schemes);
                 }
-                let got = OutcomeMatrix::build_from_source_sharded(&trace, &cands, window, shards)
+                let got = OutcomeMatrix::build_from_source_sharded(&trace, &cands, window, 1)
                     .expect("in-memory scan");
                 prop_assert_eq!(&got, &want, "{:?}", schemes);
             }
             let windows = [window, window + steps.0, window + steps.0 + steps.1];
             let caps = [cap, more_caps.0, more_caps.1];
-            let sweep = SweepMatrix::build_from_source(&trace, &windows, &caps, shards)
+            let sweep = SweepMatrix::build_from_source(&trace, &windows, &caps)
                 .expect("in-memory scan");
             for (i, (&w, &c)) in windows.iter().zip(&caps).enumerate() {
                 let want = outcome_matrix(&trace, w, c, &TagScheme::ALL);
@@ -734,23 +732,22 @@ mod tests {
             window in 1usize..=200,
             steps in (1usize..=28, 1usize..=28),
             caps in (1usize..=16, 1usize..=16, 1usize..=16),
-            shards in 1usize..=3,
         ) {
             let want = outcome_matrix(&trace, window, caps.0, &TagScheme::ALL);
             let cands = TagCandidates::collect_from_source_sharded(
-                &trace, window, caps.0, &TagScheme::ALL, shards,
+                &trace, window, caps.0, &TagScheme::ALL, 1,
             )
             .expect("in-memory scan");
             prop_assert_eq!(cands.branch_count(), want.branch_count());
             for (pc, bm) in want.iter() {
                 prop_assert_eq!(cands.tags(pc), bm.tags(), "{:#x}", pc);
             }
-            let got = OutcomeMatrix::build_from_source_sharded(&trace, &cands, window, shards)
+            let got = OutcomeMatrix::build_from_source_sharded(&trace, &cands, window, 1)
                 .expect("in-memory scan");
             prop_assert_eq!(&got, &want);
             let windows = [window, window + steps.0, window + steps.0 + steps.1];
             let caps = [caps.0, caps.1, caps.2];
-            let sweep = SweepMatrix::build_from_source(&trace, &windows, &caps, shards)
+            let sweep = SweepMatrix::build_from_source(&trace, &windows, &caps)
                 .expect("in-memory scan");
             for (i, (&w, &c)) in windows.iter().zip(&caps).enumerate() {
                 let want = outcome_matrix(&trace, w, c, &TagScheme::ALL);

@@ -120,14 +120,13 @@ impl SweepMatrix {
     /// [`MAX_SWEEP_WINDOWS`], or contains zero, or if `caps` has a
     /// different length than `windows` or contains zero.
     pub fn build(trace: &Trace, windows: &[usize], caps: &[usize]) -> Self {
-        SweepMatrix::build_from_source(trace, windows, caps, 1)
+        SweepMatrix::build_from_source(trace, windows, caps)
             .expect("in-memory traces cannot fail to scan")
     }
 
     /// As [`SweepMatrix::build`], consuming any [`TraceSource`] in two
     /// streaming scans (visibility bucketing, then plane packing), each
-    /// folded on the calling thread. `_shards` does not change the scans,
-    /// and the output is identical for every value.
+    /// folded on the calling thread.
     ///
     /// # Errors
     ///
@@ -140,7 +139,6 @@ impl SweepMatrix {
         source: &T,
         windows: &[usize],
         caps: &[usize],
-        _shards: usize,
     ) -> Result<Self, TraceIoError> {
         let (mut ranked, _) =
             rank_candidates::<MAX_SWEEP_WINDOWS, _>(source, windows, caps, &TagScheme::ALL)?;
@@ -164,6 +162,11 @@ impl SweepMatrix {
         &self.windows
     }
 
+    /// Number of static branches covered, the same at every sweep point.
+    pub fn branch_count(&self) -> usize {
+        self.branches.len()
+    }
+
     /// Assembles sweep point `idx`'s outcome matrix: per branch, the capped
     /// candidate columns ranked for `windows[idx]`, with planes masked to
     /// instances the sub-window sees. Equal to [`OutcomeMatrix::build`] on
@@ -173,19 +176,12 @@ impl SweepMatrix {
     ///
     /// Panics if `idx` is out of range.
     pub fn materialize(&self, idx: usize) -> OutcomeMatrix {
-        assert!(idx < self.windows.len(), "sweep point out of range");
-        let branches = self
-            .branches
-            .iter()
-            .map(|(pc, sb)| (*pc, sb.materialize(idx)))
-            .collect();
-        OutcomeMatrix::from_parts(branches, self.windows[idx])
+        self.materialize_parallel(idx, 1)
     }
 
     /// As [`SweepMatrix::materialize`], assembling branch planes on up to
     /// `jobs` threads. The per-branch masking is pure and the merge is
-    /// keyed by PC, so the matrix is identical to the serial replay for
-    /// every `jobs` value.
+    /// keyed by PC, so the matrix is the same for every `jobs` value.
     ///
     /// # Panics
     ///
@@ -1602,7 +1598,7 @@ mod tests {
         let sweep = SweepMatrix::build(&trace, &WINDOWS, &[12; 4]);
         for (i, _) in WINDOWS.iter().enumerate() {
             let serial = sweep.materialize(i);
-            for jobs in [1, 2, 7, 64] {
+            for jobs in [2, 7, 64] {
                 assert_eq!(
                     sweep.materialize_parallel(i, jobs),
                     serial,

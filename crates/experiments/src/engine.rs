@@ -40,7 +40,7 @@ use bp_predictors::{
     simulate_batch_source, Gshare, GshareInterferenceFree, Pas, PasInterferenceFree,
     PerBranchStats, Perceptron, Predictor, Tage,
 };
-use bp_trace::{par_map, par_threads, BranchProfile, BranchStreams, TagScheme, Trace};
+use bp_trace::{par_map, par_threads, BranchProfile, BranchStreams, TagScheme, Trace, MAX_THREADS};
 use bp_workloads::Benchmark;
 
 use crate::{ExperimentConfig, TraceSet, TraceSetSource};
@@ -161,15 +161,13 @@ pub struct CacheStats {
     pub entries: u64,
 }
 
-/// Cross-experiment memoization of shared evaluation artifacts, keyed by
-/// `(benchmark, config fingerprint)`.
+/// Cross-experiment memoization of evaluation results, keyed by
+/// `(benchmark, config fingerprint)`. Builder artifacts that only serve
+/// to compute a result, such as a window sweep's [`SweepMatrix`], are
+/// not kept: they are dropped as soon as their results are cached.
 pub struct EvalCache {
     per_branch: CacheMap<(Benchmark, PredictorKey), PerBranchStats>,
     oracles: CacheMap<(Benchmark, OracleConfig), OracleResult>,
-    /// Shared window-sweep artifacts, keyed by the sweep's window list and
-    /// candidate cap (the artifact is independent of counter and search
-    /// strategy — those only affect the per-point subset search).
-    sweeps: CacheMap<(Benchmark, Vec<usize>, Vec<usize>), SweepMatrix>,
     classifications: CacheMap<(Benchmark, ClassifierConfig), Classification>,
     /// Packed per-branch outcome streams, built in one trace pass and
     /// shared by every classification config and the branch profile.
@@ -185,7 +183,6 @@ impl EvalCache {
         EvalCache {
             per_branch: CacheMap::new(),
             oracles: CacheMap::new(),
-            sweeps: CacheMap::new(),
             classifications: CacheMap::new(),
             streams: CacheMap::new(),
             profiles: CacheMap::new(),
@@ -201,7 +198,6 @@ impl EvalCache {
             misses: self.misses.load(Ordering::Relaxed),
             entries: (self.per_branch.len()
                 + self.oracles.len()
-                + self.sweeps.len()
                 + self.classifications.len()
                 + self.streams.len()
                 + self.profiles.len()) as u64,
@@ -289,6 +285,21 @@ pub struct ClassifyPhaseStats {
     pub classifications: u64,
 }
 
+/// Threads a nested kernel claimed from its engine ([`Engine::claim`]):
+/// the calling thread and `threads - 1` more, which go back to the
+/// engine when the claim drops.
+struct Claim<'a> {
+    busy_threads: &'a AtomicUsize,
+    threads: usize,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.busy_threads
+            .fetch_sub(self.threads - 1, Ordering::Relaxed);
+    }
+}
+
 /// Shared evaluation state for a run: the trace set, the memoization
 /// cache, and the worker-thread budget.
 pub struct Engine {
@@ -297,9 +308,9 @@ pub struct Engine {
     jobs: usize,
     busy_nanos: AtomicU64,
     fanout_wall_nanos: AtomicU64,
-    /// Threads currently executing fan-out work; the difference to `jobs`
-    /// is the budget a nested fan-out may claim.
-    active_workers: AtomicUsize,
+    /// Busy threads: fan-out workers inside a benchmark closure, plus the
+    /// extra threads nested kernels hold ([`Engine::claim`]).
+    busy_threads: AtomicUsize,
     oracle_phases: Mutex<HashMap<Benchmark, OraclePhaseStats>>,
     classify_phases: Mutex<HashMap<Benchmark, ClassifyPhaseStats>>,
 }
@@ -316,7 +327,7 @@ impl Engine {
             jobs: jobs.max(1),
             busy_nanos: AtomicU64::new(0),
             fanout_wall_nanos: AtomicU64::new(0),
-            active_workers: AtomicUsize::new(0),
+            busy_threads: AtomicUsize::new(0),
             oracle_phases: Mutex::new(HashMap::new()),
             classify_phases: Mutex::new(HashMap::new()),
         }
@@ -327,16 +338,31 @@ impl Engine {
         self.jobs
     }
 
-    /// The thread budget a nested kernel may claim right now: the
-    /// calling thread plus whatever workers the benchmark-level fan-out
-    /// currently leaves idle, never more than `--jobs`. Every nested
-    /// kernel produces results identical to its serial twin for any
-    /// budget, so this only steers wall-clock, never output.
-    fn nested_budget(&self) -> usize {
-        let spare = self
-            .jobs
-            .saturating_sub(self.active_workers.load(Ordering::Relaxed));
-        (spare + 1).min(self.jobs)
+    /// Claims threads for a nested kernel over `items` independent items:
+    /// the calling thread, plus as many more as the kernel can use
+    /// ([`par_threads`]) while the busy threads stay within
+    /// `min(jobs, MAX_THREADS)`. The calling thread is already busy as a
+    /// fan-out worker, or, outside any fan-out, takes the first slot. One
+    /// atomic update reads and reserves, so concurrent claims cannot
+    /// both take the same spare. The extra threads are handed back when
+    /// the claim drops. Every nested kernel's output is the same at any
+    /// thread count, so a claim steers wall-clock only.
+    fn claim(&self, items: usize) -> Claim<'_> {
+        let cap = self.jobs.min(MAX_THREADS);
+        let want = par_threads(self.jobs, items) - 1;
+        let grant = |busy: usize| want.min(cap.saturating_sub(busy.max(1)));
+        // The count publishes no other data, so relaxed updates suffice:
+        // read-modify-writes of one atomic are totally ordered anyway.
+        let busy = self
+            .busy_threads
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |busy| {
+                Some(busy + grant(busy))
+            })
+            .expect("the update always stores");
+        Claim {
+            busy_threads: &self.busy_threads,
+            threads: grant(busy) + 1,
+        }
     }
 
     /// The underlying trace set.
@@ -396,9 +422,9 @@ impl Engine {
             || (),
             |_, &benchmark| {
                 let t0 = Instant::now();
-                self.active_workers.fetch_add(1, Ordering::Relaxed);
+                self.busy_threads.fetch_add(1, Ordering::Relaxed);
                 let r = f(benchmark);
-                self.active_workers.fetch_sub(1, Ordering::Relaxed);
+                self.busy_threads.fetch_sub(1, Ordering::Relaxed);
                 self.busy_nanos
                     .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 r
@@ -459,10 +485,10 @@ impl Engine {
 
     /// Cached oracle selective-history analysis for one configuration.
     ///
-    /// On a miss, the per-branch subset search is sharded over any worker
-    /// budget the benchmark-level fan-out has left idle (see
-    /// [`Engine::jobs`]) — `--jobs N` helps even when a single benchmark's
-    /// oracle dominates the run.
+    /// On a miss, the per-branch subset search runs on whatever threads
+    /// the benchmark-level fan-out leaves idle (see [`Engine::jobs`]), so
+    /// `--jobs N` helps even when a single benchmark's oracle dominates
+    /// the run.
     pub fn oracle(&self, benchmark: Benchmark, cfg: &OracleConfig) -> Arc<OracleResult> {
         self.cache.oracles.get_or_compute(
             (benchmark, *cfg),
@@ -498,7 +524,9 @@ impl Engine {
     /// materialized by masking — no extra trace passes. Results are
     /// byte-identical to per-window [`Engine::oracle`] calls and are
     /// inserted into the same cache, so either entry point can hit the
-    /// other's work.
+    /// other's work. The artifact is built at the first point that misses
+    /// the cache and dropped when this call returns; only the points'
+    /// results stay.
     ///
     /// `base.window` and `base.candidate_cap` are ignored; sweep point `i`
     /// uses `base` with `windows[i]` and `caps[i]`. Per-point caps keep
@@ -518,6 +546,7 @@ impl Engine {
         caps: &[usize],
         base: &OracleConfig,
     ) -> Vec<Arc<OracleResult>> {
+        let mut sweep: Option<SweepMatrix> = None;
         windows
             .iter()
             .enumerate()
@@ -532,50 +561,30 @@ impl Engine {
                     &self.cache.hits,
                     &self.cache.misses,
                     || {
-                        // The artifact is built lazily on the first miss,
-                        // then shared by every other point (and run).
-                        let sweep = self.cache.sweeps.get_or_compute(
-                            (benchmark, windows.to_vec(), caps.to_vec()),
-                            &self.cache.hits,
-                            &self.cache.misses,
-                            || {
-                                let t0 = Instant::now();
-                                let sweep = SweepMatrix::build_from_source(
-                                    &self.source(benchmark),
-                                    windows,
-                                    caps,
-                                    1,
-                                )
-                                .expect("trace stream failed");
-                                self.record_oracle_phases(
-                                    benchmark,
-                                    &OraclePhaseStats {
-                                        matrix_seconds: t0.elapsed().as_secs_f64(),
-                                        builds: 1,
-                                        ..OraclePhaseStats::default()
-                                    },
-                                );
-                                sweep
-                            },
-                        );
                         let t0 = Instant::now();
-                        let matrix = sweep.materialize_parallel(i, self.nested_budget());
-                        let materialized = OraclePhaseStats {
+                        let builds = u64::from(sweep.is_none());
+                        let sweep = sweep.get_or_insert_with(|| {
+                            SweepMatrix::build_from_source(&self.source(benchmark), windows, caps)
+                                .expect("trace stream failed")
+                        });
+                        let claim = self.claim(sweep.branch_count());
+                        let matrix = sweep.materialize_parallel(i, claim.threads);
+                        drop(claim);
+                        let built = OraclePhaseStats {
                             matrix_seconds: t0.elapsed().as_secs_f64(),
+                            builds,
                             ..OraclePhaseStats::default()
                         };
-                        self.search(benchmark, &matrix, &point, materialized)
+                        self.search(benchmark, &matrix, &point, built)
                     },
                 )
             })
             .collect()
     }
 
-    /// The per-branch subset search over `matrix` on the idle budget,
-    /// recorded with `built`, the phases that produced the matrix. Its
-    /// extra threads (the caller's is counted by its own fan-out, if any)
-    /// are reserved in `active_workers` so concurrent nested builds skip
-    /// them.
+    /// The per-branch subset search over `matrix` on the threads
+    /// [`Engine::claim`] grants, recorded with `built`, the phases that
+    /// produced the matrix.
     fn search(
         &self,
         benchmark: Benchmark,
@@ -583,18 +592,14 @@ impl Engine {
         cfg: &OracleConfig,
         built: OraclePhaseStats,
     ) -> OracleResult {
-        let threads = par_threads(self.nested_budget(), matrix.branch_count());
+        let claim = self.claim(matrix.branch_count());
         let t0 = Instant::now();
-        self.active_workers
-            .fetch_add(threads - 1, Ordering::Relaxed);
-        let result = OracleSelector::analyze_matrix_parallel(matrix, cfg, threads);
-        self.active_workers
-            .fetch_sub(threads - 1, Ordering::Relaxed);
+        let result = OracleSelector::analyze_matrix_parallel(matrix, cfg, claim.threads);
         self.record_oracle_phases(
             benchmark,
             &OraclePhaseStats {
                 search_seconds: t0.elapsed().as_secs_f64(),
-                shards: threads as u64,
+                shards: claim.threads as u64,
                 analyses: 1,
                 ..built
             },
@@ -647,8 +652,9 @@ impl Engine {
             &self.cache.misses,
             || {
                 let streams = self.streams(benchmark);
+                let claim = self.claim(streams.static_count());
                 let (classification, phases) =
-                    Classifier::classify_streams_parallel(&streams, cfg, self.nested_budget());
+                    Classifier::classify_streams_parallel(&streams, cfg, claim.threads);
                 self.record_classify_phases(
                     benchmark,
                     0.0,
@@ -873,6 +879,8 @@ mod tests {
         let plain = quick_engine(2);
         let b = Benchmark::Ijpeg;
         let sweep_results = swept.oracle_sweep(b, &windows, &caps, &base);
+        // Only the points' results stay cached, not the sweep artifact.
+        assert_eq!(swept.cache_stats().entries, windows.len() as u64);
         for ((&n, &cap), swept_r) in windows.iter().zip(&caps).zip(&sweep_results) {
             let point = OracleConfig {
                 window: n,
@@ -915,6 +923,46 @@ mod tests {
         assert_eq!(stats.builds, 1, "one artifact serves every point");
         assert!(stats.shards >= windows.len() as u64);
         assert!(stats.matrix_seconds >= 0.0 && stats.search_seconds >= 0.0);
+    }
+
+    #[test]
+    fn claims_never_hold_more_than_the_jobs_budget() {
+        let engine = quick_engine(4);
+        let busy = || engine.busy_threads.load(Ordering::Relaxed);
+        // Outside any fan-out the caller takes the first slot.
+        let first = engine.claim(100);
+        assert_eq!((first.threads, busy()), (4, 3));
+        drop(first);
+        assert_eq!(busy(), 0, "a dropped claim hands its threads back");
+        assert_eq!(engine.claim(2).threads, 2, "no more than the items");
+        // Two busy fan-out workers: the first to claim takes both idle
+        // threads.
+        engine.busy_threads.fetch_add(2, Ordering::Relaxed);
+        let first = engine.claim(100);
+        assert_eq!(first.threads, 3);
+        assert_eq!(engine.claim(100).threads, 1, "nothing left to claim");
+        drop(first);
+        engine.busy_threads.fetch_sub(2, Ordering::Relaxed);
+
+        // Eight claimers at once never hold more than the budget.
+        let barrier = std::sync::Barrier::new(8);
+        let extra: usize = std::thread::scope(|scope| {
+            let claimers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let claim = engine.claim(100);
+                        barrier.wait();
+                        assert!(busy() <= 4, "{} busy threads", busy());
+                        let extra = claim.threads - 1;
+                        barrier.wait();
+                        extra
+                    })
+                })
+                .collect();
+            claimers.into_iter().map(|c| c.join().unwrap()).sum()
+        });
+        assert_eq!(extra, 4, "3 for the first claimer, 1 for the next");
+        assert_eq!(busy(), 0);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::{evaluation_order, run_experiment, Engine, ExperimentConfig, TraceSet
 /// The usage text `repro` prints with a command-line error or `--help`.
 pub fn usage() -> String {
     format!(
-        "usage: repro [--quick] [--seed N] [--target N[k|m|b]] [--stream] \
+        "usage: repro [--quick] [--seed N] [--target N[k|m|b]] \
          [--jobs N] [--timings FILE] [--bare] [--goldens FILE] [--verify-goldens] \
          [--write-goldens] <experiment...|all>\nexperiments: {}",
         EXPERIMENT_IDS.join(" ")
@@ -45,7 +45,6 @@ pub fn usage() -> String {
 pub struct Options {
     cfg: ExperimentConfig,
     ids: Vec<String>,
-    stream: bool,
     timings: Option<String>,
     jobs: usize,
     bare: bool,
@@ -61,7 +60,6 @@ impl Options {
         let mut opts = Options {
             cfg: ExperimentConfig::default(),
             ids: Vec::new(),
-            stream: false,
             timings: None,
             jobs: default_jobs(),
             bare: false,
@@ -77,7 +75,6 @@ impl Options {
             let missing = |why: &str| RunError::Usage(why.to_owned());
             match arg.as_str() {
                 "--quick" => opts.cfg = ExperimentConfig::quick(),
-                "--stream" => opts.stream = true,
                 "--jobs" => match args.next().and_then(|v| v.parse().ok()) {
                     Some(n) if n >= 1 => opts.jobs = n,
                     _ => return Err(missing("--jobs needs a worker count of at least 1")),
@@ -139,11 +136,7 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
         )?;
         out.flush()?;
     }
-    let mut traces = TraceSet::new(cfg.workload);
-    if opts.stream {
-        traces = traces.with_streaming();
-    }
-    let engine = Engine::new(traces, opts.jobs);
+    let engine = Engine::new(TraceSet::new(cfg.workload), opts.jobs);
 
     let run_started = Instant::now();
     // (experiment id or `prewarm`, wall-clock seconds)

@@ -3,7 +3,6 @@
 //!
 //! ```text
 //! scale --bench m88ksim --target 100m            classification + oracle, streamed
-//! scale --bench gcc --target 2m --materialized   same run via the in-memory path
 //! scale --target 1b --skip-oracle                classification only
 //! scale --target 100m --jobs 8                   parallel classify + oracle search
 //! scale --target 1b --artifacts DIR              reuse packed .bps artifacts (mmap)
@@ -11,11 +10,10 @@
 //! ```
 //!
 //! The artifact summary [`run`] writes is deterministic and identical
-//! between the streaming and `--materialized` paths, for every `--jobs`
-//! value, and whether artifacts were rebuilt or re-opened (CI diffs all
-//! of these); wall-clock per phase — with the thread count of each
-//! parallel phase; a trace scan runs on the calling thread — and peak
-//! resident memory go to stderr. In streaming mode the full trace never
+//! for every `--jobs` value, and whether artifacts were rebuilt or
+//! re-opened (CI diffs both); wall-clock per phase — with the thread
+//! count of each parallel phase; a trace scan runs on the calling
+//! thread — and peak resident memory go to stderr. The full trace never
 //! exists in memory — the workload is regenerated chunk by chunk on
 //! every scan. With `--artifacts DIR` the packed streams and
 //! oracle matrix are persisted as `.bps` files on first use and re-opened
@@ -37,14 +35,13 @@ use bp_workloads::{Benchmark, WorkloadConfig};
 
 use crate::artifacts::{matrix_config_fp, streams_config_fp, ArtifactStore};
 use crate::cli::{default_jobs, workload_flag, RunError};
-use crate::TraceSet;
 
 /// The usage text `scale` prints with a command-line error or `--help`.
 pub fn usage() -> String {
     let names: Vec<&str> = Benchmark::ALL.iter().map(|b| b.name()).collect();
     format!(
         "usage: scale [--bench NAME] [--target N[k|m|b]] [--seed N] [--artifacts DIR] \
-         [--artifacts-budget-gb F] [--jobs N] [--materialized] [--skip-oracle] \
+         [--artifacts-budget-gb F] [--jobs N] [--skip-oracle] \
          [--oracle-window N] [--oracle-cap N]\nbenchmarks: {}",
         names.join(" ")
     )
@@ -58,7 +55,6 @@ pub struct Options {
     artifacts_dir: Option<String>,
     artifacts_budget: Option<u64>,
     jobs: usize,
-    materialized: bool,
     skip_oracle: bool,
     oracle: OracleConfig,
 }
@@ -74,7 +70,6 @@ impl Options {
             artifacts_dir: None,
             artifacts_budget: None,
             jobs: default_jobs(),
-            materialized: false,
             skip_oracle: false,
             oracle: OracleConfig::default(),
         };
@@ -106,7 +101,6 @@ impl Options {
                     Some(n) if n >= 1 => opts.jobs = n,
                     _ => return bad("--jobs needs a positive thread count".into()),
                 },
-                "--materialized" => opts.materialized = true,
                 "--skip-oracle" => opts.skip_oracle = true,
                 "--oracle-window" => match args.next().and_then(|v| v.parse().ok()) {
                     Some(n) if (1..=PathWindow::MAX_CAPACITY).contains(&n) => {
@@ -139,17 +133,7 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
         bench, cfg, jobs, ..
     } = *opts;
     let oracle_cfg = &opts.oracle;
-    let mut traces = TraceSet::new(cfg);
-    if opts.materialized {
-        // Pre-materialize so the streaming/materialized split is explicit
-        // in the phase timings rather than hidden in the first scan.
-        let t0 = Instant::now();
-        let _ = traces.trace(bench);
-        eprintln!("[materialize: {:.1}s]", t0.elapsed().as_secs_f64());
-    } else {
-        traces = traces.with_streaming();
-    }
-    let source = traces.source(bench);
+    let source = bench.source(cfg);
     let store = match &opts.artifacts_dir {
         Some(dir) => Some(
             ArtifactStore::open(dir)

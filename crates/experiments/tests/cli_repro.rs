@@ -24,11 +24,14 @@ fn table1_runs_and_prints_all_benchmarks() {
 
 #[test]
 fn unknown_experiment_fails_with_usage() {
-    let out = repro().arg("table99").output().expect("run repro");
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown experiment"), "{err}");
-    assert!(err.contains("usage:"), "{err}");
+    // `--stream` was a flag once; trace residency is no longer a choice.
+    for arg in ["table99", "--stream"] {
+        let out = repro().args([arg, "fig4"]).output().expect("run repro");
+        assert!(!out.status.success(), "{arg}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown experiment: {arg}")), "{err}");
+        assert!(err.contains("usage:"), "{err}");
+    }
 }
 
 #[test]
@@ -129,9 +132,9 @@ fn parallel_output_is_byte_identical_to_serial() {
 
 #[test]
 fn a_jobs_budget_beyond_any_thread_limit_changes_nothing() {
-    // A scan starts at most one thread and `par_map` at most
-    // `MAX_THREADS`, so a huge budget neither aborts on thread spawn nor
-    // changes stdout.
+    // A scan starts no thread, and the engine's fan-out and nested
+    // kernels hold at most `MAX_THREADS` busy threads between them, so a
+    // huge budget neither aborts on thread spawn nor changes stdout.
     let run = |jobs: &str, experiment: &str| {
         let out = repro()
             .args(["--quick", "--jobs", jobs, experiment])
@@ -273,23 +276,6 @@ fn fig5_serves_the_default_oracle_to_the_experiments_around_it() {
     let mut apart = bare(&["fig4"]);
     apart.extend(bare(&["fig5"]));
     assert_eq!(bare(&["fig4", "fig5"]), apart);
-}
-
-#[test]
-fn streamed_traces_print_what_materialized_ones_print() {
-    // `--stream` regenerates each workload on every builder scan instead
-    // of holding the trace, through the same fig5-first evaluation order.
-    let run = |stream: bool| {
-        let mut cmd = repro();
-        cmd.args(["--target", "2000", "--jobs", "2"]);
-        if stream {
-            cmd.arg("--stream");
-        }
-        let out = cmd.arg("all").output().expect("run repro");
-        assert!(out.status.success(), "{out:?}");
-        out.stdout
-    };
-    assert_eq!(run(true), run(false));
 }
 
 #[test]

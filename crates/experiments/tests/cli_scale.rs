@@ -29,6 +29,17 @@ fn oracle_window_beyond_the_largest_path_window_is_a_usage_error() {
 }
 
 #[test]
+fn materialized_is_an_unknown_argument() {
+    // Every scan regenerates the workload; trace residency is no longer
+    // a choice.
+    let out = scale().arg("--materialized").output().expect("run scale");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown argument '--materialized'"), "{err}");
+    assert!(out.stdout.is_empty(), "nothing runs before the flags parse");
+}
+
+#[test]
 fn a_jobs_budget_beyond_any_thread_limit_changes_nothing() {
     // A scan starts at most one thread and `par_map` at most
     // `MAX_THREADS`, so a huge budget neither aborts on thread spawn nor

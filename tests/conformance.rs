@@ -1,5 +1,5 @@
 //! The conformance sweep, driven in-process through the same
-//! `Options::parse` and `run` the `bp-conformance` binary calls: the 13
+//! `Options::parse` and `run` the `bp-conformance` binary calls: the 14
 //! canned adversarial cases through every differential suite and every
 //! metamorphic law. Goldens are skipped here because
 //! `tests/pipelines.rs` already verifies them.
@@ -7,7 +7,7 @@
 #[test]
 fn conformance_sweep_passes_on_the_canned_cases() {
     let dir = std::env::temp_dir().join(format!("conformance-sweep-{}", std::process::id()));
-    let mut line: Vec<String> = "sweep --skip-goldens --cases 13 --repro-dir"
+    let mut line: Vec<String> = "sweep --skip-goldens --cases 14 --repro-dir"
         .split(' ')
         .map(String::from)
         .collect();
@@ -24,7 +24,7 @@ fn conformance_sweep_passes_on_the_canned_cases() {
         dir.display()
     );
     assert!(
-        report.starts_with("sweep OK: 13 cases"),
+        report.starts_with("sweep OK: 14 cases"),
         "unexpected report: {report}"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -3,8 +3,8 @@
 //! targets, and the jobs-2 and jobs-7 results must equal the jobs-1
 //! result: experiments through a prewarmed engine (benchmark fan-out,
 //! trace generation, the oracle search and the sweep materialization
-//! inside it), the three bp-core parallel kernels against their serial
-//! twins, and a probe sweep. The streamed `BranchStreams` build, on
+//! inside it), the three bp-core parallel kernels (whose one-job call
+//! is also their serial entry point), and a probe sweep. The streamed `BranchStreams` build, on
 //! which the classifier runs, is checked against its in-memory twin.
 
 use bp_core::{

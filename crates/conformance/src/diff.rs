@@ -19,7 +19,7 @@
 //!
 //! Two further suites pin the paper-scale machinery: `parallel` diffs
 //! every parallel kernel (classify, oracle select, sweep materialization)
-//! at one job against the same kernel at several job counts, and `bps`
+//! at 2 and 7 jobs against the same kernel's one-job result, and `bps`
 //! round-trips the packed `.bps` artifacts through a write → reopen
 //! cycle and diffs the analysis summary computed from the reopened planes
 //! against the freshly built ones.
@@ -427,13 +427,15 @@ pub fn diff_streaming(
     None
 }
 
-/// Job counts the parallel suite drives the parallel analysis kernels at.
-pub const PARALLEL_JOBS: [usize; 3] = [1, 2, 7];
+/// Job counts the parallel suite drives the parallel analysis kernels at,
+/// each compared with the kernel's one-job result (its serial entry
+/// point).
+pub const PARALLEL_JOBS: [usize; 2] = [2, 7];
 
-/// Diffs the parallel analysis kernels at one job against themselves at
-/// every [`PARALLEL_JOBS`] count on one trace: classification, oracle
+/// Diffs the parallel analysis kernels at every [`PARALLEL_JOBS`] count
+/// against their one-job results on one trace: classification, oracle
 /// subset search, and sweep materialization (planes must be
-/// bit-identical).
+/// bit-identical). The one-job results are computed once.
 pub fn diff_parallel(
     trace: &Trace,
     cfg: &OracleConfig,
@@ -446,11 +448,17 @@ pub fn diff_parallel(
     let want_matrix = OutcomeMatrix::build(trace, &want_cands, cfg.window);
     let want_sweep = SweepMatrix::build(trace, windows, caps);
     let want_oracle = OracleSelector::analyze_matrix(&want_matrix, cfg);
+    let want_classes: Vec<Classification> = classify
+        .iter()
+        .map(|ccfg| Classifier::classify_streams(&want_streams, ccfg))
+        .collect();
+    let want_points: Vec<OutcomeMatrix> = (0..windows.len())
+        .map(|i| want_sweep.materialize(i))
+        .collect();
     for &jobs in &PARALLEL_JOBS {
         let label = format!("{jobs} jobs");
 
-        for ccfg in classify {
-            let want = Classifier::classify_streams(&want_streams, ccfg);
+        for (ccfg, want) in classify.iter().zip(&want_classes) {
             let (got, _) = Classifier::classify_streams_parallel(&want_streams, ccfg, jobs);
             if got.iter().count() != want.iter().count() {
                 return Some(format!(
@@ -478,11 +486,11 @@ pub fn diff_parallel(
             }
         }
 
-        for (i, window) in windows.iter().enumerate() {
+        for (i, (window, want)) in windows.iter().zip(&want_points).enumerate() {
             if let Some(why) = diff_matrices(
                 &format!("{label} window {window}"),
                 &want_sweep.materialize_parallel(i, jobs),
-                &want_sweep.materialize(i),
+                want,
             ) {
                 return Some(format!("parallel sweep: {why}"));
             }

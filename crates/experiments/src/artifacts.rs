@@ -8,27 +8,28 @@
 //! `scale --artifacts DIR` re-opens them through `mmap(2)` in
 //! milliseconds instead of regenerating the trace.
 //!
-//! Any typed open failure — truncation, magic/version flip, fingerprint
-//! mismatch, lying plane lengths — prints a one-line `notice:` to stderr,
-//! removes the rotten file and its sidecar, and reports a miss so the
-//! caller rebuilds; a simply-missing file is a silent miss. Saving is
-//! best-effort (a warning, never a failure): an artifact store must never
-//! make a run less reliable than running without one.
+//! Each artifact is one file carrying its own fingerprints. Any typed
+//! open failure — truncation, magic/version flip, fingerprint mismatch,
+//! lying plane lengths — prints a one-line `notice:` to stderr, removes
+//! the rotten file, and reports a miss so the caller rebuilds; a
+//! simply-missing file is a silent miss. Saving is best-effort (a
+//! warning, never a failure): an artifact store must never make a run
+//! less reliable than running without one.
 
 use std::path::{Path, PathBuf};
 
 use bp_core::{open_matrix, write_matrix, OutcomeMatrix};
 use bp_trace::bps::{open_streams, write_streams};
-use bp_trace::sidecar::{fnv1a, Sidecar, FNV_OFFSET};
+use bp_trace::sidecar::{fnv1a, FNV_OFFSET};
 use bp_trace::BranchStreams;
 
 /// A directory of reusable `.bps` artifacts, optionally capped at a
-/// byte budget (artifact plus sidecar bytes). When a save pushes the
-/// directory over budget, the least-recently-used artifacts — by
-/// modification time, which loads refresh — are evicted with a one-line
-/// notice until the store fits again. The artifact just written is
-/// never evicted, even if it alone exceeds the budget: the run that
-/// produced it gets to reuse it at least once.
+/// byte budget. When a save pushes the directory over budget, the
+/// least-recently-used artifacts — by modification time, which loads
+/// refresh — are evicted with a one-line notice until the store fits
+/// again. The artifact just written is never evicted, even if it alone
+/// exceeds the budget: the run that produced it gets to reuse it at
+/// least once.
 #[derive(Debug, Clone)]
 pub struct ArtifactStore {
     dir: PathBuf,
@@ -67,8 +68,8 @@ impl ArtifactStore {
         })
     }
 
-    /// Caps the store at `bytes` total (artifact + sidecar sizes);
-    /// `None` removes the cap.
+    /// Caps the store at `bytes` total (the sum of its `.bps` file
+    /// sizes); `None` removes the cap.
     #[must_use]
     pub fn with_budget(mut self, bytes: Option<u64>) -> ArtifactStore {
         self.budget_bytes = bytes;
@@ -154,12 +155,11 @@ impl ArtifactStore {
         self.enforce_budget(&path);
     }
 
-    /// One-line notice, then removal of the artifact and its sidecar so
-    /// the rebuild starts clean.
+    /// One-line notice, then removal of the artifact so the rebuild
+    /// starts clean.
     fn evict(&self, path: &Path, why: &str) {
         eprintln!("notice: regenerating artifact {} ({why})", path.display());
         std::fs::remove_file(path).ok();
-        std::fs::remove_file(Sidecar::path_for(path)).ok();
     }
 
     /// Evicts least-recently-used artifacts until the store fits its
@@ -175,15 +175,11 @@ impl ArtifactStore {
         let mut total = 0u64;
         for entry in entries.flatten() {
             let path = entry.path();
-            // Sidecars are billed to their artifact, not listed themselves.
             if path.extension().and_then(|e| e.to_str()) != Some("bps") {
                 continue;
             }
             let Ok(meta) = entry.metadata() else { continue };
-            let sidecar = std::fs::metadata(Sidecar::path_for(&path))
-                .map(|m| m.len())
-                .unwrap_or(0);
-            let bytes = meta.len() + sidecar;
+            let bytes = meta.len();
             total += bytes;
             let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
             artifacts.push((mtime, path, bytes));
@@ -203,7 +199,6 @@ impl ArtifactStore {
                 path.display()
             );
             std::fs::remove_file(&path).ok();
-            std::fs::remove_file(Sidecar::path_for(&path)).ok();
             total = total.saturating_sub(bytes);
         }
     }
@@ -271,7 +266,6 @@ mod tests {
         std::fs::write(&path, &bytes).expect("corrupt");
         assert!(store.load_streams("gcc", fp).is_none());
         assert!(!path.exists(), "rotten artifact evicted");
-        assert!(!Sidecar::path_for(&path).exists(), "sidecar evicted too");
         std::fs::remove_dir_all(&store.dir).ok();
     }
 
@@ -289,14 +283,6 @@ mod tests {
         .expect("set mtime");
     }
 
-    fn artifact_bytes(store: &ArtifactStore, bench: &str) -> u64 {
-        let path = store.streams_path(bench);
-        std::fs::metadata(&path).expect("artifact").len()
-            + std::fs::metadata(Sidecar::path_for(&path))
-                .map(|m| m.len())
-                .unwrap_or(0)
-    }
-
     #[test]
     fn budget_evicts_least_recently_used_first() {
         let store = temp_store("budget");
@@ -305,7 +291,9 @@ mod tests {
             store.save_streams(bench, &built, streams_config_fp(bench, 1, 2000));
         }
         // All three are the same size; budget fits exactly two.
-        let one = artifact_bytes(&store, "alpha");
+        let one = std::fs::metadata(store.streams_path("alpha"))
+            .expect("artifact")
+            .len();
         let store = store.with_budget(Some(2 * one));
         backdate(&store.streams_path("alpha"), 300);
         backdate(&store.streams_path("beta"), 200);
@@ -320,10 +308,6 @@ mod tests {
             "recently used survives"
         );
         assert!(!store.streams_path("beta").exists(), "LRU evicted");
-        assert!(
-            !Sidecar::path_for(&store.streams_path("beta")).exists(),
-            "sidecar evicted with its artifact"
-        );
         assert!(!store.streams_path("gamma").exists(), "next-LRU evicted");
         assert!(
             store.streams_path("delta").exists(),

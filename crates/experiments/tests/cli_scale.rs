@@ -75,18 +75,28 @@ fn artifacts_are_reused_and_rebuilt_after_corruption() {
     let streams = dir.join("m88ksim.streams.bps");
     let matrix = dir.join("m88ksim.w16c12.matrix.bps");
 
-    // A cold run writes both artifacts.
+    // A cold run writes both artifacts, one file each.
     let (cold, _) = run();
-    assert!(streams.is_file() && matrix.is_file(), "artifacts written");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list the artifact dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    files.sort();
+    assert_eq!(
+        files,
+        ["m88ksim.streams.bps", "m88ksim.w16c12.matrix.bps"],
+        "one file per artifact"
+    );
 
     // A warm run reopens them and prints the same bytes.
     let (warm, err) = run();
     assert_eq!(warm, cold);
     assert!(err.contains("reused"), "{err}");
 
-    // A flipped byte in the matrix artifact, then a truncated streams
-    // artifact: each is evicted with a notice naming it and rebuilt, and
-    // stdout does not change.
+    // A flipped byte in the matrix artifact (word 6, the dynamic total,
+    // which the content fingerprint covers), then a truncated streams
+    // artifact, then an older format's magic: each is evicted with a
+    // notice naming it and rebuilt, and stdout does not change.
     let mut bytes = std::fs::read(&matrix).expect("read matrix artifact");
     bytes[48] ^= 0xFF;
     std::fs::write(&matrix, bytes).expect("corrupt matrix artifact");
@@ -99,6 +109,13 @@ fn artifacts_are_reused_and_rebuilt_after_corruption() {
     std::fs::write(&streams, &bytes[..bytes.len() / 3]).expect("truncate streams artifact");
     let (rebuilt, err) = run();
     let notice = format!("notice: regenerating artifact {}", streams.display());
+    assert!(err.contains(&notice), "{err}");
+    assert_eq!(rebuilt, cold);
+
+    let mut bytes = std::fs::read(&streams).expect("read streams artifact");
+    bytes[..4].copy_from_slice(b"BPS1");
+    std::fs::write(&streams, bytes).expect("an older build's streams artifact");
+    let (rebuilt, err) = run();
     assert!(err.contains(&notice), "{err}");
     assert_eq!(rebuilt, cold);
 

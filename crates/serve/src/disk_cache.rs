@@ -27,10 +27,10 @@
 //! content_fp   8  FNV-1a over payload (distinct offset basis)
 //! ```
 //!
-//! The fingerprints reuse the shared sidecar format's FNV-1a chain
+//! The fingerprints reuse the shared FNV-1a chain
 //! ([`bp_trace::sidecar`]) — the same `config` / `content` split a
-//! sidecar stamps on `.bps` artifacts, here inlined into the entry so
-//! each file is self-validating. Every failure mode is a typed
+//! `.bps` artifact keeps in its header words, here inlined into the
+//! entry so each file is self-validating. Every failure mode is a typed
 //! [`DiskCacheError`]; a corrupt entry is removed with a one-line
 //! notice and regenerated on the next request — never a panic, and the
 //! announced `payload_len` is validated against the real file size
@@ -109,7 +109,7 @@ impl std::error::Error for DiskCacheError {
     }
 }
 
-/// The config fingerprint of a key: the sidecar FNV-1a chain over the
+/// The config fingerprint of a key: the shared FNV-1a chain over the
 /// experiment id, seed, and target.
 #[must_use]
 pub fn config_fingerprint(key: &EvalKey) -> u64 {

@@ -11,7 +11,7 @@
 //! the property that makes horizontal scale cheap.
 //!
 //! Hashing reuses the shared FNV-1a chain from [`bp_trace::sidecar`] —
-//! one hash implementation across trace sidecars, the disk cache, and
+//! one hash implementation across `.bps` artifacts, the disk cache, and
 //! the ring.
 
 use bp_trace::sidecar::{fnv1a, FNV_OFFSET};

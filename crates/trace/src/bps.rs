@@ -2,35 +2,43 @@
 //!
 //! A `.bps` file holds a bit-plane artifact — [`BranchStreams`] here, the
 //! oracle's `OutcomeMatrix` in `bp-core` — as one flat array of
-//! little-endian u64 words, so that re-opening it is a length check, a
-//! header walk, and an `mmap(2)`: a 1B-branch artifact is built once and
+//! little-endian u64 words, so that re-opening it is a header check, an
+//! index walk, and an `mmap(2)`: a 1B-branch artifact is built once and
 //! every later sweep or re-classification starts from the mapped planes
 //! instead of a twenty-minute regeneration.
 //!
-//! Layout common to every kind (all quantities are words unless noted):
+//! Every kind shares one container and one index shape (all quantities
+//! are words unless noted):
 //!
 //! ```text
-//! word 0   magic "BPS1" + kind byte (1 = streams, 2 = matrix) + 3 zero bytes
+//! word 0   magic "BPS2" + kind byte (1 = streams, 2 = matrix) + 3 zero bytes
 //! word 1   total file length in BYTES (must equal the real file length)
-//! word 2+  kind-specific header, index, then the concatenated planes
+//! word 2   config fingerprint: what question the artifact answers
+//! word 3   content fingerprint: FNV-1a over words 0–2, then every word
+//!          from 4 to the end of the index, then every tag word
+//! word 4   static branch count B
+//!          the kind's extra header words (matrix: the path-window length)
+//!          total dynamic conditional executions
+//! index    one entry per branch, sorted by pc:
+//!          [pc, executions, tag count t (tagged kinds only), word offset]
+//! regions  per branch, at its word offset: 2t tag words, then 1 + 2t
+//!          planes of executions.div_ceil(64) words each
 //! ```
 //!
-//! The streams kind (this module) continues:
+//! The streams kind (this module) has no extra header word and no tags:
+//! each region is one packed outcome plane. The matrix kind's layout is
+//! in `bp-core`.
 //!
-//! ```text
-//! word 2   static branch count B
-//! word 3   total dynamic conditional executions
-//! 3 words per branch, sorted by pc:  [pc, stream length in bits, word offset]
-//! then each branch's packed outcome plane (len.div_ceil(64) words)
-//! ```
-//!
-//! Trust is layered: an FNV-1a [`Sidecar`] next to the file pins the
-//! *configuration* (what question the artifact answers) and the *content*
-//! (a fingerprint of the header+index words — the planes' cheap
-//! stand-in); the file then self-describes its length and every plane
-//! offset, all of which is validated **before** any plane is sliced or the
-//! file is handed to `mmap`. Every failure mode is a typed [`BpsError`] —
-//! a rotten artifact is a *rebuild* signal, never a panic.
+//! One [`write_atomic`] commits each artifact, fingerprints included, so
+//! a failed save leaves the previous artifact exactly as it was. Opening
+//! checks magic, kind, declared length and config from the first four
+//! words before the body is mapped or read; then [`open`]'s one walk
+//! validates the whole index (sorted pcs, offset continuity,
+//! overflow-checked extents, padding bits, the dynamic total) and the
+//! content fingerprint before any plane view is built. The fingerprint
+//! covers the structure, not the planes: hashing the planes would turn a
+//! zero-copy reopen into a full read. Every failure mode is a typed
+//! [`BpsError`] — a rotten artifact is a *rebuild* signal, never a panic.
 
 use std::fs::File;
 use std::io::{Read, Write};
@@ -38,22 +46,24 @@ use std::ops::Deref;
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::fx::FxHashMap;
 use crate::mmap::MappedBytes;
 use crate::record::Pc;
-use crate::sidecar::{fnv1a, write_atomic, Sidecar, SidecarError, CONTENT_OFFSET};
+use crate::sidecar::{fnv1a, write_atomic, CONTENT_OFFSET};
 use crate::streams::{BranchStreams, OutcomeStream};
 
 /// Magic bytes opening every `.bps` file.
-pub const BPS_MAGIC: [u8; 4] = *b"BPS1";
+pub const BPS_MAGIC: [u8; 4] = *b"BPS2";
 /// Kind byte of a [`BranchStreams`] artifact.
 pub const STREAMS_KIND: u8 = 1;
 /// Kind byte of an `OutcomeMatrix` artifact (codec in `bp-core`).
 pub const MATRIX_KIND: u8 = 2;
 
+/// Container words opening every kind: magic and kind, length, config
+/// and content fingerprints.
+const CONTAINER_WORDS: usize = 4;
+
 /// Word 0 of a `.bps` file of the given kind.
-#[must_use]
-pub fn header_word(kind: u8) -> u64 {
+fn header_word(kind: u8) -> u64 {
     u64::from_le_bytes([
         BPS_MAGIC[0],
         BPS_MAGIC[1],
@@ -67,7 +77,7 @@ pub fn header_word(kind: u8) -> u64 {
 }
 
 /// FNV-1a over the little-endian bytes of `words`, folded into `init` —
-/// the content fingerprint primitive shared by both `.bps` codecs.
+/// the content fingerprint primitive.
 #[must_use]
 pub fn fnv_words(init: u64, words: &[u64]) -> u64 {
     let mut hash = init;
@@ -83,10 +93,8 @@ pub fn fnv_words(init: u64, words: &[u64]) -> u64 {
 pub enum BpsError {
     /// The file could not be read at all.
     Io(std::io::Error),
-    /// The fingerprint sidecar is missing, malformed, or future-versioned.
-    Sidecar(SidecarError),
     /// The file does not open with the `.bps` magic (wrong file, or a
-    /// future format revision).
+    /// format revision this build does not read).
     BadMagic,
     /// Valid magic, but the kind byte is not the kind the caller asked
     /// for (e.g. a streams artifact where a matrix was expected).
@@ -95,10 +103,11 @@ pub enum BpsError {
     Truncated(&'static str),
     /// The structure is internally inconsistent.
     Corrupt(&'static str),
-    /// The sidecar's config fingerprint answers a different question
+    /// The header's config fingerprint answers a different question
     /// (other seed, target, window, …).
     ConfigMismatch,
-    /// The sidecar's content fingerprint does not match the file.
+    /// The header's content fingerprint does not match the header, index
+    /// and tag words.
     ContentMismatch,
 }
 
@@ -106,7 +115,6 @@ impl std::fmt::Display for BpsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BpsError::Io(e) => write!(f, "artifact unreadable: {e}"),
-            BpsError::Sidecar(e) => write!(f, "{e}"),
             BpsError::BadMagic => write!(f, "not a .bps artifact"),
             BpsError::WrongKind => write!(f, "artifact kind mismatch"),
             BpsError::Truncated(what) => write!(f, "truncated artifact: {what}"),
@@ -122,12 +130,6 @@ impl std::error::Error for BpsError {}
 impl From<std::io::Error> for BpsError {
     fn from(e: std::io::Error) -> Self {
         BpsError::Io(e)
-    }
-}
-
-impl From<SidecarError> for BpsError {
-    fn from(e: SidecarError) -> Self {
-        BpsError::Sidecar(e)
     }
 }
 
@@ -147,33 +149,46 @@ enum Backing {
 }
 
 impl BpsBytes {
-    /// Opens a `.bps` file of the given kind and validates the common
-    /// header: file length (non-empty, whole words, fits in memory —
-    /// checked **before** the file is mapped or sliced), magic, kind
-    /// byte, and the declared-vs-real length. Kind-specific structure is
-    /// the caller's job.
-    ///
-    /// # Errors
-    ///
-    /// [`BpsError::Io`] / [`BpsError::Truncated`] / [`BpsError::BadMagic`]
-    /// / [`BpsError::WrongKind`] / [`BpsError::Corrupt`] as described.
-    pub fn open(path: &Path, kind: u8) -> Result<BpsBytes, BpsError> {
+    /// Opens a `.bps` file and checks its container from the first four
+    /// words — file length (at least the container, whole words), magic,
+    /// kind byte, declared-vs-real length and config fingerprint —
+    /// **before** the body is mapped or read.
+    fn open(path: &Path, kind: u8, config: u64) -> Result<BpsBytes, BpsError> {
         let mut file = File::open(path)?;
         let len = file.metadata()?.len();
-        if len < 16 {
+        if len < 8 * CONTAINER_WORDS as u64 {
             return Err(BpsError::Truncated("shorter than the artifact header"));
         }
         if !len.is_multiple_of(8) {
             return Err(BpsError::Truncated("length is not a whole number of words"));
+        }
+        let mut head = [0u8; 8 * CONTAINER_WORDS];
+        file.read_exact(&mut head)?;
+        let word = |i: usize| {
+            u64::from_le_bytes(head[8 * i..8 * i + 8].try_into().expect("an 8-byte word"))
+        };
+        if head[0..4] != BPS_MAGIC || head[5..8] != [0, 0, 0] {
+            return Err(BpsError::BadMagic);
+        }
+        if head[4] != kind {
+            return Err(BpsError::WrongKind);
+        }
+        if word(1) != len {
+            return Err(BpsError::Corrupt("declared length does not match the file"));
+        }
+        if word(2) != config {
+            return Err(BpsError::ConfigMismatch);
         }
         let byte_len =
             usize::try_from(len).map_err(|_| BpsError::Corrupt("artifact larger than memory"))?;
         let backing = match MappedBytes::map(&file, len) {
             Some(mapped) => Backing::Mapped(mapped),
             None => {
-                // Portable fallback: one buffered read, explicit
-                // little-endian decode (correct on any endianness).
+                // Portable fallback: one buffered read after the header,
+                // explicit little-endian decode (correct on any
+                // endianness).
                 let mut bytes = Vec::with_capacity(byte_len);
+                bytes.extend_from_slice(&head);
                 file.read_to_end(&mut bytes)?;
                 if bytes.len() != byte_len {
                     return Err(BpsError::Truncated("file changed while reading"));
@@ -185,21 +200,9 @@ impl BpsBytes {
                 Backing::Owned(words)
             }
         };
-        let this = BpsBytes {
+        Ok(BpsBytes {
             backing: Arc::new(backing),
-        };
-        let words = this.words();
-        let head = words[0].to_le_bytes();
-        if head[0..4] != BPS_MAGIC || head[5..8] != [0, 0, 0] {
-            return Err(BpsError::BadMagic);
-        }
-        if head[4] != kind {
-            return Err(BpsError::WrongKind);
-        }
-        if words[1] != len {
-            return Err(BpsError::Corrupt("declared length does not match the file"));
-        }
-        Ok(this)
+        })
     }
 
     /// The whole file as words.
@@ -327,6 +330,248 @@ impl std::fmt::Debug for Words {
     }
 }
 
+/// What a `.bps` kind adds to the shared container and index shape.
+#[derive(Debug, Clone, Copy)]
+pub struct Layout {
+    /// The kind byte in word 0.
+    pub kind: u8,
+    /// Header words between the branch count and the dynamic total.
+    pub extra_words: usize,
+    /// Whether each index entry carries a tag count `t`, and each region
+    /// `2t` tag words and `2t` more planes.
+    pub tagged: bool,
+}
+
+impl Layout {
+    fn header_words(self) -> usize {
+        CONTAINER_WORDS + 2 + self.extra_words
+    }
+
+    fn entry_words(self) -> usize {
+        3 + usize::from(self.tagged)
+    }
+}
+
+const STREAMS: Layout = Layout {
+    kind: STREAMS_KIND,
+    extra_words: 0,
+    tagged: false,
+};
+
+/// One branch's region, as [`write()`] lays it out.
+#[derive(Debug)]
+pub struct Region<'a> {
+    /// The branch pc.
+    pub pc: Pc,
+    /// Executions: the bit length of every plane.
+    pub executions: u64,
+    /// Two words per tag (empty for an untagged kind).
+    pub tag_words: Vec<u64>,
+    /// The `1 + tag_words.len()` planes, in file order.
+    pub planes: Vec<&'a [u64]>,
+}
+
+/// Writes one `.bps` artifact at `path` through a single
+/// [`write_atomic`]: the container header with both fingerprints, the
+/// branch count, `extra`, the dynamic total, the index, then every
+/// region sorted by pc. A failed write leaves the file at `path` as it
+/// was.
+///
+/// # Errors
+///
+/// Filesystem errors from the write or rename.
+pub fn write(
+    path: &Path,
+    layout: Layout,
+    config: u64,
+    extra: &[u64],
+    dynamic: u64,
+    regions: &mut [Region<'_>],
+) -> std::io::Result<()> {
+    debug_assert_eq!(extra.len(), layout.extra_words);
+    regions.sort_unstable_by_key(|r| r.pc);
+    let mut meta = vec![header_word(layout.kind), 0, config, 0, regions.len() as u64];
+    meta.extend_from_slice(extra);
+    meta.push(dynamic);
+    let mut off = (meta.len() + layout.entry_words() * regions.len()) as u64;
+    for r in regions.iter() {
+        meta.extend([r.pc, r.executions]);
+        if layout.tagged {
+            meta.push(r.tag_words.len() as u64 / 2);
+        }
+        meta.push(off);
+        off += (r.tag_words.len() + r.planes.iter().map(|p| p.len()).sum::<usize>()) as u64;
+    }
+    meta[1] = off * 8; // total file length in bytes
+    let mut content = fnv_words(fnv_words(CONTENT_OFFSET, &meta[..3]), &meta[4..]);
+    for r in regions.iter() {
+        content = fnv_words(content, &r.tag_words);
+    }
+    meta[3] = content;
+
+    write_atomic(path, |out| -> std::io::Result<()> {
+        let mut put = |words: &[u64]| -> std::io::Result<()> {
+            words
+                .iter()
+                .try_for_each(|w| out.write_all(&w.to_le_bytes()))
+        };
+        put(&meta)?;
+        for r in regions.iter() {
+            put(&r.tag_words)?;
+            for plane in &r.planes {
+                put(plane)?;
+            }
+        }
+        Ok(())
+    })
+}
+
+/// One branch's index entry, validated against the file.
+#[derive(Debug, Clone, Copy)]
+pub struct Entry {
+    /// The branch pc.
+    pub pc: Pc,
+    /// Executions: the bit length of every plane.
+    pub executions: usize,
+    /// Tag count `t` (0 for an untagged kind).
+    pub tags: usize,
+    /// Word offset of the branch's region.
+    pub offset: usize,
+}
+
+/// A `.bps` artifact whose container, index and content fingerprint
+/// passed [`open`]: every [`Opened::plane`] is in bounds.
+#[derive(Debug)]
+pub struct Opened {
+    /// The file's words.
+    pub bytes: BpsBytes,
+    /// The kind's extra header words.
+    pub extra: Vec<u64>,
+    /// The total dynamic executions.
+    pub dynamic: u64,
+    /// The index, sorted by pc.
+    pub entries: Vec<Entry>,
+}
+
+impl Opened {
+    /// The tag words of `entry`'s region.
+    #[must_use]
+    pub fn tag_words(&self, entry: &Entry) -> &[u64] {
+        &self.bytes.words()[entry.offset..entry.offset + 2 * entry.tags]
+    }
+
+    /// Plane `p` (of `1 + 2t`) of `entry`'s region, viewing the file.
+    #[must_use]
+    pub fn plane(&self, entry: &Entry, p: usize) -> Words {
+        let w = entry.executions.div_ceil(64);
+        Words::mapped(self.bytes.clone(), entry.offset + 2 * entry.tags + p * w, w)
+    }
+}
+
+/// Opens a `.bps` artifact of `layout`'s kind answering `config`. Magic,
+/// kind, declared length and config are checked from the first four
+/// words before the body is mapped or read; then one walk validates the
+/// index (sorted pcs, every region's offset and extent, padding bits past
+/// each plane's length, the dynamic total) and the content fingerprint
+/// before any plane view is built.
+///
+/// # Errors
+///
+/// Every rot mode is a distinct [`BpsError`]; see the module docs.
+pub fn open(path: &Path, layout: Layout, config: u64) -> Result<Opened, BpsError> {
+    let bytes = BpsBytes::open(path, layout.kind, config)?;
+    let words = bytes.words();
+    let total = words.len() as u64;
+    let header_words = layout.header_words();
+    if words.len() < header_words {
+        return Err(BpsError::Truncated("missing kind header"));
+    }
+    let branch_count = words[CONTAINER_WORDS];
+    let extra = words[CONTAINER_WORDS + 1..header_words - 1].to_vec();
+    let dynamic = words[header_words - 1];
+    let entry_words = layout.entry_words();
+    let index_end = branch_count
+        .checked_mul(entry_words as u64)
+        .and_then(|iw| iw.checked_add(header_words as u64))
+        .ok_or(BpsError::Corrupt("branch count overflows the index"))?;
+    if index_end > total {
+        return Err(BpsError::Truncated("index past end of file"));
+    }
+    let index = &words[header_words..index_end as usize];
+
+    let mut content = fnv_words(CONTENT_OFFSET, &words[..3]);
+    content = fnv_words(content, &words[CONTAINER_WORDS..index_end as usize]);
+    let mut entries: Vec<Entry> = Vec::with_capacity(index.len() / entry_words);
+    let mut expected_off = index_end;
+    let mut dynamic_sum = 0u64;
+    for e in index.chunks_exact(entry_words) {
+        let (pc, executions, off) = (e[0], e[1], e[entry_words - 1]);
+        let tags = if layout.tagged { e[2] } else { 0 };
+        if entries.last().is_some_and(|prev| prev.pc >= pc) {
+            return Err(BpsError::Corrupt("index not sorted by pc"));
+        }
+        if off != expected_off {
+            return Err(BpsError::Corrupt("region offset does not match the index"));
+        }
+        let plane_words = executions.div_ceil(64);
+        expected_off = tags
+            .checked_mul(2)
+            .and_then(|tw| tw.checked_add(1)?.checked_mul(plane_words)?.checked_add(tw))
+            .and_then(|region| expected_off.checked_add(region))
+            .ok_or(BpsError::Corrupt("region overflows the file"))?;
+        if expected_off > total {
+            return Err(BpsError::Truncated("region past end of file"));
+        }
+        dynamic_sum = dynamic_sum
+            .checked_add(executions)
+            .ok_or(BpsError::Corrupt("dynamic count overflows"))?;
+        // The region fits in the file, so its offset and tag count fit
+        // in memory.
+        let entry = Entry {
+            pc,
+            executions: usize::try_from(executions)
+                .map_err(|_| BpsError::Corrupt("execution count overflows memory"))?,
+            tags: tags as usize,
+            offset: off as usize,
+        };
+        let first_plane = entry.offset + 2 * entry.tags;
+        content = fnv_words(content, &words[entry.offset..first_plane]);
+        // Bits past the declared execution count must be zero in every
+        // plane, as the builders guarantee: a lying count would silently
+        // corrupt popcounts and run-length replays.
+        let tail_bits = executions % 64;
+        if tail_bits != 0 {
+            let mask = !((1u64 << tail_bits) - 1);
+            let plane_words = plane_words as usize;
+            for p in 1..=1 + 2 * entry.tags {
+                if words[first_plane + p * plane_words - 1] & mask != 0 {
+                    return Err(BpsError::Corrupt(
+                        "padding bits set past the execution count",
+                    ));
+                }
+            }
+        }
+        entries.push(entry);
+    }
+    if expected_off != total {
+        return Err(BpsError::Corrupt("file length does not match the regions"));
+    }
+    if dynamic_sum != dynamic {
+        return Err(BpsError::Corrupt(
+            "dynamic total does not match the branches",
+        ));
+    }
+    if content != words[3] {
+        return Err(BpsError::ContentMismatch);
+    }
+    Ok(Opened {
+        bytes,
+        extra,
+        dynamic,
+        entries,
+    })
+}
+
 /// A [`BranchStreams`] re-opened from a `.bps` artifact.
 #[derive(Debug)]
 pub struct OpenedStreams {
@@ -336,158 +581,60 @@ pub struct OpenedStreams {
     pub mapped: bool,
 }
 
-/// Writes `streams` as a `.bps` artifact at `path`, then its fingerprint
-/// sidecar, each through [`write_atomic`], so a crash never leaves a
-/// half-written file under the real name.
+/// Writes `streams` as a `.bps` artifact at `path` through one
+/// [`write_atomic`], so a crash never leaves a half-written file under
+/// the real name.
 ///
 /// # Errors
 ///
 /// Filesystem errors from the write or rename.
 pub fn write_streams(path: &Path, streams: &BranchStreams, config: u64) -> std::io::Result<()> {
-    let mut branches: Vec<(Pc, &OutcomeStream)> = streams.iter().collect();
-    branches.sort_unstable_by_key(|&(pc, _)| pc);
-
-    let index_base = 4u64 + 3 * branches.len() as u64;
-    let mut meta: Vec<u64> = Vec::with_capacity(index_base as usize);
-    meta.extend([
-        header_word(STREAMS_KIND),
-        0,
-        branches.len() as u64,
+    let mut regions: Vec<Region<'_>> = streams
+        .iter()
+        .map(|(pc, s)| Region {
+            pc,
+            executions: s.len() as u64,
+            tag_words: Vec::new(),
+            planes: vec![s.words()],
+        })
+        .collect();
+    write(
+        path,
+        STREAMS,
+        config,
+        &[],
         streams.dynamic_count(),
-    ]);
-    let mut off = index_base;
-    for &(pc, s) in &branches {
-        meta.extend([pc, s.len() as u64, off]);
-        off += s.words().len() as u64;
-    }
-    meta[1] = off * 8; // total file length in bytes
-
-    write_atomic(path, |out| -> std::io::Result<()> {
-        for w in &meta {
-            out.write_all(&w.to_le_bytes())?;
-        }
-        for &(_, s) in &branches {
-            for w in s.words() {
-                out.write_all(&w.to_le_bytes())?;
-            }
-        }
-        Ok(())
-    })?;
-
-    let content = fnv_words(CONTENT_OFFSET, &meta);
-    Sidecar { config, content }.write(path)
+        &mut regions,
+    )
 }
 
-/// Re-opens a streams artifact written by [`write_streams`], validating
-/// sidecar fingerprints and the whole index (sorted pcs, every plane
-/// offset and length, tail-padding bits, the dynamic total) before any
-/// plane view is constructed.
+/// Re-opens a streams artifact written by [`write_streams`], validated
+/// by [`open`] before any plane view is built.
 ///
 /// # Errors
 ///
 /// Every rot mode is a distinct [`BpsError`]; see the module docs.
 pub fn open_streams(path: &Path, config: u64) -> Result<OpenedStreams, BpsError> {
-    let sidecar = Sidecar::load(path)?;
-    if sidecar.config != config {
-        return Err(BpsError::ConfigMismatch);
-    }
-    let bytes = BpsBytes::open(path, STREAMS_KIND)?;
-    let words = bytes.words();
-    let total_words = words.len() as u64;
-    if total_words < 4 {
-        return Err(BpsError::Truncated("missing streams header"));
-    }
-    let branch_count = words[2];
-    let total_dynamic = words[3];
-    let index_end = branch_count
-        .checked_mul(3)
-        .and_then(|iw| iw.checked_add(4))
-        .ok_or(BpsError::Corrupt("branch count overflows the index"))?;
-    if index_end > total_words {
-        return Err(BpsError::Truncated("index past end of file"));
-    }
-    let meta_end = index_end as usize;
-
-    let mut expected_off = index_end;
-    let mut dynamic_sum = 0u64;
-    let mut prev_pc: Option<Pc> = None;
-    for i in 0..branch_count as usize {
-        let pc = words[4 + 3 * i];
-        let len = words[4 + 3 * i + 1];
-        let off = words[4 + 3 * i + 2];
-        if prev_pc.is_some_and(|p| p >= pc) {
-            return Err(BpsError::Corrupt("index not sorted by pc"));
-        }
-        prev_pc = Some(pc);
-        if off != expected_off {
-            return Err(BpsError::Corrupt("plane offset does not match index"));
-        }
-        let plane_words = len.div_ceil(64);
-        expected_off = expected_off
-            .checked_add(plane_words)
-            .ok_or(BpsError::Corrupt("plane length overflows the file"))?;
-        if expected_off > total_words {
-            return Err(BpsError::Truncated("plane past end of file"));
-        }
-        dynamic_sum = dynamic_sum
-            .checked_add(len)
-            .ok_or(BpsError::Corrupt("dynamic count overflows"))?;
-        // Bits past the declared length must be zero, as the builders
-        // guarantee — a lying length would silently corrupt popcounts.
-        let tail_bits = len % 64;
-        if tail_bits != 0 {
-            let last = words[(off + plane_words - 1) as usize];
-            if last & !((1u64 << tail_bits) - 1) != 0 {
-                return Err(BpsError::Corrupt("padding bits set past stream length"));
-            }
-        }
-    }
-    if expected_off != total_words {
-        return Err(BpsError::Corrupt("file length does not match the planes"));
-    }
-    if dynamic_sum != total_dynamic {
-        return Err(BpsError::Corrupt(
-            "dynamic total does not match the streams",
-        ));
-    }
-    if fnv_words(CONTENT_OFFSET, &words[..meta_end]) != sidecar.content {
-        return Err(BpsError::ContentMismatch);
-    }
-
-    let mapped = bytes.is_mapped();
-    let mut map: FxHashMap<Pc, OutcomeStream> =
-        FxHashMap::with_capacity_and_hasher(branch_count as usize, Default::default());
-    for i in 0..branch_count as usize {
-        let pc = words[4 + 3 * i];
-        let len = words[4 + 3 * i + 1] as usize;
-        let off = words[4 + 3 * i + 2] as usize;
-        let plane = Words::mapped(bytes.clone(), off, len.div_ceil(64));
-        map.insert(pc, OutcomeStream::from_words(plane, len));
-    }
+    let opened = open(path, STREAMS, config)?;
+    let map = opened
+        .entries
+        .iter()
+        .map(|e| {
+            (
+                e.pc,
+                OutcomeStream::from_words(opened.plane(e, 0), e.executions),
+            )
+        })
+        .collect();
     Ok(OpenedStreams {
-        streams: BranchStreams::from_parts(map, total_dynamic),
-        mapped,
+        streams: BranchStreams::from_parts(map, opened.dynamic),
+        mapped: opened.bytes.is_mapped(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::BranchRecord;
-    use crate::trace::Trace;
-
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("bp-bps-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        dir
-    }
-
-    fn sample_streams() -> BranchStreams {
-        let recs: Vec<BranchRecord> = (0..3000u64)
-            .map(|i| BranchRecord::conditional(0x10 + (i % 7) * 8, i % 3 != 0))
-            .collect();
-        BranchStreams::of(&Trace::from_records(recs))
-    }
 
     #[test]
     fn words_owned_and_cow_promotion() {
@@ -497,41 +644,5 @@ mod tests {
         w.vec_mut().push(4);
         assert_eq!(&w[..], &[1, 2, 3, 4]);
         assert_eq!(w, Words::owned(vec![1, 2, 3, 4]));
-    }
-
-    #[test]
-    fn streams_round_trip_through_bps() {
-        let dir = temp_dir("roundtrip");
-        let path = dir.join("m.streams.bps");
-        let built = sample_streams();
-        write_streams(&path, &built, 0xfeed).expect("write");
-        let opened = open_streams(&path, 0xfeed).expect("open");
-        assert_eq!(opened.streams, built);
-        assert_eq!(opened.mapped, crate::mmap::mmap_supported());
-        assert_eq!(opened.streams.profile(), built.profile());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn config_mismatch_is_typed() {
-        let dir = temp_dir("config");
-        let path = dir.join("m.streams.bps");
-        write_streams(&path, &sample_streams(), 1).expect("write");
-        assert!(matches!(
-            open_streams(&path, 2),
-            Err(BpsError::ConfigMismatch)
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn empty_streams_round_trip() {
-        let dir = temp_dir("empty");
-        let path = dir.join("empty.streams.bps");
-        let built = BranchStreams::of(&Trace::new());
-        write_streams(&path, &built, 7).expect("write");
-        let opened = open_streams(&path, 7).expect("open");
-        assert_eq!(opened.streams, built);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -20,11 +20,12 @@
 //!
 //! Safety argument for readers of the mapped slice (see DESIGN.md §3i):
 //! the mapping is `PROT_READ` + `MAP_PRIVATE`, so nothing in-process can
-//! write through it; artifact files are published atomically
-//! (`sidecar::write_atomic`) and never truncated in place, so the classic
+//! write through it; each artifact file is published whole by one
+//! `sidecar::write_atomic` and never truncated in place, so the classic
 //! `SIGBUS`-on-shrink hazard requires outside interference — callers
 //! validate the file length against the artifact's own declared length
-//! *before* mapping, which is also what bounds every slice below.
+//! (a header word) *before* mapping, which is also what bounds every
+//! slice below.
 
 #[cfg(all(unix, target_endian = "little"))]
 mod imp {

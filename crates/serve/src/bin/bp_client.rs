@@ -35,6 +35,7 @@
 
 use std::io::Write;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use bp_experiments::cli::{finish, RunError};
@@ -138,16 +139,27 @@ fn opt<'a>(flags: &'a Flags, name: &str) -> Option<&'a str> {
         .and_then(|(_, v)| v.as_deref())
 }
 
-/// The value of `--name` as an unsigned integer. A value that does not
-/// parse is reported on stderr and fails the run as `bad --name`.
+/// The value of `--name` as a `T` that passes `ok`; anything else is a
+/// usage error naming the flag and what it `needs`.
+fn value_of<T: FromStr>(
+    flags: &Flags,
+    name: &str,
+    needs: &str,
+    ok: fn(&T) -> bool,
+) -> Result<Option<T>, RunError> {
+    let bad = |v: &str| RunError::Usage(format!("--{name} needs {needs}, got {v:?}"));
+    let parse = |v: &str| v.parse().ok().filter(ok).ok_or_else(|| bad(v));
+    opt(flags, name).map(parse).transpose()
+}
+
+/// The value of `--name` as an unsigned integer.
 fn opt_u64(flags: &Flags, name: &str) -> Result<Option<u64>, RunError> {
-    match opt(flags, name) {
-        None => Ok(None),
-        Some(v) => v.parse().map(Some).map_err(|_| {
-            eprintln!("error: --{name} needs an unsigned integer");
-            RunError::Failed(format!("bad --{name}"))
-        }),
-    }
+    value_of(flags, name, "an unsigned integer", |_| true)
+}
+
+/// The value of `--name` as an unsigned 32-bit integer.
+fn opt_u32(flags: &Flags, name: &str) -> Result<Option<u32>, RunError> {
+    value_of(flags, name, "an unsigned integer below 2^32", |_| true)
 }
 
 fn has_flag(flags: &Flags, name: &str) -> bool {
@@ -155,15 +167,14 @@ fn has_flag(flags: &Flags, name: &str) -> bool {
 }
 
 fn retry_policy(flags: &Flags) -> Result<RetryPolicy, RunError> {
-    let bad = |_| RunError::Failed("bad retry flags".to_owned());
     let mut policy = RetryPolicy::default();
-    if let Some(n) = opt_u64(flags, "retries").map_err(bad)? {
-        policy.attempts = (n as u32).max(1);
+    if let Some(n) = opt_u32(flags, "retries")? {
+        policy.attempts = n.max(1);
     }
-    if let Some(ms) = opt_u64(flags, "retry-base-ms").map_err(bad)? {
+    if let Some(ms) = opt_u64(flags, "retry-base-ms")? {
         policy.base = Duration::from_millis(ms);
     }
-    if let Some(seed) = opt_u64(flags, "retry-seed").map_err(bad)? {
+    if let Some(seed) = opt_u64(flags, "retry-seed")? {
         policy.seed = seed;
     }
     Ok(policy)
@@ -293,14 +304,14 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), RunError> {
             let [path] = &flags.positional[..] else {
                 return Err(RunError::Usage(String::new()));
             };
-            let bits = opt_u64(flags, "bits")?.unwrap_or(16) as u32;
-            let history_bits = opt_u64(flags, "history-bits")?.unwrap_or(6) as u32;
+            let bits = opt_u32(flags, "bits")?.unwrap_or(16);
+            let history_bits = opt_u32(flags, "history-bits")?.unwrap_or(6);
             let predictor = match opt(flags, "predictor").unwrap_or("gshare") {
                 "gshare" => PredictorSpec::Gshare { bits },
                 "if_gshare" => PredictorSpec::IfGshare { bits },
                 "pas" => PredictorSpec::Pas,
                 "if_pas" => PredictorSpec::IfPas { history_bits },
-                other => return Err(RunError::Failed(format!("unknown predictor {other}"))),
+                other => return Err(RunError::Usage(format!("--predictor {other:?} is unknown"))),
             };
             let deadline = opt_u64(flags, "deadline-ms")?;
             let mut client = Client::connect(&flags.addrs[0]).map_err(failed)?;
@@ -390,24 +401,27 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), RunError> {
             let spread = opt_u64(flags, "spread")?;
             let target = opt_u64(flags, "target")?;
             let deadline = opt_u64(flags, "deadline-ms")?;
-            let rate = match opt(flags, "rate") {
-                None => None,
-                Some(v) => Some(v.parse::<f64>().map_err(|_| failed("bad --rate"))?),
-            };
+            let rate = value_of(flags, "rate", "a positive number", |r: &f64| {
+                r.is_finite() && *r > 0.0
+            })?;
             let retry = retry_policy(flags)?;
             let chaos_kill = opt_u64(flags, "chaos-kill")?;
             let chaos_after = opt_u64(flags, "chaos-after-ms")?;
             let chaos = match (chaos_kill, chaos_after) {
                 (Some(shard), after) => {
                     if shard as usize >= flags.addrs.len() {
-                        return Err(failed("--chaos-kill is out of range for the address list"));
+                        let why = "--chaos-kill is out of range for the address list";
+                        return Err(RunError::Usage(why.into()));
                     }
                     Some(ChaosOptions {
                         kill_shard: shard as usize,
                         after: Duration::from_millis(after.unwrap_or(500)),
                     })
                 }
-                (None, Some(_)) => return Err(failed("--chaos-after-ms needs --chaos-kill")),
+                (None, Some(_)) => {
+                    let why = "--chaos-after-ms needs --chaos-kill";
+                    return Err(RunError::Usage(why.into()));
+                }
                 (None, None) => None,
             };
             let opts = BenchOptions {

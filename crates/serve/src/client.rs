@@ -350,26 +350,6 @@ impl ShardedClient {
         }
         ok
     }
-
-    /// Fetches stats from every reachable shard.
-    #[must_use]
-    pub fn stats_all(&mut self) -> Vec<(String, Result<Response, ClientError>)> {
-        let addrs = self.addrs.clone();
-        addrs
-            .into_iter()
-            .map(|addr| {
-                let r = Client::connect(&addr).and_then(|mut c| c.stats());
-                (addr, r)
-            })
-            .collect()
-    }
-
-    /// Asks every reachable shard to drain.
-    pub fn shutdown_all(&mut self) {
-        for addr in self.addrs.clone() {
-            let _ = Client::connect(&addr).and_then(|mut c| c.shutdown());
-        }
-    }
 }
 
 /// Chaos-mode settings for the load generator: kill one shard mid-run

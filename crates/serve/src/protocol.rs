@@ -244,9 +244,9 @@ pub enum Request {
         seed: u64,
         /// Target dynamic conditional branches per benchmark.
         target: u64,
-        /// Optional deadline; requests that cannot start (or finish
-        /// delivery) within this many milliseconds of arrival receive a
-        /// `deadline_exceeded` error instead of a result.
+        /// Optional deadline, in milliseconds from arrival, checked when a
+        /// worker takes the request and again when the answer is ready:
+        /// past it, a `deadline_exceeded` error replaces the result.
         deadline_ms: Option<u64>,
     },
     /// Run one predictor over a client-supplied `.bpt` trace file
@@ -258,7 +258,8 @@ pub enum Request {
         path: String,
         /// The predictor to run.
         predictor: PredictorSpec,
-        /// Optional deadline, as for `Eval`.
+        /// Optional deadline, checked as `Eval`'s: when a worker takes the
+        /// request and when its score is ready.
         deadline_ms: Option<u64>,
     },
     /// Fetch the server's counters.
@@ -275,8 +276,9 @@ pub enum Request {
         id: u64,
         /// Optional worker-side delay in milliseconds.
         delay_ms: Option<u64>,
-        /// Optional deadline, honored like `Eval`'s when the ping is
-        /// routed through the worker queue.
+        /// Optional deadline of a delayed ping, checked as `Eval`'s: when
+        /// a worker takes it (it never sleeps once expired) and when the
+        /// pong is ready.
         deadline_ms: Option<u64>,
     },
     /// Begin a graceful drain: the server acknowledges, stops accepting

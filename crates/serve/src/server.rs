@@ -9,18 +9,31 @@
 //!   incrementally from per-connection buffers and runs `dispatch`
 //!   for each complete request — 10k idle connections cost 10k fds and
 //!   their buffers, not 10k thread stacks.
-//! * **Dispatch** (on the reactor thread) answers cheap requests inline
-//!   (result-cache hits, `stats`, plain `ping`); everything that
-//!   computes goes through the bounded queue. When the queue is full
-//!   the request is rejected *immediately* with a typed `overloaded`
-//!   error — the queue never grows beyond its capacity, so memory is
-//!   bounded and latency under overload stays flat instead of
-//!   collapsing.
+//! * **Dispatch** (on the reactor thread) answers `stats` and plain
+//!   `ping` inline; every other request is queued, as below.
 //! * A fixed pool of **workers** pops jobs and computes. Identical eval
 //!   requests coalesce: the first becomes the job, later arrivals
 //!   attach as waiters and share the one computation (and,
 //!   transitively, the engine's memoized artifacts). Workers deliver
 //!   responses through the reactor's outbox; they never touch sockets.
+//!
+//! ## Request lifecycle
+//!
+//! An eval, a trace_eval and a delayed ping share one way in and one way
+//! out. The way in (`admit`) refuses the request with `shutting_down`
+//! once the server drains, runs its own checks (a bad request and a
+//! result-cache hit are answered there, on the reactor thread), and
+//! pushes the job onto the bounded queue. A full queue refuses it
+//! *immediately* with a typed `overloaded` error — the queue never grows
+//! beyond its capacity, so memory is bounded and latency under overload
+//! stays flat instead of collapsing. The way out (`answer`) records the
+//! latency, counts the outcome under the request's endpoint, and sends.
+//!
+//! A deadline is checked twice: when a worker takes the request, so an
+//! expired one is answered `deadline_exceeded` before any work starts
+//! (an eval whose waiters have all expired is never computed), and when
+//! its answer is ready, so a late answer is `deadline_exceeded` too.
+//! Replies go out after the `inflight` lock is released.
 //!
 //! ## Result persistence
 //!
@@ -34,9 +47,9 @@
 //!
 //! A `shutdown` request (or [`ServerHandle::begin_drain`]) is
 //! acknowledged immediately; the server then stops accepting work —
-//! later evals get `shutting_down` errors — finishes everything queued
-//! and in flight, joins its workers, flushes buffered responses, and
-//! returns from [`ServerHandle::join`]. Nothing queued is dropped.
+//! later queued requests get `shutting_down` errors — finishes everything
+//! queued and in flight, joins its workers, flushes buffered responses,
+//! and returns from [`ServerHandle::join`]. Nothing queued is dropped.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
@@ -57,7 +70,7 @@ use crate::protocol::{
     ErrorCode, PredictorSpec, ProtocolError, Request, Response, DEFAULT_MAX_FRAME,
 };
 use crate::reactor::{ConnEvent, ConnRef, Reactor, ReactorHandle};
-use crate::stats::ServerStats;
+use crate::stats::{EndpointCounters, LatencyHistogram, ServerStats};
 
 /// Upper bound on `target` a client may request per benchmark; keeps a
 /// single hostile request from allocating tens of gigabytes of trace.
@@ -107,8 +120,28 @@ impl Default for ServerConfig {
     }
 }
 
+/// The endpoint a queued request is counted under.
+#[derive(Clone, Copy)]
+enum Endpoint {
+    Eval,
+    TraceEval,
+    Ping,
+}
+
+impl Endpoint {
+    /// Its counters, and the histogram its ready answers' latency goes to.
+    fn stats(self, stats: &ServerStats) -> (&EndpointCounters, Option<&LatencyHistogram>) {
+        match self {
+            Endpoint::Eval => (&stats.eval, Some(&stats.eval_latency)),
+            Endpoint::TraceEval => (&stats.trace_eval, Some(&stats.trace_latency)),
+            Endpoint::Ping => (&stats.ping, None),
+        }
+    }
+}
+
 /// A response destination: one request on one connection.
 struct Waiter {
+    endpoint: Endpoint,
     id: u64,
     conn: ConnRef,
     arrived: Instant,
@@ -116,22 +149,63 @@ struct Waiter {
 }
 
 impl Waiter {
+    fn new(endpoint: Endpoint, id: u64, conn: &ConnRef, deadline_ms: Option<u64>) -> Self {
+        let arrived = Instant::now();
+        let deadline = deadline_ms.map(|ms| arrived + Duration::from_millis(ms));
+        Waiter {
+            endpoint,
+            id,
+            conn: conn.clone(),
+            arrived,
+            deadline,
+        }
+    }
+
+    /// The deadline check. A worker runs it when it takes the request,
+    /// and [`answer`] runs it again when the answer is ready.
     fn expired(&self, now: Instant) -> bool {
         self.deadline.is_some_and(|d| now > d)
     }
+
+    /// The reply once the deadline has passed by `now`.
+    fn late(&self, now: Instant) -> Response {
+        let waited = now.duration_since(self.arrived).as_secs_f64();
+        let message = format!("deadline passed after {waited:.3}s");
+        self.error(ErrorCode::DeadlineExceeded, message)
+    }
+
+    fn error(&self, code: ErrorCode, message: impl Into<String>) -> Response {
+        let (id, message) = (self.id, message.into());
+        Response::Error { id, code, message }
+    }
+
+    /// An experiment's rendered output, as the reply.
+    fn result(&self, output: &str, cached: bool) -> Response {
+        Response::Result {
+            id: self.id,
+            cached,
+            seconds: self.arrived.elapsed().as_secs_f64(),
+            output: output.to_owned(),
+        }
+    }
 }
 
+/// The work a queued request asks of a worker.
 enum Job {
-    Eval { key: EvalKey },
-    TraceEval { req: TraceJob, waiter: Waiter },
+    /// An experiment. Its waiters wait in `Shared::inflight`, where
+    /// identical requests coalesce.
+    Eval(EvalKey),
+    /// A predictor over the `.bpt` at `path` under the trace dir.
+    TraceEval {
+        waiter: Waiter,
+        path: String,
+        predictor: PredictorSpec,
+    },
+    /// A pong after `delay`.
     DelayedPing { waiter: Waiter, delay: Duration },
 }
 
-struct TraceJob {
-    path: String,
-    predictor: PredictorSpec,
-}
-
+#[derive(Clone, Copy)]
 enum PushError {
     Full,
     Closed,
@@ -257,10 +331,6 @@ impl Shared {
         }
         self.queue.close();
         self.reactor.stop_accepting();
-    }
-
-    fn draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
     }
 }
 
@@ -403,12 +473,7 @@ fn on_frame(shared: &Arc<Shared>, conn: &ConnRef, payload: &[u8]) {
     }
 }
 
-fn deadline_of(arrived: Instant, deadline_ms: Option<u64>) -> Option<Instant> {
-    deadline_ms.map(|ms| arrived + Duration::from_millis(ms))
-}
-
 fn dispatch(shared: &Arc<Shared>, conn: &ConnRef, req: Request) {
-    let arrived = Instant::now();
     match req {
         Request::Stats { id } => {
             let s = &shared.stats;
@@ -440,27 +505,11 @@ fn dispatch(shared: &Arc<Shared>, conn: &ConnRef, req: Request) {
             delay_ms: Some(ms),
             deadline_ms,
         } => {
-            shared.stats.ping.requests.fetch_add(1, Ordering::Relaxed);
-            let waiter = Waiter {
-                id,
-                conn: conn.clone(),
-                arrived,
-                deadline: deadline_of(arrived, deadline_ms),
-            };
-            if shared.draining() {
-                reject(shared, &shared.stats.ping, &waiter, ErrorCode::ShuttingDown);
-                return;
-            }
-            let job = Job::DelayedPing {
-                waiter,
-                delay: Duration::from_millis(ms),
-            };
-            if let Err((job, why)) = shared.queue.try_push(job) {
-                let Job::DelayedPing { waiter, .. } = job else {
-                    unreachable!("push returns the same job");
-                };
-                reject_push(shared, &shared.stats.ping, &waiter, why);
-            }
+            let waiter = Waiter::new(Endpoint::Ping, id, conn, deadline_ms);
+            let delay = Duration::from_millis(ms);
+            admit(shared, waiter, |waiter| {
+                Some(Job::DelayedPing { waiter, delay })
+            });
         }
         Request::Shutdown { id } => {
             shared
@@ -479,61 +528,9 @@ fn dispatch(shared: &Arc<Shared>, conn: &ConnRef, req: Request) {
             target,
             deadline_ms,
         } => {
-            shared.stats.eval.requests.fetch_add(1, Ordering::Relaxed);
-            let waiter = Waiter {
-                id,
-                conn: conn.clone(),
-                arrived,
-                deadline: deadline_of(arrived, deadline_ms),
-            };
-            if shared.draining() {
-                reject(shared, &shared.stats.eval, &waiter, ErrorCode::ShuttingDown);
-                return;
-            }
-            if !EXPERIMENT_IDS.contains(&experiment.as_str()) {
-                shared.stats.eval.errors.fetch_add(1, Ordering::Relaxed);
-                waiter.conn.send(&Response::Error {
-                    id,
-                    code: ErrorCode::BadRequest,
-                    message: format!(
-                        "unknown experiment {experiment:?} (valid: {})",
-                        EXPERIMENT_IDS.join(" ")
-                    ),
-                });
-                return;
-            }
-            if target == 0 || target > MAX_TARGET {
-                shared.stats.eval.errors.fetch_add(1, Ordering::Relaxed);
-                waiter.conn.send(&Response::Error {
-                    id,
-                    code: ErrorCode::BadRequest,
-                    message: format!("target must be in 1..={MAX_TARGET}"),
-                });
-                return;
-            }
-            let key: EvalKey = (experiment, seed, target);
-            if respond_from_cache(shared, &key, &waiter) {
-                return;
-            }
-            // Coalesce with an identical in-flight evaluation, or become
-            // the one that computes. The inflight lock is held across the
-            // queue push so a failed push can retract the entry atomically;
-            // workers never take the queue lock while holding inflight, so
-            // the ordering is deadlock-free.
-            let mut inflight = shared.inflight.lock().expect("inflight lock");
-            if let Some(waiters) = inflight.get_mut(&key) {
-                waiters.push(waiter);
-                shared.stats.coalesced.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            inflight.insert(key.clone(), vec![waiter]);
-            if let Err((_, why)) = shared.queue.try_push(Job::Eval { key: key.clone() }) {
-                let waiters = inflight.remove(&key).unwrap_or_default();
-                drop(inflight);
-                for waiter in &waiters {
-                    reject_push(shared, &shared.stats.eval, waiter, why_copy(&why));
-                }
-            }
+            let waiter = Waiter::new(Endpoint::Eval, id, conn, deadline_ms);
+            let key = (experiment, seed, target);
+            admit(shared, waiter, |waiter| eval_job(shared, waiter, key));
         }
         Request::TraceEval {
             id,
@@ -541,225 +538,206 @@ fn dispatch(shared: &Arc<Shared>, conn: &ConnRef, req: Request) {
             predictor,
             deadline_ms,
         } => {
-            let s = &shared.stats;
-            s.trace_eval.requests.fetch_add(1, Ordering::Relaxed);
-            let waiter = Waiter {
-                id,
-                conn: conn.clone(),
-                arrived,
-                deadline: deadline_of(arrived, deadline_ms),
-            };
-            if shared.draining() {
-                reject(shared, &s.trace_eval, &waiter, ErrorCode::ShuttingDown);
-                return;
-            }
-            if shared.cfg.trace_dir.is_none() {
-                s.trace_eval.errors.fetch_add(1, Ordering::Relaxed);
-                waiter.conn.send(&Response::Error {
-                    id,
-                    code: ErrorCode::BadRequest,
-                    message: "trace evaluation is disabled (server has no --trace-dir)".to_owned(),
-                });
-                return;
-            }
-            if !is_safe_relative(&path) {
-                s.trace_eval.errors.fetch_add(1, Ordering::Relaxed);
-                waiter.conn.send(&Response::Error {
-                    id,
-                    code: ErrorCode::BadRequest,
-                    message: "trace path must be relative, without '..' components".to_owned(),
-                });
-                return;
-            }
-            let job = Job::TraceEval {
-                req: TraceJob { path, predictor },
-                waiter,
-            };
-            if let Err((job, why)) = shared.queue.try_push(job) {
-                let Job::TraceEval { waiter, .. } = job else {
-                    unreachable!("push returns the same job");
-                };
-                reject_push(shared, &s.trace_eval, &waiter, why);
-            }
-        }
-    }
-}
-
-fn why_copy(why: &PushError) -> PushError {
-    match why {
-        PushError::Full => PushError::Full,
-        PushError::Closed => PushError::Closed,
-    }
-}
-
-fn reject_push(
-    shared: &Shared,
-    endpoint: &crate::stats::EndpointCounters,
-    waiter: &Waiter,
-    why: PushError,
-) {
-    let code = match why {
-        PushError::Full => {
-            shared.stats.overloaded.fetch_add(1, Ordering::Relaxed);
-            ErrorCode::Overloaded
-        }
-        PushError::Closed => ErrorCode::ShuttingDown,
-    };
-    reject(shared, endpoint, waiter, code);
-}
-
-fn reject(
-    _shared: &Shared,
-    endpoint: &crate::stats::EndpointCounters,
-    waiter: &Waiter,
-    code: ErrorCode,
-) {
-    endpoint.errors.fetch_add(1, Ordering::Relaxed);
-    let message = match code {
-        ErrorCode::Overloaded => "request queue is full, try again later".to_owned(),
-        ErrorCode::ShuttingDown => "server is draining".to_owned(),
-        other => other.as_str().to_owned(),
-    };
-    waiter.conn.send(&Response::Error {
-        id: waiter.id,
-        code,
-        message,
-    });
-}
-
-/// Answers `waiter` from the rendered-output cache (either tier) if
-/// possible.
-fn respond_from_cache(shared: &Shared, key: &EvalKey, waiter: &Waiter) -> bool {
-    let Some((output, _tier)) = shared.cache.get(key) else {
-        shared.flush_cache_notices();
-        return false;
-    };
-    respond_result(shared, waiter, &output, true);
-    true
-}
-
-/// Sends a result (or a deadline error, if the waiter expired while the
-/// answer was produced) and does the latency/outcome accounting.
-fn respond_result(shared: &Shared, waiter: &Waiter, output: &str, cached: bool) {
-    let now = Instant::now();
-    let elapsed = now.duration_since(waiter.arrived);
-    // Record before sending: the moment the response leaves, the client
-    // may issue a stats request that the reactor answers concurrently
-    // with this (worker) thread, and a snapshot must never show fewer
-    // latency samples than completed requests.
-    shared
-        .stats
-        .eval_latency
-        .record_us(elapsed.as_micros().min(u128::from(u64::MAX)) as u64);
-    if waiter.expired(now) {
-        shared.stats.deadline_missed.fetch_add(1, Ordering::Relaxed);
-        shared.stats.eval.errors.fetch_add(1, Ordering::Relaxed);
-        waiter.conn.send(&Response::Error {
-            id: waiter.id,
-            code: ErrorCode::DeadlineExceeded,
-            message: format!("deadline passed after {:.3}s", elapsed.as_secs_f64()),
-        });
-    } else {
-        shared.stats.eval.ok.fetch_add(1, Ordering::Relaxed);
-        waiter.conn.send(&Response::Result {
-            id: waiter.id,
-            cached,
-            seconds: elapsed.as_secs_f64(),
-            output: output.to_owned(),
-        });
-    }
-}
-
-fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.queue.pop() {
-        match job {
-            Job::Eval { key } => run_eval(shared, key),
-            Job::TraceEval { req, waiter } => run_trace_eval(shared, &req, &waiter),
-            Job::DelayedPing { waiter, delay } => {
-                std::thread::sleep(delay);
-                let now = Instant::now();
-                if waiter.expired(now) {
-                    shared.stats.deadline_missed.fetch_add(1, Ordering::Relaxed);
-                    shared.stats.ping.errors.fetch_add(1, Ordering::Relaxed);
-                    waiter.conn.send(&Response::Error {
-                        id: waiter.id,
-                        code: ErrorCode::DeadlineExceeded,
-                        message: "deadline passed while sleeping".to_owned(),
+            let waiter = Waiter::new(Endpoint::TraceEval, id, conn, deadline_ms);
+            admit(shared, waiter, |waiter| {
+                let bad = if shared.cfg.trace_dir.is_none() {
+                    "trace evaluation is disabled (server has no --trace-dir)"
+                } else if !is_safe_relative(&path) {
+                    "trace path must be relative, without '..' components"
+                } else {
+                    return Some(Job::TraceEval {
+                        waiter,
+                        path,
+                        predictor,
                     });
-                } else {
-                    shared.stats.ping.ok.fetch_add(1, Ordering::Relaxed);
-                    waiter.conn.send(&Response::Pong { id: waiter.id });
-                }
-            }
-        }
-    }
-}
-
-fn run_eval(shared: &Arc<Shared>, key: EvalKey) {
-    // A racing request may have completed this key between job admission
-    // and now; serve everyone from the cache if so.
-    {
-        let mut cached = None;
-        {
-            let mut inflight = shared.inflight.lock().expect("inflight lock");
-            if inflight.contains_key(&key) {
-                if let Some((output, _tier)) = shared.cache.get(&key) {
-                    let waiters = inflight.remove(&key).unwrap_or_default();
-                    cached = Some((output, waiters));
-                }
-            } else {
-                return;
-            }
-        }
-        if let Some((output, waiters)) = cached {
-            for waiter in &waiters {
-                respond_result(shared, waiter, &output, true);
-            }
-            return;
-        }
-    }
-
-    // Shed waiters that already missed their deadline; if nobody is left,
-    // skip the computation entirely.
-    {
-        let now = Instant::now();
-        let mut inflight = shared.inflight.lock().expect("inflight lock");
-        let Some(waiters) = inflight.get_mut(&key) else {
-            return;
-        };
-        let expired: Vec<Waiter> = {
-            let mut keep = Vec::new();
-            let mut gone = Vec::new();
-            for w in waiters.drain(..) {
-                if w.expired(now) {
-                    gone.push(w);
-                } else {
-                    keep.push(w);
-                }
-            }
-            *waiters = keep;
-            gone
-        };
-        let abandoned = waiters.is_empty();
-        if abandoned {
-            inflight.remove(&key);
-        }
-        drop(inflight);
-        for w in &expired {
-            shared.stats.deadline_missed.fetch_add(1, Ordering::Relaxed);
-            shared.stats.eval.errors.fetch_add(1, Ordering::Relaxed);
-            w.conn.send(&Response::Error {
-                id: w.id,
-                code: ErrorCode::DeadlineExceeded,
-                message: "deadline passed before the evaluation started".to_owned(),
+                };
+                answer(shared, &waiter, waiter.error(ErrorCode::BadRequest, bad));
+                None
             });
         }
-        if abandoned {
-            return;
+    }
+}
+
+/// Checks an eval, then answers it from the cache or coalesces it onto
+/// an identical evaluation in flight; otherwise it becomes the job.
+fn eval_job(shared: &Shared, waiter: Waiter, key: EvalKey) -> Option<Job> {
+    let (experiment, _, target) = &key;
+    let bad = if !EXPERIMENT_IDS.contains(&experiment.as_str()) {
+        let valid = EXPERIMENT_IDS.join(" ");
+        let why = format!("unknown experiment {experiment:?} (valid: {valid})");
+        Some(why)
+    } else if *target == 0 || *target > MAX_TARGET {
+        Some(format!("target must be in 1..={MAX_TARGET}"))
+    } else {
+        None
+    };
+    if let Some(why) = bad {
+        answer(shared, &waiter, waiter.error(ErrorCode::BadRequest, why));
+        return None;
+    }
+    if let Some((output, _tier)) = shared.cache.get(&key) {
+        answer(shared, &waiter, waiter.result(&output, true));
+        return None;
+    }
+    shared.flush_cache_notices();
+    let mut inflight = shared.inflight.lock().expect("inflight lock");
+    if let Some(waiters) = inflight.get_mut(&key) {
+        waiters.push(waiter);
+        shared.stats.coalesced.fetch_add(1, Ordering::Relaxed);
+        return None;
+    }
+    inflight.insert(key.clone(), vec![waiter]);
+    Some(Job::Eval(key))
+}
+
+/// The one way in for a queued request: an eval, a trace_eval or a
+/// delayed ping. A draining server refuses it with `shutting_down`
+/// before anything else. `job` then checks the request and returns the
+/// work to queue, or `None` once it has answered the request (a bad
+/// request, a cache hit) or coalesced it. A full queue refuses the
+/// work's waiters with `overloaded`, a closed one with `shutting_down`.
+fn admit(shared: &Shared, waiter: Waiter, job: impl FnOnce(Waiter) -> Option<Job>) {
+    let (counters, _) = waiter.endpoint.stats(&shared.stats);
+    counters.requests.fetch_add(1, Ordering::Relaxed);
+    let refuse = |waiter: &Waiter, why: PushError| {
+        let refusal = match why {
+            PushError::Full => {
+                shared.stats.overloaded.fetch_add(1, Ordering::Relaxed);
+                waiter.error(ErrorCode::Overloaded, "the request queue is full")
+            }
+            PushError::Closed => waiter.error(ErrorCode::ShuttingDown, "server is draining"),
+        };
+        answer(shared, waiter, refusal);
+    };
+    if shared.draining.load(Ordering::SeqCst) {
+        return refuse(&waiter, PushError::Closed);
+    }
+    let Some(job) = job(waiter) else {
+        return;
+    };
+    if let Err((job, why)) = shared.queue.try_push(job) {
+        // An eval's waiters leave `inflight` with its job.
+        let waiters = match job {
+            Job::Eval(key) => shared.inflight.lock().expect("inflight lock").remove(&key),
+            Job::TraceEval { waiter, .. } | Job::DelayedPing { waiter, .. } => Some(vec![waiter]),
+        };
+        for waiter in waiters.iter().flatten() {
+            refuse(waiter, why);
         }
     }
+}
 
-    let (experiment, seed, target) = &key;
+/// The one way out for a queued request. A ready response (anything but
+/// an error) has its latency recorded and gets the second deadline
+/// check: past the deadline it is replaced by `deadline_exceeded`. The
+/// outcome is then counted under the waiter's endpoint, and sent.
+fn answer(shared: &Shared, waiter: &Waiter, response: Response) {
+    let now = Instant::now();
+    let (counters, latency) = waiter.endpoint.stats(&shared.stats);
+    let response = match response {
+        Response::Error { .. } => response,
+        ready => {
+            if let Some(latency) = latency {
+                // Record before sending: the moment the response leaves,
+                // the client may send a stats request that the reactor
+                // answers concurrently with this (worker) thread, and a
+                // snapshot must never show fewer latency samples than
+                // completed requests.
+                let us = now.duration_since(waiter.arrived).as_micros();
+                latency.record_us(us.min(u128::from(u64::MAX)) as u64);
+            }
+            if waiter.expired(now) {
+                waiter.late(now)
+            } else {
+                ready
+            }
+        }
+    };
+    let outcome = match &response {
+        Response::Error { code, .. } => {
+            if *code == ErrorCode::DeadlineExceeded {
+                shared.stats.deadline_missed.fetch_add(1, Ordering::Relaxed);
+            }
+            &counters.errors
+        }
+        _ => &counters.ok,
+    };
+    outcome.fetch_add(1, Ordering::Relaxed);
+    waiter.conn.send(&response);
+}
+
+fn worker_loop(shared: &Shared) {
+    while let Some(job) = shared.queue.pop() {
+        match job {
+            Job::Eval(key) => run_eval(shared, &key),
+            Job::TraceEval {
+                waiter,
+                path,
+                predictor,
+            } => run_one(shared, &waiter, || {
+                run_trace_eval(shared, &waiter, &path, predictor)
+            }),
+            Job::DelayedPing { waiter, delay } => run_one(shared, &waiter, || {
+                std::thread::sleep(delay);
+                Response::Pong { id: waiter.id }
+            }),
+        }
+    }
+}
+
+/// Runs a job with one waiter: the deadline check as the worker takes
+/// it, the work, then [`answer`].
+fn run_one(shared: &Shared, waiter: &Waiter, work: impl FnOnce() -> Response) {
+    let now = Instant::now();
+    let response = if waiter.expired(now) {
+        waiter.late(now)
+    } else {
+        work()
+    };
+    answer(shared, waiter, response);
+}
+
+fn run_eval(shared: &Shared, key: &EvalKey) {
+    // The deadline check as the worker takes the job: waiters past their
+    // deadline are answered, and if nobody is left the computation is
+    // skipped entirely.
+    let now = Instant::now();
+    let mut inflight = shared.inflight.lock().expect("inflight lock");
+    let Some(waiters) = inflight.get_mut(key) else {
+        return;
+    };
+    let late: Vec<Waiter> = waiters.extract_if(.., |w| w.expired(now)).collect();
+    let abandoned = waiters.is_empty();
+    if abandoned {
+        inflight.remove(key);
+    }
+    drop(inflight);
+    for waiter in &late {
+        answer(shared, waiter, waiter.late(now));
+    }
+    if abandoned {
+        return;
+    }
+    // A racing request may have completed this key between admission
+    // and now; serve everyone from the cache if so.
+    let (output, cached) = match shared.cache.get(key) {
+        Some((output, _tier)) => (Some(output), true),
+        None => (compute(shared, key), false),
+    };
+    let waiters = shared.inflight.lock().expect("inflight lock").remove(key);
+    for waiter in &waiters.unwrap_or_default() {
+        let response = match &output {
+            Some(output) => waiter.result(output, cached),
+            None => waiter.error(ErrorCode::Internal, "evaluation panicked; see server log"),
+        };
+        answer(shared, waiter, response);
+    }
+}
+
+/// Runs one experiment on its workload's engine and caches the output;
+/// `None` if the evaluation panicked.
+fn compute(shared: &Shared, key: &EvalKey) -> Option<Arc<String>> {
+    let (experiment, seed, target) = key;
     let engine = shared.engine_for(*seed, *target);
     let cfg = ExperimentConfig {
         workload: WorkloadConfig::default()
@@ -767,42 +745,14 @@ fn run_eval(shared: &Arc<Shared>, key: EvalKey) {
             .with_target(*target as usize),
         ..ExperimentConfig::default()
     };
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let output = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_experiment(experiment, &cfg, &engine).expect("experiment id validated at admission")
-    }));
-
-    match outcome {
-        Ok(output) => {
-            let output = Arc::new(output);
-            shared.cache.put(&key, &output);
-            shared.flush_cache_notices();
-            let waiters = shared
-                .inflight
-                .lock()
-                .expect("inflight lock")
-                .remove(&key)
-                .unwrap_or_default();
-            for waiter in &waiters {
-                respond_result(shared, waiter, &output, false);
-            }
-        }
-        Err(_) => {
-            let waiters = shared
-                .inflight
-                .lock()
-                .expect("inflight lock")
-                .remove(&key)
-                .unwrap_or_default();
-            for waiter in &waiters {
-                shared.stats.eval.errors.fetch_add(1, Ordering::Relaxed);
-                waiter.conn.send(&Response::Error {
-                    id: waiter.id,
-                    code: ErrorCode::Internal,
-                    message: "evaluation panicked; see server log".to_owned(),
-                });
-            }
-        }
-    }
+    }))
+    .ok()?;
+    let output = Arc::new(output);
+    shared.cache.put(key, &output);
+    shared.flush_cache_notices();
+    Some(output)
 }
 
 fn build_predictor(spec: PredictorSpec) -> Box<dyn Predictor> {
@@ -814,55 +764,27 @@ fn build_predictor(spec: PredictorSpec) -> Box<dyn Predictor> {
     }
 }
 
-fn run_trace_eval(shared: &Arc<Shared>, req: &TraceJob, waiter: &Waiter) {
-    let s = &shared.stats;
-    let now = Instant::now();
-    if waiter.expired(now) {
-        s.deadline_missed.fetch_add(1, Ordering::Relaxed);
-        s.trace_eval.errors.fetch_add(1, Ordering::Relaxed);
-        waiter.conn.send(&Response::Error {
-            id: waiter.id,
-            code: ErrorCode::DeadlineExceeded,
-            message: "deadline passed before the trace evaluation started".to_owned(),
-        });
-        return;
-    }
-    let root = shared
-        .cfg
-        .trace_dir
-        .as_ref()
-        .expect("trace_dir checked at admission");
-    let full = root.join(&req.path);
-    let loaded = std::fs::File::open(&full)
+/// Scores one predictor over the trace at `path` under the trace dir.
+fn run_trace_eval(shared: &Shared, waiter: &Waiter, path: &str, spec: PredictorSpec) -> Response {
+    let root = shared.cfg.trace_dir.as_ref();
+    let loaded = std::fs::File::open(root.expect("trace_dir checked at admission").join(path))
         .map_err(trace_io::TraceIoError::from)
         .and_then(|f| trace_io::read_trace(std::io::BufReader::new(f)));
-    let trace = match loaded {
-        Ok(trace) => trace,
-        Err(e) => {
-            // The exact failure modes the corruption tests pin: truncated
-            // streams, bad magic, and mid-record cuts all surface here as
-            // typed errors, never a worker panic.
-            s.trace_eval.errors.fetch_add(1, Ordering::Relaxed);
-            waiter.conn.send(&Response::Error {
+    match loaded {
+        Ok(trace) => {
+            let stats = simulate(&mut *build_predictor(spec), &trace);
+            Response::TraceResult {
                 id: waiter.id,
-                code: ErrorCode::BadTrace,
-                message: format!("{}: {e}", req.path),
-            });
-            return;
+                predictions: stats.predictions,
+                correct: stats.correct,
+                seconds: waiter.arrived.elapsed().as_secs_f64(),
+            }
         }
-    };
-    let mut predictor = build_predictor(req.predictor);
-    let stats = simulate(&mut *predictor, &trace);
-    let elapsed = waiter.arrived.elapsed();
-    s.trace_eval.ok.fetch_add(1, Ordering::Relaxed);
-    s.trace_latency
-        .record_us(elapsed.as_micros().min(u128::from(u64::MAX)) as u64);
-    waiter.conn.send(&Response::TraceResult {
-        id: waiter.id,
-        predictions: stats.predictions,
-        correct: stats.correct,
-        seconds: elapsed.as_secs_f64(),
-    });
+        // The exact failure modes the corruption tests pin: truncated
+        // streams, bad magic, and mid-record cuts all surface here as
+        // typed errors, never a worker panic.
+        Err(e) => waiter.error(ErrorCode::BadTrace, format!("{path}: {e}")),
+    }
 }
 
 /// A client trace path must stay inside the sandbox: relative, no `..`,
@@ -892,9 +814,7 @@ mod tests {
     #[test]
     fn queue_sheds_above_capacity_and_drains_on_close() {
         let q = JobQueue::new(2);
-        let job = || Job::Eval {
-            key: ("fig4".to_owned(), 1, 1),
-        };
+        let job = || Job::Eval(("fig4".to_owned(), 1, 1));
         assert!(q.try_push(job()).is_ok());
         assert!(q.try_push(job()).is_ok());
         let Err((_, PushError::Full)) = q.try_push(job()) else {

@@ -96,6 +96,30 @@ fn bp_serve_names_every_bad_value() {
 }
 
 #[test]
+fn bp_client_names_every_bad_value() {
+    for (args, flag) in [
+        (&["eval", "fig4", "--seed", "x"][..], "--seed"),
+        (&["eval", "fig4", "--retries", "x"], "--retries"),
+        // 2^32 attempts must not wrap to one.
+        (&["eval", "fig4", "--retries", "4294967296"], "--retries"),
+        (&["trace", "a.bpt", "--bits", "4294967308"], "--bits"),
+        (&["trace", "a.bpt", "--predictor", "tage"], "--predictor"),
+        (&["bench", "--rate", "zz"], "--rate"),
+        // A rate that is not positive must not fall back to a closed loop.
+        (&["bench", "--rate", "0"], "--rate"),
+        (&["bench", "--rate", "-5"], "--rate"),
+        (&["bench", "--rate", "inf"], "--rate"),
+        (&["bench", "--chaos-kill", "1"], "--chaos-kill"),
+    ] {
+        let out = client(args);
+        assert_rejects(&out, flag);
+        let err = String::from_utf8_lossy(&out.stderr);
+        let errors = err.lines().filter(|l| l.starts_with("error")).count();
+        assert_eq!(errors, 1, "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn bp_client_rejects_flags_its_subcommand_does_not_read() {
     for (args, flag) in [
         (

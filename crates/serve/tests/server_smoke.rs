@@ -245,6 +245,10 @@ fn deadline_exceeded_while_queued() {
         other => panic!("expected stats, got {other:?}"),
     };
     assert!(snapshot.deadline_missed >= 1);
+    assert_eq!(
+        snapshot.engines, 0,
+        "the shed eval built no engine: its computation was skipped"
+    );
 
     handle.begin_drain();
     handle.join();

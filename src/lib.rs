@@ -17,7 +17,8 @@
 //!   histories (§3), per-address predictability classes (§4), and the
 //!   global-vs-per-address comparisons (§5).
 //! * [`experiments`] ([`bp_experiments`]) — the harness regenerating every
-//!   table and figure (run `cargo run --release --bin repro -- all`).
+//!   table and figure (run
+//!   `cargo run --release -p bp-experiments --bin repro -- all`).
 //!
 //! # Quickstart
 //!

@@ -11,8 +11,9 @@
 //!
 //! `sweep` fails on any kernel divergence (writing a minimized `.bpt`
 //! reproducer), law violation, golden mismatch, or budget overrun. Its
-//! golden suite is `repro`'s own verifier: [`bp_experiments::repro::run`]
-//! at `--quick all --verify-goldens`.
+//! golden suite runs [`bp_experiments::repro::run`] at `--quick all` and
+//! compares the output with the committed text
+//! ([`bp_experiments::repro::check_quick_golden`]).
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -32,7 +33,7 @@ pub fn usage() -> String {
     "usage: bp-conformance <command> [options]\n\
      commands:\n\
      \x20 sweep    [--seed N] [--cases N] [--budget DUR] [--repro-dir DIR]\n\
-     \x20          [--goldens FILE] [--skip-goldens]\n\
+     \x20          [--skip-goldens]\n\
      \x20 diff     FILE.bpt...\n\
      \x20 laws     [--seed N] [--cases N]\n\
      \x20 gen      [--seed N] [--cases N] --out DIR\n\
@@ -60,7 +61,6 @@ pub struct Options {
     cases: usize,
     budget: Option<Duration>,
     repro_dir: PathBuf,
-    goldens: Option<String>,
     skip_goldens: bool,
     out: Option<PathBuf>,
     files: Vec<PathBuf>,
@@ -83,7 +83,6 @@ impl Options {
             cases: 49,
             budget: None,
             repro_dir: PathBuf::from("target/conformance"),
-            goldens: None,
             skip_goldens: false,
             out: None,
             files: Vec::new(),
@@ -111,7 +110,6 @@ impl Options {
                     opts.budget = Some(parse_duration(&v).ok_or_else(why)?);
                 }
                 "--repro-dir" => opts.repro_dir = PathBuf::from(value("--repro-dir")?),
-                "--goldens" => opts.goldens = Some(value("--goldens")?),
                 "--skip-goldens" => opts.skip_goldens = true,
                 "--out" => opts.out = Some(PathBuf::from(value("--out")?)),
                 other if !other.starts_with('-') => opts.files.push(PathBuf::from(other)),
@@ -182,20 +180,19 @@ fn run_laws(cases: &[NamedTrace]) -> usize {
     violations
 }
 
-/// Verifies the committed golden fingerprints with `repro`'s own
-/// verifier at the quick target, discarding the rendered output. Returns
-/// the failure count, 0 or 1; the verifier lists every mismatch on
-/// stderr, and a goldens file it cannot check is a `GOLDEN FAILURE` line.
-fn run_goldens(goldens: Option<&str>) -> usize {
-    let mut args = vec!["--quick", "all", "--verify-goldens"];
-    args.extend(goldens.into_iter().flat_map(|path| ["--goldens", path]));
-    let verified = repro::Options::parse(args.into_iter().map(String::from))
-        .and_then(|opts| repro::run(&opts, &mut std::io::sink()));
-    match verified {
+/// Runs `repro --quick all` and compares its output with the committed
+/// golden text. Returns the failure count, 0 or 1; a failure is one
+/// `GOLDEN FAILURE` report naming the first line that differs.
+fn run_goldens() -> usize {
+    let mut output = Vec::new();
+    let checked = repro::Options::parse(["--quick", "all"].map(String::from))
+        .and_then(|opts| repro::run(&opts, &mut output))
+        .map_err(|e| e.to_string())
+        .and_then(|()| repro::check_quick_golden(&String::from_utf8_lossy(&output)));
+    match checked {
         Ok(()) => 0,
-        Err(RunError::Failed(why)) if why.is_empty() => 1,
-        Err(e) => {
-            eprintln!("GOLDEN FAILURE: {e}");
+        Err(why) => {
+            eprintln!("GOLDEN FAILURE: {why}");
             1
         }
     }
@@ -232,7 +229,7 @@ fn sweep(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
         eprintln!("[goldens: skipped]");
     } else {
         let golden_started = Instant::now();
-        failures += run_goldens(opts.goldens.as_deref());
+        failures += run_goldens();
         eprintln!(
             "[goldens: checked in {:.1}s]",
             golden_started.elapsed().as_secs_f64()

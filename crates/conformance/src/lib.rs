@@ -17,11 +17,10 @@
 //!   divergence with a ddmin-minimized reproducer trace.
 //! * [`laws`] — metamorphic laws over the predictor family.
 //!
-//! Golden snapshots of rendered experiment output live in
-//! [`bp_experiments::goldens`]; the `bp-conformance` CLI's `sweep`
-//! subcommand ([`cli`]) runs all of the above plus `repro`'s golden
-//! verifier, and its `selftest` proves the harness catches deliberately
-//! injected kernel bugs.
+//! The `bp-conformance` CLI's `sweep` subcommand ([`cli`]) runs all of the
+//! above and checks `repro --quick all` against its committed golden text
+//! ([`bp_experiments::repro::check_quick_golden`]); its `selftest` proves
+//! the harness catches deliberately injected kernel bugs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -57,7 +57,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod goldens;
 pub mod modern;
 pub mod probe;
 pub mod render;

@@ -8,7 +8,7 @@
 //! repro --seed 7 fig6       different workload seed
 //! repro --jobs 4 all        four worker threads (same output as --jobs 1)
 //! repro --timings OUT.json all   per-experiment wall clock + cache stats
-//! repro --quick all --verify-goldens   check every section against tests/goldens/quick.fp
+//! repro --quick all > tests/goldens/quick.txt   regenerate the quick golden
 //! ```
 //!
 //! Experiments share one evaluation [`Engine`]: traces, predictor
@@ -18,24 +18,22 @@
 //! byte-identical whatever the job count. Experiments are evaluated in
 //! [`evaluation_order`] (fig5 ahead of the other users of its window-16
 //! point) but written in the requested order, each as soon as it and
-//! every section before it are done. With `--verify-goldens` the run is
-//! also the golden verifier: `bp-conformance sweep` calls [`run`] with
-//! `--quick all --verify-goldens` and discards the output.
+//! every section before it are done. The stdout of `repro --quick all`
+//! is committed as `tests/goldens/quick.txt`, and [`check_quick_golden`]
+//! compares a run's output with it.
 
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::Instant;
 
 use crate::cli::{default_jobs, workload_flag, RunError};
-use crate::goldens::{self, Goldens};
 use crate::{evaluation_order, run_experiment, Engine, ExperimentConfig, TraceSet, EXPERIMENT_IDS};
 
 /// The usage text `repro` prints with a command-line error or `--help`.
 pub fn usage() -> String {
     format!(
         "usage: repro [--quick] [--seed N] [--target N[k|m|b]] \
-         [--jobs N] [--timings FILE] [--bare] [--goldens FILE] [--verify-goldens] \
-         [--write-goldens] <experiment...|all>\nexperiments: {}",
+         [--jobs N] [--timings FILE] [--bare] <experiment...|all>\nexperiments: {}",
         EXPERIMENT_IDS.join(" ")
     )
 }
@@ -48,9 +46,6 @@ pub struct Options {
     timings: Option<String>,
     jobs: usize,
     bare: bool,
-    goldens: PathBuf,
-    verify_goldens: bool,
-    write_goldens: bool,
 }
 
 impl Options {
@@ -63,9 +58,6 @@ impl Options {
             timings: None,
             jobs: default_jobs(),
             bare: false,
-            goldens: goldens::default_path(),
-            verify_goldens: false,
-            write_goldens: false,
         };
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
@@ -84,14 +76,11 @@ impl Options {
                     opts.timings = Some(path);
                 }
                 "--bare" => opts.bare = true,
-                "--goldens" => {
-                    let path = args.next().ok_or(missing("--goldens needs a file path"))?;
-                    opts.goldens = PathBuf::from(path);
-                }
-                "--verify-goldens" => opts.verify_goldens = true,
-                "--write-goldens" => opts.write_goldens = true,
                 "--help" | "-h" => return Err(RunError::Help),
-                other => opts.ids.push(other.to_owned()),
+                flag if flag.starts_with('-') => {
+                    return Err(RunError::Usage(format!("unknown argument {flag}")))
+                }
+                id => opts.ids.push(id.to_owned()),
             }
         }
         if opts.ids.iter().any(|i| i == "all") {
@@ -113,21 +102,10 @@ impl Options {
 
 /// Runs the requested experiments and writes their sections to `out`,
 /// flushing each one as soon as it and every section before it are done.
-/// Progress and wall-clock lines go to stderr. With `--verify-goldens`
-/// any mismatch is listed on stderr and fails the run; `--timings` and
-/// `--write-goldens` write their files once every section is out.
+/// Progress and wall-clock lines go to stderr; `--timings` writes its
+/// file once every section is out.
 pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
     let cfg = &opts.cfg;
-    let committed_goldens = if opts.verify_goldens {
-        let committed = Goldens::load(&opts.goldens).map_err(RunError::Failed)?;
-        committed.check_config(cfg).map_err(RunError::Failed)?;
-        Some(committed)
-    } else {
-        None
-    };
-    let mut fresh_goldens = Goldens::new(cfg);
-    let mut golden_mismatches: Vec<String> = Vec::new();
-
     if !opts.bare {
         write!(
             out,
@@ -163,18 +141,9 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
         eprintln!("[{id} done in {seconds:.1}s]\n");
         sections[i] = Some((rendered, seconds));
         while let Some(Some((rendered, seconds))) = sections.get(printed) {
-            let id = &opts.ids[printed];
             writeln!(out, "{rendered}")?;
             out.flush()?;
-            if opts.write_goldens || opts.verify_goldens {
-                fresh_goldens.record(id, goldens::fingerprint(rendered));
-            }
-            if let Some(committed) = &committed_goldens {
-                if let Err(m) = committed.verify(id, rendered) {
-                    golden_mismatches.push(m);
-                }
-            }
-            timings.push((id.clone(), *seconds));
+            timings.push((opts.ids[printed].clone(), *seconds));
             printed += 1;
         }
     }
@@ -192,24 +161,34 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
         write_timings(path, cfg, &engine, &timings, total_seconds)
             .map_err(|e| RunError::Failed(format!("could not write timings to {path}: {e}")))?;
     }
-    if opts.write_goldens {
-        let path = opts.goldens.display();
-        fresh_goldens
-            .write(&opts.goldens)
-            .map_err(|e| RunError::Failed(format!("could not write goldens to {path}: {e}")))?;
-        eprintln!(
-            "[wrote {} golden fingerprints to {path}]",
-            fresh_goldens.len()
-        );
-    }
-    if opts.verify_goldens {
-        if !golden_mismatches.is_empty() {
-            for m in &golden_mismatches {
-                eprintln!("golden mismatch: {m}");
-            }
-            return Err(RunError::Failed(String::new()));
+    Ok(())
+}
+
+/// Compares `output` with the committed stdout of `repro --quick all`,
+/// `tests/goldens/quick.txt` (regenerate it with `repro --quick all >
+/// tests/goldens/quick.txt`). `Err` names the golden's first line that
+/// differs, with both versions of it.
+pub fn check_quick_golden(output: &str) -> Result<(), String> {
+    const GOLDEN: &str = "tests/goldens/quick.txt";
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(GOLDEN);
+    let golden = std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let (mut want, mut got) = (golden.split('\n'), output.split('\n'));
+    for line in 1.. {
+        let (w, g) = (want.next(), got.next());
+        if w != g {
+            let show = |l: Option<&str>| l.map_or("(end of text)".to_owned(), |l| format!("{l:?}"));
+            return Err(format!(
+                "{GOLDEN}:{line} differs\n  golden: {}\n  output: {}",
+                show(w),
+                show(g)
+            ));
         }
-        eprintln!("[goldens verified: {} experiments]", opts.ids.len());
+        if w.is_none() {
+            break;
+        }
     }
     Ok(())
 }

@@ -81,7 +81,9 @@ impl Options {
             let bad = |why: String| Err(RunError::Usage(why));
             match arg.as_str() {
                 "--bench" => {
-                    let name = args.next().unwrap_or_default();
+                    let Some(name) = args.next() else {
+                        return bad("--bench needs a benchmark name".into());
+                    };
                     match Benchmark::parse(&name) {
                         Some(b) => opts.bench = b,
                         None => return bad(format!("unknown benchmark '{name}'")),

@@ -24,12 +24,19 @@ fn table1_runs_and_prints_all_benchmarks() {
 
 #[test]
 fn unknown_experiment_fails_with_usage() {
-    // `--stream` was a flag once; trace residency is no longer a choice.
-    for arg in ["table99", "--stream"] {
+    // Each flag here was one once: trace residency is no longer a
+    // choice, and the quick golden is plain text that a diff checks.
+    for (arg, why) in [
+        ("table99", "unknown experiment: table99"),
+        ("--stream", "unknown argument --stream"),
+        ("--verify-goldens", "unknown argument --verify-goldens"),
+        ("--write-goldens", "unknown argument --write-goldens"),
+        ("--goldens", "unknown argument --goldens"),
+    ] {
         let out = repro().args([arg, "fig4"]).output().expect("run repro");
-        assert!(!out.status.success(), "{arg}");
+        assert_eq!(out.status.code(), Some(1), "{arg}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains(&format!("unknown experiment: {arg}")), "{err}");
+        assert!(err.contains(&format!("error: {why}\n")), "{err}");
         assert!(err.contains("usage:"), "{err}");
     }
 }
@@ -39,64 +46,6 @@ fn no_arguments_fails_with_usage() {
     let out = repro().output().expect("run repro");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
-}
-
-#[test]
-fn golden_write_verify_roundtrip_and_config_mismatch() {
-    let path = std::env::temp_dir().join(format!("repro-goldens-{}.fp", std::process::id()));
-    let goldens = path.to_str().unwrap();
-    let out = repro()
-        .args([
-            "--target",
-            "2000",
-            "--seed",
-            "5",
-            "--goldens",
-            goldens,
-            "--write-goldens",
-            "all",
-        ])
-        .output()
-        .expect("run repro");
-    assert!(out.status.success(), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("wrote 17 golden fingerprints"));
-
-    let out = repro()
-        .args([
-            "--target",
-            "2000",
-            "--seed",
-            "5",
-            "--goldens",
-            goldens,
-            "--verify-goldens",
-            "all",
-        ])
-        .output()
-        .expect("run repro");
-    assert!(out.status.success(), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("goldens verified: 17 experiments"));
-
-    // A different seed must be rejected up front as a config mismatch.
-    let out = repro()
-        .args([
-            "--target",
-            "2000",
-            "--seed",
-            "6",
-            "--goldens",
-            goldens,
-            "--verify-goldens",
-            "all",
-        ])
-        .output()
-        .expect("run repro");
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("goldens were captured at seed=5"),
-        "{out:?}"
-    );
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -29,6 +29,21 @@ fn oracle_window_beyond_the_largest_path_window_is_a_usage_error() {
 }
 
 #[test]
+fn a_missing_or_unknown_benchmark_is_named() {
+    for (args, why) in [
+        (&["--bench"][..], "error: --bench needs a benchmark name\n"),
+        (&["--bench", "gcc2"], "error: unknown benchmark 'gcc2'\n"),
+    ] {
+        let out = scale().args(args).output().expect("run scale");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(why), "{err}");
+        assert!(err.contains("usage: scale"), "{err}");
+        assert!(out.stdout.is_empty(), "nothing runs before the flags parse");
+    }
+}
+
+#[test]
 fn materialized_is_an_unknown_argument() {
     // Every scan regenerates the workload; trace residency is no longer
     // a choice.

@@ -44,6 +44,7 @@ use bp_serve::{
     run_bench, BenchOptions, ChaosOptions, Client, PredictorSpec, Response, RetryPolicy,
     ShardedClient, StatsSnapshot,
 };
+use bp_trace::MAX_THREADS;
 use bp_workloads::WorkloadConfig;
 
 const USAGE: &str = "usage: bp-client [--addr HOST:PORT]... <eval|trace|stats|ping|shutdown|bench|idle> [options]\n\
@@ -395,10 +396,14 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), RunError> {
             Ok(())
         }
         "bench" => {
-            let conns = opt_u64(flags, "conns")?.unwrap_or(4) as usize;
-            let requests = opt_u64(flags, "requests")?.unwrap_or(32) as usize;
+            // One thread per connection: the count is bounded before any starts.
+            let conns_needs = format!("a connection count in 1..={MAX_THREADS}");
+            let conns = value_of(flags, "conns", &conns_needs, |n: &usize| {
+                (1..=MAX_THREADS).contains(n)
+            })?;
+            let requests = value_of(flags, "requests", "a count of at least 1", |n| *n >= 1)?;
             let seed = opt_u64(flags, "seed")?;
-            let spread = opt_u64(flags, "spread")?;
+            let spread = value_of(flags, "spread", "a count of at least 1", |n| *n >= 1)?;
             let target = opt_u64(flags, "target")?;
             let deadline = opt_u64(flags, "deadline-ms")?;
             let rate = value_of(flags, "rate", "a positive number", |r: &f64| {
@@ -426,11 +431,11 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), RunError> {
             };
             let opts = BenchOptions {
                 addrs: flags.addrs.clone(),
-                conns: conns.max(1),
-                requests_per_conn: requests.max(1),
+                conns: conns.unwrap_or(4),
+                requests_per_conn: requests.unwrap_or(32),
                 experiment: opt(flags, "experiment").unwrap_or("fig4").to_owned(),
                 seed: seed.unwrap_or(defaults.seed),
-                seed_spread: spread.unwrap_or(1).max(1),
+                seed_spread: spread.unwrap_or(1),
                 target: target.unwrap_or(defaults.target_branches as u64),
                 deadline_ms: deadline,
                 rate,

@@ -24,6 +24,7 @@
 
 use std::fmt;
 use std::io::{Read, Write};
+use std::ops::RangeInclusive;
 
 use crate::json::{Json, JsonError};
 use crate::stats::StatsSnapshot;
@@ -141,6 +142,15 @@ pub enum ProtocolError {
     UnknownType(String),
     /// A required field was missing or had the wrong type.
     BadField(&'static str),
+    /// A predictor geometry outside the range its constructor accepts.
+    OutOfRange {
+        /// The predictor kind and field, e.g. `gshare bits`.
+        what: String,
+        /// The value sent.
+        value: u64,
+        /// The constructor's range.
+        range: RangeInclusive<u32>,
+    },
 }
 
 impl fmt::Display for ProtocolError {
@@ -149,6 +159,9 @@ impl fmt::Display for ProtocolError {
             ProtocolError::Json(e) => write!(f, "{e}"),
             ProtocolError::UnknownType(t) => write!(f, "unknown message type {t:?}"),
             ProtocolError::BadField(name) => write!(f, "missing or ill-typed field {name:?}"),
+            ProtocolError::OutOfRange { what, value, range } => {
+                write!(f, "{what} {value} is outside {range:?}")
+            }
         }
     }
 }
@@ -208,22 +221,32 @@ impl PredictorSpec {
             .get("kind")
             .and_then(Json::as_str)
             .ok_or(ProtocolError::BadField("predictor.kind"))?;
-        let bits_of = |field: &'static str| -> Result<u32, ProtocolError> {
-            v.get(field)
+        // Each geometry must be in its constructor's documented range, so
+        // no worker is handed a predictor that cannot be built.
+        let bits_of = |field: &'static str, range: RangeInclusive<u32>| {
+            let value = v
+                .get(field)
                 .and_then(Json::as_u64)
-                .and_then(|b| u32::try_from(b).ok())
-                .ok_or(ProtocolError::BadField("predictor bits"))
+                .ok_or(ProtocolError::BadField("predictor bits"))?;
+            u32::try_from(value)
+                .ok()
+                .filter(|b| range.contains(b))
+                .ok_or_else(|| ProtocolError::OutOfRange {
+                    what: format!("{kind} {field}"),
+                    value,
+                    range,
+                })
         };
         match kind {
             "gshare" => Ok(PredictorSpec::Gshare {
-                bits: bits_of("bits")?,
+                bits: bits_of("bits", 1..=28)?,
             }),
             "if_gshare" => Ok(PredictorSpec::IfGshare {
-                bits: bits_of("bits")?,
+                bits: bits_of("bits", 1..=64)?,
             }),
             "pas" => Ok(PredictorSpec::Pas),
             "if_pas" => Ok(PredictorSpec::IfPas {
-                history_bits: bits_of("history_bits")?,
+                history_bits: bits_of("history_bits", 1..=63)?,
             }),
             other => Err(ProtocolError::UnknownType(format!("predictor {other}"))),
         }
@@ -375,9 +398,10 @@ impl Request {
     ///
     /// [`ProtocolError::UnknownType`] for a well-formed message whose
     /// `type` is not recognized (the server answers these with an
-    /// `unknown_request` error rather than dropping the connection), and
+    /// `unknown_request` error rather than dropping the connection),
     /// [`ProtocolError::Json`] / [`ProtocolError::BadField`] for
-    /// malformed payloads.
+    /// malformed payloads, and [`ProtocolError::OutOfRange`] for a
+    /// `trace_eval` geometry its predictor's constructor rejects.
     pub fn decode(payload: &[u8]) -> Result<Self, ProtocolError> {
         let text = std::str::from_utf8(payload).map_err(|_| ProtocolError::BadField("utf-8"))?;
         let v = Json::parse(text)?;

@@ -666,6 +666,9 @@ fn answer(shared: &Shared, waiter: &Waiter, response: Response) {
     waiter.conn.send(&response);
 }
 
+/// The `internal` answer to work that panicked on a worker.
+const PANICKED: &str = "evaluation panicked; see server log";
+
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
         match job {
@@ -686,13 +689,15 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Runs a job with one waiter: the deadline check as the worker takes
-/// it, the work, then [`answer`].
+/// it, the work, then [`answer`]. Work that panics is answered
+/// `internal`, as an eval's is, and the worker lives on.
 fn run_one(shared: &Shared, waiter: &Waiter, work: impl FnOnce() -> Response) {
     let now = Instant::now();
     let response = if waiter.expired(now) {
         waiter.late(now)
     } else {
-        work()
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(work))
+            .unwrap_or_else(|_| waiter.error(ErrorCode::Internal, PANICKED))
     };
     answer(shared, waiter, response);
 }
@@ -728,7 +733,7 @@ fn run_eval(shared: &Shared, key: &EvalKey) {
     for waiter in &waiters.unwrap_or_default() {
         let response = match &output {
             Some(output) => waiter.result(output, cached),
-            None => waiter.error(ErrorCode::Internal, "evaluation panicked; see server log"),
+            None => waiter.error(ErrorCode::Internal, PANICKED),
         };
         answer(shared, waiter, response);
     }

@@ -110,6 +110,13 @@ fn bp_client_names_every_bad_value() {
         (&["bench", "--rate", "-5"], "--rate"),
         (&["bench", "--rate", "inf"], "--rate"),
         (&["bench", "--chaos-kill", "1"], "--chaos-kill"),
+        // Zero is refused, never raised to one.
+        (&["bench", "--conns", "0"], "--conns"),
+        (&["bench", "--requests", "0"], "--requests"),
+        (&["bench", "--spread", "0"], "--spread"),
+        // One thread per connection: past the cap is refused before any
+        // connection or thread starts.
+        (&["bench", "--conns", "257"], "--conns"),
     ] {
         let out = client(args);
         assert_rejects(&out, flag);

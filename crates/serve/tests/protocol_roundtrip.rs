@@ -33,12 +33,16 @@ fn arb_string() -> impl Strategy<Value = String> {
     })
 }
 
+/// Geometries inside each constructor's range: the decoder refuses the
+/// rest (`a_geometry_outside_its_constructor_range_is_refused`).
 fn arb_predictor() -> impl Strategy<Value = PredictorSpec> {
-    (0u8..4, 1u32..32).prop_map(|(kind, bits)| match kind {
-        0 => PredictorSpec::Gshare { bits },
-        1 => PredictorSpec::IfGshare { bits },
+    (0u8..4, 0u32..64).prop_map(|(kind, r)| match kind {
+        0 => PredictorSpec::Gshare { bits: 1 + r % 28 },
+        1 => PredictorSpec::IfGshare { bits: 1 + r },
         2 => PredictorSpec::Pas,
-        _ => PredictorSpec::IfPas { history_bits: bits },
+        _ => PredictorSpec::IfPas {
+            history_bits: 1 + r % 63,
+        },
     })
 }
 
@@ -345,4 +349,40 @@ proptest! {
 fn unknown_error_code_strings_do_not_parse() {
     assert_eq!(ErrorCode::parse("no_such_code"), None);
     assert_eq!(ErrorCode::parse(""), None);
+}
+
+#[test]
+fn a_geometry_outside_its_constructor_range_is_refused() {
+    let trace_eval = |predictor| Request::TraceEval {
+        id: 1,
+        path: "t.bpt".to_owned(),
+        predictor,
+        deadline_ms: None,
+    };
+    for (kind, field, range, max) in [
+        ("gshare", "bits", "1..=28", 28u64),
+        ("if_gshare", "bits", "1..=64", 64),
+        ("if_pas", "history_bits", "1..=63", 63),
+    ] {
+        let spec = |bits| match kind {
+            "gshare" => PredictorSpec::Gshare { bits },
+            "if_gshare" => PredictorSpec::IfGshare { bits },
+            _ => PredictorSpec::IfPas { history_bits: bits },
+        };
+        for ok in [1, max as u32] {
+            let req = trace_eval(spec(ok));
+            assert_eq!(Request::decode(&req.encode()), Ok(req));
+        }
+        for bad in [0, max + 1, u64::from(u32::MAX) + 1] {
+            let payload = format!(
+                r#"{{"type":"trace_eval","id":1,"path":"t.bpt","predictor":{{"kind":"{kind}","{field}":{bad}}}}}"#
+            );
+            let err = Request::decode(payload.as_bytes()).unwrap_err();
+            assert!(matches!(err, ProtocolError::OutOfRange { .. }), "{err:?}");
+            assert_eq!(
+                err.to_string(),
+                format!("{kind} {field} {bad} is outside {range}")
+            );
+        }
+    }
 }

@@ -1,8 +1,8 @@
 //! The conformance sweep, driven in-process through the same
 //! `Options::parse` and `run` the `bp-conformance` binary calls: the 14
 //! canned adversarial cases through every differential suite and every
-//! metamorphic law. Goldens are skipped here because
-//! `tests/pipelines.rs` already verifies them.
+//! metamorphic law. The golden stage is skipped here because
+//! `tests/pipelines.rs` already checks `repro --quick all` against it.
 
 #[test]
 fn conformance_sweep_passes_on_the_canned_cases() {

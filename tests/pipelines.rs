@@ -1,8 +1,8 @@
 //! The batch pipelines, driven in-process through the same
 //! `Options::parse` and `run` their binaries call, each checked against a
-//! committed expectation: `repro`'s golden verifier at the quick
-//! configuration, a `scale` run cold and then warm on one `.bps` artifact
-//! directory, and a `bp-probe` sweep of every probe family.
+//! committed expectation: `repro` at the quick configuration, a `scale`
+//! run cold and then warm on one `.bps` artifact directory, and a
+//! `bp-probe` sweep of every probe family.
 
 use bp_experiments::artifacts::{matrix_config_fp, streams_config_fp, ArtifactStore};
 use bp_experiments::{repro, scale};
@@ -14,11 +14,13 @@ fn args(line: &str) -> Vec<String> {
 }
 
 #[test]
-fn repro_verifies_the_committed_goldens() {
-    let opts = repro::Options::parse(args("--quick --jobs 2 all --verify-goldens"))
-        .expect("the flags parse");
-    repro::run(&opts, &mut std::io::sink())
-        .expect("every experiment matches its fingerprint in tests/goldens/quick.fp");
+fn repro_prints_the_committed_quick_golden() {
+    let opts = repro::Options::parse(args("--quick --jobs 2 all")).expect("the flags parse");
+    let mut out = Vec::new();
+    repro::run(&opts, &mut out).expect("every experiment runs");
+    if let Err(why) = repro::check_quick_golden(&String::from_utf8_lossy(&out)) {
+        panic!("{why}");
+    }
 }
 
 #[test]

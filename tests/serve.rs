@@ -4,11 +4,14 @@
 //! cold evaluation builds its window-16 oracle matrix through the same
 //! candidate and matrix passes the batch path runs.
 //!
-//! The other two tests pin the request lifecycle: a queued request's
-//! deadline is checked when a worker takes it and again when its answer
-//! is ready.
+//! Two tests pin the request lifecycle: a queued request's deadline is
+//! checked when a worker takes it and again when its answer is ready. A
+//! third pins that a `trace_eval` geometry no predictor can be built
+//! with is refused, and the server still drains.
 
 use std::net::TcpStream;
+use std::path::PathBuf;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use bp_experiments::repro;
@@ -28,6 +31,25 @@ fn stats(handle: &ServerHandle) -> StatsSnapshot {
         Response::Stats { snapshot, .. } => *snapshot,
         other => panic!("expected stats, got {other:?}"),
     }
+}
+
+/// A fresh trace dir holding `name`: `records` conditional branches
+/// over 61 sites.
+fn trace_dir(tag: &str, name: &str, records: u64) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("bp-serve-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the trace dir");
+    let records = (0..records)
+        .map(|i| BranchRecord {
+            pc: 0x40 + (i % 61) * 4,
+            target: 0x8000,
+            taken: i % 3 == 0,
+            kind: BranchKind::Conditional,
+        })
+        .collect();
+    let mut bytes = Vec::new();
+    bp_trace::io::write_trace(&mut bytes, &Trace::from_records(records)).expect("encode");
+    std::fs::write(dir.join(name), bytes).expect("write the trace");
+    dir
 }
 
 #[test]
@@ -61,20 +83,7 @@ fn served_fig4_equals_the_quick_repro_section() {
 #[test]
 fn a_trace_answer_ready_after_its_deadline_is_deadline_exceeded() {
     const DEADLINE_MS: u64 = 25;
-    const RECORDS: u64 = 1_000_000;
-    let dir = std::env::temp_dir().join(format!("bp-serve-late-trace-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create the trace dir");
-    let records = (0..RECORDS)
-        .map(|i| BranchRecord {
-            pc: 0x40 + (i % 61) * 4,
-            target: 0x8000,
-            taken: i % 3 == 0,
-            kind: BranchKind::Conditional,
-        })
-        .collect();
-    let mut bytes = Vec::new();
-    bp_trace::io::write_trace(&mut bytes, &Trace::from_records(records)).expect("encode");
-    std::fs::write(dir.join("long.bpt"), bytes).expect("write the trace");
+    let dir = trace_dir("late-trace", "long.bpt", 1_000_000);
 
     let handle = spawn(ServerConfig {
         workers: 1,
@@ -158,4 +167,59 @@ fn requests_that_expire_in_the_queue_are_answered_when_a_worker_takes_them() {
     assert_eq!(s.engines, 0, "the expired eval built no engine");
     handle.begin_drain();
     handle.join();
+}
+
+/// A `trace_eval` geometry its predictor's constructor rejects is a
+/// `bad_request` naming the range, refused where the request is decoded:
+/// no worker is handed it, the one worker still scores the next request,
+/// and the server drains. Each call gets 10 s, and so does the drain.
+#[test]
+fn an_out_of_range_trace_geometry_is_a_bad_request_and_the_server_drains() {
+    let dir = trace_dir("bad-geometry", "short.bpt", 1000);
+    let handle = spawn(ServerConfig {
+        workers: 1,
+        trace_dir: Some(dir.clone()),
+        quiet: true,
+        ..ServerConfig::default()
+    })
+    .expect("bind 127.0.0.1:0");
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    let limit = Some(Duration::from_secs(10));
+    stream.set_read_timeout(limit).expect("set a read timeout");
+    let mut call = |predictor| {
+        let req = Request::TraceEval {
+            id: 1,
+            path: "short.bpt".to_owned(),
+            predictor,
+            deadline_ms: None,
+        };
+        write_frame(&mut stream, &req.encode(), DEFAULT_MAX_FRAME).expect("send a request");
+        let frame = read_frame(&mut stream, DEFAULT_MAX_FRAME).expect("an answer within 10 s");
+        Response::decode(&frame.expect("a response")).expect("it decodes")
+    };
+    for (predictor, range) in [
+        (PredictorSpec::Gshare { bits: 29 }, "1..=28"),
+        (PredictorSpec::IfGshare { bits: 65 }, "1..=64"),
+        (PredictorSpec::IfPas { history_bits: 64 }, "1..=63"),
+    ] {
+        match call(predictor) {
+            Response::Error { code, message, .. } => {
+                assert_eq!(code, ErrorCode::BadRequest, "{message}");
+                assert!(message.contains(range), "{message}");
+            }
+            other => panic!("expected bad_request for {predictor:?}, got {other:?}"),
+        }
+    }
+    let scored = call(PredictorSpec::Gshare { bits: 12 });
+    assert!(matches!(scored, Response::TraceResult { .. }), "{scored:?}");
+    handle.begin_drain();
+    let (done, joined) = mpsc::channel();
+    std::thread::spawn(move || {
+        handle.join();
+        let _ = done.send(());
+    });
+    joined
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the server drains and join returns");
+    let _ = std::fs::remove_dir_all(&dir);
 }

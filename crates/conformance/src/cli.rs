@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use bp_core::{Classification, Classifier, ClassifierConfig, OutcomeMatrix, SweepMatrix};
-use bp_experiments::cli::RunError;
+use bp_experiments::cli::{note, RunError};
 use bp_experiments::repro;
 use bp_trace::Trace;
 
@@ -131,7 +131,7 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
         "gen" => gen(opts, out),
         "selftest" => selftest(out),
         other => {
-            eprintln!("unknown command: {other}");
+            note(format_args!("unknown command: {other}"));
             Err(RunError::Usage(String::new()))
         }
     }?;
@@ -141,12 +141,15 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
 
 /// Writes a divergence's minimized reproducer and prints the report.
 fn report_divergence(d: &Divergence, repro_dir: &Path) {
-    eprintln!(
+    note(format_args!(
         "DIVERGENCE [{}] on case {}: {}",
         d.suite, d.case_name, d.detail
-    );
+    ));
     if let Err(e) = std::fs::create_dir_all(repro_dir) {
-        eprintln!("error: cannot create {}: {e}", repro_dir.display());
+        note(format_args!(
+            "error: cannot create {}: {e}",
+            repro_dir.display()
+        ));
         return;
     }
     let path = repro_dir.join(format!("{}-{}.bpt", d.suite, d.case_name));
@@ -154,12 +157,15 @@ fn report_divergence(d: &Divergence, repro_dir: &Path) {
         .map_err(|e| e.to_string())
         .and_then(|mut f| bp_trace::io::write_trace(&mut f, &d.trace).map_err(|e| e.to_string()))
     {
-        Ok(()) => eprintln!(
+        Ok(()) => note(format_args!(
             "  minimized reproducer ({} records) written to {}",
             d.trace.records().len(),
             path.display()
-        ),
-        Err(e) => eprintln!("error: cannot write reproducer {}: {e}", path.display()),
+        )),
+        Err(e) => note(format_args!(
+            "error: cannot write reproducer {}: {e}",
+            path.display()
+        )),
     }
 }
 
@@ -169,10 +175,10 @@ fn run_laws(cases: &[NamedTrace]) -> usize {
     for law in all_laws() {
         for case in cases {
             if let Some(detail) = (law.check)(&case.trace) {
-                eprintln!(
+                note(format_args!(
                     "LAW VIOLATION [{}] on case {}: {detail}",
                     law.name, case.name
-                );
+                ));
                 violations += 1;
             }
         }
@@ -192,7 +198,7 @@ fn run_goldens() -> usize {
     match checked {
         Ok(()) => 0,
         Err(why) => {
-            eprintln!("GOLDEN FAILURE: {why}");
+            note(format_args!("GOLDEN FAILURE: {why}"));
             1
         }
     }
@@ -209,49 +215,49 @@ fn sweep(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
             failures += 1;
         }
     }
-    eprintln!(
+    note(format_args!(
         "[differential: {} cases x 7 suites, {} divergences, {:.1}s]",
         cases.len(),
         failures,
         started.elapsed().as_secs_f64()
-    );
+    ));
 
     let law_started = Instant::now();
     failures += run_laws(&cases);
-    eprintln!(
+    note(format_args!(
         "[laws: {} laws x {} cases, {:.1}s]",
         all_laws().len(),
         cases.len(),
         law_started.elapsed().as_secs_f64()
-    );
+    ));
 
     if opts.skip_goldens {
-        eprintln!("[goldens: skipped]");
+        note("[goldens: skipped]");
     } else {
         let golden_started = Instant::now();
         failures += run_goldens();
-        eprintln!(
+        note(format_args!(
             "[goldens: checked in {:.1}s]",
             golden_started.elapsed().as_secs_f64()
-        );
+        ));
     }
 
     let elapsed = started.elapsed();
     if let Some(budget) = opts.budget {
         if elapsed > budget {
-            eprintln!(
+            note(format_args!(
                 "BUDGET EXCEEDED: sweep took {:.1}s, budget {:.1}s",
                 elapsed.as_secs_f64(),
                 budget.as_secs_f64()
-            );
+            ));
             return Err(RunError::Failed(String::new()));
         }
     }
     if failures > 0 {
-        eprintln!(
+        note(format_args!(
             "sweep FAILED: {failures} failure(s) in {:.1}s",
             elapsed.as_secs_f64()
-        );
+        ));
         return Err(RunError::Failed(String::new()));
     }
     writeln!(
@@ -310,7 +316,7 @@ fn laws(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
     let cases = corpus(opts.seed, opts.cases);
     let violations = run_laws(&cases);
     if violations > 0 {
-        eprintln!("laws FAILED: {violations} violation(s)");
+        note(format_args!("laws FAILED: {violations} violation(s)"));
         return Err(RunError::Failed(String::new()));
     }
     writeln!(
@@ -490,6 +496,6 @@ fn selftest(out: &mut dyn Write) -> Result<(), RunError> {
 /// Reports a failed self-test check on stderr; the failure is its own
 /// report, so no `error:` line follows.
 fn selftest_failed(why: String) -> RunError {
-    eprintln!("selftest FAILED: {why}");
+    note(format_args!("selftest FAILED: {why}"));
     RunError::Failed(String::new())
 }

@@ -78,7 +78,7 @@ pub struct BranchSelection {
 }
 
 /// Result of the oracle selective-history analysis over one trace.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OracleResult {
     per_branch: HashMap<Pc, BranchSelection>,
 }

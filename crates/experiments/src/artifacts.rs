@@ -4,9 +4,10 @@
 //! two artifacts — the packed [`BranchStreams`] and the oracle's
 //! [`OutcomeMatrix`] — that are pure functions of the workload
 //! configuration. An [`ArtifactStore`] keeps them in a directory as
-//! versioned `.bps` files (see [`bp_trace::bps`]), so a second run with
-//! `scale --artifacts DIR` re-opens them through `mmap(2)` in
-//! milliseconds instead of regenerating the trace.
+//! versioned `.bps` files (see [`bp_trace::bps`]). An engine given a
+//! store ([`crate::Engine::with_artifacts`], which `scale --artifacts
+//! DIR` sets up) reopens them through `mmap(2)` in milliseconds instead
+//! of regenerating the trace, and saves what it had to build.
 //!
 //! Each artifact is one file carrying its own fingerprints. Any typed
 //! open failure — truncation, magic/version flip, fingerprint mismatch,
@@ -14,7 +15,8 @@
 //! the rotten file, and reports a miss so the caller rebuilds; a
 //! simply-missing file is a silent miss. Saving is best-effort (a
 //! warning, never a failure): an artifact store must never make a run
-//! less reliable than running without one.
+//! less reliable than running without one. A load only reads: a warm
+//! run leaves the store exactly as it found it.
 
 use std::path::{Path, PathBuf};
 
@@ -23,17 +25,12 @@ use bp_trace::bps::{open_streams, write_streams};
 use bp_trace::sidecar::{fnv1a, FNV_OFFSET};
 use bp_trace::BranchStreams;
 
-/// A directory of reusable `.bps` artifacts, optionally capped at a
-/// byte budget. When a save pushes the directory over budget, the
-/// least-recently-used artifacts — by modification time, which loads
-/// refresh — are evicted with a one-line notice until the store fits
-/// again. The artifact just written is never evicted, even if it alone
-/// exceeds the budget: the run that produced it gets to reuse it at
-/// least once.
+use crate::cli::note;
+
+/// A directory of reusable `.bps` artifacts.
 #[derive(Debug, Clone)]
 pub struct ArtifactStore {
     dir: PathBuf,
-    budget_bytes: Option<u64>,
 }
 
 /// Config fingerprint of a streams artifact: the workload coordinates
@@ -46,7 +43,7 @@ pub fn streams_config_fp(bench: &str, seed: u64, target: usize) -> u64 {
 
 /// Config fingerprint of a matrix artifact: the workload coordinates plus
 /// the oracle question (window, candidate cap; both tagging schemes are
-/// implied — the `scale` pipeline always uses [`bp_trace::TagScheme::ALL`]).
+/// implied — [`crate::Engine::oracle`] always uses [`bp_trace::TagScheme::ALL`]).
 pub fn matrix_config_fp(bench: &str, seed: u64, target: usize, window: usize, cap: usize) -> u64 {
     let fp = streams_config_fp(bench, seed, target);
     let fp = fnv1a(fp, &(window as u64).to_le_bytes());
@@ -62,18 +59,7 @@ impl ArtifactStore {
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<ArtifactStore> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(ArtifactStore {
-            dir,
-            budget_bytes: None,
-        })
-    }
-
-    /// Caps the store at `bytes` total (the sum of its `.bps` file
-    /// sizes); `None` removes the cap.
-    #[must_use]
-    pub fn with_budget(mut self, bytes: Option<u64>) -> ArtifactStore {
-        self.budget_bytes = bytes;
-        self
+        Ok(ArtifactStore { dir })
     }
 
     /// Path of the streams artifact for `bench`.
@@ -94,10 +80,7 @@ impl ArtifactStore {
             return None;
         }
         match open_streams(&path, config) {
-            Ok(o) => {
-                touch(&path);
-                Some((o.streams, o.mapped))
-            }
+            Ok(o) => Some((o.streams, o.mapped)),
             Err(why) => {
                 self.evict(&path, &why.to_string());
                 None
@@ -109,9 +92,11 @@ impl ArtifactStore {
     pub fn save_streams(&self, bench: &str, streams: &BranchStreams, config: u64) {
         let path = self.streams_path(bench);
         if let Err(e) = write_streams(&path, streams, config) {
-            eprintln!("warning: could not save artifact {}: {e}", path.display());
+            note(format_args!(
+                "warning: could not save artifact {}: {e}",
+                path.display()
+            ));
         }
-        self.enforce_budget(&path);
     }
 
     /// Re-opens the matrix artifact, or reports a miss. Returns the
@@ -128,10 +113,7 @@ impl ArtifactStore {
             return None;
         }
         match open_matrix(&path, config) {
-            Ok(o) => {
-                touch(&path);
-                Some((o.matrix, o.mapped))
-            }
+            Ok(o) => Some((o.matrix, o.mapped)),
             Err(why) => {
                 self.evict(&path, &why.to_string());
                 None
@@ -150,70 +132,21 @@ impl ArtifactStore {
     ) {
         let path = self.matrix_path(bench, window, cap);
         if let Err(e) = write_matrix(&path, matrix, config) {
-            eprintln!("warning: could not save artifact {}: {e}", path.display());
+            note(format_args!(
+                "warning: could not save artifact {}: {e}",
+                path.display()
+            ));
         }
-        self.enforce_budget(&path);
     }
 
     /// One-line notice, then removal of the artifact so the rebuild
     /// starts clean.
     fn evict(&self, path: &Path, why: &str) {
-        eprintln!("notice: regenerating artifact {} ({why})", path.display());
+        note(format_args!(
+            "notice: regenerating artifact {} ({why})",
+            path.display()
+        ));
         std::fs::remove_file(path).ok();
-    }
-
-    /// Evicts least-recently-used artifacts until the store fits its
-    /// byte budget, sparing `just_written`. A no-op without a budget.
-    fn enforce_budget(&self, just_written: &Path) {
-        let Some(budget) = self.budget_bytes else {
-            return;
-        };
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        let mut artifacts: Vec<(std::time::SystemTime, PathBuf, u64)> = Vec::new();
-        let mut total = 0u64;
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("bps") {
-                continue;
-            }
-            let Ok(meta) = entry.metadata() else { continue };
-            let bytes = meta.len();
-            total += bytes;
-            let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-            artifacts.push((mtime, path, bytes));
-        }
-        // Oldest first; the path tiebreak keeps eviction order
-        // deterministic on coarse-mtime filesystems.
-        artifacts.sort();
-        for (_, path, bytes) in artifacts {
-            if total <= budget {
-                break;
-            }
-            if path == just_written {
-                continue;
-            }
-            eprintln!(
-                "notice: artifact budget exceeded ({total} > {budget} bytes): evicting {}",
-                path.display()
-            );
-            std::fs::remove_file(&path).ok();
-            total = total.saturating_sub(bytes);
-        }
-    }
-}
-
-/// Refreshes an artifact's mtime so budget eviction is least-recently-
-/// *used*, not least-recently-written. Best-effort: a store on a
-/// read-only filesystem still loads fine.
-fn touch(path: &Path) {
-    let now = std::time::SystemTime::now();
-    if let Ok(file) = std::fs::File::options().append(true).open(path) {
-        let times = std::fs::FileTimes::new()
-            .set_accessed(now)
-            .set_modified(now);
-        let _ = file.set_times(times);
     }
 }
 
@@ -266,75 +199,6 @@ mod tests {
         std::fs::write(&path, &bytes).expect("corrupt");
         assert!(store.load_streams("gcc", fp).is_none());
         assert!(!path.exists(), "rotten artifact evicted");
-        std::fs::remove_dir_all(&store.dir).ok();
-    }
-
-    fn backdate(path: &Path, secs_ago: u64) {
-        let then = std::time::SystemTime::now() - std::time::Duration::from_secs(secs_ago);
-        let file = std::fs::File::options()
-            .append(true)
-            .open(path)
-            .expect("open");
-        file.set_times(
-            std::fs::FileTimes::new()
-                .set_accessed(then)
-                .set_modified(then),
-        )
-        .expect("set mtime");
-    }
-
-    #[test]
-    fn budget_evicts_least_recently_used_first() {
-        let store = temp_store("budget");
-        let built = sample_streams();
-        for bench in ["alpha", "beta", "gamma"] {
-            store.save_streams(bench, &built, streams_config_fp(bench, 1, 2000));
-        }
-        // All three are the same size; budget fits exactly two.
-        let one = std::fs::metadata(store.streams_path("alpha"))
-            .expect("artifact")
-            .len();
-        let store = store.with_budget(Some(2 * one));
-        backdate(&store.streams_path("alpha"), 300);
-        backdate(&store.streams_path("beta"), 200);
-        backdate(&store.streams_path("gamma"), 100);
-        // Loading alpha refreshes its mtime, making beta the LRU victim
-        // when the next save busts the budget.
-        let fp = streams_config_fp("alpha", 1, 2000);
-        assert!(store.load_streams("alpha", fp).is_some());
-        store.save_streams("delta", &built, streams_config_fp("delta", 1, 2000));
-        assert!(
-            store.streams_path("alpha").exists(),
-            "recently used survives"
-        );
-        assert!(!store.streams_path("beta").exists(), "LRU evicted");
-        assert!(!store.streams_path("gamma").exists(), "next-LRU evicted");
-        assert!(
-            store.streams_path("delta").exists(),
-            "just-written survives"
-        );
-        std::fs::remove_dir_all(&store.dir).ok();
-    }
-
-    #[test]
-    fn just_written_artifact_survives_even_over_budget() {
-        let store = temp_store("budget-tight").with_budget(Some(1));
-        let built = sample_streams();
-        store.save_streams("solo", &built, streams_config_fp("solo", 1, 2000));
-        assert!(store.streams_path("solo").exists(), "newest never evicted");
-        std::fs::remove_dir_all(&store.dir).ok();
-    }
-
-    #[test]
-    fn no_budget_means_no_eviction() {
-        let store = temp_store("no-budget");
-        let built = sample_streams();
-        for bench in ["a", "b", "c", "d"] {
-            store.save_streams(bench, &built, streams_config_fp(bench, 1, 2000));
-        }
-        for bench in ["a", "b", "c", "d"] {
-            assert!(store.streams_path(bench).exists());
-        }
         std::fs::remove_dir_all(&store.dir).ok();
     }
 

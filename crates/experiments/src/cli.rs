@@ -4,8 +4,10 @@
 //! [`crate::ablate`], `bp-probe`, `bp-conformance`) is a thin shell: its
 //! pipeline's `Options::parse`, one `run` on stdout, then [`finish`], the
 //! one place that prints usage or `error:` lines and picks the exit code.
+//! Every stderr line they print goes through [`note`].
 
 use std::fmt;
+use std::io::Write;
 use std::process::ExitCode;
 
 use bp_workloads::WorkloadConfig;
@@ -120,17 +122,24 @@ pub fn finish(result: Result<(), RunError>, usage: &str) -> ExitCode {
         return ExitCode::SUCCESS;
     };
     if matches!(err, RunError::Help) {
-        eprintln!("{usage}");
+        note(usage);
         return ExitCode::SUCCESS;
     }
     let why = err.to_string();
     if !why.is_empty() {
-        eprintln!("error: {why}");
+        note(format_args!("error: {why}"));
     }
     if matches!(err, RunError::Usage(_)) {
-        eprintln!("{usage}");
+        note(usage);
     }
     ExitCode::FAILURE
+}
+
+/// Writes `line` and a newline to stderr, dropping it if stderr cannot
+/// be written (a closed pipe, a full disk): a diagnostic never changes a
+/// run's output or exit code.
+pub fn note(line: impl fmt::Display) {
+    let _ = writeln!(std::io::stderr(), "{line}");
 }
 
 /// The default worker count of the binaries that take `--jobs`: one per

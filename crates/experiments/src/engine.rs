@@ -21,6 +21,9 @@
 //!   same key compute the value exactly once (`Mutex`-guarded map of
 //!   `OnceLock` cells); everyone else blocks briefly and shares the
 //!   `Arc`. Hit/miss counters feed `repro --timings`.
+//! * **Artifact reuse** — an engine given a `.bps` store
+//!   ([`Engine::with_artifacts`]) reopens the packed streams and oracle
+//!   matrices it would otherwise build, and saves the ones it builds.
 //!
 //! Determinism: cached values are pure functions of (workload config,
 //! benchmark, artifact config) — the engine only changes *when* they are
@@ -43,6 +46,7 @@ use bp_predictors::{
 use bp_trace::{par_map, par_threads, BranchProfile, BranchStreams, TagScheme, Trace, MAX_THREADS};
 use bp_workloads::Benchmark;
 
+use crate::artifacts::{matrix_config_fp, streams_config_fp, ArtifactStore};
 use crate::{ExperimentConfig, TraceSet, TraceSetSource};
 
 /// Fingerprint of a standard predictor configuration, used as a cache key.
@@ -159,6 +163,9 @@ pub struct CacheStats {
     pub misses: u64,
     /// Distinct artifacts currently cached.
     pub entries: u64,
+    /// Misses that reopened a `.bps` artifact from the engine's store
+    /// ([`Engine::with_artifacts`]) instead of building it.
+    pub reused: u64,
 }
 
 /// Cross-experiment memoization of evaluation results, keyed by
@@ -175,6 +182,7 @@ pub struct EvalCache {
     profiles: CacheMap<Benchmark, BranchProfile>,
     hits: AtomicU64,
     misses: AtomicU64,
+    reused: AtomicU64,
 }
 
 impl EvalCache {
@@ -188,6 +196,7 @@ impl EvalCache {
             profiles: CacheMap::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            reused: AtomicU64::new(0),
         }
     }
 
@@ -201,6 +210,7 @@ impl EvalCache {
                 + self.classifications.len()
                 + self.streams.len()
                 + self.profiles.len()) as u64,
+            reused: self.reused.load(Ordering::Relaxed),
         }
     }
 }
@@ -241,7 +251,8 @@ impl FanoutStats {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OraclePhaseStats {
     /// Seconds spent collecting candidates and packing outcome matrices
-    /// (including sweep-artifact builds and sub-window materialization).
+    /// (including sweep-artifact builds, sub-window materialization and
+    /// reopening matrices from the store).
     pub matrix_seconds: f64,
     /// Seconds spent in the per-branch subset search.
     pub search_seconds: f64,
@@ -253,7 +264,8 @@ pub struct OraclePhaseStats {
     pub analyses: u64,
     /// Candidate-plus-matrix builds and sweep-artifact builds (cache
     /// misses only): one trace's worth of builder passes each. A sweep
-    /// point served to another experiment saves one.
+    /// point served to another experiment saves one, and so does a
+    /// matrix reopened from the store.
     pub builds: u64,
 }
 
@@ -301,10 +313,11 @@ impl Drop for Claim<'_> {
 }
 
 /// Shared evaluation state for a run: the trace set, the memoization
-/// cache, and the worker-thread budget.
+/// cache, the worker-thread budget, and an optional `.bps` store.
 pub struct Engine {
     traces: Arc<TraceSet>,
     cache: EvalCache,
+    store: Option<ArtifactStore>,
     jobs: usize,
     busy_nanos: AtomicU64,
     fanout_wall_nanos: AtomicU64,
@@ -324,6 +337,7 @@ impl Engine {
         Engine {
             traces: traces.into(),
             cache: EvalCache::new(),
+            store: None,
             jobs: jobs.max(1),
             busy_nanos: AtomicU64::new(0),
             fanout_wall_nanos: AtomicU64::new(0),
@@ -331,6 +345,26 @@ impl Engine {
             oracle_phases: Mutex::new(HashMap::new()),
             classify_phases: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// The engine with a `.bps` store: [`Engine::streams`] and
+    /// [`Engine::oracle`] reopen their builder artifact (the packed
+    /// streams, the oracle's outcome matrix) from `store` on a cache
+    /// miss, counted in [`CacheStats::reused`], and build and save it
+    /// when it is missing or rotten. Results are the same with or
+    /// without a store. [`Engine::oracle_sweep`] does not use it.
+    #[must_use]
+    pub fn with_artifacts(mut self, store: ArtifactStore) -> Self {
+        self.store = Some(store);
+        self
+    }
+
+    /// Reopens an artifact through `load` from the engine's store,
+    /// counting it reused; `None` without a store or on a miss.
+    fn reopen<T>(&self, load: impl FnOnce(&ArtifactStore) -> Option<(T, bool)>) -> Option<T> {
+        let (artifact, _mapped) = load(self.store.as_ref()?)?;
+        self.cache.reused.fetch_add(1, Ordering::Relaxed);
+        Some(artifact)
     }
 
     /// The worker-thread budget.
@@ -485,32 +519,45 @@ impl Engine {
 
     /// Cached oracle selective-history analysis for one configuration.
     ///
-    /// On a miss, the per-branch subset search runs on whatever threads
-    /// the benchmark-level fan-out leaves idle (see [`Engine::jobs`]), so
-    /// `--jobs N` helps even when a single benchmark's oracle dominates
-    /// the run.
+    /// On a miss, the outcome matrix is reopened from the engine's store
+    /// or built (and saved there), and the per-branch subset search runs
+    /// on whatever threads the benchmark-level fan-out leaves idle (see
+    /// [`Engine::jobs`]), so `--jobs N` helps even when a single
+    /// benchmark's oracle dominates the run.
     pub fn oracle(&self, benchmark: Benchmark, cfg: &OracleConfig) -> Arc<OracleResult> {
         self.cache.oracles.get_or_compute(
             (benchmark, *cfg),
             &self.cache.hits,
             &self.cache.misses,
             || {
-                let source = self.source(benchmark);
                 let t0 = Instant::now();
-                let candidates = TagCandidates::collect_from_source_sharded(
-                    &source,
-                    cfg.window,
-                    cfg.candidate_cap,
-                    &TagScheme::ALL,
-                    1,
-                )
-                .expect("trace stream failed");
-                let matrix =
-                    OutcomeMatrix::build_from_source_sharded(&source, &candidates, cfg.window, 1)
-                        .expect("trace stream failed");
+                let (name, workload) = (benchmark.name(), self.traces.config());
+                let (window, cap) = (cfg.window, cfg.candidate_cap);
+                let fp =
+                    matrix_config_fp(name, workload.seed, workload.target_branches, window, cap);
+                let reused = self.reopen(|store| store.load_matrix(name, window, cap, fp));
+                let builds = u64::from(reused.is_none());
+                let matrix = reused.unwrap_or_else(|| {
+                    let source = self.source(benchmark);
+                    let candidates = TagCandidates::collect_from_source_sharded(
+                        &source,
+                        window,
+                        cap,
+                        &TagScheme::ALL,
+                        1,
+                    )
+                    .expect("trace stream failed");
+                    let matrix =
+                        OutcomeMatrix::build_from_source_sharded(&source, &candidates, window, 1)
+                            .expect("trace stream failed");
+                    if let Some(store) = &self.store {
+                        store.save_matrix(name, window, cap, &matrix, fp);
+                    }
+                    matrix
+                });
                 let built = OraclePhaseStats {
                     matrix_seconds: t0.elapsed().as_secs_f64(),
-                    builds: 1,
+                    builds,
                     ..OraclePhaseStats::default()
                 };
                 self.search(benchmark, &matrix, cfg, built)
@@ -624,15 +671,26 @@ impl Engine {
 
     /// Cached per-branch packed outcome streams — the bit-parallel
     /// substrate of every §4 classification (and the branch profile),
-    /// built in a single trace pass per benchmark.
+    /// reopened from the engine's store or built (and saved there) in a
+    /// single trace pass per benchmark.
     pub fn streams(&self, benchmark: Benchmark) -> Arc<BranchStreams> {
         self.cache
             .streams
             .get_or_compute(benchmark, &self.cache.hits, &self.cache.misses, || {
-                let source = self.source(benchmark);
                 let t0 = Instant::now();
-                let streams =
-                    BranchStreams::from_source_sharded(&source, 1).expect("trace stream failed");
+                let (name, workload) = (benchmark.name(), self.traces.config());
+                let fp = streams_config_fp(name, workload.seed, workload.target_branches);
+                let streams = self
+                    .reopen(|store| store.load_streams(name, fp))
+                    .unwrap_or_else(|| {
+                        let streams =
+                            BranchStreams::from_source_sharded(&self.source(benchmark), 1)
+                                .expect("trace stream failed");
+                        if let Some(store) = &self.store {
+                            store.save_streams(name, &streams, fp);
+                        }
+                        streams
+                    });
                 self.record_classify_phases(benchmark, t0.elapsed().as_secs_f64(), 0.0, 0.0, 0);
                 streams
             })

@@ -26,7 +26,7 @@ use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
 
-use crate::cli::{default_jobs, workload_flag, RunError};
+use crate::cli::{default_jobs, note, workload_flag, RunError};
 use crate::{evaluation_order, run_experiment, Engine, ExperimentConfig, TraceSet, EXPERIMENT_IDS};
 
 /// The usage text `repro` prints with a command-line error or `--help`.
@@ -127,7 +127,7 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
         let started = Instant::now();
         engine.prewarm(cfg);
         let seconds = started.elapsed().as_secs_f64();
-        eprintln!("[prewarm done in {seconds:.1}s]\n");
+        note(format_args!("[prewarm done in {seconds:.1}s]\n"));
         timings.push(("prewarm".to_owned(), seconds));
     }
 
@@ -138,7 +138,7 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
         let started = Instant::now();
         let rendered = run_experiment(id, cfg, &engine).expect("ids validated by parse");
         let seconds = started.elapsed().as_secs_f64();
-        eprintln!("[{id} done in {seconds:.1}s]\n");
+        note(format_args!("[{id} done in {seconds:.1}s]\n"));
         sections[i] = Some((rendered, seconds));
         while let Some(Some((rendered, seconds))) = sections.get(printed) {
             writeln!(out, "{rendered}")?;
@@ -150,13 +150,13 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
 
     let total_seconds = run_started.elapsed().as_secs_f64();
     let cache = engine.cache_stats();
-    eprintln!(
+    note(format_args!(
         "[total {:.1}s, jobs={}, cache {} hits / {} misses]",
         total_seconds,
         engine.jobs(),
         cache.hits,
         cache.misses
-    );
+    ));
     if let Some(path) = &opts.timings {
         write_timings(path, cfg, &engine, &timings, total_seconds)
             .map_err(|e| RunError::Failed(format!("could not write timings to {path}: {e}")))?;

@@ -1,9 +1,16 @@
 //! End-to-end tests of the `repro` experiment driver CLI.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
+}
+
+/// Runs `cmd` with stderr a pipe whose read end is already closed.
+fn with_closed_stderr(cmd: &mut Command) -> Output {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    cmd.stderr(writer).output().expect("run repro")
 }
 
 #[test]
@@ -242,4 +249,17 @@ fn an_unwritable_stdout_is_an_error_not_a_panic() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("error: cannot write output"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn a_closed_stderr_changes_neither_stdout_nor_the_exit_code() {
+    let args = ["--target", "3000", "table1"];
+    let normal = repro().args(args).output().expect("run repro");
+    assert!(normal.status.success(), "{normal:?}");
+    let closed = with_closed_stderr(repro().args(args));
+    assert_eq!(closed.status.code(), Some(0), "{closed:?}");
+    assert_eq!(closed.stdout, normal.stdout);
+
+    let bad = with_closed_stderr(repro().args(["--jobs", "0", "table1"]));
+    assert_eq!(bad.status.code(), Some(1), "{bad:?}");
 }

@@ -1,10 +1,17 @@
 //! End-to-end tests of the `scale` binary: flag handling and the `.bps`
 //! artifact store.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
 fn scale() -> Command {
     Command::new(env!("CARGO_BIN_EXE_scale"))
+}
+
+/// Runs `cmd` with stderr a pipe whose read end is already closed.
+fn with_closed_stderr(cmd: &mut Command) -> Output {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    cmd.stderr(writer).output().expect("run scale")
 }
 
 #[test]
@@ -45,13 +52,16 @@ fn a_missing_or_unknown_benchmark_is_named() {
 
 #[test]
 fn materialized_is_an_unknown_argument() {
-    // Every scan regenerates the workload; trace residency is no longer
-    // a choice.
-    let out = scale().arg("--materialized").output().expect("run scale");
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown argument '--materialized'"), "{err}");
-    assert!(out.stdout.is_empty(), "nothing runs before the flags parse");
+    // Every scan regenerates the workload, so trace residency is no
+    // longer a choice, and the artifact store has no size cap.
+    for args in [&["--materialized"][..], &["--artifacts-budget-gb", "2"]] {
+        let out = scale().args(args).output().expect("run scale");
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let why = format!("unknown argument '{}'", args[0]);
+        assert!(err.contains(&why), "{err}");
+        assert!(out.stdout.is_empty(), "nothing runs before the flags parse");
+    }
 }
 
 #[test]
@@ -152,4 +162,17 @@ fn an_unwritable_stdout_is_an_error_not_a_panic() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("error: cannot write output"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn a_closed_stderr_changes_neither_stdout_nor_the_exit_code() {
+    let args = ["--bench", "gcc", "--target", "20k", "--oracle-cap", "8"];
+    let normal = scale().args(args).output().expect("run scale");
+    assert!(normal.status.success(), "{normal:?}");
+    let closed = with_closed_stderr(scale().args(args));
+    assert_eq!(closed.status.code(), Some(0), "{closed:?}");
+    assert_eq!(closed.stdout, normal.stdout);
+
+    let bad = with_closed_stderr(scale().args(["--jobs", "0"]));
+    assert_eq!(bad.status.code(), Some(1), "{bad:?}");
 }

@@ -27,7 +27,7 @@
 
 use std::io::Write;
 
-use bp_experiments::cli::{default_jobs, RunError};
+use bp_experiments::cli::{default_jobs, note, RunError};
 
 use crate::{parse_grid, run_probes, BaseOutcomes, ProbeKind, ReportConfig, MAX_PROBE_RECORDS};
 
@@ -217,18 +217,18 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
     let mut failed = false;
     for (label, value) in &opts.asserts {
         match report.check_assertion(label, *value) {
-            Ok(()) => eprintln!("assert ok: {label} cliff at {value}"),
+            Ok(()) => note(format_args!("assert ok: {label} cliff at {value}")),
             Err(why) => {
-                eprintln!("assert FAILED: {why}");
+                note(format_args!("assert FAILED: {why}"));
                 failed = true;
             }
         }
     }
     for (label, value) in &opts.asserts_gt {
         match report.check_assertion_exceeds(label, *value) {
-            Ok(()) => eprintln!("assert ok: {label} cliff beyond {value}"),
+            Ok(()) => note(format_args!("assert ok: {label} cliff beyond {value}")),
             Err(why) => {
-                eprintln!("assert FAILED: {why}");
+                note(format_args!("assert FAILED: {why}"));
                 failed = true;
             }
         }

@@ -121,12 +121,12 @@ pub fn run_probes(kinds: &[ProbeKind], cfg: &ReportConfig) -> ProbeReport {
             let grid = cfg.grid(kind);
             let result = run_sweep(kind, grid, &cfg.sweep, &cfg.zoo);
             let cliffs = result.cliffs(cfg.sweep.min_drop);
-            eprintln!(
+            bp_experiments::cli::note(format_args!(
                 "[{}: {:.1}s, {} threads]",
                 kind.param_family(),
                 t0.elapsed().as_secs_f64(),
                 bp_trace::par_threads(cfg.sweep.jobs, grid.len())
-            );
+            ));
             ReportSection { result, cliffs }
         })
         .collect();

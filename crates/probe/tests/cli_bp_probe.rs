@@ -13,6 +13,17 @@ fn bp_probe(args: &[&str]) -> Output {
         .expect("run bp-probe")
 }
 
+/// Runs `bp-probe` with stderr a pipe whose read end is already closed.
+fn bp_probe_with_closed_stderr(args: &[&str]) -> Output {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    Command::new(env!("CARGO_BIN_EXE_bp-probe"))
+        .args(args)
+        .stderr(writer)
+        .output()
+        .expect("run bp-probe")
+}
+
 #[test]
 fn oversized_geometries_and_traces_are_rejected_before_anything_runs() {
     for (args, message) in [
@@ -87,4 +98,17 @@ fn an_unwritable_stdout_is_an_error_not_a_panic() {
     assert_eq!(out.status.code(), Some(1), "{err}");
     assert!(err.contains("error: cannot write output"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn a_closed_stderr_changes_neither_stdout_nor_the_exit_code() {
+    let args = ["sweep", "aliasing", "--rounds", "50"];
+    let normal = bp_probe(&args);
+    assert!(normal.status.success(), "{normal:?}");
+    let closed = bp_probe_with_closed_stderr(&args);
+    assert_eq!(closed.status.code(), Some(0), "{closed:?}");
+    assert_eq!(closed.stdout, normal.stdout);
+
+    let bad = bp_probe_with_closed_stderr(&["sweep", "padding", "--gshare-bits", "25"]);
+    assert_eq!(bad.status.code(), Some(1), "{bad:?}");
 }

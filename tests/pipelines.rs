@@ -2,11 +2,13 @@
 //! `Options::parse` and `run` their binaries call, each checked against a
 //! committed expectation: `repro` at the quick configuration, a `scale`
 //! run cold and then warm on one `.bps` artifact directory, and a
-//! `bp-probe` sweep of every probe family.
+//! `bp-probe` sweep of every probe family. Beside them, the engine those
+//! `scale` runs call: warm on a `.bps` store, it builds nothing.
 
+use bp_core::{ClassifierConfig, OracleConfig};
 use bp_experiments::artifacts::{matrix_config_fp, streams_config_fp, ArtifactStore};
-use bp_experiments::{repro, scale};
-use bp_workloads::WorkloadConfig;
+use bp_experiments::{repro, scale, Engine, TraceSet};
+use bp_workloads::{Benchmark, WorkloadConfig};
 
 /// A command line, split at spaces.
 fn args(line: &str) -> Vec<String> {
@@ -48,6 +50,51 @@ fn scale_prints_the_committed_summary_cold_and_warm_from_bps_artifacts() {
     let mut warm = Vec::new();
     scale::run(&opts, &mut warm).expect("the warm run reopens both artifacts");
     assert_eq!(String::from_utf8_lossy(&warm), expected);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_warm_engine_reopens_both_artifacts_and_builds_nothing() {
+    let dir = std::env::temp_dir().join(format!("pipelines-engine-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (bench, classifier) = (Benchmark::Gcc, ClassifierConfig::default());
+    let oracle = OracleConfig {
+        candidate_cap: 12,
+        ..OracleConfig::default()
+    };
+    let streaming = || {
+        let cfg = WorkloadConfig::default().with_target(20_000);
+        Engine::new(TraceSet::new(cfg).with_streaming(), 2)
+    };
+    let stored = || {
+        let store = ArtifactStore::open(&dir).expect("open the artifact directory");
+        streaming().with_artifacts(store)
+    };
+    let results = |engine: &Engine| {
+        (
+            engine.streams(bench),
+            engine.classification(bench, &classifier),
+            engine.oracle(bench, &oracle),
+        )
+    };
+    let plain = results(&streaming());
+
+    let cold = stored();
+    assert!(results(&cold) == plain, "a cold store changes no result");
+    assert_eq!(cold.cache_stats().reused, 0, "a cold store reopens nothing");
+    let store = ArtifactStore::open(&dir).expect("open the artifact directory");
+    assert!(store.streams_path("gcc").exists(), "the streams are saved");
+    assert!(
+        store.matrix_path("gcc", 16, 12).exists(),
+        "the matrix is saved"
+    );
+
+    let warm = stored();
+    assert!(results(&warm) == plain, "reopened artifacts change nothing");
+    assert_eq!(warm.cache_stats().reused, 2, "both artifacts reopen");
+    let phases = warm.oracle_phase_stats();
+    let builds: Vec<(u64, u64)> = phases.iter().map(|(_, p)| (p.analyses, p.builds)).collect();
+    assert_eq!(builds, [(1, 0)], "the search runs on the reopened matrix");
     std::fs::remove_dir_all(&dir).ok();
 }
 

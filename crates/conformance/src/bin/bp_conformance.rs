@@ -2,7 +2,7 @@
 //! ([`bp_conformance::cli`]).
 
 use bp_conformance::cli;
-use bp_experiments::cli::finish;
+use bp_trace::cli::finish;
 
 fn main() -> std::process::ExitCode {
     let result = cli::Options::parse(std::env::args().skip(1))

@@ -20,8 +20,8 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use bp_core::{Classification, Classifier, ClassifierConfig, OutcomeMatrix, SweepMatrix};
-use bp_experiments::cli::{note, RunError};
 use bp_experiments::repro;
+use bp_trace::cli::{note, RunError};
 use bp_trace::Trace;
 
 use crate::diff::{self, DiffConfig, Divergence, Kernels};

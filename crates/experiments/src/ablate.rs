@@ -10,12 +10,13 @@ use std::io::Write;
 
 use bp_core::{OracleConfig, OracleSelector, OutcomeMatrix, SearchStrategy, TagCandidates};
 use bp_predictors::{simulate, Gshare, Hybrid, Pas, SaturatingCounter};
+use bp_trace::cli::RunError;
 use bp_trace::TagScheme;
 use bp_workloads::{Benchmark, WorkloadConfig};
 
-use crate::cli::{workload_flag, RunError};
+use crate::cli::workload_flag;
 
-/// The usage text `ablate` prints with a command-line error.
+/// The usage text `ablate` prints with a command-line error or `--help`.
 pub fn usage() -> String {
     "usage: ablate [--target N[k|m|b]] [--seed N]".to_owned()
 }
@@ -30,6 +31,9 @@ impl Options {
         let mut cfg = WorkloadConfig::default().with_target(60_000);
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
+            if arg == "--help" || arg == "-h" {
+                return Err(RunError::Help);
+            }
             if !workload_flag(&arg, &mut args, &mut cfg).map_err(RunError::Usage)? {
                 return Err(RunError::Usage(format!("unknown argument {arg}")));
             }

@@ -22,10 +22,9 @@ use std::path::{Path, PathBuf};
 
 use bp_core::{open_matrix, write_matrix, OutcomeMatrix};
 use bp_trace::bps::{open_streams, write_streams};
+use bp_trace::cli::note;
 use bp_trace::sidecar::{fnv1a, FNV_OFFSET};
 use bp_trace::BranchStreams;
-
-use crate::cli::note;
 
 /// A directory of reusable `.bps` artifacts.
 #[derive(Debug, Clone)]

@@ -1,14 +1,6 @@
-//! Small shared helpers for the command-line binaries.
-//!
-//! Each batch binary ([`crate::repro`], [`crate::scale`], [`crate::probe`],
-//! [`crate::ablate`], `bp-probe`, `bp-conformance`) is a thin shell: its
-//! pipeline's `Options::parse`, one `run` on stdout, then [`finish`], the
-//! one place that prints usage or `error:` lines and picks the exit code.
-//! Every stderr line they print goes through [`note`].
-
-use std::fmt;
-use std::io::Write;
-use std::process::ExitCode;
+//! The flags the batch binaries share: `--target`, `--seed` and the
+//! `--jobs` default. The shell around them — the run error, the exit
+//! path and the stderr sink — is [`bp_trace::cli`].
 
 use bp_workloads::WorkloadConfig;
 
@@ -82,64 +74,6 @@ pub fn workload_flag(
         _ => return Ok(false),
     }
     Ok(true)
-}
-
-/// Why a command-line run stopped before it finished.
-#[derive(Debug)]
-pub enum RunError {
-    /// `--help` or `-h`: the usage text, exit 0.
-    Help,
-    /// A bad command line: an `error:` line (none if empty), the usage text, exit 1.
-    Usage(String),
-    /// Output could not be written (a full disk, a closed pipe), exit 1.
-    Output(std::io::Error),
-    /// The run failed: an `error:` line (none if empty: it reported why), exit 1.
-    Failed(String),
-}
-
-impl fmt::Display for RunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RunError::Help => f.write_str("help requested"),
-            RunError::Usage(why) | RunError::Failed(why) => f.write_str(why),
-            RunError::Output(e) => write!(f, "cannot write output: {e}"),
-        }
-    }
-}
-
-/// A failed write to the run's output.
-impl From<std::io::Error> for RunError {
-    fn from(e: std::io::Error) -> Self {
-        RunError::Output(e)
-    }
-}
-
-/// Reports a run's outcome on stderr and picks the exit code: 0 for
-/// success and for `--help` (which prints `usage`), 1 otherwise, after
-/// the `error:` line and, for a bad command line, `usage`.
-pub fn finish(result: Result<(), RunError>, usage: &str) -> ExitCode {
-    let Err(err) = result else {
-        return ExitCode::SUCCESS;
-    };
-    if matches!(err, RunError::Help) {
-        note(usage);
-        return ExitCode::SUCCESS;
-    }
-    let why = err.to_string();
-    if !why.is_empty() {
-        note(format_args!("error: {why}"));
-    }
-    if matches!(err, RunError::Usage(_)) {
-        note(usage);
-    }
-    ExitCode::FAILURE
-}
-
-/// Writes `line` and a newline to stderr, dropping it if stderr cannot
-/// be written (a closed pipe, a full disk): a diagnostic never changes a
-/// run's output or exit code.
-pub fn note(line: impl fmt::Display) {
-    let _ = writeln!(std::io::stderr(), "{line}");
 }
 
 /// The default worker count of the binaries that take `--jobs`: one per

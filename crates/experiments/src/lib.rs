@@ -58,7 +58,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod modern;
-pub mod probe;
 pub mod render;
 pub mod repro;
 pub mod scale;

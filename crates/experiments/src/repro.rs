@@ -26,7 +26,9 @@ use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
 
-use crate::cli::{default_jobs, note, workload_flag, RunError};
+use bp_trace::cli::{note, RunError};
+
+use crate::cli::{default_jobs, workload_flag};
 use crate::{evaluation_order, run_experiment, Engine, ExperimentConfig, TraceSet, EXPERIMENT_IDS};
 
 /// The usage text `repro` prints with a command-line error or `--help`.

@@ -28,11 +28,12 @@ use std::io::Write;
 use std::time::Instant;
 
 use bp_core::{ClassifierConfig, OracleConfig, PaClass};
+use bp_trace::cli::{note, RunError};
 use bp_trace::PathWindow;
 use bp_workloads::{Benchmark, WorkloadConfig};
 
 use crate::artifacts::ArtifactStore;
-use crate::cli::{default_jobs, note, workload_flag, RunError};
+use crate::cli::{default_jobs, workload_flag};
 use crate::{Engine, TraceSet};
 
 /// The usage text `scale` prints with a command-line error or `--help`.

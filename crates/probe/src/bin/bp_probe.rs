@@ -1,8 +1,8 @@
 //! `bp-probe` — black-box capacity/aliasing probing of the predictor zoo
 //! ([`bp_probe::cli`]).
 
-use bp_experiments::cli::finish;
 use bp_probe::cli;
+use bp_trace::cli::finish;
 
 fn main() -> std::process::ExitCode {
     let result = cli::Options::parse(std::env::args().skip(1))

@@ -27,7 +27,8 @@
 
 use std::io::Write;
 
-use bp_experiments::cli::{default_jobs, note, RunError};
+use bp_experiments::cli::default_jobs;
+use bp_trace::cli::{note, RunError};
 
 use crate::{parse_grid, run_probes, BaseOutcomes, ProbeKind, ReportConfig, MAX_PROBE_RECORDS};
 

@@ -38,12 +38,12 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::Duration;
 
-use bp_experiments::cli::{finish, RunError};
 use bp_serve::stats::LatencySnapshot;
 use bp_serve::{
     run_bench, BenchOptions, ChaosOptions, Client, PredictorSpec, Response, RetryPolicy,
     ShardedClient, StatsSnapshot,
 };
+use bp_trace::cli::{finish, note, RunError};
 use bp_trace::MAX_THREADS;
 use bp_workloads::WorkloadConfig;
 
@@ -80,8 +80,8 @@ fn known_options(command: &str) -> Option<&'static str> {
     })
 }
 
-/// Parses the command line. A bare usage request (no command, or
-/// `--help`) is a usage error with no message.
+/// Parses the command line. `--help` is a help request; no command
+/// at all is a usage error with no message.
 fn parse_args() -> Result<Flags, RunError> {
     let mut addrs = Vec::new();
     let mut command = String::new();
@@ -96,7 +96,7 @@ fn parse_args() -> Result<Flags, RunError> {
         if arg == "--addr" {
             addrs.push(value()?);
         } else if arg == "--help" || arg == "-h" {
-            return Err(RunError::Usage(String::new()));
+            return Err(RunError::Help);
         } else if let Some(flag) = arg.strip_prefix("--") {
             // Flags that take values vs booleans.
             let value = match flag {
@@ -251,9 +251,9 @@ fn print_stats(out: &mut dyn Write, s: &StatsSnapshot) -> std::io::Result<()> {
 fn report_unexpected(resp: &Response) -> RunError {
     match resp {
         Response::Error { code, message, .. } => {
-            eprintln!("error ({}): {message}", code.as_str());
+            note(format_args!("error ({}): {message}", code.as_str()));
         }
-        other => eprintln!("error: unexpected response {other:?}"),
+        other => note(format_args!("error: unexpected response {other:?}")),
     }
     RunError::Failed(String::new())
 }
@@ -292,10 +292,10 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), RunError> {
                     ..
                 } => {
                     writeln!(out, "{output}")?;
-                    eprintln!(
+                    note(format_args!(
                         "[served in {seconds:.3}s{}]",
                         if cached { ", cached" } else { "" }
-                    );
+                    ));
                     Ok(())
                 }
                 other => Err(report_unexpected(&other)),
@@ -354,7 +354,7 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), RunError> {
                         failures += 1;
                     }
                     Err(e) => {
-                        eprintln!("error: {addr}: {e}");
+                        note(format_args!("error: {addr}: {e}"));
                         failures += 1;
                     }
                 }
@@ -385,7 +385,7 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), RunError> {
                         failures += 1;
                     }
                     Err(e) => {
-                        eprintln!("error: {addr}: {e}");
+                        note(format_args!("error: {addr}: {e}"));
                         failures += 1;
                     }
                 }
@@ -453,13 +453,15 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), RunError> {
         "idle" => {
             let conns = opt_u64(flags, "conns")?.unwrap_or(100) as usize;
             let hold = opt_u64(flags, "hold-ms")?.unwrap_or(60_000);
-            let mut held = Vec::with_capacity(conns);
+            // Grown per connection: `--conns` has no upper bound, so
+            // reserving it up front could overflow the vector.
+            let mut held = Vec::new();
             for i in 0..conns {
                 let addr = &flags.addrs[i % flags.addrs.len()];
                 match std::net::TcpStream::connect(addr.as_str()) {
                     Ok(stream) => held.push(stream),
                     Err(e) => {
-                        eprintln!("error: connection {i} to {addr} failed: {e}");
+                        note(format_args!("error: connection {i} to {addr} failed: {e}"));
                         break;
                     }
                 }

@@ -22,8 +22,8 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use bp_experiments::cli::{finish, RunError};
 use bp_serve::{spawn, ServerConfig};
+use bp_trace::cli::{finish, RunError};
 use bp_trace::MAX_THREADS;
 
 const USAGE: &str = "usage: bp-serve [--addr HOST:PORT] [--workers N] [--queue N] [--jobs N] \

@@ -62,6 +62,7 @@ use bp_experiments::{run_experiment, Engine, ExperimentConfig, TraceSet, EXPERIM
 use bp_predictors::{
     simulate, Gshare, GshareInterferenceFree, Pas, PasInterferenceFree, Predictor,
 };
+use bp_trace::cli::note;
 use bp_trace::io as trace_io;
 use bp_workloads::WorkloadConfig;
 
@@ -317,7 +318,7 @@ impl Shared {
     fn flush_cache_notices(&self) {
         for line in self.cache.take_notices() {
             if !self.cfg.quiet {
-                eprintln!("bp-serve: {line}");
+                note(format_args!("bp-serve: {line}"));
             }
         }
     }
@@ -327,7 +328,7 @@ impl Shared {
             return;
         }
         if !self.cfg.quiet {
-            eprintln!("bp-serve: draining — no new work accepted");
+            note("bp-serve: draining — no new work accepted");
         }
         self.queue.close();
         self.reactor.stop_accepting();
@@ -388,9 +389,9 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     if !shared.cfg.quiet {
         let warm = shared.cache.gauges().warm_start_entries;
         if warm > 0 {
-            eprintln!("bp-serve: warm-started {warm} cache entries");
+            note(format_args!("bp-serve: warm-started {warm} cache entries"));
         }
-        eprintln!("bp-serve: listening on {local_addr}");
+        note(format_args!("bp-serve: listening on {local_addr}"));
     }
     let main = {
         let shared = Arc::clone(&shared);
@@ -437,7 +438,7 @@ fn run(shared: &Arc<Shared>, reactor: Reactor) {
     });
     supervisor.join().expect("drain supervisor thread");
     if !shared.cfg.quiet {
-        eprintln!("bp-serve: drained, exiting");
+        note("bp-serve: drained, exiting");
     }
 }
 

@@ -13,27 +13,54 @@ use std::fs::File;
 use std::io::{BufReader, Write};
 use std::process::ExitCode;
 
-use bp_trace::{io, BranchKind, BranchProfile, Trace, TraceStats};
+use bp_trace::cli::{finish, RunError};
+use bp_trace::{io, BranchKind, BranchProfile, TraceStats};
 
-fn usage() -> ExitCode {
-    eprintln!("usage: bpt <info|head|biases|verify> FILE [N]");
-    ExitCode::FAILURE
+const USAGE: &str = "usage: bpt <info|head|biases|verify> FILE [N]";
+
+/// A parsed command line: the subcommand, its file, and for `head` and
+/// `biases` how many rows to print.
+enum Command {
+    Info(String),
+    Head(String, usize),
+    Biases(String, usize),
+    Verify(String),
 }
 
-fn open(path: &str) -> Result<Trace, String> {
-    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    io::read_trace(BufReader::new(file)).map_err(|e| format!("cannot decode {path}: {e}"))
+/// Parses `bpt`'s arguments (without the program name). A row count
+/// that is not a non-negative integer, and any word past the ones a
+/// subcommand reads, is a usage error.
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, RunError> {
+    let args: Vec<String> = args.into_iter().collect();
+    let (cmd, path, rest) = match &args[..] {
+        [flag, ..] if flag == "--help" || flag == "-h" => return Err(RunError::Help),
+        [cmd, path, rest @ ..] => (cmd.as_str(), path.clone(), rest),
+        _ => return Err(RunError::Usage(String::new())),
+    };
+    let rows = match rest {
+        [] => 20,
+        [n] if matches!(cmd, "head" | "biases") => n
+            .parse()
+            .map_err(|_| RunError::Usage(format!("N needs a non-negative integer, got {n:?}")))?,
+        _ => return Err(RunError::Usage(format!("too many arguments for {cmd}"))),
+    };
+    Ok(match cmd {
+        "info" => Command::Info(path),
+        "head" => Command::Head(path, rows),
+        "biases" => Command::Biases(path, rows),
+        "verify" => Command::Verify(path),
+        _ => return Err(RunError::Usage(String::new())),
+    })
 }
 
-fn open_chunks(path: &str) -> Result<io::ChunkReader<BufReader<File>>, String> {
-    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    io::ChunkReader::new(BufReader::new(file)).map_err(|e| format!("cannot decode {path}: {e}"))
-}
-
-/// The message for a stdout that cannot be written (a full disk, a
-/// closed pipe), where `println!` would panic.
-fn write_error(e: std::io::Error) -> String {
-    format!("error: cannot write output: {e}")
+/// Opens `path` and decodes it with `decode`; either failure names the file.
+fn open<T>(
+    path: &str,
+    decode: impl FnOnce(BufReader<File>) -> Result<T, io::TraceIoError>,
+) -> Result<T, RunError> {
+    let file =
+        File::open(path).map_err(|e| RunError::Failed(format!("cannot open {path}: {e}")))?;
+    decode(BufReader::new(file)).map_err(|e| RunError::Failed(format!("cannot decode {path}: {e}")))
 }
 
 fn kind_letter(kind: BranchKind) -> char {
@@ -45,8 +72,8 @@ fn kind_letter(kind: BranchKind) -> char {
     }
 }
 
-fn cmd_info(path: &str, out: &mut dyn Write) -> Result<(), String> {
-    let trace = open(path)?;
+fn cmd_info(path: &str, out: &mut dyn Write) -> Result<(), RunError> {
+    let trace = open(path, io::read_trace)?;
     let stats = TraceStats::of(&trace);
     write!(
         out,
@@ -64,19 +91,19 @@ fn cmd_info(path: &str, out: &mut dyn Write) -> Result<(), String> {
         stats.backward,
         stats.other_transfers,
         stats.executions_per_static()
-    )
-    .map_err(write_error)
+    )?;
+    Ok(())
 }
 
-fn cmd_head(path: &str, n: usize, out: &mut dyn Write) -> Result<(), String> {
-    let mut reader = open_chunks(path)?;
-    writeln!(out, "{:<4} {:>12} {:>12} kind taken", "#", "pc", "target").map_err(write_error)?;
+fn cmd_head(path: &str, n: usize, out: &mut dyn Write) -> Result<(), RunError> {
+    let mut reader = open(path, io::ChunkReader::new)?;
+    writeln!(out, "{:<4} {:>12} {:>12} kind taken", "#", "pc", "target")?;
     let mut chunk = Vec::new();
     let mut i = 0;
     while i < n
         && reader
             .next_chunk(&mut chunk)
-            .map_err(|e| format!("record {i}: {e}"))?
+            .map_err(|e| RunError::Failed(format!("record {i}: {e}")))?
     {
         for rec in chunk.iter().take(n - i) {
             writeln!(
@@ -87,16 +114,15 @@ fn cmd_head(path: &str, n: usize, out: &mut dyn Write) -> Result<(), String> {
                 rec.target,
                 kind_letter(rec.kind),
                 if rec.taken { "T" } else { "-" },
-            )
-            .map_err(write_error)?;
+            )?;
             i += 1;
         }
     }
     Ok(())
 }
 
-fn cmd_biases(path: &str, n: usize, out: &mut dyn Write) -> Result<(), String> {
-    let trace = open(path)?;
+fn cmd_biases(path: &str, n: usize, out: &mut dyn Write) -> Result<(), RunError> {
+    let trace = open(path, io::read_trace)?;
     let profile = BranchProfile::of(&trace);
     let mut rows: Vec<_> = profile.iter().collect();
     rows.sort_by_key(|(pc, e)| (std::cmp::Reverse(e.executions), *pc));
@@ -104,8 +130,7 @@ fn cmd_biases(path: &str, n: usize, out: &mut dyn Write) -> Result<(), String> {
         out,
         "{:>12} {:>10} {:>7} {:>7}",
         "pc", "execs", "taken%", "bias%"
-    )
-    .map_err(write_error)?;
+    )?;
     for (pc, e) in rows.into_iter().take(n) {
         writeln!(
             out,
@@ -113,54 +138,42 @@ fn cmd_biases(path: &str, n: usize, out: &mut dyn Write) -> Result<(), String> {
             e.executions,
             e.taken_rate() * 100.0,
             e.bias() * 100.0
-        )
-        .map_err(write_error)?;
+        )?;
     }
     writeln!(
         out,
         "(ideal static accuracy over all branches: {:.2}%)",
         profile.ideal_static_accuracy() * 100.0
-    )
-    .map_err(write_error)
+    )?;
+    Ok(())
 }
 
-fn cmd_verify(path: &str, out: &mut dyn Write) -> Result<(), String> {
-    let mut reader = open_chunks(path)?;
+fn cmd_verify(path: &str, out: &mut dyn Write) -> Result<(), RunError> {
+    let mut reader = open(path, io::ChunkReader::new)?;
     let mut chunk = Vec::new();
     // The reader checks the end marker and the footer's record count.
+    let corrupt = |at, e| RunError::Failed(format!("corrupt after record {at}: {e}"));
     while reader
         .next_chunk(&mut chunk)
-        .map_err(|e| format!("corrupt after record {}: {e}", reader.decoded()))?
+        .map_err(|e| corrupt(reader.decoded(), e))?
     {}
-    writeln!(out, "ok: {} records", reader.decoded()).map_err(write_error)
+    Ok(writeln!(out, "ok: {} records", reader.decoded())?)
+}
+
+fn run(cmd: Command, out: &mut dyn Write) -> Result<(), RunError> {
+    match cmd {
+        Command::Info(path) => cmd_info(&path, out)?,
+        Command::Head(path, n) => cmd_head(&path, n, out)?,
+        Command::Biases(path, n) => cmd_biases(&path, n, out)?,
+        Command::Verify(path) => cmd_verify(&path, out)?,
+    }
+    Ok(out.flush()?)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, path) = match (args.first(), args.get(1)) {
-        (Some(c), Some(p)) => (c.as_str(), p.as_str()),
-        _ => return usage(),
-    };
-    let n = args
-        .get(2)
-        .map(|v| v.parse::<usize>())
-        .transpose()
-        .unwrap_or(None);
-
-    let out = &mut std::io::stdout();
-    let result = match cmd {
-        "info" => cmd_info(path, out),
-        "head" => cmd_head(path, n.unwrap_or(20), out),
-        "biases" => cmd_biases(path, n.unwrap_or(20), out),
-        "verify" => cmd_verify(path, out),
-        _ => return usage(),
-    }
-    .and_then(|()| out.flush().map_err(write_error));
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("bpt: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    let mut stdout = std::io::stdout();
+    finish(
+        parse(std::env::args().skip(1)).and_then(|cmd| run(cmd, &mut stdout)),
+        USAGE,
+    )
 }

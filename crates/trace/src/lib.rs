@@ -22,6 +22,8 @@
 //!   ([`script::Segment`], [`script::BranchScript`]) interleaved into one
 //!   trace ([`script::TraceSpec`]). Shared by the conformance corpus and
 //!   the `bp-probe` measurement programs.
+//! * [`cli`] — the shell every binary shares: its typed run error, its
+//!   one exit path ([`cli::finish`]) and its stderr sink ([`cli::note`]).
 //!
 //! # Example
 //!
@@ -46,6 +48,7 @@
 #![warn(missing_docs)]
 
 pub mod bps;
+pub mod cli;
 mod executor;
 pub mod fx;
 pub mod io;

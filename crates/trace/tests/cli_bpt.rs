@@ -1,12 +1,20 @@
 //! End-to-end tests of the `bpt` trace-inspection CLI.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
 use bp_trace::io::ChunkWriter;
 use bp_trace::{BranchRecord, TraceSink};
 
 fn bpt() -> Command {
     Command::new(env!("CARGO_BIN_EXE_bpt"))
+}
+
+/// Runs `bpt` with `args` and stderr a pipe whose read end is already
+/// closed.
+fn bpt_with_closed_stderr(args: &[&str]) -> Output {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    bpt().args(args).stderr(writer).output().expect("run bpt")
 }
 
 fn sample_file(name: &str) -> std::path::PathBuf {
@@ -117,5 +125,65 @@ fn an_unwritable_stdout_is_an_error_not_a_panic() {
             "{command}: {err}"
         );
         assert!(!err.contains("panicked"), "{command}: {err}");
+    }
+}
+
+#[test]
+fn bad_counts_and_extra_words_are_usage_errors() {
+    let path = sample_file("usage.bpt");
+    let path = path.to_str().unwrap();
+    for (args, why) in [
+        (
+            &["head", path, "abc"][..],
+            "error: N needs a non-negative integer",
+        ),
+        (
+            &["head", path, "-5"],
+            "error: N needs a non-negative integer",
+        ),
+        (
+            &["biases", path, "2", "3"],
+            "error: too many arguments for biases",
+        ),
+        (
+            &["info", path, "extra", "junk"],
+            "error: too many arguments for info",
+        ),
+        (
+            &["verify", path, "7"],
+            "error: too many arguments for verify",
+        ),
+    ] {
+        let out = bpt().args(args).output().expect("run bpt");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(why), "{args:?}: {err}");
+        assert!(err.contains("usage: bpt"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing runs");
+    }
+}
+
+#[test]
+fn help_prints_usage_and_exits_0() {
+    for flag in ["--help", "-h"] {
+        let out = bpt().arg(flag).output().expect("run bpt");
+        assert_eq!(out.status.code(), Some(0), "{flag}: {out:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage: bpt"));
+    }
+}
+
+#[test]
+fn a_closed_stderr_changes_neither_stdout_nor_the_exit_code() {
+    let path = sample_file("closed.bpt");
+    let args = ["biases", path.to_str().unwrap(), "3"];
+    let normal = bpt().args(args).output().expect("run bpt");
+    assert!(normal.status.success(), "{normal:?}");
+    let closed = bpt_with_closed_stderr(&args);
+    assert_eq!(closed.status.code(), Some(0), "{closed:?}");
+    assert_eq!(closed.stdout, normal.stdout);
+
+    for args in [&["info", "/nonexistent.bpt"][..], &[]] {
+        let bad = bpt_with_closed_stderr(args);
+        assert_eq!(bad.status.code(), Some(1), "{args:?}: {bad:?}");
     }
 }

@@ -6,6 +6,9 @@
 //! cargo run --release --example classify_branches [benchmark]
 //! ```
 
+// An example reports to its reader on stdout.
+#![allow(clippy::print_stdout)]
+
 use correlation_predictability::core::{Classifier, ClassifierConfig, PaClass};
 use correlation_predictability::trace::BranchProfile;
 use correlation_predictability::workloads::{Benchmark, WorkloadConfig};

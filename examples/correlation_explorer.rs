@@ -6,6 +6,9 @@
 //! cargo run --release --example correlation_explorer [benchmark]
 //! ```
 
+// An example reports to its reader on stdout.
+#![allow(clippy::print_stdout)]
+
 use correlation_predictability::core::{OracleConfig, OracleSelector};
 use correlation_predictability::trace::TagScheme;
 use correlation_predictability::workloads::{Benchmark, WorkloadConfig};

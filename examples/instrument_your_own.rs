@@ -9,6 +9,9 @@
 //! cargo run --release --example instrument_your_own
 //! ```
 
+// An example reports to its reader on stdout.
+#![allow(clippy::print_stdout)]
+
 use correlation_predictability::core::{Classifier, ClassifierConfig, PaClass};
 use correlation_predictability::predictors::{simulate, Gshare, LoopPredictor, Pas};
 use correlation_predictability::trace::{Recorder, Trace, TraceStats};

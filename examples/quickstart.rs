@@ -5,6 +5,9 @@
 //! cargo run --release --example quickstart [benchmark] [branches]
 //! ```
 
+// An example reports to its reader on stdout.
+#![allow(clippy::print_stdout)]
+
 use correlation_predictability::core::CostModel;
 use correlation_predictability::predictors::{
     simulate, BackwardTaken, Gshare, Hybrid, IdealStatic, Pas, Predictor, Smith, StaticTaken,

@@ -12,6 +12,9 @@
 //! cargo run --release --example selective_live [benchmark]
 //! ```
 
+// An example reports to its reader on stdout.
+#![allow(clippy::print_stdout)]
+
 use correlation_predictability::core::{OracleConfig, OracleSelector, SelectivePredictor};
 use correlation_predictability::predictors::{simulate, Gshare};
 use correlation_predictability::workloads::{Benchmark, WorkloadConfig};

@@ -1,13 +1,14 @@
 //! The batch pipelines, driven in-process through the same
 //! `Options::parse` and `run` their binaries call, each checked against a
-//! committed expectation: `repro` at the quick configuration, a `scale`
-//! run cold and then warm on one `.bps` artifact directory, and a
-//! `bp-probe` sweep of every probe family. Beside them, the engine those
-//! `scale` runs call: warm on a `.bps` store, it builds nothing.
+//! committed expectation: `repro` at the quick configuration, `ablate` at
+//! its defaults, a `scale` run cold and then warm on one `.bps` artifact
+//! directory, and a `bp-probe` sweep of every probe family. Beside them,
+//! the engine those `scale` runs call: warm on a `.bps` store, it builds
+//! nothing.
 
 use bp_core::{ClassifierConfig, OracleConfig};
 use bp_experiments::artifacts::{matrix_config_fp, streams_config_fp, ArtifactStore};
-use bp_experiments::{repro, scale, Engine, TraceSet};
+use bp_experiments::{ablate, repro, scale, Engine, TraceSet};
 use bp_workloads::{Benchmark, WorkloadConfig};
 
 /// A command line, split at spaces.
@@ -23,6 +24,18 @@ fn repro_prints_the_committed_quick_golden() {
     if let Err(why) = repro::check_quick_golden(&String::from_utf8_lossy(&out)) {
         panic!("{why}");
     }
+}
+
+#[test]
+fn ablate_prints_the_committed_golden() {
+    let opts = ablate::Options::parse(Vec::new()).expect("no flags parse");
+    let mut out = Vec::new();
+    ablate::run(&opts, &mut out).expect("every ablation runs");
+    // `ablate > tests/goldens/ablate.txt` regenerates it.
+    assert_eq!(
+        String::from_utf8_lossy(&out),
+        include_str!("goldens/ablate.txt")
+    );
 }
 
 #[test]

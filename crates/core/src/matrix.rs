@@ -1,6 +1,6 @@
 use bp_trace::fx::FxHashMap;
 use bp_trace::io::TraceIoError;
-use bp_trace::{InstanceTag, Pc, TagOutcome, Trace, TraceSource, Words};
+use bp_trace::{BranchStreams, InstanceTag, Pc, TagOutcome, Trace, TraceSource, Words};
 
 use crate::candidates::TagCandidates;
 use crate::sweep::pack_planes;
@@ -220,6 +220,20 @@ impl OutcomeMatrix {
     /// Total dynamic executions covered (sum of rows over all branches).
     pub fn dynamic_count(&self) -> u64 {
         self.branches.values().map(|m| m.executions() as u64).sum()
+    }
+
+    /// Every branch's own outcome plane as packed streams. They equal
+    /// [`BranchStreams::of`] on the trace when the matrix lists every
+    /// conditional branch the trace executes, as a build from candidates
+    /// collected on that trace does: pass 1 ranks each executed branch,
+    /// candidate columns or not. Owned planes are copied; planes viewing
+    /// a `.bps` file stay views.
+    pub fn streams(&self) -> BranchStreams {
+        BranchStreams::from_planes(
+            self.branches
+                .iter()
+                .map(|(&pc, m)| (pc, m.taken.clone(), m.executions)),
+        )
     }
 }
 

@@ -1531,7 +1531,7 @@ mod tests {
     use super::*;
     use crate::candidates::TagCandidates;
     use crate::reference;
-    use bp_trace::{BranchRecord, Recorder};
+    use bp_trace::{BranchRecord, BranchStreams, Recorder};
 
     /// A trace with loops, calls and correlated branches so all tag
     /// schemes, distances and collision cases occur.
@@ -1854,6 +1854,28 @@ mod tests {
         contexts.window(restarted, &mut window);
         assert_eq!(window, [s(2), s(1)]);
         assert_eq!((restarted, contexts.nodes.len()), (3, 4));
+    }
+
+    #[test]
+    fn a_one_window_matrix_holds_every_branchs_stream() {
+        // `mixed_trace` records calls and returns, which enter neither
+        // structure. In the second trace the first branch executes once,
+        // after an empty window: it has no candidate column, yet pass 2
+        // packs its outcome plane.
+        let mut once = Recorder::new();
+        once.cond(0x900, true);
+        for i in 0..100 {
+            once.cond(0x100, i % 3 == 0);
+            once.cond(0x200, i % 2 == 0);
+        }
+        for trace in [mixed_trace(300), once.into_trace()] {
+            let candidates = TagCandidates::collect(&trace, 1, 8);
+            let matrix = OutcomeMatrix::build(&trace, &candidates, 1);
+            assert_eq!(matrix.streams(), BranchStreams::of(&trace));
+            if let Some(first) = matrix.branch(0x900) {
+                assert_eq!((first.executions(), first.tags().len()), (1, 0));
+            }
+        }
     }
 
     #[test]

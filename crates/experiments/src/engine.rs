@@ -30,6 +30,7 @@
 //! computed, never *what* — and fan-out reassembles results in input
 //! order, so a parallel run's output is byte-identical to `--jobs 1`.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -138,6 +139,19 @@ impl<K: std::hash::Hash + Eq + Clone, V> CacheMap<K, V> {
             hits.fetch_add(1, Ordering::Relaxed);
         }
         Arc::clone(value)
+    }
+
+    /// Caches `value()` under `key` unless the key has a cell already,
+    /// computed or being computed, and returns what it cached. A fill is
+    /// not a request: it counts neither a hit nor a miss.
+    fn fill(&self, key: K, value: impl FnOnce() -> V) -> Option<Arc<V>> {
+        let mut map = self.map.lock().expect("cache map lock");
+        let Entry::Vacant(slot) = map.entry(key) else {
+            return None;
+        };
+        let value = Arc::new(value());
+        slot.insert(Arc::new(OnceLock::from(Arc::clone(&value))));
+        Some(value)
     }
 
     fn len(&self) -> usize {
@@ -523,7 +537,12 @@ impl Engine {
     /// or built (and saved there), and the per-branch subset search runs
     /// on whatever threads the benchmark-level fan-out leaves idle (see
     /// [`Engine::jobs`]), so `--jobs N` helps even when a single
-    /// benchmark's oracle dominates the run.
+    /// benchmark's oracle dominates the run. A built matrix lists every
+    /// conditional branch with its outcome plane, so when the engine holds
+    /// no [`Engine::streams`] for the benchmark yet, they are read off the
+    /// matrix ([`OutcomeMatrix::streams`]) and saved like a streams build,
+    /// which spares [`Engine::streams`] its trace scan. A reopened matrix
+    /// fills nothing.
     pub fn oracle(&self, benchmark: Benchmark, cfg: &OracleConfig) -> Arc<OracleResult> {
         self.cache.oracles.get_or_compute(
             (benchmark, *cfg),
@@ -552,6 +571,9 @@ impl Engine {
                             .expect("trace stream failed");
                     if let Some(store) = &self.store {
                         store.save_matrix(name, window, cap, &matrix, fp);
+                    }
+                    if let Some(streams) = self.cache.streams.fill(benchmark, || matrix.streams()) {
+                        self.save_streams(benchmark, &streams);
                     }
                     matrix
                 });
@@ -670,30 +692,42 @@ impl Engine {
     }
 
     /// Cached per-branch packed outcome streams — the bit-parallel
-    /// substrate of every §4 classification (and the branch profile),
-    /// reopened from the engine's store or built (and saved there) in a
-    /// single trace pass per benchmark.
+    /// substrate of every §4 classification (and the branch profile).
+    /// An oracle build on this engine may have read them off its matrix
+    /// already ([`Engine::oracle`]); otherwise they are reopened from the
+    /// engine's store or built (and saved there) in a single trace pass
+    /// per benchmark.
     pub fn streams(&self, benchmark: Benchmark) -> Arc<BranchStreams> {
         self.cache
             .streams
             .get_or_compute(benchmark, &self.cache.hits, &self.cache.misses, || {
                 let t0 = Instant::now();
-                let (name, workload) = (benchmark.name(), self.traces.config());
-                let fp = streams_config_fp(name, workload.seed, workload.target_branches);
+                let fp = self.streams_fp(benchmark);
                 let streams = self
-                    .reopen(|store| store.load_streams(name, fp))
+                    .reopen(|store| store.load_streams(benchmark.name(), fp))
                     .unwrap_or_else(|| {
                         let streams =
                             BranchStreams::from_source_sharded(&self.source(benchmark), 1)
                                 .expect("trace stream failed");
-                        if let Some(store) = &self.store {
-                            store.save_streams(name, &streams, fp);
-                        }
+                        self.save_streams(benchmark, &streams);
                         streams
                     });
                 self.record_classify_phases(benchmark, t0.elapsed().as_secs_f64(), 0.0, 0.0, 0);
                 streams
             })
+    }
+
+    /// The streams artifact's config fingerprint for `benchmark`.
+    fn streams_fp(&self, benchmark: Benchmark) -> u64 {
+        let workload = self.traces.config();
+        streams_config_fp(benchmark.name(), workload.seed, workload.target_branches)
+    }
+
+    /// Saves built streams to the engine's store, if it has one.
+    fn save_streams(&self, benchmark: Benchmark, streams: &BranchStreams) {
+        if let Some(store) = &self.store {
+            store.save_streams(benchmark.name(), streams, self.streams_fp(benchmark));
+        }
     }
 
     /// Cached per-address classification for one configuration. Every

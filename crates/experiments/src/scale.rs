@@ -9,20 +9,24 @@
 //! ```
 //!
 //! [`run`] builds one [`Engine`] over a streaming [`TraceSet`] and asks
-//! it for the benchmark's packed streams, its classification and, unless
-//! `--skip-oracle`, its oracle analysis: the calls `repro`'s experiments
-//! make. The full trace never exists in memory — the workload is
-//! regenerated chunk by chunk on every scan. With `--artifacts DIR` the
-//! engine reopens the packed streams and oracle matrix from `.bps` files
-//! zero-copy, and builds and saves whichever it cannot reopen; a rotten
-//! artifact is evicted with a one-line notice and rebuilt
-//! ([`crate::artifacts`]).
+//! it, unless `--skip-oracle`, for the benchmark's oracle analysis, then
+//! for its packed streams and its classification: the calls `repro`'s
+//! experiments make. The full trace never exists in memory — the
+//! workload is regenerated chunk by chunk on every scan. A cold oracle
+//! scans the trace twice, for candidates and for the outcome matrix, and
+//! the streams are read off that matrix, so the run makes two scans in
+//! all; `--skip-oracle` makes one, for the streams. With `--artifacts
+//! DIR` the engine reopens the packed streams and oracle matrix from
+//! `.bps` files zero-copy, and builds and saves whichever it cannot
+//! reopen; a rotten artifact is evicted with a one-line notice and
+//! rebuilt ([`crate::artifacts`]).
 //!
 //! The artifact summary [`run`] writes is deterministic and identical
 //! for every `--jobs` value, and whether artifacts were rebuilt or
-//! reopened (CI diffs both). The wall-clock of each engine call, marked
-//! `reused` when the call reopened an artifact, and peak resident memory
-//! go to stderr.
+//! reopened (CI diffs both); its sections keep the order streams,
+//! classification, oracle. The wall-clock of each engine call, in call
+//! order and marked `reused` when the call reopened its own artifact,
+//! and peak resident memory go to stderr.
 
 use std::io::Write;
 use std::time::Instant;
@@ -118,10 +122,10 @@ impl Options {
     }
 }
 
-/// Runs one benchmark's streams, classification and (unless
-/// `--skip-oracle`) oracle analysis through one engine, writing the
-/// artifact summary to `out` section by section. Each call's wall-clock
-/// and the peak memory go to stderr.
+/// Runs one benchmark's oracle analysis (unless `--skip-oracle`),
+/// streams and classification through one engine, writing the artifact
+/// summary to `out` section by section. Each call's wall-clock and the
+/// peak memory go to stderr.
 pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
     let Options {
         bench, cfg, jobs, ..
@@ -142,6 +146,10 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
     )?;
     out.flush()?;
 
+    // The oracle goes first: its matrix build reads the streams off the
+    // planes it packs, so the streams call below scans nothing.
+    let oracle = (!opts.skip_oracle)
+        .then(|| phase(&engine, "oracle", || engine.oracle(bench, &opts.oracle)));
     let streams = phase(&engine, "streams", || engine.streams(bench));
     write!(
         out,
@@ -173,8 +181,7 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
     out.write_all(classes.as_bytes())?;
     out.flush()?;
 
-    if !opts.skip_oracle {
-        let oracle = phase(&engine, "oracle", || engine.oracle(bench, &opts.oracle));
+    if let Some(oracle) = oracle {
         let mut summary = format!("oracle branches: {}\n", oracle.branch_count());
         for k in 1..=3 {
             summary += &format!("oracle accuracy k={k}: {:.6}\n", oracle.accuracy(k));

@@ -40,8 +40,8 @@ use std::time::Duration;
 
 use bp_serve::stats::LatencySnapshot;
 use bp_serve::{
-    run_bench, BenchOptions, ChaosOptions, Client, PredictorSpec, Response, RetryPolicy,
-    ShardedClient, StatsSnapshot,
+    run_bench, BenchOptions, ChaosOptions, Client, ClientError, PredictorSpec, Response,
+    RetryPolicy, ShardedClient, StatsSnapshot,
 };
 use bp_trace::cli::{finish, note, RunError};
 use bp_trace::MAX_THREADS;
@@ -184,6 +184,15 @@ fn retry_policy(flags: &Flags) -> Result<RetryPolicy, RunError> {
 /// A failure reported by a server or the network, as an `error:` line.
 fn failed(e: impl std::fmt::Display) -> RunError {
     RunError::Failed(e.to_string())
+}
+
+/// Notes one shard's failure, naming the shard: a failed connect names
+/// its address already.
+fn shard_failed(addr: &str, e: &ClientError) {
+    match e {
+        ClientError::Connect { .. } => note(format_args!("error: {e}")),
+        _ => note(format_args!("error: {addr}: {e}")),
+    }
 }
 
 fn print_stats(out: &mut dyn Write, s: &StatsSnapshot) -> std::io::Result<()> {
@@ -354,7 +363,7 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), RunError> {
                         failures += 1;
                     }
                     Err(e) => {
-                        note(format_args!("error: {addr}: {e}"));
+                        shard_failed(addr, &e);
                         failures += 1;
                     }
                 }
@@ -385,7 +394,7 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), RunError> {
                         failures += 1;
                     }
                     Err(e) => {
-                        note(format_args!("error: {addr}: {e}"));
+                        shard_failed(addr, &e);
                         failures += 1;
                     }
                 }

@@ -24,7 +24,14 @@ use crate::ring::{Jitter, RetryPolicy, Ring};
 /// Client-side failure talking to a server.
 #[derive(Debug)]
 pub enum ClientError {
-    /// Connecting or framing failed.
+    /// No connection to the server could be opened.
+    Connect {
+        /// The address dialled.
+        addr: String,
+        /// Why the connection failed.
+        source: std::io::Error,
+    },
+    /// Framing failed on an open connection.
     Frame(FrameError),
     /// The server's bytes did not decode as a response.
     Protocol(ProtocolError),
@@ -43,6 +50,9 @@ pub enum ClientError {
 impl fmt::Display for ClientError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ClientError::Connect { addr, source } => {
+                write!(f, "cannot connect to {addr}: {source}")
+            }
             ClientError::Frame(e) => write!(f, "{e}"),
             ClientError::Protocol(e) => write!(f, "protocol error: {e}"),
             ClientError::ClosedEarly => write!(f, "server closed the connection early"),
@@ -59,12 +69,6 @@ impl std::error::Error for ClientError {}
 impl From<FrameError> for ClientError {
     fn from(e: FrameError) -> Self {
         ClientError::Frame(e)
-    }
-}
-
-impl From<std::io::Error> for ClientError {
-    fn from(e: std::io::Error) -> Self {
-        ClientError::Frame(FrameError::Io(e))
     }
 }
 
@@ -89,11 +93,15 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Connection failures.
+    /// [`ClientError::Connect`], naming `addr`, when no connection opens.
     pub fn connect(addr: &str) -> Result<Self, ClientError> {
-        let writer = TcpStream::connect(addr)?;
+        let failed = |source| ClientError::Connect {
+            addr: addr.to_owned(),
+            source,
+        };
+        let writer = TcpStream::connect(addr).map_err(failed)?;
         let _ = writer.set_nodelay(true);
-        let reader = writer.try_clone()?;
+        let reader = writer.try_clone().map_err(failed)?;
         Ok(Client {
             reader,
             writer,

@@ -158,6 +158,23 @@ fn bp_client_idle_reports_a_failed_connection_whatever_the_count() {
 }
 
 #[test]
+fn bp_client_names_a_refused_connection_and_its_address() {
+    // A refused connect is not a framing fault: one line names the
+    // address, whichever command dialled it.
+    for command in ["ping", "stats", "shutdown"] {
+        let out = client(&[command]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {err}");
+        assert_eq!(err.lines().count(), 1, "{command}: {err}");
+        assert!(
+            err.starts_with("error: cannot connect to 127.0.0.1:1: "),
+            "{command}: {err}"
+        );
+        assert!(!err.contains("frame"), "{command}: {err}");
+    }
+}
+
+#[test]
 fn bp_client_rejects_flags_its_subcommand_does_not_read() {
     for (args, flag) in [
         (

@@ -49,7 +49,7 @@ use std::sync::Arc;
 use crate::mmap::MappedBytes;
 use crate::record::Pc;
 use crate::sidecar::{fnv1a, write_atomic, CONTENT_OFFSET};
-use crate::streams::{BranchStreams, OutcomeStream};
+use crate::streams::BranchStreams;
 
 /// Magic bytes opening every `.bps` file.
 pub const BPS_MAGIC: [u8; 4] = *b"BPS2";
@@ -222,11 +222,12 @@ impl BpsBytes {
 }
 
 /// A bit plane that is either owned or a view into an opened `.bps`
-/// file — the borrow-agnostic word storage behind [`OutcomeStream`] and
-/// `bp-core`'s `BranchMatrix`. Kernels only ever see `&[u64]` (via
-/// `Deref`), so the same AVX2/BMI2 paths run over freshly built and
-/// mapped planes alike; the rare mutation of a mapped plane promotes it
-/// to an owned copy first ([`Words::vec_mut`]).
+/// file — the borrow-agnostic word storage behind
+/// [`OutcomeStream`](crate::OutcomeStream) and `bp-core`'s
+/// `BranchMatrix`. Kernels only ever see `&[u64]` (via `Deref`), so
+/// the same AVX2/BMI2 paths run over freshly built and mapped planes
+/// alike; the rare mutation of a mapped plane promotes it to an owned
+/// copy first ([`Words::vec_mut`]).
 #[derive(Clone)]
 pub struct Words(Repr);
 
@@ -616,18 +617,12 @@ pub fn write_streams(path: &Path, streams: &BranchStreams, config: u64) -> std::
 /// Every rot mode is a distinct [`BpsError`]; see the module docs.
 pub fn open_streams(path: &Path, config: u64) -> Result<OpenedStreams, BpsError> {
     let opened = open(path, STREAMS, config)?;
-    let map = opened
+    let planes = opened
         .entries
         .iter()
-        .map(|e| {
-            (
-                e.pc,
-                OutcomeStream::from_words(opened.plane(e, 0), e.executions),
-            )
-        })
-        .collect();
+        .map(|e| (e.pc, opened.plane(e, 0), e.executions));
     Ok(OpenedStreams {
-        streams: BranchStreams::from_parts(map, opened.dynamic),
+        streams: BranchStreams::from_planes(planes),
         mapped: opened.bytes.is_mapped(),
     })
 }

@@ -23,14 +23,6 @@ pub struct OutcomeStream {
 }
 
 impl OutcomeStream {
-    /// Wraps an already-packed plane (the `.bps` store's re-open path).
-    /// Bits at positions `>= len` must be zero, as [`OutcomeStream::push`]
-    /// guarantees and the store validates.
-    pub(crate) fn from_words(words: Words, len: usize) -> Self {
-        debug_assert_eq!(words.len(), len.div_ceil(64));
-        OutcomeStream { words, len }
-    }
-
     /// Appends one outcome.
     pub fn push(&mut self, taken: bool) {
         let words = self.words.vec_mut();
@@ -171,14 +163,30 @@ impl BranchStreams {
         }
     }
 
-    /// Reassembles an artifact from already-built parts (the `.bps`
-    /// re-open path). `total_dynamic` must equal the summed stream
-    /// lengths.
-    pub(crate) fn from_parts(streams: FxHashMap<Pc, OutcomeStream>, total_dynamic: u64) -> Self {
-        debug_assert_eq!(
-            streams.values().map(|s| s.len() as u64).sum::<u64>(),
-            total_dynamic
-        );
+    /// Assembles streams from already-packed planes, one `(pc, plane,
+    /// executions)` per branch: the `.bps` re-open path, and the outcome
+    /// planes an oracle matrix packs. Each plane holds
+    /// `executions.div_ceil(64)` words with every bit at or past
+    /// `executions` zero, as [`OutcomeStream::push`] leaves them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a plane breaks that shape or a pc repeats.
+    pub fn from_planes(planes: impl IntoIterator<Item = (Pc, Words, usize)>) -> Self {
+        let planes = planes.into_iter();
+        let mut streams =
+            FxHashMap::with_capacity_and_hasher(planes.size_hint().0, Default::default());
+        let mut total_dynamic = 0u64;
+        for (pc, words, len) in planes {
+            assert_eq!(words.len(), len.div_ceil(64), "plane length of {pc:#x}");
+            assert!(
+                len.is_multiple_of(64) || words[len / 64] >> (len % 64) == 0,
+                "padding bits set past the executions of {pc:#x}"
+            );
+            total_dynamic += len as u64;
+            let repeated = streams.insert(pc, OutcomeStream { words, len });
+            assert!(repeated.is_none(), "branch {pc:#x} repeats");
+        }
         BranchStreams {
             streams,
             total_dynamic,
@@ -388,6 +396,12 @@ mod tests {
         let direct = BranchStreams::of(&trace);
         let built = BranchStreams::from_source_sharded(&trace, 1).unwrap();
         assert_eq!(built, direct);
+    }
+
+    #[test]
+    #[should_panic(expected = "padding bits set past the executions of 0x10")]
+    fn planes_with_padding_bits_are_refused() {
+        let _ = BranchStreams::from_planes([(0x10, Words::owned(vec![0b100]), 2)]);
     }
 
     #[test]

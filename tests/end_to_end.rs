@@ -1,11 +1,13 @@
 //! Cross-crate integration: workloads → traces → predictors → analyses,
 //! including persistence round-trips.
 
-use correlation_predictability::core::{Classifier, ClassifierConfig};
+use correlation_predictability::core::{
+    Classifier, ClassifierConfig, OutcomeMatrix, TagCandidates,
+};
 use correlation_predictability::predictors::{
     simulate, Gshare, GshareInterferenceFree, Hybrid, Pas, PasInterferenceFree,
 };
-use correlation_predictability::trace::{io, BranchProfile, TraceStats};
+use correlation_predictability::trace::{io, BranchProfile, BranchStreams, TraceStats};
 use correlation_predictability::workloads::{Benchmark, WorkloadConfig};
 
 fn small_cfg() -> WorkloadConfig {
@@ -100,5 +102,25 @@ fn classification_is_stable_across_reruns() {
 fn benchmark_names_parse_back() {
     for b in Benchmark::ALL {
         assert_eq!(b.name().parse::<Benchmark>().unwrap(), b);
+    }
+}
+
+#[test]
+fn streams_read_off_an_oracle_matrix_equal_a_stream_build() {
+    // Pass 1 ranks every conditional branch and pass 2 packs each ranked
+    // one's outcome plane, candidate columns or not, so a matrix holds
+    // the §4 streams whatever its window. xlisp records calls and
+    // returns, which enter neither.
+    let cfg = WorkloadConfig::default().with_target(40_000);
+    let xlisp = TraceStats::of(&Benchmark::Xlisp.generate(&cfg));
+    assert!(xlisp.other_transfers > 0, "{xlisp:?}");
+    for b in Benchmark::ALL {
+        let trace = b.generate(&cfg);
+        let direct = BranchStreams::of(&trace);
+        for window in [1, 16, 64] {
+            let candidates = TagCandidates::collect(&trace, window, 12);
+            let matrix = OutcomeMatrix::build(&trace, &candidates, window);
+            assert!(matrix.streams() == direct, "{b} at window {window}");
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! its defaults, a `scale` run cold and then warm on one `.bps` artifact
 //! directory, and a `bp-probe` sweep of every probe family. Beside them,
 //! the engine those `scale` runs call: warm on a `.bps` store, it builds
-//! nothing.
+//! nothing, and cold, its oracle saves the streams it reads off its
+//! matrix, so no streams scan follows.
 
 use bp_core::{ClassifierConfig, OracleConfig};
 use bp_experiments::artifacts::{matrix_config_fp, streams_config_fp, ArtifactStore};
@@ -108,6 +109,52 @@ fn a_warm_engine_reopens_both_artifacts_and_builds_nothing() {
     let phases = warm.oracle_phase_stats();
     let builds: Vec<(u64, u64)> = phases.iter().map(|(_, p)| (p.analyses, p.builds)).collect();
     assert_eq!(builds, [(1, 0)], "the search runs on the reopened matrix");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_cold_oracle_saves_the_streams_it_packed_and_spares_their_scan() {
+    let dir = std::env::temp_dir().join(format!("pipelines-oracle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let bench = Benchmark::Gcc;
+    let cfg = WorkloadConfig::default().with_target(20_000);
+    let streaming = || Engine::new(TraceSet::new(cfg).with_streaming(), 2);
+    let store = ArtifactStore::open(&dir).expect("open the artifact directory");
+    let engine = streaming().with_artifacts(store);
+    let oracle = OracleConfig {
+        candidate_cap: 12,
+        ..OracleConfig::default()
+    };
+    engine.oracle(bench, &oracle);
+
+    // Both artifacts are saved, and the streams read off the matrix
+    // reopen as what a streams scan builds.
+    let store = ArtifactStore::open(&dir).expect("open the artifact directory");
+    assert!(
+        store.matrix_path("gcc", 16, 12).exists(),
+        "the matrix is saved"
+    );
+    let fp = streams_config_fp("gcc", cfg.seed, 20_000);
+    let (saved, _) = store
+        .load_streams("gcc", fp)
+        .expect("the streams are saved");
+    let scanned = streaming().streams(bench);
+    assert!(saved == *scanned, "the saved streams are a scan's");
+
+    // The fill is no request, and the streams call is then a hit: it
+    // reopens nothing and builds nothing, so the trace is not scanned a
+    // third time.
+    let counts = |engine: &Engine| {
+        let stats = engine.cache_stats();
+        (stats.hits, stats.misses, stats.reused)
+    };
+    assert_eq!(counts(&engine), (0, 1, 0));
+    assert!(*engine.streams(bench) == *scanned);
+    assert_eq!(counts(&engine), (1, 1, 0), "a cache hit");
+    assert!(
+        engine.classify_phase_stats().is_empty(),
+        "no streams build was timed"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

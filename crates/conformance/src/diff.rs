@@ -235,12 +235,13 @@ pub fn diff_sweep(
 
 /// Diffs the runtime-dispatched SIMD kernels against their portable
 /// scalar twins on one trace: the shifted-XNOR k-ago sweep per branch
-/// stream and the plane-wise tag-set scorer per branch matrix. The
-/// dispatching entry points are checked always; on an AVX2 host the
-/// tag-set dispatch takes the AVX2 scorer at every plane length. The
-/// AVX2 k-ago kernel is also called directly (below its dispatcher's
-/// size threshold) when the host has AVX2, so even tiny boundary cases
-/// exercise it.
+/// stream, the plane-wise tag-set scorer per branch matrix, and the
+/// matrix builder's row-to-column transpose on rows rebuilt from each
+/// branch's planes. The dispatching entry points are checked always; on
+/// an AVX2 host the tag-set dispatch takes the AVX2 scorer at every plane
+/// length. The AVX2 k-ago kernel is also called directly (below its
+/// dispatcher's size threshold) when the host has AVX2, so even tiny
+/// boundary cases exercise it, and so is the AVX2 transpose.
 pub fn diff_simd(trace: &Trace, cfg: &OracleConfig) -> Option<String> {
     let streams = BranchStreams::of(trace);
     for (pc, stream) in streams.iter() {
@@ -286,6 +287,37 @@ pub fn diff_simd(trace: &Trace, cfg: &OracleConfig) -> Option<String> {
                      kernel {got} != scalar {want}"
                 ));
             }
+        }
+        let planes: Vec<&[u64]> = std::iter::once(bm.taken_plane())
+            .chain((0..n).flat_map(|c| [bm.inpath_plane(c), bm.dir_plane(c)]))
+            .collect();
+        for (group, eight) in planes.chunks(8).enumerate() {
+            for w in 0..bm.words() {
+                let words: [u64; 8] = std::array::from_fn(|j| eight.get(j).map_or(0, |p| p[w]));
+                if let Some(why) = diff_transpose(words) {
+                    return Some(format!("branch {pc:#x}: planes {group}, word {w}: {why}"));
+                }
+            }
+        }
+    }
+    None
+}
+
+/// Rebuilds the 64 row bytes whose transpose is `words` (bit `j` of row
+/// `e` is bit `e` of word `j`), and checks that the scalar transpose gives
+/// `words` back and the AVX2 one, on an AVX2 host, agrees with it.
+fn diff_transpose(words: [u64; 8]) -> Option<String> {
+    let rows: [u8; 64] = std::array::from_fn(|e| {
+        (0..8).fold(0, |row, j| row | u8::from(words[j] >> e & 1 == 1) << j)
+    });
+    let scalar = bp_core::transpose_rows_scalar(&rows);
+    if scalar != words {
+        return Some(format!("scalar transpose {scalar:x?} != planes {words:x?}"));
+    }
+    if bp_core::avx2_available() {
+        let avx2 = bp_core::transpose_rows_avx2(&rows);
+        if avx2 != scalar {
+            return Some(format!("AVX2 transpose {avx2:x?} != scalar {scalar:x?}"));
         }
     }
     None

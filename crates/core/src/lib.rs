@@ -84,5 +84,5 @@ pub use oracle::{score_columns_presence, score_tag_set, score_tag_set_scalar};
 pub use percentile::PercentileCurve;
 pub use selective::SelectivePredictor;
 #[doc(hidden)]
-pub use simd::{avx2_available, kth_ago_body_avx2};
+pub use simd::{avx2_available, kth_ago_body_avx2, transpose_rows_avx2, transpose_rows_scalar};
 pub use sweep::{SweepMatrix, MAX_SWEEP_WINDOWS};

@@ -1,24 +1,27 @@
-//! Runtime-dispatched AVX2 variants of the two hot kernels: the shifted-
-//! XNOR k-ago agreement sweep (`classify.rs`) and the plane-wise
-//! saturating-counter replay (`oracle.rs`).
+//! Runtime-dispatched AVX2 variants of the three hot kernels: the shifted-
+//! XNOR k-ago agreement sweep (`classify.rs`), the plane-wise
+//! saturating-counter replay (`oracle.rs`), and the row-to-column bit
+//! transpose that packs the matrix builder's planes (`sweep.rs`).
 //!
-//! Both kernels walk packed 64-execution words; the AVX2 paths walk four
-//! words (256 executions) per iteration. Popcounts batch through the
+//! The first two walk packed 64-execution words; their AVX2 paths walk
+//! four words (256 executions) per iteration. Popcounts batch through the
 //! `vpshufb` nibble-LUT + `vpsadbw` reduction, and the counter replay
 //! tests whole 4-word blocks for outcome uniformity with `vptest` so the
 //! common strongly-biased case collapses into a single O(1)
 //! [`SaturatingCounter::train_run`] jump spanning 256 executions. Mixed
 //! words of a two-bit counter replay through a `pext` compaction and a
-//! precomputed step table, at most eight executions per lookup.
+//! precomputed step table, at most eight executions per lookup. The
+//! transpose turns 64 row bytes, one per execution, into eight column
+//! words with one `vpmovmskb` per 32-byte half and bit.
 //!
-//! Dispatch is by `is_x86_feature_detected!("avx2")`: the scorer takes the
-//! AVX2 path at every plane length, the k-ago sweep only from a minimum
-//! word count ([`use_avx2`]). Everything here is bit-exact against the
-//! portable scalar kernels, which remain the only path on non-x86 targets
-//! and the reference side of the conformance SIMD differential suite. This
-//! module is bp-core's sole `unsafe` island — the intrinsics never touch
-//! memory beyond the slices handed in, and every unsafe fn's caller checks
-//! the cpuid bits first.
+//! Dispatch is by `is_x86_feature_detected!("avx2")`: the scorer and the
+//! transpose take the AVX2 path at every size, the k-ago sweep only from
+//! a minimum word count ([`use_avx2`]). Everything here is bit-exact
+//! against the portable scalar kernels, which remain the only path on
+//! non-x86 targets and the reference side of the conformance SIMD
+//! differential suite. This module is bp-core's sole `unsafe` island —
+//! the intrinsics never touch memory beyond the slices handed in, and
+//! every unsafe fn's caller checks the cpuid bits first.
 
 use bp_predictors::SaturatingCounter;
 
@@ -100,14 +103,89 @@ pub(crate) fn score_tag_set_avx2(
     }
 }
 
+/// Bit-transposes one byte group's rows: bit `j` of `rows[e]` becomes
+/// bit `e` of word `j`. Row `e` holds execution `e`'s bits of eight
+/// columns, so word `j` is column `j`'s plane word. The AVX2 kernel when
+/// the CPU has it, else [`transpose_rows_scalar`].
+#[inline]
+pub(crate) fn transpose_rows(rows: &[u8; 64]) -> [u64; 8] {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: the cpuid check above proves the target feature is
+        // present at runtime.
+        return unsafe { x86::transpose_rows(rows) };
+    }
+    transpose_rows_scalar(rows)
+}
+
+/// AVX2 row-to-column bit transpose — the vector twin of
+/// [`transpose_rows_scalar`], bit-exact by construction.
+///
+/// # Panics
+///
+/// As [`kth_ago_body_avx2`]: callers must check [`avx2_available`] first.
+#[doc(hidden)]
+pub fn transpose_rows_avx2(rows: &[u8; 64]) -> [u64; 8] {
+    #[cfg(target_arch = "x86_64")]
+    {
+        assert!(avx2_available(), "AVX2 kernel called without AVX2");
+        // SAFETY: the cpuid check above proves the target feature is
+        // present at runtime.
+        unsafe { x86::transpose_rows(rows) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = rows;
+        unreachable!("AVX2 kernel on a non-x86 target")
+    }
+}
+
+/// The portable row-to-column bit transpose: each eight rows, read as
+/// one little-endian word, take an 8×8 bit transpose, which leaves byte
+/// `j` holding column `j`'s eight bits; an 8×8 byte transpose of the
+/// eight words then gathers each column's bytes into its word.
+#[doc(hidden)]
+pub fn transpose_rows_scalar(rows: &[u8; 64]) -> [u64; 8] {
+    let mut words = [0u64; 8];
+    for (word, eight) in words.iter_mut().zip(rows.chunks_exact(8)) {
+        let mut x = u64::from_le_bytes(eight.try_into().expect("eight rows"));
+        // Swap the off-diagonal bits of each 2×2, then 2×2 blocks of each
+        // 4×4, then 4×4 blocks: bit 8r + c moves to bit 8c + r.
+        for (shift, mask) in [
+            (7, 0x00AA_00AA_00AA_00AA_u64),
+            (14, 0x0000_CCCC_0000_CCCC),
+            (28, 0x0000_0000_F0F0_F0F0),
+        ] {
+            let t = (x ^ x >> shift) & mask;
+            x ^= t ^ t << shift;
+        }
+        *word = x;
+    }
+    // Byte `j` of word `k` moves to byte `k` of word `j`: swap bytes
+    // between word pairs 1, 2 and 4 apart.
+    for (step, mask) in [
+        (1, 0x00FF_00FF_00FF_00FF_u64),
+        (2, 0x0000_FFFF_0000_FFFF),
+        (4, 0x0000_0000_FFFF_FFFF),
+    ] {
+        let shift = 8 * step;
+        for k in (0..8).filter(|k| k & step == 0) {
+            let t = (words[k] >> shift ^ words[k + step]) & mask;
+            words[k + step] ^= t;
+            words[k] ^= t << shift;
+        }
+    }
+    words
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::{
         __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_andnot_si256,
-        _mm256_extract_epi64, _mm256_loadu_si256, _mm256_or_si256, _mm256_set1_epi8,
-        _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_sll_epi64,
-        _mm256_srl_epi64, _mm256_srli_epi16, _mm256_storeu_si256, _mm256_testc_si256,
-        _mm256_testz_si256, _mm256_xor_si256, _mm_cvtsi32_si128, _pext_u64,
+        _mm256_extract_epi64, _mm256_loadu_si256, _mm256_movemask_epi8, _mm256_or_si256,
+        _mm256_set1_epi8, _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8,
+        _mm256_sll_epi64, _mm256_srl_epi64, _mm256_srli_epi16, _mm256_storeu_si256,
+        _mm256_testc_si256, _mm256_testz_si256, _mm256_xor_si256, _mm_cvtsi32_si128, _pext_u64,
     };
 
     use bp_predictors::SaturatingCounter;
@@ -568,6 +646,28 @@ mod x86 {
         }
         correct
     }
+
+    /// Row-to-column bit transpose: `vpmovmskb` gathers bit 7 of every
+    /// row byte, one 32-byte half at a time, into column 7's word; adding
+    /// every byte to itself moves the next bit up, eight rounds in all.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 (enforced by the caller's cpuid check).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn transpose_rows(rows: &[u8; 64]) -> [u64; 8] {
+        let mut lo = _mm256_loadu_si256(rows.as_ptr().cast());
+        let mut hi = _mm256_loadu_si256(rows.as_ptr().add(32).cast());
+        let mut words = [0u64; 8];
+        for word in words.iter_mut().rev() {
+            let low = u64::from(_mm256_movemask_epi8(lo) as u32);
+            *word = low | u64::from(_mm256_movemask_epi8(hi) as u32) << 32;
+            lo = _mm256_add_epi8(lo, lo);
+            hi = _mm256_add_epi8(hi, hi);
+        }
+        words
+    }
 }
 
 #[cfg(test)]
@@ -655,6 +755,54 @@ mod tests {
                         assert_eq!(table.value(), serial.value(), "end state at {at}");
                     }
                 }
+            }
+        }
+    }
+
+    /// Bit `j` of `rows[e]` as bit `e` of word `j`, one bit at a time.
+    fn transpose_bitwise(rows: &[u8; 64]) -> [u64; 8] {
+        let mut words = [0u64; 8];
+        for (e, &row) in rows.iter().enumerate() {
+            for (j, word) in words.iter_mut().enumerate() {
+                *word |= u64::from(row >> j & 1) << e;
+            }
+        }
+        words
+    }
+
+    /// Both transposes and the dispatch against the bit-by-bit reference:
+    /// every single set bit, no bits, all bits, and seeded random rows,
+    /// dense and sparse.
+    #[test]
+    fn transposes_match_the_bitwise_reference() {
+        let mut cases = vec![[0u8; 64], [0xFF; 64]];
+        for e in 0..64 {
+            for j in 0..8 {
+                let mut rows = [0u8; 64];
+                rows[e] = 1 << j;
+                cases.push(rows);
+            }
+        }
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for case in 0..256 {
+            cases.push(std::array::from_fn(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let byte = (x >> 56) as u8;
+                if case % 2 == 0 || x >> 40 & 7 == 0 {
+                    byte
+                } else {
+                    0
+                }
+            }));
+        }
+        for rows in &cases {
+            let want = transpose_bitwise(rows);
+            assert_eq!(transpose_rows_scalar(rows), want, "scalar on {rows:?}");
+            assert_eq!(transpose_rows(rows), want, "dispatch on {rows:?}");
+            if avx2_available() {
+                assert_eq!(transpose_rows_avx2(rows), want, "AVX2 on {rows:?}");
             }
         }
     }

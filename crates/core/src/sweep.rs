@@ -43,24 +43,32 @@
 //! that branch's *paths*, whose window is named by one O(n)
 //! [`WindowNamer`] pass: pass 1 counts a path's executions and names its
 //! window when it folds, adding that count to every tag it sees; pass 2
-//! names it when it is met and keeps its list of (column, direction,
-//! bucket digits). Only steps the automaton has not taken intern a pc or
-//! a path. The automaton is capped (32Ki contexts and steps); at the cap
-//! it folds every path into its branch and restarts from the current
-//! path, which leaves every output unchanged. When the scan ends, the
-//! branches finish one at a time: a branch's last paths fold, it is
-//! ranked (pass 1) or its planes take their last word (pass 2), and its
-//! state is dropped before the next branch's paths fold.
+//! names it when it is met and writes its row (below). Only steps the
+//! automaton has not taken intern a pc or a path. The automaton is
+//! capped (32Ki contexts and steps); at the cap it folds every path into
+//! its branch and restarts from the current path, which leaves every
+//! output unchanged. When the scan ends, the branches finish one at a
+//! time: a branch's last paths fold, it is ranked (pass 1) or its planes
+//! take their last word (pass 2), and its state is dropped before the
+//! next branch's paths fold.
 //!
 //! Neither pass hashes a visible tag: a named instance arrives as (prior
 //! id, scheme, index), and a per-branch slot table finds its count in
 //! pass 1 or its column in pass 2 by direct indexing. The tables grow
-//! with the (branch, tag) pairs a build sees, never with the window. Pass
-//! 2 marks each execution in its path's mask for the current 64-execution
-//! word; when the word is full, each marked path replays its list into a
-//! tile holding that word of every column's planes, and the planes
-//! receive whole words. Ids are per scan and never leave a pass: ranking
-//! sorts by tag, so no list depends on interning order.
+//! with the (branch, tag) pairs a build sees, never with the window. Ids
+//! are per scan and never leave a pass: ranking sorts by tag, so no list
+//! depends on interning order.
+//!
+//! Pass 2 packs by transposing rows. A path's row is its bit of every
+//! candidate column in every plane (in-path, direction, then a sweep's
+//! bucket digits), eight columns to a byte, written once when the path
+//! is met; a path that sees no candidate has none. Each execution copies
+//! its path's row into its slot of the branch's tile, the current
+//! 64-execution word. When the word fills, or the branch finishes, each
+//! (plane, byte) of 64 slots is bit-transposed into eight columns' plane
+//! words, so the planes receive whole words; an all-zero byte group is
+//! skipped. A fold only drops the rows: every execution's copy is in the
+//! tile already.
 
 use bp_trace::fx::FxHashMap;
 use bp_trace::io::TraceIoError;
@@ -70,6 +78,7 @@ use bp_trace::{
 };
 
 use crate::matrix::{BranchMatrix, OutcomeMatrix};
+use crate::simd::transpose_rows;
 
 /// Most sweep points one artifact supports: bucket indices are packed into
 /// at most three bit-planes.
@@ -1197,171 +1206,154 @@ pub(crate) fn rank_candidates<const B: usize, T: TraceSource + ?Sized>(
 }
 
 /// One branch's pass-2 state: its slot table over column numbers, the
-/// candidate list of each window it met since the last fold, and a tile
-/// holding the current 64 executions of every column's in-path, direction
-/// and bucket planes, which leaves for the planes one whole word per plane
-/// when the 64th execution lands or the scan ends. `W` is the tile's words
-/// per column: 2 for one window, `2 + BUCKET_BITS` for a sweep, whose
-/// unused bucket words stay zero.
+/// rows of the paths met since the last fold, and a tile holding the
+/// current 64 executions' rows, which leaves for the planes one whole
+/// word per column and plane when the 64th execution lands or the branch
+/// finishes.
 ///
-/// An execution only marks its bit in its path's mask for the current
-/// word. The word's paths replay their lists into the tile once, with
-/// their masks, before the word leaves: a loop that meets a few windows
-/// over and over costs a few list replays per 64 executions.
-struct PlaneBuilder<const W: usize> {
+/// A path's *row* holds its bit of every column in every plane —
+/// in-path, direction, then a sweep's bucket digits — eight columns to a
+/// byte: byte `p * groups + g` holds plane `p`'s bits of columns `8g` to
+/// `8g + 7`. The row is written once, when the path is met, and a path
+/// that sees no candidate has none. An execution copies its path's row
+/// into its slot of the tile, which keeps each (plane, group)'s 64 slots
+/// together, so a full word bit-transposes group by group
+/// ([`transpose_rows`]) into eight columns' plane words. A group no
+/// execution set is skipped.
+struct PlaneBuilder {
     pc: Pc,
     sb: SweepBranch,
     table: SlotTable,
-    /// Bucket planes per column.
-    bits: usize,
-    /// Per column: in-path, direction, bucket-plane words.
-    tile: Vec<[u64; W]>,
+    /// Planes per column: in-path, direction, then the bucket planes.
+    planes: usize,
+    /// Row bytes per plane: ⌈columns / 8⌉.
+    groups: usize,
+    /// The rows of the paths met since the last fold, `planes × groups`
+    /// bytes each.
+    rows: Vec<u8>,
+    /// Per row byte, the current word's 64 executions' copies of it, in
+    /// execution order; zero where no row set a bit.
+    tile: Vec<u8>,
     taken: u64,
-    /// The lists of the windows met since the last fold: one entry per
-    /// candidate a window sees, `column << 4 | bucket << 1 | taken`.
-    lists: Vec<u32>,
-    /// The paths with a non-empty list that executed in the current word,
-    /// with the executions' bits.
-    marked: Vec<Marked>,
 }
 
-/// A path's list in its [`PlaneBuilder`], and where the path's mask for
-/// the current word is, if it has one.
-#[derive(Debug, Default, Clone, Copy)]
-struct PathList {
-    start: u32,
-    len: u32,
-    /// Index in `marked`, current when that entry has this `start`.
-    marked: u32,
-}
+/// Where a path's row starts in its [`PlaneBuilder`]'s rows; `None` for
+/// a path that sees no candidate.
+type PathRow = Option<u32>;
 
-/// A path's executions in the current word, as bits, and its list.
-#[derive(Debug, Clone, Copy)]
-struct Marked {
-    start: u32,
-    len: u32,
-    mask: u64,
-}
-
-/// Most columns a [`PlaneBuilder`] list entry names.
-const MAX_COLUMNS: usize = 1 << 28;
-
-impl<const W: usize> PlaneBuilder<W> {
+impl PlaneBuilder {
     /// A builder for `tags`, naming their priors by `ids`.
     fn new(pc: Pc, tags: &[InstanceTag], bits: usize, mut ids: impl FnMut(Pc) -> u32) -> Self {
-        debug_assert!(bits <= W - 2, "a tile word per bucket plane");
-        assert!(tags.len() < MAX_COLUMNS, "under 2^28 candidates per branch");
         let mut table = SlotTable::default();
         for (c, tag) in (0..).zip(tags) {
             let pair = table.pair_or_insert(ids(tag.pc));
             table.insert(pair, tag.scheme as usize, tag.index, c);
         }
+        let (planes, groups) = (2 + bits, tags.len().div_ceil(8));
         PlaneBuilder {
             pc,
             sb: SweepBranch::new(tags.to_vec(), bits),
             table,
-            bits,
-            tile: vec![[0; W]; tags.len()],
+            planes,
+            groups,
+            rows: Vec::new(),
+            tile: vec![0; 64 * planes * groups],
             taken: 0,
-            lists: Vec::new(),
-            marked: Vec::new(),
         }
     }
 
-    /// Lists the candidates `window` sees.
-    fn list(
+    /// Writes the row of the path whose window is `window`, if it sees a
+    /// candidate.
+    fn row(
         &mut self,
         window: &[WindowSymbol],
         namer: &mut WindowNamer,
         bucket_of: &[u8],
-    ) -> PathList {
-        let start = self.lists.len();
-        if !self.table.pairs.is_empty() {
-            let (table, lists) = (&self.table, &mut self.lists);
-            namer.name(window, |v| {
-                let Some(pair) = table.pair(v.id) else {
-                    return;
-                };
-                let digits = u32::from(bucket_of[v.distance]) << 1 | u32::from(v.taken);
-                if let Some(c) = table.get(pair, OCC, v.occurrence) {
-                    lists.push(c << 4 | digits);
-                }
-                if let Some(c) = v.iteration.and_then(|i| table.get(pair, ITER, i)) {
-                    lists.push(c << 4 | digits);
-                }
-            });
+    ) -> PathRow {
+        if self.groups == 0 {
+            return None;
         }
-        let end = u32::try_from(self.lists.len()).expect("under 2^32 list entries per fold");
-        PathList {
-            start: start as u32,
-            len: end - start as u32,
-            marked: u32::MAX,
+        let (start, groups) = (self.rows.len(), self.groups);
+        let bits = self.planes - 2;
+        self.rows.resize(start + self.planes * groups, 0);
+        let (table, row) = (&self.table, &mut self.rows[start..]);
+        let mut seen = false;
+        namer.name(window, |v| {
+            let Some(pair) = table.pair(v.id) else {
+                return;
+            };
+            // Branch-free: whether the instance was taken, and its bucket
+            // digits, are data, not control flow.
+            let taken = u8::from(v.taken).wrapping_neg();
+            let bucket = bucket_of[v.distance];
+            let mut set = |c: u32| {
+                let (g, bit) = (c as usize / 8, 1u8 << (c % 8));
+                row[g] |= bit;
+                row[groups + g] |= bit & taken;
+                for k in 0..bits {
+                    row[(2 + k) * groups + g] |= bit & (bucket >> k & 1).wrapping_neg();
+                }
+                seen = true;
+            };
+            if let Some(c) = table.get(pair, OCC, v.occurrence) {
+                set(c);
+            }
+            if let Some(c) = v.iteration.and_then(|i| table.get(pair, ITER, i)) {
+                set(c);
+            }
+        });
+        if !seen {
+            self.rows.truncate(start);
+            return None;
         }
+        let end = u32::try_from(self.rows.len()).expect("under 2^32 row bytes per fold");
+        Some(end - (self.planes * groups) as u32)
     }
 
-    /// Adds an execution with outcome `taken` on `path`.
+    /// Adds an execution with outcome `taken` on the path with `row`.
     #[inline]
-    fn push_execution(&mut self, taken: bool, path: &mut PathList) {
+    fn push_execution(&mut self, taken: bool, row: PathRow) {
         let e = self.sb.executions;
         self.sb.executions += 1;
-        let m = 1u64 << (e % 64);
-        self.taken |= m & u64::from(taken).wrapping_neg();
-        if path.len > 0 {
-            match self.marked.get_mut(path.marked as usize) {
-                Some(marked) if marked.start == path.start => marked.mask |= m,
-                _ => {
-                    path.marked = self.marked.len() as u32;
-                    self.marked.push(Marked {
-                        start: path.start,
-                        len: path.len,
-                        mask: m,
-                    });
-                }
+        let slot = e % 64;
+        self.taken |= u64::from(taken) << slot;
+        if let Some(start) = row {
+            let start = start as usize;
+            let row = &self.rows[start..start + self.planes * self.groups];
+            for (slots, &byte) in self.tile.chunks_exact_mut(64).zip(row) {
+                slots[slot] = byte;
             }
         }
-        if e % 64 == 63 {
+        if slot == 63 {
             self.flush();
         }
     }
 
-    /// Replays the marked paths' lists into the tile.
-    fn replay(&mut self) {
-        for marked in self.marked.drain(..) {
-            let (start, m) = (marked.start as usize, marked.mask);
-            // Branch-free: whether a candidate's instance was taken, and
-            // its bucket digits, are data, not control flow.
-            for &entry in &self.lists[start..start + marked.len as usize] {
-                let t = &mut self.tile[(entry >> 4) as usize];
-                t[0] |= m;
-                t[1] |= m & u64::from(entry & 1).wrapping_neg();
-                // A one-window tile has no bucket words.
-                if W > 2 {
-                    for (k, word) in t[2..].iter_mut().enumerate() {
-                        *word |= m & u64::from(entry >> (k + 1) & 1).wrapping_neg();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Replays the marked paths, then forgets every list.
-    fn drop_lists(&mut self) {
-        self.replay();
-        self.lists.clear();
-    }
-
-    /// Moves the tile's words into the planes and clears it.
+    /// Transposes the tile into one word of every plane and clears it.
     fn flush(&mut self) {
-        self.replay();
         let sb = &mut self.sb;
         sb.taken.push(std::mem::take(&mut self.taken));
-        for (c, t) in self.tile.iter_mut().enumerate() {
-            sb.inpath[c].push(t[0]);
-            sb.dir[c].push(t[1]);
-            for (planes, &word) in sb.buckets.iter_mut().zip(&t[2..]).take(self.bits) {
-                planes[c].push(word);
+        if self.groups == 0 {
+            return;
+        }
+        let planes = [&mut sb.inpath, &mut sb.dir]
+            .into_iter()
+            .chain(&mut sb.buckets)
+            .take(self.planes);
+        for (plane, tile) in planes.zip(self.tile.chunks_exact_mut(64 * self.groups)) {
+            for (columns, slots) in plane.chunks_mut(8).zip(tile.chunks_exact_mut(64)) {
+                let slots: &mut [u8; 64] = slots.try_into().expect("64 slots per row byte");
+                let words = if slots.iter().fold(0, |any, &b| any | b) == 0 {
+                    [0; 8]
+                } else {
+                    let words = transpose_rows(slots);
+                    slots.fill(0);
+                    words
+                };
+                for (column, word) in columns.iter_mut().zip(words) {
+                    column.push(word);
+                }
             }
-            *t = [0; W];
         }
     }
 
@@ -1374,48 +1366,48 @@ impl<const W: usize> PlaneBuilder<W> {
     }
 }
 
-/// Pass 2's work on the listed branches' paths: a path lists the
-/// candidates its window sees, each execution marks the path's mask, a
-/// fold replays the marks and drops the lists, and a finished branch
-/// flushes its last word into its planes.
-struct Pack<'a, const W: usize> {
+/// Pass 2's work on the listed branches' paths: a path writes its row
+/// when met, each execution copies it into the tile, a fold drops the
+/// rows (every execution's copy is in the tile already), and a finished
+/// branch flushes its last word into its planes.
+struct Pack<'a> {
     bucket_of: &'a [u8],
 }
 
-impl<const W: usize> PathPass for Pack<'_, W> {
-    type Branch = PlaneBuilder<W>;
-    type Path = PathList;
+impl PathPass for Pack<'_> {
+    type Branch = PlaneBuilder;
+    type Path = PathRow;
     type Done = SweepBranch;
 
-    fn adopt(&self, _: Pc) -> Option<PlaneBuilder<W>> {
+    fn adopt(&self, _: Pc) -> Option<PlaneBuilder> {
         None
     }
 
     fn meet(
         &self,
-        builder: &mut PlaneBuilder<W>,
+        builder: &mut PlaneBuilder,
         window: &[WindowSymbol],
         namer: &mut WindowNamer,
-    ) -> PathList {
-        builder.list(window, namer, self.bucket_of)
+    ) -> PathRow {
+        builder.row(window, namer, self.bucket_of)
     }
 
     #[inline]
-    fn visit(&self, builder: &mut PlaneBuilder<W>, path: &mut PathList, taken: bool) {
-        builder.push_execution(taken, path);
+    fn visit(&self, builder: &mut PlaneBuilder, row: &mut PathRow, taken: bool) {
+        builder.push_execution(taken, *row);
     }
 
     fn fold(
         &self,
-        builder: &mut PlaneBuilder<W>,
+        builder: &mut PlaneBuilder,
         _: &[WindowSymbol],
         _: &mut WindowNamer,
-        _: PathList,
+        _: PathRow,
     ) {
-        builder.drop_lists();
+        builder.rows.clear();
     }
 
-    fn finish(&self, builder: PlaneBuilder<W>, _: &[Pc]) -> (Pc, SweepBranch) {
+    fn finish(&self, builder: PlaneBuilder, _: &[Pc]) -> (Pc, SweepBranch) {
         builder.finish()
     }
 }
@@ -1428,8 +1420,8 @@ impl<const W: usize> PathPass for Pack<'_, W> {
 ///
 /// The scan interns the listed branches and their candidates' priors
 /// before it starts, so a column is found by direct indexing on (prior
-/// id, scheme, index) when a path is met, and each execution marks the
-/// path for its list to be replayed into the branch's tile.
+/// id, scheme, index) when a path is met and its row written, and each
+/// execution copies that row into its branch's tile.
 ///
 /// # Panics
 ///
@@ -1439,27 +1431,14 @@ pub(crate) fn pack_planes<T: TraceSource + ?Sized>(
     windows: &[usize],
     columns: &[(Pc, &[InstanceTag])],
 ) -> Result<(FxHashMap<Pc, SweepBranch>, usize), TraceIoError> {
-    if windows.len() == 1 {
-        pack::<2, T>(source, windows, columns)
-    } else {
-        pack::<{ 2 + BUCKET_BITS }, T>(source, windows, columns)
-    }
-}
-
-/// [`pack_planes`] with `W`-word tiles.
-fn pack<const W: usize, T: TraceSource + ?Sized>(
-    source: &T,
-    windows: &[usize],
-    columns: &[(Pc, &[InstanceTag])],
-) -> Result<(FxHashMap<Pc, SweepBranch>, usize), TraceIoError> {
     let (window, bucket_of) = window_buckets(windows);
     let bits = bucket_bits(windows.len());
-    let pass = Pack::<W> {
+    let pass = Pack {
         bucket_of: &bucket_of,
     };
     let mut scan = PathScan::new(window);
     for &(pc, tags) in columns {
-        let builder = PlaneBuilder::<W>::new(pc, tags, bits, |prior| scan.id(prior).0);
+        let builder = PlaneBuilder::new(pc, tags, bits, |prior| scan.id(prior).0);
         scan.build(pc, builder);
     }
     source.scan(&mut |chunk| scan.step(chunk, &pass))?;
@@ -1820,6 +1799,57 @@ mod tests {
         let trace = random_trace(1_500, 300);
         let folds = builds_match_reference(&trace, [16, 64, 1024], [4, 6, 8]);
         assert!(folds > 0, "folded {folds} times");
+    }
+
+    #[test]
+    fn rows_of_every_width_pack_as_the_reference_does() {
+        // A branch that runs once, first, with an empty window and so no
+        // column; then rounds of random fillers among 120 sites, each
+        // round ending in three branches that run 192, 129 and 127 times
+        // (≡ 0, 1 and 63 mod 64). Each sees far more than 65 distinct
+        // tags, so a cap is its column count, and row widths cross every
+        // byte boundary; at cap 1 some paths see no candidate.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut records = vec![BranchRecord::conditional(0x900, true)];
+        for round in 0..192 {
+            for _ in 0..6 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let site = (state >> 33) % 120;
+                records.push(BranchRecord::conditional(
+                    0x4000 + site * 4,
+                    state >> 20 & 1 == 1,
+                ));
+            }
+            records.push(BranchRecord::conditional(0x100, state >> 21 & 1 == 1));
+            if round < 129 {
+                records.push(BranchRecord::conditional(0x200, state >> 22 & 1 == 1));
+            }
+            if round < 127 {
+                records.push(BranchRecord::conditional(0x300, state >> 23 & 1 == 1));
+            }
+        }
+        let trace = Trace::from_records(records);
+        for cap in [1, 7, 8, 9, 16, 17, 63, 64, 65] {
+            let want = reference::outcome_matrix(&trace, 64, cap, &TagScheme::ALL);
+            for (pc, executions) in [(0x100, 192), (0x200, 129), (0x300, 127)] {
+                let bm = want.branch(pc).expect("the branch ran");
+                assert_eq!((bm.executions(), bm.tags().len()), (executions, cap));
+            }
+            let first = want.branch(0x900).expect("the first branch ran");
+            assert_eq!((first.executions(), first.tags().len()), (1, 0));
+            if cap == 1 {
+                let bm = want.branch(0x100).expect("the branch ran");
+                let seen: u32 = bm.inpath_plane(0).iter().map(|w| w.count_ones()).sum();
+                assert!(
+                    (seen as usize) < bm.executions(),
+                    "a path sees no candidate"
+                );
+            }
+            let folds = builds_match_reference(&trace, [16, 40, 64], [cap; 3]);
+            assert!(folds > 0, "folded {folds} times");
+        }
     }
 
     #[test]

@@ -542,7 +542,8 @@ impl Engine {
     /// no [`Engine::streams`] for the benchmark yet, they are read off the
     /// matrix ([`OutcomeMatrix::streams`]) and saved like a streams build,
     /// which spares [`Engine::streams`] its trace scan. A reopened matrix
-    /// fills nothing.
+    /// fills nothing, and neither does a built one when the store holds
+    /// intact streams: [`Engine::streams`] reopens those.
     pub fn oracle(&self, benchmark: Benchmark, cfg: &OracleConfig) -> Arc<OracleResult> {
         self.cache.oracles.get_or_compute(
             (benchmark, *cfg),
@@ -572,8 +573,12 @@ impl Engine {
                     if let Some(store) = &self.store {
                         store.save_matrix(name, window, cap, &matrix, fp);
                     }
-                    if let Some(streams) = self.cache.streams.fill(benchmark, || matrix.streams()) {
-                        self.save_streams(benchmark, &streams);
+                    if !self.stores_streams(benchmark) {
+                        if let Some(streams) =
+                            self.cache.streams.fill(benchmark, || matrix.streams())
+                        {
+                            self.save_streams(benchmark, &streams);
+                        }
                     }
                     matrix
                 });
@@ -721,6 +726,17 @@ impl Engine {
     fn streams_fp(&self, benchmark: Benchmark) -> u64 {
         let workload = self.traces.config();
         streams_config_fp(benchmark.name(), workload.seed, workload.target_branches)
+    }
+
+    /// Whether the engine's store holds an intact streams artifact for
+    /// `benchmark`. The check opens it without counting it reused; a
+    /// rotten one is evicted as a load would.
+    fn stores_streams(&self, benchmark: Benchmark) -> bool {
+        self.store.as_ref().is_some_and(|store| {
+            store
+                .load_streams(benchmark.name(), self.streams_fp(benchmark))
+                .is_some()
+        })
     }
 
     /// Saves built streams to the engine's store, if it has one.

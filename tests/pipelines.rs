@@ -4,8 +4,9 @@
 //! its defaults, a `scale` run cold and then warm on one `.bps` artifact
 //! directory, and a `bp-probe` sweep of every probe family. Beside them,
 //! the engine those `scale` runs call: warm on a `.bps` store, it builds
-//! nothing, and cold, its oracle saves the streams it reads off its
-//! matrix, so no streams scan follows.
+//! nothing; cold, its oracle saves the streams it reads off its matrix,
+//! so no streams scan follows; and with only the matrix rotten, it
+//! rebuilds the matrix and reopens the intact streams.
 
 use bp_core::{ClassifierConfig, OracleConfig};
 use bp_experiments::artifacts::{matrix_config_fp, streams_config_fp, ArtifactStore};
@@ -155,6 +156,70 @@ fn a_cold_oracle_saves_the_streams_it_packed_and_spares_their_scan() {
         engine.classify_phase_stats().is_empty(),
         "no streams build was timed"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_rotten_matrix_is_rebuilt_and_the_intact_streams_reopen() {
+    let dir = std::env::temp_dir().join(format!("pipelines-rot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut line = args("--bench gcc --target 50k --oracle-cap 12 --jobs 2 --artifacts");
+    line.push(dir.to_str().expect("a UTF-8 temp dir").to_owned());
+    let opts = scale::Options::parse(line).expect("the flags parse");
+    let mut cold = Vec::new();
+    scale::run(&opts, &mut cold).expect("the cold run builds and saves both artifacts");
+
+    let store = ArtifactStore::open(&dir).expect("open the artifact directory");
+    let (streams, matrix) = (store.streams_path("gcc"), store.matrix_path("gcc", 16, 12));
+    // A rewrite, even one within the file system's mtime tick, would
+    // replace this old mtime.
+    let old = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1 << 30);
+    std::fs::File::options()
+        .write(true)
+        .open(&streams)
+        .and_then(|file| file.set_modified(old))
+        .expect("age the streams artifact");
+    let stamp = || {
+        let meta = std::fs::metadata(&streams).expect("the streams artifact stays");
+        (
+            std::fs::read(&streams).expect("read it"),
+            meta.modified().ok(),
+        )
+    };
+    let kept = stamp();
+    assert_eq!(kept.1, Some(old));
+    // Flip a fingerprint-covered header byte (word 6, the dynamic total).
+    let rot = || {
+        let mut bytes = std::fs::read(&matrix).expect("read the matrix artifact");
+        bytes[48] ^= 0xFF;
+        std::fs::write(&matrix, bytes).expect("rot the matrix artifact");
+    };
+
+    rot();
+    let mut rebuilt = Vec::new();
+    scale::run(&opts, &mut rebuilt).expect("the run rebuilds the matrix");
+    assert_eq!(
+        String::from_utf8_lossy(&rebuilt),
+        String::from_utf8_lossy(&cold)
+    );
+    assert!(stamp() == kept, "the intact streams are not rewritten");
+
+    // The same calls on an engine: only the streams count as reused, and
+    // the oracle builds its matrix.
+    rot();
+    let cfg = WorkloadConfig::default().with_target(50_000);
+    let engine = Engine::new(TraceSet::new(cfg).with_streaming(), 2).with_artifacts(store);
+    let oracle = OracleConfig {
+        candidate_cap: 12,
+        ..OracleConfig::default()
+    };
+    engine.oracle(Benchmark::Gcc, &oracle);
+    engine.streams(Benchmark::Gcc);
+    assert_eq!(engine.cache_stats().reused, 1, "the streams reopen");
+    let phases = engine.oracle_phase_stats();
+    let builds: Vec<u64> = phases.iter().map(|(_, p)| p.builds).collect();
+    assert_eq!(builds, [1], "the matrix is rebuilt");
+    assert!(stamp() == kept, "the intact streams are not rewritten");
     std::fs::remove_dir_all(&dir).ok();
 }
 

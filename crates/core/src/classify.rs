@@ -1,7 +1,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use bp_predictors::{PerBranchStats, SaturatingCounter, MAX_TRIP};
+use bp_predictors::{PerBranchStats, MAX_TRIP};
 use bp_trace::{par_map, BranchProfile, BranchStreams, FxHashMap, OutcomeStream, Pc, Trace};
 
 /// The per-address predictability classes of §4.1.
@@ -228,20 +228,21 @@ impl Classification {
 pub struct ClassifyPhases {
     /// Seconds in the shifted-XNOR fixed-pattern sweep.
     pub sweep_seconds: f64,
-    /// Seconds in the run-length loop/block replay and the pattern-major
-    /// IF-PAs scoring.
+    /// Seconds in the run pass that replays the loop, block and IF-PAs
+    /// predictors together.
     pub replay_seconds: f64,
 }
 
 /// Runs the §4 per-address classification over a trace.
 ///
 /// Every class predictor is scored from packed per-branch outcome streams
-/// ([`BranchStreams`]): the k-ago sweep as shifted-XNOR popcounts, the
-/// loop and block predictors over the stream's run-length decomposition,
-/// and interference-free PAs pattern-major with O(1) uniform-run counter
-/// jumps. Scores are exactly those of per-record simulation (the retained
-/// reference implementation, `bp_core::reference::classify`, is
-/// property-tested against this kernel).
+/// ([`BranchStreams`]): the k-ago sweep as shifted-XNOR popcounts, then
+/// one pass over the stream's runs ([`OutcomeStream::runs`]) that steps
+/// the loop, block and interference-free PAs predictors together, each in
+/// O(1) per run plus one counter step per new history pattern. Scores are
+/// exactly those of per-record simulation (the retained reference
+/// implementation, `bp_core::reference::classify`, is property-tested
+/// against this kernel).
 ///
 /// # Example
 ///
@@ -276,9 +277,16 @@ impl Classifier {
     /// `jobs` threads and reporting phase timings. Scoring is pure per
     /// branch and the merge is keyed by PC, so the classification is the
     /// same for every `jobs` value; the reported phase times are summed
-    /// per-thread busy seconds. Each thread keeps its own PAs scratch.
-    /// Branches go out in PC order, the order a reopened `.bps` artifact
-    /// stores their planes in, so threads read the mapping front to back.
+    /// per-thread busy seconds. Each thread keeps its own IF-PAs counter
+    /// table, whose size depends on the history length only. Branches go
+    /// out in PC order, the order a reopened `.bps` artifact stores their
+    /// planes in, so threads read the mapping front to back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_period` is not in `1..=64` or `pas_history_bits` is
+    /// not in `1..=63` (the range [`bp_predictors::PasInterferenceFree`]
+    /// accepts).
     pub fn classify_streams_parallel(
         streams: &BranchStreams,
         cfg: &ClassifierConfig,
@@ -288,6 +296,10 @@ impl Classifier {
             (1..=64).contains(&cfg.max_period),
             "max fixed-pattern period must be 1..=64"
         );
+        assert!(
+            (1..=63).contains(&cfg.pas_history_bits),
+            "history length must be 1..=63"
+        );
         let mut branches: Vec<(Pc, &OutcomeStream)> = streams.iter().collect();
         branches.sort_unstable_by_key(|&(pc, _)| pc);
         let (scored, scratch) = par_map(
@@ -295,7 +307,7 @@ impl Classifier {
             jobs,
             || {
                 (
-                    PasScratch::new(cfg.pas_history_bits),
+                    PasCounters::new(cfg.pas_history_bits),
                     ClassifyPhases::default(),
                 )
             },
@@ -315,11 +327,12 @@ impl Classifier {
 
 /// Scores one branch's stream with every class predictor: the
 /// per-branch kernel [`Classifier::classify_streams_parallel`] maps over
-/// branches.
+/// branches. After the k-ago sweep, one walk over the stream's runs steps
+/// the loop, block and IF-PAs replays together.
 fn score_branch(
     stream: &OutcomeStream,
     cfg: &ClassifierConfig,
-    pas: &mut PasScratch,
+    pas: &mut PasCounters,
     phases: &mut ClassifyPhases,
 ) -> BranchClassScores {
     let executions = stream.len() as u64;
@@ -328,17 +341,46 @@ fn score_branch(
     let (fixed_correct, best_period) = sweep_best(stream, cfg.max_period);
     let t1 = Instant::now();
     phases.sweep_seconds += (t1 - t0).as_secs_f64();
-    let scores = BranchClassScores {
+    let (loop_correct, block_correct, pas_correct, steps) = match pas {
+        PasCounters::Dense(table) => {
+            replay_runs(stream, cfg.pas_history_bits, table.as_mut_slice())
+        }
+        PasCounters::Sparse(table) => replay_runs(stream, cfg.pas_history_bits, table),
+    };
+    pas.reset(stream, cfg.pas_history_bits, steps);
+    phases.replay_seconds += t1.elapsed().as_secs_f64();
+    BranchClassScores {
         executions,
         static_correct: taken.max(executions - taken),
-        loop_correct: loop_replay(stream),
+        loop_correct,
         fixed_correct,
         best_period,
-        block_correct: block_replay(stream),
-        pas_correct: pas.score(stream),
-    };
-    phases.replay_seconds += t1.elapsed().as_secs_f64();
-    scores
+        block_correct,
+        pas_correct,
+    }
+}
+
+/// The one run pass: steps the loop, block and IF-PAs replays over each
+/// of the stream's runs in turn. Returns the loop, block and IF-PAs
+/// correct counts, then how many IF-PAs counter steps and jumps it took.
+fn replay_runs<T: PatternTable + ?Sized>(
+    stream: &OutcomeStream,
+    history_bits: u32,
+    table: &mut T,
+) -> (u64, u64, u64, u64) {
+    let mut loops = LoopRuns::default();
+    let mut blocks = BlockRuns::default();
+    let mut history = PasHistory::new(history_bits);
+    let (mut pas_correct, mut steps) = (0u64, 0u64);
+    for (d, len) in stream.runs() {
+        loops.run(d, len);
+        blocks.run(d, len);
+        history.run(d, len, |pattern, n| {
+            pas_correct += train(table.counter(pattern), d, n);
+            steps += 1;
+        });
+    }
+    (loops.correct, blocks.correct, pas_correct, steps)
 }
 
 /// Popcount of the first `m` bits of a packed stream.
@@ -434,8 +476,8 @@ fn sweep_best(stream: &OutcomeStream, max_period: u32) -> (u64, u32) {
     (best, best_k)
 }
 
-/// Replays [`bp_predictors::LoopPredictor`] over a stream's run-length
-/// decomposition in O(1) per run.
+/// [`bp_predictors::LoopPredictor`] replayed one run at a time, O(1) per
+/// run.
 ///
 /// The predictor's whole-run behavior collapses: riding a body run of
 /// length `L` with a learned trip `n` costs one miss iff the exit was
@@ -445,255 +487,281 @@ fn sweep_best(stream: &OutcomeStream, max_period: u32) -> (u64, u32) {
 /// is the predictor's per-record state machine applied `L` times at once,
 /// so the total equals per-record simulation exactly (property-tested
 /// against `bp_core::reference::classify`).
-fn loop_replay(stream: &OutcomeStream) -> u64 {
-    let max_trip = u64::from(MAX_TRIP);
-    let mut correct = 0u64;
-    let mut started = false;
+#[derive(Debug, Default)]
+struct LoopRuns {
+    correct: u64,
+    started: bool,
     // Mirrors `LoopState`: the latched body direction, current same-
     // direction run length (uncapped), learned trip, and overflow flag.
-    let mut direction = false;
-    let mut run = 0u64;
-    let mut trip: Option<u64> = None;
-    let mut overflowed = false;
-    for (d, len) in stream.runs() {
-        if !started {
+    direction: bool,
+    run: u64,
+    trip: Option<u64>,
+    overflowed: bool,
+}
+
+impl LoopRuns {
+    /// Steps the predictor over the next run: `len` outcomes `d`.
+    #[inline]
+    fn run(&mut self, d: bool, len: u64) {
+        let max_trip = u64::from(MAX_TRIP);
+        if !self.started {
             // First prediction is the static taken fallback; the rest of
             // the run rides the just-latched direction.
-            started = true;
-            correct += u64::from(d) + (len - 1);
-            direction = d;
-            run = len;
-            overflowed = len > max_trip;
-        } else if d == direction {
+            self.started = true;
+            self.correct += u64::from(d) + (len - 1);
+            self.direction = d;
+            self.run = len;
+            self.overflowed = len > max_trip;
+        } else if d == self.direction {
             // Body continues: one miss iff the learned trip expires
             // strictly inside this run (the predictor calls the exit and
             // the branch keeps going).
-            let hit = matches!(trip, Some(n) if !overflowed && run <= n && n < run + len);
-            correct += len - u64::from(hit);
-            run += len;
-            if run > max_trip {
-                overflowed = true;
+            let hit = matches!(self.trip, Some(n) if !self.overflowed && self.run <= n && n < self.run + len);
+            self.correct += len - u64::from(hit);
+            self.run += len;
+            if self.run > max_trip {
+                self.overflowed = true;
             }
         } else {
             // The first flip outcome is the exit: predicted iff the trip
             // was known, not overflowed, and expired exactly now.
-            correct += u64::from(matches!(trip, Some(n) if !overflowed && run == n));
-            if run == 0 {
+            self.correct +=
+                u64::from(matches!(self.trip, Some(n) if !self.overflowed && self.run == n));
+            if self.run == 0 {
                 // Second consecutive non-body outcome: re-latch, and the
                 // rest of this run rides the new direction.
-                correct += len - 1;
-                direction = d;
-                run = len;
-                trip = None;
-                overflowed = len > max_trip;
+                self.correct += len - 1;
+                self.direction = d;
+                self.run = len;
+                self.trip = None;
+                self.overflowed = len > max_trip;
             } else {
-                trip = if overflowed { None } else { Some(run) };
-                overflowed = false;
+                self.trip = if self.overflowed {
+                    None
+                } else {
+                    Some(self.run)
+                };
+                self.overflowed = false;
                 if len == 1 {
-                    run = 0;
+                    self.run = 0;
                 } else {
                     // A second flip outcome re-latches (missing once —
                     // run is 0 and the trip never matches 0); outcomes
                     // three onward ride the new body.
-                    correct += len - 2;
-                    direction = d;
-                    run = len - 1;
-                    trip = None;
-                    overflowed = len - 1 > max_trip;
+                    self.correct += len - 2;
+                    self.direction = d;
+                    self.run = len - 1;
+                    self.trip = None;
+                    self.overflowed = len - 1 > max_trip;
                 }
             }
         }
     }
-    correct
 }
 
-/// Replays [`bp_predictors::BlockPattern`] over a stream's run-length
-/// decomposition in O(1) per run.
+/// [`bp_predictors::BlockPattern`] replayed one run at a time, O(1) per
+/// run.
 ///
 /// Between flips the state only counts: a whole run of length `L` after a
 /// flip mispredicts its first outcome unless the completed run's length
 /// matched the stored expectation, plus at most one mid-run miss where a
 /// stale expectation (shorter than `L`) calls the flip early.
-fn block_replay(stream: &OutcomeStream) -> u64 {
+#[derive(Debug, Default)]
+struct BlockRuns {
+    correct: u64,
+    started: bool,
     // Mirrors `BlockState`, whose run counter saturates at MAX_TRIP + 1.
-    let cap = u64::from(MAX_TRIP) + 1;
-    let mut correct = 0u64;
-    let mut started = false;
-    let mut current = false;
-    let mut run = 0u64;
-    let mut taken_run: Option<u64> = None;
-    let mut not_taken_run: Option<u64> = None;
-    for (d, len) in stream.runs() {
-        if !started {
+    current: bool,
+    run: u64,
+    taken_run: Option<u64>,
+    not_taken_run: Option<u64>,
+}
+
+impl BlockRuns {
+    /// Steps the predictor over the next run: `len` outcomes `d`.
+    #[inline]
+    fn run(&mut self, d: bool, len: u64) {
+        let cap = u64::from(MAX_TRIP) + 1;
+        if !self.started {
             // Static taken fallback, then ride the run (no expectations
             // exist yet).
-            started = true;
-            correct += u64::from(d) + (len - 1);
-            current = d;
-            run = len.min(cap);
-        } else if d == current {
+            self.started = true;
+            self.correct += u64::from(d) + (len - 1);
+            self.current = d;
+            self.run = len.min(cap);
+        } else if d == self.current {
             // Unreachable from maximal runs (adjacent runs alternate) but
             // kept exact: a stale expectation expiring inside the run
             // costs one miss.
-            let expect = if current { taken_run } else { not_taken_run };
-            let hit = matches!(expect, Some(n) if run <= n && n < run + len);
-            correct += len - u64::from(hit);
-            run = (run + len).min(cap);
+            let expect = if self.current {
+                self.taken_run
+            } else {
+                self.not_taken_run
+            };
+            let hit = matches!(expect, Some(n) if self.run <= n && n < self.run + len);
+            self.correct += len - u64::from(hit);
+            self.run = (self.run + len).min(cap);
         } else {
             // The flip itself is predicted iff the completed run's length
             // matched its stored expectation.
-            let expect_old = if current { taken_run } else { not_taken_run };
-            correct += u64::from(matches!(expect_old, Some(n) if run == n));
-            let completed = (run <= u64::from(MAX_TRIP)).then_some(run);
-            if current {
-                taken_run = completed;
+            let expect_old = if self.current {
+                self.taken_run
             } else {
-                not_taken_run = completed;
+                self.not_taken_run
+            };
+            self.correct += u64::from(matches!(expect_old, Some(n) if self.run == n));
+            let completed = (self.run <= u64::from(MAX_TRIP)).then_some(self.run);
+            if self.current {
+                self.taken_run = completed;
+            } else {
+                self.not_taken_run = completed;
             }
             // Riding the new run: one miss iff the other direction's
             // expectation expires before the run actually ends.
-            let expect_new = if d { taken_run } else { not_taken_run };
+            let expect_new = if d {
+                self.taken_run
+            } else {
+                self.not_taken_run
+            };
             if len > 1 {
-                correct += (len - 1) - u64::from(matches!(expect_new, Some(n) if n < len));
+                self.correct += (len - 1) - u64::from(matches!(expect_new, Some(n) if n < len));
             }
-            current = d;
-            run = len.min(cap);
+            self.current = d;
+            self.run = len.min(cap);
         }
     }
-    correct
 }
 
-/// History lengths up to this many bits use dense counting-sort buckets
-/// (two `2^bits`-entry u32 tables); longer histories fall back to a
-/// hash-keyed per-record replay.
+/// History lengths up to this many bits keep their IF-PAs counters in a
+/// dense table, one byte per pattern; longer histories key them by
+/// pattern in a hash map.
 const DENSE_PAS_BITS: u32 = 16;
 
-/// Reusable scratch for pattern-major interference-free PAs scoring.
-///
-/// Per branch, the rolling history pattern of every execution is computed
-/// once, executions are counting-sorted into per-pattern buckets (dense
-/// tables indexed by pattern, reset via the touched-pattern list), and
-/// each bucket — whose counter no other pattern touches — is replayed as
-/// uniform-outcome runs with [`SaturatingCounter::train_run`]. Within a
-/// pattern the original execution order is preserved, so the counter sees
-/// exactly the per-record training sequence.
-struct PasScratch {
-    history_bits: u32,
-    /// Executions per pattern this branch (dense path); zeroed via
-    /// `touched` after each branch.
-    counts: Vec<u32>,
-    /// Bucket write cursor, then bucket end offset, per pattern.
-    cursor: Vec<u32>,
-    /// Patterns seen for this branch, in first-use order.
-    touched: Vec<u32>,
-    /// Pattern of each execution, in trace order.
-    patterns: Vec<u32>,
-    /// Outcomes regrouped pattern-major.
-    ordered: Vec<u8>,
+/// The value a [`bp_predictors::SaturatingCounter::two_bit`] counter
+/// starts at: weakly taken.
+const WEAKLY_TAKEN: u8 = 2;
+
+/// One thread's interference-free PAs counters: a 2-bit counter state per
+/// history pattern, all weakly taken between branches. Its size depends
+/// on the history length only, never on how long a branch runs.
+enum PasCounters {
+    /// Up to [`DENSE_PAS_BITS`] bits: one byte per pattern.
+    Dense(Vec<u8>),
+    /// Longer histories: the patterns a branch meets, cleared after it.
+    Sparse(FxHashMap<u64, u8>),
 }
 
-impl PasScratch {
+impl PasCounters {
     fn new(history_bits: u32) -> Self {
-        let slots = if history_bits <= DENSE_PAS_BITS {
-            1usize << history_bits
+        if history_bits <= DENSE_PAS_BITS {
+            PasCounters::Dense(vec![WEAKLY_TAKEN; 1 << history_bits])
         } else {
-            0
-        };
-        PasScratch {
-            history_bits,
-            counts: vec![0; slots],
-            cursor: vec![0; slots],
-            touched: Vec::new(),
-            patterns: Vec::new(),
-            ordered: Vec::new(),
+            PasCounters::Sparse(FxHashMap::default())
         }
     }
 
-    /// Interference-free PAs correct count for one branch's stream —
-    /// exactly [`bp_predictors::PasInterferenceFree`] on that branch
-    /// (history starts at zero; counters initialize weakly taken and train
-    /// on the pre-update history).
-    fn score(&mut self, stream: &OutcomeStream) -> u64 {
-        if self.history_bits > DENSE_PAS_BITS {
-            return self.score_sparse(stream);
-        }
-        let n = stream.len();
-        let words = stream.words();
-        let mask = (1u32 << self.history_bits) - 1;
-        self.patterns.clear();
-        self.patterns.reserve(n);
-        let mut h = 0u32;
-        for e in 0..n {
-            let bit = (words[e / 64] >> (e % 64)) & 1;
-            if self.counts[h as usize] == 0 {
-                self.touched.push(h);
+    /// Returns every counter `stream`'s pass stepped (`steps` of them) to
+    /// weakly taken, at a cost bounded by that pass: a dense table the
+    /// branch stepped at least a quarter of is refilled, otherwise its
+    /// runs are walked again and only the patterns they met are reset.
+    fn reset(&mut self, stream: &OutcomeStream, history_bits: u32, steps: u64) {
+        match self {
+            PasCounters::Dense(table) if 4 * steps >= table.len() as u64 => {
+                table.fill(WEAKLY_TAKEN);
             }
-            self.counts[h as usize] += 1;
-            self.patterns.push(h);
-            h = ((h << 1) | bit as u32) & mask;
-        }
-        // Prefix-sum bucket starts in first-use order, scatter outcomes
-        // pattern-major, then replay each bucket's runs.
-        let mut running = 0u32;
-        for &p in &self.touched {
-            self.cursor[p as usize] = running;
-            running += self.counts[p as usize];
-        }
-        self.ordered.clear();
-        self.ordered.resize(n, 0);
-        for e in 0..n {
-            let bit = ((words[e / 64] >> (e % 64)) & 1) as u8;
-            let slot = &mut self.cursor[self.patterns[e] as usize];
-            self.ordered[*slot as usize] = bit;
-            *slot += 1;
-        }
-        let mut correct = 0u64;
-        for &p in &self.touched {
-            let end = self.cursor[p as usize] as usize;
-            let start = end - self.counts[p as usize] as usize;
-            let mut counter = SaturatingCounter::two_bit();
-            let mut i = start;
-            while i < end {
-                let v = self.ordered[i];
-                let mut j = i + 1;
-                while j < end && self.ordered[j] == v {
-                    j += 1;
+            PasCounters::Dense(table) => {
+                let mut history = PasHistory::new(history_bits);
+                for (d, len) in stream.runs() {
+                    history.run(d, len, |pattern, _| table[pattern as usize] = WEAKLY_TAKEN);
                 }
-                correct += counter.train_run((j - i) as u64, v == 1);
-                i = j;
             }
+            PasCounters::Sparse(table) => table.clear(),
         }
-        for &p in &self.touched {
-            self.counts[p as usize] = 0;
+    }
+}
+
+/// A branch's counter states, by history pattern.
+trait PatternTable {
+    fn counter(&mut self, pattern: u64) -> &mut u8;
+}
+
+impl PatternTable for [u8] {
+    #[inline]
+    fn counter(&mut self, pattern: u64) -> &mut u8 {
+        &mut self[pattern as usize]
+    }
+}
+
+impl PatternTable for FxHashMap<u64, u8> {
+    #[inline]
+    fn counter(&mut self, pattern: u64) -> &mut u8 {
+        self.entry(pattern).or_insert(WEAKLY_TAKEN)
+    }
+}
+
+/// `n` predict-then-train steps of the 2-bit counter whose value is
+/// `*state`, against one outcome; returns how many predictions were
+/// right. This is [`bp_predictors::SaturatingCounter::train_run`] on a
+/// `two_bit` counter (a test checks every value, outcome and `n` up to
+/// 8), written out for the width so that one step stays a few
+/// instructions.
+#[inline]
+fn train(state: &mut u8, taken: bool, n: u64) -> u64 {
+    let v = u64::from(*state);
+    // Against one outcome the counter moves monotonically: it mispredicts
+    // until it crosses the threshold between 1 and 2, then saturates.
+    let (wrong, next) = if taken {
+        (2u64.saturating_sub(v).min(n), (v + n).min(3))
+    } else {
+        (v.saturating_sub(1).min(n), v.saturating_sub(n))
+    };
+    *state = next as u8;
+    n - wrong
+}
+
+/// One branch's IF-PAs history register, advanced one run at a time. As in
+/// [`bp_predictors::PasInterferenceFree`], it starts at zero and each
+/// counter trains on the history before its outcome.
+///
+/// Within a run of outcome `d`, each of the first `history_bits`
+/// executions meets its own pattern. From then on the history is all `d`,
+/// so every later execution of the run trains that one pattern's counter
+/// towards `d`: a single jump of `len - history_bits` steps.
+struct PasHistory {
+    pattern: u64,
+    mask: u64,
+    bits: u64,
+}
+
+impl PasHistory {
+    fn new(history_bits: u32) -> Self {
+        PasHistory {
+            pattern: 0,
+            mask: (1u64 << history_bits) - 1,
+            bits: u64::from(history_bits),
         }
-        self.touched.clear();
-        correct
     }
 
-    /// Per-record fallback for history lengths too long to bucket densely
-    /// (still branch-local, so no cross-branch interference either way).
-    fn score_sparse(&self, stream: &OutcomeStream) -> u64 {
-        let mask = (1u64 << self.history_bits) - 1;
-        let mut counters: FxHashMap<u64, SaturatingCounter> = FxHashMap::default();
-        let mut h = 0u64;
-        let mut correct = 0u64;
-        for e in 0..stream.len() {
-            let taken = stream.get(e);
-            let counter = counters.entry(h).or_insert_with(SaturatingCounter::two_bit);
-            if counter.predict_taken() == taken {
-                correct += 1;
-            }
-            counter.train(taken);
-            h = ((h << 1) | u64::from(taken)) & mask;
+    /// Advances over a run of `len` outcomes `d`, calling `visit(pattern,
+    /// n)` for each pattern the run meets, in order, with the number of
+    /// consecutive executions that see it.
+    #[inline]
+    fn run(&mut self, d: bool, len: u64, mut visit: impl FnMut(u64, u64)) {
+        let head = len.min(self.bits);
+        for _ in 0..head {
+            visit(self.pattern, 1);
+            self.pattern = (self.pattern << 1 | u64::from(d)) & self.mask;
         }
-        correct
+        if len > head {
+            visit(self.pattern, len - head);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bp_predictors::{simulate_per_branch, KthAgo};
+    use bp_predictors::{simulate_per_branch, KthAgo, SaturatingCounter};
     use bp_trace::BranchRecord;
 
     fn classify(trace: &Trace) -> Classification {
@@ -955,6 +1023,48 @@ mod tests {
         // Perfect after the 64-execution warmup (which predicts taken).
         let warm_taken = pattern.iter().filter(|&&t| t).count() as u64;
         assert_eq!(s.fixed_correct, warm_taken + (256 - 64));
+    }
+
+    #[test]
+    fn counter_jump_is_train_run_on_a_two_bit_counter() {
+        for state in 0..=3u8 {
+            for taken in [false, true] {
+                for n in 0..=8u64 {
+                    let mut counter = SaturatingCounter::new(2, state);
+                    let want = counter.train_run(n, taken);
+                    let mut got = state;
+                    assert_eq!(train(&mut got, taken, n), want, "{state} {taken} {n}");
+                    assert_eq!(got, counter.value(), "{state} {taken} {n}");
+                }
+            }
+        }
+        assert_eq!(SaturatingCounter::two_bit().value(), WEAKLY_TAKEN);
+    }
+
+    /// The history lengths `PasInterferenceFree::new` refuses: the table
+    /// mask would wrap to one counter at 0 and 64 bits.
+    #[test]
+    #[should_panic(expected = "history length must be 1..=63")]
+    fn zero_history_rejected() {
+        let _ = Classifier::classify(
+            &Trace::new(),
+            &ClassifierConfig {
+                pas_history_bits: 0,
+                ..ClassifierConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "history length must be 1..=63")]
+    fn oversized_history_rejected() {
+        let _ = Classifier::classify(
+            &Trace::new(),
+            &ClassifierConfig {
+                pas_history_bits: 64,
+                ..ClassifierConfig::default()
+            },
+        );
     }
 
     #[test]

@@ -486,8 +486,9 @@ mod tests {
     }
 
     /// Configurations covering the sweep extremes (k = 1 only, the paper's
-    /// 32, the 64 ceiling) and both IF-PAs paths (dense and hash-keyed).
-    const CLASSIFY_CONFIGS: [ClassifierConfig; 4] = [
+    /// 32, the 64 ceiling) and both IF-PAs counter tables (dense up to 16
+    /// history bits, hash-keyed from 17), on either side of that boundary.
+    const CLASSIFY_CONFIGS: [ClassifierConfig; 6] = [
         ClassifierConfig {
             max_period: 32,
             pas_history_bits: 12,
@@ -499,6 +500,14 @@ mod tests {
         ClassifierConfig {
             max_period: 1,
             pas_history_bits: 1,
+        },
+        ClassifierConfig {
+            max_period: 32,
+            pas_history_bits: 16,
+        },
+        ClassifierConfig {
+            max_period: 32,
+            pas_history_bits: 17,
         },
         ClassifierConfig {
             max_period: 32,

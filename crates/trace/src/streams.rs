@@ -12,10 +12,10 @@ use crate::trace::Trace;
 /// Bit `e % 64` of word `e / 64` is the outcome of the branch's `e`-th
 /// dynamic execution (`1` = taken), in trace order. The packing makes the
 /// §4.1 classification kernels word-wise: per-branch taken counts are
-/// popcounts, the k-ago sweep is a shifted XNOR, and the loop/block
-/// predictors replay a run-length decomposition extracted with
-/// trailing-zero scans ([`OutcomeStream::runs`]) instead of stepping one
-/// execution at a time.
+/// popcounts, the k-ago sweep is a shifted XNOR, and the loop, block and
+/// IF-PAs predictors replay the run-length decomposition
+/// ([`OutcomeStream::runs`], decoded a word at a time) in one pass instead
+/// of stepping one execution at a time.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OutcomeStream {
     words: Words,
@@ -67,55 +67,80 @@ impl OutcomeStream {
 
     /// The stream's maximal runs, in order: `(direction, length)` pairs
     /// with adjacent runs alternating in direction and lengths summing to
-    /// [`OutcomeStream::len`]. Each run is found with word-wise
-    /// trailing-zero scans, so iteration is O(#runs + #words), not O(n).
+    /// [`OutcomeStream::len`]. Runs are decoded a word at a time from a
+    /// transition mask (see [`StreamRuns`]), so iteration is O(#runs +
+    /// #words), not O(n).
     pub fn runs(&self) -> StreamRuns<'_> {
+        let words = self.words();
+        // Seeding the carry with the first outcome makes execution 0 no
+        // transition, so the first run's direction is that outcome.
+        let carry = words.first().map_or(0, |w| w & 1);
         StreamRuns {
-            stream: self,
-            pos: 0,
+            words,
+            len: self.len,
+            next_word: 0,
+            carry,
+            transitions: 0,
+            start: 0,
+            value: carry == 1,
         }
     }
 }
 
 /// Iterator over a stream's maximal same-direction runs (see
 /// [`OutcomeStream::runs`]).
+///
+/// Each word `w` is decoded once into a transition mask `w ^ (w << 1 |
+/// c)`, where `c` is the last outcome of the previous word: bit `i` is set
+/// where execution `i` differs from the one before it, that is, where a
+/// run starts. The mask is cut to the valid executions, and each run
+/// boundary then costs one `trailing_zeros` and one clear-lowest-bit.
 #[derive(Debug, Clone)]
 pub struct StreamRuns<'a> {
-    stream: &'a OutcomeStream,
-    pos: usize,
+    words: &'a [u64],
+    len: usize,
+    /// Index of the next word to decode.
+    next_word: usize,
+    /// Last outcome of the word before `next_word`.
+    carry: u64,
+    /// Run starts not yet reported in word `next_word - 1`.
+    transitions: u64,
+    /// First execution of the current run; `len` once every run is out.
+    start: usize,
+    /// Direction of the current run.
+    value: bool,
 }
 
 impl Iterator for StreamRuns<'_> {
     type Item = (bool, u64);
 
+    #[inline]
     fn next(&mut self) -> Option<(bool, u64)> {
-        let n = self.stream.len;
-        if self.pos >= n {
+        if self.start >= self.len {
             return None;
         }
-        let words = &self.stream.words;
-        let value = self.stream.get(self.pos);
-        // XOR against the run direction turns "differs from `value`" into a
-        // set bit; the first set bit at or after `pos` ends the run.
-        let flip = if value { !0u64 } else { 0 };
-        let mut w = self.pos / 64;
-        let mut diff = (words[w] ^ flip) & (!0u64 << (self.pos % 64));
-        let end = loop {
-            if diff != 0 {
-                break w * 64 + diff.trailing_zeros() as usize;
+        while self.transitions == 0 {
+            let Some(&w) = self.words.get(self.next_word) else {
+                // No boundary left: the current run ends the stream.
+                let run = (self.value, (self.len - self.start) as u64);
+                self.start = self.len;
+                return Some(run);
+            };
+            let valid = self.len - self.next_word * 64;
+            let mut t = w ^ (w << 1 | self.carry);
+            if valid < 64 {
+                t &= (1u64 << valid) - 1;
             }
-            w += 1;
-            if w == words.len() {
-                break n;
-            }
-            diff = words[w] ^ flip;
-        };
-        // Tail bits past `len` are zero: clamp so a not-taken run does not
-        // run off into the padding.
-        let end = end.min(n);
-        let run = (end - self.pos) as u64;
-        self.pos = end;
-        Some((value, run))
+            self.carry = w >> 63;
+            self.transitions = t;
+            self.next_word += 1;
+        }
+        let end = (self.next_word - 1) * 64 + self.transitions.trailing_zeros() as usize;
+        self.transitions &= self.transitions - 1;
+        let run = (self.value, (end - self.start) as u64);
+        self.start = end;
+        self.value = !self.value;
+        Some(run)
     }
 }
 
@@ -301,6 +326,69 @@ mod tests {
             .collect();
         assert_eq!(runs, expect);
         assert_eq!(runs.iter().map(|&(_, l)| l).sum::<u64>(), bits.len() as u64);
+    }
+
+    /// The runs of `bits` found one execution at a time.
+    fn split_bit_by_bit(bits: &[bool]) -> Vec<(bool, u64)> {
+        let mut runs: Vec<(bool, u64)> = Vec::new();
+        for &b in bits {
+            match runs.last_mut() {
+                Some((d, len)) if *d == b => *len += 1,
+                _ => runs.push((b, 1)),
+            }
+        }
+        runs
+    }
+
+    fn assert_runs_split(bits: &[bool]) {
+        let runs: Vec<(bool, u64)> = stream_of(bits).runs().collect();
+        assert_eq!(runs, split_bit_by_bit(bits), "{} executions", bits.len());
+        assert_eq!(runs.iter().map(|&(_, l)| l).sum::<u64>(), bits.len() as u64);
+        assert!(
+            runs.windows(2).all(|p| p[0].0 != p[1].0),
+            "directions alternate"
+        );
+    }
+
+    #[test]
+    fn runs_match_a_bit_by_bit_split_at_every_length() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5EED_0041);
+        for len in 0..=200usize {
+            // Sparse, balanced and dense flips: long runs and short ones.
+            for flip in [0.02, 0.5, 0.9] {
+                let mut bit = rng.gen_bool(0.5);
+                let bits: Vec<bool> = (0..len)
+                    .map(|_| {
+                        if rng.gen_bool(flip) {
+                            bit = !bit;
+                        }
+                        bit
+                    })
+                    .collect();
+                assert_runs_split(&bits);
+            }
+        }
+    }
+
+    #[test]
+    fn runs_ending_at_or_crossing_word_ends() {
+        // Each run length starts at the offsets that make it end exactly
+        // at a word end, just before it, or cross it, with and without a
+        // following run and in both directions.
+        for len in [1usize, 62, 63, 64, 65, 127, 128, 129] {
+            for lead in [0usize, 1, 63, 64, 65] {
+                for tail in [0usize, 1, 64] {
+                    for d in [false, true] {
+                        let mut bits = vec![!d; lead];
+                        bits.extend(std::iter::repeat_n(d, len));
+                        bits.extend(std::iter::repeat_n(!d, tail));
+                        assert_runs_split(&bits);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

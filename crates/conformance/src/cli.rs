@@ -21,11 +21,11 @@ use std::time::{Duration, Instant};
 
 use bp_core::{Classification, Classifier, ClassifierConfig, OutcomeMatrix, SweepMatrix};
 use bp_experiments::repro;
-use bp_trace::cli::{note, RunError};
+use bp_trace::cli::{note, Flag, Flags, RunError, SEED};
 use bp_trace::Trace;
 
 use crate::diff::{self, DiffConfig, Divergence, Kernels};
-use crate::{all_laws, corpus, minimize, NamedTrace};
+use crate::{all_laws, corpus, minimize, Law, NamedTrace};
 
 /// The usage text `bp-conformance` prints with a command-line error or
 /// `--help`.
@@ -53,10 +53,10 @@ fn parse_duration(s: &str) -> Option<Duration> {
 }
 
 /// A parsed `bp-conformance` command line: the command and the options
-/// every command shares.
+/// it reads.
 #[derive(Debug)]
 pub struct Options {
-    command: String,
+    command: &'static str,
     seed: u64,
     cases: usize,
     budget: Option<Duration>,
@@ -68,55 +68,43 @@ pub struct Options {
 
 impl Options {
     /// Parses `bp-conformance`'s arguments (without the program name):
-    /// the command, then its options and files.
+    /// the command, then the options and files it reads; any other is a
+    /// usage error.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, RunError> {
-        let mut args = args.into_iter();
-        let Some(command) = args.next() else {
-            return Err(RunError::Usage(String::new()));
-        };
-        if command == "--help" || command == "-h" {
-            return Err(RunError::Help);
-        }
-        let mut opts = Options {
+        const CASES: Flag = Flag::value("--cases");
+        const REPRO_DIR: Flag = Flag::value("--repro-dir");
+        const COMMANDS: &[(&str, &[Flag])] = &[
+            (
+                "sweep",
+                &[
+                    SEED,
+                    CASES,
+                    Flag::value("--budget"),
+                    REPRO_DIR,
+                    Flag::switch("--skip-goldens"),
+                ],
+            ),
+            ("diff", &[REPRO_DIR]),
+            ("laws", &[SEED, CASES]),
+            ("gen", &[SEED, CASES, Flag::value("--out")]),
+            ("selftest", &[]),
+        ];
+        let (command, flags) = Flags::parse_command(args, COMMANDS)?;
+        let files = flags.words(if command == "diff" { usize::MAX } else { 0 })?;
+        Ok(Options {
             command,
-            seed: 0xC0F0,
-            cases: 49,
-            budget: None,
-            repro_dir: PathBuf::from("target/conformance"),
-            skip_goldens: false,
-            out: None,
-            files: Vec::new(),
-        };
-        while let Some(arg) = args.next() {
-            let mut value = |name: &str| {
-                args.next()
-                    .ok_or_else(|| RunError::Usage(format!("{name} needs a value")))
-            };
-            let bad = |why: &str| RunError::Usage(why.to_owned());
-            match arg.as_str() {
-                "--seed" => {
-                    opts.seed = value("--seed")?
-                        .parse()
-                        .map_err(|_| bad("--seed needs an unsigned integer"))?;
-                }
-                "--cases" => {
-                    opts.cases = value("--cases")?
-                        .parse()
-                        .map_err(|_| bad("--cases needs a count"))?;
-                }
-                "--budget" => {
-                    let v = value("--budget")?;
-                    let why = || bad(&format!("bad --budget duration: {v}"));
-                    opts.budget = Some(parse_duration(&v).ok_or_else(why)?);
-                }
-                "--repro-dir" => opts.repro_dir = PathBuf::from(value("--repro-dir")?),
-                "--skip-goldens" => opts.skip_goldens = true,
-                "--out" => opts.out = Some(PathBuf::from(value("--out")?)),
-                other if !other.starts_with('-') => opts.files.push(PathBuf::from(other)),
-                other => return Err(bad(&format!("unknown option: {other}"))),
-            }
-        }
-        Ok(opts)
+            seed: flags.seed()?.unwrap_or(0xC0F0),
+            cases: flags.value("--cases", "a count", |_| true)?.unwrap_or(49),
+            budget: flags.get(
+                "--budget",
+                "a duration such as 60s or 500ms",
+                parse_duration,
+            )?,
+            repro_dir: PathBuf::from(flags.text("--repro-dir").unwrap_or("target/conformance")),
+            skip_goldens: flags.switch("--skip-goldens"),
+            out: flags.text("--out").map(PathBuf::from),
+            files: files.iter().map(PathBuf::from).collect(),
+        })
     }
 }
 
@@ -124,16 +112,13 @@ impl Options {
 /// violations and golden mismatches are listed on stderr and fail the
 /// run.
 pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
-    match opts.command.as_str() {
+    match opts.command {
         "sweep" => sweep(opts, out),
         "diff" => diff_files(opts, out),
         "laws" => laws(opts, out),
         "gen" => gen(opts, out),
-        "selftest" => selftest(out),
-        other => {
-            note(format_args!("unknown command: {other}"));
-            Err(RunError::Usage(String::new()))
-        }
+        // `Options::parse` admits no other command.
+        _ => selftest(out),
     }?;
     out.flush()?;
     Ok(())
@@ -169,18 +154,16 @@ fn report_divergence(d: &Divergence, repro_dir: &Path) {
     }
 }
 
-/// Runs every metamorphic law over a corpus. Returns the violation count.
-fn run_laws(cases: &[NamedTrace]) -> usize {
+/// Checks every law on one case. Returns the violation count.
+fn law_violations(laws: &[Law], case: &NamedTrace) -> usize {
     let mut violations = 0;
-    for law in all_laws() {
-        for case in cases {
-            if let Some(detail) = (law.check)(&case.trace) {
-                note(format_args!(
-                    "LAW VIOLATION [{}] on case {}: {detail}",
-                    law.name, case.name
-                ));
-                violations += 1;
-            }
+    for law in laws {
+        if let Some(detail) = (law.check)(&case.trace) {
+            note(format_args!(
+                "LAW VIOLATION [{}] on case {}: {detail}",
+                law.name, case.name
+            ));
+            violations += 1;
         }
     }
     violations
@@ -206,30 +189,31 @@ fn run_goldens() -> usize {
 
 fn sweep(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
     let started = Instant::now();
-    let cases = corpus(opts.seed, opts.cases);
-    let (cfg, kernels) = (DiffConfig::default(), Kernels::default());
-    let mut failures = 0;
-    for case in &cases {
+    let (cfg, kernels, laws) = (DiffConfig::default(), Kernels::default(), all_laws());
+    let (mut cases, mut failures, mut violations) = (0, 0, 0);
+    let (mut diff_time, mut law_time) = (Duration::ZERO, Duration::ZERO);
+    for case in corpus(opts.seed, opts.cases) {
+        let t0 = Instant::now();
         if let Some(d) = diff::run_case(&case.name, &case.trace, &cfg, &kernels) {
             report_divergence(&d, &opts.repro_dir);
             failures += 1;
         }
+        diff_time += t0.elapsed();
+        let t0 = Instant::now();
+        violations += law_violations(&laws, &case);
+        law_time += t0.elapsed();
+        cases += 1;
     }
     note(format_args!(
-        "[differential: {} cases x 7 suites, {} divergences, {:.1}s]",
-        cases.len(),
-        failures,
-        started.elapsed().as_secs_f64()
+        "[differential: {cases} cases x 7 suites, {failures} divergences, {:.1}s]",
+        diff_time.as_secs_f64()
     ));
-
-    let law_started = Instant::now();
-    failures += run_laws(&cases);
     note(format_args!(
-        "[laws: {} laws x {} cases, {:.1}s]",
-        all_laws().len(),
-        cases.len(),
-        law_started.elapsed().as_secs_f64()
+        "[laws: {} laws x {cases} cases, {:.1}s]",
+        laws.len(),
+        law_time.as_secs_f64()
     ));
+    failures += violations;
 
     if opts.skip_goldens {
         note("[goldens: skipped]");
@@ -262,9 +246,8 @@ fn sweep(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
     }
     writeln!(
         out,
-        "sweep OK: {} cases, {} laws, goldens {} ({:.1}s)",
-        cases.len(),
-        all_laws().len(),
+        "sweep OK: {cases} cases, {} laws, goldens {} ({:.1}s)",
+        laws.len(),
         if opts.skip_goldens {
             "skipped"
         } else {
@@ -313,18 +296,17 @@ fn diff_files(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
 }
 
 fn laws(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
-    let cases = corpus(opts.seed, opts.cases);
-    let violations = run_laws(&cases);
+    let laws = all_laws();
+    let (mut cases, mut violations) = (0, 0);
+    for case in corpus(opts.seed, opts.cases) {
+        violations += law_violations(&laws, &case);
+        cases += 1;
+    }
     if violations > 0 {
         note(format_args!("laws FAILED: {violations} violation(s)"));
         return Err(RunError::Failed(String::new()));
     }
-    writeln!(
-        out,
-        "laws OK: {} laws x {} cases",
-        all_laws().len(),
-        cases.len()
-    )?;
+    writeln!(out, "laws OK: {} laws x {cases} cases", laws.len())?;
     Ok(())
 }
 
@@ -334,8 +316,8 @@ fn gen(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
     };
     std::fs::create_dir_all(dir)
         .map_err(|e| RunError::Failed(format!("cannot create {}: {e}", dir.display())))?;
-    let cases = corpus(opts.seed, opts.cases);
-    for case in &cases {
+    let mut cases = 0;
+    for case in corpus(opts.seed, opts.cases) {
         let path = dir.join(format!("{}.bpt", case.name));
         std::fs::File::create(&path)
             .map_err(|e| e.to_string())
@@ -343,8 +325,9 @@ fn gen(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
                 bp_trace::io::write_trace(&mut f, &case.trace).map_err(|e| e.to_string())
             })
             .map_err(|e| RunError::Failed(format!("cannot write {}: {e}", path.display())))?;
+        cases += 1;
     }
-    writeln!(out, "wrote {} traces to {}", cases.len(), dir.display())?;
+    writeln!(out, "wrote {cases} traces to {}", dir.display())?;
     Ok(())
 }
 
@@ -382,7 +365,7 @@ fn buggy_sweep(trace: &Trace, windows: &[usize], caps: &[usize], idx: usize) -> 
 
 /// Proves the harness catches deliberately injected kernel bugs.
 fn selftest(out: &mut dyn Write) -> Result<(), RunError> {
-    let cases = corpus(0xC0F0, 20);
+    let cases: Vec<NamedTrace> = corpus(0xC0F0, 20).collect();
     let cfg = DiffConfig::default();
     let clean = Kernels::default();
 

@@ -261,15 +261,16 @@ pub fn random_specs(seed: u64, count: usize) -> Vec<TraceSpec> {
 /// The adversarial corpus: every canned case, then random compositions
 /// up to `cases` total (seeded, fully deterministic). The canned cases
 /// are always included, so fewer than their count still yields them all.
-pub fn corpus(seed: u64, cases: usize) -> Vec<NamedTrace> {
-    let mut out = canned_cases();
+/// Each random case is built when the iterator reaches it, so a caller
+/// that drops each case before taking the next holds one random trace
+/// at a time, beside the fixed canned set.
+pub fn corpus(seed: u64, cases: usize) -> impl Iterator<Item = NamedTrace> {
+    let canned = canned_cases();
+    let random = cases.saturating_sub(canned.len());
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut idx = 0;
-    while out.len() < cases {
-        out.push(random_case(&mut rng, idx));
-        idx += 1;
-    }
-    out
+    canned
+        .into_iter()
+        .chain((0..random).map(move |idx| random_case(&mut rng, idx)))
 }
 
 #[cfg(test)]
@@ -278,14 +279,14 @@ mod tests {
 
     #[test]
     fn corpus_is_deterministic_and_named() {
-        let a = corpus(9, 24);
-        let b = corpus(9, 24);
+        let a: Vec<NamedTrace> = corpus(9, 24).collect();
+        let b: Vec<NamedTrace> = corpus(9, 24).collect();
         assert_eq!(a.len(), 24);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.name, y.name);
             assert_eq!(x.trace.records(), y.trace.records());
         }
-        let c = corpus(10, 24);
+        let c: Vec<NamedTrace> = corpus(10, 24).collect();
         assert!(
             a.iter()
                 .zip(&c)
@@ -296,7 +297,7 @@ mod tests {
 
     #[test]
     fn canned_cases_are_fourteen_and_stable() {
-        let canned = corpus(0, 0);
+        let canned: Vec<NamedTrace> = corpus(0, 0).collect();
         assert_eq!(canned.len(), 14);
         let names: Vec<&str> = canned.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(

@@ -84,14 +84,46 @@ fn gen_then_diff_roundtrips_through_bpt_files() {
 
 #[test]
 fn unknown_command_and_bad_options_fail() {
-    assert!(!bin().arg("frobnicate").output().unwrap().status.success());
-    assert!(!bin()
-        .args(["sweep", "--budget", "soon"])
-        .output()
-        .unwrap()
-        .status
-        .success());
-    assert!(!bin().args(["diff"]).output().unwrap().status.success());
+    // A flag's value may not be the next flag, and a command refuses the
+    // options it does not read; neither may write a file.
+    for (args, why) in [
+        (&["frobnicate"][..], "unknown command: frobnicate"),
+        (
+            &["sweep", "--budget", "soon"],
+            r#"--budget needs a duration such as 60s or 500ms, got "soon""#,
+        ),
+        (&["diff"], "diff needs at least one .bpt file"),
+        (
+            &["gen", "--cases", "2", "--out", "--seed"],
+            r#"--out needs a value, got "--seed""#,
+        ),
+        (
+            &[
+                "laws",
+                "--cases",
+                "1",
+                "--budget",
+                "1s",
+                "--out",
+                "x",
+                "--skip-goldens",
+                "--repro-dir",
+                "y",
+            ],
+            "laws does not take --budget",
+        ),
+    ] {
+        let dir = temp_dir("usage");
+        let out = bin().args(args).current_dir(&dir).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(&format!("error: {why}\n")), "{args:?}: {err}");
+        assert!(err.contains("usage: bp-conformance"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing runs");
+        let made = std::fs::read_dir(&dir).unwrap().count();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(made, 0, "{args:?} wrote a file");
+    }
 }
 
 /// Off-by-one injected at the library level: the harness must catch it,
@@ -113,7 +145,6 @@ fn injected_scorer_bug_yields_minimized_reproducer() {
     };
     let cfg = DiffConfig::default();
     let divergence = corpus(9, 13)
-        .iter()
         .find_map(|case| run_case(&case.name, &case.trace, &cfg, &kernels))
         .expect("injected oracle bug must be caught on the canned corpus");
     assert_eq!(divergence.suite, "oracle");

@@ -46,7 +46,7 @@ fn canned_cases_fingerprints_are_unchanged_by_the_relocation() {
         ("correlated-copy", 0x57aa0d2b413ca0e5),
         ("calls-jumps-returns", 0x4d4629a1cb4d6f05),
     ];
-    let canned = corpus(0, 0);
+    let canned: Vec<_> = corpus(0, 0).collect();
     assert_eq!(canned.len(), expected.len());
     for (case, &(name, fp)) in canned.iter().zip(expected) {
         assert_eq!(case.name, name);

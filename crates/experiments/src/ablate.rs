@@ -10,11 +10,9 @@ use std::io::Write;
 
 use bp_core::{OracleConfig, OracleSelector, OutcomeMatrix, SearchStrategy, TagCandidates};
 use bp_predictors::{simulate, Gshare, Hybrid, Pas, SaturatingCounter};
-use bp_trace::cli::RunError;
+use bp_trace::cli::{Flags, RunError, SEED, TARGET};
 use bp_trace::TagScheme;
 use bp_workloads::{Benchmark, WorkloadConfig};
-
-use crate::cli::workload_flag;
 
 /// The usage text `ablate` prints with a command-line error or `--help`.
 pub fn usage() -> String {
@@ -28,17 +26,12 @@ pub struct Options(WorkloadConfig);
 impl Options {
     /// Parses `ablate`'s arguments (without the program name).
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, RunError> {
-        let mut cfg = WorkloadConfig::default().with_target(60_000);
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            if arg == "--help" || arg == "-h" {
-                return Err(RunError::Help);
-            }
-            if !workload_flag(&arg, &mut args, &mut cfg).map_err(RunError::Usage)? {
-                return Err(RunError::Usage(format!("unknown argument {arg}")));
-            }
-        }
-        Ok(Options(cfg))
+        let flags = Flags::parse(args, &[TARGET, SEED])?;
+        flags.words(0)?;
+        Ok(Options(WorkloadConfig {
+            seed: flags.seed()?.unwrap_or(WorkloadConfig::default().seed),
+            target_branches: flags.target()?.unwrap_or(60_000),
+        }))
     }
 }
 

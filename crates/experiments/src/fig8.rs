@@ -3,29 +3,22 @@
 //! selective history), the per-address class predictors of §4.1, or an
 //! ideal static predictor — weighted by execution frequency.
 
-use bp_core::{best_of, per_branch_max, BestOfDistribution, Contender, IDEAL_STATIC_NAME};
-use bp_workloads::Benchmark;
+use bp_core::{best_of, per_branch_max, Contender};
 
-use crate::render::{pct0, Table};
+use crate::fig7::{Labels, Result, Row};
 use crate::{Engine, ExperimentConfig};
 
-/// One benchmark's best-of distribution.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// Distribution over {global, per-address, ideal-static}.
-    pub dist: BestOfDistribution,
-}
+const LABELS: Labels = Labels {
+    title:
+        "Figure 8: best of global correlation / per-address / ideal static (% of dynamic branches)",
+    contenders: [
+        ("global", "Global Best", "global"),
+        ("per-address", "Per-Address Best", "per-address"),
+    ],
+};
 
-/// Full figure 8 result.
-#[derive(Debug, Clone)]
-pub struct Result {
-    /// One row per benchmark, in [`Benchmark::ALL`] order.
-    pub rows: Vec<Row>,
-}
-
-/// Runs the figure 8 experiment.
+/// Runs the figure 8 experiment. Its [`Result::means`] are global /
+/// per-address / static, which the paper quotes as 38% / 22% / 40%.
 pub fn run(cfg: &ExperimentConfig, engine: &Engine) -> Result {
     let rows = engine.for_each_benchmark(|benchmark| {
         let profile = engine.profile(benchmark);
@@ -49,76 +42,9 @@ pub fn run(cfg: &ExperimentConfig, engine: &Engine) -> Result {
         );
         Row { benchmark, dist }
     });
-    Result { rows }
-}
-
-impl Result {
-    /// Mean fractions across benchmarks: (global, per-address, ideal
-    /// static) — the paper quotes 38% / 22% / 40%.
-    pub fn means(&self) -> (f64, f64, f64) {
-        let n = self.rows.len().max(1) as f64;
-        let g: f64 = self.rows.iter().map(|r| r.dist.fraction("global")).sum();
-        let p: f64 = self
-            .rows
-            .iter()
-            .map(|r| r.dist.fraction("per-address"))
-            .sum();
-        let s: f64 = self
-            .rows
-            .iter()
-            .map(|r| r.dist.fraction(IDEAL_STATIC_NAME))
-            .sum();
-        (g / n, p / n, s / n)
-    }
-}
-
-impl std::fmt::Display for Result {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut t = Table::new(
-            "Figure 8: best of global correlation / per-address / ideal static (% of dynamic branches)",
-            &[
-                "benchmark",
-                "Global Best",
-                "Ideal Static Best",
-                "Per-Address Best",
-                ">99% biased (of static)",
-            ],
-        );
-        for row in &self.rows {
-            t.row(vec![
-                row.benchmark.short_name().to_owned(),
-                pct0(row.dist.fraction("global")),
-                pct0(row.dist.fraction(IDEAL_STATIC_NAME)),
-                pct0(row.dist.fraction("per-address")),
-                pct0(row.dist.static_bias_fraction()),
-            ]);
-        }
-        let (g, p, s) = self.means();
-        t.row(vec![
-            "mean".to_owned(),
-            pct0(g),
-            pct0(s),
-            pct0(p),
-            String::new(),
-        ]);
-        t.fmt(f)?;
-        writeln!(
-            f,
-            "\n(G=global best, S=ideal static best, P=per-address best)"
-        )?;
-        for row in &self.rows {
-            let segments = [
-                ('G', row.dist.fraction("global")),
-                ('S', row.dist.fraction(IDEAL_STATIC_NAME)),
-                ('P', row.dist.fraction("per-address")),
-            ];
-            writeln!(
-                f,
-                "{}",
-                crate::render::stacked_bar(row.benchmark.short_name(), &segments, 50)
-            )?;
-        }
-        Ok(())
+    Result {
+        labels: &LABELS,
+        rows,
     }
 }
 

@@ -43,7 +43,6 @@
 pub mod ablate;
 pub mod artifacts;
 pub mod charact;
-pub mod cli;
 pub mod engine;
 pub mod ext_adaptivity;
 pub mod ext_distance;

@@ -26,9 +26,8 @@ use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
 
-use bp_trace::cli::{note, RunError};
+use bp_trace::cli::{default_jobs, note, Flag, Flags, RunError, JOBS, SEED, TARGET};
 
-use crate::cli::{default_jobs, workload_flag};
 use crate::{evaluation_order, run_experiment, Engine, ExperimentConfig, TraceSet, EXPERIMENT_IDS};
 
 /// The usage text `repro` prints with a command-line error or `--help`.
@@ -51,54 +50,44 @@ pub struct Options {
 }
 
 impl Options {
-    /// Parses `repro`'s arguments (without the program name). Every
-    /// experiment id is checked here, so a run never starts on a typo.
+    /// Parses `repro`'s arguments (without the program name). `--quick`
+    /// sets the base configuration that `--seed` and `--target` override,
+    /// whatever their order. Every experiment id is checked here, so a
+    /// run never starts on a typo.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, RunError> {
-        let mut opts = Options {
-            cfg: ExperimentConfig::default(),
-            ids: Vec::new(),
-            timings: None,
-            jobs: default_jobs(),
-            bare: false,
+        const FLAGS: &[Flag] = &[
+            Flag::switch("--quick"),
+            SEED,
+            TARGET,
+            JOBS,
+            Flag::value("--timings"),
+            Flag::switch("--bare"),
+        ];
+        let flags = Flags::parse(args, FLAGS)?;
+        let mut cfg = if flags.switch("--quick") {
+            ExperimentConfig::quick()
+        } else {
+            ExperimentConfig::default()
         };
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            if workload_flag(&arg, &mut args, &mut opts.cfg.workload).map_err(RunError::Usage)? {
-                continue;
-            }
-            let missing = |why: &str| RunError::Usage(why.to_owned());
-            match arg.as_str() {
-                "--quick" => opts.cfg = ExperimentConfig::quick(),
-                "--jobs" => match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => opts.jobs = n,
-                    _ => return Err(missing("--jobs needs a worker count of at least 1")),
-                },
-                "--timings" => {
-                    let path = args.next().ok_or(missing("--timings needs a file path"))?;
-                    opts.timings = Some(path);
-                }
-                "--bare" => opts.bare = true,
-                "--help" | "-h" => return Err(RunError::Help),
-                flag if flag.starts_with('-') => {
-                    return Err(RunError::Usage(format!("unknown argument {flag}")))
-                }
-                id => opts.ids.push(id.to_owned()),
-            }
+        cfg.workload.seed = flags.seed()?.unwrap_or(cfg.workload.seed);
+        cfg.workload.target_branches = flags.target()?.unwrap_or(cfg.workload.target_branches);
+        let mut ids = flags.words(usize::MAX)?.to_vec();
+        if ids.iter().any(|i| i == "all") {
+            ids = EXPERIMENT_IDS.iter().map(|s| (*s).to_owned()).collect();
         }
-        if opts.ids.iter().any(|i| i == "all") {
-            opts.ids = EXPERIMENT_IDS.iter().map(|s| (*s).to_owned()).collect();
-        }
-        if opts.ids.is_empty() {
+        if ids.is_empty() {
             return Err(RunError::Usage(String::new()));
         }
-        if let Some(id) = opts
-            .ids
-            .iter()
-            .find(|id| !EXPERIMENT_IDS.contains(&id.as_str()))
-        {
+        if let Some(id) = ids.iter().find(|id| !EXPERIMENT_IDS.contains(&id.as_str())) {
             return Err(RunError::Usage(format!("unknown experiment: {id}")));
         }
-        Ok(opts)
+        Ok(Options {
+            cfg,
+            ids,
+            timings: flags.text("--timings").map(String::from),
+            jobs: flags.jobs()?.unwrap_or_else(default_jobs),
+            bare: flags.switch("--bare"),
+        })
     }
 }
 

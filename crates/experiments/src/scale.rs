@@ -32,12 +32,11 @@ use std::io::Write;
 use std::time::Instant;
 
 use bp_core::{ClassifierConfig, OracleConfig, PaClass};
-use bp_trace::cli::{note, RunError};
+use bp_trace::cli::{default_jobs, note, Flag, Flags, RunError, JOBS, SEED, TARGET};
 use bp_trace::PathWindow;
 use bp_workloads::{Benchmark, WorkloadConfig};
 
 use crate::artifacts::ArtifactStore;
-use crate::cli::{default_jobs, workload_flag};
 use crate::{Engine, TraceSet};
 
 /// The usage text `scale` prints with a command-line error or `--help`.
@@ -66,59 +65,41 @@ impl Options {
     /// size memory (`--oracle-window`, `--jobs`) are bounded here, before
     /// anything runs.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, RunError> {
-        let mut opts = Options {
-            bench: Benchmark::M88ksim,
-            cfg: WorkloadConfig::default().with_target(10_000_000),
-            artifacts_dir: None,
-            jobs: default_jobs(),
-            skip_oracle: false,
-            oracle: OracleConfig::default(),
-        };
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            if workload_flag(&arg, &mut args, &mut opts.cfg).map_err(RunError::Usage)? {
-                continue;
-            }
-            let bad = |why: String| Err(RunError::Usage(why));
-            match arg.as_str() {
-                "--bench" => {
-                    let Some(name) = args.next() else {
-                        return bad("--bench needs a benchmark name".into());
-                    };
-                    match Benchmark::parse(&name) {
-                        Some(b) => opts.bench = b,
-                        None => return bad(format!("unknown benchmark '{name}'")),
-                    }
-                }
-                "--artifacts" => match args.next() {
-                    Some(dir) => opts.artifacts_dir = Some(dir),
-                    None => return bad("--artifacts needs a directory".into()),
-                },
-                "--jobs" => match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => opts.jobs = n,
-                    _ => return bad("--jobs needs a positive thread count".into()),
-                },
-                "--skip-oracle" => opts.skip_oracle = true,
-                "--oracle-window" => match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if (1..=PathWindow::MAX_CAPACITY).contains(&n) => {
-                        opts.oracle.window = n
-                    }
-                    _ => {
-                        return bad(format!(
-                            "--oracle-window needs a length in 1..={}",
-                            PathWindow::MAX_CAPACITY
-                        ))
-                    }
-                },
-                "--oracle-cap" => match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => opts.oracle.candidate_cap = n,
-                    _ => return bad("--oracle-cap needs a positive candidate count".into()),
-                },
-                "--help" | "-h" => return Err(RunError::Help),
-                other => return bad(format!("unknown argument '{other}'")),
-            }
-        }
-        Ok(opts)
+        const FLAGS: &[Flag] = &[
+            Flag::value("--bench"),
+            TARGET,
+            SEED,
+            Flag::value("--artifacts"),
+            JOBS,
+            Flag::switch("--skip-oracle"),
+            Flag::value("--oracle-window"),
+            Flag::value("--oracle-cap"),
+        ];
+        let flags = Flags::parse(args, FLAGS)?;
+        flags.words(0)?;
+        let defaults = WorkloadConfig::default();
+        let mut oracle = OracleConfig::default();
+        let max_window = PathWindow::MAX_CAPACITY;
+        let window_needs = format!("a length in 1..={max_window}");
+        let window = flags.value("--oracle-window", &window_needs, |n| {
+            (1..=max_window).contains(n)
+        })?;
+        oracle.window = window.unwrap_or(oracle.window);
+        let cap = flags.value("--oracle-cap", "a positive candidate count", |&n| n >= 1)?;
+        oracle.candidate_cap = cap.unwrap_or(oracle.candidate_cap);
+        Ok(Options {
+            bench: flags
+                .get("--bench", "a benchmark name", Benchmark::parse)?
+                .unwrap_or(Benchmark::M88ksim),
+            cfg: WorkloadConfig {
+                seed: flags.seed()?.unwrap_or(defaults.seed),
+                target_branches: flags.target()?.unwrap_or(10_000_000),
+            },
+            artifacts_dir: flags.text("--artifacts").map(String::from),
+            jobs: flags.jobs()?.unwrap_or_else(default_jobs),
+            skip_oracle: flags.switch("--skip-oracle"),
+            oracle,
+        })
     }
 }
 

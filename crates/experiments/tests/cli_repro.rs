@@ -33,18 +33,40 @@ fn table1_runs_and_prints_all_benchmarks() {
 fn unknown_experiment_fails_with_usage() {
     // Each flag here was one once: trace residency is no longer a
     // choice, and the quick golden is plain text that a diff checks.
-    for (arg, why) in [
-        ("table99", "unknown experiment: table99"),
-        ("--stream", "unknown argument --stream"),
-        ("--verify-goldens", "unknown argument --verify-goldens"),
-        ("--write-goldens", "unknown argument --write-goldens"),
-        ("--goldens", "unknown argument --goldens"),
+    // A flag's value may not be the next flag: `--bare` is no file name.
+    for (args, why) in [
+        (&["table99", "fig4"][..], "unknown experiment: table99"),
+        (&["--stream", "fig4"], "unknown argument --stream"),
+        (
+            &["--verify-goldens", "fig4"],
+            "unknown argument --verify-goldens",
+        ),
+        (
+            &["--write-goldens", "fig4"],
+            "unknown argument --write-goldens",
+        ),
+        (&["--goldens", "fig4"], "unknown argument --goldens"),
+        (
+            &["--timings", "--bare", "--target", "1000", "table1"],
+            r#"--timings needs a value, got "--bare""#,
+        ),
     ] {
-        let out = repro().args([arg, "fig4"]).output().expect("run repro");
-        assert_eq!(out.status.code(), Some(1), "{arg}");
+        let dir = std::env::temp_dir().join(format!("repro-usage-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create a scratch dir");
+        let out = repro()
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("run repro");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(&format!("error: {why}\n")), "{err}");
         assert!(err.contains("usage:"), "{err}");
+        let made = std::fs::read_dir(&dir)
+            .expect("list the scratch dir")
+            .count();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(made, 0, "{args:?} wrote a file");
     }
 }
 
@@ -57,15 +79,23 @@ fn no_arguments_fails_with_usage() {
 
 #[test]
 fn seed_flag_changes_results() {
-    let run = |seed: &str| {
-        let out = repro()
-            .args(["--target", "2000", "--seed", seed, "table1"])
-            .output()
-            .expect("run repro");
-        assert!(out.status.success());
+    let run = |args: &[&str]| {
+        let out = repro().args(args).output().expect("run repro");
+        assert!(out.status.success(), "{args:?}: {out:?}");
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
-    assert_ne!(run("1"), run("2"));
+    assert_ne!(
+        run(&["--target", "2000", "--seed", "1", "table1"]),
+        run(&["--target", "2000", "--seed", "2", "table1"])
+    );
+    // `--quick` sets the base that `--seed` overrides, whatever their order.
+    for args in [
+        ["--seed", "7", "--quick", "table1"],
+        ["--quick", "--seed", "7", "table1"],
+    ] {
+        let header = "# Reproduction run: seed=7 target=40000 branches/benchmark\n";
+        assert!(run(&args).starts_with(header), "{args:?}");
+    }
 }
 
 #[test]

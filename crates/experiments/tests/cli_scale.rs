@@ -25,10 +25,8 @@ fn oracle_window_beyond_the_largest_path_window_is_a_usage_error() {
             .expect("run scale");
         assert_eq!(out.status.code(), Some(1), "--oracle-window {window}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            err.contains("error: --oracle-window needs a length in 1..=65536"),
-            "{err}"
-        );
+        let why = format!("error: --oracle-window needs a length in 1..=65536, got {window:?}\n");
+        assert!(err.contains(&why), "{err}");
         assert!(err.contains("usage: scale"), "{err}");
         assert!(!err.contains("panicked"), "{err}");
         assert!(out.stdout.is_empty(), "nothing runs before the flags parse");
@@ -37,16 +35,36 @@ fn oracle_window_beyond_the_largest_path_window_is_a_usage_error() {
 
 #[test]
 fn a_missing_or_unknown_benchmark_is_named() {
+    // A flag's value may not be the next flag: `--skip-oracle` is no
+    // artifact directory, and no store may appear under that name.
     for (args, why) in [
-        (&["--bench"][..], "error: --bench needs a benchmark name\n"),
-        (&["--bench", "gcc2"], "error: unknown benchmark 'gcc2'\n"),
+        (&["--bench"][..], "error: --bench needs a value\n"),
+        (
+            &["--bench", "gcc2"],
+            "error: --bench needs a benchmark name, got \"gcc2\"\n",
+        ),
+        (
+            &["--artifacts", "--skip-oracle", "--target", "1000"],
+            "error: --artifacts needs a value, got \"--skip-oracle\"\n",
+        ),
     ] {
-        let out = scale().args(args).output().expect("run scale");
+        let dir = std::env::temp_dir().join(format!("scale-usage-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create a scratch dir");
+        let out = scale()
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("run scale");
         assert_eq!(out.status.code(), Some(1), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(why), "{err}");
         assert!(err.contains("usage: scale"), "{err}");
         assert!(out.stdout.is_empty(), "nothing runs before the flags parse");
+        let made = std::fs::read_dir(&dir)
+            .expect("list the scratch dir")
+            .count();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(made, 0, "{args:?} wrote a file");
     }
 }
 
@@ -58,7 +76,7 @@ fn materialized_is_an_unknown_argument() {
         let out = scale().args(args).output().expect("run scale");
         assert_eq!(out.status.code(), Some(1), "{out:?}");
         let err = String::from_utf8_lossy(&out.stderr);
-        let why = format!("unknown argument '{}'", args[0]);
+        let why = format!("error: unknown argument {}\n", args[0]);
         assert!(err.contains(&why), "{err}");
         assert!(out.stdout.is_empty(), "nothing runs before the flags parse");
     }

@@ -27,8 +27,7 @@
 
 use std::io::Write;
 
-use bp_experiments::cli::default_jobs;
-use bp_trace::cli::{note, RunError};
+use bp_trace::cli::{default_jobs, note, Flag, Flags, RunError, JOBS, SEED};
 
 use crate::{parse_grid, run_probes, BaseOutcomes, ProbeKind, ReportConfig, MAX_PROBE_RECORDS};
 
@@ -54,16 +53,10 @@ pub fn usage() -> String {
     )
 }
 
-/// Parses a `LABEL=VALUE` cliff assertion given to `flag`.
-fn assertion(flag: &str, spec: Option<String>) -> Result<(String, usize), RunError> {
-    let spec = spec.ok_or_else(|| RunError::Usage(format!("{flag} needs LABEL=VALUE")))?;
-    let (label, value) = spec
-        .rsplit_once('=')
-        .ok_or_else(|| RunError::Usage(format!("{flag} needs LABEL=VALUE")))?;
-    let value = value
-        .parse()
-        .map_err(|_| RunError::Usage(format!("bad {flag} value in '{spec}'")))?;
-    Ok((label.to_owned(), value))
+/// Reads a `LABEL=VALUE` cliff assertion.
+fn assertion(spec: &str) -> Option<(String, usize)> {
+    let (label, value) = spec.rsplit_once('=')?;
+    Some((label.to_owned(), value.parse().ok()?))
 }
 
 /// A parsed `bp-probe sweep` command line.
@@ -71,26 +64,35 @@ fn assertion(flag: &str, spec: Option<String>) -> Result<(String, usize), RunErr
 pub struct Options {
     kinds: Vec<ProbeKind>,
     cfg: ReportConfig,
-    asserts: Vec<(String, usize)>,
-    asserts_gt: Vec<(String, usize)>,
+    /// Each `--assert` (`false`), then each `--assert-gt` (`true`).
+    asserts: Vec<(String, usize, bool)>,
 }
 
 impl Options {
     /// Parses `bp-probe`'s arguments (without the program name). Every
     /// bound on memory is checked here, so a run never allocates past it.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, RunError> {
-        let mut args = args.into_iter();
-        match args.next().as_deref() {
-            Some("sweep") => {}
-            Some("--help" | "-h") => return Err(RunError::Help),
-            other => {
-                return Err(RunError::Usage(format!(
-                    "expected the 'sweep' subcommand, got {other:?}"
-                )))
-            }
+        const FLAGS: &[Flag] = &[
+            Flag::value("--rounds"),
+            SEED,
+            Flag::value("--base"),
+            Flag::value("--grid"),
+            JOBS,
+            Flag::value("--min-drop"),
+            Flag::value("--gshare-bits"),
+            Flag::value("--pas-history"),
+            Flag::value("--assert"),
+            Flag::value("--assert-gt"),
+        ];
+        let flags = Flags::parse(args, FLAGS)?;
+        let words = flags.words(2)?;
+        let word = |i: usize| words.get(i).map(String::as_str);
+        if word(0) != Some("sweep") {
+            let why = format!("expected the 'sweep' subcommand, got {:?}", word(0));
+            return Err(RunError::Usage(why));
         }
         use ProbeKind::{Aliasing, HistoryLoop, PaddingGlobal, PaddingLocal};
-        let kinds = match args.next().as_deref() {
+        let kinds = match word(1) {
             Some("padding") => vec![PaddingGlobal, PaddingLocal],
             Some("history") => vec![HistoryLoop],
             Some("aliasing") => vec![Aliasing],
@@ -102,66 +104,45 @@ impl Options {
         };
 
         let mut cfg = ReportConfig::default();
-        cfg.sweep.jobs = default_jobs();
-        let mut grid_override: Option<Vec<usize>> = None;
-        let mut asserts: Vec<(String, usize)> = Vec::new();
-        let mut asserts_gt: Vec<(String, usize)> = Vec::new();
-        let bad = |why: String| Err(RunError::Usage(why));
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--rounds" => match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => cfg.sweep.rounds = n,
-                    _ => return bad("--rounds needs a positive count".into()),
-                },
-                "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => cfg.sweep.seed = n,
-                    None => return bad("--seed needs an unsigned integer".into()),
-                },
-                "--base" => match args.next().as_deref().and_then(BaseOutcomes::parse) {
-                    Some(b) => cfg.sweep.base = b,
-                    None => return bad("--base needs 'pattern' or 'random'".into()),
-                },
-                "--grid" => match args.next().map(|v| parse_grid(&v)) {
-                    Some(Ok(grid)) => grid_override = Some(grid),
-                    Some(Err(e)) => return bad(e),
-                    None => return bad("--grid needs A..B or A..B:STEP".into()),
-                },
-                "--jobs" => match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => cfg.sweep.jobs = n,
-                    _ => return bad("--jobs needs a positive thread count".into()),
-                },
-                "--min-drop" => match args.next().and_then(|v| v.parse().ok()) {
-                    Some(f) if f > 0.0 => cfg.sweep.min_drop = f,
-                    _ => return bad("--min-drop needs a positive percentage-point value".into()),
-                },
-                "--gshare-bits" => match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if (1..=MAX_GSHARE_BITS).contains(&n) => cfg.zoo.gshare_bits = n,
-                    _ => {
-                        return bad(format!(
-                            "--gshare-bits needs a history length in 1..={MAX_GSHARE_BITS}"
-                        ))
-                    }
-                },
-                "--pas-history" => match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if (1..=MAX_PAS_HISTORY).contains(&n) => {
-                        cfg.zoo.pas_bits.0 = n;
-                        cfg.zoo.if_pas_bits = n;
-                    }
-                    _ => {
-                        return bad(format!(
-                            "--pas-history needs a history length in 1..={MAX_PAS_HISTORY}"
-                        ))
-                    }
-                },
-                "--assert" => asserts.push(assertion("--assert", args.next())?),
-                "--assert-gt" => asserts_gt.push(assertion("--assert-gt", args.next())?),
-                "--help" | "-h" => return Err(RunError::Help),
-                other => return bad(format!("unknown argument '{other}'")),
-            }
+        let sweep = &mut cfg.sweep;
+        sweep.rounds = flags
+            .value("--rounds", "a positive count", |&n| n >= 1)?
+            .unwrap_or(sweep.rounds);
+        sweep.seed = flags.seed()?.unwrap_or(sweep.seed);
+        let base = flags.get("--base", "'pattern' or 'random'", BaseOutcomes::parse)?;
+        sweep.base = base.unwrap_or(sweep.base);
+        sweep.jobs = flags.jobs()?.unwrap_or_else(default_jobs);
+        let min_drop = flags.value("--min-drop", "a positive percentage-point value", |&f| {
+            f > 0.0
+        })?;
+        sweep.min_drop = min_drop.unwrap_or(sweep.min_drop);
+        let history_length = |max: u32| format!("a history length in 1..={max}");
+        let gshare_bits = flags.value("--gshare-bits", &history_length(MAX_GSHARE_BITS), |n| {
+            (1..=MAX_GSHARE_BITS).contains(n)
+        })?;
+        cfg.zoo.gshare_bits = gshare_bits.unwrap_or(cfg.zoo.gshare_bits);
+        let pas_history = flags.value("--pas-history", &history_length(MAX_PAS_HISTORY), |n| {
+            (1..=MAX_PAS_HISTORY).contains(n)
+        })?;
+        if let Some(n) = pas_history {
+            cfg.zoo.pas_bits.0 = n;
+            cfg.zoo.if_pas_bits = n;
         }
-        if let Some(grid) = grid_override {
+        let mut asserts = Vec::new();
+        for (flag, beyond) in [("--assert", false), ("--assert-gt", true)] {
+            let specs = flags.all(flag, "LABEL=VALUE", assertion)?;
+            asserts.extend(
+                specs
+                    .into_iter()
+                    .map(|(label, value)| (label, value, beyond)),
+            );
+        }
+
+        let grid_needs = format!("A..B or A..B:STEP with A <= B <= {MAX_PROBE_RECORDS}, STEP >= 1");
+        if let Some(grid) = flags.get("--grid", &grid_needs, parse_grid)? {
             if kinds.len() > 1 && kinds.contains(&ProbeKind::HistoryLoop) {
-                return bad("--grid is ambiguous with 'all'; probe one family at a time".into());
+                let why = "--grid is ambiguous with 'all'; probe one family at a time";
+                return Err(RunError::Usage(why.into()));
             }
             for kind in &kinds {
                 match kind {
@@ -170,13 +151,13 @@ impl Options {
                     }
                     ProbeKind::HistoryLoop => {
                         if grid.first() == Some(&0) {
-                            return bad("history grid trips must be >= 1".into());
+                            return Err(RunError::Usage("history grid trips must be >= 1".into()));
                         }
                         cfg.history_grid = grid.clone();
                     }
                     ProbeKind::Aliasing => {
                         if grid.last().is_some_and(|&k| k > 28) {
-                            return bad("aliasing grid bits must be <= 28".into());
+                            return Err(RunError::Usage("aliasing grid bits must be <= 28".into()));
                         }
                         cfg.aliasing_grid = grid.clone();
                     }
@@ -191,18 +172,17 @@ impl Options {
             })
         });
         if let Some((kind, value, records)) = oversized {
-            return bad(format!(
+            return Err(RunError::Usage(format!(
                 "the {} probe at {}={value} would hold {records} records, over the \
                  {MAX_PROBE_RECORDS}-record cap (lower --rounds or --grid)",
                 kind.param_family(),
                 kind.param()
-            ));
+            )));
         }
         Ok(Options {
             kinds,
             cfg,
             asserts,
-            asserts_gt,
         })
     }
 }
@@ -216,18 +196,12 @@ pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), RunError> {
     out.flush()?;
 
     let mut failed = false;
-    for (label, value) in &opts.asserts {
-        match report.check_assertion(label, *value) {
-            Ok(()) => note(format_args!("assert ok: {label} cliff at {value}")),
-            Err(why) => {
-                note(format_args!("assert FAILED: {why}"));
-                failed = true;
+    for (label, value, beyond) in &opts.asserts {
+        match report.check_assertion(label, *value, *beyond) {
+            Ok(()) => {
+                let relation = if *beyond { "beyond" } else { "at" };
+                note(format_args!("assert ok: {label} cliff {relation} {value}"));
             }
-        }
-    }
-    for (label, value) in &opts.asserts_gt {
-        match report.check_assertion_exceeds(label, *value) {
-            Ok(()) => note(format_args!("assert ok: {label} cliff beyond {value}")),
             Err(why) => {
                 note(format_args!("assert FAILED: {why}"));
                 failed = true;

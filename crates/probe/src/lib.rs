@@ -155,14 +155,20 @@ impl ProbeReport {
         out
     }
 
-    /// Checks a `label=value` cliff assertion against every section that
-    /// probed `label`: at least one section must place the cliff at
-    /// exactly `value`, and no section may place it anywhere else.
+    /// Checks a cliff assertion against every section that probed
+    /// `label`: `--assert label=value` (`beyond` false) wants every
+    /// detected cliff exactly at `value`, `--assert-gt label=value`
+    /// (`beyond` true) strictly beyond it, the headroom form that pins a
+    /// modern predictor's recovered history capacity past a 1998
+    /// baseline's without hard-coding its exact cliff. At least one
+    /// section must have detected a cliff for `label`.
     ///
     /// # Errors
     ///
     /// A human-readable explanation of the first violated expectation.
-    pub fn check_assertion(&self, label: &str, value: usize) -> Result<(), String> {
+    pub fn check_assertion(&self, label: &str, value: usize, beyond: bool) -> Result<(), String> {
+        let holds = |at: usize| if beyond { at > value } else { at == value };
+        let (expected, relation) = if beyond { ("> ", "beyond") } else { ("", "at") };
         let mut hit = false;
         let mut seen = false;
         for section in &self.sections {
@@ -171,49 +177,11 @@ impl ProbeReport {
             };
             seen = true;
             if let Some(cliff) = section.cliffs[col] {
-                if cliff.at == value {
+                if holds(cliff.at) {
                     hit = true;
                 } else {
                     return Err(format!(
-                        "{}: {label} cliff at {} (expected {value})",
-                        section.result.kind.title(),
-                        cliff.at
-                    ));
-                }
-            }
-        }
-        if !seen {
-            return Err(format!("no probed predictor is labeled '{label}'"));
-        }
-        if !hit {
-            return Err(format!("no section detected a {label} cliff at {value}"));
-        }
-        Ok(())
-    }
-
-    /// Checks a `label>value` headroom assertion: every detected cliff
-    /// for `label` must sit strictly beyond `value`, and at least one
-    /// section must have detected one. Used to pin that a modern
-    /// predictor's recovered history capacity exceeds a 1998 baseline's
-    /// without hard-coding its exact cliff in the invocation.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable explanation of the first violated expectation.
-    pub fn check_assertion_exceeds(&self, label: &str, value: usize) -> Result<(), String> {
-        let mut hit = false;
-        let mut seen = false;
-        for section in &self.sections {
-            let Some(col) = section.result.labels.iter().position(|l| l == label) else {
-                continue;
-            };
-            seen = true;
-            if let Some(cliff) = section.cliffs[col] {
-                if cliff.at > value {
-                    hit = true;
-                } else {
-                    return Err(format!(
-                        "{}: {label} cliff at {} (expected > {value})",
+                        "{}: {label} cliff at {} (expected {expected}{value})",
                         section.result.kind.title(),
                         cliff.at
                     ));
@@ -225,7 +193,7 @@ impl ProbeReport {
         }
         if !hit {
             return Err(format!(
-                "no section detected a {label} cliff beyond {value}"
+                "no section detected a {label} cliff {relation} {value}"
             ));
         }
         Ok(())
@@ -274,20 +242,20 @@ mod tests {
         let cfg = tiny_config();
         let report = run_probes(&[ProbeKind::PaddingGlobal, ProbeKind::PaddingLocal], &cfg);
         report
-            .check_assertion("gshare(5)", 5)
+            .check_assertion("gshare(5)", 5, false)
             .expect("gshare cliff at h");
         report
-            .check_assertion("pas(4,6,2)", 4)
+            .check_assertion("pas(4,6,2)", 4, false)
             .expect("pas cliff at h");
-        assert!(report.check_assertion("gshare(5)", 7).is_err());
-        assert!(report.check_assertion("nonesuch", 1).is_err());
+        assert!(report.check_assertion("gshare(5)", 7, false).is_err());
+        assert!(report.check_assertion("nonesuch", 1, false).is_err());
         // The headroom form: perceptron(6) sees two branches past the
         // gshare(5) window, so its cliff sits strictly beyond 5.
         report
-            .check_assertion_exceeds("perceptron(6)", 5)
+            .check_assertion("perceptron(6)", 5, true)
             .expect("perceptron cliff beyond gshare's");
-        assert!(report.check_assertion_exceeds("perceptron(6)", 20).is_err());
-        assert!(report.check_assertion_exceeds("nonesuch", 1).is_err());
+        assert!(report.check_assertion("perceptron(6)", 20, true).is_err());
+        assert!(report.check_assertion("nonesuch", 1, true).is_err());
     }
 
     #[test]
@@ -298,7 +266,7 @@ mod tests {
         assert!(text.starts_with("# bp-probe: rounds=600"));
         assert!(text.contains("PC-aliasing sweep"));
         report
-            .check_assertion("smith(6)", 6)
+            .check_assertion("smith(6)", 6, false)
             .expect("smith cliff at index width");
     }
 }

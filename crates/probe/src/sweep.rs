@@ -218,33 +218,18 @@ pub fn run_sweep(
 /// is bounded separately.
 pub const MAX_PROBE_RECORDS: usize = 1 << 22;
 
-/// Parses a grid expression: `A..B` (inclusive) or `A..B:STEP`. An end
-/// beyond [`MAX_PROBE_RECORDS`] is rejected before the grid is built: no
-/// probe point that large fits under the record cap.
-pub fn parse_grid(s: &str) -> Result<Vec<usize>, String> {
+/// Parses a grid expression: `A..B` (inclusive) or `A..B:STEP`, with
+/// `A <= B` and a positive step. An end beyond [`MAX_PROBE_RECORDS`] is
+/// rejected before the grid is built: no probe point that large fits
+/// under the record cap.
+pub fn parse_grid(s: &str) -> Option<Vec<usize>> {
     let (range, step) = match s.split_once(':') {
-        Some((r, st)) => (
-            r,
-            st.parse::<usize>()
-                .map_err(|_| format!("bad grid step '{st}'"))?,
-        ),
+        Some((r, st)) => (r, st.parse::<usize>().ok()?),
         None => (s, 1),
     };
-    if step == 0 {
-        return Err("grid step must be positive".into());
-    }
-    let (a, b) = range
-        .split_once("..")
-        .ok_or_else(|| format!("bad grid '{s}' (want A..B or A..B:STEP)"))?;
-    let a: usize = a.parse().map_err(|_| format!("bad grid start '{a}'"))?;
-    let b: usize = b.parse().map_err(|_| format!("bad grid end '{b}'"))?;
-    if b < a {
-        return Err(format!("grid end {b} before start {a}"));
-    }
-    if b > MAX_PROBE_RECORDS {
-        return Err(format!("grid end {b} exceeds {MAX_PROBE_RECORDS}"));
-    }
-    Ok((a..=b).step_by(step).collect())
+    let (a, b) = range.split_once("..")?;
+    let (a, b): (usize, usize) = (a.parse().ok()?, b.parse().ok()?);
+    (step > 0 && a <= b && b <= MAX_PROBE_RECORDS).then(|| (a..=b).step_by(step).collect())
 }
 
 #[cfg(test)]
@@ -253,14 +238,13 @@ mod tests {
 
     #[test]
     fn grid_parses_ranges_and_steps() {
-        assert_eq!(parse_grid("0..4").unwrap(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(parse_grid("2..10:4").unwrap(), vec![2, 6, 10]);
-        assert!(parse_grid("5..1").is_err());
-        assert!(parse_grid("1..5:0").is_err());
-        assert!(parse_grid("nope").is_err());
-        assert!(parse_grid(&format!("0..{MAX_PROBE_RECORDS}")).is_ok());
-        let too_far = format!("0..{}", MAX_PROBE_RECORDS + 1);
-        assert!(parse_grid(&too_far).unwrap_err().contains("exceeds"));
+        assert_eq!(parse_grid("0..4"), Some(vec![0, 1, 2, 3, 4]));
+        assert_eq!(parse_grid("2..10:4"), Some(vec![2, 6, 10]));
+        assert_eq!(parse_grid("5..1"), None);
+        assert_eq!(parse_grid("1..5:0"), None);
+        assert_eq!(parse_grid("nope"), None);
+        assert!(parse_grid(&format!("0..{MAX_PROBE_RECORDS}")).is_some());
+        assert_eq!(parse_grid(&format!("0..{}", MAX_PROBE_RECORDS + 1)), None);
     }
 
     #[test]

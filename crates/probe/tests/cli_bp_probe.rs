@@ -29,19 +29,19 @@ fn oversized_geometries_and_traces_are_rejected_before_anything_runs() {
     for (args, message) in [
         (
             &["sweep", "padding", "--gshare-bits", "25"][..],
-            "error: --gshare-bits needs a history length in 1..=24",
+            "error: --gshare-bits needs a history length in 1..=24, got \"25\"\n",
         ),
         (
             &["sweep", "padding", "--gshare-bits", "28"],
-            "error: --gshare-bits needs a history length in 1..=24",
+            "error: --gshare-bits needs a history length in 1..=24, got \"28\"\n",
         ),
         (
             &["sweep", "padding", "--pas-history", "21"],
-            "error: --pas-history needs a history length in 1..=20",
+            "error: --pas-history needs a history length in 1..=20, got \"21\"\n",
         ),
         (
             &["sweep", "padding", "--pas-history", "28"],
-            "error: --pas-history needs a history length in 1..=20",
+            "error: --pas-history needs a history length in 1..=20, got \"28\"\n",
         ),
         (
             // 38 records per round at the default grid's 36 pads.
@@ -66,7 +66,8 @@ fn oversized_geometries_and_traces_are_rejected_before_anything_runs() {
         ),
         (
             &["sweep", "history", "--grid", "1..18446744073709551615"],
-            "error: grid end 18446744073709551615 exceeds 4194304",
+            "error: --grid needs A..B or A..B:STEP with A <= B <= 4194304, STEP >= 1, \
+             got \"1..18446744073709551615\"\n",
         ),
     ] {
         let out = bp_probe(args);

@@ -49,13 +49,13 @@ fn random_base_sweep_of_every_family_matches_the_committed_golden() {
 fn default_cliffs_land_at_the_configured_depths() {
     let report = run_probes(PADDING_KINDS, &ReportConfig::default());
     report
-        .check_assertion("gshare(16)", 16)
+        .check_assertion("gshare(16)", 16, false)
         .expect("gshare cliffs at its global history depth");
     report
-        .check_assertion("pas(12,10,4)", 12)
+        .check_assertion("pas(12,10,4)", 12, false)
         .expect("pas cliffs at its per-address history depth");
     report
-        .check_assertion("gas(12,4)", 12)
+        .check_assertion("gas(12,4)", 12, false)
         .expect("gas cliffs at its global history depth");
 }
 

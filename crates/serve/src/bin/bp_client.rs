@@ -35,7 +35,6 @@
 
 use std::io::Write;
 use std::process::ExitCode;
-use std::str::FromStr;
 use std::time::Duration;
 
 use bp_serve::stats::LatencySnapshot;
@@ -43,7 +42,7 @@ use bp_serve::{
     run_bench, BenchOptions, ChaosOptions, Client, ClientError, PredictorSpec, Response,
     RetryPolicy, ShardedClient, StatsSnapshot,
 };
-use bp_trace::cli::{finish, note, RunError};
+use bp_trace::cli::{finish, note, Flag, Flags, RunError, SEED, TARGET};
 use bp_trace::MAX_THREADS;
 use bp_workloads::WorkloadConfig;
 
@@ -56,126 +55,67 @@ const USAGE: &str = "usage: bp-client [--addr HOST:PORT]... <eval|trace|stats|pi
     \x20 idle --conns N [--hold-ms T]\n\
     \x20 retry (eval/bench): [--retries N] [--retry-base-ms T] [--retry-seed N]";
 
-struct Flags {
-    addrs: Vec<String>,
-    command: String,
-    positional: Vec<String>,
-    options: Vec<(String, Option<String>)>,
-}
+const ADDR: Flag = Flag::value("--addr");
+const DEADLINE: Flag = Flag::value("--deadline-ms");
+const RETRIES: Flag = Flag::value("--retries");
+const RETRY_BASE: Flag = Flag::value("--retry-base-ms");
+const RETRY_SEED: Flag = Flag::value("--retry-seed");
+const CONNS: Flag = Flag::value("--conns");
 
-/// The options `command` reads, space-separated; any other `--flag` is
-/// a usage error. `None` for an unknown command.
-fn known_options(command: &str) -> Option<&'static str> {
-    Some(match command {
-        "eval" => "seed target deadline-ms retries retry-base-ms retry-seed",
-        "trace" => "predictor bits history-bits deadline-ms",
-        "stats" | "shutdown" => "",
-        "ping" => "delay-ms",
-        "bench" => {
-            "conns requests experiment seed spread target rate deadline-ms json \
-             retries retry-base-ms retry-seed chaos-kill chaos-after-ms"
-        }
-        "idle" => "conns hold-ms",
-        _ => return None,
-    })
-}
-
-/// Parses the command line. `--help` is a help request; no command
-/// at all is a usage error with no message.
-fn parse_args() -> Result<Flags, RunError> {
-    let mut addrs = Vec::new();
-    let mut command = String::new();
-    let mut positional = Vec::new();
-    let mut options = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = || {
-            args.next()
-                .ok_or_else(|| RunError::Usage(format!("{arg} needs a value")))
-        };
-        if arg == "--addr" {
-            addrs.push(value()?);
-        } else if arg == "--help" || arg == "-h" {
-            return Err(RunError::Help);
-        } else if let Some(flag) = arg.strip_prefix("--") {
-            // Flags that take values vs booleans.
-            let value = match flag {
-                "json" => None,
-                _ => Some(value()?),
-            };
-            options.push((flag.to_owned(), value));
-        } else if command.is_empty() {
-            command = arg;
-        } else {
-            positional.push(arg);
-        }
-    }
-    if command.is_empty() {
-        return Err(RunError::Usage(String::new()));
-    }
-    if let Some(known) = known_options(&command) {
-        let unread = options
-            .iter()
-            .find(|(k, _)| !known.split_whitespace().any(|o| o == k));
-        if let Some((flag, _)) = unread {
-            return Err(RunError::Usage(format!("{command} does not take --{flag}")));
-        }
-    }
-    if addrs.is_empty() {
-        addrs.push("127.0.0.1:4098".to_owned());
-    }
-    Ok(Flags {
-        addrs,
-        command,
-        positional,
-        options,
-    })
-}
-
-fn opt<'a>(flags: &'a Flags, name: &str) -> Option<&'a str> {
-    flags
-        .options
-        .iter()
-        .find(|(k, _)| k == name)
-        .and_then(|(_, v)| v.as_deref())
-}
-
-/// The value of `--name` as a `T` that passes `ok`; anything else is a
-/// usage error naming the flag and what it `needs`.
-fn value_of<T: FromStr>(
-    flags: &Flags,
-    name: &str,
-    needs: &str,
-    ok: fn(&T) -> bool,
-) -> Result<Option<T>, RunError> {
-    let bad = |v: &str| RunError::Usage(format!("--{name} needs {needs}, got {v:?}"));
-    let parse = |v: &str| v.parse().ok().filter(ok).ok_or_else(|| bad(v));
-    opt(flags, name).map(parse).transpose()
-}
-
-/// The value of `--name` as an unsigned integer.
-fn opt_u64(flags: &Flags, name: &str) -> Result<Option<u64>, RunError> {
-    value_of(flags, name, "an unsigned integer", |_| true)
-}
-
-/// The value of `--name` as an unsigned 32-bit integer.
-fn opt_u32(flags: &Flags, name: &str) -> Result<Option<u32>, RunError> {
-    value_of(flags, name, "an unsigned integer below 2^32", |_| true)
-}
-
-fn has_flag(flags: &Flags, name: &str) -> bool {
-    flags.options.iter().any(|(k, _)| k == name)
-}
+/// Each command and the flags it reads; any other `--flag` is a usage
+/// error.
+const COMMANDS: &[(&str, &[Flag])] = &[
+    (
+        "eval",
+        &[
+            ADDR, SEED, TARGET, DEADLINE, RETRIES, RETRY_BASE, RETRY_SEED,
+        ],
+    ),
+    (
+        "trace",
+        &[
+            ADDR,
+            Flag::value("--predictor"),
+            Flag::value("--bits"),
+            Flag::value("--history-bits"),
+            DEADLINE,
+        ],
+    ),
+    ("stats", &[ADDR]),
+    ("ping", &[ADDR, Flag::value("--delay-ms")]),
+    ("shutdown", &[ADDR]),
+    (
+        "bench",
+        &[
+            ADDR,
+            CONNS,
+            Flag::value("--requests"),
+            Flag::value("--experiment"),
+            SEED,
+            Flag::value("--spread"),
+            TARGET,
+            Flag::value("--rate"),
+            DEADLINE,
+            Flag::switch("--json"),
+            RETRIES,
+            RETRY_BASE,
+            RETRY_SEED,
+            Flag::value("--chaos-kill"),
+            Flag::value("--chaos-after-ms"),
+        ],
+    ),
+    ("idle", &[ADDR, CONNS, Flag::value("--hold-ms")]),
+];
 
 fn retry_policy(flags: &Flags) -> Result<RetryPolicy, RunError> {
     let mut policy = RetryPolicy::default();
-    if let Some(n) = opt_u32(flags, "retries")? {
+    if let Some(n) = flags.u32("--retries")? {
         policy.attempts = n.max(1);
     }
-    if let Some(ms) = opt_u64(flags, "retry-base-ms")? {
+    if let Some(ms) = flags.u64("--retry-base-ms")? {
         policy.base = Duration::from_millis(ms);
     }
-    if let Some(seed) = opt_u64(flags, "retry-seed")? {
+    if let Some(seed) = flags.u64("--retry-seed")? {
         policy.seed = seed;
     }
     Ok(policy)
@@ -268,30 +208,35 @@ fn report_unexpected(resp: &Response) -> RunError {
 }
 
 fn main() -> ExitCode {
-    let result = parse_args().and_then(|flags| run(&flags, &mut std::io::stdout()));
+    let result = Flags::parse_command(std::env::args().skip(1), COMMANDS)
+        .and_then(|(command, flags)| run(command, &flags, &mut std::io::stdout()));
     finish(result, USAGE)
 }
 
 /// Runs one subcommand, writing what it prints to `out`.
-fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), RunError> {
+fn run(command: &str, flags: &Flags, out: &mut dyn Write) -> Result<(), RunError> {
     let defaults = WorkloadConfig::default();
-    match flags.command.as_str() {
+    let mut addrs: Vec<String> = flags.texts("--addr").map(String::from).collect();
+    if addrs.is_empty() {
+        addrs.push("127.0.0.1:4098".to_owned());
+    }
+    let words = flags.words(if matches!(command, "eval" | "trace") {
+        1
+    } else {
+        0
+    })?;
+    match command {
         "eval" => {
-            let [experiment] = &flags.positional[..] else {
+            let [experiment] = words else {
                 return Err(RunError::Usage(String::new()));
             };
-            let seed = opt_u64(flags, "seed")?;
-            let target = opt_u64(flags, "target")?;
-            let deadline = opt_u64(flags, "deadline-ms")?;
+            let seed = flags.seed()?.unwrap_or(defaults.seed);
+            let target = flags.target()?.unwrap_or(defaults.target_branches);
+            let deadline = flags.u64("--deadline-ms")?;
             let retry = retry_policy(flags)?;
-            let mut client = ShardedClient::new(flags.addrs.clone(), retry);
+            let mut client = ShardedClient::new(addrs, retry);
             let resp = client
-                .eval(
-                    experiment,
-                    seed.unwrap_or(defaults.seed),
-                    target.unwrap_or(defaults.target_branches as u64),
-                    deadline,
-                )
+                .eval(experiment, seed, target as u64, deadline)
                 .map_err(failed)?;
             match resp {
                 Response::Result {
@@ -311,22 +256,27 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), RunError> {
             }
         }
         "trace" => {
-            let [path] = &flags.positional[..] else {
+            let [path] = words else {
                 return Err(RunError::Usage(String::new()));
             };
-            let bits = opt_u32(flags, "bits")?.unwrap_or(16);
-            let history_bits = opt_u32(flags, "history-bits")?.unwrap_or(6);
-            let predictor = match opt(flags, "predictor").unwrap_or("gshare") {
-                "gshare" => PredictorSpec::Gshare { bits },
-                "if_gshare" => PredictorSpec::IfGshare { bits },
-                "pas" => PredictorSpec::Pas,
-                "if_pas" => PredictorSpec::IfPas { history_bits },
-                other => return Err(RunError::Usage(format!("--predictor {other:?} is unknown"))),
-            };
-            let deadline = opt_u64(flags, "deadline-ms")?;
-            let mut client = Client::connect(&flags.addrs[0]).map_err(failed)?;
+            let bits = flags.u32("--bits")?.unwrap_or(16);
+            let history_bits = flags.u32("--history-bits")?.unwrap_or(6);
+            let needs = "gshare, if_gshare, pas or if_pas";
+            let predictor = flags.get("--predictor", needs, |v| match v {
+                "gshare" => Some(PredictorSpec::Gshare { bits }),
+                "if_gshare" => Some(PredictorSpec::IfGshare { bits }),
+                "pas" => Some(PredictorSpec::Pas),
+                "if_pas" => Some(PredictorSpec::IfPas { history_bits }),
+                _ => None,
+            })?;
+            let deadline = flags.u64("--deadline-ms")?;
+            let mut client = Client::connect(&addrs[0]).map_err(failed)?;
             match client
-                .trace_eval(path, predictor, deadline)
+                .trace_eval(
+                    path,
+                    predictor.unwrap_or(PredictorSpec::Gshare { bits }),
+                    deadline,
+                )
                 .map_err(failed)?
             {
                 Response::TraceResult {
@@ -350,9 +300,9 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), RunError> {
             }
         }
         "stats" => {
-            let many = flags.addrs.len() > 1;
+            let many = addrs.len() > 1;
             let mut failures = 0;
-            for addr in &flags.addrs {
+            for addr in &addrs {
                 if many {
                     writeln!(out, "== shard {addr} ==")?;
                 }
@@ -374,8 +324,8 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), RunError> {
             Ok(())
         }
         "ping" => {
-            let delay = opt_u64(flags, "delay-ms")?;
-            let mut client = Client::connect(&flags.addrs[0]).map_err(failed)?;
+            let delay = flags.u64("--delay-ms")?;
+            let mut client = Client::connect(&addrs[0]).map_err(failed)?;
             match client.ping(delay).map_err(failed)? {
                 Response::Pong { .. } => {
                     writeln!(out, "pong")?;
@@ -386,7 +336,7 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), RunError> {
         }
         "shutdown" => {
             let mut failures = 0;
-            for addr in &flags.addrs {
+            for addr in &addrs {
                 match Client::connect(addr).and_then(|mut c| c.shutdown()) {
                     Ok(Response::ShuttingDown { .. }) => writeln!(out, "{addr} draining")?,
                     Ok(other) => {
@@ -407,23 +357,22 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), RunError> {
         "bench" => {
             // One thread per connection: the count is bounded before any starts.
             let conns_needs = format!("a connection count in 1..={MAX_THREADS}");
-            let conns = value_of(flags, "conns", &conns_needs, |n: &usize| {
-                (1..=MAX_THREADS).contains(n)
-            })?;
-            let requests = value_of(flags, "requests", "a count of at least 1", |n| *n >= 1)?;
-            let seed = opt_u64(flags, "seed")?;
-            let spread = value_of(flags, "spread", "a count of at least 1", |n| *n >= 1)?;
-            let target = opt_u64(flags, "target")?;
-            let deadline = opt_u64(flags, "deadline-ms")?;
-            let rate = value_of(flags, "rate", "a positive number", |r: &f64| {
+            let conns = flags.value("--conns", &conns_needs, |n| (1..=MAX_THREADS).contains(n))?;
+            let at_least_1 = "a count of at least 1";
+            let requests = flags.value("--requests", at_least_1, |&n| n >= 1)?;
+            let seed = flags.seed()?;
+            let spread = flags.value("--spread", at_least_1, |&n| n >= 1)?;
+            let target = flags.target()?;
+            let deadline = flags.u64("--deadline-ms")?;
+            let rate = flags.value("--rate", "a positive number", |r: &f64| {
                 r.is_finite() && *r > 0.0
             })?;
             let retry = retry_policy(flags)?;
-            let chaos_kill = opt_u64(flags, "chaos-kill")?;
-            let chaos_after = opt_u64(flags, "chaos-after-ms")?;
+            let chaos_kill = flags.u64("--chaos-kill")?;
+            let chaos_after = flags.u64("--chaos-after-ms")?;
             let chaos = match (chaos_kill, chaos_after) {
                 (Some(shard), after) => {
-                    if shard as usize >= flags.addrs.len() {
+                    if shard as usize >= addrs.len() {
                         let why = "--chaos-kill is out of range for the address list";
                         return Err(RunError::Usage(why.into()));
                     }
@@ -439,34 +388,35 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), RunError> {
                 (None, None) => None,
             };
             let opts = BenchOptions {
-                addrs: flags.addrs.clone(),
+                addrs,
                 conns: conns.unwrap_or(4),
                 requests_per_conn: requests.unwrap_or(32),
-                experiment: opt(flags, "experiment").unwrap_or("fig4").to_owned(),
+                experiment: flags.text("--experiment").unwrap_or("fig4").to_owned(),
                 seed: seed.unwrap_or(defaults.seed),
                 seed_spread: spread.unwrap_or(1),
-                target: target.unwrap_or(defaults.target_branches as u64),
+                target: target.unwrap_or(defaults.target_branches) as u64,
                 deadline_ms: deadline,
                 rate,
                 retry,
                 chaos,
             };
             let report = run_bench(&opts).map_err(failed)?;
-            if has_flag(flags, "json") {
+            if flags.switch("--json") {
                 writeln!(out, "{}", report.render_json())?;
             } else {
                 writeln!(out, "{}", report.render_text())?;
             }
             Ok(())
         }
-        "idle" => {
-            let conns = opt_u64(flags, "conns")?.unwrap_or(100) as usize;
-            let hold = opt_u64(flags, "hold-ms")?.unwrap_or(60_000);
+        // `idle`: `Flags::parse_command` admits no other command.
+        _ => {
+            let conns = flags.u64("--conns")?.unwrap_or(100) as usize;
+            let hold = flags.u64("--hold-ms")?.unwrap_or(60_000);
             // Grown per connection: `--conns` has no upper bound, so
             // reserving it up front could overflow the vector.
             let mut held = Vec::new();
             for i in 0..conns {
-                let addr = &flags.addrs[i % flags.addrs.len()];
+                let addr = &addrs[i % addrs.len()];
                 match std::net::TcpStream::connect(addr.as_str()) {
                     Ok(stream) => held.push(stream),
                     Err(e) => {
@@ -487,6 +437,5 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), RunError> {
             }
             Ok(())
         }
-        _ => Err(RunError::Usage(String::new())),
     }
 }

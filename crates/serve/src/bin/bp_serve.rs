@@ -23,74 +23,56 @@ use std::io::Write;
 use std::process::ExitCode;
 
 use bp_serve::{spawn, ServerConfig};
-use bp_trace::cli::{finish, RunError};
+use bp_trace::cli::{finish, Flag, Flags, RunError, JOBS};
 use bp_trace::MAX_THREADS;
 
 const USAGE: &str = "usage: bp-serve [--addr HOST:PORT] [--workers N] [--queue N] [--jobs N] \
     [--trace-dir DIR] [--max-frame BYTES] [--cache-dir DIR] [--cache-budget-mb N] [--quiet]";
-
-/// Parses `flag`'s value as an integer of at least `min`.
-fn at_least(flag: &str, value: &str, min: usize) -> Result<usize, String> {
-    match value.parse() {
-        Ok(n) if n >= min => Ok(n),
-        _ => Err(format!(
-            "{flag} needs an integer of at least {min}, got {value:?}"
-        )),
-    }
-}
 
 fn main() -> ExitCode {
     finish(parse_args().and_then(serve), USAGE)
 }
 
 fn parse_args() -> Result<ServerConfig, RunError> {
-    let mut cfg = ServerConfig {
-        addr: "127.0.0.1:4098".to_owned(),
-        ..ServerConfig::default()
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let flag = arg.as_str();
-        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
-        let parsed = match flag {
-            "--addr" => value().map(|v| cfg.addr = v),
-            // The server spawns one thread per worker.
-            "--workers" => value()
-                .and_then(|v| at_least(flag, &v, 1))
-                .and_then(|n| {
-                    (n <= MAX_THREADS)
-                        .then_some(n)
-                        .ok_or_else(|| format!("{flag} {n} is more than {MAX_THREADS} threads"))
-                })
-                .map(|n| cfg.workers = n),
-            "--queue" => value()
-                .and_then(|v| at_least(flag, &v, 1))
-                .map(|n| cfg.queue_capacity = n),
-            "--jobs" => value()
-                .and_then(|v| at_least(flag, &v, 1))
-                .map(|n| cfg.engine_jobs = n),
-            "--max-frame" => value()
-                .and_then(|v| at_least(flag, &v, 1024))
-                .map(|n| cfg.max_frame = n),
-            "--trace-dir" => value().map(|v| cfg.trace_dir = Some(v.into())),
-            "--cache-dir" => value().map(|v| cfg.cache_dir = Some(v.into())),
-            "--cache-budget-mb" => value()
-                .and_then(|v| at_least(flag, &v, 1))
-                .and_then(|mb| {
-                    mb.checked_mul(1 << 20)
-                        .ok_or_else(|| format!("{flag} {mb} overflows a byte count"))
-                })
-                .map(|bytes| cfg.cache_budget = bytes),
-            "--quiet" => {
-                cfg.quiet = true;
-                Ok(())
-            }
-            "--help" | "-h" => return Err(RunError::Help),
-            other => Err(format!("unknown flag {other}")),
-        };
-        parsed.map_err(RunError::Usage)?;
-    }
-    Ok(cfg)
+    const FLAGS: &[Flag] = &[
+        Flag::value("--addr"),
+        Flag::value("--workers"),
+        Flag::value("--queue"),
+        JOBS,
+        Flag::value("--trace-dir"),
+        Flag::value("--max-frame"),
+        Flag::value("--cache-dir"),
+        Flag::value("--cache-budget-mb"),
+        Flag::switch("--quiet"),
+    ];
+    let flags = Flags::parse(std::env::args().skip(1), FLAGS)?;
+    flags.words(0)?;
+    let defaults = ServerConfig::default();
+    // The server spawns one thread per worker.
+    let workers_needs = format!("a worker count in 1..={MAX_THREADS}");
+    let workers = flags.value("--workers", &workers_needs, |n| {
+        (1..=MAX_THREADS).contains(n)
+    })?;
+    let queue = flags.value("--queue", "an integer of at least 1", |&n| n >= 1)?;
+    let max_frame = flags.value("--max-frame", "an integer of at least 1024", |&n| n >= 1024)?;
+    let budget_needs = "a MiB count of at least 1 that does not overflow a byte count";
+    let cache_budget = flags.get("--cache-budget-mb", budget_needs, |v| {
+        v.parse::<usize>()
+            .ok()
+            .filter(|&mb| mb >= 1)?
+            .checked_mul(1 << 20)
+    })?;
+    Ok(ServerConfig {
+        addr: flags.text("--addr").unwrap_or("127.0.0.1:4098").to_owned(),
+        workers: workers.unwrap_or(defaults.workers),
+        queue_capacity: queue.unwrap_or(defaults.queue_capacity),
+        engine_jobs: flags.jobs()?.unwrap_or(defaults.engine_jobs),
+        max_frame: max_frame.unwrap_or(defaults.max_frame),
+        trace_dir: flags.text("--trace-dir").map(Into::into),
+        cache_dir: flags.text("--cache-dir").map(Into::into),
+        cache_budget: cache_budget.unwrap_or(defaults.cache_budget),
+        quiet: flags.switch("--quiet"),
+    })
 }
 
 /// Binds, announces the address on stdout and serves until a client

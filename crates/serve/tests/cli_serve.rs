@@ -116,6 +116,8 @@ fn bp_serve_names_every_bad_value() {
 fn bp_client_names_every_bad_value() {
     for (args, flag) in [
         (&["eval", "fig4", "--seed", "x"][..], "--seed"),
+        // The batch binaries' branch count: positive, at most 100b.
+        (&["eval", "fig4", "--target", "0"], "--target"),
         (&["eval", "fig4", "--retries", "x"], "--retries"),
         // 2^32 attempts must not wrap to one.
         (&["eval", "fig4", "--retries", "4294967296"], "--retries"),
